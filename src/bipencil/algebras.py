@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import COMPLEX, REAL, LieAlgebra
-from .scalars import QQi
 
 
 def so3() -> LieAlgebra:

@@ -13,18 +13,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, RankDeficientPointError
-from .exactlin import bilinear, mat_vec, mat_rank
-from .liealg import COMPLEX, LinearPencil
+from .exactlin import mat_vec, restrict
 from .linearization import linearize
-from .pencil import (IsotropicCore, Spectrum, compute_core, compute_spectrum,
-                     is_diagonalizable, pencil_rank_corank)
+from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
+                     pencil_rank_corank)
 from .poly import Poly
-from .roots import (BlockDecomposition, RootData, WilliamsonType, classify,
+from .roots import (BlockDecomposition, WilliamsonType, classify,
                     is_nondegenerate_linear, linear_pencil_type,
                     root_decomposition)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, as_complex, float_mode, format_scalar,
-                      is_exact_scalar, is_inf, simplify_scalar)
+                      is_exact_scalar, is_inf, lambda_key, simplify_scalar)
 from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 
 
@@ -34,7 +33,6 @@ class AnalysisParams:
     tolerance: float = 1e-9
     seed: int = 0
     declared_rank: int | None = None
-    kronecker_spot_check: bool = True
 
     def arithmetic(self) -> Mode:
         return EXACT if self.mode == "exact" else float_mode(self.tolerance)
@@ -114,13 +112,12 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
 
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
     _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings)
-    if params.kronecker_spot_check:
-        _kronecker_spot_check(field0, field_inf, pt, sampler.spawn(5), mode, warnings)
+    _kronecker_spot_check(field0, field_inf, pt, sampler.spawn(5), mode, warnings)
 
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     point_rank = core.dim - corank
     spectrum = compute_spectrum(p, sampler.spawn(3), mode, core=core,
-                                warnings=warnings, declared_rank=params.declared_rank)
+                                warnings=warnings, rank=rank)
 
     if spectrum.is_empty():
         return SingularPointReport(
@@ -128,7 +125,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             verdict=Verdict("Regular"), per_lambda=[], total_type=None,
             point_rank=point_rank, warnings=warnings)
 
-    diag_flags, all_diag = is_diagonalizable(p, core, spectrum, mode, sampler.spawn(4))
+    diag_flags, _ = is_diagonalizable(p, core, spectrum, mode)
 
     per_lambda = []
     verdict = Verdict("NonDegenerate")
@@ -136,7 +133,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     for entry in spectrum.entries:
         rep = PerLambdaReport(lam=entry.lam, kernel_dim=entry.kernel_dim,
                               paired=entry.paired)
-        rep.diagonalizable = diag_flags.get(_key(entry.lam), None)
+        rep.diagonalizable = diag_flags.get(lambda_key(entry.lam), None)
         per_lambda.append(rep)
         if not rep.diagonalizable:
             rep.degeneracy_reason = f"NonDiagonalizable({format_scalar(entry.lam)})"
@@ -152,10 +149,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             if verdict.kind != "Degenerate":
                 verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
-        if lp.algebra.field == COMPLEX:
-            rep.type = WilliamsonType(kf=len(data.pairs))
-        else:
-            rep.type = linear_pencil_type(data, mode)
+        rep.type = linear_pencil_type(data, mode)
         rep.blocks = classify(lp, mode, data)
         total = total + rep.type
 
@@ -176,11 +170,6 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         point=pt, pencil_rank=rank, corank=corank, spectrum=spectrum,
         verdict=verdict, per_lambda=per_lambda, total_type=total_type,
         point_rank=point_rank, warnings=warnings)
-
-
-def _key(lam):
-    from .pencil import _lam_key
-    return _lam_key(lam)
 
 
 def _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings):
@@ -241,26 +230,19 @@ class CasimirVariation:
 
     def restrict_to(self, basis, mode: Mode = EXACT):
         """Matrix of the operator on an invariant span of covectors."""
-        from .exactlin import coords_in_span
-        cols = []
-        for b in basis:
-            img = mat_vec(self.matrix, b)
-            coords = coords_in_span(basis, img, mode)
-            if coords is None:
-                raise PreconditionError("span is not invariant under the operator")
-            cols.append(coords)
-        m = len(basis)
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
+        M = restrict(self.matrix, basis, mode)
+        if M is None:
+            raise PreconditionError("span is not invariant under the operator")
+        return M
 
 
-def _function_data(f, point, description="") -> FunctionData:
+def _function_data(f, point) -> FunctionData:
     if isinstance(f, FunctionData):
         return f
     if isinstance(f, Poly):
         grad = [g.eval(point) for g in f.gradient()]
         hess = [[h.eval(point) for h in row] for row in f.hessian()]
-        return FunctionData(gradient=grad, hessian=hess,
-                            description=description or "polynomial")
+        return FunctionData(gradient=grad, hessian=hess, description="polynomial")
     raise PreconditionError("f must be a Poly or FunctionData")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import algebras
-from .liealg import LieAlgebra, TwoCocycle, argument_shift_cocycle
+from .liealg import LieAlgebra, argument_shift_cocycle
 from .poly import Poly
 from .tensorfield import PoissonTensorField
 

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error (parse/Jacobi failures), 2 refused
-precondition (rank-deficient point, phase-space violation).  Errors are
+Exit codes: 0 success; 1 input error (parse/Jacobi failures, "error":
+"input"); 2 refused precondition (rank-deficient point, phase-space
+violation, "error": "refused"); 1 for any other library error, such as
+ToleranceError or SingularParameterError ("error": "error").  Errors are
 mirrored as machine-readable JSON on stderr.
 """
 
@@ -12,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .analyzer import AnalysisParams, analyze_point
@@ -20,12 +21,12 @@ from .catalog import catalog, catalog_by_name
 from .errors import (BipencilError, InputFormatError, PreconditionError,
                      RankDeficientPointError)
 from .io import (catalog_entry_to_json_dict, dump_canonical, load_pencil_file,
-                 parse_point_csv, pencil_to_json_dict, report_document)
+                 parse_point_csv, report_document)
 from .jk import jk_invariants
 from .liealg import LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, kernel_of_cocycle, is_regular_cocycle
 from .roots import classify, is_nondegenerate_linear, linear_pencil_type, root_decomposition
 from .sampling import SamplingPolicy
-from .scalars import EXACT, float_mode, format_scalar, parse_rational
+from .scalars import EXACT, float_mode, format_scalar
 from .tensorfield import evaluate_pencil
 from .toda import TodaPoint, random_point, toda_pencil, toda_spectrum_via_lax
 
@@ -189,11 +190,7 @@ def cmd_linear(args) -> int:
                                          "cocycle_file": args.cocycle}),
     }
     if ok:
-        if algebra.field == "complex":
-            from .roots import WilliamsonType
-            doc["type"] = WilliamsonType(kf=len(data.pairs)).to_json_dict()
-        else:
-            doc["type"] = linear_pencil_type(data, mode).to_json_dict()
+        doc["type"] = linear_pencil_type(data, mode).to_json_dict()
         doc["blocks"] = classify(lp, mode, data).to_json_dict()
     _write_output(dump_canonical(doc), args.out)
     return EXIT_OK

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, Mode, QQi, as_complex, conj, is_exact_scalar, simplify_scalar
+from .scalars import EXACT, Mode, QQi, as_complex, is_exact_scalar, simplify_scalar
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -71,26 +71,6 @@ def vec_dot(u, v):
 def bilinear(A, u, v):
     """u^T A v for covectors u, v."""
     return vec_dot(u, mat_vec(A, v))
-
-
-def is_skew(M, mode: Mode = EXACT) -> bool:
-    n, m = shape(M)
-    if n != m:
-        return False
-    scale = _float_scale(M)
-    for i in range(n):
-        for j in range(n):
-            if not mode.zero(M[i][j] + M[j][i], scale):
-                return False
-    return True
-
-
-def _float_scale(M) -> float:
-    best = 0.0
-    for row in M:
-        for x in row:
-            best = max(best, abs(as_complex(x)))
-    return best if best > 0 else 1.0
 
 
 def to_numpy(M) -> np.ndarray:
@@ -243,11 +223,10 @@ def _to_field(x):
     return x
 
 
-def nullspace_exact(M, ncols=None):
+def nullspace_exact(M):
     """Right-kernel basis in pivot-normalized echelon form (deterministic)."""
     if not M or not M[0]:
-        n = ncols if ncols is not None else 0
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)]
+        return []
     R, pivots = rref(M)
     n, m = shape(M)
     free = [c for c in range(m) if c not in pivots]
@@ -310,6 +289,24 @@ def coords_in_span(basis_vectors, w, mode: Mode = EXACT, scale: float = 1.0):
     return list(x)
 
 
+def restrict(A, basis, mode: Mode = EXACT, modulo=()):
+    """Matrix of the operator A on span(basis), modulo span(modulo).
+
+    Each image A b is resolved in span(basis + modulo) and its ``modulo``
+    coordinates are dropped; with no ``modulo`` this is the restriction to an
+    invariant span, otherwise the map induced on the quotient.  Returns None
+    when an image leaves that span.
+    """
+    span = list(basis) + list(modulo)
+    cols = []
+    for b in basis:
+        coords = coords_in_span(span, mat_vec(A, b), mode)
+        if coords is None:
+            return None
+        cols.append(coords[:len(basis)])
+    return transpose(cols)
+
+
 def inverse_exact(M):
     n, m = shape(M)
     if n != m:
@@ -342,14 +339,6 @@ def subspace_dim(vectors, mode: Mode = EXACT) -> int:
     if not vectors:
         return 0
     return mat_rank(vectors, mode)
-
-
-def same_subspace(basis_a, basis_b, mode: Mode = EXACT) -> bool:
-    da = subspace_dim(basis_a, mode)
-    db = subspace_dim(basis_b, mode)
-    if da != db:
-        return False
-    return subspace_dim(list(basis_a) + list(basis_b), mode) == da
 
 
 def intersect_dims(basis_a, basis_b, mode: Mode = EXACT) -> int:
@@ -557,6 +546,50 @@ def _newton_polish(coeffs_float, dcoeffs_float, z: complex, iters: int = 60) -> 
     return z
 
 
+def _convergents(x: Fraction, max_den: int):
+    """Continued-fraction convergents of x with denominator up to max_den."""
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a, rest = divmod(x.numerator, x.denominator)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > max_den:
+            return out
+        out.append(Fraction(p1, q1))
+        if rest == 0:
+            return out
+        x = Fraction(x.denominator, rest)
+
+
+def _exact_root_near(coeffs, z: complex, tol: float, max_den: int = 10 ** 9):
+    """The first convergent of z within ``tol`` that is an exact root, or None.
+
+    Convergents of both parts are tried by increasing denominator, so simple
+    roots keep their true denominator, and a near miss at a small denominator
+    (15418/15435 lies within 1e-7 of 907/908) does not hide the exact root
+    further on.  A root r of an integral polynomial with leading coefficient
+    c makes c*r a Gaussian integer, which rules out most candidates before
+    the exact evaluation.
+    """
+    re, im = Fraction(z.real), Fraction(z.imag)
+    pairs = ([(c, im.limit_denominator(c.denominator)) for c in _convergents(re, max_den)]
+             + [(re.limit_denominator(c.denominator), c) for c in _convergents(im, max_den)]
+             + [(re.limit_denominator(max_den), im.limit_denominator(max_den))])
+    lead = _clear_row_denominators(coeffs)[-1]
+    for r, i in sorted(pairs, key=lambda ri: max(ri[0].denominator, ri[1].denominator)):
+        if abs(complex(r, i) - z) > tol * max(1.0, abs(z)):
+            continue
+        cand = simplify_scalar(QQi(r, i))
+        if _is_gaussian_integer(lead * cand) and poly_eval(coeffs, cand) == 0:
+            return cand
+    return None
+
+
+def _is_gaussian_integer(x) -> bool:
+    parts = (x.re, x.im) if isinstance(x, QQi) else (x,)
+    return all(Fraction(c).denominator == 1 for c in parts)
+
+
 def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     """Roots of an exact polynomial.
 
@@ -566,8 +599,6 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     are Newton-polished on the exact square-free part, so simple roots are
     accurate to machine precision even when the original had multiplicities.
     """
-    from .scalars import snap_to_exact
-
     deg = _poly_degree(coeffs)
     coeffs = [simplify_scalar(_to_field(c)) for c in coeffs[:deg + 1]]
     if deg == 0:
@@ -582,8 +613,8 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     remaining = list(coeffs)
     float_candidates = []
     for z in polished:
-        cand = snap_to_exact(z, snap_tol)
-        if cand is not None and poly_eval(coeffs, cand) == 0:
+        cand = _exact_root_near(coeffs, z, snap_tol)
+        if cand is not None:
             if any(r == cand for r, _ in exact_roots):
                 continue
             mult = 0

@@ -9,12 +9,11 @@ hence byte-stable for identical inputs and seeds in exact mode.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .errors import InputFormatError
 from .poly import Poly
-from .scalars import format_scalar, parse_rational
+from .scalars import parse_rational
 from .tensorfield import PoissonTensorField
 
 FORMAT_VERSION = 1

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
 from .exactlin import identity, mat_mul, mat_rank, mat_sub, mat_scale, transpose
-from .pencil import (IsotropicCore, compute_core, compute_spectrum,
-                     lambda_to_moebius, pencil_rank_corank, quotient_basis,
-                     recursion_operator, regular_parameters)
+from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
+                     pencil_rank_corank, quotient_basis, recursion_operator,
+                     regular_parameters)
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, INF, Mode, QQi, as_complex, conj, format_scalar,
-                      is_exact_scalar, is_inf, simplify_scalar)
+from .scalars import EXACT, Mode, QQi, conj, is_inf, lambda_key
 from .tensorfield import PencilAtPoint, constant_pencil
 
 
@@ -173,14 +172,13 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
             f"Kronecker block count {len(kronecker)} disagrees with corank {corank}")
 
     # Jordan sizes from kernel powers of a recursion operator on the quotient.
-    spectrum = compute_spectrum(p, sampler.spawn(3), mode, core=core)
+    spectrum = compute_spectrum(p, sampler.spawn(3), mode, core=core, rank=rank)
     qbasis = quotient_basis(p, core, mode)
     jordan: dict = {}
     jordan_values: dict = {}
     if qbasis:
         t1, t2 = regular_parameters(p, sampler.spawn(4), 2, mode, rank=rank)
         R = recursion_operator(p, core, t1, t2, mode, qbasis).matrix
-        m = len(qbasis)
         lams = []
         for entry in spectrum.entries:
             lams.append(entry.lam)
@@ -190,7 +188,7 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
         for lam in lams:
             mu = lambda_to_moebius(lam, t1, t2)
             sizes = _jordan_sizes_at(R, mu, mode)
-            key = _jk_key(lam)
+            key = lambda_key(lam)
             jordan[key] = sizes
             jordan_values[key] = lam
     inv = JKInvariants(corank=corank, kronecker_indices=sorted(kronecker),
@@ -225,12 +223,3 @@ def _jordan_sizes_at(R, mu, mode: Mode):
                 "odd Jordan block count on the quotient; tolerance inconsistency")
         sizes.extend([s + 1] * (exact_count // 2))
     return sorted(sizes)
-
-
-def _jk_key(lam) -> str:
-    if is_inf(lam):
-        return "inf"
-    if is_exact_scalar(lam):
-        return str(lam)
-    z = complex(lam)
-    return f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"

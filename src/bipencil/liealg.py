@@ -10,14 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (char_poly, intersect_dims, mat_rank, nullspace,
-                       poly_eval, poly_squarefree_part, subspace_dim)
+from .exactlin import (char_poly, eigenvalues, identity, mat_add, mat_mul,
+                       mat_rank, mat_scale, nullspace, poly_squarefree_part,
+                       solve_exact, subspace_dim, svd_rank, to_numpy, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, QQi, as_complex, cimag, creal,
-                      format_scalar, is_exact_scalar, parse_rational,
-                      simplify_scalar)
+from .scalars import (EXACT, Mode, QQi, as_complex, format_scalar,
+                      is_exact_scalar, parse_rational, simplify_scalar)
 from .tensorfield import PoissonTensorField
 
 REAL = "real"
@@ -78,20 +80,7 @@ class LieAlgebra:
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
     def verify_jacobi(self) -> bool:
-        d = self.dim
-        for i in range(d):
-            ei = [Fraction(1) if t == i else Fraction(0) for t in range(d)]
-            for j in range(i + 1, d):
-                ej = [Fraction(1) if t == j else Fraction(0) for t in range(d)]
-                for k in range(j + 1, d):
-                    ek = [Fraction(1) if t == k else Fraction(0) for t in range(d)]
-                    total = [a + b + c for a, b, c in zip(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        self.bracket(self.bracket(ej, ek), ei),
-                        self.bracket(self.bracket(ek, ei), ej))]
-                    if any(v != 0 for v in total):
-                        return False
-        return True
+        return self.jacobi_violation() is None
 
     def jacobi_violation(self):
         """First violating triple (i, j, k) or None."""
@@ -155,7 +144,6 @@ class LieAlgebra:
             adz = self.ad_matrix(z)
             if any(v != 0 for row in adz for v in row):
                 raise PreconditionError("ideal basis vector is not central")
-        from .exactlin import rref, transpose
         ideal = [list(z) for z in ideal_basis]
         comp_idx = []
         current = [list(z) for z in ideal]
@@ -169,7 +157,6 @@ class LieAlgebra:
         basis_mat = [[Fraction(1) if t == comp_idx[j] else Fraction(0)
                       for t in range(self.dim)] for j in range(m)]
         full = ideal + basis_mat
-        from .exactlin import solve_exact
         A = transpose(full)
         for u in range(m):
             for v in range(u + 1, m):
@@ -338,7 +325,6 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
     if mode.is_exact or all(is_exact_scalar(x) for row in M for x in row):
         p = char_poly(M)
         sf = poly_squarefree_part(p)
-        from .exactlin import identity, mat_mul, mat_scale, mat_add, zeros
         n = len(M)
         acc = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
@@ -349,19 +335,8 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
             if c != 0:
                 acc = mat_add(acc, mat_scale(power, c))
         return all(v == 0 for row in acc for v in row)
-    import numpy as np
-    from .exactlin import to_numpy, svd_rank
     A = to_numpy(M)
-    vals = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    clusters = []
-    for z in vals:
-        for c in clusters:
-            if abs(z - c[0]) <= 1000 * mode.eps * scale:
-                c[1] += 1
-                break
-        else:
-            clusters.append([complex(z), 1])
+    _, clusters = eigenvalues(M, mode)
     n = len(M)
     for z, mult in clusters:
         shifted = A - z * np.eye(n)
@@ -387,8 +362,7 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
                          per_generator_semisimple=per_gen)
 
 
-def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle,
-                      check: bool = True) -> LieAlgebra:
+def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle) -> LieAlgebra:
     """One-dimensional central extension [x,y]_A = [x,y] + A(x,y) z."""
     d = algebra.dim
     out = LieAlgebra(d + 1, algebra.field, algebra.labels + ["z"])
@@ -396,16 +370,15 @@ def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle,
         for j in range(i + 1, d):
             vec = algebra.structure_vector(i, j) + [cocycle.matrix[i][j]]
             out.set_bracket(i, j, vec)
-    if check:
-        if not out.verify_jacobi():
-            raise PreconditionError("central extension failed Jacobi (form is not closed)")
-        # the lift of A must be the coboundary of the new dual coordinate
-        for i in range(d):
-            for j in range(i + 1, d):
-                ei = [Fraction(1) if t == i else Fraction(0) for t in range(d + 1)]
-                ej = [Fraction(1) if t == j else Fraction(0) for t in range(d + 1)]
-                if out.bracket(ei, ej)[d] != cocycle.matrix[i][j]:
-                    raise PreconditionError("lifted form is not the coboundary of z*")
+    if not out.verify_jacobi():
+        raise PreconditionError("central extension failed Jacobi (form is not closed)")
+    # the lift of A must be the coboundary of the new dual coordinate
+    for i in range(d):
+        for j in range(i + 1, d):
+            ei = [Fraction(1) if t == i else Fraction(0) for t in range(d + 1)]
+            ej = [Fraction(1) if t == j else Fraction(0) for t in range(d + 1)]
+            if out.bracket(ei, ej)[d] != cocycle.matrix[i][j]:
+                raise PreconditionError("lifted form is not the coboundary of z*")
     return out
 
 

@@ -14,8 +14,8 @@ from .errors import PreconditionError, RankDeficientPointError
 from .exactlin import bilinear, coords_in_span
 from .liealg import COMPLEX, REAL, LieAlgebra, LinearPencil, TwoCocycle, is_cocycle
 from .pencil import IsotropicCore, Spectrum, kernel_basis
-from .scalars import (EXACT, Mode, as_complex, cimag, is_exact_scalar, is_inf,
-                      simplify_scalar)
+from .scalars import (EXACT, Mode, as_complex, conj, is_exact_scalar, is_inf,
+                      lambda_is_real, simplify_scalar)
 from .tensorfield import PencilAtPoint
 
 
@@ -30,9 +30,7 @@ def linearize(p: PencilAtPoint, core: IsotropicCore, lam,
     m = len(ker)
     d = p.dim
 
-    real_lambda = is_inf(lam) or (is_exact_scalar(lam) and cimag(lam) == 0) \
-        or (not is_exact_scalar(lam) and abs(complex(lam).imag) == 0)
-    field_name = REAL if real_lambda else COMPLEX
+    field_name = REAL if lambda_is_real(lam) else COMPLEX
 
     # structure constants: w_k = xi^T (d_k P_lambda) eta, expressed in the kernel
     derivs = [p.derivative_at(lam, k) for k in range(d)]
@@ -74,7 +72,6 @@ def _scale_of(w) -> float:
 
 
 def _conj_lambda(lam):
-    from .scalars import conj
     if is_inf(lam):
         return lam
     return conj(lam)

@@ -8,16 +8,17 @@ L^perp / L, and the diagonalizability test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (all_entries_real, basis_union, bilinear, coords_in_span,
-                       eigenvalues, inverse, mat_mul, mat_rank, mat_vec,
-                       nullspace, subspace_dim, transpose)
+from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
+                       identity, inverse, mat_mul, mat_rank, mat_vec, nullspace,
+                       restrict)
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, INF, Mode, QQi, as_complex, cimag, conj, creal,
-                      is_exact_scalar, is_inf, simplify_scalar, snap_to_exact)
+from .scalars import (EXACT, INF, Mode, as_complex, cimag, conj, is_exact_scalar,
+                      is_inf, lambda_is_real, lambda_key, simplify_scalar,
+                      snap_to_exact)
 from .tensorfield import PencilAtPoint
 
 
@@ -72,13 +73,6 @@ class SpectrumEntry:
     kernel_dim: int
     exact: bool = True
     paired: bool = False   # True when the entry stands for a conjugate pair
-
-    def is_real(self) -> bool:
-        if is_inf(self.lam):
-            return True
-        if is_exact_scalar(self.lam):
-            return cimag(self.lam) == 0
-        return abs(complex(self.lam).imag) == 0
 
 
 @dataclass
@@ -149,15 +143,11 @@ def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
                          corank=corank)
 
 
-def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
-              alpha=None):
+def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha."""
-    if alpha is None:
-        alpha = core.regular_params[0]
-    A = p.matrix_at(alpha)
+    A = p.matrix_at(core.regular_params[0])
     rows = [mat_vec(A, l) for l in core.basis]
     if not rows:
-        from .exactlin import identity
         return identity(p.dim)
     return nullspace(rows, mode)
 
@@ -167,7 +157,6 @@ def quotient_basis(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     perp = core_perp(p, core, mode)
     chosen = []
     current = [list(v) for v in core.basis]
-    base_dim = len(current)
     for v in perp:
         cand = current + [list(v)]
         if mat_rank(cand, mode) == len(cand):
@@ -230,17 +219,17 @@ def lambda_to_moebius(lam, t1, t2):
 
 def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
                      core: IsotropicCore | None = None, warnings=None,
-                     declared_rank: int | None = None) -> Spectrum:
+                     rank: int | None = None) -> Spectrum:
     """Parameters where rank P_lambda(x) < rank Pi(x), with exact kernel dims.
 
     Candidates come from the eigenvalues of a recursion operator between two
     regular parameters, mapped back through the Moebius normalization; every
     candidate is then re-verified by an independent rank computation.
+    ``rank`` is the pencil rank at the point when the caller already has it.
     """
-    rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
-    if declared_rank is not None and rank < declared_rank:
-        raise RankDeficientPointError(
-            f"rank {rank} at the point is below the declared pencil rank {declared_rank}")
+    if rank is None:
+        rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
+    corank = p.dim - rank
     if core is None:
         core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     qbasis = quotient_basis(p, core, mode)
@@ -298,14 +287,14 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
     for i, e in enumerate(entries):
         if used[i]:
             continue
-        if e.is_real():
+        if lambda_is_real(e.lam):
             out.append(e)
             used[i] = True
             continue
         lam_c = as_complex(e.lam)
         partner = None
         for j in range(i + 1, len(entries)):
-            if used[j] or entries[j].is_real() or is_inf(entries[j].lam):
+            if used[j] or lambda_is_real(entries[j].lam):
                 continue
             if e.exact and entries[j].exact:
                 if conj(e.lam) == entries[j].lam:
@@ -326,14 +315,12 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
 
 
 def is_diagonalizable(p: PencilAtPoint, core: IsotropicCore, spectrum: Spectrum,
-                      mode: Mode = EXACT, sampler: SamplingPolicy | None = None):
+                      mode: Mode = EXACT):
     """Per-lambda test dim Ker(P_alpha | Ker P_lambda) == corank, and the conjunction.
 
     One regular alpha suffices: all restrictions of other brackets to the
     kernel agree up to a nonzero factor.
     """
-    if sampler is None:
-        sampler = SamplingPolicy(17)
     per_lambda = {}
     overall = True
     alpha = core.regular_params[0]
@@ -345,7 +332,7 @@ def is_diagonalizable(p: PencilAtPoint, core: IsotropicCore, spectrum: Spectrum,
              for r in range(m)]
         kd = m - mat_rank(G, mode)
         flag = (kd == spectrum.corank)
-        per_lambda[_lam_key(entry.lam)] = flag
+        per_lambda[lambda_key(entry.lam)] = flag
         overall = overall and flag
     return per_lambda, overall
 
@@ -361,19 +348,7 @@ def quotient_operator(op_matrix, qbasis, core_basis, mode: Mode = EXACT):
     Images are resolved in the combined (quotient + core) span and the core
     component is discarded.
     """
-    combined = [list(v) for v in qbasis] + [list(v) for v in core_basis]
-    cols = []
-    for q in qbasis:
-        img = mat_vec(op_matrix, q)
-        coords = coords_in_span(combined, img, mode)
-        if coords is None:
-            raise ToleranceError("operator does not preserve the quotient span")
-        cols.append(coords[:len(qbasis)])
-    m = len(qbasis)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
-def _lam_key(lam):
-    if is_inf(lam):
-        return "inf"
-    return str(lam)
+    M = restrict(op_matrix, qbasis, mode, modulo=core_basis)
+    if M is None:
+        raise ToleranceError("operator does not preserve the quotient span")
+    return M

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QQi, is_exact_scalar
+from .scalars import is_exact_scalar
 
 
 class Poly:

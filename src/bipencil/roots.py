@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ToleranceError
 from .exactlin import (coords_in_span, eigenvalues, identity, intersect_dims,
-                       mat_rank, mat_sub, mat_scale, nullspace, subspace_dim,
-                       transpose)
+                       mat_rank, mat_sub, mat_scale, nullspace, restrict,
+                       subspace_dim)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
-from .scalars import (EXACT, Mode, QQi, as_complex, cimag, conj, creal,
+from .scalars import (EXACT, Mode, as_complex, cimag, conj, creal,
                       is_exact_scalar, simplify_scalar)
 
 
@@ -107,20 +107,6 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _restriction_matrix(A, basis, mode: Mode):
-    """Matrix of A restricted to the invariant span of ``basis``."""
-    from .exactlin import mat_vec
-    cols = []
-    for b in basis:
-        img = mat_vec(A, b)
-        coords = coords_in_span(basis, img, mode)
-        if coords is None:
-            raise ToleranceError("operator failed to preserve an invariant subspace")
-        cols.append(coords)
-    m = len(basis)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
 def _combine(basis, coords):
     out = [0] * len(basis[0])
     for c, b in zip(coords, basis):
@@ -143,7 +129,9 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     for A in mats:
         new_items = []
         for (eigs, basis) in items:
-            R = _restriction_matrix(A, basis, mode)
+            R = restrict(A, basis, mode)
+            if R is None:
+                raise ToleranceError("operator failed to preserve an invariant subspace")
             exact_eigs, float_eigs = eigenvalues(R, mode)
             total_mult = sum(mult for _, mult in exact_eigs) + sum(m2 for _, m2 in float_eigs)
             if total_mult != len(basis):

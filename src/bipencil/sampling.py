@@ -32,12 +32,6 @@ class SamplingPolicy:
         q = self._rng.randint(1, self.max_den)
         return Fraction(p, q)
 
-    def nonzero_rational(self) -> Fraction:
-        while True:
-            r = self.rational()
-            if r != 0:
-                return r
-
     def distinct_rationals(self, count: int, exclude=()) -> list:
         """``count`` distinct rationals avoiding ``exclude``."""
         seen = set(exclude)

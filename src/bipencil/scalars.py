@@ -8,7 +8,7 @@ through the linear-algebra helpers, not by wrapping the numbers themselves.
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -41,6 +41,45 @@ def is_inf(x) -> bool:
     return isinstance(x, _Infinity)
 
 
+def lambda_is_real(lam) -> bool:
+    """A pencil parameter is real: INF, an exact real, or a float with zero imaginary part."""
+    if is_inf(lam):
+        return True
+    if is_exact_scalar(lam):
+        return cimag(lam) == 0
+    return complex(lam).imag == 0
+
+
+def lambda_key(lam) -> str:
+    """Dictionary key of a pencil parameter: 'inf', the exact value, or 12 digits."""
+    if is_inf(lam):
+        return "inf"
+    if is_exact_scalar(lam):
+        return str(lam)
+    z = complex(lam)
+    return f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"
+
+
+def _mixed(method):
+    """A QQi operator that also takes float and complex operands.
+
+    Exact operands are lifted to QQi; a float or complex operand turns the
+    operation into complex arithmetic (exact mode can subtract a float
+    eigenvalue from a Gaussian-rational matrix).
+    """
+
+    @functools.wraps(method)
+    def op(self, other):
+        if isinstance(other, (float, complex)):
+            return getattr(complex(self), method.__name__)(complex(other))
+        other = _as_qqi(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return method(self, other)
+
+    return op
+
+
 @dataclass(frozen=True)
 class QQi:
     """Gaussian rational a + b*i with exact Fraction components."""
@@ -53,49 +92,37 @@ class QQi:
         object.__setattr__(self, "im", Fraction(self.im))
 
     # -- arithmetic -------------------------------------------------------
+    @_mixed
     def __add__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QQi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_mixed
     def __sub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QQi(self.re - other.re, self.im - other.im)
 
+    @_mixed
     def __rsub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QQi(other.re - self.re, other.im - self.im)
 
+    @_mixed
     def __mul__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
+    @_mixed
     def __truediv__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return QQi((self.re * other.re + self.im * other.im) / d,
                    (self.im * other.re - self.re * other.im) / d)
 
+    @_mixed
     def __rtruediv__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __neg__(self):
@@ -155,34 +182,6 @@ def _as_qqi(x):
     return NotImplemented
 
 
-def _patch_qqi_float_interop():
-    """Mixed QQi/float arithmetic degrades to complex (float-mode convenience)."""
-
-    def wrap(name, op):
-        orig = getattr(QQi, name)
-
-        def method(self, other):
-            if isinstance(other, (float, complex)):
-                return op(complex(self), complex(other))
-            return orig(self, other)
-
-        setattr(QQi, name, method)
-
-    import operator
-
-    wrap("__add__", operator.add)
-    wrap("__radd__", lambda a, b: b + a)
-    wrap("__sub__", operator.sub)
-    wrap("__rsub__", lambda a, b: b - a)
-    wrap("__mul__", operator.mul)
-    wrap("__rmul__", lambda a, b: b * a)
-    wrap("__truediv__", operator.truediv)
-    wrap("__rtruediv__", lambda a, b: b / a)
-
-
-_patch_qqi_float_interop()
-
-
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QQi))
 
@@ -217,16 +216,7 @@ def conj(x):
 
 
 def as_complex(x) -> complex:
-    if isinstance(x, QQi):
-        return complex(x)
     return complex(x)
-
-
-def scalar_is_real(x, mode: "Mode") -> bool:
-    if is_exact_scalar(x):
-        return cimag(x) == 0
-    z = complex(x)
-    return abs(z.imag) <= 10 * mode.eps * max(abs(z), 1.0)
 
 
 def simplify_scalar(x):
@@ -300,7 +290,3 @@ def float_mode(eps: float = 1e-9) -> Mode:
         raise ValueError("float tolerance must be positive")
     return Mode("float", eps)
 
-
-def abs2(z) -> float:
-    z = as_complex(z)
-    return z.real * z.real + z.imag * z.imag

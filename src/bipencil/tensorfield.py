@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, NonRationalPointError
 from .exactlin import mat_add, mat_scale
 from .poly import Poly
-from .scalars import INF, is_exact_scalar, is_inf
+from .scalars import is_exact_scalar, is_inf
 
 
 class PoissonTensorField:
@@ -167,7 +167,6 @@ class PencilAtPoint:
     dA0: list
     dAinf: list
     point: list
-    compatibility_checked: bool = False
 
     def matrix_at(self, lam):
         """P_lambda(x) = A0 + lam * Ainf, with lam = INF meaning Ainf alone."""
@@ -183,8 +182,7 @@ class PencilAtPoint:
 
 
 def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
-                    point, exact_required: bool = False,
-                    check_compatibility: bool = False) -> PencilAtPoint:
+                    point, exact_required: bool = False) -> PencilAtPoint:
     """Evaluate both generators and their first derivatives at a point.
 
     Evaluation is exact whenever the point is rational; float points are
@@ -197,11 +195,6 @@ def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
             f"point has arity {len(point)}, expected {field0.dim}")
     if exact_required and not all(is_exact_scalar(x) for x in point):
         raise NonRationalPointError("exact mode requires a rational point")
-    checked = False
-    if check_compatibility:
-        if not fields_compatible(field0, field_inf):
-            raise DimensionMismatchError("generators are not a compatible Poisson pair")
-        checked = True
     return PencilAtPoint(
         dim=field0.dim,
         A0=field0.matrix_at(point),
@@ -209,7 +202,6 @@ def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
         dA0=field0.derivative_tensors_at(point),
         dAinf=field_inf.derivative_tensors_at(point),
         point=list(point),
-        compatibility_checked=checked,
     )
 
 

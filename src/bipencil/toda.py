@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import (bilinear, char_poly, mat_vec, nullspace, poly_deriv,
-                       poly_gcd_exact, poly_roots_hybrid, symmetric_signature,
-                       to_numpy)
+from .exactlin import (bilinear, char_poly, coords_in_span, mat_vec, nullspace,
+                       poly_roots_hybrid, symmetric_signature, to_numpy)
+from .liealg import LieAlgebra
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, as_complex, is_exact_scalar, simplify_scalar
+from .scalars import EXACT, Mode, as_complex, simplify_scalar
 from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 
 
@@ -89,14 +89,6 @@ def toda_pencil_at(pt: TodaPoint) -> PencilAtPoint:
 def casimir_gradient(pt: TodaPoint):
     """Gradient of the common Casimir sum(log a_i): (1/a_i, ..., 0, ...)."""
     return [Fraction(1) / x for x in pt.a] + [Fraction(0)] * pt.n
-
-
-def casimir_hessian(pt: TodaPoint):
-    d = 2 * pt.n
-    H = [[Fraction(0)] * d for _ in range(d)]
-    for i, x in enumerate(pt.a):
-        H[i][i] = Fraction(-1) / (x * x)
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +245,16 @@ def fold_to_covector(pt: TodaPoint, alpha, beta):
     return [alpha[i] for i in range(n)] + [beta[i] for i in range(n)]
 
 
-def wronskian(pt: TodaPoint, xi, eta, i: int | None = None, check_constant: bool = True):
+def wronskian(pt: TodaPoint, xi, eta, i: int | None = None):
     """W_i = a_i (xi_{i+1} eta_i - xi_i eta_{i+1}); independent of i for solutions."""
     n = pt.n
     m = len(xi)
-
-    def w_at(k):
-        return pt.a[k % n] * (xi[(k + 1) % m] * eta[k] - xi[k] * eta[(k + 1) % m])
-
-    if check_constant:
-        vals = [w_at(k) for k in range(m)]
-        if any(v != vals[0] for v in vals[1:]):
-            raise PreconditionError("Wronskian is not constant; inputs do not solve "
-                                    "the recursion")
-        return vals[i % m if i is not None else 0]
-    return w_at(i if i is not None else 0)
+    vals = [pt.a[k % n] * (xi[(k + 1) % m] * eta[k] - xi[k] * eta[(k + 1) % m])
+            for k in range(m)]
+    if any(v != vals[0] for v in vals[1:]):
+        raise PreconditionError("Wronskian is not constant; inputs do not solve "
+                                "the recursion")
+    return vals[i % m if i is not None else 0]
 
 
 @dataclass
@@ -385,7 +372,6 @@ def toda_kernel_algebra_check(pt: TodaPoint, lam, mode: Mode = EXACT) -> KernelA
         if mod_center:
             # n = 2 wrap-around: the identities close only modulo the central
             # Casimir direction
-            from .exactlin import coords_in_span
             return coords_in_span([dC], diff, mode) is not None
         return False
 
@@ -414,8 +400,7 @@ def toda_kernel_algebra_check(pt: TodaPoint, lam, mode: Mode = EXACT) -> KernelA
     kernel_elems = [dC, [dot(eta, eta) * x + dot(xi, xi) * y for x, y in zip(X, Y)]]
     basis = [X, Y, Z, dC]
     G = [[simplify_scalar(bilinear(Ainf, u, v) + Fraction(0)) for v in basis] for u in basis]
-    from .exactlin import coords_in_span, mat_rank, nullspace as nsp
-    ker_G = nsp(G, mode)
+    ker_G = nullspace(G, mode)
     ck_ok = len(ker_G) == 2
     for v in kernel_elems:
         coords = coords_in_span(basis, v, mode)
@@ -430,7 +415,6 @@ def toda_kernel_algebra_check(pt: TodaPoint, lam, mode: Mode = EXACT) -> KernelA
 
     # structure recognition: one-dimensional center spanned by dC, derived
     # part three-dimensional with indefinite non-degenerate Killing form
-    from .liealg import LieAlgebra
     alg = LieAlgebra(4, "real")
     closed = True
     for (u, v, iu, iv) in ((X, Y, 0, 1), (X, Z, 0, 2), (X, dC, 0, 3),

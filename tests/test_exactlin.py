@@ -103,6 +103,11 @@ def test_char_poly_roots_and_multiplicity():
     ex, fl = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
     assert ex == [] and sorted(round(abs(z), 9) for z, _ in fl) == [1.414213562] * 2
 
+    # 907/908 lies within the snap tolerance of 15418/15435 but is no root;
+    # the larger convergent is, and must come back exact
+    ex, fl = poly_roots_hybrid([-Fraction(15418, 15435), Fraction(1)])
+    assert ex == [(Fraction(15418, 15435), 1)] and fl == []
+
 
 def test_poly_gcd_and_squarefree():
     # p = (x-1)^2 (x+3)
@@ -150,3 +155,13 @@ def test_qqi_field_axioms():
     assert (a / a) == 1
     with pytest.raises(ZeroDivisionError):
         a / QQi(0, 0)
+
+
+def test_qqi_float_and_complex_operands_give_complex():
+    a = QQi(Fraction(1, 2), Fraction(-3))
+    za = complex(a)
+    for x in (0.25, -1.5 + 2j):
+        got = [a + x, x + a, a - x, x - a, a * x, x * a, a / x, x / a]
+        want = [za + x, x + za, za - x, x - za, za * x, x * za, za / x, x / za]
+        assert all(type(g) is complex for g in got)
+        assert got == want

@@ -5,6 +5,7 @@ import pytest
 from bipencil.catalog import catalog_by_name
 from bipencil.errors import SingularParameterError
 from bipencil.exactlin import bilinear, mat_mul, mat_rank, mat_vec, subspace_dim
+from bipencil import pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
 from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
                              pencil_rank_corank, quotient_basis, quotient_form,
@@ -75,10 +76,16 @@ def test_spectrum_so3_origin(so3_shift_pencil, sampler):
     assert [ (e.lam, e.kernel_dim) for e in spec.entries ] == [(Fraction(0), 3)]
 
 
-def test_spectrum_toda_singular(sampler):
+def test_spectrum_toda_singular(sampler, monkeypatch):
     p = toda_pencil_at(constant_lattice(2))
     spec = compute_spectrum(p, sampler)
     assert [(e.lam, e.kernel_dim) for e in spec.entries] == [(Fraction(0), 4)]
+    # a caller that already has the pencil rank hands it over: same spectrum,
+    # and the rank is not computed again
+    def no_rank(*args, **kwargs):
+        raise AssertionError("pencil rank recomputed")
+    monkeypatch.setattr(pencil, "pencil_rank_corank", no_rank)
+    assert compute_spectrum(p, sampler, rank=2) == spec
 
 
 def test_core_kronecker(kronecker3, sampler):
