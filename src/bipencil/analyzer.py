@@ -22,7 +22,7 @@ from .roots import (BlockDecomposition, WilliamsonType, classify,
                     is_nondegenerate_linear, linear_pencil_type,
                     root_decomposition)
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, as_complex, float_mode, format_scalar,
+from .scalars import (EXACT, Mode, float_mode, format_scalar,
                       is_exact_scalar, is_inf, lambda_key, simplify_scalar)
 from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 
@@ -255,7 +255,7 @@ def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> Casimir
     data = _function_data(f, p.point)
     A = p.matrix_at(alpha)
     img = mat_vec(A, data.gradient)
-    scale = max([abs(as_complex(x)) for row in A for x in row] + [1.0])
+    scale = max([abs(complex(x)) for row in A for x in row] + [1.0])
     if any(not mode.zero(v, scale) for v in img):
         raise PreconditionError("df(x) is not in Ker P_alpha(x)")
     d = p.dim

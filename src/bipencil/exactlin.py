@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, Mode, QQi, as_complex, is_exact_scalar, simplify_scalar
+from .scalars import (EXACT, Mode, QQi, cimag, convergent_denominators, creal,
+                      is_exact_scalar, simplify_scalar, snap_candidates)
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -74,7 +75,7 @@ def bilinear(A, u, v):
 
 
 def to_numpy(M) -> np.ndarray:
-    return np.array([[as_complex(x) for x in row] for row in M], dtype=complex)
+    return np.array([[complex(x) for x in row] for row in M], dtype=complex)
 
 
 def all_entries_real(M) -> bool:
@@ -280,7 +281,7 @@ def coords_in_span(basis_vectors, w, mode: Mode = EXACT, scale: float = 1.0):
     if mode.is_exact and not has_inexact_entries(A) and all(is_exact_scalar(x) for x in w):
         return solve_exact(A, w)
     An = to_numpy(A)
-    bn = np.array([as_complex(x) for x in w])
+    bn = np.array([complex(x) for x in w])
     x, *_ = np.linalg.lstsq(An, bn, rcond=None)
     resid = An @ x - bn
     norm = max(1.0, float(np.abs(bn).max(initial=0.0)), scale)
@@ -546,50 +547,6 @@ def _newton_polish(coeffs_float, dcoeffs_float, z: complex, iters: int = 60) -> 
     return z
 
 
-def _convergents(x: Fraction, max_den: int):
-    """Continued-fraction convergents of x with denominator up to max_den."""
-    out = []
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a, rest = divmod(x.numerator, x.denominator)
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_den:
-            return out
-        out.append(Fraction(p1, q1))
-        if rest == 0:
-            return out
-        x = Fraction(x.denominator, rest)
-
-
-def _exact_root_near(coeffs, z: complex, tol: float, max_den: int = 10 ** 9):
-    """The first convergent of z within ``tol`` that is an exact root, or None.
-
-    Convergents of both parts are tried by increasing denominator, so simple
-    roots keep their true denominator, and a near miss at a small denominator
-    (15418/15435 lies within 1e-7 of 907/908) does not hide the exact root
-    further on.  A root r of an integral polynomial with leading coefficient
-    c makes c*r a Gaussian integer, which rules out most candidates before
-    the exact evaluation.
-    """
-    re, im = Fraction(z.real), Fraction(z.imag)
-    pairs = ([(c, im.limit_denominator(c.denominator)) for c in _convergents(re, max_den)]
-             + [(re.limit_denominator(c.denominator), c) for c in _convergents(im, max_den)]
-             + [(re.limit_denominator(max_den), im.limit_denominator(max_den))])
-    lead = _clear_row_denominators(coeffs)[-1]
-    for r, i in sorted(pairs, key=lambda ri: max(ri[0].denominator, ri[1].denominator)):
-        if abs(complex(r, i) - z) > tol * max(1.0, abs(z)):
-            continue
-        cand = simplify_scalar(QQi(r, i))
-        if _is_gaussian_integer(lead * cand) and poly_eval(coeffs, cand) == 0:
-            return cand
-    return None
-
-
-def _is_gaussian_integer(x) -> bool:
-    parts = (x.re, x.im) if isinstance(x, QQi) else (x,)
-    return all(Fraction(c).denominator == 1 for c in parts)
-
-
 def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     """Roots of an exact polynomial.
 
@@ -604,16 +561,23 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     if deg == 0:
         return [], []
     sf = poly_squarefree_part(coeffs)
-    sf_float = [as_complex(c) for c in sf]
-    dsf_float = [as_complex(c) for c in poly_deriv(sf)]
+    sf_float = [complex(c) for c in sf]
+    dsf_float = [complex(c) for c in poly_deriv(sf)]
     approx = np.roots(list(reversed(sf_float)))
     polished = [_newton_polish(sf_float, dsf_float, complex(z)) for z in approx]
 
+    # A root r of an integral polynomial with leading coefficient c makes c*r
+    # a Gaussian integer, so both parts of r have denominators dividing |c|^2;
+    # that rules out most candidates before poly_eval.
+    lead = _clear_row_denominators(coeffs)[-1]
+    norm = int(creal(lead) ** 2 + cimag(lead) ** 2)
     exact_roots = []
     remaining = list(coeffs)
     float_candidates = []
     for z in polished:
-        cand = _exact_root_near(coeffs, z, snap_tol)
+        dens = [q for q in convergent_denominators(z, snap_tol) if norm % q == 0]
+        cand = next((c for c in snap_candidates(z, snap_tol, dens)
+                     if poly_eval(coeffs, c) == 0), None)
         if cand is not None:
             if any(r == cand for r, _ in exact_roots):
                 continue
@@ -631,7 +595,7 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
 
     float_roots = []
     if _poly_degree(remaining) >= 1 and float_candidates:
-        rem_float = [as_complex(c) for c in remaining]
+        rem_float = [complex(c) for c in remaining]
         for z in float_candidates:
             # multiplicity by tolerant synthetic division of the residual factor
             mult = 0

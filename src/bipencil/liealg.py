@@ -18,7 +18,7 @@ from .exactlin import (char_poly, eigenvalues, identity, mat_add, mat_mul,
                        solve_exact, subspace_dim, svd_rank, to_numpy, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, QQi, as_complex, format_scalar,
+from .scalars import (EXACT, Mode, QQi, format_scalar,
                       is_exact_scalar, parse_rational, simplify_scalar)
 from .tensorfield import PoissonTensorField
 
@@ -297,7 +297,7 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
     """Exact verification of A([xi,eta],zeta) + A([eta,zeta],xi) + A([zeta,xi],eta) = 0."""
     d = algebra.dim
     basis = [[Fraction(1) if t == i else Fraction(0) for t in range(d)] for i in range(d)]
-    scale = max((abs(as_complex(v)) for row in form.matrix for v in row), default=1.0)
+    scale = max((abs(complex(v)) for row in form.matrix for v in row), default=1.0)
     for i in range(d):
         for j in range(i + 1, d):
             bij = algebra.bracket(basis[i], basis[j])

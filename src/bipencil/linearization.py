@@ -14,7 +14,7 @@ from .errors import PreconditionError, RankDeficientPointError
 from .exactlin import bilinear, coords_in_span
 from .liealg import COMPLEX, REAL, LieAlgebra, LinearPencil, TwoCocycle, is_cocycle
 from .pencil import IsotropicCore, Spectrum, kernel_basis
-from .scalars import (EXACT, Mode, as_complex, conj, is_exact_scalar, is_inf,
+from .scalars import (EXACT, Mode, conj, is_exact_scalar, is_inf,
                       lambda_is_real, simplify_scalar)
 from .tensorfield import PencilAtPoint
 
@@ -68,7 +68,7 @@ def _tidy(v):
 
 
 def _scale_of(w) -> float:
-    return max([abs(as_complex(x)) for x in w] + [1.0])
+    return max([abs(complex(x)) for x in w] + [1.0])
 
 
 def _conj_lambda(lam):
@@ -82,5 +82,5 @@ def _same_lambda(a, b, mode: Mode) -> bool:
         return is_inf(a) and is_inf(b)
     if is_exact_scalar(a) and is_exact_scalar(b):
         return a == b
-    za, zb = as_complex(a), as_complex(b)
+    za, zb = complex(a), complex(b)
     return abs(za - zb) <= 10 * max(mode.eps, 1e-12) * max(1.0, abs(za))

@@ -16,7 +16,7 @@ from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
                        identity, inverse, mat_mul, mat_rank, mat_vec, nullspace,
                        restrict)
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, INF, Mode, as_complex, cimag, conj, is_exact_scalar,
+from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, lambda_key, simplify_scalar,
                       snap_to_exact)
 from .tensorfield import PencilAtPoint
@@ -245,10 +245,10 @@ def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXA
         kd = p.dim - rank_at(p, lam, mode, warnings)
         if kd > corank:
             entries.append(SpectrumEntry(lam=lam, kernel_dim=kd, exact=True))
-            seen.append(as_complex(0) if is_inf(lam) else as_complex(lam))
+            seen.append(complex(0) if is_inf(lam) else complex(lam))
     for mu, _mult in float_eigs:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
-        lam_c = as_complex(0) if is_inf(lam) else as_complex(lam)
+        lam_c = complex(0) if is_inf(lam) else complex(lam)
         if any(is_inf(lam) == is_inf(e.lam) and abs(lam_c - s) <= 1e-7 * max(1.0, abs(lam_c))
                for e, s in zip(entries, seen)):
             continue
@@ -260,7 +260,7 @@ def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXA
             kd = p.dim - rank_at(p, snapped, EXACT, warnings)
             if kd > corank:
                 entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd, exact=True))
-                seen.append(as_complex(snapped))
+                seen.append(complex(snapped))
                 continue
         check_mode = mode if not mode.is_exact else Mode("float", 1e-9)
         kd = p.dim - rank_at(p, lam, check_mode, warnings)
@@ -272,8 +272,8 @@ def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXA
                     f"spectrum value {lam} is irrational; verified with float tolerance 1e-9")
     entries = _canonicalize_conjugates(p, entries, mode)
     entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
-                                (abs(as_complex(e.lam)), as_complex(e.lam).real,
-                                 as_complex(e.lam).imag) if not is_inf(e.lam) else (0, 0, 0)))
+                                (abs(complex(e.lam)), complex(e.lam).real,
+                                 complex(e.lam).imag) if not is_inf(e.lam) else (0, 0, 0)))
     return Spectrum(entries=entries, corank=corank)
 
 
@@ -291,7 +291,7 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
             out.append(e)
             used[i] = True
             continue
-        lam_c = as_complex(e.lam)
+        lam_c = complex(e.lam)
         partner = None
         for j in range(i + 1, len(entries)):
             if used[j] or lambda_is_real(entries[j].lam):
@@ -300,7 +300,7 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
                 if conj(e.lam) == entries[j].lam:
                     partner = j
                     break
-            elif abs(as_complex(entries[j].lam) - lam_c.conjugate()) <= eps_pair * max(1.0, abs(lam_c)):
+            elif abs(complex(entries[j].lam) - lam_c.conjugate()) <= eps_pair * max(1.0, abs(lam_c)):
                 partner = j
                 break
         if partner is not None:

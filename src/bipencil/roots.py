@@ -18,7 +18,7 @@ from .exactlin import (coords_in_span, eigenvalues, identity, intersect_dims,
                        mat_rank, mat_sub, mat_scale, nullspace, restrict,
                        subspace_dim)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
-from .scalars import (EXACT, Mode, as_complex, cimag, conj, creal,
+from .scalars import (EXACT, Mode, cimag, conj, creal,
                       is_exact_scalar, simplify_scalar)
 
 
@@ -33,7 +33,7 @@ class RootPair:
 
     def reality(self, mode: Mode = EXACT) -> str:
         """'real', 'imaginary', 'complex', or 'zero' (as a functional)."""
-        vals = [as_complex(v) for v in self.root]
+        vals = [complex(v) for v in self.root]
         scale = max([abs(v) for v in vals] + [1e-300])
         tol = 0.0 if mode.is_exact and all(is_exact_scalar(v) for v in self.root) \
             else 10 * max(mode.eps, 1e-12) * scale
@@ -195,7 +195,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
     data.zero_extra_dim = len(zero_items) - c
 
     used = [False] * len(nonzero)
-    scale = max([abs(as_complex(v)) for eigs, _ in nonzero for v in eigs] + [1.0])
+    scale = max([abs(complex(v)) for eigs, _ in nonzero for v in eigs] + [1.0])
     tol = 10 * max(mode.eps, 1e-12) * scale
     for i, (eigs, vecs) in enumerate(nonzero):
         if used[i]:
@@ -231,14 +231,14 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
 def _roots_negated(a, b, mode: Mode, tol: float) -> bool:
     if all(is_exact_scalar(x) for x in a) and all(is_exact_scalar(x) for x in b):
         return all(x + y == 0 for x, y in zip(a, b))
-    return all(abs(as_complex(x) + as_complex(y)) <= tol for x, y in zip(a, b))
+    return all(abs(complex(x) + complex(y)) <= tol for x, y in zip(a, b))
 
 
 def _orient_pair(eigs_p, vec_p, eigs_m, vec_m, mode: Mode) -> RootPair:
     """Choose the + representative deterministically (first nonzero value in
     the closed upper half plane / positive reals)."""
     for v in eigs_p:
-        z = as_complex(v)
+        z = complex(v)
         if abs(z) > 0:
             if z.imag > 0 or (z.imag == 0 and z.real > 0):
                 return RootPair(root=eigs_p, vec_plus=vec_p, vec_minus=vec_m)
@@ -301,7 +301,7 @@ def linear_pencil_type(data: RootData, mode: Mode = EXACT) -> WilliamsonType:
 def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
     target_a = tuple(conj(v) for v in pair.root)
     target_b = tuple(-conj(v) for v in pair.root)
-    scale = max([abs(as_complex(v)) for v in pair.root] + [1.0])
+    scale = max([abs(complex(v)) for v in pair.root] + [1.0])
     tol = 10 * max(mode.eps, 1e-12) * scale
     for j, other in enumerate(pairs):
         if consumed[j]:
@@ -310,7 +310,7 @@ def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
             if all(is_exact_scalar(x) for x in other.root) and all(is_exact_scalar(x) for x in target):
                 if all(x == y for x, y in zip(other.root, target)):
                     return j
-            elif all(abs(as_complex(x) - as_complex(y)) <= tol
+            elif all(abs(complex(x) - complex(y)) <= tol
                      for x, y in zip(other.root, target)):
                 return j
     return None
@@ -358,7 +358,7 @@ def classify(lp: LinearPencil, mode: Mode = EXACT,
             if _is_zero_scalar(s, mode):
                 out.counts["diamond"] += 1
             else:
-                sr = creal(s) if is_exact_scalar(s) else as_complex(s).real
+                sr = creal(s) if is_exact_scalar(s) else complex(s).real
                 out.counts["so3" if sr < 0 else "sl2_neg_killing"] += 1
         else:
             mate = _find_conjugate_pair(data.pairs, consumed, pair, mode)
@@ -382,7 +382,7 @@ def classify(lp: LinearPencil, mode: Mode = EXACT,
 def _is_zero_scalar(s, mode: Mode) -> bool:
     if is_exact_scalar(s):
         return s == 0
-    return abs(as_complex(s)) <= 1000 * max(mode.eps, 1e-12)
+    return abs(complex(s)) <= 1000 * max(mode.eps, 1e-12)
 
 
 def _realify(vec, mode: Mode):

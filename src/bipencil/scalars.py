@@ -215,10 +215,6 @@ def conj(x):
     return complex(x).conjugate()
 
 
-def as_complex(x) -> complex:
-    return complex(x)
-
-
 def simplify_scalar(x):
     """Collapse a real QQi back to Fraction so real pencils stay rational."""
     if isinstance(x, QQi) and x.im == 0:
@@ -226,20 +222,62 @@ def simplify_scalar(x):
     return x
 
 
-def snap_to_exact(z: complex, tol: float, max_den: int = 10 ** 9):
-    """Nearest Gaussian rational of modest height, or None.
+_SNAP_DENOMINATORS = (1, 2, 12, 60, 1000, 10 ** 6, 10 ** 9)
 
-    Tries a ladder of denominator bounds so that simple values like 1/3 are
-    recovered with their true denominator rather than a huge float-derived one.
+
+def snap_candidates(z: complex, tol: float, dens=_SNAP_DENOMINATORS):
+    """Gaussian rationals within ``tol`` of z, one per denominator bound in ``dens``.
+
+    Both parts of z are limited to each bound in turn, so simple values like
+    1/3 are recovered with their true denominator rather than a huge
+    float-derived one.
     """
     z = complex(z)
-    for den in (1, 2, 12, 60, 1000, 10 ** 6, max_den):
-        re = Fraction(z.real).limit_denominator(den)
-        im = Fraction(z.imag).limit_denominator(den)
-        cand = QQi(re, im)
-        if abs(complex(cand) - z) <= tol * max(1.0, abs(z)):
-            return simplify_scalar(cand)
-    return None
+    re, im = Fraction(z.real), Fraction(z.imag)
+    bound = tol * max(1.0, abs(z))
+    last = None
+    for den in dens:
+        r = re.limit_denominator(den)
+        if abs(float(r) - z.real) > bound:
+            continue
+        cand = QQi(r, im.limit_denominator(den))
+        if cand != last and abs(complex(cand) - z) <= bound:
+            yield simplify_scalar(cand)
+            last = cand
+
+
+def snap_to_exact(z: complex, tol: float):
+    """Nearest Gaussian rational of modest height, or None."""
+    return next(snap_candidates(z, tol), None)
+
+
+def convergent_denominators(z: complex, tol: float) -> list:
+    """Bounds for ``snap_candidates(z, tol, ...)`` that reach every
+    continued-fraction convergent within ``tol`` of either part of z, with
+    denominator up to the largest ladder bound.
+
+    A float root from a cluster of roots may be some 1e-10 off; the fixed
+    ladder then passes over its true denominator (0.9988986071219667 gives
+    907/908 at 1000 and 987659/988748 at 10**6, not 15418/15435), while a
+    convergent still hits it.
+    """
+    top = _SNAP_DENOMINATORS[-1]
+    bound = tol * max(1.0, abs(z))
+    dens = set()
+    for part in (z.real, z.imag):
+        x = Fraction(part)
+        p_prev, p, q_prev, q = 0, 1, 1, 0
+        while True:
+            a, rest = divmod(x.numerator, x.denominator)
+            p_prev, p, q_prev, q = p, a * p + p_prev, q, a * q + q_prev
+            if q > top:
+                break
+            if abs(p / q - part) <= bound:
+                dens.add(q)
+            if rest == 0:
+                break
+            x = Fraction(x.denominator, rest)
+    return sorted(dens)
 
 
 def format_scalar(x):
@@ -279,7 +317,7 @@ class Mode:
     def zero(self, value, scale: float = 1.0) -> bool:
         if self.is_exact:
             return value == 0
-        return abs(as_complex(value)) <= self.eps * max(scale, 1.0)
+        return abs(complex(value)) <= self.eps * max(scale, 1.0)
 
 
 EXACT = Mode("exact", 0.0)

@@ -20,7 +20,7 @@ from .exactlin import (bilinear, char_poly, coords_in_span, mat_vec, nullspace,
 from .liealg import LieAlgebra
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, as_complex, simplify_scalar
+from .scalars import EXACT, Mode, simplify_scalar
 from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 
 
@@ -198,7 +198,7 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT, warnings=None):
                     if 100 * mode.eps * scale < g < 1000 * mode.eps * scale:
                         warnings.append("near-degenerate eigenvalue gap in the Lax "
                                         "spectrum; multiplicity split is borderline")
-    out.sort(key=lambda e: as_complex(e.lam).real)
+    out.sort(key=lambda e: complex(e.lam).real)
     return out
 
 

@@ -108,6 +108,18 @@ def test_char_poly_roots_and_multiplicity():
     ex, fl = poly_roots_hybrid([-Fraction(15418, 15435), Fraction(1)])
     assert ex == [(Fraction(15418, 15435), 1)] and fl == []
 
+    # (x-1)^2 (x-11267/11250)^4 (x-15418/15435)^2, from a Jordan-Kronecker
+    # pencil: the clustered roots come back from the float solver about 1e-10
+    # off, where the fixed snap ladder finds only wrong fractions; the
+    # continued-fraction convergents still reach both roots
+    roots = {Fraction(1): 2, Fraction(11267, 11250): 4, Fraction(15418, 15435): 2}
+    p = [Fraction(1)]
+    for r, m in roots.items():
+        for _ in range(m):
+            p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    ex, fl = poly_roots_hybrid(p)
+    assert dict(ex) == roots and fl == []
+
 
 def test_poly_gcd_and_squarefree():
     # p = (x-1)^2 (x+3)
