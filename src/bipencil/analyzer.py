@@ -1,10 +1,11 @@
 """Full singular-point verdicts and the Casimir-variation operator machinery.
 
-analyze_point runs: evaluate -> rank/corank -> spectrum -> (empty = Regular)
--> core -> diagonalizability -> per-spectrum-value linearization,
-non-degeneracy, type and block classification -> totals.  Degeneracy reasons
-are machine-readable; float-mode borderline decisions attach warnings and
-never silently flip a verdict.
+analyze_point runs: evaluate -> rank/corank -> Kronecker check at nearby
+points -> core -> spectrum (empty = Regular) -> diagonalizability ->
+per-spectrum-value linearization, non-degeneracy, type and block
+classification -> totals.  Degeneracy reasons are machine-readable;
+float-mode borderline decisions attach warnings and never silently flip a
+verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import PreconditionError, RankDeficientPointError
 from .exactlin import mat_vec, restrict
 from .linearization import linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
-                     pencil_rank_corank)
+                     pencil_rank_corank, quotient_dim)
 from .poly import Poly
 from .roots import (BlockDecomposition, WilliamsonType, classify,
                     is_nondegenerate_linear, linear_pencil_type,
@@ -112,12 +113,11 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
 
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
     _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings)
-    _kronecker_spot_check(field0, field_inf, pt, sampler.spawn(5), mode, warnings)
+    _kronecker_spot_check(field0, field_inf, pt, rank, sampler.spawn(5), mode, warnings)
 
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     point_rank = core.dim - corank
-    spectrum = compute_spectrum(p, sampler.spawn(3), mode, core=core,
-                                warnings=warnings, rank=rank)
+    spectrum = compute_spectrum(p, core, sampler.spawn(3), mode, warnings)
 
     if spectrum.is_empty():
         return SingularPointReport(
@@ -192,14 +192,20 @@ def _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warn
                     "declare a rank to make this check exact")
 
 
-def _kronecker_spot_check(field0, field_inf, pt, sampler, mode, warnings):
-    """Spectrum should be empty at 3 nearby perturbations (Kronecker-type pencil)."""
+def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
+    """L^perp / L should be zero at 3 nearby perturbations (Kronecker-type pencil).
+
+    Only the core is computed there, with the point's pencil rank ``rank``:
+    _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
+    is the rank nearby too; a nearby point of lower rank is skipped.
+    """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
         try:
             q = evaluate_pencil(field0, field_inf, nearby)
-            spec = compute_spectrum(q, sampler.spawn(sampler.randint(0, 10 ** 6)), mode)
-            if not spec.is_empty():
+            core = compute_core(q, sampler.spawn(sampler.randint(0, 10 ** 6)), mode,
+                                rank=rank)
+            if quotient_dim(q, core) != 0:
                 warnings.append(
                     "nearby point has non-empty spectrum; the pencil may not be "
                     "of Kronecker type, in which case verdicts are unreliable")

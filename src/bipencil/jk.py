@@ -14,8 +14,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, ToleranceError
 from .exactlin import identity, mat_mul, mat_rank, mat_sub, mat_scale, transpose
 from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
-                     pencil_rank_corank, quotient_basis, recursion_operator,
-                     regular_parameters)
+                     pencil_rank_corank)
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, QQi, conj, is_inf, lambda_key
 from .tensorfield import PencilAtPoint, constant_pencil
@@ -171,25 +170,20 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
         raise ToleranceError(
             f"Kronecker block count {len(kronecker)} disagrees with corank {corank}")
 
-    # Jordan sizes from kernel powers of a recursion operator on the quotient.
-    spectrum = compute_spectrum(p, sampler.spawn(3), mode, core=core, rank=rank)
-    qbasis = quotient_basis(p, core, mode)
+    # Jordan sizes from kernel powers of the spectrum's recursion operator on
+    # the quotient; they do not depend on which regular pair it was built from.
+    spectrum = compute_spectrum(p, core, sampler.spawn(3), mode)
+    R = spectrum.recursion
     jordan: dict = {}
     jordan_values: dict = {}
-    if qbasis:
-        t1, t2 = regular_parameters(p, sampler.spawn(4), 2, mode, rank=rank)
-        R = recursion_operator(p, core, t1, t2, mode, qbasis).matrix
-        lams = []
-        for entry in spectrum.entries:
-            lams.append(entry.lam)
-            if entry.paired:
-                lams.append(conj(entry.lam) if entry.exact
-                            else complex(entry.lam).conjugate())
+    for entry in spectrum.entries:
+        lams = [entry.lam]
+        if entry.paired:
+            lams.append(conj(entry.lam) if entry.exact else complex(entry.lam).conjugate())
         for lam in lams:
-            mu = lambda_to_moebius(lam, t1, t2)
-            sizes = _jordan_sizes_at(R, mu, mode)
+            mu = lambda_to_moebius(lam, R.alpha, R.beta)
             key = lambda_key(lam)
-            jordan[key] = sizes
+            jordan[key] = _jordan_sizes_at(R.matrix, mu, mode)
             jordan_values[key] = lam
     inv = JKInvariants(corank=corank, kronecker_indices=sorted(kronecker),
                        jordan=jordan, jordan_values=jordan_values)

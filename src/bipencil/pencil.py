@@ -44,11 +44,8 @@ def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
 
 
 def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
-                       mode: Mode = EXACT, rank: int | None = None,
-                       exclude=()):
-    """``count`` distinct finite rational parameters where the rank is maximal."""
-    if rank is None:
-        rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode)
+                       mode: Mode = EXACT, *, rank: int, exclude=()):
+    """``count`` distinct finite rational parameters where the rank is ``rank``."""
     out = []
     seen = set(exclude)
     attempts = 0
@@ -79,6 +76,7 @@ class SpectrumEntry:
 class Spectrum:
     entries: list
     corank: int
+    recursion: RecursionOperator | None = None   # the operator the entries came from
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -101,22 +99,21 @@ class IsotropicCore:
 
 @dataclass
 class RecursionOperator:
-    quotient_basis: list
     matrix: list
     alpha: object
     beta: object
 
 
 def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
-                 rank: int | None = None) -> IsotropicCore:
-    """Accumulate kernels of regular brackets until they span L.
+                 *, rank: int) -> IsotropicCore:
+    """Accumulate kernels of regular brackets (pencil rank ``rank``) until they span L.
 
     Stops once the span is unchanged for two consecutive additions and at
-    least dim-L kernels were used; any dim-L distinct regular parameters
-    already suffice, and strictly fewer always leave the span growing.
+    least dim-L kernels were used.  A Kronecker block of half-size k is
+    spanned by k+1 kernels, so max(k)+1 <= dim L kernels already suffice and
+    the dim-L count is a conservative margin: with two blocks of half-size 3
+    the span is complete after 4 kernels, yet the loop draws 8.
     """
-    if rank is None:
-        rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode)
     corank = p.dim - rank
     basis = []
     params = []
@@ -165,29 +162,34 @@ def quotient_basis(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     return chosen
 
 
-def quotient_form(p: PencilAtPoint, core: IsotropicCore, lam,
-                  mode: Mode = EXACT, qbasis=None):
+def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:
+    """dim L^perp / L = dim - 2 dim L + corank (L holds every regular kernel).
+
+    Zero exactly when the pencil has only Kronecker blocks at the point: a
+    block of half-size k adds k+1 to L and 2k+1 to the dimension, a Jordan
+    block nothing to L (Bolsinov-Zhang).
+    """
+    return p.dim - 2 * core.dim + core.corank
+
+
+def quotient_form(p: PencilAtPoint, qbasis, lam, mode: Mode = EXACT):
     """Matrix of P_lambda on L^perp / L in the fixed quotient basis."""
-    if qbasis is None:
-        qbasis = quotient_basis(p, core, mode)
     A = p.matrix_at(lam)
     m = len(qbasis)
     return [[simplify_scalar(bilinear(A, qbasis[r], qbasis[s])) for s in range(m)]
             for r in range(m)]
 
 
-def recursion_operator(p: PencilAtPoint, core: IsotropicCore, alpha, beta,
-                       mode: Mode = EXACT, qbasis=None) -> RecursionOperator:
+def recursion_operator(p: PencilAtPoint, qbasis, alpha, beta,
+                       mode: Mode = EXACT) -> RecursionOperator:
     """R_alpha^beta = P_beta^{-1} P_alpha on the quotient; beta must be regular."""
-    if qbasis is None:
-        qbasis = quotient_basis(p, core, mode)
-    B_beta = quotient_form(p, core, beta, mode, qbasis)
+    B_beta = quotient_form(p, qbasis, beta, mode)
     m = len(qbasis)
     if m and mat_rank(B_beta, mode) < m:
         raise SingularParameterError(f"beta={beta} is singular on the quotient")
-    B_alpha = quotient_form(p, core, alpha, mode, qbasis)
+    B_alpha = quotient_form(p, qbasis, alpha, mode)
     R = mat_mul(inverse(B_beta, mode), B_alpha) if m else []
-    return RecursionOperator(quotient_basis=qbasis, matrix=R, alpha=alpha, beta=beta)
+    return RecursionOperator(matrix=R, alpha=alpha, beta=beta)
 
 
 def _moebius_to_lambda(mu, t1, t2, mode: Mode):
@@ -217,26 +219,22 @@ def lambda_to_moebius(lam, t1, t2):
     return (complex(t1) - lam) / (complex(t2) - lam)
 
 
-def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
-                     core: IsotropicCore | None = None, warnings=None,
-                     rank: int | None = None) -> Spectrum:
+def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPolicy,
+                     mode: Mode = EXACT, warnings=None) -> Spectrum:
     """Parameters where rank P_lambda(x) < rank Pi(x), with exact kernel dims.
 
     Candidates come from the eigenvalues of a recursion operator between two
     regular parameters, mapped back through the Moebius normalization; every
-    candidate is then re-verified by an independent rank computation.
-    ``rank`` is the pencil rank at the point when the caller already has it.
+    candidate is then re-verified by an independent rank computation.  The
+    pencil rank is dim - core.corank; the spectrum is empty, with no
+    operator, when L^perp / L is zero, and otherwise keeps the operator.
     """
-    if rank is None:
-        rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
-    corank = p.dim - rank
-    if core is None:
-        core = compute_core(p, sampler.spawn(2), mode, rank=rank)
-    qbasis = quotient_basis(p, core, mode)
-    if not qbasis:
+    corank = core.corank
+    if quotient_dim(p, core) == 0:
         return Spectrum(entries=[], corank=corank)
-    t1, t2 = regular_parameters(p, sampler.spawn(3), 2, mode, rank=rank)
-    R = recursion_operator(p, core, t1, t2, mode, qbasis)
+    qbasis = quotient_basis(p, core, mode)
+    t1, t2 = regular_parameters(p, sampler.spawn(3), 2, mode, rank=p.dim - corank)
+    R = recursion_operator(p, qbasis, t1, t2, mode)
     exact_eigs, float_eigs = eigenvalues(R.matrix, mode)
     entries = []
     seen = []
@@ -274,7 +272,7 @@ def compute_spectrum(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXA
     entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
                                 (abs(complex(e.lam)), complex(e.lam).real,
                                  complex(e.lam).imag) if not is_inf(e.lam) else (0, 0, 0)))
-    return Spectrum(entries=entries, corank=corank)
+    return Spectrum(entries=entries, corank=corank, recursion=R)
 
 
 def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):

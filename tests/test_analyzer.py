@@ -9,14 +9,17 @@ from bipencil.catalog import catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import (bilinear, mat_mul, mat_sub, mat_vec, mat_rank,
                                nullspace)
+from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
 from bipencil.linearization import linearize
-from bipencil.pencil import (compute_core, compute_spectrum, quotient_basis,
-                             quotient_operator, recursion_operator)
+from bipencil.pencil import (compute_spectrum, quotient_basis, quotient_operator,
+                             recursion_operator)
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import INF
-from bipencil.tensorfield import direct_sum, evaluate_pencil
+from bipencil.tensorfield import PoissonTensorField, direct_sum, evaluate_pencil
 from bipencil.toda import constant_lattice, toda_pencil
+
+from pipeline import core_of
 
 F = Fraction
 
@@ -72,6 +75,34 @@ def test_analyze_refuses_rank_deficient_point():
     with pytest.raises(RankDeficientPointError):
         analyze_point(p0, pinf, [F(0), F(0), F(1), F(2)],
                       AnalysisParams(seed=1, declared_rank=2))
+
+
+def constant_fields(blocks):
+    """The canonical pair of ``blocks`` as two constant Poisson tensor fields."""
+    p = assemble_jk_canonical_pair(blocks)
+    fields = []
+    for M in (p.A0, p.Ainf):
+        f = PoissonTensorField(p.dim)
+        for i in range(p.dim):
+            for j in range(i + 1, p.dim):
+                if M[i][j] != 0:
+                    f.set_entry(i, j, Poly.constant(p.dim, M[i][j]))
+        fields.append(f)
+    return fields[0], fields[1], [F(0)] * p.dim
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("blocks, warned", [
+    ([KroneckerBlock(1), JordanBlock(2, 1)], True),
+    ([KroneckerBlock(0), JordanBlock(-1, 2)], True),
+    ([KroneckerBlock(2)], False),
+])
+def test_kronecker_spot_check_warning(blocks, warned, mode):
+    # a constant pencil with a Jordan block keeps it at every nearby point
+    f0, finf, point = constant_fields(blocks)
+    rep = analyze_point(f0, finf, point, AnalysisParams(mode=mode, seed=1))
+    assert any(w.startswith("nearby point has non-empty spectrum")
+               for w in rep.warnings) == warned
 
 
 def test_count_identity_on_reports():
@@ -188,8 +219,8 @@ def test_variation_restricted_to_kernel_is_ad():
     p0, pinf = toda_pencil(2)
     p = evaluate_pencil(p0, pinf, point)
     sp = SamplingPolicy(4)
-    core = compute_core(p, sp)
-    spec = compute_spectrum(p, sp.spawn(1), core=core)
+    core = core_of(p, sp)
+    spec = compute_spectrum(p, core, sp.spawn(1))
     lam = F(0)
     lp = linearize(p, core, lam, spectrum=spec)
     ker = nullspace(p.matrix_at(lam))
@@ -284,8 +315,8 @@ def test_variation_skew_and_commutes_with_recursion():
         assert all(a + b == 0 for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
     # commutation with a recursion operator on the quotient
     sp = SamplingPolicy(6)
-    core = compute_core(p, sp)
+    core = core_of(p, sp)
     qb = quotient_basis(p, core)
-    R = recursion_operator(p, core, F(0), INF, qbasis=qb).matrix
+    R = recursion_operator(p, qb, F(0), INF).matrix
     Dq = quotient_operator(D.matrix, qb, core.basis)
     assert mat_mul(Dq, R) == mat_mul(R, Dq)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipencil import jk, pencil
 from bipencil.errors import ToleranceError
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
@@ -77,3 +78,29 @@ def test_toda_singular_point_invariants():
     p = toda_pencil_at(constant_lattice(2))
     inv = jk_invariants(p, SamplingPolicy(19))
     assert inv.to_json_dict() == {"corank": 2, "kronecker": [0, 0], "jordan": {"0": [1]}}
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of pencil.<name>, wherever the package looks the name up."""
+    calls = []
+    real = getattr(pencil, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (pencil, jk):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_invariants_build_quotient_and_recursion_once(monkeypatch):
+    # the Jordan sizes come from the recursion operator the spectrum was
+    # computed from, not from a second one
+    qbasis = count_calls(monkeypatch, "quotient_basis")
+    recursion = count_calls(monkeypatch, "recursion_operator")
+    p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(-1, 2), 2)])
+    inv = jk_invariants(p, SamplingPolicy(29))
+    assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {"-1/2": [2]}}
+    assert len(qbasis) == 1 and len(recursion) == 1

@@ -9,13 +9,15 @@ from bipencil.exactlin import mat_rank, subspace_dim
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
 from bipencil.linearization import linearize
-from bipencil.pencil import compute_core, compute_spectrum
+from bipencil.pencil import compute_spectrum
 from bipencil.roots import (classify, is_nondegenerate_linear,
                             linear_pencil_type, root_decomposition)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import constant_lattice, toda_pencil_at
+
+from pipeline import core_of
 
 F = Fraction
 
@@ -24,8 +26,8 @@ def pencil_and_core(entry_name):
     e = catalog_by_name()[entry_name]
     p = evaluate_pencil(e.field0, e.field_inf, e.point)
     sp = SamplingPolicy(3)
-    core = compute_core(p, sp)
-    spec = compute_spectrum(p, sp.spawn(1), core=core)
+    core = core_of(p, sp)
+    spec = compute_spectrum(p, core, sp.spawn(1))
     return p, core, spec
 
 
@@ -46,8 +48,8 @@ def test_linearize_so3_recovers_algebra_and_cocycle():
 def test_linearize_toda_singular_point():
     p = toda_pencil_at(constant_lattice(2))
     sp = SamplingPolicy(5)
-    core = compute_core(p, sp)
-    spec = compute_spectrum(p, sp.spawn(1), core=core)
+    core = core_of(p, sp)
+    spec = compute_spectrum(p, core, sp.spawn(1))
     lp = linearize(p, core, F(0), spectrum=spec)
     assert lp.algebra.dim == 4
     assert lp.algebra.verify_jacobi()

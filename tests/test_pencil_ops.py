@@ -2,18 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil.catalog import catalog_by_name
+from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import SingularParameterError
 from bipencil.exactlin import bilinear, mat_mul, mat_rank, mat_vec, subspace_dim
 from bipencil import pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
-from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
-                             pencil_rank_corank, quotient_basis, quotient_form,
-                             rank_at, recursion_operator)
+from bipencil.pencil import (compute_spectrum, is_diagonalizable, pencil_rank_corank,
+                             quotient_basis, quotient_dim, quotient_form, rank_at,
+                             recursion_operator)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF
+from bipencil.scalars import EXACT, INF, QQi
 from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import constant_lattice, toda_pencil, toda_pencil_at
+from bipencil.toda import (constant_lattice, make_singular_point, random_point,
+                           toda_pencil, toda_pencil_at)
+
+from pipeline import core_of, spectrum_of
 
 
 @pytest.fixture
@@ -68,28 +71,27 @@ def test_rank_at_toda_singular(sampler):
 
 
 def test_spectrum_kronecker_empty(kronecker3, sampler):
-    assert compute_spectrum(kronecker3, sampler).is_empty()
+    assert spectrum_of(kronecker3, sampler).is_empty()
 
 
 def test_spectrum_so3_origin(so3_shift_pencil, sampler):
-    spec = compute_spectrum(so3_shift_pencil, sampler)
+    spec = spectrum_of(so3_shift_pencil, sampler)
     assert [ (e.lam, e.kernel_dim) for e in spec.entries ] == [(Fraction(0), 3)]
 
 
 def test_spectrum_toda_singular(sampler, monkeypatch):
     p = toda_pencil_at(constant_lattice(2))
-    spec = compute_spectrum(p, sampler)
-    assert [(e.lam, e.kernel_dim) for e in spec.entries] == [(Fraction(0), 4)]
-    # a caller that already has the pencil rank hands it over: same spectrum,
-    # and the rank is not computed again
+    core = core_of(p, sampler)
+    # the spectrum takes the pencil rank from the core and never computes it
     def no_rank(*args, **kwargs):
         raise AssertionError("pencil rank recomputed")
     monkeypatch.setattr(pencil, "pencil_rank_corank", no_rank)
-    assert compute_spectrum(p, sampler, rank=2) == spec
+    spec = compute_spectrum(p, core, sampler)
+    assert [(e.lam, e.kernel_dim) for e in spec.entries] == [(Fraction(0), 4)]
 
 
 def test_core_kronecker(kronecker3, sampler):
-    core = compute_core(kronecker3, sampler)
+    core = core_of(kronecker3, sampler)
     # kernels (0, -lam, 1) for two values of lam span the last two coordinates
     assert core.dim == 2
     target = [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
@@ -97,7 +99,7 @@ def test_core_kronecker(kronecker3, sampler):
 
 
 def test_core_so3(so3_shift_pencil, sampler):
-    core = compute_core(so3_shift_pencil, sampler)
+    core = core_of(so3_shift_pencil, sampler)
     assert core.dim == 1
     # the kernel of the constant form is the third coordinate direction
     assert core.basis[0][0] == 0 and core.basis[0][1] == 0 and core.basis[0][2] != 0
@@ -107,47 +109,67 @@ def test_core_toda_singular(sampler):
     # all regular kernels coincide at this point, so L is two-dimensional and
     # meets Ker P_0 (the whole space) in corank-many dimensions
     p = toda_pencil_at(constant_lattice(2))
-    core = compute_core(p, sampler)
+    core = core_of(p, sampler)
     assert core.dim == 2
     assert core.corank == 2
 
 
 def test_quotient_form_regular_vs_singular(sampler):
     p = toda_pencil_at(constant_lattice(2))
-    core = compute_core(p, sampler)
+    core = core_of(p, sampler)
     qb = quotient_basis(p, core)
     assert len(qb) == 2
-    B_reg = quotient_form(p, core, Fraction(3), qbasis=qb)
+    B_reg = quotient_form(p, qb, Fraction(3))
     assert mat_rank(B_reg) == 2                       # non-degenerate at regular lambda
-    B_sing = quotient_form(p, core, Fraction(0), qbasis=qb)
+    B_sing = quotient_form(p, qb, Fraction(0))
     # kernel dimension = dim Ker P_0 - corank in the diagonalizable case
     assert len(qb) - mat_rank(B_sing) == 4 - 2
 
 
 def test_quotient_dimension_zero_for_kronecker(kronecker3, sampler):
-    core = compute_core(kronecker3, sampler)
+    core = core_of(kronecker3, sampler)
     assert quotient_basis(kronecker3, core) == []
+
+
+def test_quotient_dim_counts_quotient_basis(sampler):
+    # dim - 2 dim L + corank is the size of the quotient basis, at points with
+    # and without Jordan blocks
+    points = {e.name: evaluate_pencil(e.field0, e.field_inf, e.point) for e in catalog()}
+    for n in (3, 4, 5):
+        points[f"toda-singular-{n}"] = toda_pencil_at(make_singular_point(n, seed=1))
+        points[f"toda-random-{n}"] = toda_pencil_at(random_point(n, 3))
+    for name, lam in (("rational", Fraction(1, 3)), ("infinity", INF),
+                      ("gaussian", QQi(Fraction(1), Fraction(2)))):
+        points[f"jk-{name}"] = assemble_jk_canonical_pair(
+            [KroneckerBlock(1), JordanBlock(lam, 2)])
+    assert len(points) == 22
+    dims = {}
+    for name, p in points.items():
+        core = core_of(p, sampler)
+        dims[name] = quotient_dim(p, core)
+        assert dims[name] == len(quotient_basis(p, core)), name
+    assert dims["jk-gaussian"] == 4 and dims["toda-random-4"] == 0
 
 
 def test_recursion_operator_properties(sampler):
     p = toda_pencil_at(constant_lattice(2))
-    core = compute_core(p, sampler)
+    core = core_of(p, sampler)
     qb = quotient_basis(p, core)
-    R = recursion_operator(p, core, Fraction(0), INF, qbasis=qb)
+    R = recursion_operator(p, qb, Fraction(0), INF)
     # eigenvalue 0 with multiplicity 2 on the two-dimensional quotient
     assert R.matrix == [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     # identity at equal parameters
-    Rbb = recursion_operator(p, core, Fraction(2), Fraction(2), qbasis=qb)
+    Rbb = recursion_operator(p, qb, Fraction(2), Fraction(2))
     assert Rbb.matrix == [[1, 0], [0, 1]]
     # composition law R_a^b R_b^c = R_a^c
     a, b, c = Fraction(1), Fraction(2), Fraction(-3)
-    Rab = recursion_operator(p, core, a, b, qbasis=qb).matrix
-    Rbc = recursion_operator(p, core, b, c, qbasis=qb).matrix
-    Rac = recursion_operator(p, core, a, c, qbasis=qb).matrix
+    Rab = recursion_operator(p, qb, a, b).matrix
+    Rbc = recursion_operator(p, qb, b, c).matrix
+    Rac = recursion_operator(p, qb, a, c).matrix
     assert mat_mul(Rbc, Rab) == Rac
     # defining identity P_b(R u, v) = P_a(u, v) on the quotient
-    Ba = quotient_form(p, core, a, qbasis=qb)
-    Bb = quotient_form(p, core, b, qbasis=qb)
+    Ba = quotient_form(p, qb, a)
+    Bb = quotient_form(p, qb, b)
     m = len(qb)
     for u in range(m):
         for v in range(m):
@@ -155,26 +177,26 @@ def test_recursion_operator_properties(sampler):
             assert lhs == Ba[u][v]
     # singular beta refused
     with pytest.raises(SingularParameterError):
-        recursion_operator(p, core, Fraction(1), Fraction(0), qbasis=qb)
+        recursion_operator(p, qb, Fraction(1), Fraction(0))
 
 
 def test_is_diagonalizable_cases(sampler):
     p = toda_pencil_at(constant_lattice(2))
-    core = compute_core(p, sampler)
-    spec = compute_spectrum(p, sampler.spawn(1), core=core)
+    core = core_of(p, sampler)
+    spec = compute_spectrum(p, core, sampler.spawn(1))
     flags, overall = is_diagonalizable(p, core, spec)
     assert overall and flags == {"0": True}
 
     # one 2x2 Jordan block at zero is not diagonalizable
     pj = assemble_jk_canonical_pair([KroneckerBlock(0), JordanBlock(Fraction(0), 2)])
-    core_j = compute_core(pj, sampler.spawn(2))
-    spec_j = compute_spectrum(pj, sampler.spawn(3), core=core_j)
+    core_j = core_of(pj, sampler.spawn(2))
+    spec_j = compute_spectrum(pj, core_j, sampler.spawn(3))
     flags_j, overall_j = is_diagonalizable(pj, core_j, spec_j)
     assert not overall_j
 
     # pure Kronecker: vacuously diagonalizable
     pk = assemble_jk_canonical_pair([KroneckerBlock(1)])
-    core_k = compute_core(pk, sampler.spawn(4))
-    spec_k = compute_spectrum(pk, sampler.spawn(5), core=core_k)
+    core_k = core_of(pk, sampler.spawn(4))
+    spec_k = compute_spectrum(pk, core_k, sampler.spawn(5))
     flags_k, overall_k = is_diagonalizable(pk, core_k, spec_k)
     assert overall_k and flags_k == {}

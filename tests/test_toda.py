@@ -5,7 +5,6 @@ import pytest
 from bipencil.analyzer import AnalysisParams, analyze_point
 from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_vec, poly_roots_hybrid, subspace_dim
-from bipencil.pencil import compute_spectrum
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import float_mode
@@ -16,6 +15,8 @@ from bipencil.toda import (TodaPoint, casimir_gradient, constant_lattice,
                            monodromy, random_point, toda_kernel_algebra_check,
                            toda_pencil, toda_pencil_at, toda_spectrum_via_lax,
                            wronskian, fold_to_covector)
+
+from pipeline import spectrum_of
 
 F = Fraction
 
@@ -118,7 +119,7 @@ def test_generic_point_empty_both_oracles():
             pt = random_point(n, 90 + s + n)
             assert toda_spectrum_via_lax(pt) == []
             p = toda_pencil_at(pt)
-            assert compute_spectrum(p, sp.spawn(s + n)).is_empty()
+            assert spectrum_of(p, sp.spawn(s + n)).is_empty()
 
 
 def test_pencil_lax_agreement_on_singular_points():
@@ -127,7 +128,7 @@ def test_pencil_lax_agreement_on_singular_points():
         pt = make_singular_point(n, seed=seed, antiperiodic=True, lam=F(1, 3))
         lax_vals = sorted(str(e.lam) for e in toda_spectrum_via_lax(pt))
         p = toda_pencil_at(pt)
-        spec = compute_spectrum(p, sp.spawn(10 + n))
+        spec = spectrum_of(p, sp.spawn(10 + n))
         assert sorted(str(e.lam) for e in spec.entries) == lax_vals
 
 
