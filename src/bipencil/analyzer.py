@@ -142,6 +142,10 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             continue
         lp = linearize(p, core, entry.lam, mode, spectrum=spectrum)
         data = root_decomposition(lp, mode)
+        if mode.is_exact and any(not is_exact_scalar(v) for pair in data.pairs
+                                 for v in pair.root):
+            warnings.append(f"roots at spectrum value {entry.lam} are irrational; "
+                            "root decomposition verified with float tolerance 1e-9")
         ok, reason = is_nondegenerate_linear(lp, mode, data)
         rep.linear_nondegenerate = ok
         if not ok:

@@ -1,20 +1,25 @@
 """Dense linear algebra over exact scalars, with a floating fallback.
 
-Rank decisions are the load-bearing primitive of the whole pipeline, so the
-exact path uses fraction-free (Bareiss) elimination on denominator-cleared
-rows, while the float path thresholds singular values at eps * sigma_max.
-Matrices are plain lists of lists holding Fraction / QQi / int entries (or
-floats in float mode); vectors are lists.
+Rank decisions are the load-bearing primitive of the whole pipeline.  The
+exact kernel clears each row of denominators with one integer lcm and then
+eliminates fraction-free on Python ints, with one carrier per kind of input:
+Z for real rational matrices, Z[i] ((re, im) int pairs) for Gaussian-rational
+ones.  The rank is Bareiss (1968) forward elimination; the reduced row
+echelon form is fraction-free Gauss-Jordan, turned back into Fraction / QQi
+entries only at the end.  The float path thresholds singular values at
+eps * sigma_max.  Matrices are plain lists of lists holding Fraction / QQi /
+int entries (or floats in float mode); vectors are lists.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import (EXACT, Mode, QQi, cimag, convergent_denominators, creal,
-                      is_exact_scalar, simplify_scalar, snap_candidates)
+from .scalars import (EXACT, Mode, QQi, convergent_denominators, is_exact_scalar,
+                      simplify_scalar, snap_candidates)
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -89,61 +94,122 @@ def all_entries_real(M) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rank
+# the exact kernel: fraction-free elimination over Z and Z[i]
 # ---------------------------------------------------------------------------
 
 
-def _clear_row_denominators(row):
-    """Scale a row of Fraction/QQi entries to integer entries."""
-    dens = []
-    for x in row:
-        if isinstance(x, QQi):
-            dens.append(x.re.denominator)
-            dens.append(x.im.denominator)
-        else:
-            dens.append(Fraction(x).denominator)
-    lcm = 1
-    for d in dens:
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [x * lcm for x in row]
+class _Z:
+    """Carrier Z, for real rational matrices: entries are ints."""
+
+    zero, one = 0, 1
+
+    @staticmethod
+    def clear(row):
+        """The row times the lcm of its denominators."""
+        ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
+        lcm = math.lcm(*{d for _, d in ratios})
+        return [a * (lcm // d) for a, d in ratios]
+
+    @staticmethod
+    def combine(p, f, prev, row, prow):
+        """(p * row - f * prow) / prev, entrywise; the division is exact."""
+        if not f:
+            return [p * a // prev for a in row] if p != prev else row
+        return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+
+    @staticmethod
+    def quotient(a, d):
+        return Fraction(a, d)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+class _ZI:
+    """Carrier Z[i], for Gaussian-rational matrices: entries are (re, im) int pairs."""
+
+    zero, one = (0, 0), (1, 0)
+
+    @staticmethod
+    def clear(row):
+        """The row times the lcm of the denominators of both parts of its entries."""
+        parts = [(x.re, x.im) if isinstance(x, QQi) else (x, 0) for x in row]
+        ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in parts]
+        lcm = math.lcm(*{d for pair in ratios for _, d in pair})
+        return [(a * (lcm // d), b * (lcm // e)) for (a, d), (b, e) in ratios]
+
+    @staticmethod
+    def combine(p, f, prev, row, prow):
+        """(p * row - f * prow) / prev, entrywise: the product with conj(prev)
+        is divided exactly by |prev|^2."""
+        (pr, pi), (fr, fi), (qr, qi) = p, f, prev
+        n = qr * qr + qi * qi
+        out = []
+        for (ar, ai), (br, bi) in zip(row, prow):
+            cr = pr * ar - pi * ai - fr * br + fi * bi
+            ci = pr * ai + pi * ar - fr * bi - fi * br
+            out.append(((cr * qr + ci * qi) // n, (ci * qr - cr * qi) // n))
+        return out
+
+    @staticmethod
+    def quotient(a, d):
+        (ar, ai), (dr, di) = a, d
+        n = dr * dr + di * di
+        return simplify_scalar(QQi(Fraction(ar * dr + ai * di, n), Fraction(ai * dr - ar * di, n)))
+
+
+def _eliminate(M, reduce: bool):
+    """Fraction-free elimination of an exact matrix; returns (carrier, rows, pivots).
+
+    The rows are the denominator-cleared rows of M over Z, or over Z[i] when
+    an entry has a nonzero imaginary part.  At a pivot p in column ``col``
+    (previous pivot ``prev``, 1 at the start) each row below the pivot row
+    becomes (p * row - row[col] * pivot_row) / prev: the forward elimination
+    of Bareiss (1968), whose entries are minors of M, so the division is
+    exact.  With ``reduce`` the rows above are updated the same way, which is
+    fraction-free Gauss-Jordan: every pivot then equals the last one, and
+    dividing a pivot row by its pivot gives the reduced row echelon form.
+    """
+    K = _ZI if any(isinstance(x, QQi) and x.im for row in M for x in row) else _Z
+    combine, zero = K.combine, K.zero
+    A = [K.clear(row) for row in M]
+    n, m = shape(A)
+    pivots = []
+    prev = K.one
+    for col in range(m):
+        k = len(pivots)
+        piv = next((r for r in range(k, n) if A[r][col] != zero), None)
+        if piv is None:
+            continue
+        A[k], A[piv] = A[piv], A[k]
+        prow = A[k]
+        p = prow[col]
+        # rows below the pivot row are zero left of col
+        tail = prow[col:]
+        for r in range(k + 1, n):
+            row = A[r]
+            row[col:] = combine(p, row[col], prev, row[col:], tail)
+        if reduce:
+            for r in range(k):
+                row = A[r]
+                A[r] = combine(p, row[col], prev, row, prow)
+        prev = p
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return K, A, pivots
 
 
 def mat_rank_exact(M) -> int:
-    """Rank by fraction-free (Bareiss) elimination."""
-    if not M or not M[0]:
-        return 0
-    A = [_clear_row_denominators(list(row)) for row in M]
-    n, m = shape(A)
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            A[row], A[piv] = A[piv], A[row]
-        for r in range(row + 1, n):
-            for c in range(col + 1, m):
-                A[r][c] = simplify_scalar((A[row][col] * A[r][c] - A[r][col] * A[row][c]) / prev)
-            A[r][col] = 0
-        prev = A[row][col]
-        row += 1
-        rank += 1
-        if row == n:
-            break
-    return rank
+    """Rank by fraction-free (Bareiss) elimination on Python ints.
+
+    Rows are cleared of denominators with one lcm each; the kernel runs over
+    Z for real rational matrices and over Z[i], on (re, im) int pairs, for
+    Gaussian-rational ones.
+    """
+    return len(_eliminate(M, reduce=False)[2])
+
+
+# ---------------------------------------------------------------------------
+# rank
+# ---------------------------------------------------------------------------
 
 
 def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
@@ -191,37 +257,17 @@ def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
 
 
 def rref(M):
-    """Reduced row echelon form over the exact field; returns (R, pivot_cols)."""
-    A = [[_to_field(x) for x in row] for row in M]
-    n, m = shape(A)
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = A[row][col]
-        A[row] = [simplify_scalar(x / inv) for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [simplify_scalar(a - f * b) for a, b in zip(A[r], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return A, pivots
+    """Reduced row echelon form over Q or Q(i); returns (R, pivot_cols).
 
-
-def _to_field(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+    Fraction-free Gauss-Jordan over Z or Z[i] (see ``_eliminate``); each pivot
+    row is divided by its pivot only at the end, giving Fraction entries, or
+    QQi for non-real ones.  Rows past the rank are zero.
+    """
+    K, A, pivots = _eliminate(M, reduce=True)
+    _, m = shape(A)
+    R = [[K.quotient(a, row[col]) for a in row] for row, col in zip(A, pivots)]
+    R += [[Fraction(0)] * m for _ in range(len(A) - len(pivots))]
+    return R, pivots
 
 
 def nullspace_exact(M):
@@ -557,7 +603,7 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     accurate to machine precision even when the original had multiplicities.
     """
     deg = _poly_degree(coeffs)
-    coeffs = [simplify_scalar(_to_field(c)) for c in coeffs[:deg + 1]]
+    coeffs = [Fraction(c) if isinstance(c, int) else simplify_scalar(c) for c in coeffs[:deg + 1]]
     if deg == 0:
         return [], []
     sf = poly_squarefree_part(coeffs)
@@ -569,8 +615,8 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     # A root r of an integral polynomial with leading coefficient c makes c*r
     # a Gaussian integer, so both parts of r have denominators dividing |c|^2;
     # that rules out most candidates before poly_eval.
-    lead = _clear_row_denominators(coeffs)[-1]
-    norm = int(creal(lead) ** 2 + cimag(lead) ** 2)
+    lead_re, lead_im = _ZI.clear(coeffs)[-1]
+    norm = lead_re ** 2 + lead_im ** 2
     exact_roots = []
     remaining = list(coeffs)
     float_candidates = []

@@ -9,9 +9,9 @@ from bipencil.exactlin import (char_poly, coords_in_span, identity,
                                inverse_exact, mat_mul, mat_rank, mat_rank_exact,
                                nullspace_exact, poly_deflate, poly_eval,
                                poly_gcd_exact, poly_roots_hybrid,
-                               poly_squarefree_part, solve_exact,
+                               poly_squarefree_part, rref, solve_exact,
                                symmetric_signature)
-from bipencil.scalars import EXACT, QQi, float_mode
+from bipencil.scalars import EXACT, QQi, float_mode, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -60,6 +60,201 @@ def test_rank_gaussian_entries():
     assert mat_rank_exact(M) == 1
     M2 = [[i, Fraction(1)], [Fraction(1), i]]
     assert mat_rank_exact(M2) == 2
+
+
+# -- differential test of the integer kernel ---------------------------------
+# The Fraction/QQi elimination that the integer kernel replaced, kept here as
+# the oracle: Bareiss on Fraction rows for the rank, field Gauss-Jordan for
+# the reduced row echelon form and what is built on it.
+
+
+def oracle_rank(M):
+    if not M or not M[0]:
+        return 0
+    A = []
+    for row in M:
+        lcm = 1
+        for x in row:
+            for d in ((x.re.denominator, x.im.denominator) if isinstance(x, QQi)
+                      else (Fraction(x).denominator,)):
+                a, b = lcm, d
+                while b:
+                    a, b = b, a % b
+                lcm = lcm // a * d
+        A.append([x * lcm for x in row])
+    n, m = len(A), len(A[0])
+    rank, prev = 0, 1
+    for col in range(m):
+        piv = next((r for r in range(rank, n) if A[r][col] != 0), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        for r in range(rank + 1, n):
+            for c in range(col + 1, m):
+                A[r][c] = simplify_scalar(
+                    (A[rank][col] * A[r][c] - A[r][col] * A[rank][c]) / prev)
+            A[r][col] = 0
+        prev = A[rank][col]
+        rank += 1
+        if rank == n:
+            break
+    return rank
+
+
+def oracle_rref(M):
+    A = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in M]
+    n, m = len(A), len(A[0]) if A else 0
+    pivots = []
+    for col in range(m):
+        row = len(pivots)
+        piv = next((r for r in range(row, n) if A[r][col] != 0), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        inv = A[row][col]
+        A[row] = [simplify_scalar(x / inv) for x in A[row]]
+        for r in range(n):
+            if r != row and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [simplify_scalar(a - f * b) for a, b in zip(A[r], A[row])]
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return A, pivots
+
+
+def oracle_nullspace(M):
+    R, pivots = oracle_rref(M)
+    m = len(M[0])
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = simplify_scalar(-R[r][fc])
+        basis.append(v)
+    return basis
+
+
+def oracle_solve(A, b):
+    m = len(A[0])
+    R, pivots = oracle_rref([list(row) + [bv] for row, bv in zip(A, b)])
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][m]
+    return x
+
+
+def oracle_inverse(M):
+    n = len(M)
+    R, pivots = oracle_rref([list(row) + list(identity(n)[i]) for i, row in enumerate(M)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in R[:n]]
+
+
+def typed(value):
+    """Nested lists with each scalar paired with its type, for exact comparison."""
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return value, type(value)
+
+
+def _entry(num, den, kind, im_num, im_den):
+    """By kind: the int num, the Fraction num/den, a real QQi of it, or a QQi
+    with imaginary part im_num/im_den; a third of the real parts are 0."""
+    if num % 3 == 0:
+        num = 0
+    if kind == 0:
+        return num
+    x = Fraction(num, den)
+    return x if kind == 1 else QQi(x, Fraction(im_num, im_den) if kind == 3 else 0)
+
+
+def entries(gaussian):
+    return st.builds(_entry, st.integers(-6, 6), st.integers(1, 3),
+                     st.integers(0, 3 if gaussian else 2),
+                     st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def exact_matrices(draw):
+    """Fraction or QQi matrices, tall, wide or square, often rank-deficient,
+    with zero rows and columns planted; entries mix int, Fraction and QQi."""
+    entry = entries(draw(st.booleans()))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def block(rows, cols):
+        flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+    k = draw(st.integers(0, min(n, m) + 1))
+    if k <= min(n, m):  # rank at most k: a product of n x k and k x m
+        B, C = block(n, k), block(k, m)
+        M = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+             for i in range(n)]
+    else:
+        M = block(n, m)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        M[i] = [draw(st.sampled_from([0, Fraction(0), QQi(0, 0)]))] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in M:
+            row[j] = Fraction(0)
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_matrices(), st.data())
+def test_integer_kernel_matches_fraction_elimination(M, data):
+    assert mat_rank_exact(M) == oracle_rank(M)
+
+    R, pivots = rref(M)
+    R0, pivots0 = oracle_rref(M)
+    assert pivots == pivots0
+    assert R == R0
+    # callers read only the pivot rows; the oracle leaves the input's types in
+    # its zero rows
+    assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
+
+    assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
+
+    n, m = len(M), len(M[0])
+    entry = entries(any(isinstance(x, QQi) and x.im for row in M for x in row))
+    for b in (data.draw(st.lists(entry, min_size=n, max_size=n)),
+              [sum((a * x for a, x in zip(row, data.draw(st.lists(entry, min_size=m,
+                                                                   max_size=m)))),
+                   Fraction(0)) for row in M]):
+        assert typed(solve_exact(M, b)) == typed(oracle_solve(M, b))
+
+    if n == m:
+        expected = oracle_inverse(M)
+        if expected is None:
+            with pytest.raises(ValueError):
+                inverse_exact(M)
+        else:
+            assert typed(inverse_exact(M)) == typed(expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(7, 12), st.booleans(), st.randoms(use_true_random=False))
+def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
+    """Bigger minors for the exact divisions: n x (n + 1), rank at most n - 2."""
+    def entry():
+        re = Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+        return QQi(re, Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))) if gaussian else re
+
+    k = max(n - 2, 1)
+    B = [[entry() for _ in range(k)] for _ in range(n)]
+    C = [[entry() for _ in range(n + 1)] for _ in range(k)]
+    M = [[simplify_scalar(sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)))
+          for j in range(n + 1)] for i in range(n)]
+    assert mat_rank_exact(M) == oracle_rank(M) <= k
+    (R, pivots), (R0, pivots0) = rref(M), oracle_rref(M)
+    assert pivots == pivots0 and R == R0
+    assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
+    assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
 
 
 def test_nullspace_annihilates_and_spans():

@@ -1,9 +1,13 @@
-"""Every import in the library is used (stdlib-only AST scan).
+"""Imports of the library, by stdlib-only AST scans.
 
-``__init__.py`` is exempt: its imports are the package's public re-exports.
+Every import is used (``__init__.py`` is exempt: its imports are the
+package's public re-exports), and every module imports only the standard
+library, numpy and bipencil itself: scipy, sympy and mpmath are test-only
+oracles.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bipencil"
@@ -50,3 +54,42 @@ def test_no_unused_imports_in_library():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "bipencil"}
+
+
+def foreign_imports(source: str):
+    """Top-level modules imported from outside the standard library, numpy
+    and bipencil (relative imports are bipencil's own)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return found
+
+
+def test_scanner_flags_foreign_imports():
+    src = ("from __future__ import annotations\n"
+           "import math, numpy as np\n"
+           "from fractions import Fraction\n"
+           "from .scalars import QQi\n"
+           "from bipencil.errors import PreconditionError\n"
+           "def f():\n"
+           "    import sympy\n"
+           "    from scipy.linalg import svd\n"
+           "    import mpmath.libmp, os.path\n")
+    assert foreign_imports(src) == [(7, "sympy"), (8, "scipy.linalg"), (9, "mpmath.libmp")]
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = {p.name: foreign_imports(p.read_text()) for p in paths}
+    assert {name: imports for name, imports in found.items() if imports} == {}

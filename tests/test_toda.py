@@ -197,6 +197,19 @@ def test_kernel_algebra_check_scaled_solutions():
     assert chk.ok() and chk.which == "periodic"
 
 
+def test_exact_analysis_flags_irrational_roots():
+    """The roots at this point are irrational, so exact mode decides the root
+    decomposition in floating point and must say so."""
+    n = 4
+    p0, pinf = toda_pencil(n)
+    rep = analyze_point(p0, pinf, make_singular_point(n, seed=1).coordinates(),
+                        AnalysisParams(declared_rank=2 * n - 2))
+    assert rep.verdict.kind == "NonDegenerate"
+    assert [w for w in rep.warnings if "roots at spectrum value" in w] == [
+        "roots at spectrum value 0 are irrational; "
+        "root decomposition verified with float tolerance 1e-9"]
+
+
 def test_analyze_singular_lattice_points_elliptic():
     for n, seed, lam in ((2, 1, F(2, 3)), (3, 2, F(0))):
         pt = make_singular_point(n, seed=seed, antiperiodic=(n == 2), lam=lam)
