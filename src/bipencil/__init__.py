@@ -24,10 +24,10 @@ from .jk import (JKInvariants, JordanBlock, KroneckerBlock,
 from .liealg import (LieAlgebra, LinearPencil, TwoCocycle,
                      argument_shift_cocycle, central_extension, is_cocycle,
                      is_regular_cocycle, kernel_of_cocycle)
-from .linearization import linearize
+from .linearization import kernel_form, linearize
 from .pencil import (IsotropicCore, RecursionOperator, Spectrum,
                      compute_core, compute_spectrum, is_diagonalizable,
-                     pencil_rank_corank, quotient_basis, quotient_form,
+                     kernel_basis, pencil_rank_corank, quotient_basis, quotient_form,
                      quotient_operator, rank_at, recursion_operator)
 from .poly import Poly
 from .roots import (BlockDecomposition, RootData, WilliamsonType, classify,

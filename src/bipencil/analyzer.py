@@ -1,11 +1,12 @@
 """Full singular-point verdicts and the Casimir-variation operator machinery.
 
 analyze_point runs: evaluate -> rank/corank -> Kronecker check at nearby
-points -> core -> spectrum (empty = Regular) -> diagonalizability ->
-per-spectrum-value linearization, non-degeneracy, type and block
-classification -> totals.  Degeneracy reasons are machine-readable;
-float-mode borderline decisions attach warnings and never silently flip a
-verdict.
+points -> core -> spectrum (empty = Regular) -> per spectrum value: the
+kernel and its form, each computed once -> diagonalizability from the
+form's rank -> linearization with the form as cocycle -> non-degeneracy,
+type and block classification -> totals.  Degeneracy reasons are
+machine-readable; float-mode borderline decisions attach warnings and never
+silently flip a verdict.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from fractions import Fraction
 
 from .errors import PreconditionError, RankDeficientPointError
 from .exactlin import mat_vec, restrict
-from .linearization import linearize
+from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
-                     pencil_rank_corank, quotient_dim)
+                     kernel_basis, pencil_rank_corank, quotient_dim)
 from .poly import Poly
 from .roots import (BlockDecomposition, WilliamsonType, classify,
                     is_nondegenerate_linear, linear_pencil_type,
                     root_decomposition)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, float_mode, format_scalar,
-                      is_exact_scalar, is_inf, lambda_key, simplify_scalar)
+                      is_exact_scalar, is_inf, simplify_scalar)
 from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 
 
@@ -125,22 +126,22 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             verdict=Verdict("Regular"), per_lambda=[], total_type=None,
             point_rank=point_rank, warnings=warnings)
 
-    diag_flags, _ = is_diagonalizable(p, core, spectrum, mode)
-
     per_lambda = []
     verdict = Verdict("NonDegenerate")
     total = WilliamsonType()
     for entry in spectrum.entries:
         rep = PerLambdaReport(lam=entry.lam, kernel_dim=entry.kernel_dim,
                               paired=entry.paired)
-        rep.diagonalizable = diag_flags.get(lambda_key(entry.lam), None)
         per_lambda.append(rep)
+        ker = kernel_basis(p, entry.lam, mode)
+        form = kernel_form(p, entry.lam, ker)
+        rep.diagonalizable = is_diagonalizable(form, corank, mode)
         if not rep.diagonalizable:
             rep.degeneracy_reason = f"NonDiagonalizable({format_scalar(entry.lam)})"
             if verdict.kind != "Degenerate":
                 verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
-        lp = linearize(p, core, entry.lam, mode, spectrum=spectrum)
+        lp = linearize(p, entry.lam, ker, form, mode)
         data = root_decomposition(lp, mode)
         if mode.is_exact and any(not is_exact_scalar(v) for pair in data.pairs
                                  for v in pair.root):

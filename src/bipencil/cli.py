@@ -26,7 +26,7 @@ from .jk import jk_invariants
 from .liealg import LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, kernel_of_cocycle, is_regular_cocycle
 from .roots import classify, is_nondegenerate_linear, linear_pencil_type, root_decomposition
 from .sampling import SamplingPolicy
-from .scalars import EXACT, float_mode, format_scalar
+from .scalars import EXACT, Mode, float_mode, format_scalar
 from .tensorfield import evaluate_pencil
 from .toda import TodaPoint, random_point, toda_pencil, toda_spectrum_via_lax
 
@@ -57,8 +57,22 @@ def _write_output(text: str, out_path) -> None:
         raise
 
 
+def _tolerance(args) -> float:
+    """--tol, which must be positive and finite (the rule of ``float_mode``)."""
+    try:
+        float_mode(args.tol)
+    except ValueError as exc:
+        raise InputFormatError(str(exc), position="--tol") from exc
+    return args.tol
+
+
+def _arithmetic(args) -> Mode:
+    tol = _tolerance(args)
+    return EXACT if args.mode == "exact" else float_mode(tol)
+
+
 def _analysis_params(args, declared_rank=None) -> AnalysisParams:
-    return AnalysisParams(mode=args.mode, tolerance=args.tol, seed=args.seed,
+    return AnalysisParams(mode=args.mode, tolerance=_tolerance(args), seed=args.seed,
                           declared_rank=declared_rank)
 
 
@@ -85,14 +99,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_toda(args) -> int:
     n = args.n
+    if args.scan < 0:
+        raise InputFormatError(f"--scan must be non-negative, not {args.scan}",
+                               position="--scan")
+    params = _analysis_params(args, 2 * n - 2)
+    mode = _arithmetic(args)
     field0, field_inf = toda_pencil(n)
-    declared = 2 * n - 2
     reports = []
 
     def analyze_toda_point(pt: TodaPoint) -> dict:
-        params = _analysis_params(args, declared)
         report = analyze_point(field0, field_inf, pt.coordinates(), params)
-        mode = EXACT if args.mode == "exact" else float_mode(args.tol)
         lax = toda_spectrum_via_lax(pt, mode)
         lax_block = [{"lambda": format_scalar(e.lam),
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
@@ -135,7 +151,7 @@ def cmd_toda(args) -> int:
 def cmd_jk(args) -> int:
     field0, field_inf, declared, _meta = load_pencil_file(args.pencil)
     point = parse_point_csv(args.point, field0.dim)
-    mode = EXACT if args.mode == "exact" else float_mode(args.tol)
+    mode = _arithmetic(args)
     p = evaluate_pencil(field0, field_inf, point, exact_required=mode.is_exact)
     inv = jk_invariants(p, SamplingPolicy(args.seed), mode)
     doc = {"invariants": inv.to_json_dict(),
@@ -163,7 +179,7 @@ def cmd_linear(args) -> int:
             f"structure constants violate the Jacobi identity on basis triple "
             f"({i + 1}, {j + 1}, {k + 1})", position="structure")
     cocycle = TwoCocycle.from_json_dict(coc_doc, dim=algebra.dim)
-    mode = EXACT if args.mode == "exact" else float_mode(args.tol)
+    mode = _arithmetic(args)
     if not is_cocycle(algebra, cocycle, mode):
         raise InputFormatError("the form is not a 2-cocycle for this algebra",
                                position="cocycle")

@@ -30,10 +30,6 @@ def shape(M):
     return len(M), len(M[0]) if M else 0
 
 
-def zeros(n: int, m: int):
-    return [[Fraction(0) for _ in range(m)] for _ in range(n)]
-
-
 def identity(n: int):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
@@ -373,12 +369,25 @@ def inverse(M, mode: Mode = EXACT):
 
 
 def basis_union(existing, new_vectors, mode: Mode = EXACT):
-    """Extend an independent family by the independent members of new_vectors."""
+    """Extend an independent family by the independent members of new_vectors.
+
+    A vector is kept when it is independent of the family and of the vectors
+    kept before it.  For exact input that greedy choice is the pivot columns
+    of one reduced row echelon form, with the vectors as columns, each first
+    cleared of its own denominators; float input is checked prefix by prefix.
+    """
     out = [list(v) for v in existing]
-    for v in new_vectors:
-        cand = out + [list(v)]
-        if mat_rank(cand, mode) == len(cand):
-            out.append(list(v))
+    vectors = out + [list(v) for v in new_vectors]
+    if mode.is_exact and not has_inexact_entries(vectors):
+        K = _ZI if any(isinstance(x, QQi) and x.im for v in vectors for x in v) else _Z
+        cleared = [K.clear(v) for v in vectors]
+        if K is _ZI:
+            cleared = [[QQi(re, im) for re, im in v] for v in cleared]
+        _, pivots = rref(transpose(cleared))
+        return out + [vectors[j] for j in pivots if j >= len(out)]
+    for v in vectors[len(out):]:
+        if mat_rank(out + [v], mode) == len(out) + 1:
+            out.append(v)
     return out
 
 
@@ -526,7 +535,7 @@ def poly_gcd_exact(a, b):
     a = list(a[:_poly_degree(a) + 1])
     b = list(b[:_poly_degree(b) + 1])
     while any(c != 0 for c in b):
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
         b = b[:_poly_degree(b) + 1]
     lead = a[-1]
     if lead == 0:
@@ -534,46 +543,26 @@ def poly_gcd_exact(a, b):
     return [simplify_scalar(c / lead) for c in a]
 
 
-def _poly_mod(a, b):
-    a = list(a)
+def _poly_divmod(a, b):
+    """Long division: (q, r) with a = q b + r and r zero or of degree < deg b."""
+    r = list(a)
     db = _poly_degree(b)
     lead = b[db]
-    while _poly_degree(a) >= db and any(c != 0 for c in a):
-        da = _poly_degree(a)
-        if a[da] == 0:
-            a = a[:da]
-            continue
-        f = a[da] / lead
+    q = [Fraction(0)] * (max(_poly_degree(a) - db, 0) + 1)
+    while _poly_degree(r) >= db and any(c != 0 for c in r):
+        da = _poly_degree(r)
+        f = simplify_scalar(r[da] / lead)
+        q[da - db] = f
         for i in range(db + 1):
-            a[da - db + i] = simplify_scalar(a[da - db + i] - f * b[i])
-        a[da] = 0
-    return a
+            r[da - db + i] = simplify_scalar(r[da - db + i] - f * b[i])
+    return q, r
 
 
 def poly_squarefree_part(coeffs):
     g = poly_gcd_exact(coeffs, poly_deriv(coeffs))
     if _poly_degree(g) == 0:
         return list(coeffs)
-    q = _poly_div_exact(coeffs, g)
-    return q
-
-
-def _poly_div_exact(a, b):
-    """Exact quotient a / b (remainder must vanish)."""
-    a = list(a[:_poly_degree(a) + 1])
-    db = _poly_degree(b)
-    lead = b[db]
-    q = [Fraction(0)] * (max(_poly_degree(a) - db, 0) + 1)
-    while _poly_degree(a) >= db and any(c != 0 for c in a):
-        da = _poly_degree(a)
-        if a[da] == 0:
-            a = a[:da]
-            continue
-        f = simplify_scalar(a[da] / lead)
-        q[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] = simplify_scalar(a[da - db + i] - f * b[i])
-    return q
+    return _poly_divmod(coeffs, g)[0]
 
 
 def _newton_polish(coeffs_float, dcoeffs_float, z: complex, iters: int = 60) -> complex:

@@ -25,7 +25,6 @@ class JKInvariants:
     corank: int
     kronecker_indices: list          # sorted half-sizes, one per Kronecker block
     jordan: dict                     # lambda-key -> sorted list of Jordan sizes
-    jordan_values: dict              # lambda-key -> the lambda value itself
 
     def total_dimension(self) -> int:
         kron = sum(2 * k + 1 for k in self.kronecker_indices)
@@ -175,18 +174,14 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
     spectrum = compute_spectrum(p, core, sampler.spawn(3), mode)
     R = spectrum.recursion
     jordan: dict = {}
-    jordan_values: dict = {}
     for entry in spectrum.entries:
         lams = [entry.lam]
         if entry.paired:
             lams.append(conj(entry.lam) if entry.exact else complex(entry.lam).conjugate())
         for lam in lams:
             mu = lambda_to_moebius(lam, R.alpha, R.beta)
-            key = lambda_key(lam)
-            jordan[key] = _jordan_sizes_at(R.matrix, mu, mode)
-            jordan_values[key] = lam
-    inv = JKInvariants(corank=corank, kronecker_indices=sorted(kronecker),
-                       jordan=jordan, jordan_values=jordan_values)
+            jordan[lambda_key(lam)] = _jordan_sizes_at(R.matrix, mu, mode)
+    inv = JKInvariants(corank=corank, kronecker_indices=sorted(kronecker), jordan=jordan)
     if inv.total_dimension() != p.dim:
         raise ToleranceError(
             f"JK dimension accounting failed: blocks sum to {inv.total_dimension()}, "

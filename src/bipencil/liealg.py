@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (char_poly, eigenvalues, identity, mat_add, mat_mul,
-                       mat_rank, mat_scale, nullspace, poly_squarefree_part,
-                       solve_exact, subspace_dim, svd_rank, to_numpy, transpose)
+from .exactlin import (basis_union, char_poly, eigenvalues, identity, mat_add,
+                       mat_mul, mat_rank, mat_scale, nullspace, poly_squarefree_part,
+                       solve_exact, svd_rank, to_numpy, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, QQi, format_scalar,
@@ -106,12 +106,7 @@ class LieAlgebra:
         return nullspace(rows, mode)
 
     def derived_basis(self, mode: Mode = EXACT):
-        vecs = [vec for vec in self._c.values()]
-        out = []
-        for v in vecs:
-            if subspace_dim(out + [list(v)], mode) > len(out):
-                out.append(list(v))
-        return out
+        return basis_union([], self._c.values(), mode)
 
     def lie_poisson_field(self, varnames=None) -> PoissonTensorField:
         """Linear Poisson field P^{ij}(x) = sum_k c_{ij}^k x_k (real algebras)."""
@@ -145,18 +140,10 @@ class LieAlgebra:
             if any(v != 0 for row in adz for v in row):
                 raise PreconditionError("ideal basis vector is not central")
         ideal = [list(z) for z in ideal_basis]
-        comp_idx = []
-        current = [list(z) for z in ideal]
-        for i in range(self.dim):
-            e = [Fraction(1) if t == i else Fraction(0) for t in range(self.dim)]
-            if subspace_dim(current + [e]) > len(current):
-                current.append(e)
-                comp_idx.append(i)
-        m = len(comp_idx)
-        out = LieAlgebra(m, self.field, [self.labels[i] for i in comp_idx])
-        basis_mat = [[Fraction(1) if t == comp_idx[j] else Fraction(0)
-                      for t in range(self.dim)] for j in range(m)]
-        full = ideal + basis_mat
+        full = basis_union(ideal, identity(self.dim))
+        basis_mat = full[len(ideal):]
+        m = len(basis_mat)
+        out = LieAlgebra(m, self.field, [self.labels[e.index(1)] for e in basis_mat])
         A = transpose(full)
         for u in range(m):
             for v in range(u + 1, m):
@@ -277,8 +264,6 @@ def argument_shift_cocycle(algebra: LieAlgebra, a) -> TwoCocycle:
 class LinearPencil:
     algebra: LieAlgebra
     cocycle: TwoCocycle
-    origin_lambda: object = None     # bookkeeping: which spectrum value it linearizes
-    regular_marker: bool = False     # set when the parameter was regular (abelian kernel)
 
     def pencil_matrix(self, x, lam):
         """<x, [e_i, e_j]> + lambda A(e_i, e_j) as a matrix."""
@@ -315,7 +300,6 @@ class CocycleKernel:
     basis: list
     abelian: bool
     ad_semisimple: bool
-    per_generator_semisimple: list
 
 
 def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
@@ -356,10 +340,8 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
             br = lp.algebra.bracket(basis[i], basis[j])
             if any(not mode.zero(v, scale) for v in br):
                 abelian = False
-    per_gen = [matrix_is_semisimple(lp.algebra.ad_matrix(x), mode) for x in basis]
-    return CocycleKernel(basis=basis, abelian=abelian,
-                         ad_semisimple=all(per_gen),
-                         per_generator_semisimple=per_gen)
+    semisimple = all(matrix_is_semisimple(lp.algebra.ad_matrix(x), mode) for x in basis)
+    return CocycleKernel(basis=basis, abelian=abelian, ad_semisimple=semisimple)
 
 
 def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle) -> LieAlgebra:

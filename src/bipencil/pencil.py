@@ -17,8 +17,7 @@ from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
                        restrict)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, lambda_key, simplify_scalar,
-                      snap_to_exact)
+                      is_inf, lambda_is_real, simplify_scalar, snap_to_exact)
 from .tensorfield import PencilAtPoint
 
 
@@ -43,9 +42,15 @@ def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
     return best, p.dim - best
 
 
+def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
+    """Kernel of P_lambda(x); complexified automatically for non-real lambda."""
+    return nullspace(p.matrix_at(lam), mode)
+
+
 def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
                        mode: Mode = EXACT, *, rank: int, exclude=()):
-    """``count`` distinct finite rational parameters where the rank is ``rank``."""
+    """``count`` pairs (lambda, Ker P_lambda) at distinct finite rational
+    parameters where the rank is ``rank``; the kernel decides the rank."""
     out = []
     seen = set(exclude)
     attempts = 0
@@ -59,8 +64,9 @@ def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
         if lam in seen:
             continue
         seen.add(lam)
-        if rank_at(p, lam, mode) == rank:
-            out.append(lam)
+        ker = kernel_basis(p, lam, mode)
+        if p.dim - len(ker) == rank:
+            out.append((lam, ker))
     return out
 
 
@@ -121,8 +127,7 @@ def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
     stable = 0
     hard_cap = max(2 * p.dim + 4, 8)
     while True:
-        lam = regular_parameters(p, sampler, 1, mode, rank=rank, exclude=params)[0]
-        ker = nullspace(p.matrix_at(lam), mode)
+        (lam, ker), = regular_parameters(p, sampler, 1, mode, rank=rank, exclude=params)
         new_basis = basis_union(basis, ker, mode)
         params.append(lam)
         dims.append(len(new_basis))
@@ -151,15 +156,7 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
 
 def quotient_basis(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     """Covectors in L^perp completing a basis of L (deterministic choice)."""
-    perp = core_perp(p, core, mode)
-    chosen = []
-    current = [list(v) for v in core.basis]
-    for v in perp:
-        cand = current + [list(v)]
-        if mat_rank(cand, mode) == len(cand):
-            current.append(list(v))
-            chosen.append(list(v))
-    return chosen
+    return basis_union(core.basis, core_perp(p, core, mode), mode)[core.dim:]
 
 
 def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:
@@ -233,7 +230,8 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
     if quotient_dim(p, core) == 0:
         return Spectrum(entries=[], corank=corank)
     qbasis = quotient_basis(p, core, mode)
-    t1, t2 = regular_parameters(p, sampler.spawn(3), 2, mode, rank=p.dim - corank)
+    (t1, _), (t2, _) = regular_parameters(p, sampler.spawn(3), 2, mode,
+                                          rank=p.dim - corank)
     R = recursion_operator(p, qbasis, t1, t2, mode)
     exact_eigs, float_eigs = eigenvalues(R.matrix, mode)
     entries = []
@@ -312,32 +310,14 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
     return out
 
 
-def is_diagonalizable(p: PencilAtPoint, core: IsotropicCore, spectrum: Spectrum,
-                      mode: Mode = EXACT):
-    """Per-lambda test dim Ker(P_alpha | Ker P_lambda) == corank, and the conjunction.
+def is_diagonalizable(form, corank: int, mode: Mode = EXACT) -> bool:
+    """dim Ker(P_alpha | Ker P_lambda) == corank, read off the linearization's form.
 
-    One regular alpha suffices: all restrictions of other brackets to the
-    kernel agree up to a nonzero factor.
+    ``form`` is the Gram matrix on Ker P_lambda of Ainf (of A0 at lambda =
+    infinity).  There a regular P_alpha restricts to (alpha - lambda) times
+    it (to it at infinity), so both have the same kernel dimension.
     """
-    per_lambda = {}
-    overall = True
-    alpha = core.regular_params[0]
-    A_alpha = p.matrix_at(alpha)
-    for entry in spectrum.entries:
-        ker = kernel_basis(p, entry.lam, mode)
-        m = len(ker)
-        G = [[simplify_scalar(bilinear(A_alpha, ker[r], ker[s])) for s in range(m)]
-             for r in range(m)]
-        kd = m - mat_rank(G, mode)
-        flag = (kd == spectrum.corank)
-        per_lambda[lambda_key(entry.lam)] = flag
-        overall = overall and flag
-    return per_lambda, overall
-
-
-def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
-    """Kernel of P_lambda(x); complexified automatically for non-real lambda."""
-    return nullspace(p.matrix_at(lam), mode)
+    return len(form) - mat_rank(form, mode) == corank
 
 
 def quotient_operator(op_matrix, qbasis, core_basis, mode: Mode = EXACT):

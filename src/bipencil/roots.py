@@ -29,7 +29,6 @@ class RootPair:
     root: tuple              # values of the + root on the kernel basis
     vec_plus: list
     vec_minus: list
-    space_dim: int = 1       # dimension of the + root space
 
     def reality(self, mode: Mode = EXACT) -> str:
         """'real', 'imaginary', 'complex', or 'zero' (as a functional)."""
@@ -221,8 +220,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
             # split into repeated one-dimensional pairs; dependence will follow
             data.residual = "RootSpaceTooBig"
             for vp, vm in zip(vecs, vecs_m):
-                data.pairs.append(RootPair(root=eigs, vec_plus=vp, vec_minus=vm,
-                                           space_dim=len(vecs)))
+                data.pairs.append(RootPair(root=eigs, vec_plus=vp, vec_minus=vm))
             continue
         data.pairs.append(_orient_pair(eigs, vecs[0], nonzero[partner][0], vecs_m[0], mode))
     return data

@@ -9,6 +9,7 @@ through the linear-algebra helpers, not by wrapping the numbers themselves.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -169,10 +170,6 @@ class QQi:
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
 
 def _as_qqi(x):
     if isinstance(x, QQi):
@@ -324,7 +321,7 @@ EXACT = Mode("exact", 0.0)
 
 
 def float_mode(eps: float = 1e-9) -> Mode:
-    if eps <= 0:
-        raise ValueError("float tolerance must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"float tolerance must be positive and finite, not {eps}")
     return Mode("float", eps)
 

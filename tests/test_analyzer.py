@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipencil import analyzer, linearization, pencil
 from bipencil.analyzer import (AnalysisParams, FunctionData, analyze_point,
                                casimir_variation, combine_function_data,
                                reparameterize_casimir_combination)
@@ -10,16 +11,15 @@ from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import (bilinear, mat_mul, mat_sub, mat_vec, mat_rank,
                                nullspace)
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
-from bipencil.linearization import linearize
-from bipencil.pencil import (compute_spectrum, quotient_basis, quotient_operator,
+from bipencil.pencil import (compute_core, quotient_basis, quotient_operator,
                              recursion_operator)
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import INF
+from bipencil.scalars import EXACT, INF
 from bipencil.tensorfield import PoissonTensorField, direct_sum, evaluate_pencil
 from bipencil.toda import constant_lattice, toda_pencil
 
-from pipeline import core_of
+from pipeline import core_of, linearize_at
 
 F = Fraction
 
@@ -103,6 +103,39 @@ def test_kronecker_spot_check_warning(blocks, warned, mode):
     rep = analyze_point(f0, finf, point, AnalysisParams(mode=mode, seed=1))
     assert any(w.startswith("nearby point has non-empty spectrum")
                for w in rep.warnings) == warned
+
+
+def test_analysis_computes_each_kernel_once(monkeypatch):
+    # the diagonalizability test and the linearization share one kernel per
+    # spectrum value, and the core takes its kernels from regular_parameters
+    kernels, ranks = [], []
+    real_kernel, real_rank = pencil.kernel_basis, pencil.rank_at
+
+    def kernel_basis(p, lam, mode=EXACT):
+        kernels.append((p.point, lam))
+        return real_kernel(p, lam, mode)
+
+    def rank_at(*args, **kwargs):
+        ranks.append(args[1])
+        return real_rank(*args, **kwargs)
+
+    for module in (analyzer, linearization, pencil):
+        if getattr(module, "kernel_basis", None) is real_kernel:
+            monkeypatch.setattr(module, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(pencil, "rank_at", rank_at)
+
+    blocks = [KroneckerBlock(0), JordanBlock(F(1, 3), 1), JordanBlock(INF, 1),
+              JordanBlock(F(2), 2)]
+    f0, finf, point = constant_fields(blocks)
+    rep = analyze_point(f0, finf, point, AnalysisParams(seed=1, declared_rank=8))
+    values = rep.spectrum.values()
+    assert [r.diagonalizable for r in rep.per_lambda] == [True, False, True]
+    assert [lam for at, lam in kernels if at == point and lam in values] == values
+
+    p = evaluate_pencil(f0, finf, point)
+    ranks.clear()
+    core = compute_core(p, SamplingPolicy(2), rank=8)
+    assert ranks == [] and core.dim == 1
 
 
 def test_count_identity_on_reports():
@@ -218,11 +251,8 @@ def test_variation_restricted_to_kernel_is_ad():
     point = pt.coordinates()
     p0, pinf = toda_pencil(2)
     p = evaluate_pencil(p0, pinf, point)
-    sp = SamplingPolicy(4)
-    core = core_of(p, sp)
-    spec = compute_spectrum(p, core, sp.spawn(1))
     lam = F(0)
-    lp = linearize(p, core, lam, spectrum=spec)
+    lp = linearize_at(p, lam)
     ker = nullspace(p.matrix_at(lam))
 
     per, anti = toda2_families()

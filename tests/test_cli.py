@@ -119,6 +119,37 @@ def test_toda_rejects_nonpositive_a(capsys):
     assert json.loads(err)["error"] == "refused"
 
 
+def assert_input_error(code, out, err, position):
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and doc["position"] == position
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_analyze_rejects_bad_tolerance(so3_file, tol, capsys):
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0",
+                              "--mode", "float", f"--tol={tol}"], capsys)
+    assert_input_error(code, out, err, "--tol")
+
+
+def test_toda_rejects_negative_scan(capsys):
+    code, out, err = run_cli(["toda", "--n", "3", "--scan=-2"], capsys)
+    assert_input_error(code, out, err, "--scan")
+
+
+def test_toda_rejects_bad_tolerance(capsys):
+    code, out, err = run_cli(["toda", "--n", "2", "--random", "--mode", "float",
+                              "--tol", "nan"], capsys)
+    assert_input_error(code, out, err, "--tol")
+
+
+def test_jk_rejects_bad_tolerance_in_exact_mode(so3_file, capsys):
+    # --tol is checked whatever the mode
+    code, out, err = run_cli(["jk", "--pencil", so3_file, "--point", "0,0,0",
+                              "--tol=-1"], capsys)
+    assert_input_error(code, out, err, "--tol")
+
+
 def test_jk_command(so3_file, tmp_path, capsys):
     code, out, err = run_cli(["jk", "--pencil", so3_file, "--point", "0,0,0"], capsys)
     assert code == 0, err

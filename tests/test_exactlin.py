@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipencil.exactlin import (char_poly, coords_in_span, identity,
-                               inverse_exact, mat_mul, mat_rank, mat_rank_exact,
-                               nullspace_exact, poly_deflate, poly_eval,
-                               poly_gcd_exact, poly_roots_hybrid,
-                               poly_squarefree_part, rref, solve_exact,
-                               symmetric_signature)
+from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, char_poly,
+                               coords_in_span, identity, inverse_exact, mat_mul,
+                               mat_rank, mat_rank_exact, nullspace_exact,
+                               poly_deflate, poly_eval, poly_gcd_exact,
+                               poly_roots_hybrid, poly_squarefree_part, rref,
+                               solve_exact, symmetric_signature)
 from bipencil.scalars import EXACT, QQi, float_mode, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -255,6 +255,91 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
     assert pivots == pivots0 and R == R0
     assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
     assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
+
+
+def oracle_basis_union(existing, new_vectors, mode=EXACT):
+    """Oracle: the greedy loop, one rank of the whole family per candidate."""
+    out = [list(v) for v in existing]
+    for v in new_vectors:
+        cand = out + [list(v)]
+        if mat_rank(cand, mode) == len(cand):
+            out.append(list(v))
+    return out
+
+
+@st.composite
+def vector_families(draw):
+    """(existing, new): an independent family and candidates of the same
+    length with zero vectors, duplicates and dependent combinations planted,
+    entries int, Fraction or QQi with mixed denominators."""
+    entry = entries(draw(st.booleans()))
+    m = draw(st.integers(1, 6))
+    vector = st.lists(entry, min_size=m, max_size=m)
+    existing = oracle_basis_union([], draw(st.lists(vector, max_size=3)))
+    new = draw(st.lists(vector, max_size=6))
+    pool = existing + new
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            v = [draw(st.sampled_from([0, Fraction(0), QQi(0, 0)]))] * m
+        elif kind == 1 and pool:
+            v = list(draw(st.sampled_from(pool)))
+        elif pool:
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            c, d = draw(entry), draw(entry)
+            v = [simplify_scalar(c * x + d * y + Fraction(0)) for x, y in zip(a, b)]
+        else:
+            continue
+        new.insert(draw(st.integers(0, len(new))), v)
+    return existing, new
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families())
+def test_basis_union_matches_greedy_rank_loop(family):
+    existing, new = family
+    assert typed(basis_union(existing, new)) == typed(oracle_basis_union(existing, new))
+
+
+def test_basis_union_float_and_mixed_input():
+    e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    cands = [[2.0, 0.0, 0.0], [1.0, 1.0, 1e-12], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]]
+    for mode in (EXACT, float_mode(1e-9)):
+        assert basis_union([e1], [e2] + cands, mode) == \
+            oracle_basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
+    mixed = [[Fraction(1), Fraction(0)], [0.5, 0.0], [Fraction(0), Fraction(1, 3)]]
+    assert basis_union([], mixed) == oracle_basis_union([], mixed) == [mixed[0], mixed[2]]
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def trimmed(p):
+    return p[:_poly_degree(p) + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_poly_divmod_is_long_division(gaussian, data):
+    # over a field: int coefficients would divide to floats
+    coeff = entries(gaussian).map(lambda c: Fraction(c) if isinstance(c, int) else c)
+    a = data.draw(st.lists(coeff, min_size=1, max_size=8))
+    b = data.draw(st.lists(coeff, min_size=1, max_size=5))
+    lead = data.draw(coeff.filter(lambda c: c != 0))
+    b = b + [lead]                   # deg b = len(b) - 1 with a nonzero lead
+    q, r = _poly_divmod(a, b)
+    assert trimmed(poly_add(poly_mul(q, b), r)) == trimmed(a)
+    assert all(c == 0 for c in r) or _poly_degree(r) < len(b) - 1
 
 
 def test_nullspace_annihilates_and_spans():

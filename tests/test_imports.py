@@ -93,3 +93,58 @@ def test_library_imports_only_stdlib_and_numpy():
     assert paths
     found = {p.name: foreign_imports(p.read_text()) for p in paths}
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def defined_names(source: str):
+    """Functions and classes defined at module level, with their lines."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def referenced_names(source: str):
+    """Identifiers a file reads: names, attributes, imported names, and
+    strings that are identifiers (such as a tracer's target table)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs.add(node.value)
+    return refs
+
+
+def dead_definitions(modules: dict, others=()):
+    """(module, line, name) of each module-level definition in ``modules``
+    that no file of ``modules`` or ``others`` refers to by name."""
+    refs = set()
+    for source in list(modules.values()) + list(others):
+        refs |= referenced_names(source)
+    return sorted((module, line, name) for module, source in modules.items()
+                  for line, name in defined_names(source) if name not in refs)
+
+
+def test_scanner_flags_dead_definitions():
+    lib = {"a.py": ("def used(): return helper()\n"
+                    "def helper(): return 1\n"
+                    "def traced(): pass\n"
+                    "def exported(): pass\n"
+                    "def dead(): return 2\n"
+                    "class Dead: pass\n"
+                    "class Used: pass\n"),
+           "__init__.py": "from .a import exported\n"}
+    others = ["from a import used\nx = Used()\n", "TARGETS = [('a', 'traced')]\n"]
+    assert dead_definitions(lib, others) == [("a.py", 5, "dead"), ("a.py", 6, "Dead")]
+
+
+def test_no_dead_definitions_in_library():
+    root = PACKAGE.parent.parent
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text() for folder in ("tests", "perfbench")
+              for p in sorted((root / folder).glob("*.py"))]
+    assert modules and others
+    assert dead_definitions(modules, others) == []

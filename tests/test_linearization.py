@@ -8,34 +8,25 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import mat_rank, subspace_dim
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
-from bipencil.linearization import linearize
-from bipencil.pencil import compute_spectrum
 from bipencil.roots import (classify, is_nondegenerate_linear,
                             linear_pencil_type, root_decomposition)
-from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import constant_lattice, toda_pencil_at
 
-from pipeline import core_of
+from pipeline import linearize_at
 
 F = Fraction
 
 
-def pencil_and_core(entry_name):
+def catalog_pencil(entry_name):
     e = catalog_by_name()[entry_name]
-    p = evaluate_pencil(e.field0, e.field_inf, e.point)
-    sp = SamplingPolicy(3)
-    core = core_of(p, sp)
-    spec = compute_spectrum(p, core, sp.spawn(1))
-    return p, core, spec
+    return evaluate_pencil(e.field0, e.field_inf, e.point)
 
 
 def test_linearize_so3_recovers_algebra_and_cocycle():
-    p, core, spec = pencil_and_core("so3_shift")
-    lp = linearize(p, core, F(0), spectrum=spec)
+    lp = linearize_at(catalog_pencil("so3_shift"), F(0))
     assert lp.algebra.field == REAL and lp.algebra.dim == 3
-    assert not lp.regular_marker
     # linearization of a linear structure is the structure itself
     g = algebras.so3()
     for i in range(3):
@@ -46,11 +37,7 @@ def test_linearize_so3_recovers_algebra_and_cocycle():
 
 
 def test_linearize_toda_singular_point():
-    p = toda_pencil_at(constant_lattice(2))
-    sp = SamplingPolicy(5)
-    core = core_of(p, sp)
-    spec = compute_spectrum(p, core, sp.spawn(1))
-    lp = linearize(p, core, F(0), spectrum=spec)
+    lp = linearize_at(toda_pencil_at(constant_lattice(2)), F(0))
     assert lp.algebra.dim == 4
     assert lp.algebra.verify_jacobi()
     # sl(2, R) + line: one-dimensional center, three-dimensional derived part
@@ -59,8 +46,7 @@ def test_linearize_toda_singular_point():
 
 
 def test_linearize_bad_example_zero_bracket():
-    p, core, spec = pencil_and_core("bad_example")
-    lp = linearize(p, core, F(0), spectrum=spec)
+    lp = linearize_at(catalog_pencil("bad_example"), F(0))
     assert lp.algebra.dim == 3
     for i in range(3):
         for j in range(3):
@@ -68,22 +54,19 @@ def test_linearize_bad_example_zero_bracket():
 
 
 def test_linearize_regular_lambda_flagged_abelian():
-    p, core, spec = pencil_and_core("so3_shift")
-    lp = linearize(p, core, F(7), spectrum=spec)
-    assert lp.regular_marker
+    lp = linearize_at(catalog_pencil("so3_shift"), F(7))
     for i in range(lp.algebra.dim):
         for j in range(lp.algebra.dim):
             assert all(v == 0 for v in lp.algebra.structure_vector(i, j))
     # regular kernels sit inside the isotropic core, so the restricted form
-    # vanishes; only the abelian structure and the marker carry information
+    # vanishes; only the abelian structure carries information
     assert all(v == 0 for row in lp.cocycle.matrix for v in row)
 
 
 def test_linearize_products_satisfy_identities():
     # Jacobi and the cocycle identity hold exactly for every linearization
     for name in ("so3_shift", "diamond_shift", "so31_shift"):
-        p, core, spec = pencil_and_core(name)
-        lp = linearize(p, core, F(0), spectrum=spec)
+        lp = linearize_at(catalog_pencil(name), F(0))
         assert lp.algebra.verify_jacobi()
         assert is_cocycle(lp.algebra, lp.cocycle)
 

@@ -7,16 +7,17 @@ from bipencil.errors import SingularParameterError
 from bipencil.exactlin import bilinear, mat_mul, mat_rank, mat_vec, subspace_dim
 from bipencil import pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
-from bipencil.pencil import (compute_spectrum, is_diagonalizable, pencil_rank_corank,
+from bipencil.linearization import kernel_form
+from bipencil.pencil import (compute_spectrum, kernel_basis, pencil_rank_corank,
                              quotient_basis, quotient_dim, quotient_form, rank_at,
                              recursion_operator)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi
+from bipencil.scalars import EXACT, INF, QQi, is_inf
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import (constant_lattice, make_singular_point, random_point,
                            toda_pencil, toda_pencil_at)
 
-from pipeline import core_of, spectrum_of
+from pipeline import core_of, diagonalizable_flags, spectrum_of
 
 
 @pytest.fixture
@@ -131,9 +132,9 @@ def test_quotient_dimension_zero_for_kronecker(kronecker3, sampler):
     assert quotient_basis(kronecker3, core) == []
 
 
-def test_quotient_dim_counts_quotient_basis(sampler):
-    # dim - 2 dim L + corank is the size of the quotient basis, at points with
-    # and without Jordan blocks
+def exact_points():
+    """22 exact points: the catalog, Toda singular and random points for
+    n = 3, 4, 5, and JK pairs with a Jordan block at 1/3, infinity and 1+2i."""
     points = {e.name: evaluate_pencil(e.field0, e.field_inf, e.point) for e in catalog()}
     for n in (3, 4, 5):
         points[f"toda-singular-{n}"] = toda_pencil_at(make_singular_point(n, seed=1))
@@ -143,12 +144,38 @@ def test_quotient_dim_counts_quotient_basis(sampler):
         points[f"jk-{name}"] = assemble_jk_canonical_pair(
             [KroneckerBlock(1), JordanBlock(lam, 2)])
     assert len(points) == 22
+    return points
+
+
+def test_quotient_dim_counts_quotient_basis(sampler):
+    # dim - 2 dim L + corank is the size of the quotient basis, at points with
+    # and without Jordan blocks
     dims = {}
-    for name, p in points.items():
+    for name, p in exact_points().items():
         core = core_of(p, sampler)
         dims[name] = quotient_dim(p, core)
         assert dims[name] == len(quotient_basis(p, core)), name
     assert dims["jk-gaussian"] == 4 and dims["toda-random-4"] == 0
+
+
+def test_regular_bracket_on_kernel_is_a_multiple_of_the_form(sampler):
+    # on Ker P_lambda a regular P_alpha restricts to (alpha - lambda) times the
+    # linearization's form (to the form itself at infinity), so the form
+    # decides diagonalizability as the P_alpha Gram matrix did
+    seen = 0
+    for name, p in exact_points().items():
+        core = core_of(p, sampler)
+        alpha = core.regular_params[0]
+        A_alpha = p.matrix_at(alpha)
+        for entry in compute_spectrum(p, core, sampler.spawn(3)).entries:
+            lam = entry.lam
+            ker = kernel_basis(p, lam)
+            form = kernel_form(p, lam, ker)
+            factor = 1 if is_inf(lam) else alpha - lam
+            gram = [[bilinear(A_alpha, u, v) for v in ker] for u in ker]
+            assert gram == [[factor * x for x in row] for row in form], (name, lam)
+            seen += 1
+    assert seen == 19   # every point but the three regular Toda points
 
 
 def test_recursion_operator_properties(sampler):
@@ -184,19 +211,19 @@ def test_is_diagonalizable_cases(sampler):
     p = toda_pencil_at(constant_lattice(2))
     core = core_of(p, sampler)
     spec = compute_spectrum(p, core, sampler.spawn(1))
-    flags, overall = is_diagonalizable(p, core, spec)
-    assert overall and flags == {"0": True}
+    flags = diagonalizable_flags(p, spec)
+    assert flags == {"0": True}
 
     # one 2x2 Jordan block at zero is not diagonalizable
     pj = assemble_jk_canonical_pair([KroneckerBlock(0), JordanBlock(Fraction(0), 2)])
     core_j = core_of(pj, sampler.spawn(2))
     spec_j = compute_spectrum(pj, core_j, sampler.spawn(3))
-    flags_j, overall_j = is_diagonalizable(pj, core_j, spec_j)
-    assert not overall_j
+    flags_j = diagonalizable_flags(pj, spec_j)
+    assert not all(flags_j.values())
 
     # pure Kronecker: vacuously diagonalizable
     pk = assemble_jk_canonical_pair([KroneckerBlock(1)])
     core_k = core_of(pk, sampler.spawn(4))
     spec_k = compute_spectrum(pk, core_k, sampler.spawn(5))
-    flags_k, overall_k = is_diagonalizable(pk, core_k, spec_k)
-    assert overall_k and flags_k == {}
+    flags_k = diagonalizable_flags(pk, spec_k)
+    assert flags_k == {}
