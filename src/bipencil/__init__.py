@@ -30,8 +30,8 @@ from .pencil import (IsotropicCore, RecursionOperator, Spectrum,
                      kernel_basis, pencil_rank_corank, quotient_basis, quotient_form,
                      quotient_operator, rank_at, recursion_operator)
 from .poly import Poly
-from .roots import (BlockDecomposition, RootData, WilliamsonType, classify,
-                    is_nondegenerate_linear, linear_pencil_type,
+from .roots import (BlockDecomposition, LinearAnalysis, RootData, WilliamsonType,
+                    analyze_linear, classify, is_nondegenerate_linear,
                     root_decomposition)
 from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, float_mode

@@ -3,8 +3,9 @@
 analyze_point runs: evaluate -> rank/corank -> Kronecker check at nearby
 points -> core -> spectrum (empty = Regular) -> per spectrum value: the
 kernel and its form, each computed once -> diagonalizability from the
-form's rank -> linearization with the form as cocycle -> non-degeneracy,
-type and block classification -> totals.  Degeneracy reasons are
+form's rank -> linearization with the form as cocycle -> roots.analyze_linear,
+the per-lambda analysis the ``linear`` command shares (roots, non-degeneracy,
+blocks, and the type read off the blocks) -> totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
 """
@@ -20,9 +21,7 @@ from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
                      kernel_basis, pencil_rank_corank, quotient_dim)
 from .poly import Poly
-from .roots import (BlockDecomposition, WilliamsonType, classify,
-                    is_nondegenerate_linear, linear_pencil_type,
-                    root_decomposition)
+from .roots import BlockDecomposition, WilliamsonType, analyze_linear
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, float_mode, format_scalar,
                       is_exact_scalar, is_inf, simplify_scalar)
@@ -141,21 +140,18 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             if verdict.kind != "Degenerate":
                 verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
-        lp = linearize(p, entry.lam, ker, form, mode)
-        data = root_decomposition(lp, mode)
-        if mode.is_exact and any(not is_exact_scalar(v) for pair in data.pairs
+        lin = analyze_linear(linearize(p, entry.lam, ker, form, mode), mode)
+        if mode.is_exact and any(not is_exact_scalar(v) for pair in lin.data.pairs
                                  for v in pair.root):
             warnings.append(f"roots at spectrum value {entry.lam} are irrational; "
                             "root decomposition verified with float tolerance 1e-9")
-        ok, reason = is_nondegenerate_linear(lp, mode, data)
-        rep.linear_nondegenerate = ok
-        if not ok:
-            rep.degeneracy_reason = f"{reason}({format_scalar(entry.lam)})"
+        rep.linear_nondegenerate = lin.reason is None
+        if lin.reason is not None:
+            rep.degeneracy_reason = f"{lin.reason}({format_scalar(entry.lam)})"
             if verdict.kind != "Degenerate":
                 verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
-        rep.type = linear_pencil_type(data, mode)
-        rep.blocks = classify(lp, mode, data)
+        rep.type, rep.blocks = lin.type, lin.blocks
         total = total + rep.type
 
     if verdict.kind == "Degenerate":

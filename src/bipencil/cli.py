@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 input error (parse/Jacobi failures, "error":
-"input"); 2 refused precondition (rank-deficient point, phase-space
+Exit codes: 0 success; 1 input error (usage, parse and Jacobi failures,
+"error": "input"); 2 refused precondition (rank-deficient point, phase-space
 violation, "error": "refused"); 1 for any other library error, such as
 ToleranceError or SingularParameterError ("error": "error").  Errors are
 mirrored as machine-readable JSON on stderr.
@@ -24,7 +24,7 @@ from .io import (catalog_entry_to_json_dict, dump_canonical, load_pencil_file,
                  parse_point_csv, report_document)
 from .jk import jk_invariants
 from .liealg import LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, kernel_of_cocycle, is_regular_cocycle
-from .roots import classify, is_nondegenerate_linear, linear_pencil_type, root_decomposition
+from .roots import analyze_linear
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, float_mode, format_scalar
 from .tensorfield import evaluate_pencil
@@ -131,8 +131,8 @@ def cmd_toda(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise InputFormatError("either --a/--b or --random/--scan is required")
-        a = parse_point_csv(args.a, n)
-        b = parse_point_csv(args.b, n)
+        a = parse_point_csv(args.a, n, "--a")
+        b = parse_point_csv(args.b, n, "--b")
         if any(not (x > 0) for x in a):
             raise PreconditionError("phase space requires a_i > 0")
         reports.append(analyze_toda_point(TodaPoint(n=n, a=a, b=b)))
@@ -186,28 +186,24 @@ def cmd_linear(args) -> int:
     lp = LinearPencil(algebra, cocycle)
     kernel = kernel_of_cocycle(lp, mode)
     regular = is_regular_cocycle(lp, SamplingPolicy(args.seed), mode)
-    data = root_decomposition(lp, mode, kernel=kernel)
-    ok, reason = is_nondegenerate_linear(lp, mode, data)
+    lin = analyze_linear(lp, mode, kernel)
     doc = {
         "dim": algebra.dim,
         "field": algebra.field,
-        "cocycle_rank": cocycle.rank(mode),
+        "cocycle_rank": lin.data.cocycle_rank,
         "regular": regular,
         "kernel": {"dim": len(kernel.basis),
                    "basis": [[format_scalar(x) for x in v] for v in kernel.basis],
                    "abelian": kernel.abelian,
                    "ad_semisimple": kernel.ad_semisimple},
-        "roots": [[format_scalar(x) for x in p.root] for p in data.pairs],
-        "nondegenerate": ok,
-        "degeneracy_reason": reason,
-        "type": None,
-        "blocks": None,
+        "roots": [[format_scalar(x) for x in p.root] for p in lin.data.pairs],
+        "nondegenerate": lin.reason is None,
+        "degeneracy_reason": lin.reason,
+        "type": lin.type.to_json_dict() if lin.type else None,
+        "blocks": lin.blocks.to_json_dict() if lin.blocks else None,
         "provenance": _provenance(args, {"algebra_file": args.algebra,
                                          "cocycle_file": args.cocycle}),
     }
-    if ok:
-        doc["type"] = linear_pencil_type(data, mode).to_json_dict()
-        doc["blocks"] = classify(lp, mode, data).to_json_dict()
     _write_output(dump_canonical(doc), args.out)
     return EXIT_OK
 
@@ -232,8 +228,27 @@ def cmd_catalog(args) -> int:
     raise InputFormatError("catalog requires --list or --emit NAME DIR")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 with a JSON message, not 2."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
+def _attach_list_values(argv):
+    """``--b -1,0,1`` as ``--b=-1,0,1`` for the options that take a list of
+    rationals: argparse reads a value that starts with '-' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--a", "--b") and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="bipencil",
         description="Williamson-type verdicts for singular points of "
                     "bi-Hamiltonian pencils")
@@ -287,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(
+            _attach_list_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except InputFormatError as exc:
         _emit_error("input", exc, getattr(exc, "position", None))

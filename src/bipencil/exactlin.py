@@ -66,13 +66,22 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def bilinear(A, u, v):
-    """u^T A v for covectors u, v."""
-    return vec_dot(u, mat_vec(A, v))
+    """u^T A v for covectors u, v, summed as sum_i u_i (sum_j A_ij v_j).
+
+    Zero entries of u, A and v are skipped: the matrices of a pencil at a
+    point are mostly zero, and skipping a zero product moves no float sum.
+    """
+    support = [(j, x) for j, x in enumerate(v) if x != 0]
+    total = 0
+    for ui, row in zip(u, A):
+        if ui != 0:
+            inner = 0
+            for j, x in support:
+                if row[j] != 0:
+                    inner = inner + row[j] * x
+            total = total + ui * inner
+    return total
 
 
 def to_numpy(M) -> np.ndarray:

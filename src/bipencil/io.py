@@ -84,6 +84,8 @@ def pencil_from_json_dict(doc: dict):
         dim = int(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"missing or bad 'dim': {exc}", position="dim")
+    if dim < 1:
+        raise InputFormatError(f"'dim' must be positive, not {dim}", position="dim")
     varnames = doc.get("vars")
     if varnames is not None and len(varnames) != dim:
         raise InputFormatError("'vars' length must equal dim", position="vars")
@@ -125,13 +127,16 @@ def report_document(report, provenance: dict) -> dict:
     return {"report": report.to_json_dict(), "provenance": provenance}
 
 
-def parse_point_csv(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
+def parse_point_csv(text: str, dim: int, option: str = "--point"):
+    """The ``dim`` comma-separated rationals given to ``option``."""
+    parts = text.split(",")
+    if any(not p.strip() for p in parts):
+        raise InputFormatError(f"empty coordinate in '{text}'", position=option)
     if len(parts) != dim:
         raise InputFormatError(
             f"point has {len(parts)} coordinates, pencil dimension is {dim}",
-            position="--point")
+            position=option)
     try:
         return [parse_rational(p) for p in parts]
     except ValueError as exc:
-        raise InputFormatError(f"bad point coordinate: {exc}", position="--point")
+        raise InputFormatError(f"bad point coordinate: {exc}", position=option)

@@ -175,9 +175,7 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
     R = spectrum.recursion
     jordan: dict = {}
     for entry in spectrum.entries:
-        lams = [entry.lam]
-        if entry.paired:
-            lams.append(conj(entry.lam) if entry.exact else complex(entry.lam).conjugate())
+        lams = [entry.lam, conj(entry.lam)] if entry.paired else [entry.lam]
         for lam in lams:
             mu = lambda_to_moebius(lam, R.alpha, R.beta)
             jordan[lambda_key(lam)] = _jordan_sizes_at(R.matrix, mu, mode)

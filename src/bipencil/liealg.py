@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (basis_union, char_poly, eigenvalues, identity, mat_add,
-                       mat_mul, mat_rank, mat_scale, nullspace, poly_squarefree_part,
-                       solve_exact, svd_rank, to_numpy, transpose)
+from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, identity,
+                       mat_add, mat_mul, mat_rank, mat_scale, nullspace,
+                       poly_squarefree_part, solve_exact, svd_rank, to_numpy, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, QQi, format_scalar,
@@ -170,6 +170,8 @@ class LieAlgebra:
     def from_json_dict(cls, data: dict) -> "LieAlgebra":
         try:
             dim = int(data["dim"])
+            if dim < 1:
+                raise InputFormatError(f"'dim' must be positive, not {dim}", position="dim")
             field_name = data.get("field", REAL)
             alg = cls(dim, field_name, data.get("basis"))
             acc: dict = {}
@@ -206,15 +208,7 @@ class TwoCocycle:
         return len(self.matrix)
 
     def value(self, x, y):
-        total = 0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.matrix[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    total = total + xi * row[j] * yj
-        return simplify_scalar(total + Fraction(0))
+        return simplify_scalar(bilinear(self.matrix, x, y) + Fraction(0))
 
     def scale(self, c) -> "TwoCocycle":
         return TwoCocycle([[simplify_scalar(c * v) for v in row] for row in self.matrix])
@@ -233,8 +227,12 @@ class TwoCocycle:
 
     @classmethod
     def from_json_dict(cls, data: dict, dim: int | None = None) -> "TwoCocycle":
+        """The cocycle in ``data``; with ``dim``, that of a dim-dimensional algebra."""
         try:
             d = int(data.get("dim", dim))
+            if d < 1 or (dim is not None and d != dim):
+                raise InputFormatError(f"cocycle dimension {d} must be positive and equal "
+                                       "the algebra dimension", position="cocycle")
             M = [[Fraction(0)] * d for _ in range(d)]
             for t in data.get("cocycle", []):
                 i, j = int(t["i"]) - 1, int(t["j"]) - 1

@@ -17,7 +17,7 @@ from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
                        restrict)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, simplify_scalar, snap_to_exact)
+                      is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
 from .tensorfield import PencilAtPoint
 
 
@@ -74,7 +74,6 @@ def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
 class SpectrumEntry:
     lam: object            # Fraction | QQi | complex | INF
     kernel_dim: int
-    exact: bool = True
     paired: bool = False   # True when the entry stands for a conjugate pair
 
 
@@ -240,7 +239,7 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
         lam = _moebius_to_lambda(mu, t1, t2, mode)
         kd = p.dim - rank_at(p, lam, mode, warnings)
         if kd > corank:
-            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd, exact=True))
+            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
             seen.append(complex(0) if is_inf(lam) else complex(lam))
     for mu, _mult in float_eigs:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
@@ -255,13 +254,12 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
                 is_exact_scalar(x) for row in p.A0 + p.Ainf for x in row)):
             kd = p.dim - rank_at(p, snapped, EXACT, warnings)
             if kd > corank:
-                entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd, exact=True))
+                entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
                 seen.append(complex(snapped))
                 continue
-        check_mode = mode if not mode.is_exact else Mode("float", 1e-9)
-        kd = p.dim - rank_at(p, lam, check_mode, warnings)
+        kd = p.dim - rank_at(p, lam, mode, warnings)
         if kd > corank:
-            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd, exact=False))
+            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
             seen.append(lam_c)
             if warnings is not None and mode.is_exact:
                 warnings.append(
@@ -278,35 +276,21 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
     if not (all_entries_real(p.A0) and all_entries_real(p.Ainf)):
         return entries
     out = []
-    used = [False] * len(entries)
+    used = set()
     eps_pair = 10 * (mode.eps if not mode.is_exact else 1e-12)
     for i, e in enumerate(entries):
-        if used[i]:
+        if i in used:
             continue
-        if lambda_is_real(e.lam):
-            out.append(e)
-            used[i] = True
-            continue
-        lam_c = complex(e.lam)
-        partner = None
-        for j in range(i + 1, len(entries)):
-            if used[j] or lambda_is_real(entries[j].lam):
-                continue
-            if e.exact and entries[j].exact:
-                if conj(e.lam) == entries[j].lam:
-                    partner = j
-                    break
-            elif abs(complex(entries[j].lam) - lam_c.conjugate()) <= eps_pair * max(1.0, abs(lam_c)):
-                partner = j
-                break
-        if partner is not None:
-            used[i] = used[partner] = True
-            rep = e if (cimag(e.lam) > 0 if e.exact else lam_c.imag > 0) else entries[partner]
-            rep.paired = True
-            out.append(rep)
-        else:
-            used[i] = True
-            out.append(e)
+        if not lambda_is_real(e.lam):
+            tol = eps_pair * max(1.0, abs(complex(e.lam)))
+            j = next((j for j in range(i + 1, len(entries)) if j not in used
+                      and not lambda_is_real(entries[j].lam)
+                      and near(entries[j].lam, conj(e.lam), tol)), None)
+            if j is not None:
+                used.add(j)
+                e = e if cimag(e.lam) > 0 else entries[j]
+                e.paired = True
+        out.append(e)
     return out
 
 

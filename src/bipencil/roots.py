@@ -4,8 +4,12 @@ The kernel of the cocycle acts on the algebra by commuting operators; when
 those are all semisimple the complexified algebra splits into joint
 eigenspaces.  Non-degeneracy asks for one-dimensional root spaces with
 linearly independent roots; the surviving pencils are then recognized as sums
-of six elementary blocks (three semisimple, three diamond-type) modulo a
-central ideal and an Abelian summand.
+of elementary blocks (the so(3), sl(2) and diamond families) modulo a central
+ideal and an Abelian summand.
+
+``analyze_linear`` is the one per-lambda analysis: root decomposition, then
+non-degeneracy, then the blocks.  The Williamson type is read off the blocks,
+each of which is elliptic, hyperbolic or focus.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PreconditionError, ToleranceError
+from .errors import ToleranceError
 from .exactlin import (coords_in_span, eigenvalues, identity, intersect_dims,
                        mat_rank, mat_sub, mat_scale, nullspace, restrict,
                        subspace_dim)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
-from .scalars import (EXACT, Mode, cimag, conj, creal,
-                      is_exact_scalar, simplify_scalar)
+from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
+                      simplify_scalar)
 
 
 @dataclass
@@ -32,16 +36,13 @@ class RootPair:
 
     def reality(self, mode: Mode = EXACT) -> str:
         """'real', 'imaginary', 'complex', or 'zero' (as a functional)."""
-        vals = [complex(v) for v in self.root]
-        scale = max([abs(v) for v in vals] + [1e-300])
-        tol = 0.0 if mode.is_exact and all(is_exact_scalar(v) for v in self.root) \
-            else 10 * max(mode.eps, 1e-12) * scale
-        all_zero = all(abs(v) <= tol for v in vals)
-        if all_zero:
+        scale = max([abs(complex(v)) for v in self.root] + [1e-300])
+        tol = 10 * max(mode.eps, 1e-12) * scale
+        if all(near(v, 0, tol) for v in self.root):
             return "zero"
-        if all(abs(v.imag) <= tol for v in vals):
+        if all(near(cimag(v), 0, tol) for v in self.root):
             return "real"
-        if all(abs(v.real) <= tol for v in vals):
+        if all(near(creal(v), 0, tol) for v in self.root):
             return "imaginary"
         return "complex"
 
@@ -54,10 +55,6 @@ class RootData:
     zero_extra_dim: int = 0          # joint zero-eigenspace beyond Ker A
     field: str = REAL
     cocycle_rank: int = 0
-
-    @property
-    def roots(self):
-        return [p.root for p in self.pairs]
 
     def ok(self) -> bool:
         return self.residual is None
@@ -91,6 +88,15 @@ class BlockDecomposition:
                   "so3C": 6, "diamond": 4, "diamond_h": 4, "diamond_C": 8}
     _COMPLEX_DIMS = {"so3C": 3, "diamond_C": 4}
 
+    def williamson_type(self) -> WilliamsonType:
+        """so3, sl2 with negative Killing form and diamond blocks are elliptic;
+        sl2 with positive Killing form and diamond_h hyperbolic; so3C and
+        diamond_C focus."""
+        c = self.counts
+        return WilliamsonType(ke=c["so3"] + c["sl2_neg_killing"] + c["diamond"],
+                              kh=c["sl2_pos_killing"] + c["diamond_h"],
+                              kf=c["so3C"] + c["diamond_C"])
+
     def block_dim_total(self, field_name: str) -> int:
         dims = self._REAL_DIMS if field_name == REAL else self._COMPLEX_DIMS
         return sum(dims.get(name, 0) * n for name, n in self.counts.items())
@@ -99,6 +105,20 @@ class BlockDecomposition:
         return {"counts": {k: v for k, v in sorted(self.counts.items())},
                 "abelian_dim": self.abelian_dim,
                 "central_ideal_dim": self.central_ideal_dim}
+
+
+@dataclass
+class LinearAnalysis:
+    """Root data, the degeneracy reason (None when non-degenerate) and, for a
+    non-degenerate pencil, its blocks and the type read off them."""
+
+    data: RootData
+    reason: str | None
+    blocks: BlockDecomposition | None = None
+
+    @property
+    def type(self) -> WilliamsonType | None:
+        return None if self.blocks is None else self.blocks.williamson_type()
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +224,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
         for j in range(i + 1, len(nonzero)):
             if used[j]:
                 continue
-            other = nonzero[j][0]
-            if _roots_negated(eigs, other, mode, tol):
+            if all(near(x, -y, tol) for x, y in zip(eigs, nonzero[j][0])):
                 partner = j
                 break
         if partner is None:
@@ -226,12 +245,6 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
     return data
 
 
-def _roots_negated(a, b, mode: Mode, tol: float) -> bool:
-    if all(is_exact_scalar(x) for x in a) and all(is_exact_scalar(x) for x in b):
-        return all(x + y == 0 for x, y in zip(a, b))
-    return all(abs(complex(x) + complex(y)) <= tol for x, y in zip(a, b))
-
-
 def _orient_pair(eigs_p, vec_p, eigs_m, vec_m, mode: Mode) -> RootPair:
     """Choose the + representative deterministically (first nonzero value in
     the closed upper half plane / positive reals)."""
@@ -244,11 +257,8 @@ def _orient_pair(eigs_p, vec_p, eigs_m, vec_m, mode: Mode) -> RootPair:
     return RootPair(root=eigs_m, vec_plus=vec_m, vec_minus=vec_p)
 
 
-def is_nondegenerate_linear(lp: LinearPencil, mode: Mode = EXACT,
-                            data: RootData | None = None):
-    """(flag, reason): root decomposition succeeds with independent roots."""
-    if data is None:
-        data = root_decomposition(lp, mode)
+def is_nondegenerate_linear(data: RootData, mode: Mode = EXACT):
+    """(flag, reason): the root decomposition succeeded with independent roots."""
     if data.residual is not None:
         return False, data.residual
     if data.zero_extra_dim > 0:
@@ -264,53 +274,14 @@ def is_nondegenerate_linear(lp: LinearPencil, mode: Mode = EXACT,
     return True, None
 
 
-def linear_pencil_type(data: RootData, mode: Mode = EXACT) -> WilliamsonType:
-    """Williamson type from the roots of a non-degenerate decomposition.
-
-    Purely imaginary pairs are elliptic, real pairs hyperbolic, conjugate
-    quadruples focus; a complex-field pencil contributes focus pairs only.
-    """
-    if data.residual is not None or data.zero_extra_dim > 0:
-        raise PreconditionError("type of a degenerate root decomposition")
-    if data.field == COMPLEX:
-        return WilliamsonType(kf=len(data.pairs))
-    t = WilliamsonType()
-    consumed = [False] * len(data.pairs)
-    for i, pair in enumerate(data.pairs):
-        if consumed[i]:
-            continue
-        kind = pair.reality(mode)
-        if kind == "imaginary":
-            t.ke += 1
-            consumed[i] = True
-        elif kind == "real":
-            t.kh += 1
-            consumed[i] = True
-        else:
-            consumed[i] = True
-            mate = _find_conjugate_pair(data.pairs, consumed, pair, mode)
-            if mate is None:
-                raise ToleranceError("complex root quadruple failed to close up")
-            consumed[mate] = True
-            t.kf += 1
-    return t
-
-
 def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
-    target_a = tuple(conj(v) for v in pair.root)
-    target_b = tuple(-conj(v) for v in pair.root)
+    targets = ([conj(v) for v in pair.root], [-conj(v) for v in pair.root])
     scale = max([abs(complex(v)) for v in pair.root] + [1.0])
     tol = 10 * max(mode.eps, 1e-12) * scale
     for j, other in enumerate(pairs):
-        if consumed[j]:
-            continue
-        for target in (target_a, target_b):
-            if all(is_exact_scalar(x) for x in other.root) and all(is_exact_scalar(x) for x in target):
-                if all(x == y for x, y in zip(other.root, target)):
-                    return j
-            elif all(abs(complex(x) - complex(y)) <= tol
-                     for x, y in zip(other.root, target)):
-                return j
+        if not consumed[j] and any(all(near(x, y, tol) for x, y in zip(other.root, target))
+                                   for target in targets):
+            return j
     return None
 
 
@@ -319,52 +290,43 @@ def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
 # ---------------------------------------------------------------------------
 
 
-def classify(lp: LinearPencil, mode: Mode = EXACT,
-             data: RootData | None = None) -> BlockDecomposition:
-    """Recognize the elementary-block content of a non-degenerate pencil.
+def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecomposition:
+    """Elementary-block content of a non-degenerate pencil with root data ``data``.
 
     Per +/- pair the discriminating scalar is the root evaluated on the
     bracket of its two root vectors; its vanishing and sign select between
-    the semisimple blocks and the diamond-type blocks.
+    the semisimple blocks and the diamond-type blocks.  A complex pair of a
+    real pencil closes up with its conjugate into one block.
     """
-    if data is None:
-        data = root_decomposition(lp, mode)
-    ok, reason = is_nondegenerate_linear(lp, mode, data)
-    if not ok:
-        raise PreconditionError(f"classification of a degenerate pencil ({reason})")
     out = BlockDecomposition()
     g = lp.algebra
+    zero_tol = 1000 * max(mode.eps, 1e-12)
 
     consumed = [False] * len(data.pairs)
     for i, pair in enumerate(data.pairs):
         if consumed[i]:
             continue
         consumed[i] = True
-        if data.field == COMPLEX:
-            s = _pairing_scalar(g, data, pair, mode)
-            out.counts["so3C" if not _is_zero_scalar(s, mode) else "diamond_C"] += 1
-            continue
-        kind = pair.reality(mode)
+        kind = "complex" if data.field == COMPLEX else pair.reality(mode)
         if kind == "real":
-            vp, vm = _realify(pair.vec_plus, mode), _realify(pair.vec_minus, mode)
-            s = _pairing_scalar(g, data, RootPair(pair.root, vp, vm), mode)
-            out.counts["sl2_pos_killing" if not _is_zero_scalar(s, mode) else "diamond_h"] += 1
+            pair = RootPair(pair.root, _realify(pair.vec_plus), _realify(pair.vec_minus))
         elif kind == "imaginary":
             # canonical minus vector: the conjugate of the plus vector
-            vm = [conj(v) for v in pair.vec_plus]
-            s = _pairing_scalar(g, data, RootPair(pair.root, pair.vec_plus, vm), mode)
-            if _is_zero_scalar(s, mode):
-                out.counts["diamond"] += 1
-            else:
-                sr = creal(s) if is_exact_scalar(s) else complex(s).real
-                out.counts["so3" if sr < 0 else "sl2_neg_killing"] += 1
-        else:
+            pair = RootPair(pair.root, pair.vec_plus, [conj(v) for v in pair.vec_plus])
+        elif data.field != COMPLEX:
             mate = _find_conjugate_pair(data.pairs, consumed, pair, mode)
             if mate is None:
                 raise ToleranceError("complex root quadruple failed to close up")
             consumed[mate] = True
-            s = _pairing_scalar(g, data, pair, mode)
-            out.counts["so3C" if not _is_zero_scalar(s, mode) else "diamond_C"] += 1
+        s = _pairing_scalar(g, data, pair, mode)
+        if kind == "real":
+            name = "diamond_h" if near(s, 0, zero_tol) else "sl2_pos_killing"
+        elif kind == "imaginary":
+            name = ("diamond" if near(s, 0, zero_tol)
+                    else "so3" if creal(s) < 0 else "sl2_neg_killing")
+        else:
+            name = "diamond_C" if near(s, 0, zero_tol) else "so3C"
+        out.counts[name] += 1
 
     center = g.center(mode)
     derived = g.derived_basis(mode)
@@ -377,23 +339,19 @@ def classify(lp: LinearPencil, mode: Mode = EXACT,
     return out
 
 
-def _is_zero_scalar(s, mode: Mode) -> bool:
-    if is_exact_scalar(s):
-        return s == 0
-    return abs(complex(s)) <= 1000 * max(mode.eps, 1e-12)
+def analyze_linear(lp: LinearPencil, mode: Mode = EXACT,
+                   kernel: CocycleKernel | None = None) -> LinearAnalysis:
+    """Root decomposition, non-degeneracy and, when non-degenerate, the blocks;
+    ``kernel`` is Ker A when the caller has it already."""
+    data = root_decomposition(lp, mode, kernel)
+    ok, reason = is_nondegenerate_linear(data, mode)
+    return LinearAnalysis(data, reason, classify(lp, data, mode) if ok else None)
 
 
-def _realify(vec, mode: Mode):
-    out = []
-    for v in vec:
-        if is_exact_scalar(v):
-            if cimag(v) != 0:
-                raise ToleranceError("expected a real root vector")
-            out.append(creal(v))
-        else:
-            z = complex(v)
-            out.append(z.real)
-    return out
+def _realify(vec):
+    if any(is_exact_scalar(v) and cimag(v) != 0 for v in vec):
+        raise ToleranceError("expected a real root vector")
+    return [creal(v) if is_exact_scalar(v) else complex(v).real for v in vec]
 
 
 def _pairing_scalar(g, data: RootData, pair: RootPair, mode: Mode):

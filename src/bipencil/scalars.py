@@ -183,6 +183,13 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QQi))
 
 
+def near(a, b, tol: float) -> bool:
+    """a == b when both are exact scalars, otherwise |a - b| <= tol."""
+    if is_exact_scalar(a) and is_exact_scalar(b):
+        return a == b
+    return abs(complex(a) - complex(b)) <= tol
+
+
 def creal(x):
     """Real part, exact for exact scalars."""
     if isinstance(x, QQi):

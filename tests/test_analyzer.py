@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil import analyzer, linearization, pencil
+from bipencil import analyzer, linearization, pencil, roots
 from bipencil.analyzer import (AnalysisParams, FunctionData, analyze_point,
                                casimir_variation, combine_function_data,
                                reparameterize_casimir_combination)
@@ -136,6 +136,31 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     ranks.clear()
     core = compute_core(p, SamplingPolicy(2), rank=8)
     assert ranks == [] and core.dim == 1
+
+
+def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):
+    # every spectrum value goes through roots.analyze_linear once
+    calls = []
+    for name in ("is_nondegenerate_linear", "classify"):
+        real = getattr(roots, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in (analyzer, roots):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+
+    c = catalog_by_name()
+    a, b = c["so3_shift"], c["sl2_shift_pos"]
+    f0, finf = direct_sum(a.field0, a.field_inf, b.field0, b.field_inf)
+    # so3 at x3 = -2 is singular at lambda = 2, sl2 at the origin at lambda = 0
+    rep = analyze_point(f0, finf, [F(0), F(0), F(-2)] + b.point,
+                        AnalysisParams(seed=3, declared_rank=4))
+    assert [r.linear_nondegenerate for r in rep.per_lambda] == [True, True]
+    assert calls.count("is_nondegenerate_linear") == 2
+    assert calls.count("classify") == 2
 
 
 def test_count_identity_on_reports():

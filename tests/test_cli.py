@@ -199,3 +199,62 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, cwd=REPO)
     assert proc.returncode == 0
     assert "bipencil" in proc.stdout
+
+
+def test_list_values_may_start_with_minus(so3_file, capsys):
+    # argparse takes "-1,0,1" for an option unless it is attached with "="
+    code, out, err = run_cli(["toda", "--n", "3", "--a", "1,1,1", "--b", "-1,0,1"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["points"][0]["b"] == ["-1", "0", "1"]
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "-1/2,0,0"],
+                             capsys)
+    assert code == 0, err
+    assert json.loads(out)["provenance"]["point"] == ["-1/2", "0", "0"]
+
+
+def test_usage_error_is_an_input_error(so3_file, capsys):
+    code, out, err = run_cli(["analyze", "--pencil", so3_file], capsys)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "--point" in doc["message"]
+
+
+@pytest.mark.parametrize("point", ["0,,0,0", "0,0,0,"])
+def test_empty_coordinate_is_rejected(so3_file, point, capsys):
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", point], capsys)
+    assert_input_error(code, out, err, "--point")
+
+
+def test_toda_empty_coordinate_is_rejected_at_its_option(capsys):
+    code, out, err = run_cli(["toda", "--n", "2", "--a", "1,1", "--b", "0,,"], capsys)
+    assert_input_error(code, out, err, "--b")
+
+
+def write_linear_inputs(tmp_path, algebra_doc, cocycle_doc):
+    alg_path, coc_path = tmp_path / "alg.json", tmp_path / "coc.json"
+    alg_path.write_text(json.dumps(algebra_doc))
+    coc_path.write_text(json.dumps(cocycle_doc))
+    return ["linear", "--algebra", str(alg_path), "--cocycle", str(coc_path)]
+
+
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_linear_rejects_nonpositive_dimension(tmp_path, dim, capsys):
+    argv = write_linear_inputs(tmp_path, {"dim": dim, "structure": []},
+                               {"dim": dim, "cocycle": []})
+    assert_input_error(*run_cli(argv, capsys), "dim")
+
+
+@pytest.mark.parametrize("algebra_dim, cocycle_dim", [(2, 3), (3, 2)])
+def test_linear_rejects_cocycle_of_another_dimension(tmp_path, algebra_dim, cocycle_dim,
+                                                     capsys):
+    argv = write_linear_inputs(tmp_path, {"dim": algebra_dim, "structure": []},
+                               {"dim": cocycle_dim,
+                                "cocycle": [{"i": 1, "j": 2, "c": "1"}]})
+    assert_input_error(*run_cli(argv, capsys), "cocycle")
+
+
+def test_pencil_file_rejects_zero_dimension(tmp_path, capsys):
+    path = tmp_path / "zero.pencil.json"
+    path.write_text(json.dumps({"dim": 0, "P0": [], "Pinf": []}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0"], capsys)
+    assert_input_error(code, out, err, "dim")

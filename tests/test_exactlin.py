@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, char_poly,
-                               coords_in_span, identity, inverse_exact, mat_mul,
-                               mat_rank, mat_rank_exact, nullspace_exact,
+from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
+                               char_poly, coords_in_span, identity, inverse_exact,
+                               mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                poly_deflate, poly_eval, poly_gcd_exact,
                                poly_roots_hybrid, poly_squarefree_part, rref,
                                solve_exact, symmetric_signature)
-from bipencil.scalars import EXACT, QQi, float_mode, simplify_scalar
+from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -326,6 +326,65 @@ def poly_add(a, b):
 
 def trimmed(p):
     return p[:_poly_degree(p) + 1]
+
+
+def vec_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def carrier_scalars(exact):
+    """int, Fraction and QQi values, or float and complex ones."""
+    if exact:
+        return st.one_of(st.integers(-6, 6), rationals, st.builds(QQi, rationals, rationals))
+    floats = st.floats(-10, 10)
+    return st.one_of(floats, st.builds(complex, floats, floats))
+
+
+CARRIER_ZEROS = {True: [0, Fraction(0), QQi(0, 0)], False: [0, 0.0, 0j]}
+
+
+@st.composite
+def bilinear_arguments(draw):
+    """(A, u, v), each of one carrier, exact or float, with zero rows and
+    columns of A and zero entries of u and v planted."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    exact_a, exact_u, exact_v = (draw(st.booleans()) for _ in range(3))
+    zero = {exact: draw(st.sampled_from(CARRIER_ZEROS[exact])) for exact in (True, False)}
+
+    def vector(exact, size):
+        return draw(st.lists(carrier_scalars(exact), min_size=size, max_size=size))
+
+    def sparse_vector(exact, size):
+        v = vector(exact, size)
+        for i in draw(st.sets(st.integers(0, size - 1), max_size=size)):
+            v[i] = zero[exact]
+        return v
+
+    A = [vector(exact_a, m) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        A[i] = [zero[exact_a]] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in A:
+            row[j] = zero[exact_a]
+    return A, sparse_vector(exact_u, n), sparse_vector(exact_v, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilinear_arguments())
+def test_bilinear_matches_the_dense_sum(args):
+    # the zero products it skips move neither an exact nor a float sum
+    A, u, v = args
+    assert bilinear(A, u, v) == vec_dot(u, mat_vec(A, v))
+
+
+def test_near_compares_exact_values_exactly():
+    assert not near(Fraction(1, 10 ** 30), 0, 1)
+    assert not near(QQi(0, Fraction(1, 10 ** 30)), 0, 1)
+    assert near(Fraction(1, 3), QQi(Fraction(2, 6), 0), 0)
+    # one inexact value is enough for the tolerance
+    assert near(Fraction(1, 10 ** 30), 0.0, 1e-20)
+    assert near(QQi(1, 1), complex(1, 1 + 1e-12), 1e-9)
+    assert near(1e-30, 0, 1e-20) and not near(1e-10, 0, 1e-20)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,15 +4,17 @@ import pytest
 
 from bipencil import algebras
 from bipencil.catalog import catalog_by_name
-from bipencil.errors import PreconditionError
 from bipencil.exactlin import mat_rank, subspace_dim
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
-from bipencil.roots import (classify, is_nondegenerate_linear,
-                            linear_pencil_type, root_decomposition)
-from bipencil.scalars import EXACT, QQi
+from bipencil.linearization import kernel_form, linearize
+from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
+                             kernel_basis, pencil_rank_corank)
+from bipencil.roots import analyze_linear, is_nondegenerate_linear, root_decomposition
+from bipencil.sampling import SamplingPolicy
+from bipencil.scalars import EXACT, QQi, conj, float_mode, is_exact_scalar
 from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import constant_lattice, toda_pencil_at
+from bipencil.toda import constant_lattice, make_singular_point, toda_pencil_at
 
 from pipeline import linearize_at
 
@@ -103,19 +105,19 @@ def test_root_decomposition_diamond():
 def test_is_nondegenerate_cases():
     gc = algebras.so3_complex_real_form()
     lp = LinearPencil(gc, argument_shift_cocycle(gc, [F(0), F(0), F(1)] + [F(0)] * 3))
-    ok, reason = is_nondegenerate_linear(lp)
+    ok, reason = is_nondegenerate_linear(root_decomposition(lp))
     assert ok, reason
 
     s = algebras.sl2()
     nil = LinearPencil(s, argument_shift_cocycle(s, [F(0), F(1), F(0)]))
-    ok, reason = is_nondegenerate_linear(nil)
+    ok, reason = is_nondegenerate_linear(root_decomposition(nil))
     assert not ok and reason == "AdNotSemisimple"
 
     ab = algebras.abelian(3)
     M = [[F(0)] * 3 for _ in range(3)]
     M[0][1], M[1][0] = F(1), F(-1)
     zero = LinearPencil(ab, TwoCocycle(M))
-    ok, reason = is_nondegenerate_linear(zero)
+    ok, reason = is_nondegenerate_linear(root_decomposition(zero))
     assert not ok and reason == "RootsDependent"
 
 
@@ -127,19 +129,18 @@ def test_linear_pencil_type_examples():
     ]
     for g, a, expected in cases:
         lp = LinearPencil(g, argument_shift_cocycle(g, a))
-        rd = root_decomposition(lp)
-        assert linear_pencil_type(rd).as_tuple() == expected
+        assert analyze_linear(lp).type.as_tuple() == expected
 
 
 def test_classify_examples():
     g = algebras.so3()
     lp = LinearPencil(g, argument_shift_cocycle(g, [F(0), F(0), F(1)]))
-    bd = classify(lp)
+    bd = analyze_linear(lp).blocks
     assert bd.counts["so3"] == 1 and bd.abelian_dim == 0 and bd.central_ideal_dim == 0
 
     D = algebras.diamond()
     lpd = LinearPencil(D, argument_shift_cocycle(D, [F(0), F(0), F(1), F(0)]))
-    bdd = classify(lpd)
+    bdd = analyze_linear(lpd).blocks
     assert bdd.counts["diamond"] == 1 and bdd.central_ideal_dim == 0
 
 
@@ -150,10 +151,9 @@ def test_classify_quotient_by_central_ideal():
     a = [F(0)] * 7
     a[Q.labels.index("a.h")] = F(1)
     lp = LinearPencil(Q, argument_shift_cocycle(Q, a))
-    rd = root_decomposition(lp)
-    ok, reason = is_nondegenerate_linear(lp, data=rd)
-    assert ok, reason
-    bd = classify(lp, data=rd)
+    lin = analyze_linear(lp)
+    assert lin.reason is None, lin.reason
+    bd = lin.blocks
     assert bd.counts["diamond"] == 2
     assert bd.central_ideal_dim == 1 and bd.abelian_dim == 0
     # reconstruction identity
@@ -161,35 +161,138 @@ def test_classify_quotient_by_central_ideal():
 
 
 def test_classify_refuses_degenerate():
+    # the refusal lives in analyze_linear: a degenerate pencil gets no blocks
     s = algebras.sl2()
     nil = LinearPencil(s, argument_shift_cocycle(s, [F(0), F(1), F(0)]))
-    with pytest.raises(PreconditionError):
-        classify(nil)
+    lin = analyze_linear(nil)
+    assert lin.reason == "AdNotSemisimple"
+    assert lin.blocks is None and lin.type is None
 
 
 def test_scale_invariance_of_verdicts():
     D = algebras.diamond()
     base = argument_shift_cocycle(D, [F(0), F(0), F(1), F(0)])
     for c in (F(3), F(-2, 7), F(1, 9)):
-        lp = LinearPencil(D, base.scale(c))
-        rd = root_decomposition(lp)
-        ok, _ = is_nondegenerate_linear(lp, data=rd)
-        assert ok
-        assert linear_pencil_type(rd).as_tuple() == (1, 0, 0)
-        assert classify(lp, data=rd).counts["diamond"] == 1
+        lin = analyze_linear(LinearPencil(D, base.scale(c)))
+        assert lin.reason is None
+        assert lin.type.as_tuple() == (1, 0, 0)
+        assert lin.blocks.counts["diamond"] == 1
 
 
 def test_complex_field_classification():
     gc = algebras.so3_complex()
     lp = LinearPencil(gc, argument_shift_cocycle(gc, [F(0), F(0), F(1)]))
-    rd = root_decomposition(lp)
-    ok, _ = is_nondegenerate_linear(lp, data=rd)
-    assert ok
-    assert linear_pencil_type(rd).as_tuple() == (0, 0, 1)
-    assert classify(lp, data=rd).counts["so3C"] == 1
+    lin = analyze_linear(lp)
+    assert lin.reason is None
+    assert lin.type.as_tuple() == (0, 0, 1)
+    assert lin.blocks.counts["so3C"] == 1
 
     dc = algebras.diamond_complex()
-    lpd = LinearPencil(dc, argument_shift_cocycle(dc, [F(0), F(0), F(1), F(0)]))
-    rdd = root_decomposition(lpd)
-    assert is_nondegenerate_linear(lpd, data=rdd)[0]
-    assert classify(lpd, data=rdd).counts["diamond_C"] == 1
+    lind = analyze_linear(LinearPencil(dc, argument_shift_cocycle(dc, [F(0), F(0), F(1), F(0)])))
+    assert lind.reason is None
+    assert lind.blocks.counts["diamond_C"] == 1
+
+
+# ---------------------------------------------------------------------------
+# differential test: the type read off the blocks against a walk over the
+# root pairs that reads it off the roots
+# ---------------------------------------------------------------------------
+
+
+def oracle_reality(root, mode):
+    """'zero', 'real', 'imaginary' or 'complex', with one tolerance for all
+    values (none when the mode and every value are exact)."""
+    vals = [complex(v) for v in root]
+    tol = 0.0 if mode.is_exact and all(is_exact_scalar(v) for v in root) \
+        else 10 * max(mode.eps, 1e-12) * max([abs(v) for v in vals] + [1e-300])
+    for kind, part in (("zero", abs), ("real", lambda z: abs(z.imag)),
+                       ("imaginary", lambda z: abs(z.real))):
+        if all(part(v) <= tol for v in vals):
+            return kind
+    return "complex"
+
+
+def oracle_conjugate(pairs, consumed, root, mode):
+    tol = 10 * max(mode.eps, 1e-12) * max([abs(complex(v)) for v in root] + [1.0])
+    for j, other in enumerate(pairs):
+        if consumed[j]:
+            continue
+        for target in ([conj(v) for v in root], [-conj(v) for v in root]):
+            if all(is_exact_scalar(x) for x in list(other.root) + target):
+                if list(other.root) == target:
+                    return j
+            elif all(abs(complex(x) - complex(y)) <= tol for x, y in zip(other.root, target)):
+                return j
+    return None
+
+
+def oracle_type(data, mode):
+    """(ke, kh, kf) from the roots: imaginary pairs are elliptic, real pairs
+    hyperbolic, conjugate quadruples focus; over C every pair is focus."""
+    if data.field == COMPLEX:
+        return (0, 0, len(data.pairs))
+    counts = {"imaginary": 0, "real": 0, "complex": 0}
+    consumed = [False] * len(data.pairs)
+    for i, pair in enumerate(data.pairs):
+        if consumed[i]:
+            continue
+        consumed[i] = True
+        kind = oracle_reality(pair.root, mode)
+        if kind not in ("imaginary", "real"):
+            mate = oracle_conjugate(data.pairs, consumed, pair.root, mode)
+            assert mate is not None
+            consumed[mate] = True
+            kind = "complex"
+        counts[kind] += 1
+    return (counts["imaginary"], counts["real"], counts["complex"])
+
+
+def linearizations(p, mode, sampler):
+    """The linear pencil at each diagonalizable spectrum value of p."""
+    rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode)
+    core = compute_core(p, sampler.spawn(2), mode, rank=rank)
+    for entry in compute_spectrum(p, core, sampler.spawn(3), mode).entries:
+        ker = kernel_basis(p, entry.lam, mode)
+        form = kernel_form(p, entry.lam, ker)
+        if is_diagonalizable(form, corank, mode):
+            yield linearize(p, entry.lam, ker, form, mode)
+
+
+def example_pencils():
+    """The linear pencils of the examples above."""
+    def shift(g, a):
+        return LinearPencil(g, argument_shift_cocycle(g, [F(x) for x in a]))
+
+    DD = algebras.diamond().direct_sum(algebras.diamond())
+    Q, _ = DD.quotient_by_central([[F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]])
+    return [shift(algebras.so3(), [0, 0, 1]),
+            shift(algebras.sl2(), [1, 0, 0]),
+            shift(algebras.sl2(), [0, 1, 0]),
+            shift(algebras.diamond(), [0, 0, 1, 0]),
+            LinearPencil(algebras.diamond(),
+                         argument_shift_cocycle(algebras.diamond(),
+                                                [F(0), F(0), F(1), F(0)]).scale(F(-2, 7))),
+            shift(algebras.so3_complex_real_form(), [0, 0, 1, 0, 0, 0]),
+            shift(algebras.so3_complex(), [0, 0, 1]),
+            shift(algebras.diamond_complex(), [0, 0, 1, 0]),
+            shift(Q, [1 if label == "a.h" else 0 for label in Q.labels])]
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_type_from_blocks_matches_the_pair_walk(mode):
+    pencils = list(example_pencils())
+    for entry in catalog_by_name().values():
+        p = evaluate_pencil(entry.field0, entry.field_inf, entry.point)
+        pencils += linearizations(p, mode, SamplingPolicy(3))
+    pencils += linearizations(toda_pencil_at(make_singular_point(4)), mode,
+                              SamplingPolicy(3))
+    assert len(pencils) == 23
+    compared = 0
+    for lp in pencils:
+        lin = analyze_linear(lp, mode)
+        if lin.reason is None:
+            assert lin.type.as_tuple() == oracle_type(lin.data, mode)
+            compared += 1
+        else:
+            assert lin.type is None and lin.blocks is None
+    assert compared >= 19
