@@ -10,10 +10,7 @@ Lie-algebraic pencils ship as verified models.
 
 __version__ = "0.1.0"
 
-from .analyzer import (AnalysisParams, CasimirVariation, FunctionData,
-                       SingularPointReport, Verdict, analyze_point,
-                       casimir_variation, combine_function_data,
-                       reparameterize_casimir_combination)
+from .analyzer import AnalysisParams, SingularPointReport, Verdict, analyze_point
 from .catalog import CatalogEntry, catalog, catalog_by_name
 from .errors import (BipencilError, DimensionMismatchError, InputFormatError,
                      NonRationalPointError, PreconditionError,

@@ -1,4 +1,4 @@
-"""Full singular-point verdicts and the Casimir-variation operator machinery.
+"""Full singular-point verdicts.
 
 analyze_point runs: evaluate -> rank/corank -> Kronecker check at nearby
 points -> core -> spectrum (empty = Regular) -> per spectrum value: the
@@ -8,6 +8,12 @@ the per-lambda analysis the ``linear`` command shares (roots, non-degeneracy,
 blocks, and the type read off the blocks) -> totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
+
+Exact mode spans the nearby-point cores over F_p first.  A draw of full
+pencil rank mod p has that rank over Q, so its kernel mod p reduces the
+rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
+never below the rational value: zero proves the nearby point Kronecker, and
+anything else, a bad prime included, is rechecked over Q with the same draws.
 """
 
 from __future__ import annotations
@@ -16,16 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, RankDeficientPointError
-from .exactlin import mat_vec, restrict
 from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
-                     kernel_basis, pencil_rank_corank, quotient_dim)
-from .poly import Poly
+                     kernel_basis, pencil_rank_corank, quotient_dim, quotient_dim_mod_p)
 from .roots import BlockDecomposition, WilliamsonType, analyze_linear
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, float_mode, format_scalar,
-                      is_exact_scalar, is_inf, simplify_scalar)
-from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
+from .scalars import EXACT, Mode, float_mode, format_scalar, is_exact_scalar
+from .tensorfield import PoissonTensorField, evaluate_pencil
 
 
 @dataclass
@@ -198,14 +201,19 @@ def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
 
     Only the core is computed there, with the point's pencil rank ``rank``:
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
-    is the rank nearby too; a nearby point of lower rank is skipped.
+    is the rank nearby too; a nearby point of lower rank is skipped.  The F_p
+    core and the exact recheck each spawn a sampler from the same seed.
     """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
+        seed = sampler.randint(0, 10 ** 6)
+        if mode.is_exact and quotient_dim_mod_p(
+                field0.matrix_at(nearby), field_inf.matrix_at(nearby),
+                sampler.spawn(seed), rank=rank) == 0:
+            continue
         try:
             q = evaluate_pencil(field0, field_inf, nearby)
-            core = compute_core(q, sampler.spawn(sampler.randint(0, 10 ** 6)), mode,
-                                rank=rank)
+            core = compute_core(q, sampler.spawn(seed), mode, rank=rank)
             if quotient_dim(q, core) != 0:
                 warnings.append(
                     "nearby point has non-empty spectrum; the pencil may not be "
@@ -213,104 +221,3 @@ def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
                 return
         except RankDeficientPointError:
             continue
-
-
-# ---------------------------------------------------------------------------
-# Casimir variation operators
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FunctionData:
-    """A function known through its first two derivatives at the point."""
-
-    gradient: list
-    hessian: list
-    description: str = ""
-
-
-@dataclass
-class CasimirVariation:
-    matrix: list
-    f_description: str
-    alpha: object
-
-    def restrict_to(self, basis, mode: Mode = EXACT):
-        """Matrix of the operator on an invariant span of covectors."""
-        M = restrict(self.matrix, basis, mode)
-        if M is None:
-            raise PreconditionError("span is not invariant under the operator")
-        return M
-
-
-def _function_data(f, point) -> FunctionData:
-    if isinstance(f, FunctionData):
-        return f
-    if isinstance(f, Poly):
-        grad = [g.eval(point) for g in f.gradient()]
-        hess = [[h.eval(point) for h in row] for row in f.hessian()]
-        return FunctionData(gradient=grad, hessian=hess, description="polynomial")
-    raise PreconditionError("f must be a Poly or FunctionData")
-
-
-def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> CasimirVariation:
-    """The operator D_f P_alpha built from the coordinate formula.
-
-    Requires df(x) in Ker P_alpha(x).  Entry (k, j) is
-    sum_i [ d_k P^{ij} * df_i + P^{ij} * d^2f_{ik} ].
-    """
-    data = _function_data(f, p.point)
-    A = p.matrix_at(alpha)
-    img = mat_vec(A, data.gradient)
-    scale = max([abs(complex(x)) for row in A for x in row] + [1.0])
-    if any(not mode.zero(v, scale) for v in img):
-        raise PreconditionError("df(x) is not in Ker P_alpha(x)")
-    d = p.dim
-    D = [[Fraction(0)] * d for _ in range(d)]
-    for k in range(d):
-        dAk = p.derivative_at(alpha, k)
-        for j in range(d):
-            total = 0
-            for i in range(d):
-                total = total + dAk[i][j] * data.gradient[i] + A[i][j] * data.hessian[i][k]
-            D[k][j] = simplify_scalar(total + Fraction(0)) if is_exact_scalar(total) else total
-    return CasimirVariation(matrix=D, f_description=data.description, alpha=alpha)
-
-
-def reparameterize_casimir_combination(alphas, alpha, beta):
-    """Coefficients turning sum f_{alpha_i} with df in Ker P_alpha into the
-    matching combination for the target bracket P_beta.
-
-    Finite beta gives (alpha - alpha_i) / (beta - alpha_i); beta at infinity
-    gives the projective limit (alpha - alpha_i), obtained by clearing beta.
-    """
-    if any(is_inf(a) for a in alphas):
-        raise PreconditionError("combination members must have finite parameters")
-    if not is_inf(beta) and beta in list(alphas):
-        raise PreconditionError("beta collides with a combination parameter")
-    if is_inf(alpha):
-        raise PreconditionError("alpha at infinity is not supported")
-    if not is_inf(beta) and beta == alpha:
-        return [Fraction(1) for _ in alphas]
-    if is_inf(beta):
-        return [simplify_scalar(alpha - ai + Fraction(0)) for ai in alphas]
-    return [simplify_scalar((alpha - ai) / (beta - ai)) for ai in alphas]
-
-
-def combine_function_data(terms, coefficients=None) -> FunctionData:
-    """Linear combination of FunctionData values (same point)."""
-    if coefficients is None:
-        coefficients = [Fraction(1)] * len(terms)
-    d = len(terms[0].gradient)
-    grad = [Fraction(0)] * d
-    hess = [[Fraction(0)] * d for _ in range(d)]
-    names = []
-    for c, t in zip(coefficients, terms):
-        for i in range(d):
-            grad[i] = grad[i] + c * t.gradient[i]
-            for j in range(d):
-                hess[i][j] = hess[i][j] + c * t.hessian[i][j]
-        names.append(f"{c}*({t.description})")
-    return FunctionData(gradient=[simplify_scalar(g + Fraction(0)) if is_exact_scalar(g) else g for g in grad],
-                        hessian=[[simplify_scalar(h + Fraction(0)) if is_exact_scalar(h) else h for h in row] for row in hess],
-                        description=" + ".join(names))

@@ -97,6 +97,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _scalar_key(v):
+    """Total order on format_scalar values, with equal values tied: a string,
+    a float, or an {re, im} pair of two strings or two floats."""
+    parts = (v["re"], v["im"]) if isinstance(v, dict) else (v,)
+    return isinstance(v, dict), isinstance(parts[0], str), parts
+
+
 def cmd_toda(args) -> int:
     n = args.n
     if args.scan < 0:
@@ -114,8 +121,9 @@ def cmd_toda(args) -> int:
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
                       "which": e.which, "multiplicity": e.multiplicity}
                      for e in lax]
-        pencil_vals = sorted(format_scalar(e.lam) for e in report.spectrum.entries)
-        lax_vals = sorted(b["lambda"] for b in lax_block)
+        pencil_vals = sorted((format_scalar(e.lam) for e in report.spectrum.entries),
+                             key=_scalar_key)
+        lax_vals = sorted((b["lambda"] for b in lax_block), key=_scalar_key)
         return {"a": [format_scalar(x) for x in pt.a],
                 "b": [format_scalar(x) for x in pt.b],
                 "report": report.to_json_dict(),

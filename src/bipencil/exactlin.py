@@ -6,13 +6,18 @@ eliminates fraction-free on Python ints, with one carrier per kind of input:
 Z for real rational matrices, Z[i] ((re, im) int pairs) for Gaussian-rational
 ones.  The rank is Bareiss (1968) forward elimination; the reduced row
 echelon form is fraction-free Gauss-Jordan, turned back into Fraction / QQi
-entries only at the end.  The float path thresholds singular values at
+entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
+proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
+reaches a known upper bound, such as a certified pencil rank, proves the
+rational rank; a lower one, or p dividing a denominator, proves nothing and
+the caller rechecks over Q.  The float path thresholds singular values at
 eps * sigma_max.  Matrices are plain lists of lists holding Fraction / QQi /
 int entries (or floats in float mode); vectors are lists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -36,9 +41,6 @@ def identity(n: int):
 
 def transpose(M):
     return [list(row) for row in zip(*M)] if M else []
-
-def mat_copy(M):
-    return [list(row) for row in M]
 
 
 def mat_add(A, B):
@@ -160,19 +162,55 @@ class _ZI:
         return simplify_scalar(QQi(Fraction(ar * dr + ai * di, n), Fraction(ai * dr - ar * di, n)))
 
 
-def _eliminate(M, reduce: bool):
+PRIME = 2 ** 61 - 1
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse(d: int, prime: int) -> int:
+    return pow(d, -1, prime)      # ValueError when prime divides d
+
+
+def residues(row):
+    """Each real rational entry a/b as a * b^-1 mod PRIME; ValueError when PRIME divides b."""
+    ratios = [(x, 1) if type(x) is int else (x.re if isinstance(x, QQi) else x).as_integer_ratio()
+              for x in row]
+    return [(a if d == 1 else a * _inverse(d, PRIME)) % PRIME for a, d in ratios]
+
+
+class _Fp:
+    """Carrier F_PRIME, for real rational matrices: entries are ints mod PRIME."""
+
+    zero, one = 0, 1
+    clear = staticmethod(residues)
+
+    @staticmethod
+    def combine(p, f, prev, row, prow):
+        """(p * row - f * prow) / prev, entrywise; a row with f = 0 is kept
+        unscaled, which over a field changes no rank, span or kernel."""
+        if not f:
+            return row
+        inv = _inverse(prev, PRIME)
+        return [(p * a - f * b) * inv % PRIME for a, b in zip(row, prow)]
+
+    @staticmethod
+    def quotient(a, d):
+        return a * _inverse(d, PRIME) % PRIME
+
+
+def _eliminate(M, reduce: bool, K=None):
     """Fraction-free elimination of an exact matrix; returns (carrier, rows, pivots).
 
     The rows are the denominator-cleared rows of M over Z, or over Z[i] when
-    an entry has a nonzero imaginary part.  At a pivot p in column ``col``
-    (previous pivot ``prev``, 1 at the start) each row below the pivot row
-    becomes (p * row - row[col] * pivot_row) / prev: the forward elimination
-    of Bareiss (1968), whose entries are minors of M, so the division is
-    exact.  With ``reduce`` the rows above are updated the same way, which is
-    fraction-free Gauss-Jordan: every pivot then equals the last one, and
-    dividing a pivot row by its pivot gives the reduced row echelon form.
+    an entry has a nonzero imaginary part, or their residues when the carrier
+    ``K`` is _Fp.  At a pivot p in column ``col`` (previous pivot ``prev``, 1
+    at the start) each row below the pivot row becomes (p * row - row[col] *
+    pivot_row) / prev: the forward elimination of Bareiss (1968), whose
+    entries are minors of M, so the division is exact.  With ``reduce`` the
+    rows above are updated the same way, which is fraction-free Gauss-Jordan:
+    every pivot then equals the last one, and dividing a pivot row by its
+    pivot gives the reduced row echelon form.
     """
-    K = _ZI if any(isinstance(x, QQi) and x.im for row in M for x in row) else _Z
+    K = K or (_ZI if any(isinstance(x, QQi) and x.im for row in M for x in row) else _Z)
     combine, zero = K.combine, K.zero
     A = [K.clear(row) for row in M]
     n, m = shape(A)
@@ -210,6 +248,35 @@ def mat_rank_exact(M) -> int:
     Gaussian-rational ones.
     """
     return len(_eliminate(M, reduce=False)[2])
+
+
+def rank_mod_p(M):
+    """Rank over F_PRIME of a real rational matrix, or None when PRIME divides a denominator."""
+    try:
+        return len(_eliminate(M, False, _Fp)[2])
+    except ValueError:
+        return None
+
+
+def nullspace_mod_p(M):
+    """Right-kernel basis over F_PRIME of a real rational matrix, one vector per
+    free column, by back substitution; ValueError when PRIME divides a denominator."""
+    _, A, pivots = _eliminate(M, False, _Fp)
+    rows = list(zip(A, pivots))[::-1]
+    basis = []
+    for fc in (c for c in range(len(M[0])) if c not in pivots):
+        v = [0] * len(M[0])
+        v[fc] = 1
+        for row, pc in rows:
+            v[pc] = _Fp.quotient(-sum(a * x for a, x in zip(row[pc + 1:], v[pc + 1:])), row[pc])
+        basis.append(v)
+    return basis
+
+
+def span_mod_p(vectors):
+    """Echelon rows spanning the same space over F_PRIME as ``vectors`` (residues)."""
+    _, A, pivots = _eliminate(vectors, False, _Fp)
+    return A[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +546,30 @@ def symmetric_signature(S):
 def char_poly(M):
     """Monic characteristic polynomial det(xI - M), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; exact whenever the entries are exact.
+    Faddeev-LeVerrier recursion on D M, D the common denominator of exact
+    entries: its characteristic polynomial is in Z or Z[i], so each division
+    by k is exact, on Python ints or integral QQi; coefficient n - k is then
+    rescaled by D^k.  Float entries run the recursion unscaled.
     """
     n, m = shape(M)
     if n != m:
         raise ValueError("characteristic polynomial of non-square matrix")
-    if n == 0:
-        return [Fraction(1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = mat_copy(M)
+    D = None
+    if not has_inexact_entries(M):
+        parts = [(x.re, x.im) if isinstance(x, QQi) else (Fraction(x), 0) for row in M for x in row]
+        D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
+        flat = [QQi(re * D, im * D) if im else int(re * D) for re, im in parts]
+        M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    Mk = M
     for k in range(1, n + 1):
-        c = -_trace(Mk) / k
-        coeffs[n - k] = simplify_scalar(c)
+        t = -sum(Mk[i][i] for i in range(n))
+        c = t // k if D and isinstance(t, int) else t / k
+        coeffs[n - k] = simplify_scalar(c / D ** k) if D else c
         if k < n:
-            Mk = mat_mul(M, _add_scalar_diag(Mk, c))
+            Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(Mk)])
     return coeffs
-
-
-def _trace(M):
-    return sum(M[i][i] for i in range(len(M)))
-
-
-def _add_scalar_diag(M, c):
-    out = mat_copy(M)
-    for i in range(len(M)):
-        out[i][i] = out[i][i] + c
-    return out
 
 
 def poly_eval(coeffs, x):

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
 from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
-                       identity, inverse, mat_mul, mat_rank, mat_vec, nullspace,
-                       restrict)
+                       has_inexact_entries, identity, inverse, mat_mul, mat_rank,
+                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, rank_mod_p,
+                       residues, restrict, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
@@ -51,9 +52,16 @@ def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
                        mode: Mode = EXACT, *, rank: int, exclude=()):
     """``count`` pairs (lambda, Ker P_lambda) at distinct finite rational
     parameters where the rank is ``rank``; the kernel decides the rank."""
-    out = []
-    seen = set(exclude)
-    attempts = 0
+    def kernel_if_regular(lam):
+        ker = kernel_basis(p, lam, mode)
+        return ker if p.dim - len(ker) == rank else None
+    return _draw_regular(sampler, count, kernel_if_regular, exclude)
+
+
+def _draw_regular(sampler: SamplingPolicy, count: int, kernel_if_regular, exclude=()):
+    """``count`` pairs (lambda, kernel_if_regular(lambda)) at distinct finite
+    rational draws where that kernel is not None."""
+    out, seen, attempts = [], set(exclude), 0
     while len(out) < count:
         attempts += 1
         if attempts > 60 * count + 200:
@@ -64,10 +72,19 @@ def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
         if lam in seen:
             continue
         seen.add(lam)
-        ker = kernel_basis(p, lam, mode)
-        if p.dim - len(ker) == rank:
+        ker = kernel_if_regular(lam)
+        if ker is not None:
             out.append((lam, ker))
     return out
+
+
+def _is_regular(p: PencilAtPoint, lam, mode: Mode, rank: int) -> bool:
+    """rank P_lambda == ``rank``, the pencil rank: proved when the rank mod
+    PRIME reaches it, checked exactly when it does not."""
+    M = p.matrix_at(lam)
+    if not mode.is_exact or has_inexact_entries(M):
+        return p.dim - len(nullspace(M, mode)) == rank
+    return (all_entries_real(M) and rank_mod_p(M) == rank) or mat_rank_exact(M) == rank
 
 
 @dataclass
@@ -119,29 +136,55 @@ def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
     the dim-L count is a conservative margin: with two blocks of half-size 3
     the span is complete after 4 kernels, yet the loop draws 8.
     """
-    corank = p.dim - rank
-    basis = []
-    params = []
-    dims = []
+    basis, params, dims = _span_kernels(
+        p.dim, lambda params: regular_parameters(p, sampler, 1, mode, rank=rank,
+                                                 exclude=params)[0],
+        lambda basis, ker: basis_union(basis, ker, mode))
+    return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
+                         corank=p.dim - rank)
+
+
+def quotient_dim_mod_p(A0, Ainf, sampler: SamplingPolicy, *, rank: int):
+    """quotient_dim of the pencil A0 + lambda Ainf of rank ``rank``, its core
+    spanned over F_PRIME: never below the rational value, since a kernel mod
+    PRIME at a draw of rank ``rank`` reduces the rational one.  None when
+    PRIME divides a denominator or no regular draw or stable span is found."""
+    dim = len(A0)
+
+    def kernel_if_regular(lam):
+        l, = residues([lam])
+        ker = nullspace_mod_p([[a + l * b for a, b in zip(ra, rb)] for ra, rb in zip(R0, Rinf)])
+        return ker if dim - len(ker) == rank else None
+
+    try:
+        R0, Rinf = ([residues(row) for row in A] for A in (A0, Ainf))
+        basis, _, _ = _span_kernels(
+            dim, lambda params: _draw_regular(sampler, 1, kernel_if_regular, params)[0],
+            lambda basis, ker: span_mod_p(basis + ker), full=dim - rank // 2)
+    except (ValueError, RankDeficientPointError, ToleranceError):
+        return None
+    return dim - 2 * len(basis) + dim - rank
+
+
+def _span_kernels(dim: int, draw, union, full=None):
+    """(basis, params, dims) of the span of kernels from ``draw(params)``, a
+    fresh (lambda, kernel) pair, joined by ``union``; see compute_core.  A
+    span of dimension ``full`` ends the loop at once."""
+    basis, params, dims = [], [], []
     stable = 0
-    hard_cap = max(2 * p.dim + 4, 8)
+    hard_cap = max(2 * dim + 4, 8)
     while True:
-        (lam, ker), = regular_parameters(p, sampler, 1, mode, rank=rank, exclude=params)
-        new_basis = basis_union(basis, ker, mode)
+        lam, ker = draw(params)
+        new_basis = union(basis, ker)
         params.append(lam)
         dims.append(len(new_basis))
-        if len(new_basis) == len(basis):
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if len(new_basis) == len(basis) else 0
         basis = new_basis
-        if stable >= 2 and len(params) >= len(basis):
-            break
+        if len(basis) == full or stable >= 2 and len(params) >= len(basis):
+            return basis, params, dims
         if len(params) > hard_cap:
             raise ToleranceError(
                 "core accumulation failed to stabilize; inconsistent float tolerance")
-    return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
-                         corank=corank)
 
 
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
@@ -229,8 +272,8 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
     if quotient_dim(p, core) == 0:
         return Spectrum(entries=[], corank=corank)
     qbasis = quotient_basis(p, core, mode)
-    (t1, _), (t2, _) = regular_parameters(p, sampler.spawn(3), 2, mode,
-                                          rank=p.dim - corank)
+    (t1, _), (t2, _) = _draw_regular(
+        sampler.spawn(3), 2, lambda lam: _is_regular(p, lam, mode, p.dim - corank) or None)
     R = recursion_operator(p, qbasis, t1, t2, mode)
     exact_eigs, float_eigs = eigenvalues(R.matrix, mode)
     entries = []

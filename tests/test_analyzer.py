@@ -1,12 +1,11 @@
+import os
 from fractions import Fraction
 
 import pytest
 
-from bipencil import analyzer, linearization, pencil, roots
-from bipencil.analyzer import (AnalysisParams, FunctionData, analyze_point,
-                               casimir_variation, combine_function_data,
-                               reparameterize_casimir_combination)
-from bipencil.catalog import catalog_by_name
+from bipencil import analyzer, exactlin, linearization, pencil, roots
+from bipencil.analyzer import AnalysisParams, analyze_point
+from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import (bilinear, mat_mul, mat_sub, mat_vec, mat_rank,
                                nullspace)
@@ -17,8 +16,11 @@ from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF
 from bipencil.tensorfield import PoissonTensorField, direct_sum, evaluate_pencil
-from bipencil.toda import constant_lattice, toda_pencil
+from bipencil.toda import constant_lattice, make_singular_point, random_point, toda_pencil
 
+from golden import fixture_dir, report_text
+from oracles.casimir import (FunctionData, casimir_variation, combine_function_data,
+                             reparameterize_casimir_combination)
 from pipeline import core_of, linearize_at
 
 F = Fraction
@@ -97,12 +99,64 @@ def constant_fields(blocks):
     ([KroneckerBlock(0), JordanBlock(-1, 2)], True),
     ([KroneckerBlock(2)], False),
 ])
-def test_kronecker_spot_check_warning(blocks, warned, mode):
+def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     # a constant pencil with a Jordan block keeps it at every nearby point
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
     f0, finf, point = constant_fields(blocks)
     rep = analyze_point(f0, finf, point, AnalysisParams(mode=mode, seed=1))
     assert any(w.startswith("nearby point has non-empty spectrum")
                for w in rep.warnings) == warned
+    # the point's core, and one nearby core per nearby point up to the warning;
+    # exact mode proves the Kronecker case mod p and rechecks the warned one
+    assert len(cores) == (2 if warned else 4 if mode == "float" else 1)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs each call's arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
+    # the nearby points are proved Kronecker mod p: the only exact core is
+    # the point's own
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
+    f0, finf = toda_pencil(4)
+    rep = analyze_point(f0, finf, random_point(4, 3).coordinates(),
+                        AnalysisParams(seed=1, declared_rank=6))
+    assert rep.verdict.kind == "Regular" and rep.warnings == []
+    assert len(cores) == 1
+
+
+def test_a_bad_prime_changes_no_report(monkeypatch):
+    # mod 7 many draws lose rank, and 7 can divide a denominator; the exact
+    # recheck catches each false drop, so reports and warnings are those of
+    # the default prime
+    f0, finf = toda_pencil(4)
+    points = ([make_singular_point(4, seed=s) for s in (1, 2)]
+              + [random_point(4, s) for s in (1, 2)])
+
+    def toda_reports():
+        return [analyze_point(f0, finf, pt.coordinates(),
+                              AnalysisParams(seed=s, declared_rank=rank)).to_json_dict()
+                for pt in points for s, rank in ((1, 6), (2, None))]
+
+    expected = toda_reports()
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
+    assert toda_reports() == expected
+    default_cores = len(cores)
+    monkeypatch.setattr(exactlin, "PRIME", 7)
+    assert toda_reports() == expected
+    assert len(cores) > 2 * default_cores     # the rechecks ran
+    for entry in catalog():
+        with open(os.path.join(fixture_dir(), f"{entry.name}.report.json")) as fh:
+            assert report_text(entry) == fh.read(), entry.name
 
 
 def test_analysis_computes_each_kernel_once(monkeypatch):

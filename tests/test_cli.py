@@ -258,3 +258,30 @@ def test_pencil_file_rejects_zero_dimension(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 0, "P0": [], "Pinf": []}))
     code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0"], capsys)
     assert_input_error(code, out, err, "dim")
+
+
+def test_toda_compares_a_spectrum_of_mixed_kinds(monkeypatch, capsys):
+    # exact, irrational and complex values format as a string, a float and a
+    # dict; the oracle comparison must not order one kind against another
+    from bipencil import cli
+    from bipencil.toda import LaxSpectrumEntry
+
+    real = cli.toda_spectrum_via_lax
+
+    def mixed(pt, mode, warnings=None):
+        extra = [LaxSpectrumEntry(lam=2 ** 0.5, lax_eigenvalue=-2 ** 0.5, which="periodic",
+                                  multiplicity=2, exact=False),
+                 LaxSpectrumEntry(lam=complex(1, 1), lax_eigenvalue=complex(-1, -1),
+                                  which="antiperiodic", multiplicity=2, exact=False)]
+        return extra + real(pt, mode)
+
+    monkeypatch.setattr(cli, "toda_spectrum_via_lax", mixed)
+    code, out, err = run_cli(["toda", "--n", "2", "--a", "1,1", "--b", "0,0"], capsys)
+    assert code == 0, err
+    point = json.loads(out)["points"][0]
+    assert [b["lambda"] for b in point["lax_oracle"]] == [2 ** 0.5, {"re": 1.0, "im": 1.0}, "0"]
+    assert point["oracle_agrees"] is False
+
+    values = ["1/2", 1.5, {"re": 1.0, "im": -2.0}, "-1", {"re": "1", "im": "2"}, 0.0]
+    same = [-0.0, {"re": "1", "im": "2"}, "-1", {"re": 1.0, "im": -2.0}, 1.5, "1/2"]
+    assert sorted(values, key=cli._scalar_key) == sorted(same, key=cli._scalar_key)

@@ -1,16 +1,19 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipencil import exactlin
 from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
                                char_poly, coords_in_span, identity, inverse_exact,
                                mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
-                               poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, rref,
-                               solve_exact, symmetric_signature)
+                               nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
+                               poly_roots_hybrid, poly_squarefree_part, rank_mod_p,
+                               residues, rref, solve_exact, span_mod_p,
+                               symmetric_signature)
 from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -255,6 +258,67 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
     assert pivots == pivots0 and R == R0
     assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
     assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
+
+
+# -- the F_p carrier ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_matrices(), st.sampled_from([2, 3, 7, exactlin.PRIME]))
+def test_ranks_mod_p_never_exceed_the_rational_ranks(M, prime):
+    M = [[x.re if isinstance(x, QQi) else x for x in row] for row in M]
+    with mock.patch.object(exactlin, "PRIME", prime):
+        rank = rank_mod_p(M)
+        if any(Fraction(x).denominator % prime == 0 for row in M for x in row):
+            assert rank is None
+            return
+        assert rank <= mat_rank_exact(M)
+        assert len(span_mod_p(M)) == rank
+        ker = nullspace_mod_p(M)
+        assert len(ker) == len(M[0]) - rank
+        R = [residues(row) for row in M]
+        assert all(sum(a * x for a, x in zip(row, v)) % prime == 0 for row in R for v in ker)
+        assert not ker or rank_mod_p(ker) == len(ker)
+
+
+def test_a_rank_that_drops_mod_p_proves_nothing():
+    P = exactlin.PRIME
+    M = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
+    assert rank_mod_p(M) == 0 and mat_rank_exact(M) == 2
+    assert len(nullspace_mod_p(M)) == 2 and nullspace_exact(M) == []
+    assert rank_mod_p([[Fraction(1, P)]]) is None
+
+
+# -- the characteristic polynomial on integers ------------------------------------
+
+
+def oracle_char_poly(M):
+    """Oracle: the Faddeev-LeVerrier recursion on Fraction / QQi entries that
+    the integer recursion replaced."""
+    n = len(M)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    Mk = [list(row) for row in M]
+    for k in range(1, n + 1):
+        c = -sum(Mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = simplify_scalar(c)
+        if k < n:
+            Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(Mk)])
+    return coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(0, 6), st.data())
+def test_integer_char_poly_matches_the_fraction_recursion(gaussian, n, data):
+    flat = data.draw(st.lists(entries(gaussian), min_size=n * n, max_size=n * n))
+    M = [[Fraction(x) if isinstance(x, int) else x for x in flat[i * n:(i + 1) * n]]
+         for i in range(n)]
+    assert typed(char_poly(M)) == typed(oracle_char_poly(M))
+
+
+def test_char_poly_of_float_entries_is_the_float_recursion():
+    M = [[0.5, 1], [2, 0.25]]
+    assert typed(char_poly(M)) == typed(oracle_char_poly(M))
 
 
 def oracle_basis_union(existing, new_vectors, mode=EXACT):

@@ -5,15 +5,16 @@ import pytest
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import SingularParameterError
 from bipencil.exactlin import bilinear, mat_mul, mat_rank, mat_vec, subspace_dim
-from bipencil import pencil
+from bipencil import exactlin, pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
 from bipencil.linearization import kernel_form
 from bipencil.pencil import (compute_spectrum, kernel_basis, pencil_rank_corank,
-                             quotient_basis, quotient_dim, quotient_form, rank_at,
-                             recursion_operator)
+                             quotient_basis, quotient_dim, quotient_dim_mod_p,
+                             quotient_form, rank_at, recursion_operator,
+                             regular_parameters)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF, QQi, is_inf
-from bipencil.tensorfield import evaluate_pencil
+from bipencil.tensorfield import constant_pencil, evaluate_pencil
 from bipencil.toda import (constant_lattice, make_singular_point, random_point,
                            toda_pencil, toda_pencil_at)
 
@@ -227,3 +228,40 @@ def test_is_diagonalizable_cases(sampler):
     spec_k = compute_spectrum(pk, core_k, sampler.spawn(5))
     flags_k = diagonalizable_flags(pk, spec_k)
     assert flags_k == {}
+
+
+def test_a_skew_matrix_of_rank_zero_mod_p_is_not_taken_for_regular():
+    P = exactlin.PRIME
+    A0 = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
+    zero = [[Fraction(0)] * 2 for _ in range(2)]
+    # every draw has rank 2 over Q and rank 0 mod P: F_P finds no regular
+    # draw, so it proves nothing, and the exact recheck sees the rank
+    assert quotient_dim_mod_p(A0, zero, SamplingPolicy(1), rank=2) is None
+    assert pencil._is_regular(constant_pencil(A0, zero), Fraction(1, 3), EXACT, 2)
+
+
+@pytest.mark.parametrize("prime", [exactlin.PRIME, 7])
+def test_spectrum_parameters_are_drawn_by_rank_alone(prime, monkeypatch):
+    # t1 and t2 are the draws regular_parameters would take, but the only
+    # kernel compute_spectrum computes is that of L^perp
+    monkeypatch.setattr(exactlin, "PRIME", prime)
+    kernels = []
+    real = pencil.nullspace
+
+    def nullspace(*args, **kwargs):
+        kernels.append(1)
+        return real(*args, **kwargs)
+
+    for e in catalog():
+        p = evaluate_pencil(e.field0, e.field_inf, e.point)
+        sampler = SamplingPolicy(5)
+        core = core_of(p, sampler)
+        kernels.clear()
+        monkeypatch.setattr(pencil, "nullspace", nullspace)
+        spec = compute_spectrum(p, core, sampler)
+        monkeypatch.setattr(pencil, "nullspace", real)
+        if spec.is_empty():
+            continue
+        assert len(kernels) == 1, e.name
+        drawn = regular_parameters(p, sampler.spawn(3), 2, rank=p.dim - core.corank)
+        assert [spec.recursion.alpha, spec.recursion.beta] == [lam for lam, _ in drawn]
