@@ -171,10 +171,19 @@ def _inverse(d: int, prime: int) -> int:
 
 
 def residues(row):
-    """Each real rational entry a/b as a * b^-1 mod PRIME; ValueError when PRIME divides b."""
-    ratios = [(x, 1) if type(x) is int else (x.re if isinstance(x, QQi) else x).as_integer_ratio()
-              for x in row]
-    return [(a if d == 1 else a * _inverse(d, PRIME)) % PRIME for a, d in ratios]
+    """Each real rational entry a/b as a * b^-1 mod PRIME; ValueError when PRIME
+    divides b or an entry is not real."""
+    out = []
+    for x in row:
+        if type(x) is not int:
+            if isinstance(x, QQi):
+                if x.im:
+                    raise ValueError("a non-real entry has no residue")
+                x = x.re
+            a, d = x.as_integer_ratio()
+            x = a if d == 1 else a * _inverse(d, PRIME)
+        out.append(x % PRIME)
+    return out
 
 
 class _Fp:
@@ -185,12 +194,12 @@ class _Fp:
 
     @staticmethod
     def combine(p, f, prev, row, prow):
-        """(p * row - f * prow) / prev, entrywise; a row with f = 0 is kept
-        unscaled, which over a field changes no rank, span or kernel."""
+        """row - (f / p) * prow, entrywise: over a field no row needs the
+        scaling by p / prev, so a row with f = 0 is kept as it is."""
         if not f:
             return row
-        inv = _inverse(prev, PRIME)
-        return [(p * a - f * b) * inv % PRIME for a, b in zip(row, prow)]
+        c = f * _inverse(p, PRIME) % PRIME
+        return [(a - c * b) % PRIME for a, b in zip(row, prow)]
 
     @staticmethod
     def quotient(a, d):
@@ -208,7 +217,8 @@ def _eliminate(M, reduce: bool, K=None):
     entries are minors of M, so the division is exact.  With ``reduce`` the
     rows above are updated the same way, which is fraction-free Gauss-Jordan:
     every pivot then equals the last one, and dividing a pivot row by its
-    pivot gives the reduced row echelon form.
+    pivot gives the reduced row echelon form.  Over F_PRIME the rows are not
+    scaled (see _Fp.combine), and each pivot row is divided by its own pivot.
     """
     K = K or (_ZI if any(isinstance(x, QQi) and x.im for row in M for x in row) else _Z)
     combine, zero = K.combine, K.zero
@@ -250,31 +260,9 @@ def mat_rank_exact(M) -> int:
     return len(_eliminate(M, reduce=False)[2])
 
 
-def rank_mod_p(M):
-    """Rank over F_PRIME of a real rational matrix, or None when PRIME divides a denominator."""
-    try:
-        return len(_eliminate(M, False, _Fp)[2])
-    except ValueError:
-        return None
-
-
-def nullspace_mod_p(M):
-    """Right-kernel basis over F_PRIME of a real rational matrix, one vector per
-    free column, by back substitution; ValueError when PRIME divides a denominator."""
-    _, A, pivots = _eliminate(M, False, _Fp)
-    rows = list(zip(A, pivots))[::-1]
-    basis = []
-    for fc in (c for c in range(len(M[0])) if c not in pivots):
-        v = [0] * len(M[0])
-        v[fc] = 1
-        for row, pc in rows:
-            v[pc] = _Fp.quotient(-sum(a * x for a, x in zip(row[pc + 1:], v[pc + 1:])), row[pc])
-        basis.append(v)
-    return basis
-
-
 def span_mod_p(vectors):
-    """Echelon rows spanning the same space over F_PRIME as ``vectors`` (residues)."""
+    """Echelon rows of residues spanning the same space over F_PRIME as the
+    residues of ``vectors``; ValueError as for ``residues``."""
     _, A, pivots = _eliminate(vectors, False, _Fp)
     return A[:len(pivots)]
 
@@ -342,21 +330,33 @@ def rref(M):
     return R, pivots
 
 
-def nullspace_exact(M):
-    """Right-kernel basis in pivot-normalized echelon form (deterministic)."""
+def _nullspace(M, K=None):
+    """Right-kernel basis in pivot-normalized echelon form (deterministic): one
+    vector per free column, read off the fraction-free Gauss-Jordan form over
+    the carrier K, each pivot row divided by its own pivot."""
     if not M or not M[0]:
         return []
-    R, pivots = rref(M)
-    n, m = shape(M)
-    free = [c for c in range(m) if c not in pivots]
+    K, A, pivots = _eliminate(M, True, K)
+    m = len(M[0])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = simplify_scalar(-R[r][fc])
+        for row, pc in zip(A, pivots):
+            v[pc] = simplify_scalar(-K.quotient(row[fc], row[pc]))
         basis.append(v)
     return basis
+
+
+def nullspace_exact(M):
+    """Right-kernel basis over Q or Q(i) in pivot-normalized echelon form."""
+    return _nullspace(M)
+
+
+def nullspace_mod_p(M):
+    """Vectors whose residues are a right-kernel basis over F_PRIME of a real
+    rational matrix; ValueError as for ``residues``."""
+    return _nullspace(M, _Fp)
 
 
 def nullspace_float(M, eps: float):

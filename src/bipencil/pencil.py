@@ -14,8 +14,8 @@ from fractions import Fraction
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
 from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
                        has_inexact_entries, identity, inverse, mat_mul, mat_rank,
-                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, rank_mod_p,
-                       residues, restrict, span_mod_p)
+                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, residues,
+                       restrict, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
@@ -79,12 +79,12 @@ def _draw_regular(sampler: SamplingPolicy, count: int, kernel_if_regular, exclud
 
 
 def _is_regular(p: PencilAtPoint, lam, mode: Mode, rank: int) -> bool:
-    """rank P_lambda == ``rank``, the pencil rank: proved when the rank mod
-    PRIME reaches it, checked exactly when it does not."""
+    """rank P_lambda == ``rank``, the pencil rank, by an exact rank without a
+    kernel; float matrices count their kernel, as regular_parameters does."""
     M = p.matrix_at(lam)
     if not mode.is_exact or has_inexact_entries(M):
         return p.dim - len(nullspace(M, mode)) == rank
-    return (all_entries_real(M) and rank_mod_p(M) == rank) or mat_rank_exact(M) == rank
+    return mat_rank_exact(M) == rank
 
 
 @dataclass

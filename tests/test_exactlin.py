@@ -11,8 +11,7 @@ from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear
                                char_poly, coords_in_span, identity, inverse_exact,
                                mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, rank_mod_p,
-                               residues, rref, solve_exact, span_mod_p,
+                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve_exact, span_mod_p,
                                symmetric_signature)
 from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
 
@@ -268,25 +267,28 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
 def test_ranks_mod_p_never_exceed_the_rational_ranks(M, prime):
     M = [[x.re if isinstance(x, QQi) else x for x in row] for row in M]
     with mock.patch.object(exactlin, "PRIME", prime):
-        rank = rank_mod_p(M)
         if any(Fraction(x).denominator % prime == 0 for row in M for x in row):
-            assert rank is None
+            for f in (span_mod_p, nullspace_mod_p):
+                with pytest.raises(ValueError):
+                    f(M)
             return
+        rank = len(span_mod_p(M))
         assert rank <= mat_rank_exact(M)
-        assert len(span_mod_p(M)) == rank
-        ker = nullspace_mod_p(M)
+        ker = [residues(v) for v in nullspace_mod_p(M)]
         assert len(ker) == len(M[0]) - rank
         R = [residues(row) for row in M]
         assert all(sum(a * x for a, x in zip(row, v)) % prime == 0 for row in R for v in ker)
-        assert not ker or rank_mod_p(ker) == len(ker)
+        assert len(span_mod_p(ker)) == len(ker)
 
 
 def test_a_rank_that_drops_mod_p_proves_nothing():
     P = exactlin.PRIME
     M = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
-    assert rank_mod_p(M) == 0 and mat_rank_exact(M) == 2
+    assert span_mod_p(M) == [] and mat_rank_exact(M) == 2
     assert len(nullspace_mod_p(M)) == 2 and nullspace_exact(M) == []
-    assert rank_mod_p([[Fraction(1, P)]]) is None
+    for bad in ([[Fraction(1, P)]], [[QQi(Fraction(1), Fraction(1))]]):
+        with pytest.raises(ValueError):
+            span_mod_p(bad)
 
 
 # -- the characteristic polynomial on integers ------------------------------------

@@ -235,16 +235,17 @@ def test_a_skew_matrix_of_rank_zero_mod_p_is_not_taken_for_regular():
     A0 = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
     zero = [[Fraction(0)] * 2 for _ in range(2)]
     # every draw has rank 2 over Q and rank 0 mod P: F_P finds no regular
-    # draw, so it proves nothing, and the exact recheck sees the rank
+    # draw, so it proves nothing, and the exact rank sees the rank
     assert quotient_dim_mod_p(A0, zero, SamplingPolicy(1), rank=2) is None
     assert pencil._is_regular(constant_pencil(A0, zero), Fraction(1, 3), EXACT, 2)
+    # a Gaussian entry has no residue: F_P proves nothing
+    i = QQi(Fraction(0), Fraction(1))
+    assert quotient_dim_mod_p([[0, i], [-i, 0]], zero, SamplingPolicy(1), rank=2) is None
 
 
-@pytest.mark.parametrize("prime", [exactlin.PRIME, 7])
-def test_spectrum_parameters_are_drawn_by_rank_alone(prime, monkeypatch):
+def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
     # t1 and t2 are the draws regular_parameters would take, but the only
     # kernel compute_spectrum computes is that of L^perp
-    monkeypatch.setattr(exactlin, "PRIME", prime)
     kernels = []
     real = pencil.nullspace
 
