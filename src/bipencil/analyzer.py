@@ -201,18 +201,17 @@ def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
 
     Only the core is computed there, with the point's pencil rank ``rank``:
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
-    is the rank nearby too; a nearby point of lower rank is skipped.  The F_p
-    core and the exact recheck each spawn a sampler from the same seed.
+    is the rank nearby too; a nearby point of lower rank is skipped.  The
+    pencil is evaluated once per nearby point, and the F_p core and the exact
+    recheck read it, each with a sampler spawned from the same seed.
     """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
         seed = sampler.randint(0, 10 ** 6)
-        if mode.is_exact and quotient_dim_mod_p(
-                field0.matrix_at(nearby), field_inf.matrix_at(nearby),
-                sampler.spawn(seed), rank=rank) == 0:
+        q = evaluate_pencil(field0, field_inf, nearby)
+        if mode.is_exact and quotient_dim_mod_p(q, sampler.spawn(seed), rank=rank) == 0:
             continue
         try:
-            q = evaluate_pencil(field0, field_inf, nearby)
             core = compute_core(q, sampler.spawn(seed), mode, rank=rank)
             if quotient_dim(q, core) != 0:
                 warnings.append(

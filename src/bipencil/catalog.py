@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import algebras
 from .liealg import LieAlgebra, argument_shift_cocycle
 from .poly import Poly
-from .tensorfield import PoissonTensorField
+from .tensorfield import PoissonTensorField, lift
 
 
 @dataclass
@@ -76,16 +76,6 @@ def _sl2_casimir() -> Poly:
     return q + Poly.monomial(3, (0, 1, 1), 4)
 
 
-def _lift(poly: Poly, dim: int, offset: int) -> Poly:
-    out = {}
-    for mono, c in poly.terms.items():
-        m = [0] * dim
-        for t, e in enumerate(mono):
-            m[offset + t] = e
-        out[tuple(m)] = c
-    return Poly(dim, out)
-
-
 def catalog() -> list:
     """All built-in entries, in a stable order."""
     entries = []
@@ -125,16 +115,16 @@ def catalog() -> list:
         [q_re, q_im], "complex rotation algebra as a real form: focus-focus"))
 
     so4 = algebras.so4()
-    q1 = _lift(q_so3, 6, 0)
-    q2 = _lift(q_so3, 6, 3)
+    q1 = lift(q_so3, 6, 0)
+    q2 = lift(q_so3, 6, 3)
     entries.append(_shift_entry(
         "so4_shift", so4, [F0, F0, F1, F0, F0, Fraction(2)], 4,
         ExpectedSummary("NonDegenerate", (2, 0, 0), {"so3": 2}),
         [q1, q2], "product of two rotation algebras: center-center"))
 
     so22 = algebras.so22()
-    s1 = _lift(q_sl2, 6, 0)
-    s2 = _lift(q_sl2, 6, 3)
+    s1 = lift(q_sl2, 6, 0)
+    s2 = lift(q_sl2, 6, 3)
     entries.append(_shift_entry(
         "so22_shift_saddle_saddle", so22, [F1, F0, F0, F1, F0, F0], 4,
         ExpectedSummary("NonDegenerate", (0, 2, 0), {"sl2_pos_killing": 2}),

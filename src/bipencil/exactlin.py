@@ -90,16 +90,6 @@ def to_numpy(M) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in M], dtype=complex)
 
 
-def all_entries_real(M) -> bool:
-    for row in M:
-        for x in row:
-            if isinstance(x, QQi) and x.im != 0:
-                return False
-            if isinstance(x, complex) and x.imag != 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the exact kernel: fraction-free elimination over Z and Z[i]
 # ---------------------------------------------------------------------------
@@ -471,14 +461,6 @@ def subspace_dim(vectors, mode: Mode = EXACT) -> int:
     if not vectors:
         return 0
     return mat_rank(vectors, mode)
-
-
-def intersect_dims(basis_a, basis_b, mode: Mode = EXACT) -> int:
-    """dim(A cap B) via dim A + dim B - dim(A + B)."""
-    da = subspace_dim(basis_a, mode)
-    db = subspace_dim(basis_b, mode)
-    dsum = subspace_dim(list(basis_a) + list(basis_b), mode)
-    return da + db - dsum
 
 
 def symmetric_signature(S):

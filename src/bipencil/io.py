@@ -13,7 +13,7 @@ import json
 from .catalog import CatalogEntry
 from .errors import InputFormatError
 from .poly import Poly
-from .scalars import parse_rational
+from .scalars import parse_int, parse_rational
 from .tensorfield import PoissonTensorField
 
 FORMAT_VERSION = 1
@@ -30,13 +30,19 @@ def field_to_entries(f: PoissonTensorField) -> list:
     return out
 
 
+def _list(value, position: str) -> list:
+    if not isinstance(value, list):
+        raise InputFormatError(f"'{position}' must be a list", position=position)
+    return value
+
+
 def entries_to_field(dim: int, varnames, data, label: str) -> PoissonTensorField:
     f = PoissonTensorField(dim, varnames)
     seen = set()
-    for pos, ent in enumerate(data):
+    for pos, ent in enumerate(_list(data, label)):
         where = f"{label}[{pos}]"
         try:
-            i, j = int(ent["i"]), int(ent["j"])
+            i, j = parse_int(ent["i"]), parse_int(ent["j"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad indices at {where}: {exc}", position=where)
         if not (1 <= i < j <= dim):
@@ -46,11 +52,11 @@ def entries_to_field(dim: int, varnames, data, label: str) -> PoissonTensorField
             raise InputFormatError(f"duplicate entry ({i}, {j}) at {where}", position=where)
         seen.add((i, j))
         poly = Poly.zero(dim)
-        for mpos, term in enumerate(ent.get("poly", [])):
+        for mpos, term in enumerate(_list(ent.get("poly", []), f"{where}.poly")):
             mwhere = f"{where}.poly[{mpos}]"
             try:
                 c = parse_rational(term["c"])
-                m = [int(x) for x in term["m"]]
+                m = [parse_int(x) for x in _list(term["m"], f"{mwhere}.m")]
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"bad monomial at {mwhere}: {exc}", position=mwhere)
             if len(m) != dim or any(e < 0 for e in m):
@@ -81,13 +87,13 @@ def pencil_to_json_dict(field0: PoissonTensorField, field_inf: PoissonTensorFiel
 def pencil_from_json_dict(doc: dict):
     """Returns (field0, field_inf, declared_rank, meta)."""
     try:
-        dim = int(doc["dim"])
+        dim = parse_int(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"missing or bad 'dim': {exc}", position="dim")
     if dim < 1:
         raise InputFormatError(f"'dim' must be positive, not {dim}", position="dim")
     varnames = doc.get("vars")
-    if varnames is not None and len(varnames) != dim:
+    if varnames is not None and len(_list(varnames, "vars")) != dim:
         raise InputFormatError("'vars' length must equal dim", position="vars")
     if "P0" not in doc or "Pinf" not in doc:
         raise InputFormatError("both 'P0' and 'Pinf' blocks are required")
@@ -95,7 +101,10 @@ def pencil_from_json_dict(doc: dict):
     finf = entries_to_field(dim, varnames, doc["Pinf"], "Pinf")
     declared = doc.get("declared_rank")
     if declared is not None:
-        declared = int(declared)
+        try:
+            declared = parse_int(declared)
+        except ValueError as exc:
+            raise InputFormatError(f"bad 'declared_rank': {exc}", position="declared_rank")
         if declared < 0 or declared > dim or declared % 2 != 0:
             raise InputFormatError("declared_rank must be an even integer in [0, dim]",
                                    position="declared_rank")

@@ -50,55 +50,24 @@ class KroneckerBlock:
     half_size: int
 
 
-def _jordan_nilpotent(size: int):
-    J = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size - 1):
-        J[i][i + 1] = Fraction(1)
-    return J
-
-
-def _embed(dst, block, offset):
-    for i, row in enumerate(block):
-        for j, v in enumerate(row):
-            dst[offset + i][offset + j] = v
-
-
 def _jordan_pair(lam, size: int):
-    """Appendix-style Jordan pair: A = [[0, J(lam)], [-J(lam)^T, 0]], B = [[0,-E],[E,0]]."""
-    J = _jordan_nilpotent(size)
-    for i in range(size):
-        J[i][i] = J[i][i] + lam
-    n = 2 * size
-    A = [[Fraction(0)] * n for _ in range(n)]
-    B = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(size):
-        for j in range(size):
-            A[i][size + j] = J[i][j]
-            A[size + j][i] = -J[i][j]
-        B[i][size + i] = Fraction(-1)
-        B[size + i][i] = Fraction(1)
-    return A, B
+    """Appendix-style Jordan pair A = [[0, J(lam)], [-J(lam)^T, 0]], B = [[0,-E],[E,0]],
+    as its dimension and upper entries (i, j, A_ij, B_ij)."""
+    return 2 * size, ([(i, size + i, lam, Fraction(-1)) for i in range(size)]
+                      + [(i, size + i + 1, Fraction(1), Fraction(0)) for i in range(size - 1)])
 
 
 def _jordan_pair_infinity(size: int):
     """The lambda = infinity Jordan pair: roles of the two forms swapped, J(0)."""
-    A0, B0 = _jordan_pair(Fraction(0), size)
-    return B0, A0
+    n, entries = _jordan_pair(Fraction(0), size)
+    return n, [(i, j, b, a) for i, j, a, b in entries]
 
 
-def _kronecker_pair(half_size: int):
-    """Kronecker pair of half-size k: S, T are k x (k+1) shifted identities."""
-    k = half_size
-    n = 2 * k + 1
-    A = [[Fraction(0)] * n for _ in range(n)]
-    B = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(k):
-        # S has ones on (i, i); T has ones on (i, i+1)
-        A[i][k + i] = Fraction(1)
-        A[k + i][i] = Fraction(-1)
-        B[i][k + i + 1] = Fraction(1)
-        B[k + i + 1][i] = Fraction(-1)
-    return A, B
+def _kronecker_pair(k: int):
+    """Kronecker pair of half-size k, as for _jordan_pair: S, T are k x (k+1)
+    shifted identities, S with ones on (i, i) and T on (i, i+1)."""
+    return 2 * k + 1, ([(i, k + i, Fraction(1), Fraction(0)) for i in range(k)]
+                       + [(i, k + i + 1, Fraction(0), Fraction(1)) for i in range(k)])
 
 
 def assemble_jk_canonical_pair(blocks) -> PencilAtPoint:
@@ -123,15 +92,11 @@ def assemble_jk_canonical_pair(blocks) -> PencilAtPoint:
             pieces.append(_kronecker_pair(b.half_size))
         else:
             raise DimensionMismatchError(f"unknown block descriptor {b!r}")
-    d = sum(len(a) for a, _ in pieces)
-    A = [[Fraction(0)] * d for _ in range(d)]
-    B = [[Fraction(0)] * d for _ in range(d)]
-    off = 0
-    for a, bm in pieces:
-        _embed(A, a, off)
-        _embed(B, bm, off)
-        off += len(a)
-    return constant_pencil(A, B)
+    entries, d = [], 0
+    for n, piece in pieces:
+        entries += sorted((d + i, d + j, a, b) for i, j, a, b in piece)
+        d += n
+    return PencilAtPoint(d, entries, [[] for _ in range(d)], [Fraction(0)] * d)
 
 
 def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:

@@ -18,8 +18,8 @@ from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, identity,
                        poly_squarefree_part, solve_exact, svd_rank, to_numpy, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, QQi, format_scalar,
-                      is_exact_scalar, parse_rational, simplify_scalar)
+from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
+                      parse_rational, simplify_scalar)
 from .tensorfield import PoissonTensorField
 
 REAL = "real"
@@ -169,14 +169,16 @@ class LieAlgebra:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieAlgebra":
         try:
-            dim = int(data["dim"])
+            dim = parse_int(data["dim"])
             if dim < 1:
                 raise InputFormatError(f"'dim' must be positive, not {dim}", position="dim")
             field_name = data.get("field", REAL)
+            if field_name not in (REAL, COMPLEX):
+                raise InputFormatError("'field' must be 'real' or 'complex'", position="field")
             alg = cls(dim, field_name, data.get("basis"))
             acc: dict = {}
             for t in data.get("structure", []):
-                i, j, k = int(t["i"]) - 1, int(t["j"]) - 1, int(t["k"]) - 1
+                i, j, k = (parse_int(t[key]) - 1 for key in "ijk")
                 if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim) or i == j:
                     raise InputFormatError(f"bad structure triple {t}", position=t)
                 if i > j:
@@ -228,14 +230,16 @@ class TwoCocycle:
     @classmethod
     def from_json_dict(cls, data: dict, dim: int | None = None) -> "TwoCocycle":
         """The cocycle in ``data``; with ``dim``, that of a dim-dimensional algebra."""
+        if not isinstance(data, dict):
+            raise InputFormatError("a cocycle file must hold a JSON object", position="cocycle")
         try:
-            d = int(data.get("dim", dim))
+            d = parse_int(data.get("dim", dim))
             if d < 1 or (dim is not None and d != dim):
                 raise InputFormatError(f"cocycle dimension {d} must be positive and equal "
                                        "the algebra dimension", position="cocycle")
             M = [[Fraction(0)] * d for _ in range(d)]
             for t in data.get("cocycle", []):
-                i, j = int(t["i"]) - 1, int(t["j"]) - 1
+                i, j = parse_int(t["i"]) - 1, parse_int(t["j"]) - 1
                 if not (0 <= i < d and 0 <= j < d) or i == j:
                     raise InputFormatError(f"bad cocycle pair {t}", position=t)
                 v = _parse_scalar(t["c"])
@@ -265,13 +269,12 @@ class LinearPencil:
 
     def pencil_matrix(self, x, lam):
         """<x, [e_i, e_j]> + lambda A(e_i, e_j) as a matrix."""
+        M = argument_shift_cocycle(self.algebra, x).matrix
+        A = self.cocycle.matrix
         d = self.algebra.dim
-        M = [[Fraction(0)] * d for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
-                v = sum(xk * ck for xk, ck in zip(x, self.algebra.structure_vector(i, j)))
-                v = v + lam * self.cocycle.matrix[i][j]
-                M[i][j] = simplify_scalar(v + Fraction(0))
+                M[i][j] = simplify_scalar(M[i][j] + lam * A[i][j] + Fraction(0))
                 M[j][i] = -M[i][j]
         return M
 

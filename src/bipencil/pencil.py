@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (all_entries_real, basis_union, bilinear, eigenvalues,
+from .exactlin import (basis_union, bilinear, eigenvalues,
                        has_inexact_entries, identity, inverse, mat_mul, mat_rank,
                        mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, residues,
                        restrict, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
-from .tensorfield import PencilAtPoint
+from .tensorfield import PencilAtPoint, skew
 
 
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
@@ -144,26 +144,24 @@ def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
                          corank=p.dim - rank)
 
 
-def quotient_dim_mod_p(A0, Ainf, sampler: SamplingPolicy, *, rank: int):
-    """quotient_dim of the pencil A0 + lambda Ainf of rank ``rank``, its core
-    spanned over F_PRIME: never below the rational value, since a kernel mod
-    PRIME at a draw of rank ``rank`` reduces the rational one.  None when
-    PRIME divides a denominator or no regular draw or stable span is found."""
-    dim = len(A0)
-
+def quotient_dim_mod_p(p: PencilAtPoint, sampler: SamplingPolicy, *, rank: int):
+    """quotient_dim of the pencil ``p`` of rank ``rank``, its core spanned over
+    F_PRIME: never below the rational value, since a kernel mod PRIME at a
+    draw of rank ``rank`` reduces the rational one.  None when PRIME divides a
+    denominator or no regular draw or stable span is found."""
     def kernel_if_regular(lam):
         l, = residues([lam])
-        ker = nullspace_mod_p([[a + l * b for a, b in zip(ra, rb)] for ra, rb in zip(R0, Rinf)])
-        return ker if dim - len(ker) == rank else None
+        ker = nullspace_mod_p(skew(p.dim, entries, l))
+        return ker if p.dim - len(ker) == rank else None
 
     try:
-        R0, Rinf = ([residues(row) for row in A] for A in (A0, Ainf))
+        entries = [(i, j, *residues([a0, ainf])) for i, j, a0, ainf in p.entries]
         basis, _, _ = _span_kernels(
-            dim, lambda params: _draw_regular(sampler, 1, kernel_if_regular, params)[0],
-            lambda basis, ker: span_mod_p(basis + ker), full=dim - rank // 2)
+            p.dim, lambda params: _draw_regular(sampler, 1, kernel_if_regular, params)[0],
+            lambda basis, ker: span_mod_p(basis + ker), full=p.dim - rank // 2)
     except (ValueError, RankDeficientPointError, ToleranceError):
         return None
-    return dim - 2 * len(basis) + dim - rank
+    return p.dim - 2 * len(basis) + p.dim - rank
 
 
 def _span_kernels(dim: int, draw, union, full=None):
@@ -294,7 +292,7 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
         # recursion eigenvalue does not, so rationalize lambda itself first
         snapped = None if is_inf(lam) else snap_to_exact(lam_c, 1e-8)
         if snapped is not None and (mode.is_exact or all(
-                is_exact_scalar(x) for row in p.A0 + p.Ainf for x in row)):
+                is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)):
             kd = p.dim - rank_at(p, snapped, EXACT, warnings)
             if kd > corank:
                 entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
@@ -316,7 +314,7 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
 
 def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
     """For real pencils, store one entry per conjugate pair (Im > 0 kept)."""
-    if not (all_entries_real(p.A0) and all_entries_real(p.Ainf)):
+    if any(cimag(x) for _, _, *pair in p.entries for x in pair):
         return entries
     out = []
     used = set()

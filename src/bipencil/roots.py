@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ToleranceError
-from .exactlin import (coords_in_span, eigenvalues, identity, intersect_dims,
+from .exactlin import (coords_in_span, eigenvalues, identity,
                        mat_rank, mat_sub, mat_scale, nullspace, restrict,
                        subspace_dim)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
@@ -330,9 +330,7 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
 
     center = g.center(mode)
     derived = g.derived_basis(mode)
-    zc = subspace_dim(center, mode)
-    zc_in_derived = intersect_dims(center, derived, mode)
-    out.abelian_dim = zc - zc_in_derived
+    out.abelian_dim = subspace_dim(center + derived, mode) - subspace_dim(derived, mode)
     out.central_ideal_dim = out.block_dim_total(data.field) + out.abelian_dim - g.dim
     if out.central_ideal_dim < 0:
         raise ToleranceError("block reconstruction identity failed")

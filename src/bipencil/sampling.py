@@ -10,26 +10,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+MAX_NUM = MAX_DEN = 1000
+
 
 class SamplingPolicy:
     """Seeded source of generic rational parameters and small matrices."""
 
-    def __init__(self, seed: int = 0, max_num: int = 1000, max_den: int = 1000):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.max_num = max_num
-        self.max_den = max_den
         self._rng = random.Random(seed)
 
     def spawn(self, tag: int) -> "SamplingPolicy":
         """Independent substream, for parallel-safe per-task sampling."""
-        return SamplingPolicy(seed=self._mix(tag), max_num=self.max_num, max_den=self.max_den)
+        return SamplingPolicy(seed=self._mix(tag))
 
     def _mix(self, tag: int) -> int:
         return (self.seed * 1000003 + tag * 7919 + 12345) % (2 ** 31)
 
     def rational(self) -> Fraction:
-        p = self._rng.randint(-self.max_num, self.max_num)
-        q = self._rng.randint(1, self.max_den)
+        p = self._rng.randint(-MAX_NUM, MAX_NUM)
+        q = self._rng.randint(1, MAX_DEN)
         return Fraction(p, q)
 
     def distinct_rationals(self, count: int, exclude=()) -> list:
@@ -59,11 +59,6 @@ class SamplingPolicy:
             m = [[Fraction(self._rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
             if mat_rank_exact(m) == n:
                 return m
-
-    def shuffle(self, items: list) -> list:
-        items = list(items)
-        self._rng.shuffle(items)
-        return items
 
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)

@@ -300,6 +300,14 @@ def format_scalar(x):
     return {"re": z.real, "im": z.imag}
 
 
+def parse_int(value) -> int:
+    """int(value) of a JSON number or string; ValueError where int() would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def parse_rational(text) -> Fraction:
     """Parse 'p/q', integer, or decimal strings to an exact Fraction."""
     if isinstance(text, (int, Fraction)):

@@ -1,4 +1,8 @@
-"""Polynomial Poisson tensor fields and their point evaluations."""
+"""Polynomial Poisson tensor fields and their point evaluations.
+
+A pencil at a point is held as its nonzero entries; ``skew`` builds the dense
+P_lambda, d_k P_lambda and their residues modulo a prime from them.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import mat_add, mat_scale
 from .poly import Poly
-from .scalars import is_exact_scalar, is_inf
+from .scalars import INF, is_exact_scalar, is_inf
+
+ZERO = Fraction(0)
 
 
 class PoissonTensorField:
@@ -56,32 +61,16 @@ class PoissonTensorField:
     def upper_entries(self):
         return dict(self._entries)
 
-    def matrix_at(self, point):
-        vals = {}
-        for (i, j), p in self._entries.items():
-            vals[(i, j)] = p.eval(point)
-        zero = Fraction(0) if all(is_exact_scalar(x) for x in point) else 0.0
-        M = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j), v in vals.items():
-            M[i][j] = v
-            M[j][i] = -v
-        return M
+    def values_at(self, point) -> dict:
+        """{(i, j): P^{ij}(point)} over the stored entries, i < j."""
+        return {ij: p.eval(point) for ij, p in self._entries.items()}
 
-    def derivative_tensors_at(self, point):
-        """List over k of the skew matrices d/dx_k P^{ij} evaluated at point."""
-        zero = Fraction(0) if all(is_exact_scalar(x) for x in point) else 0.0
-        out = []
-        for k in range(self.dim):
-            M = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-            out.append(M)
+    def derivatives_at(self, point) -> list:
+        """Per coordinate k, {(i, j): d/dx_k P^{ij}(point)} over the entries containing x_k."""
+        out = [{} for _ in range(self.dim)]
         for (i, j), p in self._entries.items():
-            for k in range(self.dim):
-                dp = p.diff(k)
-                if dp.is_zero():
-                    continue
-                v = dp.eval(point)
-                out[k][i][j] = v
-                out[k][j][i] = -v
+            for k in {k for mono in p.terms for k, e in enumerate(mono) if e}:
+                out[k][i, j] = p.diff(k).eval(point)
         return out
 
     # -- structural checks -------------------------------------------------
@@ -104,12 +93,6 @@ class PoissonTensorField:
                         return False
         return True
 
-    def scale(self, c) -> "PoissonTensorField":
-        out = PoissonTensorField(self.dim, self.vars)
-        for (i, j), p in self._entries.items():
-            out.set_entry(i, j, p * c)
-        return out
-
     def add(self, other: "PoissonTensorField") -> "PoissonTensorField":
         if other.dim != self.dim:
             raise DimensionMismatchError("field dimension mismatch")
@@ -130,55 +113,85 @@ def fields_compatible(field0: PoissonTensorField, field_inf: PoissonTensorField)
             and field0.add(field_inf).verify_jacobi())
 
 
+def lift(poly: Poly, dim: int, offset: int) -> Poly:
+    """``poly`` in ``dim`` variables, its variable t renamed to offset + t."""
+    out = {}
+    for mono, c in poly.terms.items():
+        m = [0] * dim
+        for t, e in enumerate(mono):
+            m[offset + t] = e
+        out[tuple(m)] = c
+    return Poly(dim, out)
+
+
 def direct_sum(a0: PoissonTensorField, ainf: PoissonTensorField,
                b0: PoissonTensorField, binf: PoissonTensorField):
     """Block-diagonal concatenation of two pencils."""
     d = a0.dim + b0.dim
     names = [f"p.{v}" for v in a0.vars] + [f"q.{v}" for v in b0.vars]
 
-    def lift(poly: Poly, offset: int) -> Poly:
-        out = {}
-        for mono, c in poly.terms.items():
-            newmono = [0] * d
-            for t, e in enumerate(mono):
-                newmono[offset + t] = e
-            out[tuple(newmono)] = c
-        return Poly(d, out)
-
     def combine(fa: PoissonTensorField, fb: PoissonTensorField) -> PoissonTensorField:
         out = PoissonTensorField(d, names)
         for (i, j), p in fa.upper_entries().items():
-            out.set_entry(i, j, lift(p, 0))
+            out.set_entry(i, j, lift(p, d, 0))
         off = a0.dim
         for (i, j), p in fb.upper_entries().items():
-            out.set_entry(i + off, j + off, lift(p, off))
+            out.set_entry(i + off, j + off, lift(p, d, off))
         return out
 
     return combine(a0, b0), combine(ainf, binf)
 
 
+def skew(dim: int, entries, lam):
+    """The dense skew matrix a0 + lam * ainf (ainf alone at lam = INF) of the
+    upper ``entries`` (i, j, a0, ainf).  Each cell is computed as the dense sum
+    A0 + lam * Ainf computes it, the lower one from -a0 and -ainf, so that
+    float cells keep their signed zeros."""
+    at_inf = is_inf(lam)
+    zero = ZERO if at_inf else ZERO + lam * ZERO
+    M = [[zero] * dim for _ in range(dim)]
+    for i, j, a0, ainf in entries:
+        M[i][j], M[j][i] = (ainf, -ainf) if at_inf else (a0 + lam * ainf, -a0 + lam * -ainf)
+    return M
+
+
 @dataclass
 class PencilAtPoint:
-    """A pencil evaluated at one point: the two skew matrices plus first derivatives."""
+    """A pencil at one point, as its nonzero entries.
+
+    ``entries`` lists (i, j, a0, ainf) for i < j, sorted, with a0 and ainf the
+    values of P_0^{ij} and P_inf^{ij} at the point, not both zero;
+    ``derivatives[k]`` lists the same for d/dx_k of the two generators.
+    """
 
     dim: int
-    A0: list
-    Ainf: list
-    dA0: list
-    dAinf: list
+    entries: list
+    derivatives: list
     point: list
+
+    @property
+    def A0(self):
+        return self.matrix_at(ZERO)
+
+    @property
+    def Ainf(self):
+        return self.matrix_at(INF)
 
     def matrix_at(self, lam):
         """P_lambda(x) = A0 + lam * Ainf, with lam = INF meaning Ainf alone."""
-        if is_inf(lam):
-            return [list(row) for row in self.Ainf]
-        return mat_add(self.A0, mat_scale(self.Ainf, lam))
+        return skew(self.dim, self.entries, lam)
 
     def derivative_at(self, lam, k: int):
         """d/dx_k of P_lambda at the point."""
-        if is_inf(lam):
-            return [list(row) for row in self.dAinf[k]]
-        return mat_add(self.dA0[k], mat_scale(self.dAinf[k], lam))
+        return skew(self.dim, self.derivatives[k], lam)
+
+
+def _nonzero_pairs(values0: dict, values_inf: dict) -> list:
+    """Sorted (i, j, v0, vinf) over the keys (i, j) of either dict, a missing
+    value zero, with no entry zero in both."""
+    pairs = [(i, j, values0.get((i, j), ZERO), values_inf.get((i, j), ZERO))
+             for i, j in sorted(values0.keys() | values_inf.keys())]
+    return [e for e in pairs if e[2] != 0 or e[3] != 0]
 
 
 def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
@@ -195,24 +208,15 @@ def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
             f"point has arity {len(point)}, expected {field0.dim}")
     if exact_required and not all(is_exact_scalar(x) for x in point):
         raise NonRationalPointError("exact mode requires a rational point")
-    return PencilAtPoint(
-        dim=field0.dim,
-        A0=field0.matrix_at(point),
-        Ainf=field_inf.matrix_at(point),
-        dA0=field0.derivative_tensors_at(point),
-        dAinf=field_inf.derivative_tensors_at(point),
-        point=list(point),
-    )
+    derivatives = zip(field0.derivatives_at(point), field_inf.derivatives_at(point))
+    return PencilAtPoint(field0.dim,
+                         _nonzero_pairs(field0.values_at(point), field_inf.values_at(point)),
+                         [_nonzero_pairs(d0, dinf) for d0, dinf in derivatives], list(point))
 
 
 def constant_pencil(A0, Ainf) -> PencilAtPoint:
     """PencilAtPoint for a constant pair of skew matrices (derivatives vanish)."""
     d = len(A0)
-    return PencilAtPoint(
-        dim=d,
-        A0=[list(r) for r in A0],
-        Ainf=[list(r) for r in Ainf],
-        dA0=[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)],
-        dAinf=[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)],
-        point=[Fraction(0)] * d,
-    )
+    entries = [(i, j, A0[i][j], Ainf[i][j]) for i in range(d) for j in range(i + 1, d)
+               if A0[i][j] != 0 or Ainf[i][j] != 0]
+    return PencilAtPoint(d, entries, [[] for _ in range(d)], [ZERO] * d)

@@ -285,3 +285,27 @@ def test_toda_compares_a_spectrum_of_mixed_kinds(monkeypatch, capsys):
     values = ["1/2", 1.5, {"re": 1.0, "im": -2.0}, "-1", {"re": "1", "im": "2"}, 0.0]
     same = [-0.0, {"re": "1", "im": "2"}, "-1", {"re": 1.0, "im": -2.0}, 1.5, "1/2"]
     assert sorted(values, key=cli._scalar_key) == sorted(same, key=cli._scalar_key)
+
+
+VALID_PENCIL = {"dim": 2, "P0": [{"i": 1, "j": 2, "poly": [{"c": "1", "m": [0, 0]}]}],
+                "Pinf": []}
+
+
+@pytest.mark.parametrize("change", [
+    {"P0": 5}, {"vars": 5}, {"P0": [{"i": 1, "j": 2, "poly": 5}]}, {"declared_rank": "x"},
+    {"dim": 2.5}, {"declared_rank": 2.5},
+    {"P0": [{"i": 1, "j": 2, "poly": [{"c": "1", "m": [1.5, 0]}]}]}])
+def test_malformed_pencil_file_is_an_input_error(tmp_path, change, capsys):
+    path = tmp_path / "bad.pencil.json"
+    path.write_text(json.dumps({**VALID_PENCIL, **change}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert code == 1 and json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("algebra_doc, cocycle_doc", [
+    ({"dim": 2, "structure": []}, []),
+    ({"dim": 2, "field": "quaternion", "structure": []}, {"dim": 2, "cocycle": []}),
+    ({"dim": 2.5, "structure": []}, {"dim": 2, "cocycle": []})])
+def test_malformed_linear_file_is_an_input_error(tmp_path, algebra_doc, cocycle_doc, capsys):
+    code, out, err = run_cli(write_linear_inputs(tmp_path, algebra_doc, cocycle_doc), capsys)
+    assert code == 1 and json.loads(err)["error"] == "input"

@@ -42,9 +42,9 @@ def test_evaluate_pencil_so3_origin():
     p = evaluate_pencil(e.field0, e.field_inf, [Fraction(0)] * 3)
     assert all(v == 0 for row in p.A0 for v in row)
     # derivative in the third coordinate has (1,2)-entry 1: P^{12} = x3
-    assert p.dA0[2][0][1] == 1
+    assert p.derivative_at(Fraction(0), 2)[0][1] == 1
     # constant generator: derivatives vanish
-    assert all(v == 0 for M in p.dAinf for row in M for v in row)
+    assert all(v == 0 for k in range(3) for row in p.derivative_at(INF, k) for v in row)
 
 
 def test_evaluate_pencil_toda_example():
@@ -236,11 +236,12 @@ def test_a_skew_matrix_of_rank_zero_mod_p_is_not_taken_for_regular():
     zero = [[Fraction(0)] * 2 for _ in range(2)]
     # every draw has rank 2 over Q and rank 0 mod P: F_P finds no regular
     # draw, so it proves nothing, and the exact rank sees the rank
-    assert quotient_dim_mod_p(A0, zero, SamplingPolicy(1), rank=2) is None
+    assert quotient_dim_mod_p(constant_pencil(A0, zero), SamplingPolicy(1), rank=2) is None
     assert pencil._is_regular(constant_pencil(A0, zero), Fraction(1, 3), EXACT, 2)
     # a Gaussian entry has no residue: F_P proves nothing
     i = QQi(Fraction(0), Fraction(1))
-    assert quotient_dim_mod_p([[0, i], [-i, 0]], zero, SamplingPolicy(1), rank=2) is None
+    assert quotient_dim_mod_p(constant_pencil([[0, i], [-i, 0]], zero), SamplingPolicy(1),
+                              rank=2) is None
 
 
 def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
@@ -266,3 +267,42 @@ def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
         assert len(kernels) == 1, e.name
         drawn = regular_parameters(p, sampler.spawn(3), 2, rank=p.dim - core.corank)
         assert [spec.recursion.alpha, spec.recursion.beta] == [lam for lam, _ in drawn]
+
+
+def _pencil_cases():
+    """(name, field0, field_inf, point): every catalog entry at its point and at
+    a random one, and Toda n = 2..4 at a singular and a random point."""
+    sp = SamplingPolicy(21)
+    for e in catalog():
+        yield e.name, e.field0, e.field_inf, e.point
+        yield e.name, e.field0, e.field_inf, sp.rational_point(e.field0.dim)
+    for n in range(2, 5):
+        p0, pinf = toda_pencil(n)
+        for pt in (make_singular_point(n, seed=1), random_point(n, seed=n)):
+            yield f"toda{n}", p0, pinf, pt.coordinates()
+
+
+def _dense(field0, field_inf, point, lam, k=None):
+    """P_lambda, or d/dx_k of it, entry by entry from the polynomial fields."""
+    def value(f, i, j):
+        poly = f.entry(i, j) if k is None else f.entry(i, j).diff(k)
+        return poly.eval(point)
+    d = field0.dim
+    if is_inf(lam):
+        return [[value(field_inf, i, j) for j in range(d)] for i in range(d)]
+    return [[value(field0, i, j) + lam * value(field_inf, i, j) for j in range(d)]
+            for i in range(d)]
+
+
+def test_sparse_pencil_equals_the_dense_formula():
+    lams = (Fraction(0), Fraction(-3, 7), QQi(Fraction(1, 2), Fraction(-2)), INF)
+    for name, f0, finf, point in _pencil_cases():
+        p = evaluate_pencil(f0, finf, point)
+        for lam in lams:
+            assert p.matrix_at(lam) == _dense(f0, finf, point, lam), (name, lam)
+            for k in range(p.dim):
+                assert p.derivative_at(lam, k) == _dense(f0, finf, point, lam, k), (name, lam, k)
+        q = constant_pencil(p.A0, p.Ainf)
+        assert q.A0 == p.A0 and q.Ainf == p.Ainf, name
+        assert all(a != 0 or b != 0 for entries in [p.entries] + p.derivatives
+                   for _, _, a, b in entries), name
