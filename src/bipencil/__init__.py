@@ -18,14 +18,13 @@ from .errors import (BipencilError, DimensionMismatchError, InputFormatError,
                      ToleranceError)
 from .jk import (JKInvariants, JordanBlock, KroneckerBlock,
                  assemble_jk_canonical_pair, congruent_pair, jk_invariants)
-from .liealg import (LieAlgebra, LinearPencil, TwoCocycle,
-                     argument_shift_cocycle, central_extension, is_cocycle,
-                     is_regular_cocycle, kernel_of_cocycle)
+from .liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shift_cocycle,
+                     is_cocycle, is_regular_cocycle, kernel_of_cocycle)
 from .linearization import kernel_form, linearize
 from .pencil import (IsotropicCore, RecursionOperator, Spectrum,
                      compute_core, compute_spectrum, is_diagonalizable,
                      kernel_basis, pencil_rank_corank, quotient_basis, quotient_form,
-                     quotient_operator, rank_at, recursion_operator)
+                     rank_at, recursion_operator)
 from .poly import Poly
 from .roots import (BlockDecomposition, LinearAnalysis, RootData, WilliamsonType,
                     analyze_linear, classify, is_nondegenerate_linear,
@@ -33,8 +32,6 @@ from .roots import (BlockDecomposition, LinearAnalysis, RootData, WilliamsonType
 from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, float_mode
 from .tensorfield import (PencilAtPoint, PoissonTensorField, constant_pencil,
-                          direct_sum, evaluate_pencil, fields_compatible)
-from .toda import (LaxMatrix, TodaPoint, constant_lattice, kernel_product,
-                   lax_matrix, make_singular_point, monodromy, random_point,
-                   toda_kernel_algebra_check, toda_pencil, toda_pencil_at,
-                   toda_spectrum_via_lax, wronskian)
+                          direct_sum, evaluate_pencil)
+from .toda import (LaxMatrix, TodaPoint, lax_matrix, make_singular_point, random_point,
+                   toda_pencil, toda_spectrum_via_lax)

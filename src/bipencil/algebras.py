@@ -1,10 +1,10 @@
-"""Constructions of the standard Lie algebras used across tests and the catalog."""
+"""The Lie algebras of the catalog's argument-shift pencils."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .liealg import COMPLEX, REAL, LieAlgebra
+from .liealg import REAL, LieAlgebra
 
 
 def so3() -> LieAlgebra:
@@ -40,15 +40,6 @@ def so3_complex_real_form() -> LieAlgebra:
         vec_m = [Fraction(0)] * 6
         vec_m[k] = Fraction(-1)
         g.set_bracket(3 + i, 3 + j, vec_m)    # [F_i, F_j] = -E_k
-    return g
-
-
-def so3_complex() -> LieAlgebra:
-    """so(3) with complex scalars (for complex-field linear pencils)."""
-    g = LieAlgebra(3, COMPLEX, ["e1", "e2", "e3"])
-    g.set_bracket(0, 1, [0, 0, Fraction(1)])
-    g.set_bracket(1, 2, [Fraction(1), 0, 0])
-    g.set_bracket(2, 0, [0, Fraction(1), 0])
     return g
 
 
@@ -89,34 +80,6 @@ def diamond_complexified() -> LieAlgebra:
                 vec[target] = Fraction(sign)
                 g.set_bracket(i + di, j + dj, vec)
     return g
-
-
-def diamond_complex() -> LieAlgebra:
-    """Diamond with complex scalars (4-dim over C)."""
-    g = LieAlgebra(4, COMPLEX, ["e", "f", "h", "t"])
-    g.set_bracket(0, 1, [0, 0, Fraction(1), 0])
-    g.set_bracket(3, 0, [0, Fraction(1), 0, 0])
-    g.set_bracket(3, 1, [Fraction(-1), 0, 0, 0])
-    return g
-
-
-def heisenberg() -> LieAlgebra:
-    """[e1, e2] = e3."""
-    g = LieAlgebra(3, REAL, ["e1", "e2", "e3"])
-    g.set_bracket(0, 1, [0, 0, Fraction(1)])
-    return g
-
-
-def euclidean_e2() -> LieAlgebra:
-    """e(2): [t,e]=f, [t,f]=-e, [e,f]=0 (basis e, f, t)."""
-    g = LieAlgebra(3, REAL, ["e", "f", "t"])
-    g.set_bracket(2, 0, [0, Fraction(1), 0])
-    g.set_bracket(2, 1, [Fraction(-1), 0, 0])
-    return g
-
-
-def abelian(n: int, field: str = REAL) -> LieAlgebra:
-    return LieAlgebra(n, field, [f"v{i + 1}" for i in range(n)])
 
 
 def so4() -> LieAlgebra:

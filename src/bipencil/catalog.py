@@ -39,17 +39,6 @@ class CatalogEntry:
     casimirs: list = field(default_factory=list)   # polynomial Casimirs of P_0
     description: str = ""
 
-    def casimir_family(self, lam) -> list:
-        """Polynomial Casimirs of P_lambda for argument-shift entries.
-
-        P_lambda(x) equals the Lie-Poisson matrix at x + lambda*a, so shifted
-        Casimirs q(x + lambda a) annihilate P_lambda pointwise.
-        """
-        if self.shift is None:
-            raise ValueError(f"{self.name} has no argument-shift structure")
-        offsets = [lam * ai for ai in self.shift]
-        return [q.shift(offsets) for q in self.casimirs]
-
 
 def _constant_field(dim: int, matrix, varnames=None) -> PoissonTensorField:
     f = PoissonTensorField(dim, varnames)

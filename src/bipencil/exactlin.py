@@ -457,69 +457,6 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     return out
 
 
-def subspace_dim(vectors, mode: Mode = EXACT) -> int:
-    if not vectors:
-        return 0
-    return mat_rank(vectors, mode)
-
-
-def symmetric_signature(S):
-    """(positive, negative, zero) inertia of an exact symmetric matrix.
-
-    Congruence diagonalization over the rationals; when no nonzero diagonal
-    pivot exists, a row/column addition creates one (the standard trick).
-    """
-    n = len(S)
-    A = [[Fraction(x) for x in row] for row in S]
-    pos = neg = 0
-    rows = list(range(n))
-    k = 0
-    while k < n:
-        piv = None
-        for r in range(k, n):
-            if A[r][r] != 0:
-                piv = r
-                break
-        if piv is None:
-            hot = None
-            for r in range(k, n):
-                for c in range(r + 1, n):
-                    if A[r][c] != 0:
-                        hot = (r, c)
-                        break
-                if hot:
-                    break
-            if hot is None:
-                break  # remaining block is zero
-            r, c = hot
-            for t in range(n):
-                A[r][t] = A[r][t] + A[c][t]
-            for t in range(n):
-                A[t][r] = A[t][r] + A[t][c]
-            continue
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            for t in range(n):
-                A[t][k], A[t][piv] = A[t][piv], A[t][k]
-        d = A[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            if A[r][k] != 0:
-                f = A[r][k] / d
-                for t in range(n):
-                    A[r][t] = A[r][t] - f * A[k][t]
-        for t in range(k + 1, n):
-            if A[k][t] != 0:
-                f = A[k][t] / d
-                for r in range(n):
-                    A[r][t] = A[r][t] - f * A[r][k]
-        k += 1
-    return pos, neg, n - pos - neg
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials and exact root extraction
 # ---------------------------------------------------------------------------

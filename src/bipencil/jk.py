@@ -96,7 +96,7 @@ def assemble_jk_canonical_pair(blocks) -> PencilAtPoint:
     for n, piece in pieces:
         entries += sorted((d + i, d + j, a, b) for i, j, a, b in piece)
         d += n
-    return PencilAtPoint(d, entries, [[] for _ in range(d)], [Fraction(0)] * d)
+    return PencilAtPoint(d, entries, [Fraction(0)] * d)
 
 
 def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:
@@ -107,11 +107,9 @@ def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:
     return constant_pencil(A, B)
 
 
-def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy | None = None,
+def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
                   mode: Mode = EXACT) -> JKInvariants:
     """Recover the JK block data of the evaluated pair (invariants only)."""
-    if sampler is None:
-        sampler = SamplingPolicy(23)
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode)
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
 from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, identity,
                        mat_add, mat_mul, mat_rank, mat_scale, nullspace,
-                       poly_squarefree_part, solve_exact, svd_rank, to_numpy, transpose)
+                       poly_squarefree_part, svd_rank, to_numpy)
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
@@ -133,29 +133,6 @@ class LieAlgebra:
                             [Fraction(0)] * self.dim + list(vec))
         return out
 
-    def quotient_by_central(self, ideal_basis) -> tuple:
-        """Quotient by a central ideal; returns (algebra, complement_basis)."""
-        for z in ideal_basis:
-            adz = self.ad_matrix(z)
-            if any(v != 0 for row in adz for v in row):
-                raise PreconditionError("ideal basis vector is not central")
-        ideal = [list(z) for z in ideal_basis]
-        full = basis_union(ideal, identity(self.dim))
-        basis_mat = full[len(ideal):]
-        m = len(basis_mat)
-        out = LieAlgebra(m, self.field, [self.labels[e.index(1)] for e in basis_mat])
-        A = transpose(full)
-        for u in range(m):
-            for v in range(u + 1, m):
-                w = self.bracket(basis_mat[u], basis_mat[v])
-                coords = solve_exact(A, w)
-                if coords is None:
-                    raise PreconditionError("quotient bracket left the span")
-                out.set_bracket(u, v, coords[len(ideal):])
-        if not out.verify_jacobi():
-            raise PreconditionError("quotient failed the Jacobi identity")
-        return out, basis_mat
-
     def to_json_dict(self) -> dict:
         triples = []
         for (i, j), vec in sorted(self._c.items()):
@@ -175,7 +152,12 @@ class LieAlgebra:
             field_name = data.get("field", REAL)
             if field_name not in (REAL, COMPLEX):
                 raise InputFormatError("'field' must be 'real' or 'complex'", position="field")
-            alg = cls(dim, field_name, data.get("basis"))
+            labels = data.get("basis")
+            if labels is not None and not (isinstance(labels, list) and len(labels) == dim
+                                           and all(isinstance(label, str) for label in labels)):
+                raise InputFormatError(f"'basis' must be a list of {dim} strings",
+                                       position="basis")
+            alg = cls(dim, field_name, labels)
             acc: dict = {}
             for t in data.get("structure", []):
                 i, j, k = (parse_int(t[key]) - 1 for key in "ijk")
@@ -345,31 +327,9 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
     return CocycleKernel(basis=basis, abelian=abelian, ad_semisimple=semisimple)
 
 
-def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle) -> LieAlgebra:
-    """One-dimensional central extension [x,y]_A = [x,y] + A(x,y) z."""
-    d = algebra.dim
-    out = LieAlgebra(d + 1, algebra.field, algebra.labels + ["z"])
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec = algebra.structure_vector(i, j) + [cocycle.matrix[i][j]]
-            out.set_bracket(i, j, vec)
-    if not out.verify_jacobi():
-        raise PreconditionError("central extension failed Jacobi (form is not closed)")
-    # the lift of A must be the coboundary of the new dual coordinate
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = [Fraction(1) if t == i else Fraction(0) for t in range(d + 1)]
-            ej = [Fraction(1) if t == j else Fraction(0) for t in range(d + 1)]
-            if out.bracket(ei, ej)[d] != cocycle.matrix[i][j]:
-                raise PreconditionError("lifted form is not the coboundary of z*")
-    return out
-
-
-def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy | None = None,
+def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,
                        mode: Mode = EXACT) -> bool:
     """rank of the associated pencil equals rank A (sampled, exact re-check)."""
-    if sampler is None:
-        sampler = SamplingPolicy(31)
     d = lp.algebra.dim
     target = lp.cocycle.rank(mode)
     npoints = 2 * d + 3

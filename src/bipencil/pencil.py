@@ -15,7 +15,7 @@ from .errors import RankDeficientPointError, SingularParameterError, ToleranceEr
 from .exactlin import (basis_union, bilinear, eigenvalues,
                        has_inexact_entries, identity, inverse, mat_mul, mat_rank,
                        mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, residues,
-                       restrict, span_mod_p)
+                       span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
@@ -343,15 +343,3 @@ def is_diagonalizable(form, corank: int, mode: Mode = EXACT) -> bool:
     it (to it at infinity), so both have the same kernel dimension.
     """
     return len(form) - mat_rank(form, mode) == corank
-
-
-def quotient_operator(op_matrix, qbasis, core_basis, mode: Mode = EXACT):
-    """Matrix on L^perp / L induced by an operator preserving L and L^perp.
-
-    Images are resolved in the combined (quotient + core) span and the core
-    component is discarded.
-    """
-    M = restrict(op_matrix, qbasis, mode, modulo=core_basis)
-    if M is None:
-        raise ToleranceError("operator does not preserve the quotient span")
-    return M

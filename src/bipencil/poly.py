@@ -118,36 +118,6 @@ class Poly:
             out[tuple(lowered)] = c * e
         return Poly(self.nvars, out)
 
-    def gradient(self) -> list:
-        return [self.diff(i) for i in range(self.nvars)]
-
-    def hessian(self) -> list:
-        grads = self.gradient()
-        return [[grads[i].diff(j) for j in range(self.nvars)] for i in range(self.nvars)]
-
-    def shift(self, offsets) -> "Poly":
-        """Compose with the translation x_i -> x_i + offsets[i] (exact expansion)."""
-        from math import comb
-
-        if len(offsets) != self.nvars:
-            raise ValueError("offset arity mismatch")
-        out = Poly.zero(self.nvars)
-        for mono, c in self.terms.items():
-            expanded = Poly.constant(self.nvars, c)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                binom = Poly.zero(self.nvars)
-                for k in range(e + 1):
-                    coef = Fraction(comb(e, k)) * (Fraction(offsets[i]) ** (e - k))
-                    if coef != 0:
-                        m = [0] * self.nvars
-                        m[i] = k
-                        binom = binom + Poly.monomial(self.nvars, m, coef)
-                expanded = expanded * binom
-            out = out + expanded
-        return out
-
     def eval(self, point):
         """Evaluate at a point of Fractions (exact result) or floats/complex."""
         if len(point) != self.nvars:
@@ -161,11 +131,6 @@ class Poly:
                     term = term * x
             total = total + term
         return total
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import ToleranceError
 from .exactlin import (coords_in_span, eigenvalues, identity,
-                       mat_rank, mat_sub, mat_scale, nullspace, restrict,
-                       subspace_dim)
+                       mat_rank, mat_sub, mat_scale, nullspace, restrict)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
                       simplify_scalar)
@@ -330,7 +329,7 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
 
     center = g.center(mode)
     derived = g.derived_basis(mode)
-    out.abelian_dim = subspace_dim(center + derived, mode) - subspace_dim(derived, mode)
+    out.abelian_dim = mat_rank(center + derived, mode) - mat_rank(derived, mode)
     out.central_ideal_dim = out.block_dim_total(data.field) + out.abelian_dim - g.dim
     if out.central_ideal_dim < 0:
         raise ToleranceError("block reconstruction identity failed")

@@ -14,7 +14,7 @@ MAX_NUM = MAX_DEN = 1000
 
 
 class SamplingPolicy:
-    """Seeded source of generic rational parameters and small matrices."""
+    """Seeded source of generic rational parameters and points."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -50,15 +50,6 @@ class SamplingPolicy:
 
     def rational_point(self, dim: int, max_num: int = 10, max_den: int = 4) -> list:
         return [self.small_rational(max_num, max_den) for _ in range(dim)]
-
-    def integer_matrix(self, n: int, lo: int = -3, hi: int = 3) -> list:
-        """Random invertible integer matrix (exact determinant check)."""
-        from .exactlin import mat_rank_exact
-
-        while True:
-            m = [[Fraction(self._rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
-            if mat_rank_exact(m) == n:
-                return m
 
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)

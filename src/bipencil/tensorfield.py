@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatchError, NonRationalPointError
 from .poly import Poly
@@ -73,46 +74,6 @@ class PoissonTensorField:
                 out[k][i, j] = p.diff(k).eval(point)
         return out
 
-    # -- structural checks -------------------------------------------------
-    def jacobi_defect(self, i: int, j: int, k: int) -> Poly:
-        """The (i,j,k) component of the Jacobiator, as an exact polynomial."""
-        total = Poly.zero(self.dim)
-        for l in range(self.dim):
-            total = total + self.entry(l, k) * self.entry(i, j).diff(l)
-            total = total + self.entry(l, i) * self.entry(j, k).diff(l)
-            total = total + self.entry(l, j) * self.entry(k, i).diff(l)
-        return total
-
-    def verify_jacobi(self) -> bool:
-        """Exact polynomial Jacobi identity over all index triples."""
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    if not self.jacobi_defect(i, j, k).is_zero():
-                        return False
-        return True
-
-    def add(self, other: "PoissonTensorField") -> "PoissonTensorField":
-        if other.dim != self.dim:
-            raise DimensionMismatchError("field dimension mismatch")
-        out = PoissonTensorField(self.dim, self.vars)
-        keys = set(self._entries) | set(other._entries)
-        for (i, j) in keys:
-            out.set_entry(i, j, self.entry(i, j) + other.entry(i, j))
-        return out
-
-
-def fields_compatible(field0: PoissonTensorField, field_inf: PoissonTensorField) -> bool:
-    """Exact compatibility: the sum of two Poisson fields is again Poisson.
-
-    Each field must satisfy Jacobi on its own; the mixed identity is then
-    equivalent to Jacobi for field0 + field_inf.
-    """
-    return (field0.verify_jacobi() and field_inf.verify_jacobi()
-            and field0.add(field_inf).verify_jacobi())
-
-
 def lift(poly: Poly, dim: int, offset: int) -> Poly:
     """``poly`` in ``dim`` variables, its variable t renamed to offset + t."""
     out = {}
@@ -161,13 +122,23 @@ class PencilAtPoint:
 
     ``entries`` lists (i, j, a0, ainf) for i < j, sorted, with a0 and ainf the
     values of P_0^{ij} and P_inf^{ij} at the point, not both zero;
-    ``derivatives[k]`` lists the same for d/dx_k of the two generators.
+    ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
+    evaluated on first use: only the linearization at a spectrum value reads
+    them.  A constant pencil has no generators and no derivatives.
     """
 
     dim: int
     entries: list
-    derivatives: list
     point: list
+    generators: tuple | None = None      # (field0, field_inf)
+
+    @cached_property
+    def derivatives(self) -> list:
+        if self.generators is None:
+            return [[] for _ in range(self.dim)]
+        field0, field_inf = self.generators
+        return [_nonzero_pairs(d0, dinf) for d0, dinf in
+                zip(field0.derivatives_at(self.point), field_inf.derivatives_at(self.point))]
 
     @property
     def A0(self):
@@ -196,7 +167,8 @@ def _nonzero_pairs(values0: dict, values_inf: dict) -> list:
 
 def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
                     point, exact_required: bool = False) -> PencilAtPoint:
-    """Evaluate both generators and their first derivatives at a point.
+    """Evaluate both generators at a point; their first derivatives follow on
+    first use of ``PencilAtPoint.derivatives``.
 
     Evaluation is exact whenever the point is rational; float points are
     allowed only when ``exact_required`` is False.
@@ -208,10 +180,9 @@ def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
             f"point has arity {len(point)}, expected {field0.dim}")
     if exact_required and not all(is_exact_scalar(x) for x in point):
         raise NonRationalPointError("exact mode requires a rational point")
-    derivatives = zip(field0.derivatives_at(point), field_inf.derivatives_at(point))
     return PencilAtPoint(field0.dim,
                          _nonzero_pairs(field0.values_at(point), field_inf.values_at(point)),
-                         [_nonzero_pairs(d0, dinf) for d0, dinf in derivatives], list(point))
+                         list(point), (field0, field_inf))
 
 
 def constant_pencil(A0, Ainf) -> PencilAtPoint:
@@ -219,4 +190,4 @@ def constant_pencil(A0, Ainf) -> PencilAtPoint:
     d = len(A0)
     entries = [(i, j, A0[i][j], Ainf[i][j]) for i in range(d) for j in range(i + 1, d)
                if A0[i][j] != 0 or Ainf[i][j] != 0]
-    return PencilAtPoint(d, entries, [[] for _ in range(d)], [ZERO] * d)
+    return PencilAtPoint(d, entries, [ZERO] * d)

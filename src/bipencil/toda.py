@@ -1,27 +1,27 @@
-"""The periodic Toda lattice in Flaschka variables, with its Lax cross-oracle.
+"""The periodic Toda lattice in Flaschka variables: its pencil, the Lax
+spectral oracle, and rational points, generic or singular.
 
 Variables are ordered (a_1..a_n, b_1..b_n); all index arithmetic is cyclic
 with period n, and Lax-side objects live on the double period 2n.  The
 spectral oracle is independent of the pencil machinery: singular parameters
 are exactly the multiplicity-two periodic or antiperiodic eigenvalues of the
-doubled Jacobi matrix.
+doubled Jacobi matrix.  ``make_singular_point`` prescribes such an eigenvalue
+through a solution of the eigen-recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import (bilinear, char_poly, coords_in_span, mat_vec, nullspace,
-                       poly_roots_hybrid, symmetric_signature, to_numpy)
-from .liealg import LieAlgebra
+from .exactlin import char_poly, mat_vec, poly_roots_hybrid, to_numpy
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, simplify_scalar
-from .tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
+from .tensorfield import PoissonTensorField
 
 
 @dataclass
@@ -79,16 +79,6 @@ def toda_pencil(n: int):
         pinf.add_to_entry(i, n + i, va(i))
         pinf.add_to_entry(i, n + j, -va(i))
     return p0, pinf
-
-
-def toda_pencil_at(pt: TodaPoint) -> PencilAtPoint:
-    p0, pinf = toda_pencil(pt.n)
-    return evaluate_pencil(p0, pinf, pt.coordinates())
-
-
-def casimir_gradient(pt: TodaPoint):
-    """Gradient of the common Casimir sum(log a_i): (1/a_i, ..., 0, ...)."""
-    return [Fraction(1) / x for x in pt.a] + [Fraction(0)] * pt.n
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +192,6 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT, warnings=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# solutions of the eigen-recursion and the kernel product
-# ---------------------------------------------------------------------------
-
-
 def lax_recursion_check(pt: TodaPoint, xi, mu=Fraction(0)) -> bool:
     """Does a 2n-sequence solve a_{i-1} x_{i-1} + (b_i - mu) x_i + a_i x_{i+1} = 0?
 
@@ -223,237 +208,6 @@ def lax_recursion_check(pt: TodaPoint, xi, mu=Fraction(0)) -> bool:
         if total != 0:
             return False
     return True
-
-
-def kernel_product(xi, eta):
-    """The product of two recursion solutions: alpha_i = xi_i eta_{i+1} + xi_{i+1} eta_i,
-    beta_i = xi_i eta_i, on the double period."""
-    m = len(xi)
-    if len(eta) != m:
-        raise PreconditionError("sequence length mismatch")
-    alpha = [xi[i] * eta[(i + 1) % m] + xi[(i + 1) % m] * eta[i] for i in range(m)]
-    beta = [xi[i] * eta[i] for i in range(m)]
-    return alpha, beta
-
-
-def fold_to_covector(pt: TodaPoint, alpha, beta):
-    """n-periodic (alpha, beta) as a phase-space covector (a-slots, b-slots)."""
-    n = pt.n
-    for i in range(n):
-        if alpha[i] != alpha[(i + n) % (2 * n)] or beta[i] != beta[(i + n) % (2 * n)]:
-            raise PreconditionError("product is not n-periodic (mixed parity inputs)")
-    return [alpha[i] for i in range(n)] + [beta[i] for i in range(n)]
-
-
-def wronskian(pt: TodaPoint, xi, eta, i: int | None = None):
-    """W_i = a_i (xi_{i+1} eta_i - xi_i eta_{i+1}); independent of i for solutions."""
-    n = pt.n
-    m = len(xi)
-    vals = [pt.a[k % n] * (xi[(k + 1) % m] * eta[k] - xi[k] * eta[(k + 1) % m])
-            for k in range(m)]
-    if any(v != vals[0] for v in vals[1:]):
-        raise PreconditionError("Wronskian is not constant; inputs do not solve "
-                                "the recursion")
-    return vals[i % m if i is not None else 0]
-
-
-@dataclass
-class Monodromy:
-    matrix: list          # 2x2, action of the shift-by-n on the solution space
-    determinant: object
-    trace: object
-    kind: str             # plus_identity | minus_identity | jordan_plus |
-                          # jordan_minus | generic
-
-
-def monodromy(pt: TodaPoint, lam=Fraction(0)) -> Monodromy:
-    """Transfer-matrix product over one period at eigenparameter ``lam``."""
-    n = pt.n
-
-    def solve_forward(x0, x1):
-        xs = [x0, x1]
-        # x_{i+1} = ((lam - b_i) x_i - a_{i-1} x_{i-1}) / a_i, sites i = 1..n (1-based)
-        for i in range(1, n + 1):
-            bi = pt.b[(i - 1) % n]
-            am = pt.a[(i - 2) % n]
-            ai = pt.a[(i - 1) % n]
-            xs.append(((lam - bi) * xs[i] - am * xs[i - 1]) / ai)
-        return xs
-
-    s1 = solve_forward(Fraction(1), Fraction(0))
-    s2 = solve_forward(Fraction(0), Fraction(1))
-    M = [[s1[n], s2[n]], [s1[n + 1], s2[n + 1]]]
-    det = simplify_scalar(M[0][0] * M[1][1] - M[0][1] * M[1][0])
-    tr = simplify_scalar(M[0][0] + M[1][1])
-    is_identity = M[0][1] == 0 and M[1][0] == 0 and M[0][0] == M[1][1]
-    if is_identity and M[0][0] == 1:
-        kind = "plus_identity"
-    elif is_identity and M[0][0] == -1:
-        kind = "minus_identity"
-    elif tr == 2:
-        kind = "jordan_plus"
-    elif tr == -2:
-        kind = "jordan_minus"
-    else:
-        kind = "generic"
-    return Monodromy(matrix=M, determinant=det, trace=tr, kind=kind)
-
-
-def double_eigensolutions(pt: TodaPoint, lam, mode: Mode = EXACT):
-    """Two independent (anti)periodic solutions certifying pencil parameter ``lam``.
-
-    Solves at the Lax eigenvalue mu = -lam; returns (xi, eta, which) and
-    raises if the eigenvalue is not double in one parity class.
-    """
-    mu = -lam
-    lax = lax_matrix(pt)
-    for which, sign, block in (("periodic", 1, lax.periodic_block()),
-                               ("antiperiodic", -1, lax.antiperiodic_block())):
-        shifted = [[block[i][j] - (mu if i == j else 0) for j in range(pt.n)]
-                   for i in range(pt.n)]
-        ker = nullspace(shifted, mode)
-        if len(ker) >= 2:
-            unfold = []
-            for v in ker[:2]:
-                unfold.append(list(v) + [sign * x for x in v])
-            return unfold[0], unfold[1], which
-    raise PreconditionError(f"{lam} is not in the pencil spectrum (no double "
-                            "periodic or antiperiodic eigenvalue)")
-
-
-@dataclass
-class KernelAlgebraCheck:
-    lam: object
-    which: str
-    wronskian: object
-    commutators_ok: bool
-    pairings_ok: bool
-    cocycle_kernel_ok: bool
-    algebra_is_sl2_plus_center: bool
-    mismatches: list = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return (self.commutators_ok and self.pairings_ok and self.cocycle_kernel_ok
-                and self.algebra_is_sl2_plus_center)
-
-
-def toda_kernel_algebra_check(pt: TodaPoint, lam, mode: Mode = EXACT) -> KernelAlgebraCheck:
-    """Verify the kernel-algebra identities at a singular parameter.
-
-    Checks the three commutator identities against the structure constants of
-    the linearization, the three pairings of the constant generator, the
-    kernel of its restriction, and the sl(2, R) + center recognition.
-    """
-    xi, eta_raw, which = double_eigensolutions(pt, lam, mode)
-    # orthogonalize over one period (exact; no normalization needed)
-    n = pt.n
-    dot = lambda u, v: sum(u[i] * v[i] for i in range(n))
-    eta = [dot(xi, xi) * y - dot(xi, eta_raw) * x for x, y in zip(xi, eta_raw)]
-    p = toda_pencil_at(pt)
-    W = wronskian(pt, xi, eta)
-    mismatches = []
-
-    def fold(u, v):
-        return fold_to_covector(pt, *kernel_product(u, v))
-
-    X = fold(xi, xi)
-    Y = fold(eta, eta)
-    Z = fold(xi, eta)
-    dC = casimir_gradient(pt)
-
-    def bracket(u, v):
-        return [simplify_scalar(bilinear(p.derivative_at(lam, k), u, v) + Fraction(0))
-                for k in range(2 * n)]
-
-    def vec_eq(u, v, mod_center: bool):
-        diff = [simplify_scalar(a - b + Fraction(0)) for a, b in zip(u, v)]
-        if all(x == 0 for x in diff):
-            return True
-        if mod_center:
-            # n = 2 wrap-around: the identities close only modulo the central
-            # Casimir direction
-            return coords_in_span([dC], diff, mode) is not None
-        return False
-
-    # the b-b entries of the quadratic table make the first coefficient 4W,
-    # not 2W: d{f,g} contracted against d/da_i(-2 a_i^2) = -4 a_i
-    comm_ok = True
-    for name, got, expect in (
-            ("[X,Y] = 4W Z", bracket(X, Y), [4 * W * z for z in Z]),
-            ("[Z,X] = -2W X", bracket(Z, X), [-2 * W * x for x in X]),
-            ("[Z,Y] = 2W Y", bracket(Z, Y), [2 * W * y for y in Y])):
-        if not vec_eq(got, expect, mod_center=(n == 2)):
-            comm_ok = False
-            mismatches.append(f"commutator identity failed: {name}")
-
-    Ainf = p.Ainf
-    pair_ok = True
-    for name, got, expect in (
-            ("P(X,Y) = 4W<xi,eta>", bilinear(Ainf, X, Y), 4 * W * dot(xi, eta)),
-            ("P(Z,X) = -2W<xi,xi>", bilinear(Ainf, Z, X), -2 * W * dot(xi, xi)),
-            ("P(Z,Y) = 2W<eta,eta>", bilinear(Ainf, Z, Y), 2 * W * dot(eta, eta))):
-        if simplify_scalar(got - expect + Fraction(0)) != 0:
-            pair_ok = False
-            mismatches.append(f"pairing identity failed: {name}")
-
-    # kernel of the restricted constant form: dC and |eta|^2 X + |xi|^2 Y
-    kernel_elems = [dC, [dot(eta, eta) * x + dot(xi, xi) * y for x, y in zip(X, Y)]]
-    basis = [X, Y, Z, dC]
-    G = [[simplify_scalar(bilinear(Ainf, u, v) + Fraction(0)) for v in basis] for u in basis]
-    ker_G = nullspace(G, mode)
-    ck_ok = len(ker_G) == 2
-    for v in kernel_elems:
-        coords = coords_in_span(basis, v, mode)
-        if coords is None:
-            ck_ok = False
-            mismatches.append("claimed kernel element left the kernel span")
-            continue
-        img = mat_vec(G, coords)
-        if any(simplify_scalar(x + Fraction(0)) != 0 for x in img):
-            ck_ok = False
-            mismatches.append("claimed kernel element is not annihilated")
-
-    # structure recognition: one-dimensional center spanned by dC, derived
-    # part three-dimensional with indefinite non-degenerate Killing form
-    alg = LieAlgebra(4, "real")
-    closed = True
-    for (u, v, iu, iv) in ((X, Y, 0, 1), (X, Z, 0, 2), (X, dC, 0, 3),
-                           (Y, Z, 1, 2), (Y, dC, 1, 3), (Z, dC, 2, 3)):
-        w = bracket(u, v)
-        coords = coords_in_span(basis, w, mode)
-        if coords is None:
-            closed = False
-            mismatches.append("kernel bracket left the kernel span")
-            break
-        alg.set_bracket(iu, iv, coords)
-    sl2_ok = False
-    if closed:
-        center = alg.center(mode)
-        derived = alg.derived_basis(mode)
-        if len(center) == 1 and len(derived) == 3:
-            killing = [[sum(r1 * r2 for r1, r2 in zip(
-                _flatten(alg.ad_matrix(x)), _flatten_t(alg.ad_matrix(y))))
-                for y in derived] for x in derived]
-            pos, negs, zero = symmetric_signature(killing)
-            sl2_ok = (zero == 0 and pos == 2 and negs == 1)
-            if not sl2_ok:
-                mismatches.append(f"Killing signature {(pos, negs, zero)} is not sl(2,R)")
-        else:
-            mismatches.append("center/derived dimensions are not (1, 3)")
-    return KernelAlgebraCheck(lam=lam, which=which, wronskian=W,
-                              commutators_ok=comm_ok, pairings_ok=pair_ok,
-                              cocycle_kernel_ok=ck_ok,
-                              algebra_is_sl2_plus_center=sl2_ok,
-                              mismatches=mismatches)
-
-
-def _flatten(M):
-    return [x for row in M for x in row]
-
-
-def _flatten_t(M):
-    m = len(M)
-    return [M[j][i] for i in range(m) for j in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +265,3 @@ def make_singular_point(n: int, seed: int = 0, antiperiodic: bool = True,
                 return pt
     raise ToleranceError("failed to construct a singular lattice point")
 
-
-def constant_lattice(n: int, a=Fraction(1), b=Fraction(0)) -> TodaPoint:
-    return TodaPoint(n=n, a=[Fraction(a)] * n, b=[Fraction(b)] * n)

@@ -1,1 +1,13 @@
-"""Identities of the paper checked against the pipeline; test code, not library code."""
+"""Identities of the paper checked against the pipeline; test code, not library code.
+
+- ``casimir``: the Casimir-variation operator D_f P_alpha and its action on
+  L^perp / L;
+- ``toda``: the Toda lattice's kernel of P_lambda at a double Lax eigenvalue,
+  with its sl(2, R) + R bracket table and pairings in closed form;
+- ``algebras``: Lie algebras beside the catalog's, central extensions and
+  quotients by a central ideal;
+- ``fields``: polynomial calculus, the Jacobi identity and compatibility of
+  Poisson fields, and the shifted Casimirs of argument-shift pencils.
+
+A definition that only tests use lives here, not in ``src/``.
+"""

@@ -2,8 +2,8 @@
 
 An oracle for the linearization: on the kernel of a singular bracket it acts
 as the adjoint action of an explicit kernel element, it commutes with the
-recursion operator on L^perp / L, and reparameterizing a Casimir combination
-leaves it unchanged.
+recursion operator on L^perp / L (``quotient_operator``), and
+reparameterizing a Casimir combination leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bipencil.errors import PreconditionError
+from bipencil.errors import PreconditionError, ToleranceError
 from bipencil.exactlin import mat_vec, restrict
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, simplify_scalar
 from bipencil.tensorfield import PencilAtPoint
+
+from oracles.fields import gradient, hessian
 
 
 @dataclass
@@ -41,14 +43,11 @@ class CasimirVariation:
         return M
 
 
-def _function_data(f, point) -> FunctionData:
-    if isinstance(f, FunctionData):
-        return f
-    if isinstance(f, Poly):
-        grad = [g.eval(point) for g in f.gradient()]
-        hess = [[h.eval(point) for h in row] for row in f.hessian()]
-        return FunctionData(gradient=grad, hessian=hess, description="polynomial")
-    raise PreconditionError("f must be a Poly or FunctionData")
+def function_data(q: Poly, point, description: str = "polynomial") -> FunctionData:
+    """The first two derivatives of the polynomial ``q`` at ``point``."""
+    return FunctionData(gradient=[g.eval(point) for g in gradient(q)],
+                        hessian=[[h.eval(point) for h in row] for row in hessian(q)],
+                        description=description)
 
 
 def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> CasimirVariation:
@@ -57,7 +56,7 @@ def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> Casimir
     Requires df(x) in Ker P_alpha(x).  Entry (k, j) is
     sum_i [ d_k P^{ij} * df_i + P^{ij} * d^2f_{ik} ].
     """
-    data = _function_data(f, p.point)
+    data = function_data(f, p.point) if isinstance(f, Poly) else f
     A = p.matrix_at(alpha)
     img = mat_vec(A, data.gradient)
     scale = max([abs(complex(x)) for row in A for x in row] + [1.0])
@@ -112,3 +111,15 @@ def combine_function_data(terms, coefficients=None) -> FunctionData:
     return FunctionData(gradient=[simplify_scalar(g + Fraction(0)) if is_exact_scalar(g) else g for g in grad],
                         hessian=[[simplify_scalar(h + Fraction(0)) if is_exact_scalar(h) else h for h in row] for row in hess],
                         description=" + ".join(names))
+
+
+def quotient_operator(op_matrix, qbasis, core_basis, mode: Mode = EXACT):
+    """Matrix on L^perp / L induced by an operator preserving L and L^perp.
+
+    Images are resolved in the combined (quotient + core) span and the core
+    component is discarded.
+    """
+    M = restrict(op_matrix, qbasis, mode, modulo=core_basis)
+    if M is None:
+        raise ToleranceError("operator does not preserve the quotient span")
+    return M

@@ -10,17 +10,18 @@ from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import (bilinear, mat_mul, mat_sub, mat_vec, mat_rank,
                                nullspace)
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
-from bipencil.pencil import (compute_core, quotient_basis, quotient_operator,
-                             recursion_operator)
+from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF
 from bipencil.tensorfield import PoissonTensorField, direct_sum, evaluate_pencil
-from bipencil.toda import constant_lattice, make_singular_point, random_point, toda_pencil
+from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from golden import fixture_dir, report_text
-from oracles.casimir import (FunctionData, casimir_variation, combine_function_data,
-                             reparameterize_casimir_combination)
+from oracles.casimir import (casimir_variation, combine_function_data, function_data,
+                             quotient_operator, reparameterize_casimir_combination)
+from oracles.fields import shift
+from oracles.toda import constant_lattice
 from pipeline import core_of, linearize_at
 
 F = Fraction
@@ -132,6 +133,28 @@ def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
                         AnalysisParams(seed=1, declared_rank=6))
     assert rep.verdict.kind == "Regular" and rep.warnings == []
     assert len(cores) == 1
+
+
+@pytest.mark.parametrize("make_point, kind, calls", [
+    (random_point, "Regular", 0), (make_singular_point, "NonDegenerate", 2)])
+def test_derivatives_are_evaluated_only_where_linearized(monkeypatch, make_point, kind,
+                                                          calls):
+    # the rank samples, the nearby points of the spot check and a Regular
+    # point read no derivatives; a singular point evaluates each generator's
+    # once, at the point itself
+    points = []
+    real = PoissonTensorField.derivatives_at
+
+    def derivatives_at(self, point):
+        points.append(list(point))
+        return real(self, point)
+
+    monkeypatch.setattr(PoissonTensorField, "derivatives_at", derivatives_at)
+    f0, finf = toda_pencil(4)
+    pt = make_point(4, 1).coordinates()
+    rep = analyze_point(f0, finf, pt, AnalysisParams(seed=1))
+    assert rep.verdict.kind == kind
+    assert points == [pt] * calls
 
 
 def test_a_bad_prime_changes_no_report(monkeypatch):
@@ -287,7 +310,7 @@ def test_variation_hessian_identity_at_critical_point():
     f = Poly.monomial(3, (2, 0, 0))          # x^2, critical on the x = 0 plane
     D = casimir_variation(p, f, F(0))
     A = p.matrix_at(F(0))
-    hess = [[h.eval(p.point) for h in row] for row in f.hessian()]
+    hess = function_data(f, p.point).hessian
     for j in range(3):
         xi = [F(1) if t == j else F(0) for t in range(3)]
         pxi = mat_vec(A, xi)
@@ -317,7 +340,7 @@ def toda2_families():
 
     def family(q):
         def f(alpha):
-            return q.shift([F(0), F(0), alpha, alpha])
+            return shift(q, [F(0), F(0), alpha, alpha])
         return f
 
     return family(det_per), family(det_anti)
@@ -338,13 +361,8 @@ def test_variation_restricted_to_kernel_is_ad():
     alphas = [F(1), F(3)]
     beta = F(2)
     coeffs = [F(1), F(-1, 2)]
-    terms = []
-    for al, c in zip(alphas, coeffs):
-        q = anti(al)
-        terms.append(FunctionData(
-            gradient=[g.eval(point) for g in q.gradient()],
-            hessian=[[h.eval(point) for h in row] for row in q.hessian()],
-            description=f"anti-block determinant at {al}"))
+    terms = [function_data(anti(al), point, f"anti-block determinant at {al}")
+             for al in alphas]
     f = combine_function_data(terms, coeffs)
     D = casimir_variation(p, f, beta)
 
@@ -382,17 +400,7 @@ def test_reparameterize_operator_equality():
     alphas = [F(1), F(-2)]
     alpha = F(3)
 
-    def make_terms():
-        out = []
-        for al in alphas:
-            q = anti(al)
-            out.append(FunctionData(
-                gradient=[g.eval(point) for g in q.gradient()],
-                hessian=[[h.eval(point) for h in row] for row in q.hessian()],
-                description=f"f_{al}"))
-        return out
-
-    terms = make_terms()
+    terms = [function_data(anti(al), point, f"f_{al}") for al in alphas]
     f = combine_function_data(terms, [F(1), F(1)])
     D_f = casimir_variation(p, f, alpha)
     for beta in (F(5), F(-1, 3), INF):
@@ -411,9 +419,7 @@ def test_variation_skew_and_commutes_with_recursion():
     p0, pinf = toda_pencil(2)
     p = evaluate_pencil(p0, pinf, point)
     per, anti = toda2_families()
-    q = anti(F(2))
-    f = FunctionData(gradient=[g.eval(point) for g in q.gradient()],
-                     hessian=[[h.eval(point) for h in row] for row in q.hessian()])
+    f = function_data(anti(F(2)), point)
     beta = F(2)
     D = casimir_variation(p, f, beta)
     # skew-symmetry with respect to two distinct brackets of the pencil

@@ -309,3 +309,10 @@ def test_malformed_pencil_file_is_an_input_error(tmp_path, change, capsys):
 def test_malformed_linear_file_is_an_input_error(tmp_path, algebra_doc, cocycle_doc, capsys):
     code, out, err = run_cli(write_linear_inputs(tmp_path, algebra_doc, cocycle_doc), capsys)
     assert code == 1 and json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("basis", [["a"], "xyz", ["a", "b", "c", "d"], ["a", "b", 3], []])
+def test_algebra_basis_must_be_dim_strings(tmp_path, basis, capsys):
+    argv = write_linear_inputs(tmp_path, {"dim": 3, "basis": basis, "structure": []},
+                               {"dim": 3, "cocycle": []})
+    assert_input_error(*run_cli(argv, capsys), "basis")

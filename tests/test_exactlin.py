@@ -11,8 +11,7 @@ from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear
                                char_poly, coords_in_span, identity, inverse_exact,
                                mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve_exact, span_mod_p,
-                               symmetric_signature)
+                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve_exact, span_mod_p)
 from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -551,15 +550,6 @@ def test_float_rank_threshold():
     M2 = [[1.0, 0.0], [0.0, 5e-9]]
     mat_rank(M2, fm, warnings)
     assert warnings  # borderline decision flagged
-
-
-def test_symmetric_signature():
-    assert symmetric_signature([[Fraction(2)]]) == (1, 0, 0)
-    assert symmetric_signature([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == (1, 1, 0)
-    S = [[Fraction(1), Fraction(0), Fraction(0)],
-         [Fraction(0), Fraction(-3), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(0)]]
-    assert symmetric_signature(S) == (1, 1, 1)
 
 
 def test_qqi_field_axioms():

@@ -3,7 +3,8 @@
 Every import is used (``__init__.py`` is exempt: its imports are the
 package's public re-exports), and every module imports only the standard
 library, numpy and bipencil itself: scipy, sympy and mpmath are test-only
-oracles.
+oracles.  Every module-level definition is used by the library itself or by
+the benchmark; one that only tests use belongs in ``tests/oracles``.
 """
 
 import ast
@@ -118,33 +119,41 @@ def referenced_names(source: str):
     return refs
 
 
-def dead_definitions(modules: dict, others=()):
-    """(module, line, name) of each module-level definition in ``modules``
-    that no file of ``modules`` or ``others`` refers to by name."""
+def dead_definitions(files: dict):
+    """(path, line, name) of each module-level definition in a ``src/`` file of
+    ``files`` (path: source) that names no ``src/`` file other than an
+    ``__init__.py`` and no ``perfbench/`` file: re-exports and tests are not uses."""
     refs = set()
-    for source in list(modules.values()) + list(others):
-        refs |= referenced_names(source)
-    return sorted((module, line, name) for module, source in modules.items()
+    for path, source in files.items():
+        if path.startswith("perfbench/") or (
+                path.startswith("src/") and not path.endswith("__init__.py")):
+            refs |= referenced_names(source)
+    return sorted((path, line, name) for path, source in files.items()
+                  if path.startswith("src/")
                   for line, name in defined_names(source) if name not in refs)
 
 
 def test_scanner_flags_dead_definitions():
-    lib = {"a.py": ("def used(): return helper()\n"
-                    "def helper(): return 1\n"
-                    "def traced(): pass\n"
-                    "def exported(): pass\n"
-                    "def dead(): return 2\n"
-                    "class Dead: pass\n"
-                    "class Used: pass\n"),
-           "__init__.py": "from .a import exported\n"}
-    others = ["from a import used\nx = Used()\n", "TARGETS = [('a', 'traced')]\n"]
-    assert dead_definitions(lib, others) == [("a.py", 5, "dead"), ("a.py", 6, "Dead")]
+    files = {"src/a.py": ("def used(): return helper()\n"
+                          "def helper(): return 1\n"
+                          "def traced(): pass\n"
+                          "def exported(): pass\n"
+                          "def dead(): return 2\n"
+                          "class Dead: pass\n"
+                          "class Used: pass\n"
+                          "def tested(): pass\n"),
+             "src/__init__.py": "from .a import exported\n",
+             "perfbench/run.py": "from a import used\nx = Used()\n",
+             "perfbench/tracer.py": "TARGETS = [('a', 'traced')]\n",
+             "tests/test_a.py": "from a import tested\nassert tested() is None\n"}
+    assert dead_definitions(files) == [("src/a.py", 4, "exported"), ("src/a.py", 5, "dead"),
+                                       ("src/a.py", 6, "Dead"), ("src/a.py", 8, "tested")]
 
 
 def test_no_dead_definitions_in_library():
     root = PACKAGE.parent.parent
-    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    others = [p.read_text() for folder in ("tests", "perfbench")
-              for p in sorted((root / folder).glob("*.py"))]
-    assert modules and others
-    assert dead_definitions(modules, others) == []
+    files = {p.relative_to(root).as_posix(): p.read_text()
+             for folder in ("src", "perfbench", "tests")
+             for p in sorted((root / folder).rglob("*.py"))}
+    assert any(path.startswith("perfbench/") for path in files)
+    assert dead_definitions(files) == []

@@ -4,10 +4,21 @@ import pytest
 
 from bipencil import jk, pencil
 from bipencil.errors import ToleranceError
+from bipencil.exactlin import mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import INF, QQi
+
+from oracles.toda import constant_lattice, toda_pencil_at
+
+
+def integer_matrix(sampler, n: int, lo: int = -3, hi: int = 3) -> list:
+    """Random invertible integer matrix (exact rank check)."""
+    while True:
+        m = [[Fraction(sampler.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
+        if mat_rank_exact(m) == n:
+            return m
 
 
 def test_assemble_kronecker_matrices():
@@ -68,13 +79,12 @@ def test_congruence_invariance():
     p = assemble_jk_canonical_pair(blocks)
     base = jk_invariants(p, sp.spawn(1)).to_json_dict()
     for k in range(3):
-        U = sp.spawn(100 + k).integer_matrix(p.dim)
+        U = integer_matrix(sp.spawn(100 + k), p.dim)
         got = jk_invariants(congruent_pair(p, U), sp.spawn(200 + k)).to_json_dict()
         assert got == base
 
 
 def test_toda_singular_point_invariants():
-    from bipencil.toda import constant_lattice, toda_pencil_at
     p = toda_pencil_at(constant_lattice(2))
     inv = jk_invariants(p, SamplingPolicy(19))
     assert inv.to_json_dict() == {"corank": 2, "kronecker": [0, 0], "jordan": {"0": [1]}}

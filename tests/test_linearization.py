@@ -4,7 +4,6 @@ import pytest
 
 from bipencil import algebras
 from bipencil.catalog import catalog_by_name
-from bipencil.exactlin import mat_rank, subspace_dim
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
 from bipencil.linearization import kernel_form, linearize
@@ -14,8 +13,10 @@ from bipencil.roots import analyze_linear, is_nondegenerate_linear, root_decompo
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi, conj, float_mode, is_exact_scalar
 from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import constant_lattice, make_singular_point, toda_pencil_at
+from bipencil.toda import make_singular_point
 
+from oracles.algebras import abelian, quotient_by_central, with_complex_scalars
+from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import linearize_at
 
 F = Fraction
@@ -113,7 +114,7 @@ def test_is_nondegenerate_cases():
     ok, reason = is_nondegenerate_linear(root_decomposition(nil))
     assert not ok and reason == "AdNotSemisimple"
 
-    ab = algebras.abelian(3)
+    ab = abelian(3)
     M = [[F(0)] * 3 for _ in range(3)]
     M[0][1], M[1][0] = F(1), F(-1)
     zero = LinearPencil(ab, TwoCocycle(M))
@@ -147,7 +148,7 @@ def test_classify_examples():
 def test_classify_quotient_by_central_ideal():
     DD = algebras.diamond().direct_sum(algebras.diamond())
     ideal = [[F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]]
-    Q, _ = DD.quotient_by_central(ideal)
+    Q, _ = quotient_by_central(DD, ideal)
     a = [F(0)] * 7
     a[Q.labels.index("a.h")] = F(1)
     lp = LinearPencil(Q, argument_shift_cocycle(Q, a))
@@ -180,14 +181,14 @@ def test_scale_invariance_of_verdicts():
 
 
 def test_complex_field_classification():
-    gc = algebras.so3_complex()
+    gc = with_complex_scalars(algebras.so3())
     lp = LinearPencil(gc, argument_shift_cocycle(gc, [F(0), F(0), F(1)]))
     lin = analyze_linear(lp)
     assert lin.reason is None
     assert lin.type.as_tuple() == (0, 0, 1)
     assert lin.blocks.counts["so3C"] == 1
 
-    dc = algebras.diamond_complex()
+    dc = with_complex_scalars(algebras.diamond())
     lind = analyze_linear(LinearPencil(dc, argument_shift_cocycle(dc, [F(0), F(0), F(1), F(0)])))
     assert lind.reason is None
     assert lind.blocks.counts["diamond_C"] == 1
@@ -264,7 +265,7 @@ def example_pencils():
         return LinearPencil(g, argument_shift_cocycle(g, [F(x) for x in a]))
 
     DD = algebras.diamond().direct_sum(algebras.diamond())
-    Q, _ = DD.quotient_by_central([[F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]])
+    Q, _ = quotient_by_central(DD, [[F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]])
     return [shift(algebras.so3(), [0, 0, 1]),
             shift(algebras.sl2(), [1, 0, 0]),
             shift(algebras.sl2(), [0, 1, 0]),
@@ -273,8 +274,8 @@ def example_pencils():
                          argument_shift_cocycle(algebras.diamond(),
                                                 [F(0), F(0), F(1), F(0)]).scale(F(-2, 7))),
             shift(algebras.so3_complex_real_form(), [0, 0, 1, 0, 0, 0]),
-            shift(algebras.so3_complex(), [0, 0, 1]),
-            shift(algebras.diamond_complex(), [0, 0, 1, 0]),
+            shift(with_complex_scalars(algebras.so3()), [0, 0, 1]),
+            shift(with_complex_scalars(algebras.diamond()), [0, 0, 1, 0]),
             shift(Q, [1 if label == "a.h" else 0 for label in Q.labels])]
 
 
