@@ -11,8 +11,12 @@ proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
 reaches a known upper bound, such as a certified pencil rank, proves the
 rational rank; a lower one, or p dividing a denominator, proves nothing and
 the caller rechecks over Q.  The float path thresholds singular values at
-eps * sigma_max.  Matrices are plain lists of lists holding Fraction / QQi /
-int entries (or floats in float mode); vectors are lists.
+eps * sigma_max.  ``coords_in_span`` resolves any number of vectors in a span
+by one reduced row echelon form of the basis beside them all (a least-squares
+solve per vector for float input); ``restrict`` reads an operator's matrix on
+an invariant span off one such call.  Matrices are plain lists of lists
+holding Fraction / QQi / int entries (or floats in float mode); vectors are
+lists.
 """
 
 from __future__ import annotations
@@ -43,16 +47,9 @@ def transpose(M):
     return [list(row) for row in zip(*M)] if M else []
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
+def shift(M, c):
+    """M - c I."""
+    return [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
 
 
 def mat_mul(A, B):
@@ -366,54 +363,43 @@ def nullspace(M, mode: Mode = EXACT):
     return nullspace_float(M, _effective_eps(mode))
 
 
-def solve_exact(A, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    n, m = shape(A)
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    R, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [Fraction(0)] * m
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][m]
-    return x
+def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
+    """Coordinates of each of ``vectors`` in span(basis_vectors), or None if
+    any of them is outside.
 
-
-def coords_in_span(basis_vectors, w, mode: Mode = EXACT, scale: float = 1.0):
-    """Coordinates of w in span(basis_vectors), or None if w is outside."""
-    if not basis_vectors:
-        if all(mode.zero(x, scale) for x in w):
-            return []
-        return None
-    A = transpose(basis_vectors)
-    if mode.is_exact and not has_inexact_entries(A) and all(is_exact_scalar(x) for x in w):
-        return solve_exact(A, w)
-    An = to_numpy(A)
-    bn = np.array([complex(x) for x in w])
-    x, *_ = np.linalg.lstsq(An, bn, rcond=None)
-    resid = An @ x - bn
-    norm = max(1.0, float(np.abs(bn).max(initial=0.0)), scale)
-    if float(np.abs(resid).max(initial=0.0)) > 100 * _effective_eps(mode) * norm:
-        return None
-    return list(x)
-
-
-def restrict(A, basis, mode: Mode = EXACT, modulo=()):
-    """Matrix of the operator A on span(basis), modulo span(modulo).
-
-    Each image A b is resolved in span(basis + modulo) and its ``modulo``
-    coordinates are dropped; with no ``modulo`` this is the restriction to an
-    invariant span, otherwise the map induced on the quotient.  Returns None
-    when an image leaves that span.
+    Exact input takes one reduced row echelon form of the basis columns beside
+    all the vectors: a pivot in a vector's column puts it outside the span.
+    Float input takes a least-squares solve per vector, outside when the
+    residual exceeds 100 * eps * max(1, max |w|).
     """
-    span = list(basis) + list(modulo)
-    cols = []
-    for b in basis:
-        coords = coords_in_span(span, mat_vec(A, b), mode)
-        if coords is None:
+    m = len(basis_vectors)
+    if not m:
+        inside = all(mode.zero(x) for w in vectors for x in w)
+        return [[] for _ in vectors] if inside else None
+    if mode.is_exact and not has_inexact_entries(list(basis_vectors) + list(vectors)):
+        R, pivots = rref(transpose(list(basis_vectors) + list(vectors)))
+        if any(c >= m for c in pivots):
             return None
-        cols.append(coords[:len(basis)])
-    return transpose(cols)
+        rows = dict(zip(pivots, R))
+        return [[rows[c][m + t] if c in rows else Fraction(0) for c in range(m)]
+                for t in range(len(vectors))]
+    An = to_numpy(transpose(basis_vectors))
+    out = []
+    for w in vectors:
+        bn = np.array([complex(x) for x in w])
+        x, *_ = np.linalg.lstsq(An, bn, rcond=None)
+        norm = max(1.0, float(np.abs(bn).max(initial=0.0)))
+        if float(np.abs(An @ x - bn).max(initial=0.0)) > 100 * _effective_eps(mode) * norm:
+            return None
+        out.append(list(x))
+    return out
+
+
+def restrict(A, basis, mode: Mode = EXACT):
+    """Matrix of the operator A on the invariant span(basis), or None when an
+    image A b leaves that span; all images are resolved in one call."""
+    coords = coords_in_span(basis, [mat_vec(A, b) for b in basis], mode)
+    return None if coords is None else transpose(coords)
 
 
 def inverse_exact(M):
@@ -557,8 +543,12 @@ def poly_squarefree_part(coeffs):
     return _poly_divmod(coeffs, g)[0]
 
 
-def _newton_polish(coeffs_float, dcoeffs_float, z: complex, iters: int = 60) -> complex:
-    for _ in range(iters):
+NEWTON_ITERS = 60     # cap on the Newton steps that polish one root
+SNAP_TOL = 1e-7       # distance within which a float root is tried as an exact one
+
+
+def _newton_polish(coeffs_float, dcoeffs_float, z: complex) -> complex:
+    for _ in range(NEWTON_ITERS):
         p = 0j
         for c in reversed(coeffs_float):
             p = p * z + c
@@ -574,7 +564,7 @@ def _newton_polish(coeffs_float, dcoeffs_float, z: complex, iters: int = 60) -> 
     return z
 
 
-def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
+def poly_roots_hybrid(coeffs):
     """Roots of an exact polynomial.
 
     Returns (exact_roots, float_roots) where exact_roots is a list of
@@ -602,8 +592,8 @@ def poly_roots_hybrid(coeffs, snap_tol: float = 1e-7):
     remaining = list(coeffs)
     float_candidates = []
     for z in polished:
-        dens = [q for q in convergent_denominators(z, snap_tol) if norm % q == 0]
-        cand = next((c for c in snap_candidates(z, snap_tol, dens)
+        dens = [q for q in convergent_denominators(z, SNAP_TOL) if norm % q == 0]
+        cand = next((c for c in snap_candidates(z, SNAP_TOL, dens)
                      if poly_eval(coeffs, c) == 0), None)
         if cand is not None:
             if any(r == cand for r, _ in exact_roots):

@@ -93,8 +93,9 @@ def pencil_from_json_dict(doc: dict):
     if dim < 1:
         raise InputFormatError(f"'dim' must be positive, not {dim}", position="dim")
     varnames = doc.get("vars")
-    if varnames is not None and len(_list(varnames, "vars")) != dim:
-        raise InputFormatError("'vars' length must equal dim", position="vars")
+    if varnames is not None and not (isinstance(varnames, list) and len(varnames) == dim
+                                     and all(isinstance(v, str) for v in varnames)):
+        raise InputFormatError(f"'vars' must be a list of {dim} strings", position="vars")
     if "P0" not in doc or "Pinf" not in doc:
         raise InputFormatError("both 'P0' and 'Pinf' blocks are required")
     f0 = entries_to_field(dim, varnames, doc["P0"], "P0")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
-from .exactlin import identity, mat_mul, mat_rank, mat_sub, mat_scale, transpose
+from .exactlin import identity, mat_mul, mat_rank, shift, transpose
 from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
                      pencil_rank_corank)
 from .sampling import SamplingPolicy
@@ -153,7 +153,7 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
 def _jordan_sizes_at(R, mu, mode: Mode):
     """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice)."""
     m = len(R)
-    shifted = mat_sub(R, mat_scale(identity(m), mu))
+    shifted = shift(R, mu)
     kdims = [0]
     power = identity(m)
     for _ in range(m):

@@ -13,9 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, identity,
-                       mat_add, mat_mul, mat_rank, mat_scale, nullspace,
-                       poly_squarefree_part, svd_rank, to_numpy)
+from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, mat_mul, mat_rank,
+                       nullspace, poly_squarefree_part, shift, svd_rank, to_numpy)
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
@@ -79,20 +78,19 @@ class LieAlgebra:
             cols.append(self.bracket(x, e_j))
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
-    def verify_jacobi(self) -> bool:
-        return self.jacobi_violation() is None
-
     def jacobi_violation(self):
         """First violating triple (i, j, k) or None."""
         d = self.dim
-        basis = [[Fraction(1) if t == i else Fraction(0) for t in range(d)] for i in range(d)]
+        sv = self.structure_vector
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    total = [a + b + c for a, b, c in zip(
-                        self.bracket(self.bracket(basis[i], basis[j]), basis[k]),
-                        self.bracket(self.bracket(basis[j], basis[k]), basis[i]),
-                        self.bracket(self.bracket(basis[k], basis[i]), basis[j]))]
+                    # [[e_a, e_b], e_c] = sum_p c_ab^p [e_p, e_c], summed cyclically
+                    total = [Fraction(0)] * d
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for p, x in enumerate(sv(a, b)):
+                            if x != 0:
+                                total = [t + x * y for t, y in zip(total, sv(p, c))]
                     if any(v != 0 for v in total):
                         return (i, j, k)
         return None
@@ -108,11 +106,11 @@ class LieAlgebra:
     def derived_basis(self, mode: Mode = EXACT):
         return basis_union([], self._c.values(), mode)
 
-    def lie_poisson_field(self, varnames=None) -> PoissonTensorField:
+    def lie_poisson_field(self) -> PoissonTensorField:
         """Linear Poisson field P^{ij}(x) = sum_k c_{ij}^k x_k (real algebras)."""
         if self.field != REAL:
             raise PreconditionError("Lie-Poisson fields are built for real algebras")
-        f = PoissonTensorField(self.dim, varnames or self.labels)
+        f = PoissonTensorField(self.dim, self.labels)
         for (i, j), vec in self._c.items():
             poly = Poly.zero(self.dim)
             for k, c in enumerate(vec):
@@ -194,9 +192,6 @@ class TwoCocycle:
     def value(self, x, y):
         return simplify_scalar(bilinear(self.matrix, x, y) + Fraction(0))
 
-    def scale(self, c) -> "TwoCocycle":
-        return TwoCocycle([[simplify_scalar(c * v) for v in row] for row in self.matrix])
-
     def rank(self, mode: Mode = EXACT) -> int:
         return mat_rank(self.matrix, mode)
 
@@ -266,13 +261,14 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
     d = algebra.dim
     basis = [[Fraction(1) if t == i else Fraction(0) for t in range(d)] for i in range(d)]
     scale = max((abs(complex(v)) for row in form.matrix for v in row), default=1.0)
+    sv = algebra.structure_vector
     for i in range(d):
         for j in range(i + 1, d):
-            bij = algebra.bracket(basis[i], basis[j])
+            bij = sv(i, j)
             for k in range(j + 1, d):
                 total = (form.value(bij, basis[k])
-                         + form.value(algebra.bracket(basis[j], basis[k]), basis[i])
-                         + form.value(algebra.bracket(basis[k], basis[i]), basis[j]))
+                         + form.value(sv(j, k), basis[i])
+                         + form.value(sv(k, i), basis[j]))
                 if not mode.zero(total, scale):
                     return False
     return True
@@ -280,7 +276,11 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
 
 @dataclass
 class CocycleKernel:
+    """Ker A as a subalgebra: its basis, the matrix of ad_x on the algebra for
+    each basis vector x, and whether it is Abelian with semisimple ad."""
+
     basis: list
+    ad: list
     abelian: bool
     ad_semisimple: bool
 
@@ -290,17 +290,11 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
     if not M:
         return True
     if mode.is_exact or all(is_exact_scalar(x) for row in M for x in row):
-        p = char_poly(M)
-        sf = poly_squarefree_part(p)
-        n = len(M)
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            acc[i][i] = sf[0]
-        power = identity(n)
-        for c in sf[1:]:
-            power = mat_mul(power, M)
-            if c != 0:
-                acc = mat_add(acc, mat_scale(power, c))
+        sf = poly_squarefree_part(char_poly(M))
+        # Horner on the monic sf: acc = (..((M + s_{d-1}) M + s_{d-2}) M ..) + s_0
+        acc = shift(M, -sf[-2])
+        for c in reversed(sf[:-2]):
+            acc = shift(mat_mul(acc, M), -c)
         return all(v == 0 for row in acc for v in row)
     A = to_numpy(M)
     _, clusters = eigenvalues(M, mode)
@@ -323,8 +317,9 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
             br = lp.algebra.bracket(basis[i], basis[j])
             if any(not mode.zero(v, scale) for v in br):
                 abelian = False
-    semisimple = all(matrix_is_semisimple(lp.algebra.ad_matrix(x), mode) for x in basis)
-    return CocycleKernel(basis=basis, abelian=abelian, ad_semisimple=semisimple)
+    ad = [lp.algebra.ad_matrix(x) for x in basis]
+    semisimple = all(matrix_is_semisimple(M, mode) for M in ad)
+    return CocycleKernel(basis=basis, ad=ad, abelian=abelian, ad_semisimple=semisimple)
 
 
 def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,

@@ -35,18 +35,18 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
 
     field_name = REAL if lambda_is_real(lam) else COMPLEX
 
-    # structure constants: w_k = xi^T (d_k P_lambda) eta, expressed in the kernel
+    # structure constants: w_k = xi^T (d_k P_lambda) eta, all expressed in the
+    # kernel by one call
     derivs = [p.derivative_at(lam, k) for k in range(d)]
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    coords = coords_in_span(ker, [[_tidy(bilinear(derivs[k], ker[u], ker[v])) for k in range(d)]
+                                  for u, v in pairs], mode)
+    if coords is None:
+        raise RankDeficientPointError(
+            "kernel bracket escaped the kernel; the point does not attain the pencil rank")
     algebra = LieAlgebra(m, field_name)
-    for u in range(m):
-        for v in range(u + 1, m):
-            w = [_tidy(bilinear(derivs[k], ker[u], ker[v])) for k in range(d)]
-            coords = coords_in_span(ker, w, mode, scale=_scale_of(w))
-            if coords is None:
-                raise RankDeficientPointError(
-                    "kernel bracket escaped the kernel; the point does not attain "
-                    "the pencil rank")
-            algebra.set_bracket(u, v, coords)
+    for (u, v), c in zip(pairs, coords):
+        algebra.set_bracket(u, v, c)
 
     cocycle = TwoCocycle(form)
     if not is_cocycle(algebra, cocycle, mode):
@@ -57,7 +57,3 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
 
 def _tidy(v):
     return simplify_scalar(v + Fraction(0)) if is_exact_scalar(v) else v
-
-
-def _scale_of(w) -> float:
-    return max([abs(complex(x)) for x in w] + [1.0])

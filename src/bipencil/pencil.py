@@ -103,9 +103,6 @@ class Spectrum:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def values(self):
-        return [e.lam for e in self.entries]
-
 
 @dataclass
 class IsotropicCore:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ToleranceError
-from .exactlin import (coords_in_span, eigenvalues, identity,
-                       mat_rank, mat_sub, mat_scale, nullspace, restrict)
+from .exactlin import (coords_in_span, eigenvalues, identity, mat_rank, nullspace, restrict,
+                       shift)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
                       simplify_scalar)
@@ -55,9 +55,6 @@ class RootData:
     field: str = REAL
     cocycle_rank: int = 0
 
-    def ok(self) -> bool:
-        return self.residual is None
-
 
 @dataclass
 class WilliamsonType:
@@ -67,9 +64,6 @@ class WilliamsonType:
 
     def __add__(self, other: "WilliamsonType") -> "WilliamsonType":
         return WilliamsonType(self.ke + other.ke, self.kh + other.kh, self.kf + other.kf)
-
-    def as_tuple(self):
-        return (self.ke, self.kh, self.kf)
 
     def to_json_dict(self):
         return {"ke": self.ke, "kh": self.kh, "kf": self.kf}
@@ -137,34 +131,36 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     """Split the ambient space by the commuting family; returns (eigtuple, vectors).
 
     Each item is a maximal joint eigenspace: the tuple of eigenvalues (one per
-    operator) and a basis of the space.  Raises ToleranceError if a
+    operator) and a basis of the space.  Each operator is restricted to the
+    joint eigenspaces of those before it, except that exact mode splits the
+    first one as it is, on the standard basis.  Float mode restricts that one
+    to the standard basis too, so that its eigenvalues come from float
+    arithmetic even when its entries are exact.  Raises ToleranceError if a
     restriction refuses to split (non-semisimple family).
     """
     if not mats:
         return []
-    m = len(mats[0])
-    items = [((), identity(m))]
+    items = [((), None if mode.is_exact else identity(len(mats[0])))]
     for A in mats:
         new_items = []
         for (eigs, basis) in items:
-            R = restrict(A, basis, mode)
+            R = A if basis is None else restrict(A, basis, mode)
             if R is None:
                 raise ToleranceError("operator failed to preserve an invariant subspace")
             exact_eigs, float_eigs = eigenvalues(R, mode)
             total_mult = sum(mult for _, mult in exact_eigs) + sum(m2 for _, m2 in float_eigs)
-            if total_mult != len(basis):
+            if total_mult != len(R):
                 raise ToleranceError("eigenvalue multiplicities failed to add up")
             covered = 0
             for val, mult in list(exact_eigs) + list(float_eigs):
-                shifted = mat_sub(R, mat_scale(identity(len(R)), val))
-                sub = nullspace(shifted, mode)
+                sub = nullspace(shift(R, val), mode)
                 if len(sub) != mult:
                     raise ToleranceError(
                         "geometric multiplicity below algebraic (non-semisimple action)")
-                vecs = [_combine(basis, coords) for coords in sub]
+                vecs = sub if basis is None else [_combine(basis, coords) for coords in sub]
                 new_items.append((eigs + (val,), vecs))
                 covered += len(sub)
-            if covered != len(basis):
+            if covered != len(R):
                 raise ToleranceError("joint eigenspaces failed to span")
         items = new_items
     return items
@@ -185,18 +181,16 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
     """
     if kernel is None:
         kernel = kernel_of_cocycle(lp, mode)
-    rank_a = lp.cocycle.rank(mode)
     data = RootData(kernel_basis=kernel.basis, pairs=[], field=lp.algebra.field,
-                    cocycle_rank=rank_a)
+                    cocycle_rank=lp.algebra.dim - len(kernel.basis))
     if not kernel.abelian:
         data.residual = "KernelNotAbelian"
         return data
     if not kernel.ad_semisimple:
         data.residual = "AdNotSemisimple"
         return data
-    ad_mats = [lp.algebra.ad_matrix(x) for x in kernel.basis]
     try:
-        items = joint_eigenvectors(ad_mats, mode)
+        items = joint_eigenvectors(kernel.ad, mode)
     except ToleranceError:
         data.residual = "AdNotSemisimple"
         return data
@@ -353,11 +347,10 @@ def _realify(vec):
 
 def _pairing_scalar(g, data: RootData, pair: RootPair, mode: Mode):
     """root([e_+, e_-]) with the bracket expressed in kernel coordinates."""
-    w = g.bracket(pair.vec_plus, pair.vec_minus)
-    coords = coords_in_span(data.kernel_basis, w, mode)
+    coords = coords_in_span(data.kernel_basis, [g.bracket(pair.vec_plus, pair.vec_minus)], mode)
     if coords is None:
         raise ToleranceError("bracket of root vectors left the cocycle kernel")
     total = 0
-    for r, c in zip(pair.root, coords):
+    for r, c in zip(pair.root, coords[0]):
         total = total + r * c
     return simplify_scalar(total + Fraction(0)) if is_exact_scalar(total) else total

@@ -141,7 +141,7 @@ class LaxSpectrumEntry:
     exact: bool = True
 
 
-def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT, warnings=None):
+def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     """Pencil-spectrum values from the multiplicity->=2 (anti)periodic eigenvalues.
 
     With the bracket table used here the lambda-slice of the pencil at (a, b)
@@ -164,10 +164,6 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT, warnings=None):
                     mu = complex(mu).real
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
                                                 multiplicity=mult, exact=False))
-                    if warnings is not None:
-                        warnings.append(
-                            f"double {which} eigenvalue {mu!r} is irrational; "
-                            "reported as float")
         else:
             vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
             scale = max(1.0, max(abs(v) for v in vals))
@@ -182,12 +178,6 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT, warnings=None):
                     mu = float(np.mean(cl))
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
                                                 multiplicity=len(cl), exact=False))
-            if warnings is not None:
-                gaps = [abs(cl2[0] - cl1[-1]) for cl1, cl2 in zip(clusters, clusters[1:])]
-                for g in gaps:
-                    if 100 * mode.eps * scale < g < 1000 * mode.eps * scale:
-                        warnings.append("near-degenerate eigenvalue gap in the Lax "
-                                        "spectrum; multiplicity split is borderline")
     out.sort(key=lambda e: complex(e.lam).real)
     return out
 

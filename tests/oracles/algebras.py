@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import basis_union, identity, solve_exact, transpose
+from bipencil.exactlin import basis_union, coords_in_span, identity
 from bipencil.liealg import COMPLEX, REAL, LieAlgebra, TwoCocycle
 
 
@@ -48,7 +48,7 @@ def central_extension(algebra: LieAlgebra, cocycle: TwoCocycle) -> LieAlgebra:
         for j in range(i + 1, d):
             vec = algebra.structure_vector(i, j) + [cocycle.matrix[i][j]]
             out.set_bracket(i, j, vec)
-    if not out.verify_jacobi():
+    if out.jacobi_violation() is not None:
         raise PreconditionError("central extension failed Jacobi (form is not closed)")
     # the lift of A must be the coboundary of the new dual coordinate
     for i in range(d):
@@ -71,14 +71,12 @@ def quotient_by_central(algebra: LieAlgebra, ideal_basis) -> tuple:
     basis_mat = full[len(ideal):]
     m = len(basis_mat)
     out = LieAlgebra(m, algebra.field, [algebra.labels[e.index(1)] for e in basis_mat])
-    A = transpose(full)
     for u in range(m):
         for v in range(u + 1, m):
-            w = algebra.bracket(basis_mat[u], basis_mat[v])
-            coords = solve_exact(A, w)
+            coords = coords_in_span(full, [algebra.bracket(basis_mat[u], basis_mat[v])])
             if coords is None:
                 raise PreconditionError("quotient bracket left the span")
-            out.set_bracket(u, v, coords[len(ideal):])
-    if not out.verify_jacobi():
+            out.set_bracket(u, v, coords[0][len(ideal):])
+    if out.jacobi_violation() is not None:
         raise PreconditionError("quotient failed the Jacobi identity")
     return out, basis_mat

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bipencil.errors import PreconditionError, ToleranceError
-from bipencil.exactlin import mat_vec, restrict
+from bipencil.exactlin import coords_in_span, mat_vec, restrict, transpose
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, simplify_scalar
 from bipencil.tensorfield import PencilAtPoint
@@ -119,7 +119,8 @@ def quotient_operator(op_matrix, qbasis, core_basis, mode: Mode = EXACT):
     Images are resolved in the combined (quotient + core) span and the core
     component is discarded.
     """
-    M = restrict(op_matrix, qbasis, mode, modulo=core_basis)
-    if M is None:
+    coords = coords_in_span(list(qbasis) + list(core_basis),
+                            [mat_vec(op_matrix, b) for b in qbasis], mode)
+    if coords is None:
         raise ToleranceError("operator does not preserve the quotient span")
-    return M
+    return transpose([c[:len(qbasis)] for c in coords])

@@ -1,4 +1,5 @@
 import os
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ from bipencil import analyzer, exactlin, linearization, pencil, roots
 from bipencil.analyzer import AnalysisParams, analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
-from bipencil.exactlin import (bilinear, mat_mul, mat_sub, mat_vec, mat_rank,
+from bipencil.exactlin import (bilinear, mat_mul, mat_vec, mat_rank,
                                nullspace)
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
+from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
@@ -41,7 +43,7 @@ def test_analyze_so3_elliptic():
     rep = analyze_point(e.field0, e.field_inf, e.point,
                         AnalysisParams(seed=1, declared_rank=2))
     assert rep.verdict.kind == "NonDegenerate"
-    assert rep.total_type.as_tuple() == (1, 0, 0)
+    assert astuple(rep.total_type) == (1, 0, 0)
     assert rep.point_rank == 0
     assert rep.pencil_rank == 2 and rep.corank == 1
 
@@ -51,7 +53,7 @@ def test_analyze_so31_focus():
     rep = analyze_point(e.field0, e.field_inf, e.point,
                         AnalysisParams(seed=1, declared_rank=4))
     assert rep.verdict.kind == "NonDegenerate"
-    assert rep.total_type.as_tuple() == (0, 0, 1)
+    assert astuple(rep.total_type) == (0, 0, 1)
 
 
 def test_analyze_bad_example_degenerate():
@@ -205,7 +207,7 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
               JordanBlock(F(2), 2)]
     f0, finf, point = constant_fields(blocks)
     rep = analyze_point(f0, finf, point, AnalysisParams(seed=1, declared_rank=8))
-    values = rep.spectrum.values()
+    values = [e.lam for e in rep.spectrum.entries]
     assert [r.diagonalizable for r in rep.per_lambda] == [True, False, True]
     assert [lam for at, lam in kernels if at == point and lam in values] == values
 
@@ -213,6 +215,46 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     ranks.clear()
     core = compute_core(p, SamplingPolicy(2), rank=8)
     assert ranks == [] and core.dim == 1
+
+
+def test_the_linear_layer_computes_each_fact_once(monkeypatch):
+    # at a Toda singular point every kernel bracket is resolved by one
+    # elimination per linearize, the ad matrices of Ker A are built once per
+    # spectrum value, and the cocycle's rank is dim - dim Ker A: the form's one
+    # exact rank is the diagonalizability test's, before analyze_linear
+    rrefs = count_calls(monkeypatch, exactlin, "rref")
+    ranks = count_calls(monkeypatch, exactlin, "mat_rank_exact")
+    ads = count_calls(monkeypatch, LieAlgebra, "ad_matrix")
+    windows = []
+
+    def watched(name):
+        real = getattr(analyzer, name)
+
+        def wrapper(*args, **kwargs):
+            before = len(rrefs), len(ranks), len(ads)
+            out = real(*args, **kwargs)
+            windows.append((name, args[0], out, before, (len(rrefs), len(ranks), len(ads))))
+            return out
+
+        monkeypatch.setattr(analyzer, name, wrapper)
+
+    watched("linearize")
+    watched("analyze_linear")
+    f0, finf = toda_pencil(4)
+    rep = analyze_point(f0, finf, make_singular_point(4, seed=1).coordinates(),
+                        AnalysisParams(seed=1, declared_rank=6))
+    assert rep.verdict.kind == "NonDegenerate" and rep.per_lambda
+    linearized = [w for w in windows if w[0] == "linearize"]
+    analyzed = [w for w in windows if w[0] == "analyze_linear"]
+    assert len(linearized) == len(analyzed) == len(rep.per_lambda)
+    for _, _, lp, (r0, _, _), (r1, _, _) in linearized:
+        assert lp.algebra.dim >= 3 and r1 - r0 == 1
+    for _, lp, lin, (_, k0, a0), (_, k1, a1) in analyzed:
+        assert a1 - a0 == len(lin.data.kernel_basis) >= 1
+        assert lin.data.cocycle_rank == lp.algebra.dim - len(lin.data.kernel_basis)
+        assert not any(M is lp.cocycle.matrix for (M,) in ranks[k0:k1])
+    forms = [lp.cocycle.matrix for _, lp, *_ in analyzed]
+    assert sum(any(M is form for form in forms) for (M,) in ranks) == len(forms)
 
 
 def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):
@@ -256,7 +298,7 @@ def test_type_additivity_direct_sum():
     rep = analyze_point(f0, finf, a.point + b.point,
                         AnalysisParams(seed=3, declared_rank=4))
     assert rep.verdict.kind == "NonDegenerate"
-    assert rep.total_type.as_tuple() == (1, 1, 0)
+    assert astuple(rep.total_type) == (1, 1, 0)
 
 
 def test_report_json_shape():
@@ -372,9 +414,9 @@ def test_variation_restricted_to_kernel_is_ad():
         w = c * (beta - al) / (lam - al)
         xi_ambient = [x + w * g for x, g in zip(xi_ambient, t.gradient)]
     from bipencil.exactlin import coords_in_span
-    xi_coords = coords_in_span(ker, xi_ambient)
+    xi_coords = coords_in_span(ker, [xi_ambient])
     assert xi_coords is not None
-    ad = lp.algebra.ad_matrix(xi_coords)
+    ad = lp.algebra.ad_matrix(xi_coords[0])
     D_on_kernel = D.restrict_to(ker)
     assert D_on_kernel == ad
 

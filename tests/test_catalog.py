@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_catalog_golden_exact(entries):
                                            declared_rank=e.declared_rank))
         assert rep.verdict.kind == e.expected.verdict, e.name
         if e.expected.type is not None:
-            assert rep.total_type.as_tuple() == e.expected.type, e.name
+            assert astuple(rep.total_type) == e.expected.type, e.name
             assert collect_blocks(rep) == e.expected.blocks, e.name
         if e.expected.degeneracy_code:
             assert rep.verdict.reason.startswith(e.expected.degeneracy_code), e.name

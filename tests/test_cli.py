@@ -268,7 +268,7 @@ def test_toda_compares_a_spectrum_of_mixed_kinds(monkeypatch, capsys):
 
     real = cli.toda_spectrum_via_lax
 
-    def mixed(pt, mode, warnings=None):
+    def mixed(pt, mode):
         extra = [LaxSpectrumEntry(lam=2 ** 0.5, lax_eigenvalue=-2 ** 0.5, which="periodic",
                                   multiplicity=2, exact=False),
                  LaxSpectrumEntry(lam=complex(1, 1), lax_eigenvalue=complex(-1, -1),
@@ -300,6 +300,22 @@ def test_malformed_pencil_file_is_an_input_error(tmp_path, change, capsys):
     path.write_text(json.dumps({**VALID_PENCIL, **change}))
     code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
     assert code == 1 and json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("varnames", [[1, {"a": 2}], ["x", 2], ["x"], ["x", "y", "z"], "xy",
+                                      {"x": 1, "y": 2}, [["x"], ["y"]]])
+def test_pencil_vars_must_be_dim_strings(tmp_path, varnames, capsys):
+    path = tmp_path / "vars.pencil.json"
+    path.write_text(json.dumps({**VALID_PENCIL, "vars": varnames}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert_input_error(code, out, err, "vars")
+
+
+def test_pencil_vars_of_dim_strings_are_accepted(tmp_path, capsys):
+    path = tmp_path / "vars.pencil.json"
+    path.write_text(json.dumps({**VALID_PENCIL, "vars": ["q", "p"]}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("algebra_doc, cocycle_doc", [

@@ -11,7 +11,8 @@ from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear
                                char_poly, coords_in_span, identity, inverse_exact,
                                mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve_exact, span_mod_p)
+                               poly_roots_hybrid, poly_squarefree_part, residues, rref, span_mod_p,
+                               transpose)
 from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -227,7 +228,8 @@ def test_integer_kernel_matches_fraction_elimination(M, data):
               [sum((a * x for a, x in zip(row, data.draw(st.lists(entry, min_size=m,
                                                                    max_size=m)))),
                    Fraction(0)) for row in M]):
-        assert typed(solve_exact(M, b)) == typed(oracle_solve(M, b))
+        coords = coords_in_span(transpose(M), [b])
+        assert typed(None if coords is None else coords[0]) == typed(oracle_solve(M, b))
 
     if n == m:
         expected = oracle_inverse(M)
@@ -478,17 +480,30 @@ def test_nullspace_annihilates_and_spans():
 
 def test_solve_and_inverse():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    x = solve_exact(A, [Fraction(3), Fraction(2)])
-    assert x == [Fraction(1), Fraction(1)]
-    assert solve_exact([[Fraction(1)], [Fraction(2)]], [Fraction(1), Fraction(3)]) is None
+    x = coords_in_span(transpose(A), [[Fraction(3), Fraction(2)]])
+    assert x == [[Fraction(1), Fraction(1)]]
+    assert coords_in_span([[Fraction(1), Fraction(2)]], [[Fraction(1), Fraction(3)]]) is None
     assert mat_mul(A, inverse_exact(A)) == identity(2)
 
 
 def test_coords_in_span():
-    basis = [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(0)]]
-    c = coords_in_span(basis, [Fraction(2), Fraction(3), Fraction(2)])
-    assert c == [Fraction(2), Fraction(3)]
-    assert coords_in_span(basis, [Fraction(0), Fraction(0), Fraction(1)]) is None
+    F = Fraction
+    basis = [[F(1), F(0), F(1)], [F(0), F(1), F(0)]]
+    inside, outside = [F(2), F(3), F(2)], [F(0), F(0), F(1)]
+    assert coords_in_span(basis, [inside]) == [[F(2), F(3)]]
+    assert coords_in_span(basis, [outside]) is None
+    # several vectors in one elimination: all resolved, or None if any leaves
+    assert coords_in_span(basis, [inside, [F(-1), F(1, 2), F(-1)], [F(0)] * 3]) == \
+        [[F(2), F(3)], [F(-1), F(1, 2)], [F(0), F(0)]]
+    assert coords_in_span(basis, [inside, outside, [F(1), F(1), F(1)]]) is None
+    assert coords_in_span(basis, [outside, inside]) is None
+    # float input is resolved vector by vector with the same verdicts
+    mode = float_mode()
+    assert coords_in_span(basis, [inside, outside], mode) is None
+    got = coords_in_span(basis, [[2.0, 3.0, 2.0], [-1.0, 0.5, -1.0]], mode)
+    assert [complex(x) for c in got for x in c] == pytest.approx([2, 3, -1, 0.5])
+    assert coords_in_span([], [[F(0)] * 3]) == [[]]
+    assert coords_in_span([], [[F(0), F(1)]]) is None
 
 
 def test_char_poly_roots_and_multiplicity():

@@ -3,8 +3,9 @@
 Every import is used (``__init__.py`` is exempt: its imports are the
 package's public re-exports), and every module imports only the standard
 library, numpy and bipencil itself: scipy, sympy and mpmath are test-only
-oracles.  Every module-level definition is used by the library itself or by
-the benchmark; one that only tests use belongs in ``tests/oracles``.
+oracles.  Every module-level definition, and every method of a library class,
+is used by the library itself or by the benchmark; one that only tests use
+belongs in ``tests/oracles``.
 """
 
 import ast
@@ -102,6 +103,26 @@ def defined_names(source: str):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+# methods that a base class outside the library calls
+HOOKS = {"_ArgumentParser.error"}      # argparse reports a usage error through it
+
+
+def defined_methods(source: str):
+    """Methods of module-level classes other than dunder methods and HOOKS, as
+    (line, "Class.method", method)."""
+    return [(node.lineno, f"{cls.name}.{node.name}", node.name)
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and f"{cls.name}.{node.name}" not in HOOKS]
+
+
+def attribute_names(source: str):
+    """Names a file reads as an attribute, as in ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
 def referenced_names(source: str):
     """Identifiers a file reads: names, attributes, imported names, and
     strings that are identifiers (such as a tracer's target table)."""
@@ -122,15 +143,20 @@ def referenced_names(source: str):
 def dead_definitions(files: dict):
     """(path, line, name) of each module-level definition in a ``src/`` file of
     ``files`` (path: source) that names no ``src/`` file other than an
-    ``__init__.py`` and no ``perfbench/`` file: re-exports and tests are not uses."""
-    refs = set()
-    for path, source in files.items():
-        if path.startswith("perfbench/") or (
-                path.startswith("src/") and not path.endswith("__init__.py")):
-            refs |= referenced_names(source)
-    return sorted((path, line, name) for path, source in files.items()
-                  if path.startswith("src/")
-                  for line, name in defined_names(source) if name not in refs)
+    ``__init__.py`` and no ``perfbench/`` file, and of each method of a class
+    there that no such file reads as an attribute: re-exports and tests are
+    not uses."""
+    users = [source for path, source in files.items()
+             if path.startswith("perfbench/")
+             or (path.startswith("src/") and not path.endswith("__init__.py"))]
+    refs = set().union(*map(referenced_names, users))
+    attrs = set().union(*map(attribute_names, users))
+    return sorted([(path, line, name) for path, source in files.items()
+                   if path.startswith("src/")
+                   for line, name in defined_names(source) if name not in refs]
+                  + [(path, line, name) for path, source in files.items()
+                     if path.startswith("src/")
+                     for line, name, method in defined_methods(source) if method not in attrs])
 
 
 def test_scanner_flags_dead_definitions():
@@ -140,14 +166,23 @@ def test_scanner_flags_dead_definitions():
                           "def exported(): pass\n"
                           "def dead(): return 2\n"
                           "class Dead: pass\n"
-                          "class Used: pass\n"
-                          "def tested(): pass\n"),
+                          "class Used:\n"
+                          "    def __init__(self): self.called()\n"
+                          "    def called(self): pass\n"
+                          "    def benched(self): pass\n"
+                          "    def dead_method(self): pass\n"
+                          "    def named(self): pass\n"
+                          "def tested(): pass\n"
+                          "named = 1\n"),
              "src/__init__.py": "from .a import exported\n",
-             "perfbench/run.py": "from a import used\nx = Used()\n",
+             "perfbench/run.py": "from a import used\nx = Used()\nx.benched()\n",
              "perfbench/tracer.py": "TARGETS = [('a', 'traced')]\n",
-             "tests/test_a.py": "from a import tested\nassert tested() is None\n"}
-    assert dead_definitions(files) == [("src/a.py", 4, "exported"), ("src/a.py", 5, "dead"),
-                                       ("src/a.py", 6, "Dead"), ("src/a.py", 8, "tested")]
+             "tests/test_a.py": "from a import tested\nassert tested() is None\n"
+                                "Used().dead_method()\n"}
+    assert dead_definitions(files) == [
+        ("src/a.py", 4, "exported"), ("src/a.py", 5, "dead"), ("src/a.py", 6, "Dead"),
+        ("src/a.py", 11, "Used.dead_method"), ("src/a.py", 12, "Used.named"),
+        ("src/a.py", 13, "tested")]
 
 
 def test_no_dead_definitions_in_library():

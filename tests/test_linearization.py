@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ def test_linearize_so3_recovers_algebra_and_cocycle():
 def test_linearize_toda_singular_point():
     lp = linearize_at(toda_pencil_at(constant_lattice(2)), F(0))
     assert lp.algebra.dim == 4
-    assert lp.algebra.verify_jacobi()
+    assert lp.algebra.jacobi_violation() is None
     # sl(2, R) + line: one-dimensional center, three-dimensional derived part
     assert len(lp.algebra.center()) == 1
     assert len(lp.algebra.derived_basis()) == 3
@@ -70,7 +71,7 @@ def test_linearize_products_satisfy_identities():
     # Jacobi and the cocycle identity hold exactly for every linearization
     for name in ("so3_shift", "diamond_shift", "so31_shift"):
         lp = linearize_at(catalog_pencil(name), F(0))
-        assert lp.algebra.verify_jacobi()
+        assert lp.algebra.jacobi_violation() is None
         assert is_cocycle(lp.algebra, lp.cocycle)
 
 
@@ -78,7 +79,7 @@ def test_root_decomposition_so3():
     g = algebras.so3()
     lp = LinearPencil(g, argument_shift_cocycle(g, [F(0), F(0), F(1)]))
     rd = root_decomposition(lp)
-    assert rd.ok() and len(rd.pairs) == 1
+    assert rd.residual is None and len(rd.pairs) == 1
     (root,) = rd.pairs[0].root,
     assert rd.pairs[0].reality() == "imaginary"
 
@@ -87,7 +88,7 @@ def test_root_decomposition_sl2_real_roots():
     g = algebras.sl2()
     lp = LinearPencil(g, argument_shift_cocycle(g, [F(1), F(0), F(0)]))
     rd = root_decomposition(lp)
-    assert rd.ok() and len(rd.pairs) == 1
+    assert rd.residual is None and len(rd.pairs) == 1
     assert rd.pairs[0].reality() == "real"
     assert rd.pairs[0].root == (F(2),) or rd.pairs[0].root == (F(-2),)
 
@@ -96,7 +97,7 @@ def test_root_decomposition_diamond():
     D = algebras.diamond()
     lp = LinearPencil(D, argument_shift_cocycle(D, [F(0), F(0), F(1), F(0)]))
     rd = root_decomposition(lp)
-    assert rd.ok() and len(rd.pairs) == 1
+    assert rd.residual is None and len(rd.pairs) == 1
     # the root vanishes on the central direction and is imaginary on t
     root = rd.pairs[0].root
     assert rd.pairs[0].reality() == "imaginary"
@@ -130,7 +131,7 @@ def test_linear_pencil_type_examples():
     ]
     for g, a, expected in cases:
         lp = LinearPencil(g, argument_shift_cocycle(g, a))
-        assert analyze_linear(lp).type.as_tuple() == expected
+        assert astuple(analyze_linear(lp).type) == expected
 
 
 def test_classify_examples():
@@ -174,9 +175,10 @@ def test_scale_invariance_of_verdicts():
     D = algebras.diamond()
     base = argument_shift_cocycle(D, [F(0), F(0), F(1), F(0)])
     for c in (F(3), F(-2, 7), F(1, 9)):
-        lin = analyze_linear(LinearPencil(D, base.scale(c)))
+        lin = analyze_linear(LinearPencil(D, TwoCocycle([[c * v for v in row]
+                                                          for row in base.matrix])))
         assert lin.reason is None
-        assert lin.type.as_tuple() == (1, 0, 0)
+        assert astuple(lin.type) == (1, 0, 0)
         assert lin.blocks.counts["diamond"] == 1
 
 
@@ -185,7 +187,7 @@ def test_complex_field_classification():
     lp = LinearPencil(gc, argument_shift_cocycle(gc, [F(0), F(0), F(1)]))
     lin = analyze_linear(lp)
     assert lin.reason is None
-    assert lin.type.as_tuple() == (0, 0, 1)
+    assert astuple(lin.type) == (0, 0, 1)
     assert lin.blocks.counts["so3C"] == 1
 
     dc = with_complex_scalars(algebras.diamond())
@@ -271,8 +273,9 @@ def example_pencils():
             shift(algebras.sl2(), [0, 1, 0]),
             shift(algebras.diamond(), [0, 0, 1, 0]),
             LinearPencil(algebras.diamond(),
-                         argument_shift_cocycle(algebras.diamond(),
-                                                [F(0), F(0), F(1), F(0)]).scale(F(-2, 7))),
+                         TwoCocycle([[F(-2, 7) * v for v in row] for row in
+                                     argument_shift_cocycle(algebras.diamond(),
+                                                            [F(0), F(0), F(1), F(0)]).matrix])),
             shift(algebras.so3_complex_real_form(), [0, 0, 1, 0, 0, 0]),
             shift(with_complex_scalars(algebras.so3()), [0, 0, 1]),
             shift(with_complex_scalars(algebras.diamond()), [0, 0, 1, 0]),
@@ -292,7 +295,7 @@ def test_type_from_blocks_matches_the_pair_walk(mode):
     for lp in pencils:
         lin = analyze_linear(lp, mode)
         if lin.reason is None:
-            assert lin.type.as_tuple() == oracle_type(lin.data, mode)
+            assert astuple(lin.type) == oracle_type(lin.data, mode)
             compared += 1
         else:
             assert lin.type is None and lin.blocks is None

@@ -1,0 +1,62 @@
+"""Argument-shift pencils on sl(n, R), n = 3..5, at points whose Williamson
+type has a closed form (see ``oracles.sln``), analyzed in exact mode with the
+declared rank n^2 - n."""
+
+import random
+from dataclasses import astuple
+from fractions import Fraction
+
+import pytest
+
+from bipencil.analyzer import AnalysisParams, analyze_point
+from bipencil.exactlin import mat_mul
+
+from oracles.sln import (ShiftCase, block_diagonal, covector, eigenvalues_block_diagonal,
+                         has_triple_coincidence, shift_case, sl, unimodular)
+
+F = Fraction
+
+
+def analyze(case: ShiftCase):
+    e = case.entry()
+    return analyze_point(e.field0, e.field_inf, case.point,
+                         AnalysisParams(declared_rank=case.n ** 2 - case.n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sl_n_is_a_lie_algebra(n):
+    g = sl(n)
+    assert g.dim == n * n - 1 and g.jacobi_violation() is None
+
+
+@pytest.mark.parametrize("n, r, b, seed", [
+    (3, 3, 0, 1), (3, 1, 1, 1), (4, 2, 1, 1), (4, 0, 2, 1), (4, 4, 0, 1), (5, 5, 0, 1),
+    (3, 3, 0, 2), (3, 1, 1, 2), (3, 3, 0, 3), (3, 1, 1, 3)])
+def test_shift_point_has_the_closed_form_type(n, r, b, seed):
+    case = shift_case(n, b, seed)
+    assert case.type == (b, r * (r - 1) // 2, b * r + b * (b - 1))
+    rep = analyze(case)
+    assert rep.verdict.kind == "NonDegenerate", rep.verdict
+    assert rep.point_rank == 0
+    assert astuple(rep.total_type) == case.type
+    assert rep.warnings == []
+
+
+def test_a_triple_coincidence_is_degenerate():
+    # x = 2a: every eigenvalue of x + lambda a meets the other two at lambda = -2
+    A = block_diagonal([1, 2, -3], [])
+    eigs = eigenvalues_block_diagonal([1, 2, -3], [])
+    assert has_triple_coincidence([2 * z for z in eigs], eigs)
+    U, Ui = unimodular(3, random.Random(5))
+    Ac = mat_mul(mat_mul(U, A), Ui)
+    case = ShiftCase(3, covector([[2 * v for v in row] for row in Ac], 3), covector(Ac, 3), None)
+    rep = analyze(case)
+    assert rep.verdict.kind == "Degenerate" and rep.verdict.reason == "RootsDependent(-2)"
+
+
+def test_the_origin_is_degenerate():
+    # at x = 0, Ker A_a is a 2-dimensional Cartan subalgebra, too small for
+    # the 3 independent roots a non-degenerate rank-0 point needs
+    A = block_diagonal([1, 2, -3], [])
+    rep = analyze(ShiftCase(3, [F(0)] * 8, covector(A, 3), None))
+    assert rep.verdict.kind == "Degenerate" and rep.verdict.reason == "RootsDependent(0)"
