@@ -1,7 +1,7 @@
 """Full singular-point verdicts.
 
-analyze_point runs: evaluate -> rank/corank -> Kronecker check at nearby
-points -> core -> spectrum (empty = Regular) -> per spectrum value: the
+analyze_point runs: evaluate -> rank/corank -> core -> spectrum (empty =
+Regular) -> Kronecker check at nearby points -> per spectrum value: the
 kernel and its form, each computed once -> diagonalizability from the
 form's rank -> linearization with the form as cocycle -> roots.analyze_linear,
 the per-lambda analysis the ``linear`` command shares (roots, non-degeneracy,
@@ -9,11 +9,12 @@ blocks, and the type read off the blocks) -> totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
 
-Exact mode spans the nearby-point cores over F_p first.  A draw of full
+Both modes span the nearby-point cores over F_p first.  A draw of full
 pencil rank mod p has that rank over Q, so its kernel mod p reduces the
 rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
 never below the rational value: zero proves the nearby point Kronecker, and
-anything else, a bad prime included, is rechecked over Q with the same draws.
+anything else, a bad prime or a float point included, is rechecked in the
+job's mode with the same draws.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
 
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
     _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings)
-    _kronecker_spot_check(field0, field_inf, pt, rank, sampler.spawn(5), mode, warnings)
 
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     point_rank = core.dim - corank
@@ -127,6 +127,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             point=pt, pencil_rank=rank, corank=corank, spectrum=spectrum,
             verdict=Verdict("Regular"), per_lambda=[], total_type=None,
             point_rank=point_rank, warnings=warnings)
+    _kronecker_spot_check(field0, field_inf, pt, rank, sampler.spawn(5), mode, warnings)
 
     per_lambda = []
     verdict = Verdict("NonDegenerate")
@@ -199,17 +200,23 @@ def _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warn
 def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
     """L^perp / L should be zero at 3 nearby perturbations (Kronecker-type pencil).
 
+    Not run at a Regular point: L^perp = L at a certified maximal rank means
+    only Kronecker blocks there, on a Zariski-open set (the rank drops over
+    lambda in CP^1 project to a closed one), so the pencil is Kronecker on the
+    dense open set the nearby draws sample, and they could only warn falsely.
+
     Only the core is computed there, with the point's pencil rank ``rank``:
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
     is the rank nearby too; a nearby point of lower rank is skipped.  The
-    pencil is evaluated once per nearby point, and the F_p core and the exact
-    recheck read it, each with a sampler spawned from the same seed.
+    pencil is evaluated once per nearby point, and the F_p core and the
+    recheck in the job's mode read it, each with a sampler spawned from the
+    same seed.
     """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
         seed = sampler.randint(0, 10 ** 6)
         q = evaluate_pencil(field0, field_inf, nearby)
-        if mode.is_exact and quotient_dim_mod_p(q, sampler.spawn(seed), rank=rank) == 0:
+        if quotient_dim_mod_p(q, sampler.spawn(seed), rank=rank) == 0:
             continue
         try:
             core = compute_core(q, sampler.spawn(seed), mode, rank=rank)

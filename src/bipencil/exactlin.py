@@ -10,13 +10,15 @@ entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
 proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
 reaches a known upper bound, such as a certified pencil rank, proves the
 rational rank; a lower one, or p dividing a denominator, proves nothing and
-the caller rechecks over Q.  The float path thresholds singular values at
-eps * sigma_max.  ``coords_in_span`` resolves any number of vectors in a span
-by one reduced row echelon form of the basis beside them all (a least-squares
-solve per vector for float input); ``restrict`` reads an operator's matrix on
-an invariant span off one such call.  Matrices are plain lists of lists
-holding Fraction / QQi / int entries (or floats in float mode); vectors are
-lists.
+the caller rechecks over Q.  Every primitive decides exactly when the mode is
+exact and every entry is exact (``decides_exactly``), and otherwise in floats
+at ``Mode.tol``, the one float tolerance; the float rank thresholds singular
+values at tol * sigma_max.  ``coords_in_span`` resolves any number of vectors
+in a span by one reduced row echelon form of the basis beside them all (a
+least-squares solve per vector for float input); ``restrict`` reads an
+operator's matrix on an invariant span off one such call.  Matrices are plain
+lists of lists holding Fraction / QQi / int entries (or floats in float
+mode); vectors are lists.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _inverse(d: int, prime: int) -> int:
 
 def residues(row):
     """Each real rational entry a/b as a * b^-1 mod PRIME; ValueError when PRIME
-    divides b or an entry is not real."""
+    divides b or an entry is not a real rational."""
     out = []
     for x in row:
         if type(x) is not int:
@@ -167,6 +169,8 @@ def residues(row):
                 if x.im:
                     raise ValueError("a non-real entry has no residue")
                 x = x.re
+            elif not isinstance(x, Fraction):
+                raise ValueError("an inexact entry has no residue")
             a, d = x.as_integer_ratio()
             x = a if d == 1 else a * _inverse(d, PRIME)
         out.append(x % PRIME)
@@ -280,22 +284,18 @@ def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
     return rank
 
 
-def has_inexact_entries(M) -> bool:
-    return any(not is_exact_scalar(x) for row in M for x in row)
-
-
-def _effective_eps(mode: Mode) -> float:
-    # exact mode degrades to a float tolerance when irrational data leaked in
-    return mode.eps if not mode.is_exact else 1e-9
+def decides_exactly(M, mode: Mode) -> bool:
+    """The one exact-or-float rule: exact when the mode and every entry of M are."""
+    return mode.is_exact and all(is_exact_scalar(x) for row in M for x in row)
 
 
 def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
     n, m = shape(M)
     if n == 0 or m == 0:
         return 0
-    if mode.is_exact and not has_inexact_entries(M):
+    if decides_exactly(M, mode):
         return mat_rank_exact(M)
-    return svd_rank(M, _effective_eps(mode), warnings, what)
+    return svd_rank(M, mode.tol, warnings, what)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +358,9 @@ def nullspace_float(M, eps: float):
 
 
 def nullspace(M, mode: Mode = EXACT):
-    if mode.is_exact and not has_inexact_entries(M):
+    if decides_exactly(M, mode):
         return nullspace_exact(M)
-    return nullspace_float(M, _effective_eps(mode))
+    return nullspace_float(M, mode.tol)
 
 
 def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
@@ -370,13 +370,13 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     Exact input takes one reduced row echelon form of the basis columns beside
     all the vectors: a pivot in a vector's column puts it outside the span.
     Float input takes a least-squares solve per vector, outside when the
-    residual exceeds 100 * eps * max(1, max |w|).
+    residual exceeds 100 * mode.tol * max(1, max |w|).
     """
     m = len(basis_vectors)
     if not m:
         inside = all(mode.zero(x) for w in vectors for x in w)
         return [[] for _ in vectors] if inside else None
-    if mode.is_exact and not has_inexact_entries(list(basis_vectors) + list(vectors)):
+    if decides_exactly(list(basis_vectors) + list(vectors), mode):
         R, pivots = rref(transpose(list(basis_vectors) + list(vectors)))
         if any(c >= m for c in pivots):
             return None
@@ -389,7 +389,7 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
         bn = np.array([complex(x) for x in w])
         x, *_ = np.linalg.lstsq(An, bn, rcond=None)
         norm = max(1.0, float(np.abs(bn).max(initial=0.0)))
-        if float(np.abs(An @ x - bn).max(initial=0.0)) > 100 * _effective_eps(mode) * norm:
+        if float(np.abs(An @ x - bn).max(initial=0.0)) > 100 * mode.tol * norm:
             return None
         out.append(list(x))
     return out
@@ -414,7 +414,7 @@ def inverse_exact(M):
 
 
 def inverse(M, mode: Mode = EXACT):
-    if mode.is_exact and not has_inexact_entries(M):
+    if decides_exactly(M, mode):
         return inverse_exact(M)
     A = np.linalg.inv(to_numpy(M))
     return [list(row) for row in A]
@@ -430,7 +430,7 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     """
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
-    if mode.is_exact and not has_inexact_entries(vectors):
+    if decides_exactly(vectors, mode):
         K = _ZI if any(isinstance(x, QQi) and x.im for v in vectors for x in v) else _Z
         cleared = [K.clear(v) for v in vectors]
         if K is _ZI:
@@ -460,7 +460,7 @@ def char_poly(M):
     if n != m:
         raise ValueError("characteristic polynomial of non-square matrix")
     D = None
-    if not has_inexact_entries(M):
+    if decides_exactly(M, EXACT):
         parts = [(x.re, x.im) if isinstance(x, QQi) else (Fraction(x), 0) for row in M for x in row]
         D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
         flat = [QQi(re * D, im * D) if im else int(re * D) for re, im in parts]
@@ -632,17 +632,18 @@ def poly_roots_hybrid(coeffs):
 
 
 def eigenvalues(M, mode: Mode = EXACT):
-    """Eigenvalues with multiplicity: (exact list, float list)."""
+    """Eigenvalues with multiplicity: (exact list, float list).  Float
+    eigenvalues within 1000 * mode.tol * max(1, max |z|) form one cluster."""
     if not M:
         return [], []
-    if not has_inexact_entries(M):
+    if decides_exactly(M, mode):
         return poly_roots_hybrid(char_poly(M))
     vals = np.linalg.eigvals(to_numpy(M))
     clusters = []
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
     for z in vals:
         for c in clusters:
-            if abs(z - c[0]) <= 1000 * _effective_eps(mode) * scale:
+            if abs(z - c[0]) <= 1000 * mode.tol * scale:
                 c[1] += 1
                 break
         else:

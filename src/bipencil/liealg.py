@@ -17,8 +17,7 @@ from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, mat_mul, m
                        nullspace, poly_squarefree_part, shift, svd_rank, to_numpy)
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
-                      parse_rational, simplify_scalar)
+from .scalars import EXACT, Mode, QQi, format_scalar, parse_int, parse_rational, simplify_scalar
 from .tensorfield import PoissonTensorField
 
 REAL = "real"
@@ -289,7 +288,7 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
     """Diagonalizable over C: the square-free part of the char poly kills M."""
     if not M:
         return True
-    if mode.is_exact or all(is_exact_scalar(x) for row in M for x in row):
+    if mode.is_exact:
         sf = poly_squarefree_part(char_poly(M))
         # Horner on the monic sf: acc = (..((M + s_{d-1}) M + s_{d-2}) M ..) + s_0
         acc = shift(M, -sf[-2])
@@ -301,7 +300,7 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
     n = len(M)
     for z, mult in clusters:
         shifted = A - z * np.eye(n)
-        geo = n - svd_rank([list(r) for r in shifted], 1000 * mode.eps)
+        geo = n - svd_rank([list(r) for r in shifted], 1000 * mode.tol)
         if geo != mult:
             return False
     return True

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (basis_union, bilinear, eigenvalues,
-                       has_inexact_entries, identity, inverse, mat_mul, mat_rank,
-                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, residues,
-                       span_mod_p)
+from .exactlin import (basis_union, bilinear, decides_exactly, eigenvalues, identity, inverse,
+                       mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace, nullspace_mod_p,
+                       residues, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
@@ -82,9 +81,9 @@ def _is_regular(p: PencilAtPoint, lam, mode: Mode, rank: int) -> bool:
     """rank P_lambda == ``rank``, the pencil rank, by an exact rank without a
     kernel; float matrices count their kernel, as regular_parameters does."""
     M = p.matrix_at(lam)
-    if not mode.is_exact or has_inexact_entries(M):
-        return p.dim - len(nullspace(M, mode)) == rank
-    return mat_rank_exact(M) == rank
+    if decides_exactly(M, mode):
+        return mat_rank_exact(M) == rank
+    return p.dim - len(nullspace(M, mode)) == rank
 
 
 @dataclass
@@ -238,7 +237,7 @@ def _moebius_to_lambda(mu, t1, t2, mode: Mode):
             return INF
         return simplify_scalar((t1 - mu * t2) / (1 - mu))
     mu = complex(mu)
-    if abs(mu - 1.0) <= 10 * mode.eps * max(1.0, abs(mu)):
+    if abs(mu - 1.0) <= 10 * mode.tol * max(1.0, abs(mu)):
         return INF
     return (complex(t1) - mu * complex(t2)) / (1.0 - mu)
 
@@ -315,12 +314,11 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
         return entries
     out = []
     used = set()
-    eps_pair = 10 * (mode.eps if not mode.is_exact else 1e-12)
     for i, e in enumerate(entries):
         if i in used:
             continue
         if not lambda_is_real(e.lam):
-            tol = eps_pair * max(1.0, abs(complex(e.lam)))
+            tol = 10 * mode.tol * max(1.0, abs(complex(e.lam)))
             j = next((j for j in range(i + 1, len(entries)) if j not in used
                       and not lambda_is_real(entries[j].lam)
                       and near(entries[j].lam, conj(e.lam), tol)), None)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ToleranceError
-from .exactlin import (coords_in_span, eigenvalues, identity, mat_rank, nullspace, restrict,
-                       shift)
+from .exactlin import coords_in_span, eigenvalues, mat_rank, nullspace, restrict, shift
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
                       simplify_scalar)
@@ -36,7 +35,7 @@ class RootPair:
     def reality(self, mode: Mode = EXACT) -> str:
         """'real', 'imaginary', 'complex', or 'zero' (as a functional)."""
         scale = max([abs(complex(v)) for v in self.root] + [1e-300])
-        tol = 10 * max(mode.eps, 1e-12) * scale
+        tol = 10 * mode.tol * scale
         if all(near(v, 0, tol) for v in self.root):
             return "zero"
         if all(near(cimag(v), 0, tol) for v in self.root):
@@ -131,16 +130,16 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     """Split the ambient space by the commuting family; returns (eigtuple, vectors).
 
     Each item is a maximal joint eigenspace: the tuple of eigenvalues (one per
-    operator) and a basis of the space.  Each operator is restricted to the
-    joint eigenspaces of those before it, except that exact mode splits the
-    first one as it is, on the standard basis.  Float mode restricts that one
-    to the standard basis too, so that its eigenvalues come from float
-    arithmetic even when its entries are exact.  Raises ToleranceError if a
-    restriction refuses to split (non-semisimple family).
+    operator) and a basis of the space.  The first operator is split as it
+    is, on the standard basis, and each later one is restricted to the joint
+    eigenspaces of those before it.  Eigenvalues, kernels and restrictions
+    follow exactlin's exact-or-float rule, so float mode computes in floats
+    even where the entries are exact.  Raises ToleranceError if a restriction
+    refuses to split (non-semisimple family).
     """
     if not mats:
         return []
-    items = [((), None if mode.is_exact else identity(len(mats[0])))]
+    items = [((), None)]
     for A in mats:
         new_items = []
         for (eigs, basis) in items:
@@ -208,7 +207,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
 
     used = [False] * len(nonzero)
     scale = max([abs(complex(v)) for eigs, _ in nonzero for v in eigs] + [1.0])
-    tol = 10 * max(mode.eps, 1e-12) * scale
+    tol = 10 * mode.tol * scale
     for i, (eigs, vecs) in enumerate(nonzero):
         if used[i]:
             continue
@@ -270,7 +269,7 @@ def is_nondegenerate_linear(data: RootData, mode: Mode = EXACT):
 def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
     targets = ([conj(v) for v in pair.root], [-conj(v) for v in pair.root])
     scale = max([abs(complex(v)) for v in pair.root] + [1.0])
-    tol = 10 * max(mode.eps, 1e-12) * scale
+    tol = 10 * mode.tol * scale
     for j, other in enumerate(pairs):
         if not consumed[j] and any(all(near(x, y, tol) for x, y in zip(other.root, target))
                                    for target in targets):
@@ -293,7 +292,7 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
     """
     out = BlockDecomposition()
     g = lp.algebra
-    zero_tol = 1000 * max(mode.eps, 1e-12)
+    zero_tol = 1000 * mode.tol
 
     consumed = [False] * len(data.pairs)
     for i, pair in enumerate(data.pairs):

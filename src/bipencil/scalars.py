@@ -129,18 +129,6 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return QQi(Fraction(1), Fraction(0)) / self ** (-n)
-        out = QQi(Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, QQi):
             return self.re == other.re and self.im == other.im
@@ -285,7 +273,8 @@ def convergent_denominators(z: complex, tol: float) -> list:
 
 
 def format_scalar(x):
-    """Canonical JSON form: rationals as strings, complex as {re, im}."""
+    """Canonical JSON form: rationals as strings, complex as {re, im}; a zero
+    float part is +0.0, whichever sign the float operations left on it."""
     if is_inf(x):
         return "inf"
     if isinstance(x, (int, Fraction)):
@@ -295,9 +284,8 @@ def format_scalar(x):
             return str(x.re)
         return {"re": str(x.re), "im": str(x.im)}
     z = complex(x)
-    if z.imag == 0:
-        return z.real
-    return {"re": z.real, "im": z.imag}
+    re, im = z.real + 0.0, z.imag + 0.0      # -0.0 + 0.0 is +0.0
+    return re if im == 0 else {"re": re, "im": im}
 
 
 def parse_int(value) -> int:
@@ -326,10 +314,16 @@ class Mode:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
+    @property
+    def tol(self) -> float:
+        """The one float tolerance: ``eps``, or 1e-9 where irrational data
+        forces floats on exact mode."""
+        return 1e-9 if self.is_exact else self.eps
+
     def zero(self, value, scale: float = 1.0) -> bool:
         if self.is_exact:
             return value == 0
-        return abs(complex(value)) <= self.eps * max(scale, 1.0)
+        return abs(complex(value)) <= self.tol * max(scale, 1.0)
 
 
 EXACT = Mode("exact", 0.0)

@@ -169,7 +169,7 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
             scale = max(1.0, max(abs(v) for v in vals))
             clusters = []
             for v in vals:
-                if clusters and abs(v - clusters[-1][-1]) <= 100 * mode.eps * scale:
+                if clusters and abs(v - clusters[-1][-1]) <= 100 * mode.tol * scale:
                     clusters[-1].append(v)
                 else:
                     clusters.append([v])

@@ -109,9 +109,10 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     rep = analyze_point(f0, finf, point, AnalysisParams(mode=mode, seed=1))
     assert any(w.startswith("nearby point has non-empty spectrum")
                for w in rep.warnings) == warned
-    # the point's core, and one nearby core per nearby point up to the warning;
-    # exact mode proves the Kronecker case mod p and rechecks the warned one
-    assert len(cores) == (2 if warned else 4 if mode == "float" else 1)
+    # the point's core, and at a singular point one nearby core up to the
+    # warning: F_p cannot prove the Jordan case, which is rechecked in the
+    # job's mode; the Kronecker-only point is Regular and has no spot check
+    assert len(cores) == (2 if warned else 1)
 
 
 def count_calls(monkeypatch, module, name):
@@ -134,6 +135,31 @@ def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
     rep = analyze_point(f0, finf, random_point(4, 3).coordinates(),
                         AnalysisParams(seed=1, declared_rank=6))
     assert rep.verdict.kind == "Regular" and rep.warnings == []
+    assert len(cores) == 1
+
+
+@pytest.mark.parametrize("make_point, kind, checks", [
+    (random_point, "Regular", 0), (make_singular_point, "NonDegenerate", 1)])
+def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, kind, checks):
+    # a Regular point's empty spectrum at its certified rank already shows the
+    # pencil Kronecker on a dense open set, which the nearby draws sample
+    calls = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
+    f0, finf = toda_pencil(4)
+    rep = analyze_point(f0, finf, make_point(4, 1).coordinates(),
+                        AnalysisParams(seed=1, declared_rank=6))
+    assert rep.verdict.kind == kind
+    assert not any(w.startswith("nearby point") for w in rep.warnings)
+    assert len(calls) == checks
+
+
+def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
+    # the nearby points of a rational point are rational, so F_p proves them
+    # Kronecker in float mode too, and no float core is computed there
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
+    e = catalog_by_name()["so3_shift"]
+    rep = analyze_point(e.field0, e.field_inf, e.point,
+                        AnalysisParams(mode="float", seed=1, declared_rank=e.declared_rank))
+    assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
     assert len(cores) == 1
 
 

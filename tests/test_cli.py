@@ -178,6 +178,20 @@ def test_linear_command(tmp_path, capsys):
     assert doc["kernel"]["abelian"] and doc["kernel"]["ad_semisimple"]
 
 
+@pytest.mark.parametrize("name", ["so22_shift_saddle_center", "so22_shift_saddle_saddle"])
+def test_float_linear_report_has_no_negative_zero(name, tmp_path, capsys):
+    # a float part that comes out as -0.0 is printed as 0.0
+    from bipencil.catalog import catalog_by_name
+    from bipencil.liealg import argument_shift_cocycle
+    entry = catalog_by_name()[name]
+    argv = write_linear_inputs(tmp_path, entry.algebra.to_json_dict(),
+                               argument_shift_cocycle(entry.algebra, entry.shift).to_json_dict())
+    code, out, err = run_cli(argv + ["--mode", "float"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["nondegenerate"] is True
+    assert "-0.0" not in out
+
+
 def test_linear_command_rejects_bad_jacobi(tmp_path, capsys):
     alg_path = tmp_path / "alg.json"
     coc_path = tmp_path / "coc.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from bipencil import exactlin
 from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
-                               char_poly, coords_in_span, identity, inverse_exact,
+                               char_poly, coords_in_span, eigenvalues, identity, inverse_exact,
                                mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
                                poly_roots_hybrid, poly_squarefree_part, residues, rref, span_mod_p,
                                transpose)
-from bipencil.scalars import EXACT, QQi, float_mode, near, simplify_scalar
+from bipencil.scalars import EXACT, QQi, float_mode, format_scalar, near, simplify_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -287,7 +288,8 @@ def test_a_rank_that_drops_mod_p_proves_nothing():
     M = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
     assert span_mod_p(M) == [] and mat_rank_exact(M) == 2
     assert len(nullspace_mod_p(M)) == 2 and nullspace_exact(M) == []
-    for bad in ([[Fraction(1, P)]], [[QQi(Fraction(1), Fraction(1))]]):
+    # nor does a float entry, such as a float point's in float mode
+    for bad in ([[Fraction(1, P)]], [[QQi(Fraction(1), Fraction(1))]], [[0.5]], [[1j]]):
         with pytest.raises(ValueError):
             span_mod_p(bad)
 
@@ -555,6 +557,25 @@ def test_poly_deflate():
     q, rem = poly_deflate(p, Fraction(2))
     assert rem == 0
     assert poly_eval(q, Fraction(1)) == 0 and poly_eval(q, Fraction(3)) == 0
+
+
+def test_float_mode_takes_float_eigenvalues_of_an_exact_matrix():
+    # one exact-or-float rule: eigenvalues, like ranks and kernels, are exact
+    # only when the mode is exact and every entry is
+    M = [[Fraction(0), Fraction(-1), Fraction(0)], [Fraction(1), Fraction(0), Fraction(0)],
+         [Fraction(0), Fraction(0), Fraction(1, 3)]]
+    exact_eigs, float_eigs = eigenvalues(M, float_mode())
+    assert exact_eigs == [] and [m for _, m in float_eigs] == [1, 1, 1]
+    assert sorted((round(z.real, 9), round(z.imag, 9)) for z, _ in float_eigs) == \
+        [(0.0, -1.0), (0.0, 1.0), (0.333333333, 0.0)]
+    assert eigenvalues(M, EXACT)[1] == []
+
+
+def test_format_scalar_prints_no_negative_zero():
+    assert math.copysign(1, format_scalar(-0.0)) == 1
+    z = format_scalar(complex(-0.0, -1.5))
+    assert z == {"re": 0.0, "im": -1.5} and math.copysign(1, z["re"]) == 1
+    assert math.copysign(1, format_scalar(complex(2.0, -0.0))) == 1
 
 
 def test_float_rank_threshold():

@@ -10,7 +10,8 @@ from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
 from bipencil.linearization import kernel_form, linearize
 from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
                              kernel_basis, pencil_rank_corank)
-from bipencil.roots import analyze_linear, is_nondegenerate_linear, root_decomposition
+from bipencil.roots import (analyze_linear, is_nondegenerate_linear, joint_eigenvectors,
+                           root_decomposition)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi, conj, float_mode, is_exact_scalar
 from bipencil.tensorfield import evaluate_pencil
@@ -300,3 +301,19 @@ def test_type_from_blocks_matches_the_pair_walk(mode):
         else:
             assert lin.type is None and lin.blocks is None
     assert compared >= 19
+
+
+def test_joint_eigenvectors_of_exact_matrices_in_float_mode_are_float():
+    # float mode splits exact operators in floats, and into the same floats as
+    # their float copies: the first operator needs no restriction to the
+    # standard basis to get float eigenvalues
+    A = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(0)]]
+    B = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(2)]]
+    mode = float_mode()
+    items = joint_eigenvectors([A, B], mode)
+    assert items == joint_eigenvectors([[[complex(x) for x in row] for row in M]
+                                        for M in (A, B)], mode)
+    assert len(items) == 3
+    for eigs, vecs in items:
+        assert not any(is_exact_scalar(x) for x in eigs)
+        assert not any(is_exact_scalar(x) for v in vecs for x in v)

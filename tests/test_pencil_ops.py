@@ -13,7 +13,7 @@ from bipencil.pencil import (compute_spectrum, kernel_basis, pencil_rank_corank,
                              quotient_form, rank_at, recursion_operator,
                              regular_parameters)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, is_inf
+from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
 from bipencil.tensorfield import constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
@@ -306,3 +306,10 @@ def test_sparse_pencil_equals_the_dense_formula():
         assert q.A0 == p.A0 and q.Ainf == p.Ainf, name
         assert all(a != 0 or b != 0 for entries in [p.entries] + p.derivatives
                    for _, _, a, b in entries), name
+
+
+def test_one_float_tolerance():
+    assert EXACT.tol == 1e-9 and float_mode(1e-6).tol == 1e-6
+    # exact mode meets a float mu where R's eigenvalue is irrational; mu at
+    # 1 within the tolerance is the parameter at infinity
+    assert is_inf(pencil._moebius_to_lambda(1 + 1e-12, Fraction(1), Fraction(2), EXACT))

@@ -6,9 +6,12 @@ Run from anywhere inside the repository.  REF is exported with ``git archive``
 into a temporary directory.  For each tree (REF's export and the working tree
 this file lives in) one child process builds every job of the four benchmark
 workloads at each seed through that tree's ``perfbench/workloads.build`` and
-runs it through ``run_job``.  Work-directory paths are replaced by a
-placeholder, so that only the program's output is compared.  The jobs whose
-exit code, stdout or stderr differ are printed; the exit code is 1 if any do.
+runs it through ``run_job``.  The same child then runs the further reports of
+``further_jobs``, which the benchmark does not run, whatever the seeds.
+Work-directory paths are replaced by a placeholder, so that only the program's
+output is compared.  The jobs whose exit code, stdout or stderr differ are
+printed, and counted apart for the benchmark and the further reports; the exit
+code is 1 if any differ.
 """
 
 from __future__ import annotations
@@ -26,6 +29,58 @@ ROOT = HERE.parent
 WORKLOADS = ("singular-exact", "regular-exact", "float-sweep", "jk-congruent")
 PLACEHOLDER = "<workdir>"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FURTHER = "further:"
+MODES = ("exact", "float")
+FURTHER_SEEDS = range(3)
+
+
+def further_jobs(workdir: str):
+    """(key, argv) of the reports beyond the benchmark jobs, their input files
+    written into ``workdir``:
+
+    - catalog ``analyze`` with and without the declared rank (the latter
+      certifies the rank by sampling), in both modes at seeds 0-2;
+    - ``linear`` on every catalog argument-shift algebra with its shift
+      cocycle, in both modes at seeds 0-2;
+    - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
+    - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes.
+    """
+    from bipencil.catalog import catalog
+    from bipencil.io import dump_canonical, pencil_to_json_dict
+    from bipencil.liealg import argument_shift_cocycle
+
+    def write(name, doc):
+        path = os.path.join(workdir, name)
+        with open(path, "w") as fh:
+            fh.write(dump_canonical(doc))
+        return path
+
+    jobs = []
+    for entry in catalog():
+        point = "--point=" + ",".join(map(str, entry.point))
+        for rank in (entry.declared_rank, None):
+            path = write(f"{entry.name}.rank-{rank}.pencil.json",
+                         pencil_to_json_dict(entry.field0, entry.field_inf, rank))
+            jobs += [(f"analyze {entry.name} rank={rank} {mode} seed={s}",
+                      ["analyze", "--pencil", path, point, "--mode", mode, "--seed", str(s)])
+                     for mode in MODES for s in FURTHER_SEEDS]
+        if entry.shift is not None:
+            alg = write(f"{entry.name}.algebra.json", entry.algebra.to_json_dict())
+            coc = write(f"{entry.name}.cocycle.json",
+                        argument_shift_cocycle(entry.algebra, entry.shift).to_json_dict())
+            jobs += [(f"linear {entry.name} {mode} seed={s}",
+                      ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
+                       "--seed", str(s)])
+                     for mode in MODES for s in FURTHER_SEEDS]
+    for mode in MODES:
+        jobs += [(f"toda --scan 3 n={n} {mode}",
+                  ["toda", "--n", str(n), "--scan", "3", "--seed", "1", "--mode", mode])
+                 for n in range(2, 7)]
+        jobs += [(f"toda symmetric n={n} {mode}",
+                  ["toda", "--n", str(n), "--a", ",".join(["1"] * n),
+                   "--b", ",".join(["0"] * n), "--mode", mode])
+                 for n in range(2, 9)]
+    return [(FURTHER + key, argv) for key, argv in jobs]
 
 
 def run_tree(tree: str, seeds, out_path: str):
@@ -34,15 +89,21 @@ def run_tree(tree: str, seeds, out_path: str):
     import workloads
 
     results = {}
+
+    def run(key, argv, workdir):
+        code, out, err = workloads.run_job(argv)
+        results[key] = [code, out.replace(workdir, PLACEHOLDER),
+                        err.replace(workdir, PLACEHOLDER)]
+
     for name in WORKLOADS:
         for seed in seeds:
             with tempfile.TemporaryDirectory(prefix="jobdiff-") as workdir:
                 jobs = workloads.build(name, seed, workdir)
                 for k, job in enumerate(jobs):
-                    code, out, err = workloads.run_job(job.argv)
-                    results[f"{name}@{seed}#{k} {job.name}"] = [
-                        code, out.replace(workdir, PLACEHOLDER),
-                        err.replace(workdir, PLACEHOLDER)]
+                    run(f"{name}@{seed}#{k} {job.name}", job.argv, workdir)
+    with tempfile.TemporaryDirectory(prefix="jobdiff-") as workdir:
+        for key, argv in further_jobs(workdir):
+            run(key, argv, workdir)
     with open(out_path, "w") as fh:
         json.dump(results, fh)
 
@@ -93,8 +154,12 @@ def main(argv=None) -> int:
         parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                  if a != b]
         print(f"{key}: {', '.join(parts)} differ (exit {old[0]} -> {new[0]})")
-    print(f"{len(differ)} of {len(ref.keys() | tree.keys())} jobs differ "
-          f"({args.ref} against the working tree, seeds {' '.join(map(str, args.seeds))})")
+    keys = ref.keys() | tree.keys()
+    further = {key for key in keys if key.startswith(FURTHER)}
+    print(f"{len(set(differ) - further)} of {len(keys - further)} benchmark jobs differ "
+          f"(seeds {' '.join(map(str, args.seeds))}), "
+          f"{len(further.intersection(differ))} of {len(further)} further reports differ "
+          f"({args.ref} against the working tree)")
     return 1 if differ else 0
 
 
