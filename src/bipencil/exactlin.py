@@ -1,8 +1,9 @@
 """Dense linear algebra over exact scalars, with a floating fallback.
 
 Rank decisions are the load-bearing primitive of the whole pipeline.  The
-exact kernel clears each row of denominators with one integer lcm and then
-eliminates fraction-free on Python ints, with one carrier per kind of input:
+exact kernel clears each row of denominators with one integer lcm, divides it
+by its content (``primitive_row``) and then eliminates fraction-free on Python
+ints, with one carrier per kind of input:
 Z for real rational matrices, Z[i] ((re, im) int pairs) for Gaussian-rational
 ones.  The rank is Bareiss (1968) forward elimination; the reduced row
 echelon form is fraction-free Gauss-Jordan, turned back into Fraction / QQi
@@ -13,9 +14,11 @@ rational rank; a lower one, or p dividing a denominator, proves nothing and
 the caller rechecks over Q.  Every primitive decides exactly when the mode is
 exact and every entry is exact (``decides_exactly``), and otherwise in floats
 at ``Mode.tol``, the one float tolerance; the float rank thresholds singular
-values at tol * sigma_max.  ``coords_in_span`` resolves any number of vectors
-in a span by one reduced row echelon form of the basis beside them all (a
-least-squares solve per vector for float input); ``restrict`` reads an
+values at tol * sigma_max.  A nonzero scale of a row changes no rank, kernel
+or reduced row echelon form, so a caller may pass such a multiple of its
+matrix, an integer one say.  ``coords_in_span`` resolves any number of
+vectors in a span by one reduced row echelon form of the basis beside them
+all (a least-squares solve per vector for float input); ``restrict`` reads an
 operator's matrix on an invariant span off one such call.  Matrices are plain
 lists of lists holding Fraction / QQi / int entries (or floats in float
 mode); vectors are lists.
@@ -94,17 +97,21 @@ def to_numpy(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def primitive_row(row):
+    """The real rational row times the lcm of its denominators, divided by the
+    gcd of the result: the primitive integer row of the same direction."""
+    ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
+    lcm = math.lcm(*{d for _, d in ratios})
+    ints = [a * (lcm // d) for a, d in ratios]
+    content = math.gcd(*ints)
+    return [a // content for a in ints] if content > 1 else ints
+
+
 class _Z:
     """Carrier Z, for real rational matrices: entries are ints."""
 
     zero, one = 0, 1
-
-    @staticmethod
-    def clear(row):
-        """The row times the lcm of its denominators."""
-        ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
-        lcm = math.lcm(*{d for _, d in ratios})
-        return [a * (lcm // d) for a, d in ratios]
+    clear = staticmethod(primitive_row)
 
     @staticmethod
     def combine(p, f, prev, row, prow):

@@ -3,7 +3,8 @@
 A pair of skew forms decomposes into Jordan blocks (one per spectrum value,
 sizes recovered from kernel-power dimensions of a recursion operator, which
 sees each block twice) and Kronecker blocks (half-sizes recovered from the
-filtration of regular kernels inside the core L).
+filtration of regular kernels inside the core L).  Exact kernel powers run on
+integers, on the real form [[A, -B], [B, A]] of a non-real R - mu I = A + iB.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
-from .exactlin import identity, mat_mul, mat_rank, shift, transpose
+from .exactlin import decides_exactly, mat_mul, mat_rank, primitive_row, shift, transpose
 from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
                      pencil_rank_corank)
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, QQi, conj, is_inf, lambda_key
+from .scalars import EXACT, Mode, QQi, cimag, conj, creal, is_inf, lambda_key
 from .tensorfield import PencilAtPoint, constant_pencil
 
 
@@ -113,21 +114,10 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode)
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
 
-    # Kronecker half-sizes from the kernel filtration dimension increments:
-    # after m distinct regular parameters the span gains one dimension per
-    # block of half-size >= m-1.
-    dims = core.dim_sequence
-    increments = []
-    prev = 0
-    for dm in dims:
-        increments.append(dm - prev)
-        prev = dm
-    while increments and increments[-1] == 0:
-        increments.pop()
-    kronecker = []
-    for m, delta in enumerate(increments):
-        next_delta = increments[m + 1] if m + 1 < len(increments) else 0
-        kronecker.extend([m] * (delta - next_delta))
+    # Kronecker half-sizes: after m distinct regular parameters the span of
+    # their kernels has gained one dimension per block of half-size >= m-1.
+    counts = _block_counts([0] + core.dim_sequence)
+    kronecker = [m for m, count in enumerate(counts) for _ in range(count)]
     if len(kronecker) != corank:
         raise ToleranceError(
             f"Kronecker block count {len(kronecker)} disagrees with corank {corank}")
@@ -150,26 +140,34 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
     return inv
 
 
+def _block_counts(dims):
+    """counts[s], the number of blocks that stop growing after step s of a
+    filtration that grows by one dimension per growing block: step s adds
+    dims[s + 1] - dims[s], and nothing after the last step."""
+    steps = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    return [a - b for a, b in zip(steps, steps[1:])]
+
+
 def _jordan_sizes_at(R, mu, mode: Mode):
-    """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice)."""
+    """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice),
+    from the kernel dimensions of the powers of N = R - mu I.  An exact N is
+    scaled to integers by one common factor, and a non-real N = A + iB is
+    replaced by its real form [[A, -B], [B, A]]: that form of a product is the
+    product of the forms, and its rank is 2 rank(A + iB)."""
     m = len(R)
-    shifted = shift(R, mu)
-    kdims = [0]
-    power = identity(m)
-    for _ in range(m):
-        power = mat_mul(power, shifted)
-        kdims.append(m - mat_rank(power, mode))
-        if kdims[-1] == kdims[-2]:
+    N, copies = shift(R, mu), 1
+    if decides_exactly(N, mode):
+        ints = primitive_row([part(x) for part in (creal, cimag) for row in N for x in row])
+        A, B = ([ints[k + r * m:k + (r + 1) * m] for r in range(m)] for k in (0, m * m))
+        N, copies = (A, 1) if not any(ints[m * m:]) else (
+            [a + [-x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
+    kdims, power = [0], N
+    while True:
+        kdims.append(m - mat_rank(power, mode) // copies)
+        if kdims[-1] == kdims[-2] or len(kdims) > m:
             break
-    counts = []  # counts[s] = number of R-blocks of size >= s+1
-    for s in range(1, len(kdims)):
-        counts.append(kdims[s] - kdims[s - 1])
-    sizes = []
-    for s in range(len(counts)):
-        nxt = counts[s + 1] if s + 1 < len(counts) else 0
-        exact_count = counts[s] - nxt
-        if exact_count % 2 != 0:
-            raise ToleranceError(
-                "odd Jordan block count on the quotient; tolerance inconsistency")
-        sizes.extend([s + 1] * (exact_count // 2))
-    return sorted(sizes)
+        power = mat_mul(power, N)
+    counts = _block_counts(kdims)
+    if any(count % 2 for count in counts):
+        raise ToleranceError("odd Jordan block count on the quotient; tolerance inconsistency")
+    return [s + 1 for s, count in enumerate(counts) for _ in range(count // 2)]

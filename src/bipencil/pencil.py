@@ -14,16 +14,23 @@ from fractions import Fraction
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
 from .exactlin import (basis_union, bilinear, decides_exactly, eigenvalues, identity, inverse,
                        mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace, nullspace_mod_p,
-                       residues, span_mod_p)
+                       primitive_row, residues, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
 from .tensorfield import PencilAtPoint, skew
 
 
+def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
+    """P_lambda(x) for a rank or kernel decision: in exact mode its integer
+    multiple ``p.integer_matrix_at(lam)`` where there is one."""
+    M = p.integer_matrix_at(lam) if mode.is_exact else None
+    return p.matrix_at(lam) if M is None else M
+
+
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
     """Rank of P_lambda(x) under the mode's rank rule."""
-    return mat_rank(p.matrix_at(lam), mode, warnings, what=f"rank at lambda={lam}")
+    return mat_rank(_decision_matrix(p, lam, mode), mode, warnings, what=f"rank at lambda={lam}")
 
 
 def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
@@ -44,7 +51,7 @@ def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
 
 def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
     """Kernel of P_lambda(x); complexified automatically for non-real lambda."""
-    return nullspace(p.matrix_at(lam), mode)
+    return nullspace(_decision_matrix(p, lam, mode), mode)
 
 
 def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
@@ -80,7 +87,7 @@ def _draw_regular(sampler: SamplingPolicy, count: int, kernel_if_regular, exclud
 def _is_regular(p: PencilAtPoint, lam, mode: Mode, rank: int) -> bool:
     """rank P_lambda == ``rank``, the pencil rank, by an exact rank without a
     kernel; float matrices count their kernel, as regular_parameters does."""
-    M = p.matrix_at(lam)
+    M = _decision_matrix(p, lam, mode)
     if decides_exactly(M, mode):
         return mat_rank_exact(M) == rank
     return p.dim - len(nullspace(M, mode)) == rank
@@ -182,11 +189,15 @@ def _span_kernels(dim: int, draw, union, full=None):
 
 
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
-    """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha."""
-    A = p.matrix_at(core.regular_params[0])
-    rows = [mat_vec(A, l) for l in core.basis]
-    if not rows:
+    """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha.
+    On the integer form of P_alpha the core vectors are cleared of denominators
+    too: that scales the rows, and leaves their kernel."""
+    if not core.basis:
         return identity(p.dim)
+    alpha = core.regular_params[0]
+    A = p.integer_matrix_at(alpha) if mode.is_exact else None
+    rows = ([mat_vec(p.matrix_at(alpha), l) for l in core.basis] if A is None
+            else [mat_vec(A, primitive_row(l)) for l in core.basis])
     return nullspace(rows, mode)
 
 

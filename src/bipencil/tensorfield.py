@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatchError, NonRationalPointError
+from .exactlin import primitive_row
 from .poly import Poly
 from .scalars import INF, is_exact_scalar, is_inf
 
@@ -124,7 +125,8 @@ class PencilAtPoint:
     values of P_0^{ij} and P_inf^{ij} at the point, not both zero;
     ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
     evaluated on first use: only the linearization at a spectrum value reads
-    them.  A constant pencil has no generators and no derivatives.
+    them.  A constant pencil has no generators and no derivatives.  Exact rank
+    and kernel decisions read ``integer_matrix_at`` where it applies.
     """
 
     dim: int
@@ -139,6 +141,28 @@ class PencilAtPoint:
         field0, field_inf = self.generators
         return [_nonzero_pairs(d0, dinf) for d0, dinf in
                 zip(field0.derivatives_at(self.point), field_inf.derivatives_at(self.point))]
+
+    @cached_property
+    def _integer_values(self):
+        """a0, ainf of each entry in turn, times one scale D > 0, as ints; None
+        unless all of them are real rationals."""
+        values = [x for _, _, *pair in self.entries for x in pair]
+        if all(isinstance(x, (int, Fraction)) for x in values):
+            return primitive_row(values)
+
+    def integer_matrix_at(self, lam):
+        """D (b A0 + a Ainf) at lam = a/b, D Ainf at INF, as ints; None unless lam
+        and every entry are real rationals.  A nonzero multiple of P_lambda has
+        its rank and kernel, but not its values (a quotient form needs those)."""
+        ints = self._integer_values
+        if ints is None or not (is_inf(lam) or isinstance(lam, (int, Fraction))):
+            return None
+        a, b = (1, 0) if is_inf(lam) else lam.as_integer_ratio()
+        M = [[0] * self.dim for _ in range(self.dim)]
+        for (i, j, _, _), a0, ainf in zip(self.entries, ints[::2], ints[1::2]):
+            x = b * a0 + a * ainf
+            M[i][j], M[j][i] = x, -x
+        return M
 
     @property
     def A0(self):

@@ -608,3 +608,11 @@ def test_qqi_float_and_complex_operands_give_complex():
         want = [za + x, x + za, za - x, x - za, za * x, x * za, za / x, x / za]
         assert all(type(g) is complex for g in got)
         assert got == want
+
+
+def test_cleared_rows_are_primitive():
+    F = Fraction
+    assert exactlin._Z.clear([F(2, 3), F(4, 3)]) == [1, 2]
+    assert exactlin._Z.clear([F(-6), F(0), F(9, 2)]) == [-4, 0, 3]
+    assert exactlin._Z.clear([F(0), F(0)]) == [0, 0]
+    assert exactlin._Z.clear([]) == []

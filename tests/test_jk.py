@@ -4,11 +4,12 @@ import pytest
 
 from bipencil import jk, pencil
 from bipencil.errors import ToleranceError
-from bipencil.exactlin import mat_rank_exact
+from bipencil.exactlin import mat_mul, mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import INF, QQi
+from bipencil.scalars import EXACT, INF, QQi, cimag, creal, float_mode
+from bipencil.tensorfield import constant_pencil
 
 from oracles.toda import constant_lattice, toda_pencil_at
 
@@ -114,3 +115,80 @@ def test_invariants_build_quotient_and_recursion_once(monkeypatch):
     inv = jk_invariants(p, SamplingPolicy(29))
     assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {"-1/2": [2]}}
     assert len(qbasis) == 1 and len(recursion) == 1
+
+
+def realified(blocks):
+    """The real constant pair of ``blocks``: a Jordan block at a non-real
+    lambda, with its conjugate, becomes [[2 Re X, -2 Im X], [-2 Im X, -2 Re X]]
+    for each of its forms X, which is congruent to diag(X, conj X)."""
+    pieces = []
+    for b in blocks:
+        p = assemble_jk_canonical_pair([b])
+        forms = [p.A0, p.Ainf]
+        if isinstance(b, JordanBlock) and isinstance(b.lam, QQi) and b.lam.im:
+            forms = [[[2 * creal(x) for x in row] + [-2 * cimag(x) for x in row] for row in X]
+                     + [[-2 * cimag(x) for x in row] + [-2 * creal(x) for x in row] for row in X]
+                     for X in forms]
+        pieces.append(forms)
+    d = sum(len(A) for A, _ in pieces)
+    pair = [[[Fraction(0)] * d for _ in range(d)] for _ in range(2)]
+    offset = 0
+    for forms in pieces:
+        for M, X in zip(pair, forms):
+            for i, row in enumerate(X):
+                M[offset + i][offset:offset + len(X)] = row
+        offset += len(forms[0])
+    return constant_pencil(*pair)
+
+
+def unimodular(d: int, sampler):
+    """Unit lower times unit upper triangular integer matrix: det 1."""
+    L = [[Fraction(1 if i == j else sampler.randint(-1, 1) if i > j else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[Fraction(1 if i == j else sampler.randint(-1, 1) if i < j else 0) for j in range(d)]
+         for i in range(d)]
+    return mat_mul(L, U)
+
+
+def test_complex_jordan_blocks_of_size_two_under_congruence():
+    # no other test has a non-real Jordan block of size >= 2: R - mu I is
+    # Gaussian there, and its powers run on the real form
+    p = realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
+    assert p.dim == 13
+    for k in range(2):
+        sp = SamplingPolicy(40 + k)
+        inv = jk_invariants(congruent_pair(p, unimodular(p.dim, sp.spawn(1))), sp.spawn(2))
+        assert inv.to_json_dict() == {"corank": 1, "kronecker": [2],
+                                      "jordan": {"(1+2i)": [2], "(1-2i)": [2]}}
+
+
+def jordan_matrix(lam, sizes):
+    """Block-diagonal matrix of Jordan blocks J(lam) of the given sizes."""
+    m = sum(sizes)
+    R = [[lam * 0] * m for _ in range(m)]
+    offset = 0
+    for s in sizes:
+        for i in range(s):
+            R[offset + i][offset + i] = lam
+            if i + 1 < s:
+                R[offset + i][offset + i + 1] = lam * 0 + 1
+        offset += s
+    return R
+
+
+@pytest.mark.parametrize("lam, mode", [
+    (Fraction(3, 2), EXACT), (QQi(Fraction(1), Fraction(-2, 3)), EXACT),
+    (Fraction(3, 2), float_mode(1e-9)), (1.5 + 0.5j, float_mode(1e-9))])
+def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam, mode):
+    calls = {"mat_mul": 0, "mat_rank": 0}
+    for name in calls:
+        real = getattr(jk, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(jk, name, counted)
+    # R sees each pencil block twice: sizes 3, 1 at the pencil level
+    R = jordan_matrix(lam, [3, 3, 1, 1])
+    assert jk._jordan_sizes_at(R, lam, mode) == [1, 3]
+    assert calls == {"mat_mul": 3, "mat_rank": 4}

@@ -1,20 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import SingularParameterError
-from bipencil.exactlin import bilinear, mat_mul, mat_rank, mat_vec
+from bipencil.exactlin import bilinear, identity, mat_mul, mat_rank, mat_vec, nullspace
 from bipencil import exactlin, pencil
-from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
+from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form
-from bipencil.pencil import (compute_spectrum, kernel_basis, pencil_rank_corank,
+from bipencil.pencil import (compute_spectrum, core_perp, kernel_basis, pencil_rank_corank,
                              quotient_basis, quotient_dim, quotient_dim_mod_p,
                              quotient_form, rank_at, recursion_operator,
                              regular_parameters)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
-from bipencil.tensorfield import constant_pencil, evaluate_pencil
+from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.toda import constant_lattice, toda_pencil_at
@@ -313,3 +315,83 @@ def test_one_float_tolerance():
     # exact mode meets a float mu where R's eigenvalue is irrational; mu at
     # 1 within the tolerance is the parameter at infinity
     assert is_inf(pencil._moebius_to_lambda(1 + 1e-12, Fraction(1), Fraction(2), EXACT))
+
+
+def _integer_cases():
+    """The catalog at its points, Toda singular and random points for n = 4, 6,
+    and a JK pair under an integer congruence."""
+    for e in catalog():
+        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
+    for n in (4, 6):
+        yield f"toda-singular-{n}", toda_pencil_at(make_singular_point(n, seed=1))
+        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
+    p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(-2, 3), 2)])
+    U = [[Fraction(1 if i == j else (i * 3 + j) % 3 - 1 if j > i else 0) for j in range(p.dim)]
+         for i in range(p.dim)]
+    yield "jk-congruent", congruent_pair(p, U)
+
+
+def _positive_multiple(M, N):
+    """M = c N for one rational c > 0 (both zero counts)."""
+    pairs = [(a, b) for ra, rb in zip(M, N) for a, b in zip(ra, rb)]
+    c = next((Fraction(a) / b for a, b in pairs if b != 0), Fraction(1))
+    return c > 0 and all(a == c * b for a, b in pairs)
+
+
+def test_integer_pencil_decides_as_the_fraction_matrix():
+    sampler = SamplingPolicy(31)
+    for name, p in _integer_cases():
+        lams = [INF, Fraction(0)] + [sampler.rational() for _ in range(3)]
+        for lam in lams:
+            M = p.integer_matrix_at(lam)
+            assert all(type(x) is int for row in M for x in row), (name, lam)
+            assert _positive_multiple(M, p.matrix_at(lam)), (name, lam)
+            assert rank_at(p, lam) == mat_rank(p.matrix_at(lam)), (name, lam)
+            assert kernel_basis(p, lam) == nullspace(p.matrix_at(lam)), (name, lam)
+        core = core_of(p, sampler.spawn(1))
+        A = p.matrix_at(core.regular_params[0])
+        fraction_perp = (nullspace([mat_vec(A, l) for l in core.basis]) if core.basis
+                         else identity(p.dim))
+        assert core_perp(p, core) == fraction_perp, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
+                                   st.fractions(-3, 3, max_denominator=4)),
+                         min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))),
+       st.one_of(st.just(INF), st.fractions(-4, 4, max_denominator=5)))
+def test_integer_pencil_of_random_skew_pairs(pair, lam):
+    d, values = pair
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    p = PencilAtPoint(d, [(i, j, a, b) for (i, j), (a, b) in zip(upper, values)
+                          if a != 0 or b != 0], [Fraction(0)] * d)
+    assert _positive_multiple(p.integer_matrix_at(lam), p.matrix_at(lam))
+    assert rank_at(p, lam) == mat_rank(p.matrix_at(lam))
+    assert kernel_basis(p, lam) == nullspace(p.matrix_at(lam))
+
+
+def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
+    gaussian = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(QQi(1, 2), 1)])
+    real = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(1, 2), 1)])
+    floats = constant_pencil([[float(x) for x in row] for row in real.A0], real.Ainf)
+    i = QQi(Fraction(0), Fraction(1))
+    assert gaussian.integer_matrix_at(Fraction(1, 3)) is None
+    assert floats.integer_matrix_at(Fraction(1, 3)) is None
+    assert real.integer_matrix_at(i) is None and real.integer_matrix_at(0.5) is None
+    cases = [(gaussian, Fraction(1, 3), EXACT), (floats, Fraction(1, 3), EXACT),
+             (real, i, EXACT), (real, QQi(Fraction(1, 2), Fraction(0)), EXACT),
+             (real, Fraction(1, 2), float_mode(1e-9))]
+    expected = [(mat_rank(p.matrix_at(lam), mode), nullspace(p.matrix_at(lam), mode))
+                for p, lam, mode in cases]
+    core = core_of(real, SamplingPolicy(3))
+    perp = core_perp(real, core)
+    # float mode never reads the integer form
+    monkeypatch.setattr(PencilAtPoint, "integer_matrix_at",
+                        lambda self, lam: pytest.fail("float mode read the integer form"))
+    p, lam, mode = cases.pop()
+    assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == expected.pop()
+    assert len(core_perp(real, core, mode)) == len(perp)
+    monkeypatch.undo()
+    for (p, lam, mode), want in zip(cases, expected):
+        assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, (p, lam)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -43,11 +44,20 @@ def further_jobs(workdir: str):
     - ``linear`` on every catalog argument-shift algebra with its shift
       cocycle, in both modes at seeds 0-2;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
-    - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes.
+    - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
+    - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
+      and on the 13-dim pair with (1 +- 2i) Jordan blocks of size 2 under two
+      congruences, in both modes at seeds 0-2.
+
+    The child has put the tree's ``perfbench`` on ``sys.path``, so the ``jk``
+    inputs come from its ``workloads`` helpers.
     """
+    import workloads
     from bipencil.catalog import catalog
     from bipencil.io import dump_canonical, pencil_to_json_dict
+    from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
+    from bipencil.scalars import QQi
 
     def write(name, doc):
         path = os.path.join(workdir, name)
@@ -80,6 +90,20 @@ def further_jobs(workdir: str):
                   ["toda", "--n", str(n), "--a", ",".join(["1"] * n),
                    "--b", ",".join(["0"] * n), "--mode", mode])
                  for n in range(2, 9)]
+    pairs = [(f"jk{k}", workloads._real_jk_pair(blocks))
+             for k, blocks in enumerate(workloads.JK_PAIRS)]
+    gaussian = workloads._real_jk_pair([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
+    rng = random.Random("jobdiff-jk")
+    pairs += [(f"jk-gaussian.{c}",
+               congruent_pair(gaussian, workloads._unimodular(gaussian.dim, rng)))
+              for c in range(2)]
+    for name, p in pairs:
+        path = workloads._constant_pencil_file(
+            os.path.join(workdir, f"{name}.pencil.json"), p)
+        jobs += [(f"jk {name} {mode} seed={s}",
+                  ["jk", "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
+                   "--mode", mode, "--seed", str(s)])
+                 for mode in MODES for s in FURTHER_SEEDS]
     return [(FURTHER + key, argv) for key, argv in jobs]
 
 
