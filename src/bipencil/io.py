@@ -143,9 +143,8 @@ def parse_point_csv(text: str, dim: int, option: str = "--point"):
     if any(not p.strip() for p in parts):
         raise InputFormatError(f"empty coordinate in '{text}'", position=option)
     if len(parts) != dim:
-        raise InputFormatError(
-            f"point has {len(parts)} coordinates, pencil dimension is {dim}",
-            position=option)
+        raise InputFormatError(f"{option} has {len(parts)} values, expected {dim}",
+                               position=option)
     try:
         return [parse_rational(p) for p in parts]
     except ValueError as exc:

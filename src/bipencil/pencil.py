@@ -37,15 +37,16 @@ def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
                        mode: Mode = EXACT, warnings=None):
     """(rank, corank) of the pencil at the point.
 
-    The maximum of rank P_lambda over d+1 distinct rational samples: the rank
-    minors are polynomials of degree <= d in lambda, so d+1 distinct samples
-    must include a generic one.
+    The maximum of rank P_lambda over floor(d/2) distinct rationals and
+    infinity.  By the Jordan-Kronecker theorem, over C the corank = d - r
+    Kronecker blocks fill at least d - r dimensions, so the Jordan part fills
+    at most r; each distinct eigenvalue, infinity included, takes at least a
+    pair of dimensions of it.  So P_lambda drops rank at no more than
+    r/2 <= floor(d/2) points of P^1, and one of the floor(d/2) + 1 samples
+    is generic.
     """
-    samples = sampler.distinct_rationals(p.dim + 1)
-    best = 0
-    for lam in samples:
-        best = max(best, rank_at(p, lam, mode, warnings))
-    best = max(best, rank_at(p, INF, mode, warnings))
+    samples = sampler.distinct_rationals(p.dim // 2) + [INF]
+    best = max(rank_at(p, lam, mode, warnings) for lam in samples)
     return best, p.dim - best
 
 
@@ -133,16 +134,13 @@ def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
                  *, rank: int) -> IsotropicCore:
     """Accumulate kernels of regular brackets (pencil rank ``rank``) until they span L.
 
-    Stops once the span is unchanged for two consecutive additions and at
-    least dim-L kernels were used.  A Kronecker block of half-size k is
-    spanned by k+1 kernels, so max(k)+1 <= dim L kernels already suffice and
-    the dim-L count is a conservative margin: with two blocks of half-size 3
-    the span is complete after 4 kernels, yet the loop draws 8.
+    Stops at the first kernel that adds nothing, or once the span reaches
+    d - rank/2, the largest dimension of the isotropic L; see _span_kernels.
     """
     basis, params, dims = _span_kernels(
         p.dim, lambda params: regular_parameters(p, sampler, 1, mode, rank=rank,
                                                  exclude=params)[0],
-        lambda basis, ker: basis_union(basis, ker, mode))
+        lambda basis, ker: basis_union(basis, ker, mode), full=p.dim - rank // 2)
     return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
                          corank=p.dim - rank)
 
@@ -167,22 +165,26 @@ def quotient_dim_mod_p(p: PencilAtPoint, sampler: SamplingPolicy, *, rank: int):
     return p.dim - 2 * len(basis) + p.dim - rank
 
 
-def _span_kernels(dim: int, draw, union, full=None):
+def _span_kernels(dim: int, draw, union, full: int):
     """(basis, params, dims) of the span of kernels from ``draw(params)``, a
-    fresh (lambda, kernel) pair, joined by ``union``; see compute_core.  A
-    span of dimension ``full`` ends the loop at once."""
+    fresh (lambda, kernel) pair at a regular parameter, joined by ``union``.
+
+    The first kernel that adds nothing ends the loop: at regular parameters
+    only the Kronecker blocks have kernel, and m distinct ones span
+    min(m, k + 1) dimensions of a block of half-size k (a Vandermonde
+    matrix), so step m adds one dimension per block with k >= m - 1, and a
+    step that adds none is followed by none that adds.  A span of dimension
+    ``full``, the bound on dim L, ends the loop at once."""
     basis, params, dims = [], [], []
-    stable = 0
     hard_cap = max(2 * dim + 4, 8)
     while True:
         lam, ker = draw(params)
         new_basis = union(basis, ker)
         params.append(lam)
         dims.append(len(new_basis))
-        stable = stable + 1 if len(new_basis) == len(basis) else 0
+        if len(new_basis) in (len(basis), full):
+            return new_basis, params, dims
         basis = new_basis
-        if len(basis) == full or stable >= 2 and len(params) >= len(basis):
-            return basis, params, dims
         if len(params) > hard_cap:
             raise ToleranceError(
                 "core accumulation failed to stabilize; inconsistent float tolerance")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import char_poly, mat_vec, poly_roots_hybrid, to_numpy
+from .exactlin import char_poly, poly_deriv, poly_gcd_exact, poly_roots_hybrid, to_numpy
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, simplify_scalar
@@ -117,19 +117,10 @@ def _shift_block(lax: LaxMatrix, sign: int):
     """Action of the Lax matrix on the (anti)symmetric subspace of the n-shift.
 
     Basis u_j = e_j + sign * e_{j+n}; the image of u_j is again (anti)symmetric
-    and its first n components are the block column.
+    and its first n components are the block column, L[i][j] + sign L[i][j+n].
     """
-    n = lax.n
-    m = 2 * n
-    block = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        u = [Fraction(0)] * m
-        u[j] = Fraction(1)
-        u[j + n] = Fraction(sign)
-        img = mat_vec(lax.matrix, u)
-        for i in range(n):
-            block[i][j] = img[i]
-    return block
+    L, n = lax.matrix, lax.n
+    return [[L[i][j] + sign * L[i][j + n] for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -147,14 +138,19 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     With the bracket table used here the lambda-slice of the pencil at (a, b)
     equals the zero-slice at (a, b + lambda), so a double eigenvalue mu of the
     doubled Lax matrix certifies the pencil parameter -mu.  Both numbers are
-    reported; all values are real (the matrix is symmetric).
+    reported; all values are real (the matrix is symmetric).  In exact mode a
+    block whose characteristic polynomial is coprime to its derivative has
+    no multiple eigenvalue, so its roots are not sought.
     """
     lax = lax_matrix(pt)
     out = []
     for which, block in (("periodic", lax.periodic_block()),
                          ("antiperiodic", lax.antiperiodic_block())):
         if mode.is_exact:
-            exact_roots, float_roots = poly_roots_hybrid(char_poly(block))
+            chi = char_poly(block)
+            if len(poly_gcd_exact(chi, poly_deriv(chi))) == 1:
+                continue
+            exact_roots, float_roots = poly_roots_hybrid(chi)
             for mu, mult in exact_roots:
                 if mult >= 2:
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,

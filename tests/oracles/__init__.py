@@ -8,6 +8,8 @@
   quotients by a central ideal;
 - ``fields``: polynomial calculus, the Jacobi identity and compatibility of
   Poisson fields, and the shifted Casimirs of argument-shift pencils.
+- ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
+  longer rules, the reference for the library's early stops.
 
 A definition that only tests use lives here, not in ``src/``.
 """

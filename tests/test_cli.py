@@ -66,6 +66,12 @@ def test_analyze_wrong_arity(so3_file, capsys):
     assert json.loads(err)["position"] == "--point"
 
 
+def test_toda_wrong_arity_names_the_option(capsys):
+    code, out, err = run_cli(["toda", "--n", "3", "--a", "1,1", "--b", "0,0,0"], capsys)
+    assert_input_error(code, out, err, "--a")
+    assert json.loads(err)["message"] == "--a has 2 values, expected 3"
+
+
 def test_analyze_malformed_pencil(tmp_path, capsys):
     bad = tmp_path / "bad.pencil.json"
     bad.write_text(json.dumps({

@@ -8,7 +8,7 @@ from bipencil.exactlin import mat_mul, mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, cimag, creal, float_mode
+from bipencil.scalars import EXACT, INF, QQi, cimag, creal, float_mode, lambda_key
 from bipencil.tensorfield import constant_pencil
 
 from oracles.toda import constant_lattice, toda_pencil_at
@@ -83,6 +83,27 @@ def test_congruence_invariance():
         U = integer_matrix(sp.spawn(100 + k), p.dim)
         got = jk_invariants(congruent_pair(p, U), sp.spawn(200 + k)).to_json_dict()
         assert got == base
+
+
+@pytest.mark.parametrize("blocks", [
+    [KroneckerBlock(0), KroneckerBlock(3)],
+    [KroneckerBlock(3), KroneckerBlock(3), JordanBlock(INF, 2)],
+    [KroneckerBlock(1), KroneckerBlock(2), KroneckerBlock(3), JordanBlock(Fraction(1, 2), 1)],
+    [KroneckerBlock(0), KroneckerBlock(1), KroneckerBlock(2), KroneckerBlock(3),
+     JordanBlock(Fraction(-3), 2), JordanBlock(QQi(0, 1), 1)],
+])
+def test_invariants_with_kronecker_half_sizes_up_to_three(blocks):
+    # the core stops at its first idle kernel or at dim L's bound, and the
+    # half-sizes are read off the dimensions it grew through
+    p = assemble_jk_canonical_pair(blocks)
+    inv = jk_invariants(p, SamplingPolicy(len(blocks)))
+    assert inv.kronecker_indices == sorted(b.half_size for b in blocks
+                                           if isinstance(b, KroneckerBlock))
+    jordan = {}
+    for b in blocks:
+        if isinstance(b, JordanBlock):
+            jordan.setdefault(lambda_key(b.lam), []).append(b.size)
+    assert inv.jordan == jordan
 
 
 def test_toda_singular_point_invariants():

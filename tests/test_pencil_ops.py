@@ -10,8 +10,8 @@ from bipencil.exactlin import bilinear, identity, mat_mul, mat_rank, mat_vec, nu
 from bipencil import exactlin, pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form
-from bipencil.pencil import (compute_spectrum, core_perp, kernel_basis, pencil_rank_corank,
-                             quotient_basis, quotient_dim, quotient_dim_mod_p,
+from bipencil.pencil import (compute_core, compute_spectrum, core_perp, kernel_basis,
+                             pencil_rank_corank, quotient_basis, quotient_dim, quotient_dim_mod_p,
                              quotient_form, rank_at, recursion_operator,
                              regular_parameters)
 from bipencil.sampling import SamplingPolicy
@@ -19,6 +19,7 @@ from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
+from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of
 
@@ -395,3 +396,77 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     monkeypatch.undo()
     for (p, lam, mode), want in zip(cases, expected):
         assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, (p, lam)
+
+
+class EigenvaluesFirst(SamplingPolicy):
+    """A sampler whose distinct_rationals(k) starts with the given finite
+    eigenvalues of the pencil, the worst draws a sampler could make."""
+
+    def __init__(self, eigenvalues):
+        super().__init__(0)
+        self.eigenvalues, self.counts = eigenvalues, []
+
+    def distinct_rationals(self, count, exclude=()):
+        self.counts.append(count)
+        head = self.eigenvalues[:count]
+        return head + super().distinct_rationals(count - len(head), exclude=head)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rank_samples_are_enough_and_tight(m):
+    # d = 2m with a Jordan block at each of 1..m: every finite sample drops
+    # rank, and only infinity is generic
+    eigs = [Fraction(i) for i in range(1, m + 1)]
+    p = assemble_jk_canonical_pair([JordanBlock(lam, 1) for lam in eigs])
+    sampler = EigenvaluesFirst(eigs)
+    assert pencil_rank_corank(p, sampler) == (2 * m, 0) and sampler.counts == [m]
+    assert all(rank_at(p, lam) < 2 * m for lam in eigs)
+    # one block moved to infinity: the rank comes from the one generic rational
+    q = assemble_jk_canonical_pair([JordanBlock(lam, 1) for lam in eigs[:-1]]
+                                   + [JordanBlock(INF, 1)])
+    sampler = EigenvaluesFirst(eigs[:-1])
+    assert pencil_rank_corank(q, sampler) == (2 * m, 0) and sampler.counts == [m]
+    assert all(rank_at(q, lam) < 2 * m for lam in eigs[:-1] + [INF])
+
+
+# the Jordan-Kronecker pairs of the benchmark's jk-congruent workload
+JK_PAIRS = [
+    [KroneckerBlock(1), JordanBlock(Fraction(1, 2), 1)],
+    [KroneckerBlock(1), JordanBlock(QQi(Fraction(1), Fraction(1)), 1)],
+    [KroneckerBlock(0), KroneckerBlock(2), JordanBlock(INF, 2)],
+    [KroneckerBlock(1), JordanBlock(Fraction(-2), 2), JordanBlock(INF, 1),
+     JordanBlock(Fraction(3), 1)],
+    [KroneckerBlock(2), KroneckerBlock(1), JordanBlock(Fraction(1, 3), 2),
+     JordanBlock(QQi(Fraction(0), Fraction(1)), 1)],
+]
+
+
+def _stop_cases():
+    """The catalog at its points, Toda singular and random points for
+    n = 2..8, and the benchmark's JK pairs."""
+    for e in catalog():
+        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
+    for n in range(2, 9):
+        yield f"toda-singular-{n}", toda_pencil_at(make_singular_point(n, seed=1))
+        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
+    for k, blocks in enumerate(JK_PAIRS):
+        yield f"jk-{k}", assemble_jk_canonical_pair(blocks)
+
+
+def test_early_stops_agree_with_the_longer_rules():
+    for k, (name, p) in enumerate(_stop_cases()):
+        sampler = SamplingPolicy(50 + k)
+        rank, corank = pencil_rank_corank(p, sampler.spawn(1))
+        assert (rank, corank) == rank_corank_over_d_plus_two(p, sampler.spawn(1)), name
+        core = compute_core(p, sampler.spawn(2), rank=rank)
+        old = core_until_two_idle(p, sampler.spawn(2), rank=rank)
+        assert core.basis == old.basis, name
+        # the old sequence, cut after its first idle step or at dim L's bound
+        full, cut = p.dim - rank // 2, 0
+        while cut < len(old.dim_sequence) and old.dim_sequence[cut] not in (
+                full, old.dim_sequence[cut - 1] if cut else 0):
+            cut += 1
+        assert core.dim_sequence == old.dim_sequence[:cut + 1], name
+        assert core.regular_params == old.regular_params[:cut + 1], name
+        if quotient_dim(p, core) == 0:
+            assert core.dim == full, name

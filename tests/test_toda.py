@@ -7,12 +7,15 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
+from bipencil import toda
 from bipencil.sampling import SamplingPolicy
+from bipencil.scalars import EXACT, float_mode
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import (TodaPoint, lax_matrix, lax_recursion_check, make_singular_point,
                            random_point, toda_pencil, toda_spectrum_via_lax)
 
 from oracles.fields import add, verify_jacobi
+from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
                           fold_to_covector, kernel_product, toda_kernel_algebra,
                           toda_pencil_at, wronskian)
@@ -110,6 +113,31 @@ def test_lax_doubles_n2_n3():
     spec3 = toda_spectrum_via_lax(constant_lattice(3))
     assert {(e.lax_eigenvalue, e.which) for e in spec3} == \
         {(F(1), "antiperiodic"), (F(-1), "periodic")}
+
+
+def _lax_points():
+    """A random, a singular and the symmetric (a_i = 1, b_i = 0) point for
+    n = 2..8."""
+    for n in range(2, 9):
+        yield random_point(n, 40 + n)
+        yield make_singular_point(n, seed=n)
+        yield constant_lattice(n)
+
+
+def test_lax_blocks_and_spectrum_agree_with_the_longer_rules():
+    for pt in _lax_points():
+        lax = lax_matrix(pt)
+        assert lax.periodic_block() == shift_block_by_mat_vec(lax, 1), pt
+        assert lax.antiperiodic_block() == shift_block_by_mat_vec(lax, -1), pt
+        for mode in (EXACT, float_mode(1e-9)):
+            assert toda_spectrum_via_lax(pt, mode) == lax_spectrum_by_roots(pt, mode), (pt, mode)
+
+
+def test_exact_lax_oracle_skips_squarefree_blocks(monkeypatch):
+    # at a random point neither block has a multiple eigenvalue, so no root is sought
+    monkeypatch.setattr(toda, "poly_roots_hybrid",
+                        lambda chi: pytest.fail("a squarefree block was root-found"))
+    assert toda_spectrum_via_lax(random_point(5, 3)) == []
 
 
 def test_generic_point_empty_both_oracles():
