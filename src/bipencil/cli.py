@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 input error (usage, parse and Jacobi failures,
+Exit codes: 0 success; 1 input error (usage, parse and Jacobi failures, and
+an output path that cannot be written, named by its option --out or --emit,
 "error": "input"); 2 refused precondition (rank-deficient point, phase-space
 violation, "error": "refused"); 1 for any other library error, such as
 ToleranceError or SingularParameterError ("error": "error").  Errors are
@@ -23,7 +24,8 @@ from .errors import (BipencilError, InputFormatError, PreconditionError,
 from .io import (catalog_entry_to_json_dict, dump_canonical, load_pencil_file,
                  parse_point_csv, report_document)
 from .jk import jk_invariants
-from .liealg import LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, kernel_of_cocycle, is_regular_cocycle
+from .liealg import (LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, is_regular_cocycle,
+                     kernel_of_cocycle, matrix_is_semisimple)
 from .roots import analyze_linear
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, float_mode, format_scalar
@@ -42,19 +44,26 @@ def _emit_error(code: str, message, position=None) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out_path))
+def _write_atomic(text: str, path) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bipencil-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_output(text: str, out_path) -> None:
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        _write_atomic(text, out_path)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write the report: {exc}", position="--out") from exc
 
 
 def _tolerance(args) -> float:
@@ -203,7 +212,8 @@ def cmd_linear(args) -> int:
         "kernel": {"dim": len(kernel.basis),
                    "basis": [[format_scalar(x) for x in v] for v in kernel.basis],
                    "abelian": kernel.abelian,
-                   "ad_semisimple": kernel.ad_semisimple},
+                   "ad_semisimple": all(matrix_is_semisimple(M, mode)
+                                        for M in kernel.ad)},
         "roots": [[format_scalar(x) for x in p.root] for p in lin.data.pairs],
         "nondegenerate": lin.reason is None,
         "degeneracy_reason": lin.reason,
@@ -227,10 +237,14 @@ def cmd_catalog(args) -> int:
         if name not in entries:
             raise InputFormatError(f"unknown catalog entry '{name}'; "
                                    f"try: {', '.join(sorted(entries))}")
-        entry = entries[name]
-        os.makedirs(directory, exist_ok=True)
+        text = dump_canonical(catalog_entry_to_json_dict(entries[name]))
         path = os.path.join(directory, f"{name}.pencil.json")
-        _write_output(dump_canonical(catalog_entry_to_json_dict(entry)), path)
+        try:
+            os.makedirs(directory, exist_ok=True)
+            _write_atomic(text, path)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write the pencil file: {exc}",
+                                   position="--emit") from exc
         print(path)
         return EXIT_OK
     raise InputFormatError("catalog requires --list or --emit NAME DIR")

@@ -19,8 +19,9 @@ or reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span by one reduced row echelon form of the basis beside them
 all (a least-squares solve per vector for float input); ``restrict`` reads an
-operator's matrix on an invariant span off one such call.  Matrices are plain
-lists of lists holding Fraction / QQi / int entries (or floats in float
+operator's matrix on an invariant span off one such call.  ``eigenspaces``,
+the one eigen-split, also decides diagonalizability over C.  Matrices are
+plain lists of lists holding Fraction / QQi / int entries (or floats in float
 mode); vectors are lists.
 """
 
@@ -656,3 +657,19 @@ def eigenvalues(M, mode: Mode = EXACT):
         else:
             clusters.append([complex(z), 1])
     return [], [(z, m) for z, m in clusters]
+
+
+def eigenspaces(M, mode: Mode = EXACT):
+    """(eigenvalue, basis of Ker(M - eigenvalue I)) per distinct eigenvalue from
+    ``eigenvalues``, or None when M is not diagonalizable over C: a kernel is
+    smaller than its multiplicity, or the kernels do not span."""
+    eigs = [e for part in eigenvalues(M, mode) for e in part]
+    if sum(mult for _, mult in eigs) != len(M):
+        return None
+    split = []
+    for val, mult in eigs:
+        sub = nullspace(shift(M, val), mode)
+        if len(sub) != mult:
+            return None
+        split.append((val, sub))
+    return split

@@ -2,7 +2,8 @@
 
 A linear pencil pairs a Lie algebra (structure constants over the reals or
 Gaussian rationals) with a skew 2-cocycle; its pencil of forms on the dual is
-<x, [xi, eta]> + lambda A(xi, eta).
+<x, [xi, eta]> + lambda A(xi, eta).  Semisimplicity of ad is decided by the
+eigen-split that yields the root spaces, ``exactlin.eigenspaces``.
 """
 
 from __future__ import annotations
@@ -10,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (basis_union, bilinear, char_poly, eigenvalues, mat_mul, mat_rank,
-                       nullspace, poly_squarefree_part, shift, svd_rank, to_numpy)
+from .exactlin import basis_union, bilinear, eigenspaces, mat_rank, nullspace
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, QQi, format_scalar, parse_int, parse_rational, simplify_scalar
@@ -276,49 +274,25 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
 @dataclass
 class CocycleKernel:
     """Ker A as a subalgebra: its basis, the matrix of ad_x on the algebra for
-    each basis vector x, and whether it is Abelian with semisimple ad."""
+    each basis vector x, and whether it is Abelian."""
 
     basis: list
     ad: list
     abelian: bool
-    ad_semisimple: bool
 
 
 def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
-    """Diagonalizable over C: the square-free part of the char poly kills M."""
-    if not M:
-        return True
-    if mode.is_exact:
-        sf = poly_squarefree_part(char_poly(M))
-        # Horner on the monic sf: acc = (..((M + s_{d-1}) M + s_{d-2}) M ..) + s_0
-        acc = shift(M, -sf[-2])
-        for c in reversed(sf[:-2]):
-            acc = shift(mat_mul(acc, M), -c)
-        return all(v == 0 for row in acc for v in row)
-    A = to_numpy(M)
-    _, clusters = eigenvalues(M, mode)
-    n = len(M)
-    for z, mult in clusters:
-        shifted = A - z * np.eye(n)
-        geo = n - svd_rank([list(r) for r in shifted], 1000 * mode.tol)
-        if geo != mult:
-            return False
-    return True
+    """Diagonalizable over C: the eigen-split ``exactlin.eigenspaces`` succeeds."""
+    return eigenspaces(M, mode) is not None
 
 
 def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
-    """Ker A as a subalgebra, with abelian and ad-semisimplicity flags."""
+    """Ker A as a subalgebra, with its ad matrices and an abelian flag."""
     basis = nullspace(lp.cocycle.matrix, mode)
-    abelian = True
-    scale = 1.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lp.algebra.bracket(basis[i], basis[j])
-            if any(not mode.zero(v, scale) for v in br):
-                abelian = False
+    abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
+                  for v in lp.algebra.bracket(x, y))
     ad = [lp.algebra.ad_matrix(x) for x in basis]
-    semisimple = all(matrix_is_semisimple(M, mode) for M in ad)
-    return CocycleKernel(basis=basis, ad=ad, abelian=abelian, ad_semisimple=semisimple)
+    return CocycleKernel(basis=basis, ad=ad, abelian=abelian)
 
 
 def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,

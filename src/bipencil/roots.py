@@ -2,10 +2,11 @@
 
 The kernel of the cocycle acts on the algebra by commuting operators; when
 those are all semisimple the complexified algebra splits into joint
-eigenspaces.  Non-degeneracy asks for one-dimensional root spaces with
-linearly independent roots; the surviving pencils are then recognized as sums
-of elementary blocks (the so(3), sl(2) and diamond families) modulo a central
-ideal and an Abelian summand.
+eigenspaces, by ``exactlin.eigenspaces``; a split that fails is the one
+source of ``AdNotSemisimple``.  Non-degeneracy asks for one-dimensional root
+spaces with linearly independent roots; the surviving pencils are then
+recognized as sums of elementary blocks (the so(3), sl(2) and diamond
+families) modulo a central ideal and an Abelian summand.
 
 ``analyze_linear`` is the one per-lambda analysis: root decomposition, then
 non-degeneracy, then the blocks.  The Williamson type is read off the blocks,
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ToleranceError
-from .exactlin import coords_in_span, eigenvalues, mat_rank, nullspace, restrict, shift
+from .exactlin import coords_in_span, eigenspaces, mat_rank, restrict
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
                       simplify_scalar)
@@ -132,10 +133,10 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     Each item is a maximal joint eigenspace: the tuple of eigenvalues (one per
     operator) and a basis of the space.  The first operator is split as it
     is, on the standard basis, and each later one is restricted to the joint
-    eigenspaces of those before it.  Eigenvalues, kernels and restrictions
-    follow exactlin's exact-or-float rule, so float mode computes in floats
-    even where the entries are exact.  Raises ToleranceError if a restriction
-    refuses to split (non-semisimple family).
+    eigenspaces of those before it.  Every split is ``exactlin.eigenspaces``,
+    which follows exactlin's exact-or-float rule, so float mode computes in
+    floats even where the entries are exact.  Raises ToleranceError if a
+    restriction refuses to split (non-semisimple family).
     """
     if not mats:
         return []
@@ -146,21 +147,12 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
             R = A if basis is None else restrict(A, basis, mode)
             if R is None:
                 raise ToleranceError("operator failed to preserve an invariant subspace")
-            exact_eigs, float_eigs = eigenvalues(R, mode)
-            total_mult = sum(mult for _, mult in exact_eigs) + sum(m2 for _, m2 in float_eigs)
-            if total_mult != len(R):
-                raise ToleranceError("eigenvalue multiplicities failed to add up")
-            covered = 0
-            for val, mult in list(exact_eigs) + list(float_eigs):
-                sub = nullspace(shift(R, val), mode)
-                if len(sub) != mult:
-                    raise ToleranceError(
-                        "geometric multiplicity below algebraic (non-semisimple action)")
+            split = eigenspaces(R, mode)
+            if split is None:
+                raise ToleranceError("operator is not diagonalizable (non-semisimple action)")
+            for val, sub in split:
                 vecs = sub if basis is None else [_combine(basis, coords) for coords in sub]
                 new_items.append((eigs + (val,), vecs))
-                covered += len(sub)
-            if covered != len(R):
-                raise ToleranceError("joint eigenspaces failed to span")
         items = new_items
     return items
 
@@ -184,9 +176,6 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
                     cocycle_rank=lp.algebra.dim - len(kernel.basis))
     if not kernel.abelian:
         data.residual = "KernelNotAbelian"
-        return data
-    if not kernel.ad_semisimple:
-        data.residual = "AdNotSemisimple"
         return data
     try:
         items = joint_eigenvectors(kernel.ad, mode)
@@ -322,7 +311,7 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
 
     center = g.center(mode)
     derived = g.derived_basis(mode)
-    out.abelian_dim = mat_rank(center + derived, mode) - mat_rank(derived, mode)
+    out.abelian_dim = mat_rank(center + derived, mode) - len(derived)
     out.central_ideal_dim = out.block_dim_total(data.field) + out.abelian_dim - g.dim
     if out.central_ideal_dim < 0:
         raise ToleranceError("block reconstruction identity failed")

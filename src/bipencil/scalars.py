@@ -297,10 +297,14 @@ def parse_int(value) -> int:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q', integer, or decimal strings to an exact Fraction."""
+    """Parse 'p/q', integer, or decimal strings to an exact Fraction;
+    ValueError for anything else, a zero denominator included."""
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 @dataclass(frozen=True)

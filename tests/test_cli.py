@@ -352,3 +352,79 @@ def test_algebra_basis_must_be_dim_strings(tmp_path, basis, capsys):
     argv = write_linear_inputs(tmp_path, {"dim": 3, "basis": basis, "structure": []},
                                {"dim": 3, "cocycle": []})
     assert_input_error(*run_cli(argv, capsys), "basis")
+
+
+def test_zero_denominator_in_a_point_is_an_input_error(so3_file, capsys):
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "1/0,0,0"], capsys)
+    assert_input_error(code, out, err, "--point")
+
+
+@pytest.mark.parametrize("option, a, b", [("--a", "1,1/0,1", "0,0,0"),
+                                          ("--b", "1,1,1", "0,1/0,0")])
+def test_toda_zero_denominator_is_rejected_at_its_option(option, a, b, capsys):
+    code, out, err = run_cli(["toda", "--n", "3", "--a", a, "--b", b], capsys)
+    assert_input_error(code, out, err, option)
+
+
+def test_zero_denominator_in_a_pencil_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "zero.pencil.json"
+    path.write_text(json.dumps({**VALID_PENCIL, "P0": [
+        {"i": 1, "j": 2, "poly": [{"c": "1/0", "m": [0, 0]}]}]}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert_input_error(code, out, err, "P0[0].poly[0]")
+
+
+@pytest.mark.parametrize("algebra_doc, cocycle_doc", [
+    ({"dim": 2, "structure": [{"i": 1, "j": 2, "k": 1, "c": "1/0"}]}, {"dim": 2, "cocycle": []}),
+    ({"dim": 2, "structure": [{"i": 1, "j": 2, "k": 1, "c": {"re": "1", "im": "0/0"}}]},
+     {"dim": 2, "cocycle": []}),
+    ({"dim": 2, "structure": []}, {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": "3/0"}]})])
+def test_zero_denominator_in_a_linear_file_is_an_input_error(tmp_path, algebra_doc,
+                                                              cocycle_doc, capsys):
+    code, out, err = run_cli(write_linear_inputs(tmp_path, algebra_doc, cocycle_doc), capsys)
+    assert code == 1 and out == "" and json.loads(err)["error"] == "input"
+
+
+def test_unwritable_out_path_is_an_input_error(so3_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0",
+                              "--out", str(target)], capsys)
+    assert_input_error(code, out, err, "--out")
+    assert not target.parent.exists()
+
+
+def test_emit_into_a_file_is_an_input_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("kept\n")
+    code, out, err = run_cli(["catalog", "--emit", "so3_shift", str(not_a_dir)], capsys)
+    assert_input_error(code, out, err, "--emit")
+    assert not_a_dir.read_text() == "kept\n"
+
+
+def test_out_path_that_is_a_directory_leaves_no_temporary_file(so3_file, tmp_path, capsys):
+    # the report is written to a temporary file and renamed onto --out; a
+    # rename that fails removes the temporary file
+    target = tmp_path / "reports"
+    target.mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0",
+                              "--out", str(target)], capsys)
+    assert_input_error(code, out, err, "--out")
+    assert sorted(tmp_path.iterdir()) == before and list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("algebra, semisimple", [("sl2", False), ("so3", True)])
+def test_linear_zero_cocycle_reports_ad_semisimplicity(algebra, semisimple, tmp_path, capsys):
+    # Ker A is the whole non-abelian algebra, so the root decomposition stops
+    # at KernelNotAbelian and never splits ad; the flag is decided on its own
+    from bipencil import algebras
+    g = getattr(algebras, algebra)()
+    argv = write_linear_inputs(tmp_path, g.to_json_dict(), {"dim": g.dim, "cocycle": []})
+    for mode in ("exact", "float"):
+        code, out, err = run_cli(argv + ["--mode", mode], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["kernel"]["dim"] == 3
+        assert doc["kernel"]["abelian"] is False
+        assert doc["kernel"]["ad_semisimple"] is semisimple
+        assert doc["degeneracy_reason"] == "KernelNotAbelian"

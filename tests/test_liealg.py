@@ -4,10 +4,12 @@ import pytest
 
 from bipencil import algebras
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import mat_rank
+from bipencil.exactlin import eigenspaces, mat_rank, mat_vec, shift
 from bipencil.liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shift_cocycle,
-                             is_cocycle, is_regular_cocycle, kernel_of_cocycle)
+                             is_cocycle, is_regular_cocycle, kernel_of_cocycle,
+                             matrix_is_semisimple)
 from bipencil.sampling import SamplingPolicy
+from bipencil.scalars import EXACT, QQi, float_mode
 
 from oracles.algebras import abelian, central_extension, euclidean_e2, heisenberg
 
@@ -64,7 +66,8 @@ def test_kernel_of_cocycle_diamond_center():
     D = algebras.diamond()
     lp = LinearPencil(D, argument_shift_cocycle(D, [F(0), F(0), F(1), F(0)]))
     k = kernel_of_cocycle(lp)
-    assert len(k.basis) == 2 and k.abelian and k.ad_semisimple
+    assert len(k.basis) == 2 and k.abelian
+    assert all(matrix_is_semisimple(M) for M in k.ad)
     # the kernel is span{h, t}
     for v in k.basis:
         assert v[0] == 0 and v[1] == 0
@@ -74,7 +77,8 @@ def test_kernel_of_cocycle_sl2_cartan():
     S = algebras.sl2()
     lp = LinearPencil(S, argument_shift_cocycle(S, [F(1), F(0), F(0)]))
     k = kernel_of_cocycle(lp)
-    assert len(k.basis) == 1 and k.abelian and k.ad_semisimple
+    assert len(k.basis) == 1 and k.abelian
+    assert all(matrix_is_semisimple(M) for M in k.ad)
     assert k.basis[0][1] == 0 and k.basis[0][2] == 0
 
 
@@ -82,10 +86,54 @@ def test_kernel_of_cocycle_diamond_nilpotent_direction():
     D = algebras.diamond()
     lp = LinearPencil(D, argument_shift_cocycle(D, [F(1), F(0), F(0), F(0)]))
     k = kernel_of_cocycle(lp)
-    assert len(k.basis) == 2 and k.abelian and not k.ad_semisimple
+    assert len(k.basis) == 2 and k.abelian
+    assert not all(matrix_is_semisimple(M) for M in k.ad)
     # kernel contains e and h
     assert mat_rank(k.basis + [[F(1), F(0), F(0), F(0)],
                                    [F(0), F(0), F(1), F(0)]]) == 2
+
+
+def block(*rows_of_blocks):
+    """The matrix with the given 2x2 blocks, each a list of rows."""
+    return [[F(x) for b in blocks for x in b[r]] for blocks in rows_of_blocks for r in range(2)]
+
+
+A_SQRT2 = [[0, 2], [1, 0]]                # eigenvalues +-sqrt(2)
+I2, Z2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+
+SEMISIMPLICITY_CASES = {
+    "sqrt2 Jordan block": (block([A_SQRT2, I2], [Z2, A_SQRT2]), False),
+    "sqrt2 twice": (block([A_SQRT2, Z2], [Z2, A_SQRT2]), True),
+    "nilpotent 3x3": ([[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0)] * 3], False),
+    "empty": ([], True),
+    "so(3) ad": (algebras.so3().ad_matrix([F(0), F(0), F(1)]), True),
+}
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode(1e-9)], ids=["exact", "float"])
+@pytest.mark.parametrize("name", sorted(SEMISIMPLICITY_CASES))
+def test_semisimplicity_is_the_eigen_split(name, mode):
+    M, semisimple = SEMISIMPLICITY_CASES[name]
+    split = eigenspaces(M, mode)
+    assert matrix_is_semisimple(M, mode) is semisimple
+    assert (split is not None) is semisimple
+    if split is None:
+        return
+    # one eigenspace per distinct eigenvalue; together they span
+    assert sum(len(sub) for _, sub in split) == len(M)
+    assert all(len(sub) >= 1 for _, sub in split)
+    for val, sub in split:
+        for v in sub:
+            assert max((abs(complex(x)) for x in mat_vec(shift(M, val), v)), default=0) < 1e-9
+
+
+def test_eigen_split_of_so3_ad_is_exact_in_exact_mode():
+    # ad_{e3} rotates (e1, e2) and kills e3: eigenvalues 0 and +-i, each simple
+    M = algebras.so3().ad_matrix([F(0), F(0), F(1)])
+    split = eigenspaces(M, EXACT)
+    assert sorted(str(val) for val, _ in split) == sorted(map(str, [F(0), QQi(0, 1), QQi(0, -1)]))
+    for val, sub in split:
+        assert len(sub) == 1 and all(x == 0 for x in mat_vec(shift(M, val), sub[0]))
 
 
 def test_central_extension_heisenberg():

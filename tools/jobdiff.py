@@ -42,7 +42,10 @@ def further_jobs(workdir: str):
     - catalog ``analyze`` with and without the declared rank (the latter
       certifies the rank by sampling), in both modes at seeds 0-2;
     - ``linear`` on every catalog argument-shift algebra with its shift
-      cocycle, in both modes at seeds 0-2;
+      cocycle, and with the zero cocycle (Ker A is the whole algebra, so the
+      report's ``ad_semisimple`` flag is compared where the root
+      decomposition stops at ``KernelNotAbelian``), in both modes at seeds
+      0-2;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
     - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
@@ -76,12 +79,14 @@ def further_jobs(workdir: str):
                      for mode in MODES for s in FURTHER_SEEDS]
         if entry.shift is not None:
             alg = write(f"{entry.name}.algebra.json", entry.algebra.to_json_dict())
-            coc = write(f"{entry.name}.cocycle.json",
-                        argument_shift_cocycle(entry.algebra, entry.shift).to_json_dict())
-            jobs += [(f"linear {entry.name} {mode} seed={s}",
-                      ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
-                       "--seed", str(s)])
-                     for mode in MODES for s in FURTHER_SEEDS]
+            cocycles = {"shift": argument_shift_cocycle(entry.algebra, entry.shift).to_json_dict(),
+                        "zero": {"dim": entry.algebra.dim, "cocycle": []}}
+            for kind, doc in cocycles.items():
+                coc = write(f"{entry.name}.{kind}.cocycle.json", doc)
+                jobs += [(f"linear {entry.name} {kind} {mode} seed={s}",
+                          ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
+                           "--seed", str(s)])
+                         for mode in MODES for s in FURTHER_SEEDS]
     for mode in MODES:
         jobs += [(f"toda --scan 3 n={n} {mode}",
                   ["toda", "--n", str(n), "--scan", "3", "--seed", "1", "--mode", mode])
