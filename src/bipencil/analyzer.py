@@ -5,7 +5,8 @@ Regular) -> Kronecker check at nearby points -> per spectrum value: the
 kernel and its form, each computed once -> diagonalizability from the
 form's rank -> linearization with the form as cocycle -> roots.analyze_linear,
 the per-lambda analysis the ``linear`` command shares (roots, non-degeneracy,
-blocks, and the type read off the blocks) -> totals.  Degeneracy reasons are
+blocks, and the type read off the blocks) -> the verdict, read once from the
+first degeneracy reason, and the totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
 
@@ -116,7 +117,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
 
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
-    _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings)
+    _certify_pencil_rank(field0, field_inf, rank, params, sampler, mode, warnings)
 
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     point_rank = core.dim - corank
@@ -130,7 +131,6 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     _kronecker_spot_check(field0, field_inf, pt, rank, sampler.spawn(5), mode, warnings)
 
     per_lambda = []
-    verdict = Verdict("NonDegenerate")
     total = WilliamsonType()
     for entry in spectrum.entries:
         rep = PerLambdaReport(lam=entry.lam, kernel_dim=entry.kernel_dim,
@@ -141,8 +141,6 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         rep.diagonalizable = is_diagonalizable(form, corank, mode)
         if not rep.diagonalizable:
             rep.degeneracy_reason = f"NonDiagonalizable({format_scalar(entry.lam)})"
-            if verdict.kind != "Degenerate":
-                verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
         lin = analyze_linear(linearize(p, entry.lam, ker, form, mode), mode)
         if mode.is_exact and any(not is_exact_scalar(v) for pair in lin.data.pairs
@@ -152,16 +150,13 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         rep.linear_nondegenerate = lin.reason is None
         if lin.reason is not None:
             rep.degeneracy_reason = f"{lin.reason}({format_scalar(entry.lam)})"
-            if verdict.kind != "Degenerate":
-                verdict = Verdict("Degenerate", rep.degeneracy_reason)
             continue
         rep.type, rep.blocks = lin.type, lin.blocks
         total = total + rep.type
 
-    if verdict.kind == "Degenerate":
-        total_type = None
-    else:
-        total_type = total
+    reason = next((rep.degeneracy_reason for rep in per_lambda if rep.degeneracy_reason), None)
+    verdict = Verdict("Degenerate" if reason else "NonDegenerate", reason)
+    if reason is None:
         expected = rank // 2 - point_rank
         got = total.ke + total.kh + 2 * total.kf
         if got != expected:
@@ -173,11 +168,11 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
 
     return SingularPointReport(
         point=pt, pencil_rank=rank, corank=corank, spectrum=spectrum,
-        verdict=verdict, per_lambda=per_lambda, total_type=total_type,
+        verdict=verdict, per_lambda=per_lambda, total_type=None if reason else total,
         point_rank=point_rank, warnings=warnings)
 
 
-def _certify_pencil_rank(field0, field_inf, p, rank, params, sampler, mode, warnings):
+def _certify_pencil_rank(field0, field_inf, rank, params, sampler, mode, warnings):
     if params.declared_rank is not None:
         if rank < params.declared_rank:
             raise RankDeficientPointError(

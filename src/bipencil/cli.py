@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 input error (usage, parse and Jacobi failures, and
-an output path that cannot be written, named by its option --out or --emit,
-"error": "input"); 2 refused precondition (rank-deficient point, phase-space
-violation, "error": "refused"); 1 for any other library error, such as
-ToleranceError or SingularParameterError ("error": "error").  Errors are
-mirrored as machine-readable JSON on stderr.
+Exit codes: 0 success; 1 input error (usage, parse and Jacobi failures, an
+input file that cannot be read or parsed, named by its option --pencil,
+--algebra or --cocycle, and an output path that cannot be written, named by
+its option --out or --emit, "error": "input"); 2 refused precondition
+(rank-deficient point, phase-space violation, "error": "refused"); 1 for any
+other library error, such as ToleranceError or SingularParameterError
+("error": "error").  Errors are mirrored as machine-readable JSON on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .catalog import catalog, catalog_by_name
 from .errors import (BipencilError, InputFormatError, PreconditionError,
                      RankDeficientPointError)
 from .io import (catalog_entry_to_json_dict, dump_canonical, load_pencil_file,
-                 parse_point_csv, report_document)
+                 parse_point_csv, read_json, report_document)
 from .jk import jk_invariants
 from .liealg import (LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, is_regular_cocycle,
                      kernel_of_cocycle, matrix_is_semisimple)
@@ -150,8 +151,6 @@ def cmd_toda(args) -> int:
             raise InputFormatError("either --a/--b or --random/--scan is required")
         a = parse_point_csv(args.a, n, "--a")
         b = parse_point_csv(args.b, n, "--b")
-        if any(not (x > 0) for x in a):
-            raise PreconditionError("phase space requires a_i > 0")
         reports.append(analyze_toda_point(TodaPoint(n=n, a=a, b=b)))
 
     summary = {
@@ -179,15 +178,7 @@ def cmd_jk(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    try:
-        with open(args.algebra) as fh:
-            alg_doc = json.load(fh)
-        with open(args.cocycle) as fh:
-            coc_doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read input file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}", position=f"line {exc.lineno}")
+    alg_doc, coc_doc = read_json(args.algebra, "--algebra"), read_json(args.cocycle, "--cocycle")
     algebra = LieAlgebra.from_json_dict(alg_doc)
     violation = algebra.jacobi_violation()
     if violation is not None:
@@ -318,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or emit the built-in pencils")
     p.add_argument("--list", action="store_true")
     p.add_argument("--emit", nargs=2, metavar=("NAME", "DIR"))
-    common(p)
     p.set_defaults(func=cmd_catalog)
     return ap
 

@@ -19,7 +19,8 @@ or reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span by one reduced row echelon form of the basis beside them
 all (a least-squares solve per vector for float input); ``restrict`` reads an
-operator's matrix on an invariant span off one such call.  ``eigenspaces``,
+operator's matrix on an invariant span off one such call, and ``solve`` reads
+B^-1 C off one of [B | C].  ``eigenspaces``,
 the one eigen-split, also decides diagonalizability over C.  Matrices are
 plain lists of lists holding Fraction / QQi / int entries (or floats in float
 mode); vectors are lists.
@@ -410,22 +411,23 @@ def restrict(A, basis, mode: Mode = EXACT):
     return None if coords is None else transpose(coords)
 
 
-def inverse_exact(M):
-    n, m = shape(M)
-    if n != m:
-        raise ValueError("inverse of non-square matrix")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(M)]
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R[:n]]
+def solve(B, C, mode: Mode = EXACT):
+    """B^-1 C for a square B: [] when B is empty, None when it is singular.
 
-
-def inverse(M, mode: Mode = EXACT):
-    if decides_exactly(M, mode):
-        return inverse_exact(M)
-    A = np.linalg.inv(to_numpy(M))
-    return [list(row) for row in A]
+    Exact input takes one reduced row echelon form of [B | C]; B is
+    invertible when the pivots fill its columns, and the rows then hold
+    B^-1 C.  Float input is singular when ``svd_rank`` says so at mode.tol,
+    and otherwise numpy's inverse of B is multiplied into C.
+    """
+    n = len(B)
+    if not n:
+        return []
+    if decides_exactly(B + C, mode):
+        R, pivots = rref([list(b) + list(c) for b, c in zip(B, C)])
+        return [row[n:] for row in R] if pivots[:n] == list(range(n)) else None
+    if svd_rank(B, mode.tol) < n:
+        return None
+    return mat_mul([list(row) for row in np.linalg.inv(to_numpy(B))], C)
 
 
 def basis_union(existing, new_vectors, mode: Mode = EXACT):

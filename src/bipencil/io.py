@@ -116,15 +116,22 @@ def dump_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_pencil_file(path: str):
+def read_json(path: str, option: str):
+    """The JSON document in the file given to ``option``; an unreadable or
+    malformed file is an input error at that option, and a malformed one's
+    message keeps json's line and column."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputFormatError(f"cannot read pencil file: {exc}")
+        raise InputFormatError(f"cannot read {option} file: {exc}", position=option) from exc
     except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}", position=f"line {exc.lineno}")
-    return pencil_from_json_dict(doc)
+        raise InputFormatError(f"invalid JSON in {option} file: {exc}",
+                               position=option) from exc
+
+
+def load_pencil_file(path: str):
+    return pencil_from_json_dict(read_json(path, "--pencil"))
 
 
 def catalog_entry_to_json_dict(entry: CatalogEntry) -> dict:

@@ -4,25 +4,24 @@ The kernel of P_lambda(x) carries a Lie bracket induced by the first
 derivatives of the pencil, and the restriction of any other bracket of the
 pencil supplies a compatible 2-cocycle.  All such restrictions agree up to a
 nonzero factor, so the generator at the opposite end of the pencil is used:
-``kernel_form`` builds that Gram matrix once, and the same matrix decides
-diagonalizability (``pencil.is_diagonalizable``) and becomes the cocycle.
+``kernel_form`` is ``pencil.quotient_form`` there, on the kernel, built once;
+the same matrix decides diagonalizability (``pencil.is_diagonalizable``) and
+becomes the cocycle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PreconditionError, RankDeficientPointError
 from .exactlin import bilinear, coords_in_span
 from .liealg import COMPLEX, REAL, LieAlgebra, LinearPencil, TwoCocycle, is_cocycle
-from .scalars import EXACT, Mode, is_exact_scalar, is_inf, lambda_is_real, simplify_scalar
-from .tensorfield import PencilAtPoint
+from .pencil import quotient_form
+from .scalars import EXACT, INF, Mode, is_inf, lambda_is_real, tidy
+from .tensorfield import ZERO, PencilAtPoint
 
 
 def kernel_form(p: PencilAtPoint, lam, ker):
     """Gram matrix on ``ker`` = Ker P_lambda of Ainf, or of A0 at lambda = infinity."""
-    generator = p.A0 if is_inf(lam) else p.Ainf
-    return [[_tidy(bilinear(generator, u, v)) for v in ker] for u in ker]
+    return quotient_form(p, ker, ZERO if is_inf(lam) else INF)
 
 
 def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPencil:
@@ -39,7 +38,7 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
     # kernel by one call
     derivs = [p.derivative_at(lam, k) for k in range(d)]
     pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    coords = coords_in_span(ker, [[_tidy(bilinear(derivs[k], ker[u], ker[v])) for k in range(d)]
+    coords = coords_in_span(ker, [[tidy(bilinear(derivs[k], ker[u], ker[v])) for k in range(d)]
                                   for u, v in pairs], mode)
     if coords is None:
         raise RankDeficientPointError(
@@ -53,7 +52,3 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
         raise PreconditionError("restricted form failed the cocycle identity; "
                                 "the generators are not compatible at this point")
     return LinearPencil(algebra=algebra, cocycle=cocycle)
-
-
-def _tidy(v):
-    return simplify_scalar(v + Fraction(0)) if is_exact_scalar(v) else v

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (basis_union, bilinear, decides_exactly, eigenvalues, identity, inverse,
-                       mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace, nullspace_mod_p,
-                       primitive_row, residues, span_mod_p)
+from .exactlin import (basis_union, bilinear, decides_exactly, eigenvalues, identity, mat_rank,
+                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, primitive_row,
+                       residues, solve, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact)
+                      is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact, tidy)
 from .tensorfield import PencilAtPoint, skew
 
 
@@ -218,23 +218,19 @@ def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:
     return p.dim - 2 * core.dim + core.corank
 
 
-def quotient_form(p: PencilAtPoint, qbasis, lam, mode: Mode = EXACT):
-    """Matrix of P_lambda on L^perp / L in the fixed quotient basis."""
+def quotient_form(p: PencilAtPoint, basis, lam):
+    """Gram matrix of P_lambda on ``basis``: its matrix on L^perp / L in a
+    quotient basis, or a linearization's cocycle on a kernel basis."""
     A = p.matrix_at(lam)
-    m = len(qbasis)
-    return [[simplify_scalar(bilinear(A, qbasis[r], qbasis[s])) for s in range(m)]
-            for r in range(m)]
+    return [[tidy(bilinear(A, u, v)) for v in basis] for u in basis]
 
 
 def recursion_operator(p: PencilAtPoint, qbasis, alpha, beta,
                        mode: Mode = EXACT) -> RecursionOperator:
     """R_alpha^beta = P_beta^{-1} P_alpha on the quotient; beta must be regular."""
-    B_beta = quotient_form(p, qbasis, beta, mode)
-    m = len(qbasis)
-    if m and mat_rank(B_beta, mode) < m:
+    R = solve(quotient_form(p, qbasis, beta), quotient_form(p, qbasis, alpha), mode)
+    if R is None:
         raise SingularParameterError(f"beta={beta} is singular on the quotient")
-    B_alpha = quotient_form(p, qbasis, alpha, mode)
-    R = mat_mul(inverse(B_beta, mode), B_alpha) if m else []
     return RecursionOperator(matrix=R, alpha=alpha, beta=beta)
 
 

@@ -16,13 +16,11 @@ each of which is elliptic, hyperbolic or focus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ToleranceError
-from .exactlin import coords_in_span, eigenspaces, mat_rank, restrict
+from .exactlin import coords_in_span, eigenspaces, mat_mul, mat_rank, restrict
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
-from .scalars import (EXACT, Mode, cimag, conj, creal, is_exact_scalar, near,
-                      simplify_scalar)
+from .scalars import EXACT, Mode, cimag, conj, creal, is_exact_scalar, near, tidy
 
 
 @dataclass
@@ -119,14 +117,6 @@ class LinearAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def _combine(basis, coords):
-    out = [0] * len(basis[0])
-    for c, b in zip(coords, basis):
-        for k, v in enumerate(b):
-            out[k] = out[k] + c * v
-    return [simplify_scalar(v + Fraction(0)) if is_exact_scalar(v) else v for v in out]
-
-
 def joint_eigenvectors(mats, mode: Mode = EXACT):
     """Split the ambient space by the commuting family; returns (eigtuple, vectors).
 
@@ -151,7 +141,8 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
             if split is None:
                 raise ToleranceError("operator is not diagonalizable (non-semisimple action)")
             for val, sub in split:
-                vecs = sub if basis is None else [_combine(basis, coords) for coords in sub]
+                vecs = sub if basis is None else [[tidy(v) for v in row]
+                                                  for row in mat_mul(sub, basis)]
                 new_items.append((eigs + (val,), vecs))
         items = new_items
     return items
@@ -222,11 +213,11 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
             for vp, vm in zip(vecs, vecs_m):
                 data.pairs.append(RootPair(root=eigs, vec_plus=vp, vec_minus=vm))
             continue
-        data.pairs.append(_orient_pair(eigs, vecs[0], nonzero[partner][0], vecs_m[0], mode))
+        data.pairs.append(_orient_pair(eigs, vecs[0], nonzero[partner][0], vecs_m[0]))
     return data
 
 
-def _orient_pair(eigs_p, vec_p, eigs_m, vec_m, mode: Mode) -> RootPair:
+def _orient_pair(eigs_p, vec_p, eigs_m, vec_m) -> RootPair:
     """Choose the + representative deterministically (first nonzero value in
     the closed upper half plane / positive reals)."""
     for v in eigs_p:
@@ -341,4 +332,4 @@ def _pairing_scalar(g, data: RootData, pair: RootPair, mode: Mode):
     total = 0
     for r, c in zip(pair.root, coords[0]):
         total = total + r * c
-    return simplify_scalar(total + Fraction(0)) if is_exact_scalar(total) else total
+    return tidy(total)

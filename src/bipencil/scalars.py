@@ -214,6 +214,12 @@ def simplify_scalar(x):
     return x
 
 
+def tidy(x):
+    """A computed sum in normal form: exact as a Fraction (an int included), or
+    a QQi when not real; a float or complex one as it is."""
+    return simplify_scalar(x + Fraction(0)) if is_exact_scalar(x) else x
+
+
 _SNAP_DENOMINATORS = (1, 2, 12, 60, 1000, 10 ** 6, 10 ** 9)
 
 

@@ -46,6 +46,17 @@ def test_catalog_emit_unknown_name(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("argv", [["--emit", "so3_shift", "DIR", "--out", "DIR/missing/y"],
+                                  ["--list", "--mode", "float"]])
+def test_catalog_takes_no_analysis_options(tmp_path, argv, capsys):
+    # --mode, --tol, --seed and --out belong to the analysis commands only
+    argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(["catalog"] + argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "input"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_so3(so3_file, capsys):
     code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0"], capsys)
     assert code == 0, err
@@ -120,9 +131,10 @@ def test_toda_scan(capsys):
 
 
 def test_toda_rejects_nonpositive_a(capsys):
-    code, out, err = run_cli(["toda", "--n", "2", "--a", "1,-1", "--b", "0,0"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "refused"
+    for n, a, b in ((2, "1,-1", "0,0"), (3, "1,0,1", "0,0,0")):
+        code, out, err = run_cli(["toda", "--n", str(n), "--a", a, "--b", b], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "refused", "message": "phase space requires a_i > 0"}
 
 
 def assert_input_error(code, out, err, position):
@@ -428,3 +440,28 @@ def test_linear_zero_cocycle_reports_ad_semisimplicity(algebra, semisimple, tmp_
         assert doc["kernel"]["abelian"] is False
         assert doc["kernel"]["ad_semisimple"] is semisimple
         assert doc["degeneracy_reason"] == "KernelNotAbelian"
+
+
+def test_malformed_pencil_json_names_its_option(tmp_path, capsys):
+    path = tmp_path / "bad.pencil.json"
+    path.write_text('{"dim": 2,\n "P0": [}')
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert_input_error(code, out, err, "--pencil")
+    assert "line 2 column 9" in json.loads(err)["message"]
+
+
+def test_malformed_cocycle_json_names_its_option(tmp_path, capsys):
+    argv = write_linear_inputs(tmp_path, {"dim": 2, "structure": []}, {})
+    (tmp_path / "coc.json").write_text('{"dim": 2,\n "cocycle": [}')
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(code, out, err, "--cocycle")
+    assert "line 2 column 14" in json.loads(err)["message"]
+
+
+def test_missing_algebra_file_names_its_option(tmp_path, capsys):
+    argv = write_linear_inputs(tmp_path, {"dim": 2, "structure": []},
+                               {"dim": 2, "cocycle": []})
+    (tmp_path / "alg.json").unlink()
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(code, out, err, "--algebra")
+    assert "alg.json" in json.loads(err)["message"]

@@ -3,18 +3,20 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import exactlin
 from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
-                               char_poly, coords_in_span, eigenvalues, identity, inverse_exact,
-                               mat_mul, mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
+                               char_poly, coords_in_span, eigenvalues, identity, mat_mul,
+                               mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
                                nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, residues, rref, span_mod_p,
-                               transpose)
-from bipencil.scalars import EXACT, QQi, float_mode, format_scalar, near, simplify_scalar
+                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve,
+                               span_mod_p, transpose)
+from bipencil.scalars import (EXACT, QQi, float_mode, format_scalar, near, simplify_scalar,
+                              tidy)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -234,11 +236,7 @@ def test_integer_kernel_matches_fraction_elimination(M, data):
 
     if n == m:
         expected = oracle_inverse(M)
-        if expected is None:
-            with pytest.raises(ValueError):
-                inverse_exact(M)
-        else:
-            assert typed(inverse_exact(M)) == typed(expected)
+        assert typed(solve(M, identity(n))) == typed(expected)
 
 
 @settings(max_examples=15, deadline=None)
@@ -485,7 +483,34 @@ def test_solve_and_inverse():
     x = coords_in_span(transpose(A), [[Fraction(3), Fraction(2)]])
     assert x == [[Fraction(1), Fraction(1)]]
     assert coords_in_span([[Fraction(1), Fraction(2)]], [[Fraction(1), Fraction(3)]]) is None
-    assert mat_mul(A, inverse_exact(A)) == identity(2)
+    assert mat_mul(A, solve(A, identity(2))) == identity(2)
+    # an empty B, and singular ones; a float B is singular at the tolerance
+    for mode in (EXACT, float_mode()):
+        assert solve([], [], mode) == []
+        assert solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], A, mode) is None
+    nearly = [[1.0, 2.0], [2.0, 4.0 + 1e-12]]
+    assert solve(nearly, identity(2), float_mode(1e-9)) is None
+    assert solve(nearly, identity(2), float_mode(1e-14)) is not None
+
+
+def test_float_solve_is_numpy_inverse_times_c():
+    F = Fraction
+    B = [[F(2), F(1, 3), F(0)], [F(-1), F(5, 7), F(3)], [F(1, 2), F(0), F(-4)]]
+    C = [[F(1), QQi(2, 1)], [F(0), F(-3, 5)], [QQi(0, 1), F(7)]]
+    inv = [list(row) for row in np.linalg.inv(exactlin.to_numpy(B))]
+    expected = exactlin.to_numpy(mat_mul(inv, C))
+    assert exactlin.to_numpy(solve(B, C, float_mode())).tobytes() == expected.tobytes()
+    # exact input in exact mode: B^-1 C exactly
+    assert mat_mul(B, solve(B, C)) == C
+
+
+def test_tidy():
+    F = Fraction
+    cases = [(0, F(0)), (3, F(3)), (F(1, 2), F(1, 2)), (QQi(F(2, 3), 0), F(2, 3)),
+             (QQi(1, -2), QQi(1, -2)), (-0.0, -0.0), (1.5, 1.5), (2 - 1j, 2 - 1j)]
+    for x, expected in cases:
+        assert typed(tidy(x)) == typed(expected)
+    assert str(tidy(-0.0)) == "-0.0"
 
 
 def test_coords_in_span():

@@ -11,7 +11,8 @@ from bipencil.liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shif
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi, float_mode
 
-from oracles.algebras import abelian, central_extension, euclidean_e2, heisenberg
+from oracles.algebras import (abelian, central_extension, euclidean_e2, heisenberg,
+                              with_complex_scalars)
 
 F = Fraction
 
@@ -195,6 +196,12 @@ def test_is_regular_cocycle():
     sl2 = algebras.sl2()
     nil = LinearPencil(sl2, argument_shift_cocycle(sl2, [F(0), F(1), F(0)]))
     assert is_regular_cocycle(nil, sp.spawn(2))
+    # so(3, C) with the shift by i e3, a regular element, in both modes
+    gc = with_complex_scalars(so3)
+    shift = argument_shift_cocycle(gc, [F(0), F(0), QQi(0, 1)])
+    for mode in (EXACT, float_mode(1e-9)):
+        assert is_regular_cocycle(LinearPencil(gc, shift), sp.spawn(3), mode)
+        assert not is_regular_cocycle(LinearPencil(gc, skew(3, {})), sp.spawn(3), mode)
 
 
 def test_regular_implies_abelian_kernel():

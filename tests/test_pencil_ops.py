@@ -165,7 +165,8 @@ def test_quotient_dim_counts_quotient_basis(sampler):
 def test_regular_bracket_on_kernel_is_a_multiple_of_the_form(sampler):
     # on Ker P_lambda a regular P_alpha restricts to (alpha - lambda) times the
     # linearization's form (to the form itself at infinity), so the form
-    # decides diagonalizability as the P_alpha Gram matrix did
+    # decides diagonalizability as the P_alpha Gram matrix did; the form is
+    # the quotient form of the generator at the other end of the pencil
     seen = 0
     for name, p in exact_points().items():
         core = core_of(p, sampler)
@@ -175,6 +176,7 @@ def test_regular_bracket_on_kernel_is_a_multiple_of_the_form(sampler):
             lam = entry.lam
             ker = kernel_basis(p, lam)
             form = kernel_form(p, lam, ker)
+            assert form == quotient_form(p, ker, Fraction(0) if is_inf(lam) else INF)
             factor = 1 if is_inf(lam) else alpha - lam
             gram = [[bilinear(A_alpha, u, v) for v in ker] for u in ker]
             assert gram == [[factor * x for x in row] for row in form], (name, lam)
@@ -209,6 +211,12 @@ def test_recursion_operator_properties(sampler):
     # singular beta refused
     with pytest.raises(SingularParameterError):
         recursion_operator(p, qb, Fraction(1), Fraction(0))
+
+
+def test_recursion_operator_on_an_empty_quotient(kronecker3):
+    # a Kronecker pencil has L^perp = L: the operator on the zero quotient is []
+    for mode in (EXACT, float_mode()):
+        assert recursion_operator(kronecker3, [], Fraction(0), INF, mode).matrix == []
 
 
 def test_is_diagonalizable_cases(sampler):

@@ -11,7 +11,8 @@ runs it through ``run_job``.  The same child then runs the further reports of
 Work-directory paths are replaced by a placeholder, so that only the program's
 output is compared.  The jobs whose exit code, stdout or stderr differ are
 printed, and counted apart for the benchmark and the further reports; the exit
-code is 1 if any differ.
+code is 1 if any differ.  The line count of ``src/`` in both trees is printed
+beside them, counted as ``perfbench/run.py`` counts it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ def further_jobs(workdir: str):
     return [(FURTHER + key, argv) for key, argv in jobs]
 
 
+def src_lines(tree) -> int:
+    """Lines of the Python files under ``tree``'s ``src/`` (``perfbench/run.py``'s count)."""
+    total = 0
+    for path in sorted(Path(tree, "src").rglob("*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def run_tree(tree: str, seeds, out_path: str):
     """Child: run every job of ``tree`` and write {key: [code, stdout, stderr]}."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
@@ -173,6 +183,7 @@ def main(argv=None) -> int:
             ref = json.load(fh)
         with open(paths["tree"]) as fh:
             tree = json.load(fh)
+        lines = {"ref": src_lines(ref_tree), "tree": src_lines(ROOT)}
 
     differ = sorted(key for key in ref.keys() | tree.keys() if ref.get(key) != tree.get(key))
     for key in differ:
@@ -189,6 +200,8 @@ def main(argv=None) -> int:
           f"(seeds {' '.join(map(str, args.seeds))}), "
           f"{len(further.intersection(differ))} of {len(further)} further reports differ "
           f"({args.ref} against the working tree)")
+    print(f"src/ lines: {lines['ref']} at {args.ref}, {lines['tree']} in the working tree "
+          f"({lines['tree'] - lines['ref']:+d})")
     return 1 if differ else 0
 
 
