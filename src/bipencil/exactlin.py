@@ -20,8 +20,13 @@ matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span by one reduced row echelon form of the basis beside them
 all (a least-squares solve per vector for float input); ``restrict`` reads an
 operator's matrix on an invariant span off one such call, and ``solve`` reads
-B^-1 C off one of [B | C].  ``eigenspaces``,
-the one eigen-split, also decides diagonalizability over C.  Matrices are
+B^-1 C off one of [B | C].  ``poly_roots_hybrid`` lists the roots of an
+exact polynomial as (value, multiplicity) pairs, a value exact (Fraction or
+QQi) when it is a Gaussian rational and a complex float otherwise; every
+multiplicity is exact, read off Yun's squarefree decomposition
+(``squarefree_decomposition``).  ``eigenvalues`` gives the same list for a
+matrix, and ``eigenspaces``, the one eigen-split, also decides
+diagonalizability over C.  Matrices are
 plain lists of lists holding Fraction / QQi / int entries (or floats in float
 mode); vectors are lists.
 """
@@ -29,13 +34,14 @@ mode); vectors are lists.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .scalars import (EXACT, Mode, QQi, convergent_denominators, is_exact_scalar,
-                      simplify_scalar, snap_candidates)
+                      snap_candidates, tidy)
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -157,7 +163,7 @@ class _ZI:
     def quotient(a, d):
         (ar, ai), (dr, di) = a, d
         n = dr * dr + di * di
-        return simplify_scalar(QQi(Fraction(ar * dr + ai * di, n), Fraction(ai * dr - ar * di, n)))
+        return tidy(QQi(Fraction(ar * dr + ai * di, n), Fraction(ai * dr - ar * di, n)))
 
 
 PRIME = 2 ** 61 - 1
@@ -339,7 +345,7 @@ def _nullspace(M, K=None):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
         for row, pc in zip(A, pivots):
-            v[pc] = simplify_scalar(-K.quotient(row[fc], row[pc]))
+            v[pc] = tidy(-K.quotient(row[fc], row[pc]))
         basis.append(v)
     return basis
 
@@ -480,7 +486,7 @@ def char_poly(M):
     for k in range(1, n + 1):
         t = -sum(Mk[i][i] for i in range(n))
         c = t // k if D and isinstance(t, int) else t / k
-        coeffs[n - k] = simplify_scalar(c / D ** k) if D else c
+        coeffs[n - k] = tidy(c / D ** k) if D else c
         if k < n:
             Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(Mk)])
@@ -496,19 +502,6 @@ def poly_eval(coeffs, x):
 
 def poly_deriv(coeffs):
     return [c * k for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def poly_deflate(coeffs, root):
-    """Divide by (x - root); returns (quotient, remainder)."""
-    q = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        q.append(acc)
-    rem = q.pop()
-    q.reverse()
-    # q currently holds the Horner accumulations shifted by one
-    return q, rem
 
 
 def _poly_degree(coeffs):
@@ -528,7 +521,7 @@ def poly_gcd_exact(a, b):
     lead = a[-1]
     if lead == 0:
         return [Fraction(1)]
-    return [simplify_scalar(c / lead) for c in a]
+    return [tidy(c / lead) for c in a]
 
 
 def _poly_divmod(a, b):
@@ -539,18 +532,33 @@ def _poly_divmod(a, b):
     q = [Fraction(0)] * (max(_poly_degree(a) - db, 0) + 1)
     while _poly_degree(r) >= db and any(c != 0 for c in r):
         da = _poly_degree(r)
-        f = simplify_scalar(r[da] / lead)
+        f = tidy(r[da] / lead)
         q[da - db] = f
         for i in range(db + 1):
-            r[da - db + i] = simplify_scalar(r[da - db + i] - f * b[i])
+            r[da - db + i] = tidy(r[da - db + i] - f * b[i])
     return q, r
 
 
-def poly_squarefree_part(coeffs):
+def squarefree_decomposition(coeffs):
+    """(sf, [(f_i, i)]): the squarefree part sf = coeffs / gcd(coeffs, coeffs'),
+    and monic, squarefree, pairwise coprime f_i of degree >= 1 whose f_i^i
+    multiply to coeffs up to a scalar, by Yun's algorithm (SYMSAC 1976): from
+    b = sf and c = coeffs' / gcd, each step takes d = c - b', f_i = gcd(b, d),
+    and b / f_i and d / f_i as the next b and c, until b is a constant."""
     g = poly_gcd_exact(coeffs, poly_deriv(coeffs))
-    if _poly_degree(g) == 0:
-        return list(coeffs)
-    return _poly_divmod(coeffs, g)[0]
+    sf = list(coeffs) if _poly_degree(g) == 0 else _poly_divmod(coeffs, g)[0]
+    b, c = sf, _poly_divmod(poly_deriv(coeffs), g)[0]
+    factors = []
+    i = 1
+    while _poly_degree(b) > 0:
+        d = [tidy(x - y) for x, y in
+             itertools.zip_longest(c, poly_deriv(b), fillvalue=Fraction(0))]
+        f = poly_gcd_exact(b, d)
+        if _poly_degree(f) > 0:
+            factors.append((f, i))
+        b, c = _poly_divmod(b, f)[0], _poly_divmod(d, f)[0]
+        i += 1
+    return sf, factors
 
 
 NEWTON_ITERS = 60     # cap on the Newton steps that polish one root
@@ -575,19 +583,20 @@ def _newton_polish(coeffs_float, dcoeffs_float, z: complex) -> complex:
 
 
 def poly_roots_hybrid(coeffs):
-    """Roots of an exact polynomial.
+    """Roots of an exact polynomial with their multiplicities, one list of
+    (value, multiplicity): exact values first, then floats.
 
-    Returns (exact_roots, float_roots) where exact_roots is a list of
-    (scalar, multiplicity) verified by exact evaluation, and float_roots
-    lists (complex, multiplicity) for the residual factor.  Floating roots
-    are Newton-polished on the exact square-free part, so simple roots are
-    accurate to machine precision even when the original had multiplicities.
+    The roots of the squarefree part are found by numpy and Newton-polished
+    on it, where every root is simple, so a multiple root of the original
+    loses no accuracy to its multiplicity.  A polished root that snaps to a Gaussian
+    rational root, checked by exact evaluation, is exact (Fraction or QQi);
+    the others stay complex.  Of the f_i of ``squarefree_decomposition``, an
+    exact root's multiplicity is the i of the one it is a root of, and a float
+    root's the i of the one smallest at it relative to its largest coefficient.
     """
     deg = _poly_degree(coeffs)
-    coeffs = [Fraction(c) if isinstance(c, int) else simplify_scalar(c) for c in coeffs[:deg + 1]]
-    if deg == 0:
-        return [], []
-    sf = poly_squarefree_part(coeffs)
+    coeffs = [tidy(c) for c in coeffs[:deg + 1]]
+    sf, factors = squarefree_decomposition(coeffs)
     sf_float = [complex(c) for c in sf]
     dsf_float = [complex(c) for c in poly_deriv(sf)]
     approx = np.roots(list(reversed(sf_float)))
@@ -598,56 +607,32 @@ def poly_roots_hybrid(coeffs):
     # that rules out most candidates before poly_eval.
     lead_re, lead_im = _ZI.clear(coeffs)[-1]
     norm = lead_re ** 2 + lead_im ** 2
-    exact_roots = []
-    remaining = list(coeffs)
-    float_candidates = []
+    floats = [([complex(c) for c in f], i) for f, i in factors]
+    exact_roots, float_roots = [], []
     for z in polished:
         dens = [q for q in convergent_denominators(z, SNAP_TOL) if norm % q == 0]
         cand = next((c for c in snap_candidates(z, SNAP_TOL, dens)
                      if poly_eval(coeffs, c) == 0), None)
-        if cand is not None:
-            if any(r == cand for r, _ in exact_roots):
-                continue
-            mult = 0
-            while _poly_degree(remaining) >= 1:
-                q, rem = poly_deflate(remaining, cand)
-                if rem != 0:
-                    break
-                remaining = [simplify_scalar(c) for c in q]
-                mult += 1
-            if mult:
-                exact_roots.append((cand, mult))
-                continue
-        float_candidates.append(z)
-
-    float_roots = []
-    if _poly_degree(remaining) >= 1 and float_candidates:
-        rem_float = [complex(c) for c in remaining]
-        for z in float_candidates:
-            # multiplicity by tolerant synthetic division of the residual factor
-            mult = 0
-            work = list(rem_float)
-            scale = max(abs(c) for c in work)
-            while len(work) > 1:
-                q, rem = poly_deflate(work, z)
-                if abs(rem) > 1e-6 * max(scale, 1.0):
-                    break
-                work = q
-                mult += 1
-            if mult == 0:
-                mult = 1
-            if not any(abs(z - prev) <= 1e-9 * max(1.0, abs(z)) for prev, _ in float_roots):
-                float_roots.append((z, mult))
-    return exact_roots, float_roots
+        if cand is None:
+            float_roots.append((z, min(floats, key=lambda f: abs(poly_eval(f[0], z))
+                                       / max(map(abs, f[0])))[1]))
+        elif all(r != cand for r, _ in exact_roots):
+            exact_roots.append((cand, next(i for f, i in factors if poly_eval(f, cand) == 0)))
+    return exact_roots + float_roots
 
 
 def eigenvalues(M, mode: Mode = EXACT):
-    """Eigenvalues with multiplicity: (exact list, float list).  Float
-    eigenvalues within 1000 * mode.tol * max(1, max |z|) form one cluster."""
+    """Eigenvalues with multiplicity as a pair (exact, float) of lists of
+    (value, multiplicity), the pair that ``perfbench/tracer.py`` counts: of an
+    exact matrix in exact mode the list of ``poly_roots_hybrid`` cut where
+    its floats begin, and otherwise ([], numpy's), where values within
+    1000 * mode.tol * max(1, max |z|) form one cluster."""
     if not M:
         return [], []
     if decides_exactly(M, mode):
-        return poly_roots_hybrid(char_poly(M))
+        roots = poly_roots_hybrid(char_poly(M))
+        exact = [r for r in roots if is_exact_scalar(r[0])]
+        return exact, roots[len(exact):]
     vals = np.linalg.eigvals(to_numpy(M))
     clusters = []
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))

@@ -19,8 +19,7 @@ from .exactlin import (basis_union, bilinear, eigenspaces, identity, mat_rank, n
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .pencil import pencil_rank_corank
-from .scalars import (EXACT, Mode, QQi, format_scalar, parse_int, parse_rational,
-                      simplify_scalar, tidy)
+from .scalars import EXACT, Mode, QQi, format_scalar, parse_int, parse_rational, tidy
 from .tensorfield import PoissonTensorField, constant_pencil
 
 REAL = "real"
@@ -42,7 +41,7 @@ class LieAlgebra:
         """Declare [e_i, e_j] = vector (and the antisymmetric partner)."""
         if i == j:
             raise DimensionMismatchError("bracket of a basis vector with itself")
-        vec = [simplify_scalar(v) for v in vector]
+        vec = [tidy(v) for v in vector]
         if len(vec) != self.dim:
             raise DimensionMismatchError("bracket value arity mismatch")
         if i > j:
@@ -69,7 +68,7 @@ class LieAlgebra:
                 for k in range(self.dim):
                     if vec[k] != 0:
                         out[k] = out[k] + coef * vec[k]
-        return [simplify_scalar(v) for v in out]
+        return [tidy(v) for v in out]
 
     def ad_matrix(self, x):
         """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j]."""
@@ -174,7 +173,7 @@ class LieAlgebra:
 
 def _parse_scalar(c):
     if isinstance(c, dict):
-        return simplify_scalar(QQi(parse_rational(c["re"]), parse_rational(c["im"])))
+        return tidy(QQi(parse_rational(c["re"]), parse_rational(c["im"])))
     return parse_rational(c)
 
 
@@ -293,7 +292,7 @@ def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,
     target = lp.cocycle.rank(mode)
     for _ in range(2 * d + 3):
         if lp.algebra.field == COMPLEX:
-            x = [simplify_scalar(QQi(sampler.small_rational(), sampler.small_rational()))
+            x = [tidy(QQi(sampler.small_rational(), sampler.small_rational()))
                  for _ in range(d)]
         else:
             x = sampler.rational_point(d)

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (basis_union, bilinear, decides_exactly, eigenvalues, identity, mat_rank,
-                       mat_rank_exact, mat_vec, nullspace, nullspace_mod_p, primitive_row,
-                       residues, solve, span_mod_p)
+from .exactlin import (basis_union, bilinear, eigenvalues, identity, mat_rank, mat_vec,
+                       nullspace, nullspace_mod_p, primitive_row, residues, solve, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, near, simplify_scalar, snap_to_exact, tidy)
+                      is_inf, lambda_is_real, near, snap_candidates, tidy)
 from .tensorfield import PencilAtPoint, skew
 
 
@@ -83,15 +82,6 @@ def _draw_regular(sampler: SamplingPolicy, count: int, kernel_if_regular, exclud
         if ker is not None:
             out.append((lam, ker))
     return out
-
-
-def _is_regular(p: PencilAtPoint, lam, mode: Mode, rank: int) -> bool:
-    """rank P_lambda == ``rank``, the pencil rank, by an exact rank without a
-    kernel; float matrices count their kernel, as regular_parameters does."""
-    M = _decision_matrix(p, lam, mode)
-    if decides_exactly(M, mode):
-        return mat_rank_exact(M) == rank
-    return p.dim - len(nullspace(M, mode)) == rank
 
 
 @dataclass
@@ -244,7 +234,7 @@ def _moebius_to_lambda(mu, t1, t2, mode: Mode):
     if is_exact_scalar(mu):
         if mu == 1:
             return INF
-        return simplify_scalar((t1 - mu * t2) / (1 - mu))
+        return tidy((t1 - mu * t2) / (1 - mu))
     mu = complex(mu)
     if abs(mu - 1.0) <= 10 * mode.tol * max(1.0, abs(mu)):
         return INF
@@ -256,7 +246,7 @@ def lambda_to_moebius(lam, t1, t2):
     if is_inf(lam):
         return Fraction(1)
     if is_exact_scalar(lam):
-        return simplify_scalar((t1 - lam) / (t2 - lam))
+        return tidy((t1 - lam) / (t2 - lam))
     lam = complex(lam)
     return (complex(t1) - lam) / (complex(t2) - lam)
 
@@ -276,38 +266,34 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPol
         return Spectrum(entries=[], corank=corank)
     qbasis = quotient_basis(p, core, mode)
     (t1, _), (t2, _) = _draw_regular(
-        sampler.spawn(3), 2, lambda lam: _is_regular(p, lam, mode, p.dim - corank) or None)
+        sampler.spawn(3), 2, lambda lam: rank_at(p, lam, mode) == p.dim - corank or None)
     R = recursion_operator(p, qbasis, t1, t2, mode)
-    exact_eigs, float_eigs = eigenvalues(R.matrix, mode)
+
+    def point(lam):
+        return 0j if is_inf(lam) else complex(lam)
+
     entries = []
-    seen = []
-    for mu, _mult in exact_eigs:
+    exact, floats = eigenvalues(R.matrix, mode)
+    for mu, _mult in exact + floats:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
-        kd = p.dim - rank_at(p, lam, mode, warnings)
-        if kd > corank:
-            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
-            seen.append(complex(0) if is_inf(lam) else complex(lam))
-    for mu, _mult in float_eigs:
-        lam = _moebius_to_lambda(mu, t1, t2, mode)
-        lam_c = complex(0) if is_inf(lam) else complex(lam)
-        if any(is_inf(lam) == is_inf(e.lam) and abs(lam_c - s) <= 1e-7 * max(1.0, abs(lam_c))
-               for e, s in zip(entries, seen)):
-            continue
-        # the pencil parameter usually has modest height even when the
-        # recursion eigenvalue does not, so rationalize lambda itself first
-        snapped = None if is_inf(lam) else snap_to_exact(lam_c, 1e-8)
-        if snapped is not None and (mode.is_exact or all(
-                is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)):
-            kd = p.dim - rank_at(p, snapped, EXACT, warnings)
-            if kd > corank:
-                entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
-                seen.append(complex(snapped))
+        if not is_exact_scalar(mu):
+            lam_c = point(lam)
+            if any(is_inf(lam) == is_inf(e.lam)
+                   and abs(lam_c - point(e.lam)) <= 1e-7 * max(1.0, abs(lam_c)) for e in entries):
                 continue
+            # the pencil parameter usually has modest height even when the
+            # recursion eigenvalue does not, so rationalize lambda itself first
+            snapped = None if is_inf(lam) else next(snap_candidates(lam_c, 1e-8), None)
+            if snapped is not None and (mode.is_exact or all(
+                    is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)):
+                kd = p.dim - rank_at(p, snapped, EXACT, warnings)
+                if kd > corank:
+                    entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
+                    continue
         kd = p.dim - rank_at(p, lam, mode, warnings)
         if kd > corank:
             entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
-            seen.append(lam_c)
-            if warnings is not None and mode.is_exact:
+            if warnings is not None and mode.is_exact and not is_exact_scalar(mu):
                 warnings.append(
                     f"spectrum value {lam} is irrational; verified with float tolerance 1e-9")
     entries = _canonicalize_conjugates(p, entries, mode)

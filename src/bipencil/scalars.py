@@ -207,17 +207,12 @@ def conj(x):
     return complex(x).conjugate()
 
 
-def simplify_scalar(x):
-    """Collapse a real QQi back to Fraction so real pencils stay rational."""
-    if isinstance(x, QQi) and x.im == 0:
-        return x.re
-    return x
-
-
 def tidy(x):
-    """A computed sum in normal form: exact as a Fraction (an int included), or
-    a QQi when not real; a float or complex one as it is."""
-    return simplify_scalar(x + Fraction(0)) if is_exact_scalar(x) else x
+    """A scalar in normal form: a real QQi as its Fraction, so that real pencils
+    stay rational, and an int as a Fraction; anything else as it is."""
+    if isinstance(x, QQi):
+        return x.re if x.im == 0 else x
+    return Fraction(x) if isinstance(x, int) else x
 
 
 _SNAP_DENOMINATORS = (1, 2, 12, 60, 1000, 10 ** 6, 10 ** 9)
@@ -240,13 +235,8 @@ def snap_candidates(z: complex, tol: float, dens=_SNAP_DENOMINATORS):
             continue
         cand = QQi(r, im.limit_denominator(den))
         if cand != last and abs(complex(cand) - z) <= bound:
-            yield simplify_scalar(cand)
+            yield tidy(cand)
             last = cand
-
-
-def snap_to_exact(z: complex, tol: float):
-    """Nearest Gaussian rational of modest height, or None."""
-    return next(snap_candidates(z, tol), None)
 
 
 def convergent_denominators(z: complex, tol: float) -> list:

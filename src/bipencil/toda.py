@@ -20,7 +20,7 @@ from .errors import PreconditionError, ToleranceError
 from .exactlin import char_poly, poly_deriv, poly_gcd_exact, poly_roots_hybrid, to_numpy
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, simplify_scalar
+from .scalars import EXACT, Mode, is_exact_scalar, tidy
 from .tensorfield import PoissonTensorField
 
 
@@ -129,7 +129,6 @@ class LaxSpectrumEntry:
     lax_eigenvalue: object
     which: str            # "periodic" | "antiperiodic"
     multiplicity: int
-    exact: bool = True
 
 
 def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
@@ -140,7 +139,9 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     doubled Lax matrix certifies the pencil parameter -mu.  Both numbers are
     reported; all values are real (the matrix is symmetric).  In exact mode a
     block whose characteristic polynomial is coprime to its derivative has
-    no multiple eigenvalue, so its roots are not sought.
+    no multiple eigenvalue, so its roots are not sought; otherwise each root
+    of multiplicity >= 2 from ``poly_roots_hybrid`` gives an entry, with an
+    exact value when the root is rational and a float one otherwise.
     """
     lax = lax_matrix(pt)
     out = []
@@ -150,16 +151,11 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
             chi = char_poly(block)
             if len(poly_gcd_exact(chi, poly_deriv(chi))) == 1:
                 continue
-            exact_roots, float_roots = poly_roots_hybrid(chi)
-            for mu, mult in exact_roots:
+            for mu, mult in poly_roots_hybrid(chi):
                 if mult >= 2:
+                    mu = mu if is_exact_scalar(mu) else mu.real
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                                multiplicity=mult, exact=True))
-            for mu, mult in float_roots:
-                if mult >= 2:
-                    mu = complex(mu).real
-                    out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                                multiplicity=mult, exact=False))
+                                                multiplicity=mult))
         else:
             vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
             scale = max(1.0, max(abs(v) for v in vals))
@@ -173,7 +169,7 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
                 if len(cl) >= 2:
                     mu = float(np.mean(cl))
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                                multiplicity=len(cl), exact=False))
+                                                multiplicity=len(cl)))
     out.sort(key=lambda e: complex(e.lam).real)
     return out
 
@@ -241,12 +237,12 @@ def make_singular_point(n: int, seed: int = 0, antiperiodic: bool = True,
             for i in range(n):
                 bi = mu - (a[(i - 1) % n] * xi[(i - 1) % (2 * n)]
                            + a[i] * xi[(i + 1) % (2 * n)]) / xi[i]
-                b.append(simplify_scalar(bi))
+                b.append(tidy(bi))
             pt = TodaPoint(n=n, a=a, b=b)
             if not lax_recursion_check(pt, xi, mu):
                 continue
             doubles = [e for e in toda_spectrum_via_lax(pt)
-                       if e.exact and e.lam == lam and e.multiplicity >= 2]
+                       if is_exact_scalar(e.lam) and e.lam == lam and e.multiplicity >= 2]
             if doubles:
                 return pt
     raise ToleranceError("failed to construct a singular lattice point")

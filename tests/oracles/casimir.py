@@ -14,7 +14,7 @@ from fractions import Fraction
 from bipencil.errors import PreconditionError, ToleranceError
 from bipencil.exactlin import coords_in_span, mat_vec, restrict, transpose
 from bipencil.poly import Poly
-from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, simplify_scalar
+from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, tidy
 from bipencil.tensorfield import PencilAtPoint
 
 from oracles.fields import gradient, hessian
@@ -70,7 +70,7 @@ def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> Casimir
             total = 0
             for i in range(d):
                 total = total + dAk[i][j] * data.gradient[i] + A[i][j] * data.hessian[i][k]
-            D[k][j] = simplify_scalar(total + Fraction(0)) if is_exact_scalar(total) else total
+            D[k][j] = tidy(total)
     return CasimirVariation(matrix=D, f_description=data.description, alpha=alpha)
 
 
@@ -90,8 +90,8 @@ def reparameterize_casimir_combination(alphas, alpha, beta):
     if not is_inf(beta) and beta == alpha:
         return [Fraction(1) for _ in alphas]
     if is_inf(beta):
-        return [simplify_scalar(alpha - ai + Fraction(0)) for ai in alphas]
-    return [simplify_scalar((alpha - ai) / (beta - ai)) for ai in alphas]
+        return [tidy(alpha - ai) for ai in alphas]
+    return [tidy((alpha - ai) / (beta - ai)) for ai in alphas]
 
 
 def combine_function_data(terms, coefficients=None) -> FunctionData:
@@ -108,8 +108,8 @@ def combine_function_data(terms, coefficients=None) -> FunctionData:
             for j in range(d):
                 hess[i][j] = hess[i][j] + c * t.hessian[i][j]
         names.append(f"{c}*({t.description})")
-    return FunctionData(gradient=[simplify_scalar(g + Fraction(0)) if is_exact_scalar(g) else g for g in grad],
-                        hessian=[[simplify_scalar(h + Fraction(0)) if is_exact_scalar(h) else h for h in row] for row in hess],
+    return FunctionData(gradient=[tidy(g) for g in grad],
+                        hessian=[[tidy(h) for h in row] for row in hess],
                         description=" + ".join(names))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from bipencil.exactlin import basis_union, char_poly, mat_vec, poly_roots_hybrid, to_numpy
 from bipencil.pencil import IsotropicCore, rank_at, regular_parameters
-from bipencil.scalars import EXACT, INF
+from bipencil.scalars import EXACT, INF, is_exact_scalar
 from bipencil.toda import LaxSpectrumEntry, lax_matrix
 
 
@@ -59,13 +59,13 @@ def lax_spectrum_by_roots(pt, mode=EXACT):
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
         block = shift_block_by_mat_vec(lax, sign)
         if mode.is_exact:
-            exact_roots, float_roots = poly_roots_hybrid(char_poly(block))
+            roots = poly_roots_hybrid(char_poly(block))
             out += [LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                     multiplicity=mult, exact=True)
-                    for mu, mult in exact_roots if mult >= 2]
+                                     multiplicity=mult)
+                    for mu, mult in roots if mult >= 2 and is_exact_scalar(mu)]
             out += [LaxSpectrumEntry(lam=-complex(mu).real, lax_eigenvalue=complex(mu).real,
-                                     which=which, multiplicity=mult, exact=False)
-                    for mu, mult in float_roots if mult >= 2]
+                                     which=which, multiplicity=mult)
+                    for mu, mult in roots if mult >= 2 and not is_exact_scalar(mu)]
             continue
         vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
         scale = max(1.0, max(abs(v) for v in vals))
@@ -76,7 +76,7 @@ def lax_spectrum_by_roots(pt, mode=EXACT):
             else:
                 clusters.append([v])
         out += [LaxSpectrumEntry(lam=-float(np.mean(cl)), lax_eigenvalue=float(np.mean(cl)),
-                                 which=which, multiplicity=len(cl), exact=False)
+                                 which=which, multiplicity=len(cl))
                 for cl in clusters if len(cl) >= 2]
     out.sort(key=lambda e: complex(e.lam).real)
     return out

@@ -302,9 +302,9 @@ def test_toda_compares_a_spectrum_of_mixed_kinds(monkeypatch, capsys):
 
     def mixed(pt, mode):
         extra = [LaxSpectrumEntry(lam=2 ** 0.5, lax_eigenvalue=-2 ** 0.5, which="periodic",
-                                  multiplicity=2, exact=False),
+                                  multiplicity=2),
                  LaxSpectrumEntry(lam=complex(1, 1), lax_eigenvalue=complex(-1, -1),
-                                  which="antiperiodic", multiplicity=2, exact=False)]
+                                  which="antiperiodic", multiplicity=2)]
         return extra + real(pt, mode)
 
     monkeypatch.setattr(cli, "toda_spectrum_via_lax", mixed)

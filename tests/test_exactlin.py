@@ -12,11 +12,10 @@ from bipencil import exactlin
 from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
                                char_poly, coords_in_span, eigenvalues, identity, mat_mul,
                                mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
-                               nullspace_mod_p, poly_deflate, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, poly_squarefree_part, residues, rref, solve,
-                               span_mod_p, transpose)
-from bipencil.scalars import (EXACT, QQi, float_mode, format_scalar, near, simplify_scalar,
-                              tidy)
+                               nullspace_mod_p, poly_eval, poly_gcd_exact, poly_roots_hybrid,
+                               residues, rref, solve, span_mod_p, squarefree_decomposition,
+                               transpose)
+from bipencil.scalars import EXACT, QQi, float_mode, format_scalar, near, tidy
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -96,8 +95,7 @@ def oracle_rank(M):
         A[rank], A[piv] = A[piv], A[rank]
         for r in range(rank + 1, n):
             for c in range(col + 1, m):
-                A[r][c] = simplify_scalar(
-                    (A[rank][col] * A[r][c] - A[r][col] * A[rank][c]) / prev)
+                A[r][c] = tidy((A[rank][col] * A[r][c] - A[r][col] * A[rank][c]) / prev)
             A[r][col] = 0
         prev = A[rank][col]
         rank += 1
@@ -117,11 +115,11 @@ def oracle_rref(M):
             continue
         A[row], A[piv] = A[piv], A[row]
         inv = A[row][col]
-        A[row] = [simplify_scalar(x / inv) for x in A[row]]
+        A[row] = [tidy(x / inv) for x in A[row]]
         for r in range(n):
             if r != row and A[r][col] != 0:
                 f = A[r][col]
-                A[r] = [simplify_scalar(a - f * b) for a, b in zip(A[r], A[row])]
+                A[r] = [tidy(a - f * b) for a, b in zip(A[r], A[row])]
         pivots.append(col)
         if len(pivots) == n:
             break
@@ -136,7 +134,7 @@ def oracle_nullspace(M):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = simplify_scalar(-R[r][fc])
+            v[pc] = tidy(-R[r][fc])
         basis.append(v)
     return basis
 
@@ -250,7 +248,7 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
     k = max(n - 2, 1)
     B = [[entry() for _ in range(k)] for _ in range(n)]
     C = [[entry() for _ in range(n + 1)] for _ in range(k)]
-    M = [[simplify_scalar(sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)))
+    M = [[tidy(sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)))
           for j in range(n + 1)] for i in range(n)]
     assert mat_rank_exact(M) == oracle_rank(M) <= k
     (R, pivots), (R0, pivots0) = rref(M), oracle_rref(M)
@@ -303,7 +301,7 @@ def oracle_char_poly(M):
     Mk = [list(row) for row in M]
     for k in range(1, n + 1):
         c = -sum(Mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = simplify_scalar(c)
+        coeffs[n - k] = tidy(c)
         if k < n:
             Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(Mk)])
@@ -354,7 +352,7 @@ def vector_families(draw):
         elif pool:
             a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
             c, d = draw(entry), draw(entry)
-            v = [simplify_scalar(c * x + d * y + Fraction(0)) for x, y in zip(a, b)]
+            v = [tidy(c * x + d * y) for x, y in zip(a, b)]
         else:
             continue
         new.insert(draw(st.integers(0, len(new))), v)
@@ -537,22 +535,24 @@ def test_char_poly_roots_and_multiplicity():
     # rotation generator: x^2 + 1
     cp = char_poly([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
     assert cp == [Fraction(1), Fraction(0), Fraction(1)]
-    ex, fl = poly_roots_hybrid(cp)
-    assert not fl and {str(r) for r, _ in ex} == {"(0+1i)", "(0-1i)"}
+    roots = poly_roots_hybrid(cp)
+    assert all(isinstance(r, QQi) for r, _ in roots)
+    assert {str(r) for r, _ in roots} == {"(0+1i)", "(0-1i)"}
 
     # (x - 1)^2 (x + 2): multiplicity recovered exactly
     p = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
-    ex, fl = poly_roots_hybrid(p)
-    assert {(str(r), m) for r, m in ex} == {("1", 2), ("-2", 1)}
+    roots = poly_roots_hybrid(p)
+    assert {(str(r), m) for r, m in roots} == {("1", 2), ("-2", 1)}
 
-    # irrational pair goes to the float channel, Newton-polished
-    ex, fl = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
-    assert ex == [] and sorted(round(abs(z), 9) for z, _ in fl) == [1.414213562] * 2
+    # irrational pair stays float, Newton-polished
+    roots = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
+    assert all(type(z) is complex for z, _ in roots)
+    assert sorted(round(abs(z), 9) for z, _ in roots) == [1.414213562] * 2
 
     # 907/908 lies within the snap tolerance of 15418/15435 but is no root;
     # the larger convergent is, and must come back exact
-    ex, fl = poly_roots_hybrid([-Fraction(15418, 15435), Fraction(1)])
-    assert ex == [(Fraction(15418, 15435), 1)] and fl == []
+    assert poly_roots_hybrid([-Fraction(15418, 15435), Fraction(1)]) == \
+        [(Fraction(15418, 15435), 1)]
 
     # (x-1)^2 (x-11267/11250)^4 (x-15418/15435)^2, from a Jordan-Kronecker
     # pencil: the clustered roots come back from the float solver about 1e-10
@@ -563,25 +563,75 @@ def test_char_poly_roots_and_multiplicity():
     for r, m in roots.items():
         for _ in range(m):
             p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
-    ex, fl = poly_roots_hybrid(p)
-    assert dict(ex) == roots and fl == []
+    got = poly_roots_hybrid(p)
+    assert all(isinstance(r, Fraction) for r, _ in got) and dict(got) == roots
 
 
 def test_poly_gcd_and_squarefree():
     # p = (x-1)^2 (x+3)
     p = [Fraction(3), Fraction(-5), Fraction(1), Fraction(1)]
-    sf = poly_squarefree_part(p)
+    sf = squarefree_decomposition(p)[0]
     assert poly_eval(sf, Fraction(1)) == 0 and poly_eval(sf, Fraction(-3)) == 0
     assert len(sf) == 3  # degree dropped from 3 to 2
     g = poly_gcd_exact(p, [Fraction(-1), Fraction(1)])  # gcd with (x-1)
     assert g == [Fraction(-1), Fraction(1)]
 
 
-def test_poly_deflate():
-    p = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]  # (x-1)(x-2)(x-3)
-    q, rem = poly_deflate(p, Fraction(2))
-    assert rem == 0
-    assert poly_eval(q, Fraction(1)) == 0 and poly_eval(q, Fraction(3)) == 0
+# x - 1/3, x - (1 + 2i), x^2 - 2, x^2 - 2 - 10^-4 and x^3 - x - 1: rational,
+# Gaussian, two close irrational pairs and a cubic with one real and two
+# complex irrational roots
+ROOT_FACTORS = [[Fraction(-1, 3), Fraction(1)], [QQi(-1, -2), Fraction(1)],
+                [Fraction(-2), Fraction(0), Fraction(1)],
+                [-2 - Fraction(1, 10 ** 4), Fraction(0), Fraction(1)],
+                [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]]
+
+
+def product_of_powers(factors, exponents):
+    p = [Fraction(1)]
+    for f, e in zip(factors, exponents):
+        for _ in range(e):
+            p = poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=len(ROOT_FACTORS), max_size=len(ROOT_FACTORS))
+       .filter(any))
+def test_root_multiplicities_are_the_exponents_of_their_factors(exponents):
+    p = product_of_powers(ROOT_FACTORS, exponents)
+    roots = poly_roots_hybrid(p)
+    assert sum(m for _, m in roots) == len(p) - 1
+    for z, m in roots:
+        # the factor the root belongs to, by the smallest value there
+        owner = min(range(len(ROOT_FACTORS)),
+                    key=lambda k: abs(poly_eval([complex(c) for c in ROOT_FACTORS[k]],
+                                                complex(z))))
+        assert exponents[owner] and m == exponents[owner], (z, exponents)
+        if len(ROOT_FACTORS[owner]) == 2:
+            assert poly_eval(ROOT_FACTORS[owner], z) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=len(ROOT_FACTORS), max_size=len(ROOT_FACTORS)),
+       st.sampled_from([Fraction(1), Fraction(-5, 2), QQi(1, 1)]))
+def test_squarefree_decomposition_multiplies_back(exponents, lead):
+    p = [tidy(lead * c) for c in product_of_powers(ROOT_FACTORS, exponents)]
+    sf, factors = squarefree_decomposition(p)
+    assert [i for _, i in factors] == sorted({e for e in exponents if e})
+    back = [Fraction(1)]
+    for f, i in factors:
+        assert f[-1] == 1 and len(f) > 1
+        back = poly_mul(back, product_of_powers([f], [i]))
+    assert [tidy(lead * c) for c in back] == p
+    for (f, _), (g, _) in itertools.combinations(factors, 2):
+        assert poly_gcd_exact(f, g) == [Fraction(1)]
+    # each factor and the squarefree part are squarefree, and the f_i multiply to it
+    for f in [sf] + [f for f, _ in factors]:
+        assert len(poly_gcd_exact(f, exactlin.poly_deriv(f))) == 1
+    prod = [Fraction(1)]
+    for f, _ in factors:
+        prod = poly_mul(prod, f)
+    assert [tidy(sf[-1] * c) for c in prod] == [tidy(c) for c in sf]
 
 
 def test_float_mode_takes_float_eigenvalues_of_an_exact_matrix():

@@ -137,6 +137,29 @@ def test_eigen_split_of_so3_ad_is_exact_in_exact_mode():
         assert len(sub) == 1 and all(x == 0 for x in mat_vec(shift(M, val), sub[0]))
 
 
+def companion(c):
+    """The companion matrix of x^2 - c."""
+    return [[0, c], [1, 0]]
+
+
+@pytest.mark.parametrize("eps", [F(1, 10 ** 4), F(1, 10 ** 6)], ids=["1e-4", "1e-6"])
+def test_eigen_split_tells_close_irrational_pairs_apart(eps):
+    # diag(C(2), C(2), C(2 + eps)) is diagonalizable: +-sqrt(2) twice each,
+    # +-sqrt(2 + eps) once each, so at each sign a two- and a one-dimensional
+    # eigenspace
+    M = block([companion(2), Z2, Z2], [Z2, companion(2), Z2], [Z2, Z2, companion(2 + eps)])
+    assert matrix_is_semisimple(M, EXACT)
+    split = eigenspaces(M, EXACT)
+    assert split is not None
+    got = sorted((complex(val).real, len(sub)) for val, sub in split)
+    r, s = 2 ** 0.5, float(2 + eps) ** 0.5
+    assert [d for _, d in got] == [1, 2, 2, 1]
+    assert [v for v, _ in got] == pytest.approx([-s, -r, r, s], abs=1e-9)
+    for val, sub in split:
+        for v in sub:
+            assert max(abs(complex(x)) for x in mat_vec(shift(M, val), v)) < 1e-9
+
+
 def test_central_extension_heisenberg():
     ab = abelian(2)
     ext = central_extension(ab, skew(2, {(0, 1): 1}))

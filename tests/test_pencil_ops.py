@@ -248,7 +248,7 @@ def test_a_skew_matrix_of_rank_zero_mod_p_is_not_taken_for_regular():
     # every draw has rank 2 over Q and rank 0 mod P: F_P finds no regular
     # draw, so it proves nothing, and the exact rank sees the rank
     assert quotient_dim_mod_p(constant_pencil(A0, zero), SamplingPolicy(1), rank=2) is None
-    assert pencil._is_regular(constant_pencil(A0, zero), Fraction(1, 3), EXACT, 2)
+    assert rank_at(constant_pencil(A0, zero), Fraction(1, 3), EXACT) == 2
     # a Gaussian entry has no residue: F_P proves nothing
     i = QQi(Fraction(0), Fraction(1))
     assert quotient_dim_mod_p(constant_pencil([[0, i], [-i, 0]], zero), SamplingPolicy(1),

@@ -92,8 +92,9 @@ def test_lax_matrix_constant_lattice():
     pt = constant_lattice(2)
     L = lax_matrix(pt)
     assert all(L.matrix[i][i] == 0 for i in range(4))
-    exact, _ = poly_roots_hybrid(char_poly(L.matrix))
-    assert {(str(r), m) for r, m in exact} == {("2", 1), ("0", 2), ("-2", 1)}
+    roots = poly_roots_hybrid(char_poly(L.matrix))
+    assert all(isinstance(r, Fraction) for r, _ in roots)
+    assert {(str(r), m) for r, m in roots} == {("2", 1), ("0", 2), ("-2", 1)}
 
 
 def test_lax_shift_property():

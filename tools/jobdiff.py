@@ -51,7 +51,8 @@ def further_jobs(workdir: str):
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
     - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
       and on the 13-dim pair with (1 +- 2i) Jordan blocks of size 2 under two
-      congruences, in both modes at seeds 0-2.
+      congruences, in both modes at seeds 0-2;
+    - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
     The child has put the tree's ``perfbench`` on ``sys.path``, so the ``jk``
     inputs come from its ``workloads`` helpers.
@@ -110,7 +111,64 @@ def further_jobs(workdir: str):
                   ["jk", "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
                    "--mode", mode, "--seed", str(s)])
                  for mode in MODES for s in FURTHER_SEEDS]
+    jobs += input_error_jobs(workdir, write)
     return [(FURTHER + key, argv) for key, argv in jobs]
+
+
+def input_error_jobs(workdir: str, write):
+    """(key, argv) of CLI calls that fail on their input: a missing and a
+    malformed file for each of ``--pencil``, ``--algebra`` and ``--cocycle``, a
+    pencil of dimension 0, bad ``--point`` values, a zero ``--tol``, a
+    non-positive Toda a_i, an unknown catalog name, an algebra that breaks the
+    Jacobi identity and a form that is not a cocycle."""
+    from bipencil.catalog import catalog_by_name
+    from bipencil.io import pencil_to_json_dict
+
+    so3 = catalog_by_name()["so3_shift"]
+    pencil = write("errors.so3.pencil.json", pencil_to_json_dict(so3.field0, so3.field_inf, None))
+    algebra = write("errors.so3.algebra.json", so3.algebra.to_json_dict())
+    cocycle = write("errors.so3.cocycle.json", {"dim": 3, "cocycle": []})
+    missing = os.path.join(workdir, "missing.json")
+    malformed = os.path.join(workdir, "malformed.json")
+    with open(malformed, "w") as fh:
+        fh.write('{"dim": 3,')
+    # so(3) plus a central e4; the form e1 ^ e4 fails the cocycle identity on
+    # (e2, e3, e4), as [e2, e3] = e1
+    so3_plus_r = {"dim": 4, "structure": [{"i": 1, "j": 2, "k": 3, "c": "1"},
+                                          {"i": 2, "j": 3, "k": 1, "c": "1"},
+                                          {"i": 3, "j": 1, "k": 2, "c": "1"}]}
+    # [e1, e2] = e3 with [e2, e3] = e2 breaks the Jacobi identity on (e1, e2, e3)
+    not_jacobi = {"dim": 3, "structure": [{"i": 1, "j": 2, "k": 3, "c": "1"},
+                                          {"i": 2, "j": 3, "k": 2, "c": "1"}]}
+
+    def analyze(path, point="0,0,0", *options):
+        return ["analyze", "--pencil", path, "--point=" + point, *options]
+
+    def linear(alg, coc):
+        return ["linear", "--algebra", alg, "--cocycle", coc]
+
+    return [
+        ("error pencil missing", analyze(missing)),
+        ("error pencil malformed", analyze(malformed)),
+        ("error pencil dim 0", analyze(write("errors.dim0.pencil.json",
+                                             {"dim": 0, "P0": [], "Pinf": []}), "0")),
+        ("error algebra missing", linear(missing, cocycle)),
+        ("error algebra malformed", linear(malformed, cocycle)),
+        ("error cocycle missing", linear(algebra, missing)),
+        ("error cocycle malformed", linear(algebra, malformed)),
+        ("error point arity", analyze(pencil, "0,0")),
+        ("error point empty field", analyze(pencil, "0,,0")),
+        ("error point zero denominator", analyze(pencil, "1/0,0,0")),
+        ("error float tol 0", analyze(pencil, "0,0,0", "--mode", "float", "--tol", "0")),
+        ("error toda a_i = 0", ["toda", "--n", "3", "--a", "1,0,1", "--b", "0,0,0"]),
+        ("error catalog unknown name", ["catalog", "--emit", "nosuch", workdir]),
+        ("error algebra not Jacobi",
+         linear(write("errors.jacobi.algebra.json", not_jacobi), cocycle)),
+        ("error form not a cocycle",
+         linear(write("errors.so3r.algebra.json", so3_plus_r),
+                write("errors.so3r.cocycle.json",
+                      {"dim": 4, "cocycle": [{"i": 1, "j": 4, "c": "1"}]}))),
+    ]
 
 
 def src_lines(tree) -> int:
