@@ -33,5 +33,5 @@ from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, float_mode
 from .tensorfield import (PencilAtPoint, PoissonTensorField, constant_pencil,
                           direct_sum, evaluate_pencil)
-from .toda import (LaxMatrix, TodaPoint, lax_matrix, make_singular_point, random_point,
+from .toda import (TodaPoint, jacobi_block, make_singular_point, random_point,
                    toda_pencil, toda_spectrum_via_lax)

@@ -15,7 +15,7 @@ pencil rank mod p has that rank over Q, so its kernel mod p reduces the
 rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
 never below the rational value: zero proves the nearby point Kronecker, and
 anything else, a bad prime or a float point included, is rechecked in the
-job's mode with the same draws.
+job's mode with the same draws; the first nearby point decided ends the check.
 """
 
 from __future__ import annotations
@@ -193,32 +193,33 @@ def _certify_pencil_rank(field0, field_inf, rank, params, sampler, mode, warning
 
 
 def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
-    """L^perp / L should be zero at 3 nearby perturbations (Kronecker-type pencil).
+    """L^perp / L should be zero at a nearby perturbation (Kronecker-type pencil).
 
     Not run at a Regular point: L^perp = L at a certified maximal rank means
     only Kronecker blocks there, on a Zariski-open set (the rank drops over
     lambda in CP^1 project to a closed one), so the pencil is Kronecker on the
-    dense open set the nearby draws sample, and they could only warn falsely.
+    dense open set the nearby draws sample, and they could only warn falsely;
+    so the check stops at its first nearby point proved Kronecker.
 
     Only the core is computed there, with the point's pencil rank ``rank``:
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
-    is the rank nearby too; a nearby point of lower rank is skipped.  The
-    pencil is evaluated once per nearby point, and the F_p core and the
-    recheck in the job's mode read it, each with a sampler spawned from the
-    same seed.
+    is the rank nearby too; a nearby point of lower rank is skipped, up to 3
+    draws.  The pencil is evaluated once per nearby point, and the F_p core
+    and the recheck in the job's mode read it, each with a sampler spawned
+    from the same seed.
     """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
         seed = sampler.randint(0, 10 ** 6)
         q = evaluate_pencil(field0, field_inf, nearby)
         if quotient_dim_mod_p(q, sampler.spawn(seed), rank=rank) == 0:
-            continue
+            return
         try:
             core = compute_core(q, sampler.spawn(seed), mode, rank=rank)
-            if quotient_dim(q, core) != 0:
-                warnings.append(
-                    "nearby point has non-empty spectrum; the pencil may not be "
-                    "of Kronecker type, in which case verdicts are unreliable")
-                return
         except RankDeficientPointError:
             continue
+        if quotient_dim(q, core) != 0:
+            warnings.append(
+                "nearby point has non-empty spectrum; the pencil may not be "
+                "of Kronecker type, in which case verdicts are unreliable")
+        return

@@ -582,9 +582,10 @@ def _newton_polish(coeffs_float, dcoeffs_float, z: complex) -> complex:
     return z
 
 
-def poly_roots_hybrid(coeffs):
+def poly_roots_hybrid(coeffs, squarefree=None):
     """Roots of an exact polynomial with their multiplicities, one list of
-    (value, multiplicity): exact values first, then floats.
+    (value, multiplicity): exact values first, then floats.  ``squarefree`` is
+    its ``squarefree_decomposition`` when the caller has it.
 
     The roots of the squarefree part are found by numpy and Newton-polished
     on it, where every root is simple, so a multiple root of the original
@@ -596,7 +597,7 @@ def poly_roots_hybrid(coeffs):
     """
     deg = _poly_degree(coeffs)
     coeffs = [tidy(c) for c in coeffs[:deg + 1]]
-    sf, factors = squarefree_decomposition(coeffs)
+    sf, factors = squarefree or squarefree_decomposition(coeffs)
     sf_float = [complex(c) for c in sf]
     dsf_float = [complex(c) for c in poly_deriv(sf)]
     approx = np.roots(list(reversed(sf_float)))

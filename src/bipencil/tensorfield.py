@@ -1,7 +1,8 @@
 """Polynomial Poisson tensor fields and their point evaluations.
 
-A pencil at a point is held as its nonzero entries; ``skew`` builds the dense
-P_lambda, d_k P_lambda and their residues modulo a prime from them.
+A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
+their cells at a parameter, from which ``skew`` builds the dense P_lambda and
+its residues modulo a prime, and the linearization the rows of d_k P_lambda.
 """
 
 from __future__ import annotations
@@ -104,16 +105,22 @@ def direct_sum(a0: PoissonTensorField, ainf: PoissonTensorField,
     return combine(a0, b0), combine(ainf, binf)
 
 
+def skew_cells(entries, lam):
+    """(i, j, cell ij, cell ji) per upper entry (i, j, a0, ainf) of the skew
+    matrix a0 + lam * ainf (ainf alone at lam = INF).  Each cell is computed as
+    the dense sum A0 + lam * Ainf computes it, the lower one from -a0 and
+    -ainf, so that float cells keep their signed zeros."""
+    if is_inf(lam):
+        return [(i, j, ainf, -ainf) for i, j, _, ainf in entries]
+    return [(i, j, a0 + lam * ainf, -a0 + lam * -ainf) for i, j, a0, ainf in entries]
+
+
 def skew(dim: int, entries, lam):
-    """The dense skew matrix a0 + lam * ainf (ainf alone at lam = INF) of the
-    upper ``entries`` (i, j, a0, ainf).  Each cell is computed as the dense sum
-    A0 + lam * Ainf computes it, the lower one from -a0 and -ainf, so that
-    float cells keep their signed zeros."""
-    at_inf = is_inf(lam)
-    zero = ZERO if at_inf else ZERO + lam * ZERO
+    """The dense skew matrix of ``skew_cells(entries, lam)``."""
+    zero = ZERO if is_inf(lam) else ZERO + lam * ZERO
     M = [[zero] * dim for _ in range(dim)]
-    for i, j, a0, ainf in entries:
-        M[i][j], M[j][i] = (ainf, -ainf) if at_inf else (a0 + lam * ainf, -a0 + lam * -ainf)
+    for i, j, upper, lower in skew_cells(entries, lam):
+        M[i][j], M[j][i] = upper, lower
     return M
 
 
@@ -175,10 +182,6 @@ class PencilAtPoint:
     def matrix_at(self, lam):
         """P_lambda(x) = A0 + lam * Ainf, with lam = INF meaning Ainf alone."""
         return skew(self.dim, self.entries, lam)
-
-    def derivative_at(self, lam, k: int):
-        """d/dx_k of P_lambda at the point."""
-        return skew(self.dim, self.derivatives[k], lam)
 
 
 def _nonzero_pairs(values0: dict, values_inf: dict) -> list:

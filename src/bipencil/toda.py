@@ -11,13 +11,15 @@ through a solution of the eigen-recursion.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import char_poly, poly_deriv, poly_gcd_exact, poly_roots_hybrid, to_numpy
+from .exactlin import poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, is_exact_scalar, tidy
@@ -86,41 +88,41 @@ def toda_pencil(n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LaxMatrix:
-    n: int
-    matrix: list         # 2n x 2n symmetric rational
-
-    def periodic_block(self):
-        return _shift_block(self, sign=1)
-
-    def antiperiodic_block(self):
-        return _shift_block(self, sign=-1)
-
-
-def lax_matrix(pt: TodaPoint) -> LaxMatrix:
-    """Symmetric Jacobi matrix on the double period, corners closing the cycle."""
+def jacobi_block(pt: TodaPoint, sign: int):
+    """The doubled Lax matrix on the vectors u_j = e_j + sign e_{j+n}, j < n: the
+    n x n periodic Jacobi matrix of b and a with corners sign a_n; at n = 2 the
+    corner adds to the off-diagonal entry a_1."""
     n = pt.n
-    m = 2 * n
-    L = [[Fraction(0)] * m for _ in range(m)]
-    for r in range(m):
-        L[r][r] = pt.b[r % n]
-        if r + 1 < m:
-            L[r][r + 1] = pt.a[r % n]
-            L[r + 1][r] = pt.a[r % n]
-    L[0][m - 1] = pt.a[n - 1]
-    L[m - 1][0] = pt.a[n - 1]
-    return LaxMatrix(n=n, matrix=L)
+    B = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        B[i][i] = pt.b[i]
+        B[i][j] = B[j][i] = B[i][j] + (pt.a[i] if j else sign * pt.a[i])
+    return B
 
 
-def _shift_block(lax: LaxMatrix, sign: int):
-    """Action of the Lax matrix on the (anti)symmetric subspace of the n-shift.
+def jacobi_char_poly(B):
+    """det(x I - B), ascending, of a ``jacobi_block`` in O(n^2): the leading
+    minors T_k = (x - B_kk) T_{k-1} - B_{k-1,k}^2 T_{k-2}, less the corner terms
+    c^2 T' + 2 c B_01 B_12 ... B_{n-2,n-1}, T' the minor of rows 1..n-2 and
+    c = B_{0,n-1}; a 2 x 2 block has no corner terms."""
+    n = len(B)
 
-    Basis u_j = e_j + sign * e_{j+n}; the image of u_j is again (anti)symmetric
-    and its first n components are the block column, L[i][j] + sign L[i][j+n].
-    """
-    L, n = lax.matrix, lax.n
-    return [[L[i][j] + sign * L[i][j + n] for j in range(n)] for i in range(n)]
+    def minor(lo, hi):
+        older, prev = [], [Fraction(1)]
+        for k in range(lo, hi):
+            off = B[k - 1][k] ** 2 if k > lo else 0
+            older, prev = prev, [x - B[k][k] * y - off * z for x, y, z in
+                                 itertools.zip_longest([0] + prev, prev, older, fillvalue=0)]
+        return prev
+
+    chi = minor(0, n)
+    if n > 2:
+        c = B[0][n - 1]
+        for t, y in enumerate(minor(1, n - 1)):
+            chi[t] -= c * c * y
+        chi[0] -= 2 * c * math.prod(B[k][k + 1] for k in range(n - 1))
+    return chi
 
 
 @dataclass
@@ -137,21 +139,22 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     With the bracket table used here the lambda-slice of the pencil at (a, b)
     equals the zero-slice at (a, b + lambda), so a double eigenvalue mu of the
     doubled Lax matrix certifies the pencil parameter -mu.  Both numbers are
-    reported; all values are real (the matrix is symmetric).  In exact mode a
-    block whose characteristic polynomial is coprime to its derivative has
-    no multiple eigenvalue, so its roots are not sought; otherwise each root
-    of multiplicity >= 2 from ``poly_roots_hybrid`` gives an entry, with an
-    exact value when the root is rational and a float one otherwise.
+    reported; all values are real (the matrix is symmetric).  In exact mode
+    one squarefree decomposition of each block's ``jacobi_char_poly`` serves
+    twice: a squarefree block has no multiple eigenvalue, so its roots are not
+    sought; otherwise each root of multiplicity >= 2 from ``poly_roots_hybrid``
+    gives an entry, with an exact value when the root is rational and a float
+    one otherwise.
     """
-    lax = lax_matrix(pt)
     out = []
-    for which, block in (("periodic", lax.periodic_block()),
-                         ("antiperiodic", lax.antiperiodic_block())):
+    for which, sign in (("periodic", 1), ("antiperiodic", -1)):
+        block = jacobi_block(pt, sign)
         if mode.is_exact:
-            chi = char_poly(block)
-            if len(poly_gcd_exact(chi, poly_deriv(chi))) == 1:
+            chi = jacobi_char_poly(block)
+            squarefree = squarefree_decomposition(chi)
+            if all(i == 1 for _, i in squarefree[1]):
                 continue
-            for mu, mult in poly_roots_hybrid(chi):
+            for mu, mult in poly_roots_hybrid(chi, squarefree):
                 if mult >= 2:
                     mu = mu if is_exact_scalar(mu) else mu.real
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,

@@ -15,7 +15,7 @@ from bipencil.errors import PreconditionError, ToleranceError
 from bipencil.exactlin import coords_in_span, mat_vec, restrict, transpose
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, tidy
-from bipencil.tensorfield import PencilAtPoint
+from bipencil.tensorfield import PencilAtPoint, skew
 
 from oracles.fields import gradient, hessian
 
@@ -65,7 +65,7 @@ def casimir_variation(p: PencilAtPoint, f, alpha, mode: Mode = EXACT) -> Casimir
     d = p.dim
     D = [[Fraction(0)] * d for _ in range(d)]
     for k in range(d):
-        dAk = p.derivative_at(alpha, k)
+        dAk = skew(d, p.derivatives[k], alpha)
         for j in range(d):
             total = 0
             for i in range(d):

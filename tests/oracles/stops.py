@@ -18,7 +18,9 @@ import numpy as np
 from bipencil.exactlin import basis_union, char_poly, mat_vec, poly_roots_hybrid, to_numpy
 from bipencil.pencil import IsotropicCore, rank_at, regular_parameters
 from bipencil.scalars import EXACT, INF, is_exact_scalar
-from bipencil.toda import LaxSpectrumEntry, lax_matrix
+from bipencil.toda import LaxSpectrumEntry
+
+from oracles.toda import lax_matrix
 
 
 def rank_corank_over_d_plus_two(p, sampler, mode=EXACT):
@@ -40,14 +42,15 @@ def core_until_two_idle(p, sampler, mode=EXACT, *, rank):
                          corank=p.dim - rank)
 
 
-def shift_block_by_mat_vec(lax, sign):
-    n, m = lax.n, 2 * lax.n
+def shift_block_by_mat_vec(L, sign):
+    m = len(L)
+    n = m // 2
     block = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         u = [Fraction(0)] * m
         u[j] = Fraction(1)
         u[j + n] = Fraction(sign)
-        img = mat_vec(lax.matrix, u)
+        img = mat_vec(L, u)
         for i in range(n):
             block[i][j] = img[i]
     return block

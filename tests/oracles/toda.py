@@ -24,7 +24,7 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import nullspace
 from bipencil.liealg import REAL, LieAlgebra, LinearPencil, TwoCocycle
 from bipencil.tensorfield import PencilAtPoint, evaluate_pencil
-from bipencil.toda import TodaPoint, lax_matrix, toda_pencil
+from bipencil.toda import TodaPoint, jacobi_block, toda_pencil
 
 F = Fraction
 
@@ -36,6 +36,19 @@ def constant_lattice(n: int, a=F(1), b=F(0)) -> TodaPoint:
 def toda_pencil_at(pt: TodaPoint) -> PencilAtPoint:
     p0, pinf = toda_pencil(pt.n)
     return evaluate_pencil(p0, pinf, pt.coordinates())
+
+
+def lax_matrix(pt: TodaPoint):
+    """The symmetric 2n x 2n Jacobi matrix on the double period, corners
+    closing the cycle."""
+    n, m = pt.n, 2 * pt.n
+    L = [[F(0)] * m for _ in range(m)]
+    for r in range(m):
+        L[r][r] = pt.b[r % n]
+        if r + 1 < m:
+            L[r][r + 1] = L[r + 1][r] = pt.a[r % n]
+    L[0][m - 1] = L[m - 1][0] = pt.a[n - 1]
+    return L
 
 
 def casimir_gradient(pt: TodaPoint):
@@ -82,9 +95,8 @@ def double_eigensolutions(pt: TodaPoint, lam):
     raises if the eigenvalue is not double in one parity class.
     """
     mu = -lam
-    lax = lax_matrix(pt)
-    for which, sign, block in (("periodic", 1, lax.periodic_block()),
-                               ("antiperiodic", -1, lax.antiperiodic_block())):
+    for which, sign in (("periodic", 1), ("antiperiodic", -1)):
+        block = jacobi_block(pt, sign)
         shifted = [[block[i][j] - (mu if i == j else 0) for j in range(pt.n)]
                    for i in range(pt.n)]
         ker = nullspace(shifted)

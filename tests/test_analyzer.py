@@ -152,6 +152,21 @@ def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, k
     assert len(calls) == checks
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
+    # the first nearby point is proved Kronecker mod p, which proves the
+    # pencil Kronecker on a dense open set: no second nearby pencil is
+    # evaluated, and only the point's own pencil besides
+    evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
+    checks = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
+    f0, finf = toda_pencil(4)
+    pt = make_singular_point(4, seed=1).coordinates()
+    rep = analyze_point(f0, finf, pt, AnalysisParams(mode=mode, seed=1, declared_rank=6))
+    assert not any(w.startswith("nearby point") for w in rep.warnings)
+    assert len(checks) == 1
+    assert [args[2] == pt for args in evaluated] == [True, False]
+
+
 def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
     # the nearby points of a rational point are rational, so F_p proves them
     # Kronecker in float mode too, and no float core is computed there
@@ -244,10 +259,11 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
 
 
 def test_the_linear_layer_computes_each_fact_once(monkeypatch):
-    # at a Toda singular point every kernel bracket is resolved by one
-    # elimination per linearize, the ad matrices of Ker A are built once per
-    # spectrum value, and the cocycle's rank is dim - dim Ker A: the form's one
-    # exact rank is the diagonalizability test's, before analyze_linear
+    # at a Toda singular point the kernel brackets are read off the echelon
+    # kernel basis with no elimination, the ad matrices of Ker A are built
+    # once per spectrum value, and the cocycle's rank is dim - dim Ker A: the
+    # form's one exact rank is the diagonalizability test's, before
+    # analyze_linear
     rrefs = count_calls(monkeypatch, exactlin, "rref")
     ranks = count_calls(monkeypatch, exactlin, "mat_rank_exact")
     ads = count_calls(monkeypatch, LieAlgebra, "ad_matrix")
@@ -274,7 +290,7 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
     analyzed = [w for w in windows if w[0] == "analyze_linear"]
     assert len(linearized) == len(analyzed) == len(rep.per_lambda)
     for _, _, lp, (r0, _, _), (r1, _, _) in linearized:
-        assert lp.algebra.dim >= 3 and r1 - r0 == 1
+        assert lp.algebra.dim >= 3 and r1 - r0 == 0
     for _, lp, lin, (_, k0, a0), (_, k1, a1) in analyzed:
         assert a1 - a0 == len(lin.data.kernel_basis) >= 1
         assert lin.data.cocycle_rank == lp.algebra.dim - len(lin.data.kernel_basis)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil import algebras
+from bipencil import algebras, linearization
 from bipencil.catalog import catalog_by_name
+from bipencil.errors import RankDeficientPointError
+from bipencil.exactlin import bilinear
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
 from bipencil.linearization import kernel_form, linearize
@@ -13,11 +15,12 @@ from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
 from bipencil.roots import (analyze_linear, is_nondegenerate_linear, joint_eigenvectors,
                            root_decomposition)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, QQi, conj, float_mode, is_exact_scalar
-from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import make_singular_point
+from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_exact_scalar, tidy
+from bipencil.tensorfield import evaluate_pencil, skew
+from bipencil.toda import make_singular_point, toda_pencil
 
 from oracles.algebras import abelian, quotient_by_central, with_complex_scalars
+from oracles.sln import shift_case
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import linearize_at
 
@@ -317,3 +320,116 @@ def test_joint_eigenvectors_of_exact_matrices_in_float_mode_are_float():
     for eigs, vecs in items:
         assert not any(is_exact_scalar(x) for x in eigs)
         assert not any(is_exact_scalar(x) for v in vecs for x in v)
+
+
+# ---------------------------------------------------------------------------
+# the sparse contraction and the coordinate read-off
+# ---------------------------------------------------------------------------
+
+
+def brackets_seen(monkeypatch, p, lam, ker, mode):
+    """The bracket vectors w_(u, v) that ``linearize`` hands to its coordinate
+    step, and its result."""
+    seen = []
+    for name in ("_coordinates", "coords_in_span"):
+        real = getattr(linearization, name)
+
+        def spy(basis, ws, *rest, _real=real):
+            seen.append(ws)
+            return _real(basis, ws, *rest)
+
+        monkeypatch.setattr(linearization, name, spy)
+    lp = linearize(p, lam, ker, kernel_form(p, lam, ker), mode)
+    assert len(seen) == 1
+    return seen[0], lp
+
+
+def dense_brackets(p, lam, ker):
+    """tidy(bilinear(d_k P_lambda, u, v)) over the dense d_k P_lambda."""
+    m = len(ker)
+    return [[tidy(bilinear(skew(p.dim, p.derivatives[k], lam), ker[u], ker[v]))
+             for k in range(p.dim)] for u in range(m) for v in range(u + 1, m)]
+
+
+def bits(x):
+    """The type of x and the bits of its real and imaginary parts."""
+    z = complex(x)
+    return type(x), z.real.hex(), z.imag.hex()
+
+
+def contraction_cases():
+    """(name, pencil, lambda): rational, infinite and Gaussian spectrum values."""
+    f0, finf = toda_pencil(4)
+    pt = make_singular_point(4, seed=1).coordinates()
+    rotation = shift_case(3, 1, 1)
+    e = rotation.entry()
+    gaussian = QQi(F(-12, 41), F(26, 41))      # a spectrum value of this point
+    diamond_c = catalog_by_name()["diamond_C_shift"]
+    return [("toda4 at 0", evaluate_pencil(f0, finf, pt), F(0)),
+            ("toda4 swapped at infinity", evaluate_pencil(finf, f0, pt), INF),
+            ("sl3 rotation at a Gaussian lambda",
+             evaluate_pencil(e.field0, e.field_inf, rotation.point), gaussian),
+            ("diamond_C_shift at 0",
+             evaluate_pencil(diamond_c.field0, diamond_c.field_inf, diamond_c.point), F(0))]
+
+
+@pytest.mark.parametrize("name, p, lam", contraction_cases(),
+                         ids=[case[0] for case in contraction_cases()])
+def test_the_sparse_contraction_is_the_dense_bilinear_form(monkeypatch, name, p, lam):
+    # exact mode: the same values as the dense d_k P_lambda; float mode: the
+    # same floats bit for bit, and the same zeros, as bilinear sums them in
+    # the same order
+    ker = kernel_basis(p, lam)
+    assert len(ker) >= 2
+    ws, lp = brackets_seen(monkeypatch, p, lam, ker, EXACT)
+    assert ws == dense_brackets(p, lam, ker)
+    assert any(x != 0 for w in ws for x in w)
+    assert all(is_exact_scalar(x) for w in ws for x in w)
+    assert lp.algebra.jacobi_violation() is None
+
+    mode = float_mode()
+    flam = lam if lam is INF else complex(lam)
+    fker = kernel_basis(p, flam, mode)
+    assert fker and not is_exact_scalar(fker[0][0])
+    ws, _ = brackets_seen(monkeypatch, p, flam, fker, mode)
+    expected = dense_brackets(p, flam, fker)
+    assert [[bits(x) for x in w] for w in ws] == [[bits(x) for x in w] for w in expected]
+
+
+def test_a_basis_without_unit_columns_gives_the_same_algebra(monkeypatch):
+    # Toda n = 4 at 0: the echelon kernel's coordinates are read off its unit
+    # columns with no elimination, a scaled, mixed basis of the same kernel
+    # has none and is solved on its pivot columns; both give one algebra, in
+    # their own coordinates
+    p = toda_pencil_at(make_singular_point(4, seed=1))
+    ker = kernel_basis(p, F(0))
+    mixed = [[F(3) * x + y for x, y in zip(ker[0], ker[1])]] + \
+            [[F(-1, 2) * x for x in u] for u in ker[1:]]
+    rrefs = []
+    real = linearization.rref
+    monkeypatch.setattr(linearization, "rref", lambda M: rrefs.append(M) or real(M))
+    lp = linearize(p, F(0), ker, kernel_form(p, F(0), ker))
+    assert rrefs == []
+    lq = linearize(p, F(0), mixed, kernel_form(p, F(0), mixed))
+    assert rrefs == [mixed]
+    # the change of basis C (mixed = C ker) carries one bracket table to the other
+    C = [[F(3), F(1)] + [F(0)] * (len(ker) - 2)] + \
+        [[F(0)] * t + [F(-1, 2)] + [F(0)] * (len(ker) - t - 1) for t in range(1, len(ker))]
+    for i in range(len(ker)):
+        for j in range(len(ker)):
+            lhs = lp.algebra.bracket(C[i], C[j])            # [mixed_i, mixed_j] in ker coordinates
+            rhs = [sum(c * C[t][s] for t, c in enumerate(lq.algebra.structure_vector(i, j)))
+                   for s in range(len(ker))]
+            assert lhs == rhs, (i, j)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_bracket_that_leaves_the_span_raises(mode):
+    # so(3) at 0: [e1, e2] = e3, so two of the three kernel vectors span no
+    # subalgebra, whether echelon or mixed
+    p = catalog_pencil("so3_shift")
+    ker = kernel_basis(p, F(0), mode)
+    mixed = [[x + y for x, y in zip(ker[0], ker[1])], ker[1]]
+    for basis in (ker[:2], mixed):
+        with pytest.raises(RankDeficientPointError):
+            linearize(p, F(0), basis, kernel_form(p, F(0), basis), mode)

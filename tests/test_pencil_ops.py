@@ -16,7 +16,7 @@ from bipencil.pencil import (compute_core, compute_spectrum, core_perp, kernel_b
                              regular_parameters)
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
-from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
+from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
@@ -45,9 +45,9 @@ def test_evaluate_pencil_so3_origin():
     p = evaluate_pencil(e.field0, e.field_inf, [Fraction(0)] * 3)
     assert all(v == 0 for row in p.A0 for v in row)
     # derivative in the third coordinate has (1,2)-entry 1: P^{12} = x3
-    assert p.derivative_at(Fraction(0), 2)[0][1] == 1
+    assert skew(3, p.derivatives[2], Fraction(0))[0][1] == 1
     # constant generator: derivatives vanish
-    assert all(v == 0 for k in range(3) for row in p.derivative_at(INF, k) for v in row)
+    assert all(v == 0 for k in range(3) for row in skew(3, p.derivatives[k], INF) for v in row)
 
 
 def test_evaluate_pencil_toda_example():
@@ -312,7 +312,8 @@ def test_sparse_pencil_equals_the_dense_formula():
         for lam in lams:
             assert p.matrix_at(lam) == _dense(f0, finf, point, lam), (name, lam)
             for k in range(p.dim):
-                assert p.derivative_at(lam, k) == _dense(f0, finf, point, lam, k), (name, lam, k)
+                assert skew(p.dim, p.derivatives[k], lam) == _dense(f0, finf, point, lam, k), \
+                    (name, lam, k)
         q = constant_pencil(p.A0, p.Ainf)
         assert q.A0 == p.A0 and q.Ainf == p.Ainf, name
         assert all(a != 0 or b != 0 for entries in [p.entries] + p.derivatives

@@ -7,18 +7,19 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
-from bipencil import toda
+from bipencil import exactlin, toda
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, float_mode
 from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import (TodaPoint, lax_matrix, lax_recursion_check, make_singular_point,
-                           random_point, toda_pencil, toda_spectrum_via_lax)
+from bipencil.toda import (TodaPoint, jacobi_block, jacobi_char_poly, lax_recursion_check,
+                           make_singular_point, random_point, toda_pencil,
+                           toda_spectrum_via_lax)
 
 from oracles.fields import add, verify_jacobi
 from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
-                          fold_to_covector, kernel_product, toda_kernel_algebra,
-                          toda_pencil_at, wronskian)
+                          fold_to_covector, kernel_product, lax_matrix,
+                          toda_kernel_algebra, toda_pencil_at, wronskian)
 from pipeline import spectrum_of
 
 F = Fraction
@@ -91,8 +92,8 @@ def test_phase_space_constraint():
 def test_lax_matrix_constant_lattice():
     pt = constant_lattice(2)
     L = lax_matrix(pt)
-    assert all(L.matrix[i][i] == 0 for i in range(4))
-    roots = poly_roots_hybrid(char_poly(L.matrix))
+    assert all(L[i][i] == 0 for i in range(4))
+    roots = poly_roots_hybrid(char_poly(L))
     assert all(isinstance(r, Fraction) for r, _ in roots)
     assert {(str(r), m) for r, m in roots} == {("2", 1), ("0", 2), ("-2", 1)}
 
@@ -128,10 +129,45 @@ def _lax_points():
 def test_lax_blocks_and_spectrum_agree_with_the_longer_rules():
     for pt in _lax_points():
         lax = lax_matrix(pt)
-        assert lax.periodic_block() == shift_block_by_mat_vec(lax, 1), pt
-        assert lax.antiperiodic_block() == shift_block_by_mat_vec(lax, -1), pt
+        assert jacobi_block(pt, 1) == shift_block_by_mat_vec(lax, 1), pt
+        assert jacobi_block(pt, -1) == shift_block_by_mat_vec(lax, -1), pt
         for mode in (EXACT, float_mode(1e-9)):
             assert toda_spectrum_via_lax(pt, mode) == lax_spectrum_by_roots(pt, mode), (pt, mode)
+
+
+def test_jacobi_char_poly_is_faddeev_leverrier():
+    # the three-term recurrence and its corner terms give char_poly's
+    # coefficients, Fractions all, at random, symmetric and singular points
+    # (periodic ones from n = 3: a 2 x 2 periodic block has a_1 + a_2 > 0 off
+    # its diagonal); at n = 2 the corner is part of the off-diagonal entry
+    for n in range(2, 13):
+        points = [random_point(n, 60 + n), constant_lattice(n),
+                  make_singular_point(n, seed=n)]
+        points += [make_singular_point(n, seed=n, antiperiodic=False)] if n > 2 else []
+        for pt in points:
+            for sign in (1, -1):
+                B = jacobi_block(pt, sign)
+                chi = jacobi_char_poly(B)
+                assert chi == char_poly(B), (n, sign, pt)
+                assert all(type(c) is Fraction for c in chi + char_poly(B)), (n, sign, pt)
+
+
+def test_exact_lax_oracle_decomposes_each_block_once(monkeypatch):
+    # one squarefree decomposition per block serves both the squarefree skip
+    # and poly_roots_hybrid; the antiperiodic block has the double eigenvalue
+    pt = make_singular_point(6, seed=1)
+    expected = lax_spectrum_by_roots(pt)
+    calls = []
+    real = exactlin.squarefree_decomposition
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    for module in (exactlin, toda):
+        monkeypatch.setattr(module, "squarefree_decomposition", counted)
+    assert toda_spectrum_via_lax(pt) == expected != []
+    assert len(calls) == 2
 
 
 def test_exact_lax_oracle_skips_squarefree_blocks(monkeypatch):

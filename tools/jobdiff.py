@@ -52,10 +52,15 @@ def further_jobs(workdir: str):
     - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
       and on the 13-dim pair with (1 +- 2i) Jordan blocks of size 2 under two
       congruences, in both modes at seeds 0-2;
+    - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
+      ``shift_case`` with (n, b) = (3, 1), (4, 1) and (5, 0) at seed 1, their
+      rank declared, in both modes: the largest kernel algebras the reports
+      reach, whose float outputs the benchmark does not cover;
     - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
-    The child has put the tree's ``perfbench`` on ``sys.path``, so the ``jk``
-    inputs come from its ``workloads`` helpers.
+    The child has put the tree's ``perfbench`` and ``tests`` on ``sys.path``,
+    so the ``jk`` inputs come from its ``workloads`` helpers and the sl(n)
+    points from its test oracles.
     """
     import workloads
     from bipencil.catalog import catalog
@@ -63,6 +68,7 @@ def further_jobs(workdir: str):
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
     from bipencil.scalars import QQi
+    from oracles.sln import shift_case
 
     def write(name, doc):
         path = os.path.join(workdir, name)
@@ -111,6 +117,15 @@ def further_jobs(workdir: str):
                   ["jk", "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
                    "--mode", mode, "--seed", str(s)])
                  for mode in MODES for s in FURTHER_SEEDS]
+    for n, b in ((3, 1), (4, 1), (5, 0)):
+        case = shift_case(n, b, 1)
+        entry = case.entry()
+        path = write(f"sl{n}.b{b}.pencil.json",
+                     pencil_to_json_dict(entry.field0, entry.field_inf, n * n - n))
+        point = "--point=" + ",".join(map(str, case.point))
+        jobs += [(f"analyze sl{n} shift b={b} {mode} seed=1",
+                  ["analyze", "--pencil", path, point, "--mode", mode, "--seed", "1"])
+                 for mode in MODES]
     jobs += input_error_jobs(workdir, write)
     return [(FURTHER + key, argv) for key, argv in jobs]
 
@@ -182,7 +197,8 @@ def src_lines(tree) -> int:
 
 def run_tree(tree: str, seeds, out_path: str):
     """Child: run every job of ``tree`` and write {key: [code, stdout, stderr]}."""
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench"),
+                    os.path.join(tree, "tests")]
     import workloads
 
     results = {}
