@@ -29,19 +29,15 @@ from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable
                      kernel_basis, pencil_rank_corank, quotient_dim, quotient_dim_mod_p)
 from .roots import BlockDecomposition, WilliamsonType, analyze_linear
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, float_mode, format_scalar, is_exact_scalar
+from .scalars import EXACT, Mode, format_scalar, is_exact_scalar
 from .tensorfield import PoissonTensorField, evaluate_pencil
 
 
 @dataclass
 class AnalysisParams:
-    mode: str = "exact"              # "exact" | "float"
-    tolerance: float = 1e-9
+    mode: Mode = EXACT
     seed: int = 0
     declared_rank: int | None = None
-
-    def arithmetic(self) -> Mode:
-        return EXACT if self.mode == "exact" else float_mode(self.tolerance)
 
 
 @dataclass
@@ -109,7 +105,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     """Decide whether the induced singularity at ``point`` is non-degenerate,
     and of which Williamson type."""
     params = params or AnalysisParams()
-    mode = params.arithmetic()
+    mode = params.mode
     warnings: list = []
     sampler = SamplingPolicy(params.seed)
 

@@ -67,23 +67,18 @@ def _write_output(text: str, out_path) -> None:
         raise InputFormatError(f"cannot write the report: {exc}", position="--out") from exc
 
 
-def _tolerance(args) -> float:
-    """--tol, which must be positive and finite (the rule of ``float_mode``)."""
+def _arithmetic(args) -> Mode:
+    """The mode of --mode; --tol must be positive and finite (the rule of
+    ``float_mode``) in either mode."""
     try:
-        float_mode(args.tol)
+        mode = float_mode(args.tol)
     except ValueError as exc:
         raise InputFormatError(str(exc), position="--tol") from exc
-    return args.tol
-
-
-def _arithmetic(args) -> Mode:
-    tol = _tolerance(args)
-    return EXACT if args.mode == "exact" else float_mode(tol)
+    return EXACT if args.mode == "exact" else mode
 
 
 def _analysis_params(args, declared_rank=None) -> AnalysisParams:
-    return AnalysisParams(mode=args.mode, tolerance=_tolerance(args), seed=args.seed,
-                          declared_rank=declared_rank)
+    return AnalysisParams(mode=_arithmetic(args), seed=args.seed, declared_rank=declared_rank)
 
 
 def _provenance(args, extra=None) -> dict:
@@ -120,13 +115,12 @@ def cmd_toda(args) -> int:
         raise InputFormatError(f"--scan must be non-negative, not {args.scan}",
                                position="--scan")
     params = _analysis_params(args, 2 * n - 2)
-    mode = _arithmetic(args)
     field0, field_inf = toda_pencil(n)
     reports = []
 
     def analyze_toda_point(pt: TodaPoint) -> dict:
         report = analyze_point(field0, field_inf, pt.coordinates(), params)
-        lax = toda_spectrum_via_lax(pt, mode)
+        lax = toda_spectrum_via_lax(pt, params.mode)
         lax_block = [{"lambda": format_scalar(e.lam),
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
                       "which": e.which, "multiplicity": e.multiplicity}

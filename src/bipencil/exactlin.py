@@ -17,18 +17,18 @@ at ``Mode.tol``, the one float tolerance; the float rank thresholds singular
 values at tol * sigma_max.  A nonzero scale of a row changes no rank, kernel
 or reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
-vectors in a span by one reduced row echelon form of the basis beside them
-all (a least-squares solve per vector for float input); ``restrict`` reads an
-operator's matrix on an invariant span off one such call, and ``solve`` reads
-B^-1 C off one of [B | C].  ``poly_roots_hybrid`` lists the roots of an
-exact polynomial as (value, multiplicity) pairs, a value exact (Fraction or
-QQi) when it is a Gaussian rational and a complex float otherwise; every
-multiplicity is exact, read off Yun's squarefree decomposition
-(``squarefree_decomposition``).  ``eigenvalues`` gives the same list for a
-matrix, and ``eigenspaces``, the one eigen-split, also decides
-diagonalizability over C.  Matrices are
-plain lists of lists holding Fraction / QQi / int entries (or floats in float
-mode); vectors are lists.
+vectors in a span: off the unit columns of an echelon basis, checked against
+the whole basis, and otherwise by one reduced row echelon form of the basis
+beside them all (a least-squares solve per vector for float input);
+``restrict`` reads an operator's matrix on an invariant span off one such
+call, and ``solve`` reads B^-1 C off one of [B | C].  ``poly_roots_hybrid``
+lists the roots of an exact polynomial as (value, multiplicity) pairs, a
+value exact (Fraction or QQi) when it is a Gaussian rational and a complex
+float otherwise; every multiplicity is exact, read off Yun's squarefree
+decomposition (``squarefree_decomposition``).  ``eigenvalues`` gives the
+same list for a matrix, and ``eigenspaces``, the one eigen-split, also
+decides diagonalizability over C.  Matrices are plain lists of lists holding
+Fraction / QQi / int entries (or floats in float mode); vectors are lists.
 """
 
 from __future__ import annotations
@@ -76,24 +76,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def bilinear(A, u, v):
-    """u^T A v for covectors u, v, summed as sum_i u_i (sum_j A_ij v_j).
-
-    Zero entries of u, A and v are skipped: the matrices of a pencil at a
-    point are mostly zero, and skipping a zero product moves no float sum.
-    """
-    support = [(j, x) for j, x in enumerate(v) if x != 0]
-    total = 0
-    for ui, row in zip(u, A):
-        if ui != 0:
-            inner = 0
-            for j, x in support:
-                if row[j] != 0:
-                    inner = inner + row[j] * x
-            total = total + ui * inner
-    return total
 
 
 def to_numpy(M) -> np.ndarray:
@@ -382,16 +364,31 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     """Coordinates of each of ``vectors`` in span(basis_vectors), or None if
     any of them is outside.
 
-    Exact input takes one reduced row echelon form of the basis columns beside
-    all the vectors: a pivot in a vector's column puts it outside the span.
-    Float input takes a least-squares solve per vector, outside when the
-    residual exceeds 100 * mode.tol * max(1, max |w|).
+    Exact input whose basis vectors each have a unit column, a 1 where every
+    other basis vector has 0, as the free columns of an echelon kernel basis
+    are, is read off those columns with no elimination, and each vector is
+    then checked against the whole basis.  Other exact input takes one
+    reduced row echelon form of the basis columns beside all the vectors: a
+    pivot in a vector's column puts it outside the span.  Float input takes a
+    least-squares solve per vector, outside when the residual exceeds
+    100 * mode.tol * max(1, max |w|).
     """
     m = len(basis_vectors)
     if not m:
         inside = all(mode.zero(x) for w in vectors for x in w)
         return [[] for _ in vectors] if inside else None
     if decides_exactly(list(basis_vectors) + list(vectors), mode):
+        units = [next((j for j, x in enumerate(u) if x == 1
+                       and sum(v[j] != 0 for v in basis_vectors) == 1), None)
+                 for u in basis_vectors]
+        if None not in units:
+            coords = [[tidy(w[j]) for j in units] for w in vectors]
+            for w, c in zip(vectors, coords):
+                terms = [(ct, u) for ct, u in zip(c, basis_vectors) if ct != 0]
+                if any(wj != sum(ct * u[j] for ct, u in terms if u[j] != 0)
+                       for j, wj in enumerate(w)):
+                    return None
+            return coords
         R, pivots = rref(transpose(list(basis_vectors) + list(vectors)))
         if any(c >= m for c in pivots):
             return None

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (basis_union, bilinear, eigenspaces, identity, mat_rank, nullspace,
-                       transpose)
+from .exactlin import basis_union, eigenspaces, identity, mat_rank, nullspace, transpose
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .pencil import pencil_rank_corank
 from .scalars import EXACT, Mode, QQi, format_scalar, parse_int, parse_rational, tidy
-from .tensorfield import PoissonTensorField, constant_pencil
+from .tensorfield import PoissonTensorField, constant_pencil, left_sum
 
 REAL = "real"
 COMPLEX = "complex"
@@ -185,9 +184,6 @@ class TwoCocycle:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def value(self, x, y):
-        return tidy(bilinear(self.matrix, x, y))
-
     def rank(self, mode: Mode = EXACT) -> int:
         return mat_rank(self.matrix, mode)
 
@@ -244,16 +240,19 @@ class LinearPencil:
 def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> bool:
     """Exact verification of A([xi,eta],zeta) + A([eta,zeta],xi) + A([zeta,xi],eta) = 0."""
     d = algebra.dim
-    basis = identity(d)
-    scale = max((abs(complex(v)) for row in form.matrix for v in row), default=1.0)
+    A = form.matrix
+    scale = max((abs(complex(v)) for row in A for v in row), default=1.0)
     sv = algebra.structure_vector
+
+    def value(bracket, k):
+        """A(bracket, e_k) = sum_p bracket_p A[p][k], summed left to right."""
+        return left_sum(c * A[p][k] for p, c in enumerate(bracket) if c != 0)
+
     for i in range(d):
         for j in range(i + 1, d):
             bij = sv(i, j)
             for k in range(j + 1, d):
-                total = (form.value(bij, basis[k])
-                         + form.value(sv(j, k), basis[i])
-                         + form.value(sv(k, i), basis[j]))
+                total = value(bij, k) + value(sv(j, k), i) + value(sv(k, i), j)
                 if not mode.zero(total, scale):
                     return False
     return True

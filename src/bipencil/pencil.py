@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
-from .exactlin import (basis_union, bilinear, eigenvalues, identity, mat_rank, mat_vec,
-                       nullspace, nullspace_mod_p, primitive_row, residues, solve, span_mod_p)
+from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
+                       nullspace_mod_p, primitive_row, residues, solve, span_mod_p)
 from .sampling import SamplingPolicy
 from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap_candidates, tidy)
-from .tensorfield import PencilAtPoint, skew
+from .tensorfield import PencilAtPoint, gram, skew
 
 
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
@@ -210,9 +210,11 @@ def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:
 
 def quotient_form(p: PencilAtPoint, basis, lam):
     """Gram matrix of P_lambda on ``basis``: its matrix on L^perp / L in a
-    quotient basis, or a linearization's cocycle on a kernel basis."""
-    A = p.matrix_at(lam)
-    return [[tidy(bilinear(A, u, v)) for v in basis] for u in basis]
+    quotient basis, or a linearization's cocycle on a kernel basis.  Every
+    entry is contracted, the lower half too, so float entries keep their bits."""
+    m = len(basis)
+    values, = gram(p.dim, [p.entries], lam, basis, [(u, v) for u in range(m) for v in range(m)])
+    return [values[u * m:(u + 1) * m] for u in range(m)]
 
 
 def recursion_operator(p: PencilAtPoint, qbasis, alpha, beta,

@@ -2,19 +2,23 @@
 
 A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda and
-its residues modulo a prime, and the linearization the rows of d_k P_lambda.
+its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
+d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
+bracket are all one sparse contraction.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import DimensionMismatchError, NonRationalPointError
 from .exactlin import primitive_row
 from .poly import Poly
-from .scalars import INF, is_exact_scalar, is_inf
+from .scalars import INF, is_exact_scalar, is_inf, tidy
 
 ZERO = Fraction(0)
 
@@ -113,6 +117,40 @@ def skew_cells(entries, lam):
     if is_inf(lam):
         return [(i, j, ainf, -ainf) for i, j, _, ainf in entries]
     return [(i, j, a0 + lam * ainf, -a0 + lam * -ainf) for i, j, a0, ainf in entries]
+
+
+def left_sum(terms):
+    """The terms added left to right to 0, as a dense u^T A v adds them, so
+    that a float sum keeps its bits (``sum`` may compensate a float sum)."""
+    return reduce(operator.add, terms, 0)
+
+
+def gram(dim: int, matrices, lam, basis, pairs):
+    """u^T M v per matrix M of ``matrices``, sorted lists of upper entries as
+    ``skew_cells`` takes them, at ``lam``, per pair (u, v) of ``pairs``
+    (indices into ``basis``): one list of values per matrix.
+
+    Contracted over the nonzero cells alone: each M v once, then u^T (M v),
+    the terms added left to right from 0 in the order of the dense sum
+    sum_i u_i (sum_j M_ij v_j), zero terms skipped, so that a float value
+    keeps its bits.  Where every cell and basis value is a real rational the
+    sums run on ints, with one scale S for all the matrices and the basis.
+    """
+    rows = [[[] for _ in range(dim)] for _ in matrices]
+    for r, entries in zip(rows, matrices):
+        for i, j, upper, lower in skew_cells(entries, lam):
+            r[i].append((j, upper))
+            r[j].append((i, lower))
+    values = [a for r in rows for row in r for _, a in row] + [x for u in basis for x in u]
+    vecs, finish = basis, tidy
+    if all(isinstance(x, (int, Fraction)) for x in values):
+        S = math.lcm(*(x.denominator for x in values))
+        rows = [[[(j, int(a * S)) for j, a in row] for row in r] for r in rows]
+        vecs, finish = [[int(x * S) for x in u] for u in basis], lambda w: Fraction(w, S ** 3)
+    images = [[[left_sum(a * v[j] for j, a in row if a != 0 and v[j] != 0) for row in r]
+               for v in vecs] for r in rows]
+    return [[finish(left_sum(x * y for x, y in zip(vecs[u], image[v]) if x != 0))
+             for u, v in pairs] for image in images]
 
 
 def skew(dim: int, entries, lam):

@@ -12,6 +12,7 @@ from bipencil import __version__
 from bipencil.analyzer import AnalysisParams, analyze_point
 from bipencil.catalog import catalog
 from bipencil.io import catalog_entry_to_json_dict, dump_canonical, report_document
+from bipencil.scalars import EXACT
 
 FIXTURE_SEED = 11
 
@@ -25,7 +26,7 @@ def pencil_text(entry) -> str:
 
 
 def report_text(entry) -> str:
-    params = AnalysisParams(mode="exact", seed=FIXTURE_SEED,
+    params = AnalysisParams(mode=EXACT, seed=FIXTURE_SEED,
                             declared_rank=entry.declared_rank)
     report = analyze_point(entry.field0, entry.field_inf, entry.point, params)
     doc = report_document(report, {

@@ -8,6 +8,8 @@
   quotients by a central ideal;
 - ``fields``: polynomial calculus, the Jacobi identity and compatibility of
   Poisson fields, and the shifted Casimirs of argument-shift pencils.
+- ``dense``: the dense u^T A v that the library's sparse Gram contraction
+  reproduces;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
   longer rules, the reference for the library's early stops.
 

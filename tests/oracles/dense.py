@@ -1,0 +1,26 @@
+"""Dense references for the sparse contractions of the library.
+
+``bilinear`` is u^T A v over a dense matrix, the sum that
+``tensorfield.gram`` contracts over nonzero cells alone and must reproduce,
+value for value and, for floats, bit for bit.
+"""
+
+from __future__ import annotations
+
+
+def bilinear(A, u, v):
+    """u^T A v for covectors u, v, summed as sum_i u_i (sum_j A_ij v_j).
+
+    Zero entries of u, A and v are skipped: the matrices of a pencil at a
+    point are mostly zero, and skipping a zero product moves no float sum.
+    """
+    support = [(j, x) for j, x in enumerate(v) if x != 0]
+    total = 0
+    for ui, row in zip(u, A):
+        if ui != 0:
+            inner = 0
+            for j, x in support:
+                if row[j] != 0:
+                    inner = inner + row[j] * x
+            total = total + ui * inner
+    return total

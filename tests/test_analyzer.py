@@ -8,14 +8,13 @@ from bipencil import analyzer, exactlin, linearization, pencil, roots
 from bipencil.analyzer import AnalysisParams, analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
-from bipencil.exactlin import (bilinear, mat_mul, mat_vec, mat_rank,
-                               nullspace)
+from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF
+from bipencil.scalars import EXACT, INF, float_mode
 from bipencil.tensorfield import PoissonTensorField, direct_sum, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
@@ -96,7 +95,7 @@ def constant_fields(blocks):
     return fields[0], fields[1], [F(0)] * p.dim
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 @pytest.mark.parametrize("blocks, warned", [
     ([KroneckerBlock(1), JordanBlock(2, 1)], True),
     ([KroneckerBlock(0), JordanBlock(-1, 2)], True),
@@ -152,7 +151,7 @@ def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, k
     assert len(calls) == checks
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
     # the first nearby point is proved Kronecker mod p, which proves the
     # pencil Kronecker on a dense open set: no second nearby pencil is
@@ -173,7 +172,7 @@ def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     e = catalog_by_name()["so3_shift"]
     rep = analyze_point(e.field0, e.field_inf, e.point,
-                        AnalysisParams(mode="float", seed=1, declared_rank=e.declared_rank))
+                        AnalysisParams(mode=float_mode(), seed=1, declared_rank=e.declared_rank))
     assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
     assert len(cores) == 1
 
@@ -259,11 +258,13 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
 
 
 def test_the_linear_layer_computes_each_fact_once(monkeypatch):
-    # at a Toda singular point the kernel brackets are read off the echelon
+    # at Toda singular points the kernel brackets are read off the echelon
     # kernel basis with no elimination, the ad matrices of Ker A are built
     # once per spectrum value, and the cocycle's rank is dim - dim Ker A: the
     # form's one exact rank is the diagonalizability test's, before
-    # analyze_linear
+    # analyze_linear.  Inside analyze_linear the ad matrices are restricted
+    # to root spaces read off echelon bases too, and the one elimination left
+    # is the derived algebra's basis
     rrefs = count_calls(monkeypatch, exactlin, "rref")
     ranks = count_calls(monkeypatch, exactlin, "mat_rank_exact")
     ads = count_calls(monkeypatch, LieAlgebra, "ad_matrix")
@@ -282,21 +283,25 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
 
     watched("linearize")
     watched("analyze_linear")
-    f0, finf = toda_pencil(4)
-    rep = analyze_point(f0, finf, make_singular_point(4, seed=1).coordinates(),
-                        AnalysisParams(seed=1, declared_rank=6))
-    assert rep.verdict.kind == "NonDegenerate" and rep.per_lambda
-    linearized = [w for w in windows if w[0] == "linearize"]
-    analyzed = [w for w in windows if w[0] == "analyze_linear"]
-    assert len(linearized) == len(analyzed) == len(rep.per_lambda)
-    for _, _, lp, (r0, _, _), (r1, _, _) in linearized:
-        assert lp.algebra.dim >= 3 and r1 - r0 == 0
-    for _, lp, lin, (_, k0, a0), (_, k1, a1) in analyzed:
-        assert a1 - a0 == len(lin.data.kernel_basis) >= 1
-        assert lin.data.cocycle_rank == lp.algebra.dim - len(lin.data.kernel_basis)
-        assert not any(M is lp.cocycle.matrix for (M,) in ranks[k0:k1])
-    forms = [lp.cocycle.matrix for _, lp, *_ in analyzed]
-    assert sum(any(M is form for form in forms) for (M,) in ranks) == len(forms)
+    for n in (4, 6, 8):
+        windows.clear()
+        first_rank = len(ranks)
+        f0, finf = toda_pencil(n)
+        rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
+                            AnalysisParams(seed=1, declared_rank=2 * n - 2))
+        assert rep.verdict.kind == "NonDegenerate" and rep.per_lambda
+        linearized = [w for w in windows if w[0] == "linearize"]
+        analyzed = [w for w in windows if w[0] == "analyze_linear"]
+        assert len(linearized) == len(analyzed) == len(rep.per_lambda)
+        for _, _, lp, (r0, _, _), (r1, _, _) in linearized:
+            assert lp.algebra.dim >= 3 and r1 - r0 == 0
+        for _, lp, lin, (_, k0, a0), (_, k1, a1) in analyzed:
+            assert a1 - a0 == len(lin.data.kernel_basis) >= 1
+            assert lin.data.cocycle_rank == lp.algebra.dim - len(lin.data.kernel_basis)
+            assert not any(M is lp.cocycle.matrix for (M,) in ranks[k0:k1])
+        assert sum(r1 - r0 for _, _, _, (r0, _, _), (r1, _, _) in analyzed) == 1, n
+        forms = [lp.cocycle.matrix for _, lp, *_ in analyzed]
+        assert sum(any(M is form for form in forms) for (M,) in ranks[first_rank:]) == len(forms)
 
 
 def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):

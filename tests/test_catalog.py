@@ -10,6 +10,7 @@ from bipencil.catalog import catalog, catalog_by_name
 from bipencil.exactlin import mat_vec
 from bipencil.io import load_pencil_file, pencil_from_json_dict, pencil_to_json_dict
 from bipencil.sampling import SamplingPolicy
+from bipencil.scalars import EXACT
 from bipencil.tensorfield import evaluate_pencil
 
 import golden
@@ -72,7 +73,7 @@ def test_catalog_shifted_families_annihilate(entries):
 def test_catalog_golden_exact(entries):
     for e in entries:
         rep = analyze_point(e.field0, e.field_inf, e.point,
-                            AnalysisParams(mode="exact", seed=7,
+                            AnalysisParams(mode=EXACT, seed=7,
                                            declared_rank=e.declared_rank))
         assert rep.verdict.kind == e.expected.verdict, e.name
         if e.expected.type is not None:

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import exactlin
-from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, bilinear,
-                               char_poly, coords_in_span, eigenvalues, identity, mat_mul,
-                               mat_rank, mat_rank_exact, mat_vec, nullspace_exact,
-                               nullspace_mod_p, poly_eval, poly_gcd_exact, poly_roots_hybrid,
-                               residues, rref, solve, span_mod_p, squarefree_decomposition,
-                               transpose)
+from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, char_poly,
+                               coords_in_span, eigenvalues, identity, mat_mul, mat_rank,
+                               mat_rank_exact, mat_vec, nullspace_exact, nullspace_mod_p,
+                               poly_eval, poly_gcd_exact, poly_roots_hybrid, residues, rref,
+                               solve, span_mod_p, squarefree_decomposition, transpose)
 from bipencil.scalars import EXACT, QQi, float_mode, format_scalar, near, tidy
+
+from oracles.dense import bilinear
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -529,6 +530,31 @@ def test_coords_in_span():
     assert [complex(x) for c in got for x in c] == pytest.approx([2, 3, -1, 0.5])
     assert coords_in_span([], [[F(0)] * 3]) == [[]]
     assert coords_in_span([], [[F(0), F(1)]]) is None
+
+
+def test_coords_in_span_reads_an_echelon_basis_off_its_unit_columns(monkeypatch):
+    # a kernel basis in echelon form has a unit column per vector: its
+    # coordinates need no elimination, and each vector is still checked
+    # against the whole basis; a scaled, mixed basis of the same span has
+    # none and takes one elimination beside all the vectors
+    F = Fraction
+    ker = nullspace_exact([[F(1), F(2), F(0), F(-1)], [F(0), F(1), F(3), F(1, 2)]])
+    mixed = [[F(3) * x + y for x, y in zip(ker[0], ker[1])], [F(-1, 2) * x for x in ker[1]]]
+    inside = [F(2) * x - F(1, 3) * y for x, y in zip(ker[0], ker[1])]
+    # on the unit columns of ker, outside agrees with inside
+    outside = [x + (1 if j == 0 else 0) for j, x in enumerate(inside)]
+    rrefs = []
+    real = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda M: rrefs.append(M) or real(M))
+    assert typed(coords_in_span(ker, [inside, [F(0)] * 4])) == \
+        typed([[F(2), F(-1, 3)], [F(0), F(0)]])
+    assert coords_in_span(ker, [inside, outside]) is None
+    assert coords_in_span(ker, [outside]) is None
+    assert rrefs == []
+    assert typed(coords_in_span(mixed, [inside])) == typed([[F(2, 3), F(2)]])
+    assert len(rrefs) == 1
+    assert coords_in_span(mixed, [inside, outside]) is None
+    assert len(rrefs) == 2
 
 
 def test_char_poly_roots_and_multiplicity():

@@ -2,24 +2,28 @@ from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bipencil import algebras, linearization
+from bipencil import algebras, exactlin, linearization
 from bipencil.catalog import catalog_by_name
 from bipencil.errors import RankDeficientPointError
-from bipencil.exactlin import bilinear
+from bipencil.exactlin import transpose
 from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, is_cocycle)
+from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form, linearize
 from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
-                             kernel_basis, pencil_rank_corank)
+                             kernel_basis, pencil_rank_corank, quotient_basis, quotient_form)
 from bipencil.roots import (analyze_linear, is_nondegenerate_linear, joint_eigenvectors,
                            root_decomposition)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_exact_scalar, tidy
-from bipencil.tensorfield import evaluate_pencil, skew
+from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_exact_scalar, is_inf, tidy
+from bipencil.tensorfield import evaluate_pencil, gram, skew
 from bipencil.toda import make_singular_point, toda_pencil
 
 from oracles.algebras import abelian, quotient_by_central, with_complex_scalars
+from oracles.dense import bilinear
 from oracles.sln import shift_case
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import linearize_at
@@ -331,14 +335,13 @@ def brackets_seen(monkeypatch, p, lam, ker, mode):
     """The bracket vectors w_(u, v) that ``linearize`` hands to its coordinate
     step, and its result."""
     seen = []
-    for name in ("_coordinates", "coords_in_span"):
-        real = getattr(linearization, name)
+    real = linearization.coords_in_span
 
-        def spy(basis, ws, *rest, _real=real):
-            seen.append(ws)
-            return _real(basis, ws, *rest)
+    def spy(basis, ws, *rest):
+        seen.append(ws)
+        return real(basis, ws, *rest)
 
-        monkeypatch.setattr(linearization, name, spy)
+    monkeypatch.setattr(linearization, "coords_in_span", spy)
     lp = linearize(p, lam, ker, kernel_form(p, lam, ker), mode)
     assert len(seen) == 1
     return seen[0], lp
@@ -347,8 +350,8 @@ def brackets_seen(monkeypatch, p, lam, ker, mode):
 def dense_brackets(p, lam, ker):
     """tidy(bilinear(d_k P_lambda, u, v)) over the dense d_k P_lambda."""
     m = len(ker)
-    return [[tidy(bilinear(skew(p.dim, p.derivatives[k], lam), ker[u], ker[v]))
-             for k in range(p.dim)] for u in range(m) for v in range(u + 1, m)]
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    return transpose(dense_gram(p.dim, p.derivatives, lam, ker, pairs))
 
 
 def bits(x):
@@ -399,19 +402,20 @@ def test_the_sparse_contraction_is_the_dense_bilinear_form(monkeypatch, name, p,
 def test_a_basis_without_unit_columns_gives_the_same_algebra(monkeypatch):
     # Toda n = 4 at 0: the echelon kernel's coordinates are read off its unit
     # columns with no elimination, a scaled, mixed basis of the same kernel
-    # has none and is solved on its pivot columns; both give one algebra, in
-    # their own coordinates
+    # has none and takes one elimination beside all its brackets; both give
+    # one algebra, in their own coordinates
     p = toda_pencil_at(make_singular_point(4, seed=1))
     ker = kernel_basis(p, F(0))
     mixed = [[F(3) * x + y for x, y in zip(ker[0], ker[1])]] + \
             [[F(-1, 2) * x for x in u] for u in ker[1:]]
     rrefs = []
-    real = linearization.rref
-    monkeypatch.setattr(linearization, "rref", lambda M: rrefs.append(M) or real(M))
+    real = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda M: rrefs.append(M) or real(M))
     lp = linearize(p, F(0), ker, kernel_form(p, F(0), ker))
     assert rrefs == []
     lq = linearize(p, F(0), mixed, kernel_form(p, F(0), mixed))
-    assert rrefs == [mixed]
+    assert len(rrefs) == 1
+    assert [row[:len(mixed)] for row in rrefs[0]] == transpose(mixed)
     # the change of basis C (mixed = C ker) carries one bracket table to the other
     C = [[F(3), F(1)] + [F(0)] * (len(ker) - 2)] + \
         [[F(0)] * t + [F(-1, 2)] + [F(0)] * (len(ker) - t - 1) for t in range(1, len(ker))]
@@ -433,3 +437,110 @@ def test_a_bracket_that_leaves_the_span_raises(mode):
     for basis in (ker[:2], mixed):
         with pytest.raises(RankDeficientPointError):
             linearize(p, F(0), basis, kernel_form(p, F(0), basis), mode)
+
+
+# ---------------------------------------------------------------------------
+# the one Gram contraction against the dense u^T A v
+# ---------------------------------------------------------------------------
+
+
+def dense_gram(dim, matrices, lam, basis, pairs):
+    """tidy(bilinear(A, u, v)) over each dense A = skew(dim, entries, lam)."""
+    dense = [skew(dim, entries, lam) for entries in matrices]
+    return [[tidy(bilinear(A, basis[u], basis[v])) for u, v in pairs] for A in dense]
+
+
+def typed_bits(rows):
+    """Each exact value with its type, each float value as its bits."""
+    return [[bits(x) if isinstance(x, (float, complex)) else (type(x), x) for x in row]
+            for row in rows]
+
+
+def scalars(exact):
+    """ints, Fractions and Gaussian rationals, or floats and complex floats."""
+    fractions = st.fractions(-4, 4, max_denominator=6)
+    if exact:
+        return st.one_of(st.integers(-3, 3), fractions, st.builds(QQi, fractions, fractions))
+    floats = st.floats(-10, 10)
+    return st.one_of(floats, st.builds(complex, floats, floats))
+
+
+@st.composite
+def gram_arguments(draw):
+    """(dim, matrices, lam, basis, pairs): 1-3 sparse entry lists whose cells
+    include zeros (a0 or ainf zero, or a0 = -lam ainf), each of one carrier,
+    a basis of 0-4 vectors with zero entries planted, every ordered pair."""
+    dim = draw(st.integers(1, 6))
+    lam = draw(st.one_of(st.fractions(-3, 3, max_denominator=4), st.just(INF),
+                         st.builds(QQi, st.fractions(-2, 2, max_denominator=3),
+                                   st.fractions(-2, 2, max_denominator=3))))
+    upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        value = scalars(draw(st.booleans()))
+        entries = []
+        for i, j in draw(st.lists(st.sampled_from(upper), unique=True)) if upper else []:
+            a0, ainf = draw(value), draw(value)
+            kind = draw(st.sampled_from(["any", "a0 zero", "ainf zero", "zero cell"]))
+            if kind == "a0 zero":
+                a0 = 0 * a0
+            elif kind == "ainf zero":
+                ainf = 0 * ainf
+            elif kind == "zero cell" and not is_inf(lam):
+                a0 = -lam * ainf
+            if a0 != 0 or ainf != 0:
+                entries.append((i, j, a0, ainf))
+        matrices.append(sorted(entries))
+    value = scalars(draw(st.booleans()))
+    basis = []
+    for _ in range(draw(st.integers(0, 4))):
+        u = [draw(value) for _ in range(dim)]
+        for t in draw(st.sets(st.integers(0, dim - 1), max_size=dim)):
+            u[t] = 0 * u[t]
+        basis.append(u)
+    m = len(basis)
+    return dim, matrices, lam, basis, [(u, v) for u in range(m) for v in range(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_arguments())
+def test_gram_is_the_dense_bilinear_form(args):
+    # sparse cells, zero cells, an empty basis and several matrices sharing
+    # one integer scale: the values of the dense sum, exact ones of its types
+    # and float ones with its bits
+    got = gram(*args)
+    assert len(got) == len(args[1])
+    assert typed_bits(got) == typed_bits(dense_gram(*args))
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_quotient_form_is_the_dense_gram_matrix(mode):
+    # the jk-congruent block lists, canonical and under an integer
+    # congruence, each with its quotient basis and a Gaussian one: the
+    # first vector plus i times the last
+    pairs = [[KroneckerBlock(1), JordanBlock(F(1, 2), 1)],
+             [KroneckerBlock(1), JordanBlock(QQi(F(1), F(1)), 1)],
+             [KroneckerBlock(0), KroneckerBlock(2), JordanBlock(INF, 2)],
+             [KroneckerBlock(1), JordanBlock(F(-2), 2), JordanBlock(INF, 1), JordanBlock(F(3), 1)],
+             [KroneckerBlock(2), KroneckerBlock(1), JordanBlock(F(1, 3), 2),
+              JordanBlock(QQi(F(0), F(1)), 1)]]
+    imag = QQi(0, 1) if mode.is_exact else 1j
+    for blocks in pairs:
+        base = assemble_jk_canonical_pair(blocks)
+        U = [[F(1 if i == j else (i + 2 * j) % 3 - 1 if j > i else 0) for j in range(base.dim)]
+             for i in range(base.dim)]
+        for p in (base, congruent_pair(base, U)):
+            sampler = SamplingPolicy(5)
+            rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode)
+            qb = quotient_basis(p, compute_core(p, sampler.spawn(2), mode, rank=rank), mode)
+            assert len(qb) >= 2
+            mixed = [[x + imag * y for x, y in zip(qb[0], qb[-1])]] + qb[1:]
+            assert any(isinstance(x, QQi if mode.is_exact else complex) for x in mixed[0])
+            for basis in (qb, mixed):
+                m = len(basis)
+                for lam in (F(0), F(-3, 7), INF, QQi(F(1, 2), F(-2))):
+                    expected = dense_gram(p.dim, [p.entries], lam, basis,
+                                          [(u, v) for u in range(m) for v in range(m)])[0]
+                    form = quotient_form(p, basis, lam)
+                    assert typed_bits(form) == \
+                        typed_bits([expected[u * m:(u + 1) * m] for u in range(m)]), (blocks, lam)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import SingularParameterError
-from bipencil.exactlin import bilinear, identity, mat_mul, mat_rank, mat_vec, nullspace
+from bipencil.exactlin import identity, mat_mul, mat_rank, mat_vec, nullspace
 from bipencil import exactlin, pencil
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form
@@ -19,6 +19,7 @@ from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
+from oracles.dense import bilinear
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of

@@ -53,9 +53,10 @@ def further_jobs(workdir: str):
       and on the 13-dim pair with (1 +- 2i) Jordan blocks of size 2 under two
       congruences, in both modes at seeds 0-2;
     - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
-      ``shift_case`` with (n, b) = (3, 1), (4, 1) and (5, 0) at seed 1, their
-      rank declared, in both modes: the largest kernel algebras the reports
-      reach, whose float outputs the benchmark does not cover;
+      ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
+      1, their rank declared, in both modes: the largest kernel algebras and
+      quotient forms the reports reach, whose float outputs the benchmark does
+      not cover;
     - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
     The child has put the tree's ``perfbench`` and ``tests`` on ``sys.path``,
@@ -117,7 +118,7 @@ def further_jobs(workdir: str):
                   ["jk", "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
                    "--mode", mode, "--seed", str(s)])
                  for mode in MODES for s in FURTHER_SEEDS]
-    for n, b in ((3, 1), (4, 1), (5, 0)):
+    for n, b in ((3, 1), (4, 1), (5, 0), (6, 0)):
         case = shift_case(n, b, 1)
         entry = case.entry()
         path = write(f"sl{n}.b{b}.pencil.json",
