@@ -10,7 +10,7 @@ Lie-algebraic pencils ship as verified models.
 
 __version__ = "0.1.0"
 
-from .analyzer import AnalysisParams, SingularPointReport, Verdict, analyze_point
+from .analyzer import SingularPointReport, Verdict, analyze_point
 from .catalog import CatalogEntry, catalog, catalog_by_name
 from .errors import (BipencilError, DimensionMismatchError, InputFormatError,
                      NonRationalPointError, PreconditionError,
@@ -31,7 +31,6 @@ from .roots import (BlockDecomposition, LinearAnalysis, RootData, WilliamsonType
                     root_decomposition)
 from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, float_mode
-from .tensorfield import (PencilAtPoint, PoissonTensorField, constant_pencil,
-                          direct_sum, evaluate_pencil)
+from .tensorfield import PencilAtPoint, PoissonTensorField, constant_pencil, evaluate_pencil
 from .toda import (TodaPoint, jacobi_block, make_singular_point, random_point,
                    toda_pencil, toda_spectrum_via_lax)

@@ -34,13 +34,6 @@ from .tensorfield import PoissonTensorField, evaluate_pencil
 
 
 @dataclass
-class AnalysisParams:
-    mode: Mode = EXACT
-    seed: int = 0
-    declared_rank: int | None = None
-
-
-@dataclass
 class PerLambdaReport:
     lam: object
     kernel_dim: int
@@ -101,19 +94,19 @@ class SingularPointReport:
 
 
 def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
-                  point, params: AnalysisParams | None = None) -> SingularPointReport:
+                  point, mode: Mode = EXACT, seed: int = 0,
+                  declared_rank: int | None = None) -> SingularPointReport:
     """Decide whether the induced singularity at ``point`` is non-degenerate,
-    and of which Williamson type."""
-    params = params or AnalysisParams()
-    mode = params.mode
+    and of which Williamson type.  ``seed`` seeds every random draw; without a
+    ``declared_rank`` the pencil rank is certified by sampling."""
     warnings: list = []
-    sampler = SamplingPolicy(params.seed)
+    sampler = SamplingPolicy(seed)
 
     pt = [Fraction(x) if isinstance(x, int) else x for x in point]
     p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
 
     rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
-    _certify_pencil_rank(field0, field_inf, rank, params, sampler, mode, warnings)
+    _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, warnings)
 
     core = compute_core(p, sampler.spawn(2), mode, rank=rank)
     point_rank = core.dim - corank
@@ -168,12 +161,12 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         point_rank=point_rank, warnings=warnings)
 
 
-def _certify_pencil_rank(field0, field_inf, rank, params, sampler, mode, warnings):
-    if params.declared_rank is not None:
-        if rank < params.declared_rank:
+def _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, warnings):
+    if declared_rank is not None:
+        if rank < declared_rank:
             raise RankDeficientPointError(
                 f"pencil rank {rank} at the point is below the declared rank "
-                f"{params.declared_rank}")
+                f"{declared_rank}")
         return
     sp = sampler.spawn(6)
     best = rank

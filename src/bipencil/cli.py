@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .analyzer import AnalysisParams, analyze_point
+from .analyzer import analyze_point
 from .catalog import catalog, catalog_by_name
 from .errors import (BipencilError, InputFormatError, PreconditionError,
                      RankDeficientPointError)
@@ -77,10 +77,6 @@ def _arithmetic(args) -> Mode:
     return EXACT if args.mode == "exact" else mode
 
 
-def _analysis_params(args, declared_rank=None) -> AnalysisParams:
-    return AnalysisParams(mode=_arithmetic(args), seed=args.seed, declared_rank=declared_rank)
-
-
 def _provenance(args, extra=None) -> dict:
     doc = {"library_version": __version__, "mode": args.mode,
            "tolerance": args.tol if args.mode == "float" else None,
@@ -93,8 +89,7 @@ def _provenance(args, extra=None) -> dict:
 def cmd_analyze(args) -> int:
     field0, field_inf, declared, meta = load_pencil_file(args.pencil)
     point = parse_point_csv(args.point, field0.dim)
-    params = _analysis_params(args, declared)
-    report = analyze_point(field0, field_inf, point, params)
+    report = analyze_point(field0, field_inf, point, _arithmetic(args), args.seed, declared)
     doc = report_document(report, _provenance(args, {
         "pencil_file": args.pencil, "pencil_meta": meta,
         "point": [format_scalar(x) for x in point]}))
@@ -114,13 +109,13 @@ def cmd_toda(args) -> int:
     if args.scan < 0:
         raise InputFormatError(f"--scan must be non-negative, not {args.scan}",
                                position="--scan")
-    params = _analysis_params(args, 2 * n - 2)
+    mode = _arithmetic(args)
     field0, field_inf = toda_pencil(n)
     reports = []
 
     def analyze_toda_point(pt: TodaPoint) -> dict:
-        report = analyze_point(field0, field_inf, pt.coordinates(), params)
-        lax = toda_spectrum_via_lax(pt, params.mode)
+        report = analyze_point(field0, field_inf, pt.coordinates(), mode, args.seed, 2 * n - 2)
+        lax = toda_spectrum_via_lax(pt, mode)
         lax_block = [{"lambda": format_scalar(e.lam),
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
                       "which": e.which, "multiplicity": e.multiplicity}
@@ -134,15 +129,12 @@ def cmd_toda(args) -> int:
                 "lax_oracle": lax_block,
                 "oracle_agrees": pencil_vals == lax_vals}
 
-    if args.random or args.scan:
-        count = args.scan or 1
-        base = args.seed
-        for k in range(count):
-            pt = random_point(n, base + 7919 * k)
-            reports.append(analyze_toda_point(pt))
+    if args.scan:
+        for k in range(args.scan):
+            reports.append(analyze_toda_point(random_point(n, args.seed + 7919 * k)))
     else:
         if args.a is None or args.b is None:
-            raise InputFormatError("either --a/--b or --random/--scan is required")
+            raise InputFormatError("either --a/--b or --scan is required")
         a = parse_point_csv(args.a, n, "--a")
         b = parse_point_csv(args.b, n, "--b")
         reports.append(analyze_toda_point(TodaPoint(n=n, a=a, b=b)))
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default=None, help="comma-separated positive rationals")
     p.add_argument("--b", default=None, help="comma-separated rationals")
-    p.add_argument("--random", action="store_true", help="draw one seeded random point")
     p.add_argument("--scan", type=int, default=0, metavar="K",
                    help="analyze K seeded random points and summarize")
     common(p)

@@ -438,8 +438,9 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
 
     A vector is kept when it is independent of the family and of the vectors
     kept before it.  For exact input that greedy choice is the pivot columns
-    of one reduced row echelon form, with the vectors as columns, each first
-    cleared of its own denominators; float input is checked prefix by prefix.
+    of one forward elimination, as ``mat_rank_exact`` runs it, with the
+    vectors as columns, each first cleared of its own denominators; float
+    input is checked prefix by prefix.
     """
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
@@ -448,7 +449,7 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
         cleared = [K.clear(v) for v in vectors]
         if K is _ZI:
             cleared = [[QQi(re, im) for re, im in v] for v in cleared]
-        _, pivots = rref(transpose(cleared))
+        pivots = _eliminate(transpose(cleared), reduce=False)[2]
         return out + [vectors[j] for j in pivots if j >= len(out)]
     for v in vectors[len(out):]:
         if mat_rank(out + [v], mode) == len(out) + 1:
@@ -462,28 +463,27 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
 
 
 def char_poly(M):
-    """Monic characteristic polynomial det(xI - M), ascending coefficients.
+    """Monic characteristic polynomial det(xI - M) of an exact matrix,
+    ascending coefficients.
 
-    Faddeev-LeVerrier recursion on D M, D the common denominator of exact
+    Faddeev-LeVerrier recursion on D M, D the common denominator of the
     entries: its characteristic polynomial is in Z or Z[i], so each division
     by k is exact, on Python ints or integral QQi; coefficient n - k is then
-    rescaled by D^k.  Float entries run the recursion unscaled.
+    rescaled by D^k.
     """
     n, m = shape(M)
     if n != m:
         raise ValueError("characteristic polynomial of non-square matrix")
-    D = None
-    if decides_exactly(M, EXACT):
-        parts = [(x.re, x.im) if isinstance(x, QQi) else (Fraction(x), 0) for row in M for x in row]
-        D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
-        flat = [QQi(re * D, im * D) if im else int(re * D) for re, im in parts]
-        M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    parts = [(x.re, x.im) if isinstance(x, QQi) else (Fraction(x), 0) for row in M for x in row]
+    D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
+    flat = [QQi(re * D, im * D) if im else int(re * D) for re, im in parts]
+    M = [flat[i * n:(i + 1) * n] for i in range(n)]
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     Mk = M
     for k in range(1, n + 1):
         t = -sum(Mk[i][i] for i in range(n))
-        c = t // k if D and isinstance(t, int) else t / k
-        coeffs[n - k] = tidy(c / D ** k) if D else c
+        c = t // k if isinstance(t, int) else t / k
+        coeffs[n - k] = tidy(c / D ** k)
         if k < n:
             Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(Mk)])

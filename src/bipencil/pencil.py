@@ -15,7 +15,7 @@ from .errors import RankDeficientPointError, SingularParameterError, ToleranceEr
 from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
                        nullspace_mod_p, primitive_row, residues, solve, span_mod_p)
 from .sampling import SamplingPolicy
-from .scalars import (EXACT, INF, Mode, cimag, conj, is_exact_scalar,
+from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap_candidates, tidy)
 from .tensorfield import PencilAtPoint, gram, skew
 
@@ -314,14 +314,13 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
     for i, e in enumerate(entries):
         if i in used:
             continue
+        used.add(i)
         if not lambda_is_real(e.lam):
             tol = 10 * mode.tol * max(1.0, abs(complex(e.lam)))
-            j = next((j for j in range(i + 1, len(entries)) if j not in used
-                      and not lambda_is_real(entries[j].lam)
-                      and near(entries[j].lam, conj(e.lam), tol)), None)
-            if j is not None:
-                used.add(j)
-                e = e if cimag(e.lam) > 0 else entries[j]
+            mate = claim(entries, used, lambda f: not lambda_is_real(f.lam)
+                         and near(f.lam, conj(e.lam), tol))
+            if mate is not None:
+                e = e if cimag(e.lam) > 0 else mate
                 e.paired = True
         out.append(e)
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import ToleranceError
 from .exactlin import coords_in_span, eigenspaces, mat_mul, mat_rank, restrict
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
-from .scalars import EXACT, Mode, cimag, conj, creal, is_exact_scalar, near, tidy
+from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 
 
 @dataclass
@@ -185,25 +185,19 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
             nonzero.append((tuple(eigs), vecs))
     data.zero_extra_dim = len(zero_items) - c
 
-    used = [False] * len(nonzero)
+    used = set()
     scale = max([abs(complex(v)) for eigs, _ in nonzero for v in eigs] + [1.0])
     tol = 10 * mode.tol * scale
     for i, (eigs, vecs) in enumerate(nonzero):
-        if used[i]:
+        if i in used:
             continue
-        used[i] = True
-        partner = None
-        for j in range(i + 1, len(nonzero)):
-            if used[j]:
-                continue
-            if all(near(x, -y, tol) for x, y in zip(eigs, nonzero[j][0])):
-                partner = j
-                break
+        used.add(i)
+        partner = claim(nonzero, used,
+                        lambda item: all(near(x, -y, tol) for x, y in zip(eigs, item[0])))
         if partner is None:
             data.residual = "RootPairingFailed"
             return data
-        used[partner] = True
-        vecs_m = nonzero[partner][1]
+        eigs_m, vecs_m = partner
         if len(vecs) != len(vecs_m):
             data.residual = "RootSpaceTooBig"
             return data
@@ -213,7 +207,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
             for vp, vm in zip(vecs, vecs_m):
                 data.pairs.append(RootPair(root=eigs, vec_plus=vp, vec_minus=vm))
             continue
-        data.pairs.append(_orient_pair(eigs, vecs[0], nonzero[partner][0], vecs_m[0]))
+        data.pairs.append(_orient_pair(eigs, vecs[0], eigs_m, vecs_m[0]))
     return data
 
 
@@ -246,17 +240,6 @@ def is_nondegenerate_linear(data: RootData, mode: Mode = EXACT):
     return True, None
 
 
-def _find_conjugate_pair(pairs, consumed, pair, mode: Mode):
-    targets = ([conj(v) for v in pair.root], [-conj(v) for v in pair.root])
-    scale = max([abs(complex(v)) for v in pair.root] + [1.0])
-    tol = 10 * mode.tol * scale
-    for j, other in enumerate(pairs):
-        if not consumed[j] and any(all(near(x, y, tol) for x, y in zip(other.root, target))
-                                   for target in targets):
-            return j
-    return None
-
-
 # ---------------------------------------------------------------------------
 # classification into elementary blocks
 # ---------------------------------------------------------------------------
@@ -274,11 +257,11 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
     g = lp.algebra
     zero_tol = 1000 * mode.tol
 
-    consumed = [False] * len(data.pairs)
+    consumed = set()
     for i, pair in enumerate(data.pairs):
-        if consumed[i]:
+        if i in consumed:
             continue
-        consumed[i] = True
+        consumed.add(i)
         kind = "complex" if data.field == COMPLEX else pair.reality(mode)
         if kind == "real":
             pair = RootPair(pair.root, _realify(pair.vec_plus), _realify(pair.vec_minus))
@@ -286,10 +269,12 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
             # canonical minus vector: the conjugate of the plus vector
             pair = RootPair(pair.root, pair.vec_plus, [conj(v) for v in pair.vec_plus])
         elif data.field != COMPLEX:
-            mate = _find_conjugate_pair(data.pairs, consumed, pair, mode)
-            if mate is None:
+            targets = ([conj(v) for v in pair.root], [-conj(v) for v in pair.root])
+            tol = 10 * mode.tol * max([abs(complex(v)) for v in pair.root] + [1.0])
+            if claim(data.pairs, consumed, lambda other: any(
+                    all(near(x, y, tol) for x, y in zip(other.root, target))
+                    for target in targets)) is None:
                 raise ToleranceError("complex root quadruple failed to close up")
-            consumed[mate] = True
         s = _pairing_scalar(g, data, pair, mode)
         if kind == "real":
             name = "diamond_h" if near(s, 0, zero_tol) else "sl2_pos_killing"

@@ -178,6 +178,19 @@ def near(a, b, tol: float) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
+def claim(items, used: set, match):
+    """The first of ``items`` whose index is not in ``used`` and that ``match``
+    accepts, its index then added to ``used``; None, with ``used`` unchanged,
+    when there is none.  The one partner search: a loop over ``items`` that
+    adds each index it visits to ``used`` before it searches pairs each item
+    with a later one."""
+    for j, item in enumerate(items):
+        if j not in used and match(item):
+            used.add(j)
+            return item
+    return None
+
+
 def creal(x):
     """Real part, exact for exact scalars."""
     if isinstance(x, QQi):

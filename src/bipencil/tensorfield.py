@@ -26,7 +26,7 @@ ZERO = Fraction(0)
 class PoissonTensorField:
     """Skew tensor P^{ij}(x) with polynomial entries; only i<j is stored."""
 
-    def __init__(self, dim: int, varnames=None, entries=None):
+    def __init__(self, dim: int, varnames=None):
         if dim < 1:
             raise DimensionMismatchError("dimension must be positive")
         self.dim = dim
@@ -34,9 +34,6 @@ class PoissonTensorField:
         if len(self.vars) != dim:
             raise DimensionMismatchError("variable list length must equal dim")
         self._entries: dict = {}
-        if entries:
-            for (i, j), poly in entries.items():
-                self.set_entry(i, j, poly)
 
     def set_entry(self, i: int, j: int, poly: Poly):
         if not (0 <= i < self.dim and 0 <= j < self.dim) or i == j:
@@ -80,6 +77,7 @@ class PoissonTensorField:
                 out[k][i, j] = p.diff(k).eval(point)
         return out
 
+
 def lift(poly: Poly, dim: int, offset: int) -> Poly:
     """``poly`` in ``dim`` variables, its variable t renamed to offset + t."""
     out = {}
@@ -89,24 +87,6 @@ def lift(poly: Poly, dim: int, offset: int) -> Poly:
             m[offset + t] = e
         out[tuple(m)] = c
     return Poly(dim, out)
-
-
-def direct_sum(a0: PoissonTensorField, ainf: PoissonTensorField,
-               b0: PoissonTensorField, binf: PoissonTensorField):
-    """Block-diagonal concatenation of two pencils."""
-    d = a0.dim + b0.dim
-    names = [f"p.{v}" for v in a0.vars] + [f"q.{v}" for v in b0.vars]
-
-    def combine(fa: PoissonTensorField, fb: PoissonTensorField) -> PoissonTensorField:
-        out = PoissonTensorField(d, names)
-        for (i, j), p in fa.upper_entries().items():
-            out.set_entry(i, j, lift(p, d, 0))
-        off = a0.dim
-        for (i, j), p in fb.upper_entries().items():
-            out.set_entry(i + off, j + off, lift(p, d, off))
-        return out
-
-    return combine(a0, b0), combine(ainf, binf)
 
 
 def skew_cells(entries, lam):

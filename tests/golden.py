@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 
 from bipencil import __version__
-from bipencil.analyzer import AnalysisParams, analyze_point
+from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog
 from bipencil.io import catalog_entry_to_json_dict, dump_canonical, report_document
 from bipencil.scalars import EXACT
@@ -26,9 +26,8 @@ def pencil_text(entry) -> str:
 
 
 def report_text(entry) -> str:
-    params = AnalysisParams(mode=EXACT, seed=FIXTURE_SEED,
-                            declared_rank=entry.declared_rank)
-    report = analyze_point(entry.field0, entry.field_inf, entry.point, params)
+    report = analyze_point(entry.field0, entry.field_inf, entry.point, mode=EXACT,
+                           seed=FIXTURE_SEED, declared_rank=entry.declared_rank)
     doc = report_document(report, {
         "library_version": __version__, "mode": "exact", "tolerance": None,
         "seed": FIXTURE_SEED, "pencil": entry.name,

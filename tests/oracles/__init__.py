@@ -7,7 +7,8 @@
 - ``algebras``: Lie algebras beside the catalog's, central extensions and
   quotients by a central ideal;
 - ``fields``: polynomial calculus, the Jacobi identity and compatibility of
-  Poisson fields, and the shifted Casimirs of argument-shift pencils.
+  Poisson fields, the direct sum of two pencils, and the shifted Casimirs of
+  argument-shift pencils.
 - ``dense``: the dense u^T A v that the library's sparse Gram contraction
   reproduces;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,

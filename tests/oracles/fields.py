@@ -1,8 +1,9 @@
 """Exact polynomial identities of Poisson tensor fields.
 
 Gradients, Hessians and translations of polynomials; the Jacobi identity and
-compatibility of polynomial fields; and the shifted Casimirs of an
-argument-shift catalog entry, which annihilate every bracket of its pencil.
+compatibility of polynomial fields; the direct sum of two pencils; and the
+shifted Casimirs of an argument-shift catalog entry, which annihilate every
+bracket of its pencil.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from bipencil.errors import DimensionMismatchError
 from bipencil.poly import Poly
-from bipencil.tensorfield import PoissonTensorField
+from bipencil.tensorfield import PoissonTensorField, lift
 
 
 def gradient(q: Poly) -> list:
@@ -78,6 +79,24 @@ def fields_compatible(field0: PoissonTensorField, field_inf: PoissonTensorField)
     """
     return (verify_jacobi(field0) and verify_jacobi(field_inf)
             and verify_jacobi(add(field0, field_inf)))
+
+
+def direct_sum(a0: PoissonTensorField, ainf: PoissonTensorField,
+               b0: PoissonTensorField, binf: PoissonTensorField):
+    """Block-diagonal concatenation of two pencils."""
+    d = a0.dim + b0.dim
+    names = [f"p.{v}" for v in a0.vars] + [f"q.{v}" for v in b0.vars]
+
+    def combine(fa: PoissonTensorField, fb: PoissonTensorField) -> PoissonTensorField:
+        out = PoissonTensorField(d, names)
+        for (i, j), p in fa.upper_entries().items():
+            out.set_entry(i, j, lift(p, d, 0))
+        off = a0.dim
+        for (i, j), p in fb.upper_entries().items():
+            out.set_entry(i + off, j + off, lift(p, d, off))
+        return out
+
+    return combine(a0, b0), combine(ainf, binf)
 
 
 def casimir_family(entry, lam) -> list:

@@ -116,7 +116,7 @@ def test_toda_explicit_singular(capsys):
 
 
 def test_toda_random_regular(capsys):
-    code, out, _ = run_cli(["toda", "--n", "3", "--random", "--seed", "7"], capsys)
+    code, out, _ = run_cli(["toda", "--n", "3", "--scan", "1", "--seed", "7"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["verdicts"] == ["Regular"]
@@ -156,7 +156,7 @@ def test_toda_rejects_negative_scan(capsys):
 
 
 def test_toda_rejects_bad_tolerance(capsys):
-    code, out, err = run_cli(["toda", "--n", "2", "--random", "--mode", "float",
+    code, out, err = run_cli(["toda", "--n", "2", "--scan", "1", "--mode", "float",
                               "--tol", "nan"], capsys)
     assert_input_error(code, out, err, "--tol")
 

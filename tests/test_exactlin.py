@@ -14,7 +14,7 @@ from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, char_pol
                                mat_rank_exact, mat_vec, nullspace_exact, nullspace_mod_p,
                                poly_eval, poly_gcd_exact, poly_roots_hybrid, residues, rref,
                                solve, span_mod_p, squarefree_decomposition, transpose)
-from bipencil.scalars import EXACT, QQi, float_mode, format_scalar, near, tidy
+from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
 from oracles.dense import bilinear
 
@@ -318,11 +318,6 @@ def test_integer_char_poly_matches_the_fraction_recursion(gaussian, n, data):
     assert typed(char_poly(M)) == typed(oracle_char_poly(M))
 
 
-def test_char_poly_of_float_entries_is_the_float_recursion():
-    M = [[0.5, 1], [2, 0.25]]
-    assert typed(char_poly(M)) == typed(oracle_char_poly(M))
-
-
 def oracle_basis_union(existing, new_vectors, mode=EXACT):
     """Oracle: the greedy loop, one rank of the whole family per candidate."""
     out = [list(v) for v in existing]
@@ -375,6 +370,23 @@ def test_basis_union_float_and_mixed_input():
             oracle_basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
     mixed = [[Fraction(1), Fraction(0)], [0.5, 0.0], [Fraction(0), Fraction(1, 3)]]
     assert basis_union([], mixed) == oracle_basis_union([], mixed) == [mixed[0], mixed[2]]
+
+
+def test_exact_basis_union_reads_its_pivots_without_rref(monkeypatch):
+    # the greedy choice is the pivot columns of a forward elimination: no
+    # reduced form is needed, over Z or over Z[i]
+    rrefs = []
+    real = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda M: rrefs.append(M) or real(M))
+    F = Fraction
+    existing = [[F(1, 2), F(0), F(1)]]
+    new = [[F(1), F(0), F(2)], [F(0), F(1, 3), F(0)], [F(2), F(1), F(4)], [F(0), F(0), F(5)]]
+    gaussian = [[QQi(1, 1), F(0), F(0)], [F(0), QQi(0, F(1, 2)), F(1)],
+                [QQi(2, 2), QQi(0, 1), F(2)]]
+    for old, cands in ((existing, new), ([], gaussian)):
+        assert typed(basis_union(old, cands)) == typed(oracle_basis_union(old, cands))
+    assert len(basis_union(existing, new)) == 3 and len(basis_union([], gaussian)) == 2
+    assert rrefs == []
 
 
 def poly_mul(a, b):
@@ -441,6 +453,16 @@ def test_bilinear_matches_the_dense_sum(args):
     # the zero products it skips move neither an exact nor a float sum
     A, u, v = args
     assert bilinear(A, u, v) == vec_dot(u, mat_vec(A, v))
+
+
+def test_claim_takes_the_first_unused_match_and_marks_it():
+    items = [1, -2, 3, -4, 5]
+    used = {1}
+    assert claim(items, used, lambda x: x < 0) == -4 and used == {1, 3}
+    assert claim(items, used, lambda x: x > 2) == 3 and used == {1, 2, 3}
+    # no match: None, and nothing is marked
+    assert claim(items, used, lambda x: x < 0) is None and used == {1, 2, 3}
+    assert claim([], used, lambda x: True) is None and used == {1, 2, 3}
 
 
 def test_near_compares_exact_values_exactly():

@@ -5,7 +5,9 @@ package's public re-exports), and every module imports only the standard
 library, numpy and bipencil itself: scipy, sympy and mpmath are test-only
 oracles.  Every module-level definition, and every method of a library class,
 is used by the library itself or by the benchmark; one that only tests use
-belongs in ``tests/oracles``.
+belongs in ``tests/oracles``.  A module-level definition is used by its name,
+or as an attribute of its module (``algebras.so3``); an attribute of the same
+name read off anything else does not count.
 """
 
 import ast
@@ -124,14 +126,17 @@ def attribute_names(source: str):
 
 
 def referenced_names(source: str):
-    """Identifiers a file reads: names, attributes, imported names, and
-    strings that are identifiers (such as a tracer's target table)."""
+    """Identifiers a file reads: names, imported names, strings that are
+    identifiers (such as a tracer's target table), and "module.name" for an
+    attribute read off a name or an attribute, as in ``module.name`` or
+    ``package.module.name``."""
     refs = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            owner = node.value.id if isinstance(node.value, ast.Name) else node.value.attr
+            refs.add(f"{owner}.{node.attr}")
         elif isinstance(node, ast.ImportFrom):
             refs |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
@@ -142,10 +147,10 @@ def referenced_names(source: str):
 
 def dead_definitions(files: dict):
     """(path, line, name) of each module-level definition in a ``src/`` file of
-    ``files`` (path: source) that names no ``src/`` file other than an
-    ``__init__.py`` and no ``perfbench/`` file, and of each method of a class
-    there that no such file reads as an attribute: re-exports and tests are
-    not uses."""
+    ``files`` (path: source) that no ``src/`` file other than an
+    ``__init__.py`` and no ``perfbench/`` file reads by its name or as an
+    attribute of its module, and of each method of a class there that no such
+    file reads as an attribute: re-exports and tests are not uses."""
     users = [source for path, source in files.items()
              if path.startswith("perfbench/")
              or (path.startswith("src/") and not path.endswith("__init__.py"))]
@@ -153,7 +158,8 @@ def dead_definitions(files: dict):
     attrs = set().union(*map(attribute_names, users))
     return sorted([(path, line, name) for path, source in files.items()
                    if path.startswith("src/")
-                   for line, name in defined_names(source) if name not in refs]
+                   for line, name in defined_names(source)
+                   if name not in refs and f"{Path(path).stem}.{name}" not in refs]
                   + [(path, line, name) for path, source in files.items()
                      if path.startswith("src/")
                      for line, name, method in defined_methods(source) if method not in attrs])
@@ -173,16 +179,21 @@ def test_scanner_flags_dead_definitions():
                           "    def dead_method(self): pass\n"
                           "    def named(self): pass\n"
                           "def tested(): pass\n"
-                          "named = 1\n"),
+                          "named = 1\n"
+                          "def shared_name(): pass\n"
+                          "def by_module(): pass\n"
+                          "def by_package(): pass\n"),
              "src/__init__.py": "from .a import exported\n",
-             "perfbench/run.py": "from a import used\nx = Used()\nx.benched()\n",
+             "perfbench/run.py": "from a import used\nx = Used()\nx.benched()\n"
+                                 "import a, pkg.a\na.by_module()\npkg.a.by_package()\n"
+                                 "x.shared_name()\n",
              "perfbench/tracer.py": "TARGETS = [('a', 'traced')]\n",
              "tests/test_a.py": "from a import tested\nassert tested() is None\n"
                                 "Used().dead_method()\n"}
     assert dead_definitions(files) == [
         ("src/a.py", 4, "exported"), ("src/a.py", 5, "dead"), ("src/a.py", 6, "Dead"),
         ("src/a.py", 11, "Used.dead_method"), ("src/a.py", 12, "Used.named"),
-        ("src/a.py", 13, "tested")]
+        ("src/a.py", 13, "tested"), ("src/a.py", 15, "shared_name")]
 
 
 def test_no_dead_definitions_in_library():

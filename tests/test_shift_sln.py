@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil.analyzer import AnalysisParams, analyze_point
+from bipencil.analyzer import analyze_point
 from bipencil.exactlin import mat_mul
 
 from oracles.sln import (ShiftCase, block_diagonal, covector, eigenvalues_block_diagonal,
@@ -20,7 +20,7 @@ F = Fraction
 def analyze(case: ShiftCase):
     e = case.entry()
     return analyze_point(e.field0, e.field_inf, case.point,
-                         AnalysisParams(declared_rank=case.n ** 2 - case.n))
+                         declared_rank=case.n ** 2 - case.n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil.analyzer import AnalysisParams, analyze_point
+from bipencil.analyzer import analyze_point
 from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
@@ -277,7 +277,7 @@ def test_exact_analysis_flags_irrational_roots():
     n = 4
     p0, pinf = toda_pencil(n)
     rep = analyze_point(p0, pinf, make_singular_point(n, seed=1).coordinates(),
-                        AnalysisParams(declared_rank=2 * n - 2))
+                        declared_rank=2 * n - 2)
     assert rep.verdict.kind == "NonDegenerate"
     assert [w for w in rep.warnings if "roots at spectrum value" in w] == [
         "roots at spectrum value 0 are irrational; "
@@ -289,7 +289,7 @@ def test_analyze_singular_lattice_points_elliptic():
         pt = make_singular_point(n, seed=seed, antiperiodic=(n == 2), lam=lam)
         p0, pinf = toda_pencil(n)
         rep = analyze_point(p0, pinf, pt.coordinates(),
-                            AnalysisParams(seed=4, declared_rank=2 * n - 2))
+                            seed=4, declared_rank=2 * n - 2)
         assert rep.verdict.kind == "NonDegenerate"
         t = rep.total_type
         assert t.kh == 0 and t.kf == 0 and t.ke >= 1

@@ -47,6 +47,10 @@ def further_jobs(workdir: str):
       report's ``ad_semisimple`` flag is compared where the root
       decomposition stops at ``KernelNotAbelian``), in both modes at seeds
       0-2;
+    - ``linear`` on two algebras over C, written with ``"field": "complex"``:
+      so(3) with the shift cocycle by i e3, and the diamond algebra with its
+      central shift by h, in both modes at seeds 0-2: the only reports that
+      reach the complex-field root decomposition and block classifier;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
     - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
@@ -60,15 +64,17 @@ def further_jobs(workdir: str):
     - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
     The child has put the tree's ``perfbench`` and ``tests`` on ``sys.path``,
-    so the ``jk`` inputs come from its ``workloads`` helpers and the sl(n)
-    points from its test oracles.
+    so the ``jk`` inputs come from its ``workloads`` helpers, and the complex
+    algebras and the sl(n) points from its test oracles.
     """
     import workloads
+    from bipencil.algebras import diamond, so3
     from bipencil.catalog import catalog
     from bipencil.io import dump_canonical, pencil_to_json_dict
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
     from bipencil.scalars import QQi
+    from oracles.algebras import with_complex_scalars
     from oracles.sln import shift_case
 
     def write(name, doc):
@@ -96,6 +102,16 @@ def further_jobs(workdir: str):
                           ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
                            "--seed", str(s)])
                          for mode in MODES for s in FURTHER_SEEDS]
+    for name, algebra, shift in (("so3C", so3(), [0, 0, QQi(0, 1)]),
+                                 ("diamondC", diamond(), [0, 0, 1, 0])):
+        algebra = with_complex_scalars(algebra)
+        alg = write(f"{name}.algebra.json", algebra.to_json_dict())
+        coc = write(f"{name}.shift.cocycle.json",
+                    argument_shift_cocycle(algebra, shift).to_json_dict())
+        jobs += [(f"linear {name} complex shift {mode} seed={s}",
+                  ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
+                   "--seed", str(s)])
+                 for mode in MODES for s in FURTHER_SEEDS]
     for mode in MODES:
         jobs += [(f"toda --scan 3 n={n} {mode}",
                   ["toda", "--n", str(n), "--scan", "3", "--seed", "1", "--mode", mode])
