@@ -68,7 +68,7 @@ def _write_output(text: str, out_path) -> None:
 
 
 def _arithmetic(args) -> Mode:
-    """The mode of --mode; --tol must be positive and finite (the rule of
+    """The mode of --mode; --tol must lie in (0, 1) (the rule of
     ``float_mode``) in either mode."""
     try:
         mode = float_mode(args.tol)
@@ -106,6 +106,8 @@ def _scalar_key(v):
 
 def cmd_toda(args) -> int:
     n = args.n
+    if n < 2:
+        raise InputFormatError(f"--n must be at least 2, not {n}", position="--n")
     if args.scan < 0:
         raise InputFormatError(f"--scan must be non-negative, not {args.scan}",
                                position="--scan")

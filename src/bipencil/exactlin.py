@@ -25,9 +25,10 @@ call, and ``solve`` reads B^-1 C off one of [B | C].  ``poly_roots_hybrid``
 lists the roots of an exact polynomial as (value, multiplicity) pairs, a
 value exact (Fraction or QQi) when it is a Gaussian rational and a complex
 float otherwise; every multiplicity is exact, read off Yun's squarefree
-decomposition (``squarefree_decomposition``).  ``eigenvalues`` gives the
-same list for a matrix, and ``eigenspaces``, the one eigen-split, also
-decides diagonalizability over C.  Matrices are plain lists of lists holding
+decomposition (``squarefree_decomposition``), whose gcds run on the same
+carriers Z and Z[i], as primitive pseudo-remainder sequences
+(``poly_gcd_exact``).  ``eigenvalues`` gives the same list for a matrix, and
+``eigenspaces``, the one eigen-split, also decides diagonalizability over C.  Matrices are plain lists of lists holding
 Fraction / QQi / int entries (or floats in float mode); vectors are lists.
 """
 
@@ -101,7 +102,7 @@ class _Z:
     """Carrier Z, for real rational matrices: entries are ints."""
 
     zero, one = 0, 1
-    clear = staticmethod(primitive_row)
+    clear = primitive = staticmethod(primitive_row)
 
     @staticmethod
     def combine(p, f, prev, row, prow):
@@ -127,6 +128,17 @@ class _ZI:
         ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in parts]
         lcm = math.lcm(*{d for pair in ratios for _, d in pair})
         return [(a * (lcm // d), b * (lcm // e)) for (a, d), (b, e) in ratios]
+
+    @staticmethod
+    def primitive(row):
+        """The nonzero row times the conjugate of its first entry, over the gcd
+        of all parts.  A pseudo-division by a row whose first entry is an
+        integer multiplies by integers only, which that gcd removes; a
+        Gaussian multiplier would stay, and compound."""
+        lr, li = row[0]
+        row = [(ar * lr + ai * li, ai * lr - ar * li) for ar, ai in row]
+        content = math.gcd(*(x for pair in row for x in pair))
+        return [(a // content, b // content) for a, b in row]
 
     @staticmethod
     def combine(p, f, prev, row, prow):
@@ -509,31 +521,37 @@ def _poly_degree(coeffs):
 
 
 def poly_gcd_exact(a, b):
-    """Monic gcd over the exact field QQ(i)."""
-    a = list(a[:_poly_degree(a) + 1])
-    b = list(b[:_poly_degree(b) + 1])
-    while any(c != 0 for c in b):
-        a, b = b, _poly_divmod(a, b)[1]
-        b = b[:_poly_degree(b) + 1]
-    lead = a[-1]
-    if lead == 0:
-        return [Fraction(1)]
-    return [tidy(c / lead) for c in a]
+    """Monic gcd over Q or Q(i); [1] when a and b are both zero.
+
+    Brown's primitive pseudo-remainder sequence (JACM 1971) on the cleared
+    coefficients, over the carrier ``_eliminate`` would pick: a step of a
+    pseudo-division is the Bareiss step with previous pivot one, and each
+    remainder is made primitive by the carrier.
+    """
+    K = _ZI if any(isinstance(c, QQi) and c.im for c in (*a, *b)) else _Z
+
+    def primitive(row):     # a descending row, its leading zeros dropped
+        row = row[next((k for k, c in enumerate(row) if c != K.zero), len(row)):]
+        return K.primitive(row) if row else row
+
+    a, b = (primitive(K.clear(p[::-1])) for p in (a, b))
+    while b:
+        while len(a) >= len(b):
+            a = K.combine(b[0], a[0], K.one, a, b + [K.zero] * (len(a) - len(b)))[1:]
+        a, b = b, primitive(a)
+    return [K.quotient(c, a[0]) for c in reversed(a)] if a else [Fraction(1)]
 
 
-def _poly_divmod(a, b):
-    """Long division: (q, r) with a = q b + r and r zero or of degree < deg b."""
-    r = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    q = [Fraction(0)] * (max(_poly_degree(a) - db, 0) + 1)
-    while _poly_degree(r) >= db and any(c != 0 for c in r):
-        da = _poly_degree(r)
-        f = tidy(r[da] / lead)
-        q[da - db] = f
-        for i in range(db + 1):
-            r[da - db + i] = tidy(r[da - db + i] - f * b[i])
-    return q, r
+def _poly_quotient(a, g):
+    """a / g for a monic g that divides a: synthetic division, in which a
+    monic divisor needs no division.  The coefficients are ``tidy``."""
+    q = list(a[:_poly_degree(a) + 1])
+    n = len(g) - 1
+    for k in range(len(q) - 1, n - 1, -1):
+        c = q[k] = tidy(q[k])
+        for i in range(n):
+            q[k - n + i] -= c * g[i]
+    return q[n:]
 
 
 def squarefree_decomposition(coeffs):
@@ -543,19 +561,17 @@ def squarefree_decomposition(coeffs):
     b = sf and c = coeffs' / gcd, each step takes d = c - b', f_i = gcd(b, d),
     and b / f_i and d / f_i as the next b and c, until b is a constant."""
     g = poly_gcd_exact(coeffs, poly_deriv(coeffs))
-    sf = list(coeffs) if _poly_degree(g) == 0 else _poly_divmod(coeffs, g)[0]
-    b, c = sf, _poly_divmod(poly_deriv(coeffs), g)[0]
+    sf = list(coeffs) if len(g) == 1 else _poly_quotient(coeffs, g)
+    b, c = sf, _poly_quotient(poly_deriv(coeffs), g)
     factors = []
-    i = 1
-    while _poly_degree(b) > 0:
-        d = [tidy(x - y) for x, y in
-             itertools.zip_longest(c, poly_deriv(b), fillvalue=Fraction(0))]
+    for i in itertools.count(1):
+        if _poly_degree(b) == 0:
+            return sf, factors
+        d = [x - y for x, y in itertools.zip_longest(c, poly_deriv(b), fillvalue=0)]
         f = poly_gcd_exact(b, d)
-        if _poly_degree(f) > 0:
+        if len(f) > 1:
             factors.append((f, i))
-        b, c = _poly_divmod(b, f)[0], _poly_divmod(d, f)[0]
-        i += 1
-    return sf, factors
+        b, c = _poly_quotient(b, f), _poly_quotient(d, f)
 
 
 NEWTON_ITERS = 60     # cap on the Newton steps that polish one root

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ToleranceError
-from .exactlin import coords_in_span, eigenspaces, mat_mul, mat_rank, restrict
+from .exactlin import coords_in_span, eigenspaces, identity, mat_mul, mat_rank, restrict
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 
@@ -126,10 +126,10 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     eigenspaces of those before it.  Every split is ``exactlin.eigenspaces``,
     which follows exactlin's exact-or-float rule, so float mode computes in
     floats even where the entries are exact.  Raises ToleranceError if a
-    restriction refuses to split (non-semisimple family).
+    restriction refuses to split (non-semisimple family).  The family must
+    not be empty: its one joint eigenspace would be the whole space, whose
+    dimension an empty family does not give.
     """
-    if not mats:
-        return []
     items = [((), None)]
     for A in mats:
         new_items = []
@@ -169,7 +169,8 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
         data.residual = "KernelNotAbelian"
         return data
     try:
-        items = joint_eigenvectors(kernel.ad, mode)
+        items = (joint_eigenvectors(kernel.ad, mode) if kernel.ad
+                 else [((), identity(lp.algebra.dim))])
     except ToleranceError:
         data.residual = "AdNotSemisimple"
         return data

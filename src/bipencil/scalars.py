@@ -9,7 +9,6 @@ through the linear-algebra helpers, not by wrapping the numbers themselves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -343,7 +342,7 @@ EXACT = Mode("exact", 0.0)
 
 
 def float_mode(eps: float = 1e-9) -> Mode:
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"float tolerance must be positive and finite, not {eps}")
+    if not 0 < eps < 1:
+        raise ValueError(f"float tolerance must be in (0, 1), not {eps}")
     return Mode("float", eps)
 

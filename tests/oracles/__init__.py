@@ -11,6 +11,9 @@
   argument-shift pencils.
 - ``dense``: the dense u^T A v that the library's sparse Gram contraction
   reproduces;
+- ``euclid``: the polynomial gcd and squarefree decomposition by Euclid over
+  the field, the reference for the library's remainder sequences on the
+  integer carriers;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
   longer rules, the reference for the library's early stops.
 

@@ -143,7 +143,7 @@ def assert_input_error(code, out, err, position):
     assert doc["error"] == "input" and doc["position"] == position
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "1", "2"])
 def test_analyze_rejects_bad_tolerance(so3_file, tol, capsys):
     code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0",
                               "--mode", "float", f"--tol={tol}"], capsys)
@@ -153,6 +153,12 @@ def test_analyze_rejects_bad_tolerance(so3_file, tol, capsys):
 def test_toda_rejects_negative_scan(capsys):
     code, out, err = run_cli(["toda", "--n", "3", "--scan=-2"], capsys)
     assert_input_error(code, out, err, "--scan")
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_toda_rejects_fewer_than_two_sites(n, capsys):
+    code, out, err = run_cli(["toda", "--n", n, "--scan", "1"], capsys)
+    assert_input_error(code, out, err, "--n")
 
 
 def test_toda_rejects_bad_tolerance(capsys):
@@ -208,6 +214,22 @@ def test_float_linear_report_has_no_negative_zero(name, tmp_path, capsys):
     assert code == 0, err
     assert json.loads(out)["nondegenerate"] is True
     assert "-0.0" not in out
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("structure", [[], [{"i": 1, "j": 2, "k": 2, "c": "1"}]],
+                         ids=["abelian", "aff1"])
+def test_linear_with_zero_kernel_is_roots_dependent(structure, mode, tmp_path, capsys):
+    # Ker A = 0: the empty family of ad operators leaves the whole algebra as
+    # its joint zero eigenspace, so dim g is beyond Ker A, and the 2n = rank A
+    # count that would call this RootCountDeficit is never reached
+    argv = write_linear_inputs(tmp_path, {"dim": 2, "structure": structure},
+                               {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": "1"}]})
+    code, out, err = run_cli(argv + ["--mode", mode], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["kernel"]["dim"] == 0 and doc["cocycle_rank"] == 2
+    assert doc["nondegenerate"] is False and doc["degeneracy_reason"] == "RootsDependent"
 
 
 def test_linear_command_rejects_bad_jacobi(tmp_path, capsys):

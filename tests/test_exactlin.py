@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import exactlin
-from bipencil.exactlin import (_poly_degree, _poly_divmod, basis_union, char_poly,
+from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_poly,
                                coords_in_span, eigenvalues, identity, mat_mul, mat_rank,
                                mat_rank_exact, mat_vec, nullspace_exact, nullspace_mod_p,
                                poly_eval, poly_gcd_exact, poly_roots_hybrid, residues, rref,
                                solve, span_mod_p, squarefree_decomposition, transpose)
 from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
+from oracles import euclid
 from oracles.dense import bilinear
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -484,9 +485,20 @@ def test_poly_divmod_is_long_division(gaussian, data):
     b = data.draw(st.lists(coeff, min_size=1, max_size=5))
     lead = data.draw(coeff.filter(lambda c: c != 0))
     b = b + [lead]                   # deg b = len(b) - 1 with a nonzero lead
-    q, r = _poly_divmod(a, b)
+    q, r = euclid.poly_divmod(a, b)
     assert trimmed(poly_add(poly_mul(q, b), r)) == trimmed(a)
     assert all(c == 0 for c in r) or _poly_degree(r) < len(b) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_poly_quotient_undoes_a_product_with_a_monic_divisor(gaussian, data):
+    coeff = entries(gaussian).map(tidy)
+    q = data.draw(st.lists(coeff, min_size=1, max_size=6).filter(lambda q: q[-1] != 0))
+    g = data.draw(st.lists(coeff, max_size=4)) + [Fraction(1)]
+    # normal-form coefficients, Fraction where real, as the reference gives
+    got = _poly_quotient(poly_mul(q, g), g)
+    assert typed(got) == typed(q) == typed(euclid.poly_divmod(poly_mul(q, g), g)[0])
 
 
 def test_nullspace_annihilates_and_spans():
@@ -680,6 +692,64 @@ def test_squarefree_decomposition_multiplies_back(exponents, lead):
     for f, _ in factors:
         prod = poly_mul(prod, f)
     assert [tidy(sf[-1] * c) for c in prod] == [tidy(c) for c in sf]
+
+
+def high_coefficients(gaussian, least=0):
+    """Fractions, or Gaussian rationals, whose numerators and denominators
+    reach 2^68, in normal form (``tidy``); with ``least`` the numerator of
+    the real part is at least that in size."""
+    num = st.integers(least, 2 ** 68).flatmap(lambda a: st.sampled_from([a, -a]))
+    real = st.builds(Fraction, num, st.integers(1, 2 ** 68))
+    part = st.builds(Fraction, st.integers(-2 ** 68, 2 ** 68), st.integers(1, 2 ** 68))
+    return st.builds(lambda re, im: tidy(QQi(re, im)), real, part) if gaussian else real
+
+
+@st.composite
+def factored_pairs(draw):
+    """(p, q): products of powers of factors from one pool, each of height
+    2^60 or more, sharing some; or a zero, constant or squarefree polynomial
+    against such a product.  Over Q(i) the factors are fewer and the powers
+    lower, as the field reference slows down fast with the degree."""
+    gaussian = draw(st.booleans())
+    coeff = high_coefficients(gaussian)
+    lead = draw(coeff.filter(lambda c: c != 0))
+    factor = st.builds(lambda c0, rest, top: [c0] + rest + [top],
+                       high_coefficients(gaussian, 2 ** 60), st.lists(coeff, max_size=1),
+                       coeff.filter(lambda c: c != 0))
+    pool = draw(st.lists(factor, min_size=1, max_size=2 if gaussian else 3))
+    top = 2 if gaussian else 3
+
+    def product(exponents):
+        p = [lead]
+        for f, e in zip(pool, exponents):
+            for _ in range(e):
+                p = [tidy(c) for c in poly_mul(p, f)]
+        return p
+
+    exponents = st.lists(st.integers(0, top), min_size=len(pool), max_size=len(pool))
+    kind = draw(st.sampled_from(["zero", "constant", "squarefree", "powers"]))
+    p = {"zero": [Fraction(0)], "constant": [lead],
+         "squarefree": product([1] * len(pool)), "powers": product(draw(exponents))}[kind]
+    return p, product(draw(exponents))
+
+
+def typed_decomposition(sf_factors):
+    sf, factors = sf_factors
+    return typed(sf), [(typed(f), i) for f, i in factors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_pairs())
+def test_carrier_gcd_and_squarefree_decomposition_match_euclid_over_the_field(pair):
+    # a monic gcd and an exact quotient are unique: the primitive remainder
+    # sequence on Z or Z[i] gives the field's values, of the same types
+    p, q = pair
+    for a, b in ((p, q), (q, p), (p, exactlin.poly_deriv(p)), (p, [Fraction(0)]),
+                 ([Fraction(0)], q)):
+        assert typed(poly_gcd_exact(a, b)) == typed(euclid.poly_gcd(a, b))
+    for a in (p, q):
+        assert typed_decomposition(squarefree_decomposition(a)) == \
+            typed_decomposition(euclid.squarefree_decomposition(a))
 
 
 def test_float_mode_takes_float_eigenvalues_of_an_exact_matrix():

@@ -47,6 +47,10 @@ def further_jobs(workdir: str):
       report's ``ad_semisimple`` flag is compared where the root
       decomposition stops at ``KernelNotAbelian``), in both modes at seeds
       0-2;
+    - ``linear`` with the cocycle e1 ^ e2, whose kernel is 0, on the abelian
+      R^2 and on aff(1) ([e1, e2] = e2), in both modes at seeds 0-2: the
+      empty family of ad operators leaves the whole algebra as its joint
+      eigenspace, so both are ``RootsDependent``;
     - ``linear`` on two algebras over C, written with ``"field": "complex"``:
       so(3) with the shift cocycle by i e3, and the diamond algebra with its
       central shift by h, in both modes at seeds 0-2: the only reports that
@@ -102,6 +106,12 @@ def further_jobs(workdir: str):
                           ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
                            "--seed", str(s)])
                          for mode in MODES for s in FURTHER_SEEDS]
+    e12 = write("e12.cocycle.json", {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": "1"}]})
+    for name, structure in (("abelian2", []), ("aff1", [{"i": 1, "j": 2, "k": 2, "c": "1"}])):
+        alg = write(f"{name}.algebra.json", {"dim": 2, "structure": structure})
+        jobs += [(f"linear {name} e12 {mode} seed={s}",
+                  ["linear", "--algebra", alg, "--cocycle", e12, "--mode", mode, "--seed", str(s)])
+                 for mode in MODES for s in FURTHER_SEEDS]
     for name, algebra, shift in (("so3C", so3(), [0, 0, QQi(0, 1)]),
                                  ("diamondC", diamond(), [0, 0, 1, 0])):
         algebra = with_complex_scalars(algebra)
@@ -150,9 +160,10 @@ def further_jobs(workdir: str):
 def input_error_jobs(workdir: str, write):
     """(key, argv) of CLI calls that fail on their input: a missing and a
     malformed file for each of ``--pencil``, ``--algebra`` and ``--cocycle``, a
-    pencil of dimension 0, bad ``--point`` values, a zero ``--tol``, a
-    non-positive Toda a_i, an unknown catalog name, an algebra that breaks the
-    Jacobi identity and a form that is not a cocycle."""
+    pencil of dimension 0, bad ``--point`` values, a ``--tol`` of 0 and of 1, a
+    Toda lattice of one site, a non-positive Toda a_i, an unknown catalog name,
+    an algebra that breaks the Jacobi identity and a form that is not a
+    cocycle."""
     from bipencil.catalog import catalog_by_name
     from bipencil.io import pencil_to_json_dict
 
@@ -192,6 +203,8 @@ def input_error_jobs(workdir: str, write):
         ("error point empty field", analyze(pencil, "0,,0")),
         ("error point zero denominator", analyze(pencil, "1/0,0,0")),
         ("error float tol 0", analyze(pencil, "0,0,0", "--mode", "float", "--tol", "0")),
+        ("error float tol 1", analyze(pencil, "0,0,0", "--mode", "float", "--tol", "1")),
+        ("error toda n = 1", ["toda", "--n", "1", "--scan", "1"]),
         ("error toda a_i = 0", ["toda", "--n", "3", "--a", "1,0,1", "--b", "0,0,0"]),
         ("error catalog unknown name", ["catalog", "--emit", "nosuch", workdir]),
         ("error algebra not Jacobi",
