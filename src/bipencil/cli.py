@@ -12,6 +12,7 @@ other library error, such as ToleranceError or SingularParameterError
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -248,7 +249,10 @@ def _attach_list_values(argv):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and every option default is immutable."""
     ap = _ArgumentParser(
         prog="bipencil",
         description="Williamson-type verdicts for singular points of "

@@ -51,20 +51,27 @@ def entries_to_field(dim: int, varnames, data, label: str) -> PoissonTensorField
         if (i, j) in seen:
             raise InputFormatError(f"duplicate entry ({i}, {j}) at {where}", position=where)
         seen.add((i, j))
-        poly = Poly.zero(dim)
+        terms = {}      # a monomial whose sum is 0 is dropped, as Poly addition drops it
         for mpos, term in enumerate(_list(ent.get("poly", []), f"{where}.poly")):
             mwhere = f"{where}.poly[{mpos}]"
             try:
                 c = parse_rational(term["c"])
-                m = [parse_int(x) for x in _list(term["m"], f"{mwhere}.m")]
+                m = _list(term["m"], f"{mwhere}.m")
+                if not all(type(x) is int for x in m):
+                    m = [parse_int(x) for x in m]
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"bad monomial at {mwhere}: {exc}", position=mwhere)
             if len(m) != dim or any(e < 0 for e in m):
                 raise InputFormatError(
                     f"exponent vector must have length dim and be non-negative at {mwhere}",
                     position=mwhere)
-            poly = poly + Poly.monomial(dim, m, c)
-        f.set_entry(i - 1, j - 1, poly)
+            m = tuple(m)
+            total = terms.get(m, 0) + c
+            if total:
+                terms[m] = total
+            else:
+                terms.pop(m, None)
+        f.set_entry(i - 1, j - 1, Poly(dim, terms))
     return f
 
 

@@ -21,8 +21,9 @@ from .tensorfield import PencilAtPoint, gram, skew
 
 
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
-    """P_lambda(x) for a rank or kernel decision: in exact mode its integer
-    multiple ``p.integer_matrix_at(lam)`` where there is one."""
+    """P_lambda(x) for a rank or kernel decision: in exact mode its multiple
+    ``p.integer_matrix_at(lam)`` over Z, or Z[i] at a Gaussian lambda, where
+    there is one, so that the elimination starts from cleared integers."""
     M = p.integer_matrix_at(lam) if mode.is_exact else None
     return p.matrix_at(lam) if M is None else M
 

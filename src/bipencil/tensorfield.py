@@ -4,7 +4,10 @@ A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda and
 its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
 d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
-bracket are all one sparse contraction.
+bracket are all one sparse contraction.  Exact rank and kernel decisions
+read ``PencilAtPoint.integer_matrix_at`` instead, a positive multiple of
+P_lambda built from the entries cleared to ints once: ints at a real lambda,
+Gaussian integers at a Gaussian-rational one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property, reduce
 from .errors import DimensionMismatchError, NonRationalPointError
 from .exactlin import primitive_row
 from .poly import Poly
-from .scalars import INF, is_exact_scalar, is_inf, tidy
+from .scalars import INF, QQi, cimag, creal, is_exact_scalar, is_inf, tidy
 
 ZERO = Fraction(0)
 
@@ -151,7 +154,8 @@ class PencilAtPoint:
     ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
     evaluated on first use: only the linearization at a spectrum value reads
     them.  A constant pencil has no generators and no derivatives.  Exact rank
-    and kernel decisions read ``integer_matrix_at`` where it applies.
+    and kernel decisions read ``integer_matrix_at`` where it applies: at any
+    exact lambda, INF included, when every entry is a real rational.
     """
 
     dim: int
@@ -176,17 +180,24 @@ class PencilAtPoint:
             return primitive_row(values)
 
     def integer_matrix_at(self, lam):
-        """D (b A0 + a Ainf) at lam = a/b, D Ainf at INF, as ints; None unless lam
-        and every entry are real rationals.  A nonzero multiple of P_lambda has
-        its rank and kernel, but not its values (a quotient form needs those)."""
+        """D (b A0 + (a + ic) Ainf) at lam = (a + ic)/b, D Ainf at INF (read as
+        a, c, b = 1, 0, 0), with D > 0 the scale of ``_integer_values``: ints,
+        and Gaussian integers (QQi) in the cells where c Ainf is nonzero; None
+        unless lam is exact and every entry is a real rational.  A nonzero
+        multiple of P_lambda has its rank and kernel, but not its values (a
+        quotient form needs those)."""
         ints = self._integer_values
-        if ints is None or not (is_inf(lam) or isinstance(lam, (int, Fraction))):
+        if ints is None or not (is_inf(lam) or is_exact_scalar(lam)):
             return None
-        a, b = (1, 0) if is_inf(lam) else lam.as_integer_ratio()
+        a, c, b = 1, 0, 0
+        if not is_inf(lam):
+            (a, q), (c, s) = creal(lam).as_integer_ratio(), cimag(lam).as_integer_ratio()
+            b = math.lcm(q, s)
+            a, c = a * (b // q), c * (b // s)
         M = [[0] * self.dim for _ in range(self.dim)]
         for (i, j, _, _), a0, ainf in zip(self.entries, ints[::2], ints[1::2]):
-            x = b * a0 + a * ainf
-            M[i][j], M[j][i] = x, -x
+            x, y = b * a0 + a * ainf, c * ainf
+            M[i][j], M[j][i] = (QQi(x, y), QQi(-x, -y)) if y else (x, -x)
         return M
 
     @property

@@ -16,6 +16,8 @@
   integer carriers;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
   longer rules, the reference for the library's early stops.
+- ``pencilfile``: a pencil file's entries summed one ``Poly`` per monomial,
+  the reference for the one-pass parse of ``io.entries_to_field``.
 
 A definition that only tests use lives here, not in ``src/``.
 """

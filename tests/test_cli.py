@@ -487,3 +487,39 @@ def test_missing_algebra_file_names_its_option(tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_input_error(code, out, err, "--algebra")
     assert "alg.json" in json.loads(err)["message"]
+
+
+def test_one_parser_serves_a_sequence_of_calls(so3_file, tmp_path, capsys):
+    """The parser is built once per process; each call of a sequence in one
+    process gives the exit code, stdout, stderr and --out file that it gives
+    alone in a fresh process, so no value leaks from one call to the next."""
+    def sequence(out_path):
+        return [["analyze", "--pencil", so3_file, "--point", "0,0,0", "--seed", "3",
+                 "--out", str(out_path)],
+                ["analyze", "--pencil", so3_file],
+                ["--version"],
+                ["jk", "--pencil", so3_file, "--point", "0,0,0"],
+                ["toda", "--n", "3", "--scan", "2", "--seed", "1", "--mode", "float",
+                 "--tol", "1e-6"],
+                ["analyze", "--pencil", so3_file, "--point", "0,0,0"]]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # --version exits from argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def alone(argv):
+        proc = subprocess.run([sys.executable, "-m", "bipencil.cli", *argv],
+                              capture_output=True, text=True, cwd=REPO, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    together = [in_process(argv) for argv in sequence(tmp_path / "together.json")]
+    assert [alone(argv) for argv in sequence(tmp_path / "alone.json")] == together
+    assert [code for code, _, _ in together] == [0, 1, 0, 0, 0, 0]
+    assert (tmp_path / "together.json").read_text() == (tmp_path / "alone.json").read_text()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import SingularParameterError
 from bipencil.exactlin import identity, mat_mul, mat_rank, mat_vec, nullspace
-from bipencil import exactlin, pencil
+from bipencil import exactlin, pencil, tensorfield
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form
 from bipencil.pencil import (compute_core, compute_spectrum, core_perp, kernel_basis,
@@ -15,7 +15,7 @@ from bipencil.pencil import (compute_core, compute_spectrum, core_perp, kernel_b
                              quotient_form, rank_at, recursion_operator,
                              regular_parameters)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf
+from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf, tidy
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
@@ -343,10 +343,17 @@ def _integer_cases():
 
 
 def _positive_multiple(M, N):
-    """M = c N for one rational c > 0 (both zero counts)."""
+    """M = c N for one rational c > 0 (both zero counts); M and N may hold
+    Gaussian rationals."""
     pairs = [(a, b) for ra, rb in zip(M, N) for a, b in zip(ra, rb)]
-    c = next((Fraction(a) / b for a, b in pairs if b != 0), Fraction(1))
-    return c > 0 and all(a == c * b for a, b in pairs)
+    c = next((tidy(Fraction(1) * a / b) for a, b in pairs if b != 0), Fraction(1))
+    return isinstance(c, Fraction) and c > 0 and all(a == c * b for a, b in pairs)
+
+
+def _gaussian_integers(M):
+    """Every entry an int, or a QQi whose parts are integers."""
+    return all(type(x) is int or isinstance(x, QQi) and x.re.denominator == x.im.denominator == 1
+               for row in M for x in row)
 
 
 def test_integer_pencil_decides_as_the_fraction_matrix():
@@ -371,13 +378,16 @@ def test_integer_pencil_decides_as_the_fraction_matrix():
     st.just(d), st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
                                    st.fractions(-3, 3, max_denominator=4)),
                          min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))),
-       st.one_of(st.just(INF), st.fractions(-4, 4, max_denominator=5)))
+       st.one_of(st.just(INF), st.fractions(-4, 4, max_denominator=5),
+                 st.builds(QQi, st.fractions(-4, 4, max_denominator=5),
+                           st.fractions(-4, 4, max_denominator=7).filter(bool))))
 def test_integer_pencil_of_random_skew_pairs(pair, lam):
     d, values = pair
     upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
     p = PencilAtPoint(d, [(i, j, a, b) for (i, j), (a, b) in zip(upper, values)
                           if a != 0 or b != 0], [Fraction(0)] * d)
-    assert _positive_multiple(p.integer_matrix_at(lam), p.matrix_at(lam))
+    M = p.integer_matrix_at(lam)
+    assert _gaussian_integers(M) and _positive_multiple(M, p.matrix_at(lam))
     assert rank_at(p, lam) == mat_rank(p.matrix_at(lam))
     assert kernel_basis(p, lam) == nullspace(p.matrix_at(lam))
 
@@ -389,7 +399,13 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     i = QQi(Fraction(0), Fraction(1))
     assert gaussian.integer_matrix_at(Fraction(1, 3)) is None
     assert floats.integer_matrix_at(Fraction(1, 3)) is None
-    assert real.integer_matrix_at(i) is None and real.integer_matrix_at(0.5) is None
+    # at a Gaussian lambda a real rational pencil still has its integer
+    # multiple, with Gaussian-integer entries
+    gaussian_multiple = real.integer_matrix_at(i)
+    assert any(isinstance(x, QQi) for row in gaussian_multiple for x in row)
+    assert _gaussian_integers(gaussian_multiple)
+    assert _positive_multiple(gaussian_multiple, real.matrix_at(i))
+    assert real.integer_matrix_at(0.5) is None
     cases = [(gaussian, Fraction(1, 3), EXACT), (floats, Fraction(1, 3), EXACT),
              (real, i, EXACT), (real, QQi(Fraction(1, 2), Fraction(0)), EXACT),
              (real, Fraction(1, 2), float_mode(1e-9))]
@@ -406,6 +422,21 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     monkeypatch.undo()
     for (p, lam, mode), want in zip(cases, expected):
         assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, (p, lam)
+
+
+def test_gaussian_decisions_on_a_real_pencil_build_no_dense_matrix(monkeypatch):
+    """Exact rank and kernel at a Gaussian lambda on a real rational pencil
+    start from the cleared integers: no P_lambda is built in Q(i) arithmetic."""
+    real = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(1, 2), 1)])
+    U = [[Fraction(1 if i == j else (i + 2 * j) % 3 - 1 if j > i else 0) for j in range(real.dim)]
+         for i in range(real.dim)]
+    cases = [(p, lam) for p in (real, congruent_pair(real, U))
+             for lam in (QQi(0, 1), QQi(Fraction(1, 2), Fraction(-2, 3)), QQi(3, Fraction(1, 5)))]
+    expected = [(mat_rank(p.matrix_at(lam)), nullspace(p.matrix_at(lam))) for p, lam in cases]
+    monkeypatch.setattr(tensorfield, "skew",
+                        lambda *args: pytest.fail("a dense P_lambda was built"))
+    for (p, lam), want in zip(cases, expected):
+        assert (rank_at(p, lam), kernel_basis(p, lam)) == want, lam
 
 
 class EigenvaluesFirst(SamplingPolicy):

@@ -65,6 +65,11 @@ def further_jobs(workdir: str):
       1, their rank declared, in both modes: the largest kernel algebras and
       quotient forms the reports reach, whose float outputs the benchmark does
       not cover;
+    - ``analyze`` on so(3)'s shift pencil written the long way, in both
+      modes: exponents as digit strings and integral floats, repeated
+      monomials that cancel or add up, and an entry whose terms all cancel,
+      so that the pencil file parse is compared on input that the catalog
+      files never hold;
     - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
     The child has put the tree's ``perfbench`` and ``tests`` on ``sys.path``,
@@ -73,7 +78,7 @@ def further_jobs(workdir: str):
     """
     import workloads
     from bipencil.algebras import diamond, so3
-    from bipencil.catalog import catalog
+    from bipencil.catalog import catalog, catalog_by_name
     from bipencil.io import dump_canonical, pencil_to_json_dict
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
@@ -153,6 +158,22 @@ def further_jobs(workdir: str):
         jobs += [(f"analyze sl{n} shift b={b} {mode} seed=1",
                   ["analyze", "--pencil", path, point, "--mode", mode, "--seed", "1"])
                  for mode in MODES]
+    shift = catalog_by_name()["so3_shift"]
+    long_form = pencil_to_json_dict(shift.field0, shift.field_inf)
+    for block in ("P0", "Pinf"):
+        for ent in long_form[block]:
+            for term in ent["poly"]:
+                term["m"] = [str(e) for e in term["m"]]
+    long_form["P0"][0]["poly"] += [{"c": "2", "m": ["1", "0", "0"]},
+                                   {"c": "-2", "m": [1.0, "0", 0]},
+                                   {"c": "1/2", "m": [0, 0, 1]},
+                                   {"c": "-1/2", "m": ["0", "0", 1.0]}]
+    long_form["Pinf"].append({"i": 1, "j": 3, "poly": [{"c": "3", "m": ["0", "1", "0"]},
+                                                       {"c": "-3", "m": [0, 1, 0]}]})
+    path = write("so3.long.pencil.json", long_form)
+    jobs += [(f"analyze so3 long-form file point={point} {mode}",
+              ["analyze", "--pencil", path, "--point=" + point, "--mode", mode])
+             for point in ("0,0,0", "1,1/2,-2") for mode in MODES]
     jobs += input_error_jobs(workdir, write)
     return [(FURTHER + key, argv) for key, argv in jobs]
 
@@ -160,7 +181,8 @@ def further_jobs(workdir: str):
 def input_error_jobs(workdir: str, write):
     """(key, argv) of CLI calls that fail on their input: a missing and a
     malformed file for each of ``--pencil``, ``--algebra`` and ``--cocycle``, a
-    pencil of dimension 0, bad ``--point`` values, a ``--tol`` of 0 and of 1, a
+    pencil of dimension 0, a pencil file whose last monomial has an exponent
+    true, -1, 1.5 or "x", or a vector of the wrong length, bad ``--point`` values, a ``--tol`` of 0 and of 1, a
     Toda lattice of one site, a non-positive Toda a_i, an unknown catalog name,
     an algebra that breaks the Jacobi identity and a form that is not a
     cocycle."""
@@ -190,11 +212,19 @@ def input_error_jobs(workdir: str, write):
     def linear(alg, coc):
         return ["linear", "--algebra", alg, "--cocycle", coc]
 
+    def bad_exponents(name, m):
+        doc = pencil_to_json_dict(so3.field0, so3.field_inf, None)
+        doc["P0"][-1]["poly"].append({"c": "1", "m": m})
+        return analyze(write(f"errors.exponent-{name}.pencil.json", doc))
+
     return [
         ("error pencil missing", analyze(missing)),
         ("error pencil malformed", analyze(malformed)),
         ("error pencil dim 0", analyze(write("errors.dim0.pencil.json",
                                              {"dim": 0, "P0": [], "Pinf": []}), "0")),
+        *((f"error pencil exponent {name}", bad_exponents(name, m))
+          for name, m in (("true", [True, 0, 0]), ("-1", [0, -1, 0]), ("1.5", [0, 0, 1.5]),
+                          ("x", ["x", 0, 0]), ("length", [0, 0]))),
         ("error algebra missing", linear(missing, cocycle)),
         ("error algebra malformed", linear(malformed, cocycle)),
         ("error cocycle missing", linear(algebra, missing)),
