@@ -187,7 +187,7 @@ def cmd_linear(args) -> int:
     doc = {
         "dim": algebra.dim,
         "field": algebra.field,
-        "cocycle_rank": lin.data.cocycle_rank,
+        "cocycle_rank": algebra.dim - len(kernel.basis),
         "regular": regular,
         "kernel": {"dim": len(kernel.basis),
                    "basis": [[format_scalar(x) for x in v] for v in kernel.basis],

@@ -18,7 +18,7 @@ from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
                      pencil_rank_corank)
 from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, cimag, conj, creal, is_inf, lambda_key
-from .tensorfield import PencilAtPoint, constant_pencil, gram
+from .tensorfield import PencilAtPoint, gram
 
 
 @dataclass
@@ -101,19 +101,14 @@ def assemble_jk_canonical_pair(blocks) -> PencilAtPoint:
 
 
 def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:
-    """U^T A U, U^T B U for a constant pencil (derivatives stay zero).  On real
-    rational input both forms are one ``gram`` contraction over the nonzero
-    cells, on ints; other input takes the dense products, so float sums keep
-    their order."""
-    Ut, n = transpose(U), len(U[0])
-    if all(isinstance(x, (int, Fraction)) for x in
-           [x for row in U for x in row] + [x for _, _, *pair in p.entries for x in pair]):
-        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
-        forms = gram(p.dim, [[(i, j, 0, a) for i, j, a, _ in p.entries],
-                             [(i, j, 0, b) for i, j, _, b in p.entries]], INF, Ut, pairs)
-        return PencilAtPoint(n, [(r, s, a, b) for (r, s), a, b in zip(pairs, *forms)
-                                 if a != 0 or b != 0], [Fraction(0)] * n)
-    return constant_pencil(mat_mul(Ut, mat_mul(p.A0, U)), mat_mul(Ut, mat_mul(p.Ainf, U)))
+    """U^T A U, U^T B U for a constant pencil (derivatives stay zero): both
+    forms are one ``gram`` contraction over the nonzero cells."""
+    n = len(U[0])
+    pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
+    forms = gram(p.dim, [[(i, j, 0, a) for i, j, a, _ in p.entries],
+                         [(i, j, 0, b) for i, j, _, b in p.entries]], INF, transpose(U), pairs)
+    return PencilAtPoint(n, [(r, s, a, b) for (r, s), a, b in zip(pairs, *forms)
+                             if a != 0 or b != 0], [Fraction(0)] * n)
 
 
 def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,

@@ -3,8 +3,12 @@
 The kernel of the cocycle acts on the algebra by commuting operators; when
 those are all semisimple the complexified algebra splits into joint
 eigenspaces, by ``exactlin.eigenspaces``; a split that fails is the one
-source of ``AdNotSemisimple``.  Non-degeneracy asks for one-dimensional root
-spaces with linearly independent roots; the surviving pencils are then
+source of ``AdNotSemisimple``, and a non-Abelian kernel is
+``KernelNotAbelian``.  For h in Ker A the cocycle identity gives
+(alpha + beta)(h) A(y, z) = 0 on g_alpha x g_beta, so each nonzero root space
+pairs with its negative at equal dimension, and non-degeneracy asks only for
+a zero root space equal to Ker A and independent roots, one per root vector:
+every other failure is ``RootsDependent``.  The surviving pencils are
 recognized as sums of elementary blocks (the so(3), sl(2) and diamond
 families) modulo a central ideal and an Abelian summand.
 
@@ -48,10 +52,9 @@ class RootPair:
 class RootData:
     kernel_basis: list
     pairs: list
-    residual: str | None = None      # failure reason, None on success
+    residual: str | None = None      # KernelNotAbelian, AdNotSemisimple or None
     zero_extra_dim: int = 0          # joint zero-eigenspace beyond Ker A
     field: str = REAL
-    cocycle_rank: int = 0
 
 
 @dataclass
@@ -118,17 +121,19 @@ class LinearAnalysis:
 
 
 def joint_eigenvectors(mats, mode: Mode = EXACT):
-    """Split the ambient space by the commuting family; returns (eigtuple, vectors).
+    """Split the ambient space by the commuting family: a list of (eigtuple,
+    vectors), or None when some operator is not semisimple.
 
     Each item is a maximal joint eigenspace: the tuple of eigenvalues (one per
     operator) and a basis of the space.  The first operator is split as it
     is, on the standard basis, and each later one is restricted to the joint
     eigenspaces of those before it.  Every split is ``exactlin.eigenspaces``,
     which follows exactlin's exact-or-float rule, so float mode computes in
-    floats even where the entries are exact.  Raises ToleranceError if a
-    restriction refuses to split (non-semisimple family).  The family must
-    not be empty: its one joint eigenspace would be the whole space, whose
-    dimension an empty family does not give.
+    floats even where the entries are exact.  A commuting family preserves
+    the joint eigenspaces of the operators before it, so an image that leaves
+    its span raises ToleranceError.  The family must not be empty: its one
+    joint eigenspace would be the whole space, whose dimension an empty
+    family does not give.
     """
     items = [((), None)]
     for A in mats:
@@ -139,7 +144,7 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
                 raise ToleranceError("operator failed to preserve an invariant subspace")
             split = eigenspaces(R, mode)
             if split is None:
-                raise ToleranceError("operator is not diagonalizable (non-semisimple action)")
+                return None
             for val, sub in split:
                 vecs = sub if basis is None else [[tidy(v) for v in row]
                                                   for row in mat_mul(sub, basis)]
@@ -157,21 +162,21 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
                        kernel: CocycleKernel | None = None) -> RootData:
     """Simultaneously diagonalize the kernel action and pair the roots.
 
-    Failure modes are recorded in ``residual`` rather than raised: a
-    non-Abelian kernel, a non-semisimple generator, oversized root spaces,
-    or a deficient root count.
+    A non-Abelian kernel or a non-semisimple generator is recorded in
+    ``residual``.  Otherwise each nonzero root space is paired with that of
+    its negative, one ``RootPair`` per vector, so a k-dimensional root space
+    gives k equal roots.  The cocycle identity makes the partner exist at
+    equal dimension: a missing or unequal one raises ToleranceError.
     """
     if kernel is None:
         kernel = kernel_of_cocycle(lp, mode)
-    data = RootData(kernel_basis=kernel.basis, pairs=[], field=lp.algebra.field,
-                    cocycle_rank=lp.algebra.dim - len(kernel.basis))
+    data = RootData(kernel_basis=kernel.basis, pairs=[], field=lp.algebra.field)
     if not kernel.abelian:
         data.residual = "KernelNotAbelian"
         return data
-    try:
-        items = (joint_eigenvectors(kernel.ad, mode) if kernel.ad
-                 else [((), identity(lp.algebra.dim))])
-    except ToleranceError:
+    items = (joint_eigenvectors(kernel.ad, mode) if kernel.ad
+             else [((), identity(lp.algebra.dim))])
+    if items is None:
         data.residual = "AdNotSemisimple"
         return data
 
@@ -195,20 +200,10 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
         used.add(i)
         partner = claim(nonzero, used,
                         lambda item: all(near(x, -y, tol) for x, y in zip(eigs, item[0])))
-        if partner is None:
-            data.residual = "RootPairingFailed"
-            return data
+        if partner is None or len(partner[1]) != len(vecs):
+            raise ToleranceError("a root space failed to pair with its negative")
         eigs_m, vecs_m = partner
-        if len(vecs) != len(vecs_m):
-            data.residual = "RootSpaceTooBig"
-            return data
-        if len(vecs) > 1:
-            # split into repeated one-dimensional pairs; dependence will follow
-            data.residual = "RootSpaceTooBig"
-            for vp, vm in zip(vecs, vecs_m):
-                data.pairs.append(RootPair(root=eigs, vec_plus=vp, vec_minus=vm))
-            continue
-        data.pairs.append(_orient_pair(eigs, vecs[0], eigs_m, vecs_m[0]))
+        data.pairs += [_orient_pair(eigs, vp, eigs_m, vm) for vp, vm in zip(vecs, vecs_m)]
     return data
 
 
@@ -231,8 +226,6 @@ def is_nondegenerate_linear(data: RootData, mode: Mode = EXACT):
     if data.zero_extra_dim > 0:
         return False, "RootsDependent"
     n = len(data.pairs)
-    if 2 * n != data.cocycle_rank:
-        return False, "RootCountDeficit"
     if n == 0:
         return True, None
     coeff = [list(p.root) for p in data.pairs]

@@ -9,19 +9,20 @@ from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
-from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair
+from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, float_mode
-from bipencil.tensorfield import PoissonTensorField, evaluate_pencil
+from bipencil.scalars import EXACT, INF, float_mode, lambda_key
+from bipencil.tensorfield import PoissonTensorField, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from golden import fixture_dir, report_text
 from oracles.casimir import (casimir_variation, combine_function_data, function_data,
                              quotient_operator, reparameterize_casimir_combination)
 from oracles.fields import direct_sum, shift
+from oracles.jkpairs import JK_PAIRS, constant_fields, realified
 from oracles.toda import constant_lattice
 from pipeline import core_of, linearize_at
 
@@ -81,18 +82,10 @@ def test_analyze_refuses_rank_deficient_point():
                       seed=1, declared_rank=2)
 
 
-def constant_fields(blocks):
-    """The canonical pair of ``blocks`` as two constant Poisson tensor fields."""
-    p = assemble_jk_canonical_pair(blocks)
-    fields = []
-    for M in (p.A0, p.Ainf):
-        f = PoissonTensorField(p.dim)
-        for i in range(p.dim):
-            for j in range(i + 1, p.dim):
-                if M[i][j] != 0:
-                    f.set_entry(i, j, Poly.constant(p.dim, M[i][j]))
-        fields.append(f)
-    return fields[0], fields[1], [F(0)] * p.dim
+def constant_fields_at_origin(blocks):
+    """The real canonical pair of ``blocks`` as two constant fields, and the origin."""
+    p = realified(blocks)
+    return (*constant_fields(p), [F(0)] * p.dim)
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
@@ -104,7 +97,7 @@ def constant_fields(blocks):
 def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     # a constant pencil with a Jordan block keeps it at every nearby point
     cores = count_calls(monkeypatch, analyzer, "compute_core")
-    f0, finf, point = constant_fields(blocks)
+    f0, finf, point = constant_fields_at_origin(blocks)
     rep = analyze_point(f0, finf, point, mode=mode, seed=1)
     assert any(w.startswith("nearby point has non-empty spectrum")
                for w in rep.warnings) == warned
@@ -112,6 +105,46 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     # warning: F_p cannot prove the Jordan case, which is rechecked in the
     # job's mode; the Kronecker-only point is Regular and has no spot check
     assert len(cores) == (2 if warned else 1)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
+    # the reference is jk: a spectrum value is diagonalizable exactly when
+    # every Jordan block at it has size 1
+    for blocks in JK_PAIRS:
+        p = realified(blocks)
+        f0, finf = constant_fields(p)
+        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode, seed=1)
+        jordan = jk_invariants(p, SamplingPolicy(1)).jordan
+        assert {lambda_key(lam) for r in rep.per_lambda
+                for lam in ((r.lam, r.lam.conjugate()) if r.paired else (r.lam,))} == set(jordan)
+        for r in rep.per_lambda:
+            flat = all(size == 1 for size in jordan[lambda_key(r.lam)])
+            assert r.diagonalizable == flat, (blocks, r.lam)
+            if not flat:
+                assert r.degeneracy_reason == f"NonDiagonalizable({lambda_key(r.lam)})"
+
+
+def sqrt2_pair():
+    """Jordan blocks of size 1 at lambda = +-sqrt(2): [[0, M], [-M^T, 0]] and
+    [[0, -I], [I, 0]] with M the companion matrix of x^2 - 2."""
+    A0 = [[0, 0, 0, 2], [0, 0, 1, 0], [0, -1, 0, 0], [-2, 0, 0, 0]]
+    Ainf = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    return constant_pencil(*([[F(x) for x in row] for row in M] for M in (A0, Ainf)))
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+@pytest.mark.parametrize("pair, reason", [
+    (realified(JK_PAIRS[3]), "NonDiagonalizable(-2)"),
+    (realified(JK_PAIRS[2]), "NonDiagonalizable(inf)"),
+    (realified(JK_PAIRS[1]), "RootsDependent((1+1i))"),
+    (sqrt2_pair(), "RootsDependent(-1.41421356237)"),
+], ids=["exact-real", "inf", "gaussian", "float"])
+def test_a_degeneracy_reason_names_lambda_by_its_key(pair, reason, mode):
+    # a non-real lambda reads as (a+bi), never as the report's {re, im} dict
+    f0, finf = constant_fields(pair)
+    rep = analyze_point(f0, finf, [F(0)] * pair.dim, mode=mode, seed=1)
+    assert rep.verdict.reason == reason
 
 
 def count_calls(monkeypatch, module, name):
@@ -245,7 +278,7 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
 
     blocks = [KroneckerBlock(0), JordanBlock(F(1, 3), 1), JordanBlock(INF, 1),
               JordanBlock(F(2), 2)]
-    f0, finf, point = constant_fields(blocks)
+    f0, finf, point = constant_fields_at_origin(blocks)
     rep = analyze_point(f0, finf, point, seed=1, declared_rank=8)
     values = [e.lam for e in rep.spectrum.entries]
     assert [r.diagonalizable for r in rep.per_lambda] == [True, False, True]
@@ -297,7 +330,7 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
             assert lp.algebra.dim >= 3 and r1 - r0 == 0
         for _, lp, lin, (_, k0, a0), (_, k1, a1) in analyzed:
             assert a1 - a0 == len(lin.data.kernel_basis) >= 1
-            assert lin.data.cocycle_rank == lp.algebra.dim - len(lin.data.kernel_basis)
+            assert 2 * len(lin.data.pairs) == lp.algebra.dim - len(lin.data.kernel_basis)
             assert not any(M is lp.cocycle.matrix for (M,) in ranks[k0:k1])
         assert sum(r1 - r0 for _, _, _, (r0, _, _), (r1, _, _) in analyzed) == 0, n
         forms = [lp.cocycle.matrix for _, lp, *_ in analyzed]

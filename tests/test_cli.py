@@ -221,8 +221,8 @@ def test_float_linear_report_has_no_negative_zero(name, tmp_path, capsys):
                          ids=["abelian", "aff1"])
 def test_linear_with_zero_kernel_is_roots_dependent(structure, mode, tmp_path, capsys):
     # Ker A = 0: the empty family of ad operators leaves the whole algebra as
-    # its joint zero eigenspace, so dim g is beyond Ker A, and the 2n = rank A
-    # count that would call this RootCountDeficit is never reached
+    # its joint zero eigenspace, so the zero root space is larger than Ker A;
+    # the report's cocycle_rank is dim g - dim Ker A
     argv = write_linear_inputs(tmp_path, {"dim": 2, "structure": structure},
                                {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": "1"}]})
     code, out, err = run_cli(argv + ["--mode", mode], capsys)

@@ -8,9 +8,9 @@ from bipencil.exactlin import mat_mul, mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, cimag, creal, float_mode, lambda_key
-from bipencil.tensorfield import constant_pencil
+from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
 
+from oracles.jkpairs import realified
 from oracles.toda import constant_lattice, toda_pencil_at
 
 
@@ -136,30 +136,6 @@ def test_invariants_build_quotient_and_recursion_once(monkeypatch):
     inv = jk_invariants(p, SamplingPolicy(29))
     assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {"-1/2": [2]}}
     assert len(qbasis) == 1 and len(recursion) == 1
-
-
-def realified(blocks):
-    """The real constant pair of ``blocks``: a Jordan block at a non-real
-    lambda, with its conjugate, becomes [[2 Re X, -2 Im X], [-2 Im X, -2 Re X]]
-    for each of its forms X, which is congruent to diag(X, conj X)."""
-    pieces = []
-    for b in blocks:
-        p = assemble_jk_canonical_pair([b])
-        forms = [p.A0, p.Ainf]
-        if isinstance(b, JordanBlock) and isinstance(b.lam, QQi) and b.lam.im:
-            forms = [[[2 * creal(x) for x in row] + [-2 * cimag(x) for x in row] for row in X]
-                     + [[-2 * cimag(x) for x in row] + [-2 * creal(x) for x in row] for row in X]
-                     for X in forms]
-        pieces.append(forms)
-    d = sum(len(A) for A, _ in pieces)
-    pair = [[[Fraction(0)] * d for _ in range(d)] for _ in range(2)]
-    offset = 0
-    for forms in pieces:
-        for M, X in zip(pair, forms):
-            for i, row in enumerate(X):
-                M[offset + i][offset:offset + len(X)] = row
-        offset += len(forms[0])
-    return constant_pencil(*pair)
 
 
 def unimodular(d: int, sampler):

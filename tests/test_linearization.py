@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from bipencil import algebras, exactlin, linearization
 from bipencil.catalog import catalog_by_name
-from bipencil.errors import RankDeficientPointError
+from bipencil.errors import RankDeficientPointError, ToleranceError
 from bipencil.exactlin import transpose
-from bipencil.liealg import (COMPLEX, REAL, LinearPencil, TwoCocycle,
-                             argument_shift_cocycle, is_cocycle)
+from bipencil.liealg import (COMPLEX, REAL, CocycleKernel, LieAlgebra, LinearPencil,
+                             TwoCocycle, argument_shift_cocycle, is_cocycle)
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form, linearize
 from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
@@ -129,6 +129,36 @@ def test_is_nondegenerate_cases():
     zero = LinearPencil(ab, TwoCocycle(M))
     ok, reason = is_nondegenerate_linear(root_decomposition(zero))
     assert not ok and reason == "RootsDependent"
+
+
+# R x R^4 with basis t, x1, x2, y1, y2: [t, x_k] = x_k, [t, y_k] = -y_k, and
+# the cocycle x1 ^ y1 + x2 ^ y2, whose kernel is {t}
+R_TIMES_R4 = {"dim": 5, "structure": [{"i": 1, "j": j, "k": j, "c": c}
+                                      for j, c in ((2, "1"), (3, "1"), (4, "-1"), (5, "-1"))]}
+R_TIMES_R4_COCYCLE = {"dim": 5, "cocycle": [{"i": 2, "j": 4, "c": "1"}, {"i": 3, "j": 5, "c": "1"}]}
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_a_two_dimensional_root_space_is_roots_dependent(mode):
+    # g_1 and g_-1 are two-dimensional: each root vector gives its own pair, so
+    # the root 1 is listed twice and the two roots are dependent
+    lp = LinearPencil(LieAlgebra.from_json_dict(R_TIMES_R4),
+                      TwoCocycle.from_json_dict(R_TIMES_R4_COCYCLE))
+    lin = analyze_linear(lp, mode)
+    assert len(lin.data.kernel_basis) == 1 and len(lin.data.pairs) == 2
+    assert lin.data.pairs[0].root == lin.data.pairs[1].root
+    assert lin.reason == "RootsDependent" and lin.blocks is None
+
+
+def test_a_root_without_its_negative_is_a_tolerance_failure():
+    # the cocycle identity pairs every root with its negative; a kernel that
+    # breaks it, {t} in aff(1) with [t, x] = x, leaves the root 1 unpaired
+    g = LieAlgebra.from_json_dict({"dim": 2, "structure": [{"i": 1, "j": 2, "k": 2, "c": "1"}]})
+    t = [F(1), F(0)]
+    kernel = CocycleKernel(basis=[t], ad=[g.ad_matrix(t)], abelian=True)
+    with pytest.raises(ToleranceError):
+        root_decomposition(LinearPencil(g, TwoCocycle([[F(0)] * 2 for _ in range(2)])),
+                           kernel=kernel)
 
 
 def test_linear_pencil_type_examples():

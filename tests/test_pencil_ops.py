@@ -20,6 +20,7 @@ from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.dense import bilinear
+from oracles.jkpairs import JK_PAIRS
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of
@@ -468,18 +469,6 @@ def test_rank_samples_are_enough_and_tight(m):
     sampler = EigenvaluesFirst(eigs[:-1])
     assert pencil_rank_corank(q, sampler) == (2 * m, 0) and sampler.counts == [m]
     assert all(rank_at(q, lam) < 2 * m for lam in eigs[:-1] + [INF])
-
-
-# the Jordan-Kronecker pairs of the benchmark's jk-congruent workload
-JK_PAIRS = [
-    [KroneckerBlock(1), JordanBlock(Fraction(1, 2), 1)],
-    [KroneckerBlock(1), JordanBlock(QQi(Fraction(1), Fraction(1)), 1)],
-    [KroneckerBlock(0), KroneckerBlock(2), JordanBlock(INF, 2)],
-    [KroneckerBlock(1), JordanBlock(Fraction(-2), 2), JordanBlock(INF, 1),
-     JordanBlock(Fraction(3), 1)],
-    [KroneckerBlock(2), KroneckerBlock(1), JordanBlock(Fraction(1, 3), 2),
-     JordanBlock(QQi(Fraction(0), Fraction(1)), 1)],
-]
 
 
 def _stop_cases():

@@ -51,15 +51,20 @@ def further_jobs(workdir: str):
       R^2 and on aff(1) ([e1, e2] = e2), in both modes at seeds 0-2: the
       empty family of ad operators leaves the whole algebra as its joint
       eigenspace, so both are ``RootsDependent``;
+    - ``linear`` on R x R^4, [t, x_k] = x_k and [t, y_k] = -y_k, with the
+      cocycle x1 ^ y1 + x2 ^ y2, in both modes at seeds 0-2: its root spaces
+      g_1 and g_-1 are two-dimensional, so the root 1 repeats and the report
+      is ``RootsDependent``;
     - ``linear`` on two algebras over C, written with ``"field": "complex"``:
       so(3) with the shift cocycle by i e3, and the diamond algebra with its
       central shift by h, in both modes at seeds 0-2: the only reports that
       reach the complex-field root decomposition and block classifier;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
-    - ``jk`` on the real canonical pair of every ``workloads.JK_PAIRS`` entry,
-      and on the 13-dim pair with (1 +- 2i) Jordan blocks of size 2 under two
-      congruences, in both modes at seeds 0-2;
+    - ``jk`` and ``analyze`` at the origin on the real canonical pair of
+      every ``workloads.JK_PAIRS`` entry, and on the 13-dim pair with
+      (1 +- 2i) Jordan blocks of size 2 under two congruences, in both modes
+      at seeds 0-2: the only reports that reach ``NonDiagonalizable``;
     - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
       ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
       1, their rank declared, in both modes: the largest kernel algebras and
@@ -117,6 +122,13 @@ def further_jobs(workdir: str):
         jobs += [(f"linear {name} e12 {mode} seed={s}",
                   ["linear", "--algebra", alg, "--cocycle", e12, "--mode", mode, "--seed", str(s)])
                  for mode in MODES for s in FURTHER_SEEDS]
+    alg = write("r-r4.algebra.json", {"dim": 5, "structure": [
+        {"i": 1, "j": j, "k": j, "c": c} for j, c in ((2, "1"), (3, "1"), (4, "-1"), (5, "-1"))]})
+    coc = write("r-r4.cocycle.json", {"dim": 5, "cocycle": [{"i": 2, "j": 4, "c": "1"},
+                                                            {"i": 3, "j": 5, "c": "1"}]})
+    jobs += [(f"linear r-r4 {mode} seed={s}",
+              ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode, "--seed", str(s)])
+             for mode in MODES for s in FURTHER_SEEDS]
     for name, algebra, shift in (("so3C", so3(), [0, 0, QQi(0, 1)]),
                                  ("diamondC", diamond(), [0, 0, 1, 0])):
         algebra = with_complex_scalars(algebra)
@@ -145,10 +157,10 @@ def further_jobs(workdir: str):
     for name, p in pairs:
         path = workloads._constant_pencil_file(
             os.path.join(workdir, f"{name}.pencil.json"), p)
-        jobs += [(f"jk {name} {mode} seed={s}",
-                  ["jk", "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
+        jobs += [(f"{command} {name} {mode} seed={s}",
+                  [command, "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
                    "--mode", mode, "--seed", str(s)])
-                 for mode in MODES for s in FURTHER_SEEDS]
+                 for command in ("jk", "analyze") for mode in MODES for s in FURTHER_SEEDS]
     for n, b in ((3, 1), (4, 1), (5, 0), (6, 0)):
         case = shift_case(n, b, 1)
         entry = case.entry()
