@@ -28,8 +28,11 @@ float otherwise; every multiplicity is exact, read off Yun's squarefree
 decomposition (``squarefree_decomposition``), whose gcds run on the same
 carriers Z and Z[i], as primitive pseudo-remainder sequences
 (``poly_gcd_exact``).  ``eigenvalues`` gives the same list for a matrix, and
-``eigenspaces``, the one eigen-split, also decides diagonalizability over C.  Matrices are plain lists of lists holding
-Fraction / QQi / int entries (or floats in float mode); vectors are lists.
+``eigenspaces``, the one eigen-split, also decides diagonalizability over C.
+Matrices are lists of lists of Fraction / QQi / int entries, or floats;
+vectors are lists.  A float decision converts each exact value once where it
+meets a float (``as_float``, ``to_numpy``), to the correctly rounded float(x)
+that Fraction-with-float arithmetic starts from: float results keep their bits.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .scalars import (EXACT, Mode, QQi, convergent_denominators, is_exact_scalar
 
 
 def shape(M):
-    return len(M), len(M[0]) if M else 0
+    return len(M), len(M[0]) if len(M) else 0
 
 
 def identity(n: int):
@@ -79,8 +82,15 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
+def as_float(x):
+    """An int or Fraction as the correctly rounded float(x); anything else as it is."""
+    return x.numerator / x.denominator if type(x) in (Fraction, int) else x
+
+
 def to_numpy(M) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in M], dtype=complex)
+    """M as a complex ndarray, an ndarray as it is, entries by ``as_float``."""
+    return M if isinstance(M, np.ndarray) else np.array(
+        [[as_float(x) for x in row] for row in M], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def nullspace_mod_p(M):
 def nullspace_float(M, eps: float):
     A = to_numpy(M)
     if A.size == 0:
-        n = len(M[0]) if M else 0
+        n = A.shape[1] if A.ndim == 2 else 0
         return [list(np.eye(n)[j]) for j in range(n)]
     _, sv, vh = np.linalg.svd(A)
     cutoff = eps * (sv[0] if sv.size else 0.0)
@@ -409,8 +419,7 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
                 for t in range(len(vectors))]
     An = to_numpy(transpose(basis_vectors))
     out = []
-    for w in vectors:
-        bn = np.array([complex(x) for x in w])
+    for bn in to_numpy(vectors):
         x, *_ = np.linalg.lstsq(An, bn, rcond=None)
         norm = max(1.0, float(np.abs(bn).max(initial=0.0)))
         if float(np.abs(An @ x - bn).max(initial=0.0)) > 100 * mode.tol * norm:
@@ -422,6 +431,8 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
 def restrict(A, basis, mode: Mode = EXACT):
     """Matrix of the operator A on the invariant span(basis), or None when an
     image A b leaves that span; all images are resolved in one call."""
+    if not decides_exactly(basis, mode):
+        A = [[as_float(x) for x in row] for row in A]
     coords = coords_in_span(basis, [mat_vec(A, b) for b in basis], mode)
     return None if coords is None else transpose(coords)
 
@@ -452,7 +463,7 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     kept before it.  For exact input that greedy choice is the pivot columns
     of one forward elimination, as ``mat_rank_exact`` runs it, with the
     vectors as columns, each first cleared of its own denominators; float
-    input is checked prefix by prefix.
+    input is converted once and checked prefix by prefix, on rows of one array.
     """
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
@@ -463,10 +474,11 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
             cleared = [[QQi(re, im) for re, im in v] for v in cleared]
         pivots = _eliminate(transpose(cleared), reduce=False)[2]
         return out + [vectors[j] for j in pivots if j >= len(out)]
-    for v in vectors[len(out):]:
-        if mat_rank(out + [v], mode) == len(out) + 1:
-            out.append(v)
-    return out
+    A, kept = to_numpy(vectors), list(range(len(out)))
+    for k in range(len(out), len(vectors)):
+        if mat_rank(A[kept + [k]], mode) == len(kept) + 1:
+            kept.append(k)
+    return [vectors[k] for k in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import basis_union, eigenspaces, identity, mat_rank, nullspace, transpose
+from .exactlin import as_float, basis_union, eigenspaces, identity, mat_rank, nullspace, transpose
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .pencil import pencil_rank_corank
-from .scalars import EXACT, Mode, QQi, format_scalar, parse_int, parse_rational, tidy
+from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
+                      parse_rational, tidy)
 from .tensorfield import PoissonTensorField, constant_pencil, left_sum
 
 REAL = "real"
@@ -70,8 +71,11 @@ class LieAlgebra:
         return [tidy(v) for v in out]
 
     def ad_matrix(self, x):
-        """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j]."""
-        return transpose([self.bracket(x, e) for e in identity(self.dim)])
+        """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j],
+        each e_j in floats when x is float."""
+        floats = not any(map(is_exact_scalar, x))
+        return transpose([self.bracket(x, list(map(as_float, e)) if floats else e)
+                          for e in identity(self.dim)])
 
     def jacobi_violation(self):
         """First violating triple (i, j, k) or None."""

@@ -23,8 +23,9 @@ from .tensorfield import PencilAtPoint, gram, skew
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
     """P_lambda(x) for a rank or kernel decision: in exact mode its multiple
     ``p.integer_matrix_at(lam)`` over Z, or Z[i] at a Gaussian lambda, where
-    there is one, so that the elimination starts from cleared integers."""
-    M = p.integer_matrix_at(lam) if mode.is_exact else None
+    there is one, so that the elimination starts from cleared integers; in
+    float mode ``p.float_matrix_at(lam)``."""
+    M = p.integer_matrix_at(lam) if mode.is_exact else p.float_matrix_at(lam)
     return p.matrix_at(lam) if M is None else M
 
 
@@ -188,9 +189,9 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     if not core.basis:
         return identity(p.dim)
     alpha = core.regular_params[0]
-    A = p.integer_matrix_at(alpha) if mode.is_exact else None
-    rows = ([mat_vec(p.matrix_at(alpha), l) for l in core.basis] if A is None
-            else [mat_vec(A, primitive_row(l)) for l in core.basis])
+    ints = p.integer_matrix_at(alpha) if mode.is_exact else None
+    A = _decision_matrix(p, alpha, mode) if ints is None else ints
+    rows = [mat_vec(A, l if ints is None else primitive_row(l)) for l in core.basis]
     return nullspace(rows, mode)
 
 

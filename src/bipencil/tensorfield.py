@@ -6,8 +6,8 @@ its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
 d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
 bracket are all one sparse contraction.  Exact rank and kernel decisions
 read ``PencilAtPoint.integer_matrix_at`` instead, a positive multiple of
-P_lambda built from the entries cleared to ints once: ints at a real lambda,
-Gaussian integers at a Gaussian-rational one.
+P_lambda built from the entries cleared to ints once, and float ones
+``float_matrix_at``, P_lambda with each exact value converted to a float once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import primitive_row
+from .exactlin import as_float, primitive_row, to_numpy
 from .poly import Poly
 from .scalars import INF, QQi, cimag, creal, is_exact_scalar, is_inf, tidy
 
@@ -116,8 +116,9 @@ def gram(dim: int, matrices, lam, basis, pairs):
     Contracted over the nonzero cells alone: each M v once, then u^T (M v),
     the terms added left to right from 0 in the order of the dense sum
     sum_i u_i (sum_j M_ij v_j), zero terms skipped, so that a float value
-    keeps its bits.  Where every cell and basis value is a real rational the
-    sums run on ints, with one scale S for all the matrices and the basis.
+    keeps its bits.  Sums run on ints, with one scale S for all the matrices
+    and the basis, where every value is a real rational; a float basis meets
+    cells converted once.
     """
     rows = [[[] for _ in range(dim)] for _ in matrices]
     for r, entries in zip(rows, matrices):
@@ -130,6 +131,8 @@ def gram(dim: int, matrices, lam, basis, pairs):
         S = math.lcm(*(x.denominator for x in values))
         rows = [[[(j, int(a * S)) for j, a in row] for row in r] for r in rows]
         vecs, finish = [[int(x * S) for x in u] for u in basis], lambda w: Fraction(w, S ** 3)
+    elif not any(is_exact_scalar(x) for u in basis for x in u):
+        rows = [[[(j, as_float(a)) for j, a in row] for row in r] for r in rows]
     images = [[[left_sum(a * v[j] for j, a in row if a != 0 and v[j] != 0) for row in r]
                for v in vecs] for r in rows]
     return [[finish(left_sum(x * y for x, y in zip(vecs[u], image[v]) if x != 0))
@@ -153,9 +156,9 @@ class PencilAtPoint:
     values of P_0^{ij} and P_inf^{ij} at the point, not both zero;
     ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
     evaluated on first use: only the linearization at a spectrum value reads
-    them.  A constant pencil has no generators and no derivatives.  Exact rank
-    and kernel decisions read ``integer_matrix_at`` where it applies: at any
-    exact lambda, INF included, when every entry is a real rational.
+    them.  A constant pencil has no generators and no derivatives.  Float
+    decisions read ``float_matrix_at``, exact ones ``integer_matrix_at`` at
+    any exact lambda, INF included, when every entry is a real rational.
     """
 
     dim: int
@@ -173,11 +176,17 @@ class PencilAtPoint:
 
     @cached_property
     def _integer_values(self):
-        """a0, ainf of each entry in turn, times one scale D > 0, as ints; None
-        unless all of them are real rationals."""
+        """(ints, D): a0, ainf of each entry in turn, times one rational scale
+        D > 0, as ints; None unless all of them are real rationals."""
         values = [x for _, _, *pair in self.entries for x in pair]
         if all(isinstance(x, (int, Fraction)) for x in values):
-            return primitive_row(values)
+            ints = primitive_row(values)
+            return ints, next((Fraction(a) / x for a, x in zip(ints, values) if x), Fraction(1))
+
+    @cached_property
+    def _float_values(self):
+        """(i, j, a0, ainf, -a0, -ainf) per entry by ``as_float``: float(-a0) keeps a -0.0."""
+        return [(i, j, *map(as_float, (a0, ainf, -a0, -ainf))) for i, j, a0, ainf in self.entries]
 
     def integer_matrix_at(self, lam):
         """D (b A0 + (a + ic) Ainf) at lam = (a + ic)/b, D Ainf at INF (read as
@@ -186,9 +195,9 @@ class PencilAtPoint:
         unless lam is exact and every entry is a real rational.  A nonzero
         multiple of P_lambda has its rank and kernel, but not its values (a
         quotient form needs those)."""
-        ints = self._integer_values
-        if ints is None or not (is_inf(lam) or is_exact_scalar(lam)):
+        if self._integer_values is None or not (is_inf(lam) or is_exact_scalar(lam)):
             return None
+        ints, _ = self._integer_values
         a, c, b = 1, 0, 0
         if not is_inf(lam):
             (a, q), (c, s) = creal(lam).as_integer_ratio(), cimag(lam).as_integer_ratio()
@@ -199,6 +208,24 @@ class PencilAtPoint:
             x, y = b * a0 + a * ainf, c * ainf
             M[i][j], M[j][i] = (QQi(x, y), QQi(-x, -y)) if y else (x, -x)
         return M
+
+    def float_matrix_at(self, lam):
+        """to_numpy(matrix_at(lam)) bit for bit, each exact value converted once:
+        at an exact real lambda = a/b (INF) the int cells of ``integer_matrix_at``
+        over its scale D b (D), correctly rounded; at a float one ``skew_cells``'
+        float operations on ``_float_values``.  Else the dense ``skew``."""
+        if self._integer_values is not None:
+            if is_inf(lam) or is_exact_scalar(lam) and not cimag(lam):
+                b = 1 if is_inf(lam) else creal(lam).denominator
+                num, den = (self._integer_values[1] * b).as_integer_ratio()
+                M = self.integer_matrix_at(lam)
+                return to_numpy([[x * den / num for x in row] for row in M])
+            if not is_exact_scalar(lam):
+                M = [[0.0 + lam * 0.0] * self.dim for _ in range(self.dim)]
+                for i, j, a0, ainf, m0, minf in self._float_values:
+                    M[i][j], M[j][i] = a0 + lam * ainf, m0 + lam * minf
+                return to_numpy(M)
+        return to_numpy(self.matrix_at(lam))
 
     @property
     def A0(self):

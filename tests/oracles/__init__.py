@@ -10,7 +10,8 @@
   Poisson fields, the direct sum of two pencils, and the shifted Casimirs of
   argument-shift pencils.
 - ``dense``: the dense u^T A v that the library's sparse Gram contraction
-  reproduces;
+  reproduces, and the per-entry complex() conversion that the library's
+  float matrices reproduce;
 - ``euclid``: the polynomial gcd and squarefree decomposition by Euclid over
   the field, the reference for the library's remainder sequences on the
   integer carriers;

@@ -1,11 +1,20 @@
-"""Dense references for the sparse contractions of the library.
+"""Dense references for the sparse contractions and float conversions of the library.
 
 ``bilinear`` is u^T A v over a dense matrix, the sum that
 ``tensorfield.gram`` contracts over nonzero cells alone and must reproduce,
-value for value and, for floats, bit for bit.
+value for value and, for floats, bit for bit.  ``complex_array`` converts
+every entry by complex(), the reference bits for ``exactlin.to_numpy`` and
+``PencilAtPoint.float_matrix_at``, which convert each exact value once.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def complex_array(M):
+    """M as a complex ndarray, each entry converted by complex()."""
+    return np.array([[complex(x) for x in row] for row in M], dtype=complex)
 
 
 def bilinear(A, u, v):

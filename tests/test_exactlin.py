@@ -17,7 +17,7 @@ from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_p
 from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
 from oracles import euclid
-from oracles.dense import bilinear
+from oracles.dense import bilinear, complex_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -361,6 +361,36 @@ def vector_families(draw):
 def test_basis_union_matches_greedy_rank_loop(family):
     existing, new = family
     assert typed(basis_union(existing, new)) == typed(oracle_basis_union(existing, new))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.builds(Fraction, st.integers(-2 ** 1024 + 2 ** 971, 2 ** 1024 - 2 ** 971 - 1),
+              st.integers(1, 10 ** 6)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 2 ** 1080)),
+    st.integers(2 ** 53, 2 ** 200).flatmap(lambda n: st.sampled_from([n, -n, n + 1]))))
+def test_to_numpy_converts_exact_values_as_complex_does(x):
+    """Fractions near either end of the float range, and ints past 2^53, take
+    numerator / denominator, correctly rounded as complex(x) is."""
+    assert exactlin.to_numpy([[x, -x]]).tobytes() == complex_array([[x, -x]]).tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(2 ** 1024 - 2 ** 970 - 1), Fraction(-(2 ** 1024 - 2 ** 970 - 1), 1),
+    Fraction(1, 2 ** 1074), Fraction(3, 2 ** 1076), Fraction(1, 2 ** 1076), 2 ** 53 + 1,
+    -(2 ** 64 + 2 ** 11 + 1), True, QQi(Fraction(1, 3), Fraction(-2, 7)), QQi(Fraction(5), 0),
+    np.complex128(complex(-0.0, 1.5)), np.float64(-0.0), -0.0, complex(-0.0, -0.0), 0.1])
+def test_to_numpy_matches_complex_entry_by_entry(x):
+    assert exactlin.to_numpy([[x]]).tobytes() == complex_array([[x]]).tobytes()
+
+
+def test_float_kernels_take_an_ndarray_as_it_is():
+    A = np.array([[1, 2j], [0.5, 1j]], dtype=complex)
+    assert exactlin.to_numpy(A) is A
+    assert exactlin.svd_rank(A, 1e-9) == 1 and len(exactlin.nullspace_float(A, 1e-9)) == 1
+    # no rows: the kernel is the whole space, of the array's width
+    assert exactlin.nullspace_float(np.zeros((0, 3), dtype=complex), 1e-9) == \
+        [list(row) for row in np.eye(3)]
 
 
 def test_basis_union_float_and_mixed_input():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from bipencil.scalars import EXACT, INF, QQi, float_mode, is_inf, tidy
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
-from oracles.dense import bilinear
+from oracles.dense import bilinear, complex_array
 from oracles.jkpairs import JK_PAIRS
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
@@ -414,15 +415,57 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
                 for p, lam, mode in cases]
     core = core_of(real, SamplingPolicy(3))
     perp = core_perp(real, core)
-    # float mode never reads the integer form
-    monkeypatch.setattr(PencilAtPoint, "integer_matrix_at",
-                        lambda self, lam: pytest.fail("float mode read the integer form"))
+    # float mode reads the integer form for its values, but never decides exactly
+    for name in ("mat_rank_exact", "nullspace_exact"):
+        monkeypatch.setattr(exactlin, name, lambda M: pytest.fail("float mode decided exactly"))
     p, lam, mode = cases.pop()
     assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == expected.pop()
+    A = exactlin.to_numpy(p.matrix_at(lam))
+    assert rank_at(p, lam, mode) == exactlin.svd_rank(A, mode.tol)
+    assert kernel_basis(p, lam, mode) == exactlin.nullspace_float(A, mode.tol)
     assert len(core_perp(real, core, mode)) == len(perp)
     monkeypatch.undo()
     for (p, lam, mode), want in zip(cases, expected):
         assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, (p, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(*[st.one_of(st.just(Fraction(0)),
+                                               st.fractions(-5, 5, max_denominator=7))] * 2),
+                         min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))),
+       st.fractions(-4, 4, max_denominator=9), st.floats(-4, -1e-3),
+       st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False))
+def test_float_matrix_holds_the_bits_of_the_converted_matrix(pair, frac, neg, cplx):
+    """float_matrix_at converts each exact value once, and holds the bits of
+    P_lambda built in exact arithmetic and converted entry by entry: zero a0
+    or ainf entries make the signed zeros of the lower cells appear."""
+    d, values = pair
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    p = PencilAtPoint(d, [(i, j, a, b) for (i, j), (a, b) in zip(upper, values)
+                          if a != 0 or b != 0], [Fraction(0)] * d)
+    for lam in (INF, Fraction(0), frac, neg, cplx):
+        assert np.asarray(p.float_matrix_at(lam)).tobytes() == \
+            complex_array(p.matrix_at(lam)).tobytes(), lam
+
+
+def test_float_decisions_build_no_dense_matrix(monkeypatch):
+    """Float-mode rank, kernel and L^perp at a rational, an infinite and a
+    float lambda read float_matrix_at: no P_lambda is built in exact arithmetic."""
+    e = catalog_by_name()["so4_shift"]
+    p = evaluate_pencil(e.field0, e.field_inf, e.point)
+    mode = float_mode(1e-9)
+    rank, _ = pencil_rank_corank(p, SamplingPolicy(6))
+    core = compute_core(p, SamplingPolicy(5), mode, rank=rank)
+    lams = [Fraction(2, 3), INF, -0.75]
+    expected = [(mat_rank(p.matrix_at(lam), mode), nullspace(p.matrix_at(lam), mode))
+                for lam in lams]
+    perp = core_perp(p, core, mode)
+    monkeypatch.setattr(tensorfield, "skew",
+                        lambda *args: pytest.fail("a dense P_lambda was built"))
+    for lam, want in zip(lams, expected):
+        assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, lam
+    assert core_perp(p, core, mode) == perp
 
 
 def test_gaussian_decisions_on_a_real_pencil_build_no_dense_matrix(monkeypatch):

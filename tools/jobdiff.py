@@ -61,6 +61,10 @@ def further_jobs(workdir: str):
       reach the complex-field root decomposition and block classifier;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
+    - ``toda`` at ``make_singular_point(n, s)`` for n = 10, 12 and s = 1, 2,
+      with CLI seed s, in both modes: the largest float decision matrices, 20
+      x 20 and 24 x 24, which no workload builds (``float-sweep`` stops at
+      n = 8);
     - ``jk`` and ``analyze`` at the origin on the real canonical pair of
       every ``workloads.JK_PAIRS`` entry, and on the 13-dim pair with
       (1 +- 2i) Jordan blocks of size 2 under two congruences, in both modes
@@ -88,6 +92,7 @@ def further_jobs(workdir: str):
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
     from bipencil.scalars import QQi
+    from bipencil.toda import make_singular_point
     from oracles.algebras import with_complex_scalars
     from oracles.sln import shift_case
 
@@ -147,6 +152,9 @@ def further_jobs(workdir: str):
                   ["toda", "--n", str(n), "--a", ",".join(["1"] * n),
                    "--b", ",".join(["0"] * n), "--mode", mode])
                  for n in range(2, 9)]
+        jobs += [(f"toda singular n={n} s={s} {mode}",
+                  workloads._toda_argv(make_singular_point(n, s), mode, s))
+                 for n in (10, 12) for s in (1, 2)]
     pairs = [(f"jk{k}", workloads._real_jk_pair(blocks))
              for k, blocks in enumerate(workloads.JK_PAIRS)]
     gaussian = workloads._real_jk_pair([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
