@@ -10,12 +10,13 @@ first degeneracy reason, and the totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
 
-Both modes span the nearby-point cores over F_p first.  A draw of full
+Both modes span the nearby-point cores over F_p first.  A parameter of full
 pencil rank mod p has that rank over Q, so its kernel mod p reduces the
 rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
 never below the rational value: zero proves the nearby point Kronecker, and
 anything else, a bad prime or a float point included, is rechecked in the
-job's mode with the same draws; the first nearby point decided ends the check.
+job's mode; the first nearby point decided ends the check.  The seed draws
+only points: the nearby ones, and those certifying an undeclared rank.
 """
 
 from __future__ import annotations
@@ -97,20 +98,20 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
                   point, mode: Mode = EXACT, seed: int = 0,
                   declared_rank: int | None = None) -> SingularPointReport:
     """Decide whether the induced singularity at ``point`` is non-degenerate,
-    and of which Williamson type.  ``seed`` seeds every random draw; without a
-    ``declared_rank`` the pencil rank is certified by sampling."""
+    and of which Williamson type.  ``seed`` seeds the random points; without
+    a ``declared_rank`` the pencil rank is certified by sampling."""
     warnings: list = []
     sampler = SamplingPolicy(seed)
 
     pt = [Fraction(x) if isinstance(x, int) else x for x in point]
     p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
 
-    rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode, warnings)
+    rank, corank = pencil_rank_corank(p, mode, warnings)
     _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, warnings)
 
-    core = compute_core(p, sampler.spawn(2), mode, rank=rank)
+    core = compute_core(p, mode, rank=rank)
     point_rank = core.dim - corank
-    spectrum = compute_spectrum(p, core, sampler.spawn(3), mode, warnings)
+    spectrum = compute_spectrum(p, core, mode, warnings)
 
     if spectrum.is_empty():
         return SingularPointReport(
@@ -172,7 +173,7 @@ def _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, 
     best = rank
     for _ in range(5):
         q = evaluate_pencil(field0, field_inf, sp.rational_point(field0.dim))
-        r, _ = pencil_rank_corank(q, sp.spawn(sp.randint(0, 10 ** 6)), mode)
+        r, _ = pencil_rank_corank(q, mode)
         best = max(best, r)
     if best > rank:
         raise RankDeficientPointError(
@@ -194,17 +195,16 @@ def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
     is the rank nearby too; a nearby point of lower rank is skipped, up to 3
     draws.  The pencil is evaluated once per nearby point, and the F_p core
-    and the recheck in the job's mode read it, each with a sampler spawned
-    from the same seed.
+    and the recheck in the job's mode read it; ``sampler`` draws only the
+    nearby points, and both cores walk the same parameters.
     """
     for _ in range(3):
         nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
-        seed = sampler.randint(0, 10 ** 6)
         q = evaluate_pencil(field0, field_inf, nearby)
-        if quotient_dim_mod_p(q, sampler.spawn(seed), rank=rank) == 0:
+        if quotient_dim_mod_p(q, rank=rank) == 0:
             return
         try:
-            core = compute_core(q, sampler.spawn(seed), mode, rank=rank)
+            core = compute_core(q, mode, rank=rank)
         except RankDeficientPointError:
             continue
         if quotient_dim(q, core) != 0:

@@ -158,7 +158,7 @@ def cmd_jk(args) -> int:
     point = parse_point_csv(args.point, field0.dim)
     mode = _arithmetic(args)
     p = evaluate_pencil(field0, field_inf, point, exact_required=mode.is_exact)
-    inv = jk_invariants(p, SamplingPolicy(args.seed), mode)
+    inv = jk_invariants(p, mode)
     doc = {"invariants": inv.to_json_dict(),
            "provenance": _provenance(args, {"pencil_file": args.pencil,
                                             "point": [format_scalar(x) for x in point]})}

@@ -88,9 +88,9 @@ def as_float(x):
 
 
 def to_numpy(M) -> np.ndarray:
-    """M as a complex ndarray, an ndarray as it is, entries by ``as_float``."""
-    return M if isinstance(M, np.ndarray) else np.array(
-        [[as_float(x) for x in row] for row in M], dtype=complex)
+    """M as a complex ndarray, an ndarray as it is; numpy gives a Fraction or
+    an int the correctly rounded bits of ``as_float``."""
+    return M if isinstance(M, np.ndarray) else np.array(M, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +365,16 @@ def nullspace_mod_p(M):
     return _nullspace(M, _Fp)
 
 
-def nullspace_float(M, eps: float):
+def nullspace_float(M, eps: float, dim: int | None = None):
+    """Right singular vectors of singular value at most eps * sigma_max, or
+    the last ``dim`` where the kernel's dimension is known."""
     A = to_numpy(M)
     if A.size == 0:
         n = A.shape[1] if A.ndim == 2 else 0
         return [list(np.eye(n)[j]) for j in range(n)]
     _, sv, vh = np.linalg.svd(A)
+    if dim is not None:
+        return [list(v.conj()) for v in vh[len(vh) - dim:]]
     cutoff = eps * (sv[0] if sv.size else 0.0)
     ker = [list(vh[i].conj()) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
     return ker

@@ -14,9 +14,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
 from .exactlin import decides_exactly, mat_mul, mat_rank, primitive_row, shift, transpose
-from .pencil import (compute_core, compute_spectrum, lambda_to_moebius,
-                     pencil_rank_corank)
-from .sampling import SamplingPolicy
+from .pencil import compute_core, compute_spectrum, lambda_to_moebius, pencil_rank_corank
 from .scalars import EXACT, INF, Mode, QQi, cimag, conj, creal, is_inf, lambda_key
 from .tensorfield import PencilAtPoint, gram
 
@@ -111,11 +109,10 @@ def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:
                              if a != 0 or b != 0], [Fraction(0)] * n)
 
 
-def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
-                  mode: Mode = EXACT) -> JKInvariants:
+def jk_invariants(p: PencilAtPoint, mode: Mode = EXACT) -> JKInvariants:
     """Recover the JK block data of the evaluated pair (invariants only)."""
-    rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode)
-    core = compute_core(p, sampler.spawn(2), mode, rank=rank)
+    rank, corank = pencil_rank_corank(p, mode)
+    core = compute_core(p, mode, rank=rank)
 
     # Kronecker half-sizes: after m distinct regular parameters the span of
     # their kernels has gained one dimension per block of half-size >= m-1.
@@ -127,7 +124,7 @@ def jk_invariants(p: PencilAtPoint, sampler: SamplingPolicy,
 
     # Jordan sizes from kernel powers of the spectrum's recursion operator on
     # the quotient; they do not depend on which regular pair it was built from.
-    spectrum = compute_spectrum(p, core, sampler.spawn(3), mode)
+    spectrum = compute_spectrum(p, core, mode)
     R = spectrum.recursion
     jordan: dict = {}
     for entry in spectrum.entries:

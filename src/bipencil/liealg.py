@@ -300,7 +300,7 @@ def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,
         else:
             x = sampler.rational_point(d)
         shift = argument_shift_cocycle(lp.algebra, x).matrix
-        rank, _ = pencil_rank_corank(constant_pencil(shift, lp.cocycle.matrix), sampler, mode)
+        rank, _ = pencil_rank_corank(constant_pencil(shift, lp.cocycle.matrix), mode)
         if rank > target:
             return False
     return True

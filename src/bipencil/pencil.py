@@ -3,21 +3,35 @@
 Everything here works on a PencilAtPoint: ranks across the parameter,
 the spectrum (parameters where the rank drops), the isotropic core L spanned
 by regular kernels, induced forms and recursion operators on the quotient
-L^perp / L, and the diagonalizability test.
+L^perp / L, and the diagonalizability test.  No parameter is random: every
+finite lambda, distinct or regular, is taken in order from ``height_walk``,
+as P_lambda drops rank at no more than floor(d/2) of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import RankDeficientPointError, SingularParameterError, ToleranceError
+from .errors import RankDeficientPointError, SingularParameterError
 from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
-                       nullspace_mod_p, primitive_row, residues, solve, span_mod_p)
-from .sampling import SamplingPolicy
+                       nullspace_float, nullspace_mod_p, primitive_row, residues, solve,
+                       span_mod_p)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap_candidates, tidy)
 from .tensorfield import PencilAtPoint, gram, skew
+
+
+def height_walk():
+    """The nonzero rationals by height max(|p|, q): 1, -1, 2, -2, 1/2, -1/2, 3, ...
+    Zero, a spectrum value at every catalog origin and singular Toda point,
+    is left out; small heights keep R's characteristic polynomial small."""
+    for h in itertools.count(1):
+        for num, den in [(h, q) for q in range(1, h + 1)] + [(q, h) for q in range(1, h)]:
+            if gcd(num, den) == 1:
+                yield from (Fraction(num, den), Fraction(-num, den))
 
 
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
@@ -34,19 +48,18 @@ def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
     return mat_rank(_decision_matrix(p, lam, mode), mode, warnings, what=f"rank at lambda={lam}")
 
 
-def pencil_rank_corank(p: PencilAtPoint, sampler: SamplingPolicy,
-                       mode: Mode = EXACT, warnings=None):
+def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
     """(rank, corank) of the pencil at the point.
 
-    The maximum of rank P_lambda over floor(d/2) distinct rationals and
-    infinity.  By the Jordan-Kronecker theorem, over C the corank = d - r
-    Kronecker blocks fill at least d - r dimensions, so the Jordan part fills
-    at most r; each distinct eigenvalue, infinity included, takes at least a
-    pair of dimensions of it.  So P_lambda drops rank at no more than
-    r/2 <= floor(d/2) points of P^1, and one of the floor(d/2) + 1 samples
-    is generic.
+    The maximum of rank P_lambda over the first floor(d/2) values of the
+    height walk and infinity.  By the Jordan-Kronecker theorem, over C the
+    corank = d - r Kronecker blocks fill at least d - r dimensions, so the
+    Jordan part fills at most r; each distinct eigenvalue, infinity included,
+    takes at least a pair of dimensions of it.  So P_lambda drops rank at no
+    more than r/2 <= floor(d/2) points of P^1, and one of the floor(d/2) + 1
+    samples is generic.
     """
-    samples = sampler.distinct_rationals(p.dim // 2) + [INF]
+    samples = list(itertools.islice(height_walk(), p.dim // 2)) + [INF]
     best = max(rank_at(p, lam, mode, warnings) for lam in samples)
     return best, p.dim - best
 
@@ -56,33 +69,29 @@ def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
     return nullspace(_decision_matrix(p, lam, mode), mode)
 
 
-def regular_parameters(p: PencilAtPoint, sampler: SamplingPolicy, count: int,
-                       mode: Mode = EXACT, *, rank: int, exclude=()):
-    """``count`` pairs (lambda, Ker P_lambda) at distinct finite rational
-    parameters where the rank is ``rank``; the kernel decides the rank."""
+def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *, rank: int):
+    """``count`` pairs (lambda, Ker P_lambda) at the next values of ``walk``,
+    a height walk, where the rank is ``rank``; the kernel decides the rank."""
     def kernel_if_regular(lam):
         ker = kernel_basis(p, lam, mode)
         return ker if p.dim - len(ker) == rank else None
-    return _draw_regular(sampler, count, kernel_if_regular, exclude)
+    return _draw_regular(walk, count, kernel_if_regular, p.dim)
 
 
-def _draw_regular(sampler: SamplingPolicy, count: int, kernel_if_regular, exclude=()):
-    """``count`` pairs (lambda, kernel_if_regular(lambda)) at distinct finite
-    rational draws where that kernel is not None."""
-    out, seen, attempts = [], set(exclude), 0
+def _draw_regular(walk, count: int, kernel_if_regular, dim: int):
+    """``count`` pairs (lambda, kernel_if_regular(lambda)) at the next values
+    of ``walk`` where that kernel is not None; at most floor(dim/2) values
+    are not where the rank is attained (see pencil_rank_corank)."""
+    out, misses = [], 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 60 * count + 200:
-            raise RankDeficientPointError(
-                "could not find enough regular parameters; the pencil rank at this "
-                "point may be below the declared pencil rank")
-        lam = sampler.rational()
-        if lam in seen:
-            continue
-        seen.add(lam)
+        lam = next(walk)
         ker = kernel_if_regular(lam)
         if ker is not None:
             out.append((lam, ker))
+        elif (misses := misses + 1) > dim // 2:
+            raise RankDeficientPointError(
+                "could not find enough regular parameters; the pencil rank at this "
+                "point may be below the declared pencil rank")
     return out
 
 
@@ -106,7 +115,7 @@ class Spectrum:
 @dataclass
 class IsotropicCore:
     basis: list                 # covectors spanning L
-    regular_params: list        # the sampled parameters whose kernels were summed
+    regular_params: list        # the walked parameters whose kernels were summed
     dim_sequence: list          # accumulated dimension after each kernel
     corank: int
 
@@ -122,26 +131,27 @@ class RecursionOperator:
     beta: object
 
 
-def compute_core(p: PencilAtPoint, sampler: SamplingPolicy, mode: Mode = EXACT,
-                 *, rank: int) -> IsotropicCore:
+def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> IsotropicCore:
     """Accumulate kernels of regular brackets (pencil rank ``rank``) until they span L.
 
+    The kernels are taken at the regular values of one height walk, in order.
     Stops at the first kernel that adds nothing, or once the span reaches
     d - rank/2, the largest dimension of the isotropic L; see _span_kernels.
     """
+    walk = height_walk()
     basis, params, dims = _span_kernels(
-        p.dim, lambda params: regular_parameters(p, sampler, 1, mode, rank=rank,
-                                                 exclude=params)[0],
+        lambda: regular_parameters(p, walk, 1, mode, rank=rank)[0],
         lambda basis, ker: basis_union(basis, ker, mode), full=p.dim - rank // 2)
     return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
                          corank=p.dim - rank)
 
 
-def quotient_dim_mod_p(p: PencilAtPoint, sampler: SamplingPolicy, *, rank: int):
+def quotient_dim_mod_p(p: PencilAtPoint, *, rank: int):
     """quotient_dim of the pencil ``p`` of rank ``rank``, its core spanned over
-    F_PRIME: never below the rational value, since a kernel mod PRIME at a
-    draw of rank ``rank`` reduces the rational one.  None when PRIME divides a
-    denominator or no regular draw or stable span is found."""
+    F_PRIME at the regular values of one height walk: never below the
+    rational value, since a kernel mod PRIME at a value of rank ``rank``
+    reduces the rational one.  None when PRIME divides a denominator or no
+    regular value is found (a bad prime exhausts the miss cap)."""
     def kernel_if_regular(lam):
         l, = residues([lam])
         ker = nullspace_mod_p(skew(p.dim, entries, l))
@@ -149,50 +159,52 @@ def quotient_dim_mod_p(p: PencilAtPoint, sampler: SamplingPolicy, *, rank: int):
 
     try:
         entries = [(i, j, *residues([a0, ainf])) for i, j, a0, ainf in p.entries]
+        walk = height_walk()
         basis, _, _ = _span_kernels(
-            p.dim, lambda params: _draw_regular(sampler, 1, kernel_if_regular, params)[0],
+            lambda: _draw_regular(walk, 1, kernel_if_regular, p.dim)[0],
             lambda basis, ker: span_mod_p(basis + ker), full=p.dim - rank // 2)
-    except (ValueError, RankDeficientPointError, ToleranceError):
+    except (ValueError, RankDeficientPointError):
         return None
     return p.dim - 2 * len(basis) + p.dim - rank
 
 
-def _span_kernels(dim: int, draw, union, full: int):
-    """(basis, params, dims) of the span of kernels from ``draw(params)``, a
-    fresh (lambda, kernel) pair at a regular parameter, joined by ``union``.
+def _span_kernels(draw, union, full: int):
+    """(basis, params, dims) of the span of kernels from ``draw()``, the next
+    (lambda, kernel) pair at a regular parameter, joined by ``union``.
 
     The first kernel that adds nothing ends the loop: at regular parameters
     only the Kronecker blocks have kernel, and m distinct ones span
     min(m, k + 1) dimensions of a block of half-size k (a Vandermonde
     matrix), so step m adds one dimension per block with k >= m - 1, and a
     step that adds none is followed by none that adds.  A span of dimension
-    ``full``, the bound on dim L, ends the loop at once."""
+    ``full``, the bound on dim L, ends the loop at once, so every later step
+    grows the span.  At least two kernels are taken, as R is built between
+    the first two parameters."""
     basis, params, dims = [], [], []
-    hard_cap = max(2 * dim + 4, 8)
     while True:
-        lam, ker = draw(params)
+        lam, ker = draw()
         new_basis = union(basis, ker)
         params.append(lam)
         dims.append(len(new_basis))
-        if len(new_basis) in (len(basis), full):
+        if len(params) > 1 and len(new_basis) in (len(basis), full):
             return new_basis, params, dims
         basis = new_basis
-        if len(params) > hard_cap:
-            raise ToleranceError(
-                "core accumulation failed to stabilize; inconsistent float tolerance")
 
 
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha.
     On the integer form of P_alpha the core vectors are cleared of denominators
-    too: that scales the rows, and leaves their kernel."""
+    too: that scales the rows, and leaves their kernel.  The rows have rank
+    dim L - corank (L holds Ker P_alpha), so float mode takes the last
+    dim - dim L + corank right singular vectors, as the rows may be roundoff."""
     if not core.basis:
         return identity(p.dim)
     alpha = core.regular_params[0]
     ints = p.integer_matrix_at(alpha) if mode.is_exact else None
     A = _decision_matrix(p, alpha, mode) if ints is None else ints
     rows = [mat_vec(A, l if ints is None else primitive_row(l)) for l in core.basis]
-    return nullspace(rows, mode)
+    return (nullspace(rows, mode) if mode.is_exact
+            else nullspace_float(rows, mode.tol, dim=p.dim - core.dim + core.corank))
 
 
 def quotient_basis(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
@@ -255,22 +267,22 @@ def lambda_to_moebius(lam, t1, t2):
     return (complex(t1) - lam) / (complex(t2) - lam)
 
 
-def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, sampler: SamplingPolicy,
-                     mode: Mode = EXACT, warnings=None) -> Spectrum:
+def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
+                     warnings=None) -> Spectrum:
     """Parameters where rank P_lambda(x) < rank Pi(x), with exact kernel dims.
 
-    Candidates come from the eigenvalues of a recursion operator between two
-    regular parameters, mapped back through the Moebius normalization; every
-    candidate is then re-verified by an independent rank computation.  The
-    pencil rank is dim - core.corank; the spectrum is empty, with no
-    operator, when L^perp / L is zero, and otherwise keeps the operator.
+    Candidates come from the eigenvalues of the recursion operator between
+    the core's first two regular parameters, mapped back through the Moebius
+    normalization; every candidate is then re-verified by an independent
+    rank computation.  The pencil rank is dim - core.corank; the spectrum is
+    empty, with no operator, when L^perp / L is zero, and otherwise keeps
+    the operator.
     """
     corank = core.corank
     if quotient_dim(p, core) == 0:
         return Spectrum(entries=[], corank=corank)
     qbasis = quotient_basis(p, core, mode)
-    (t1, _), (t2, _) = _draw_regular(
-        sampler.spawn(3), 2, lambda lam: rank_at(p, lam, mode) == p.dim - corank or None)
+    t1, t2 = core.regular_params[:2]
     R = recursion_operator(p, qbasis, t1, t2, mode)
 
     def point(lam):

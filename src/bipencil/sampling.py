@@ -1,8 +1,10 @@
-"""Deterministic rational sampling.
+"""Deterministic random points.
 
-All genericity choices in the library are drawn from a seeded generator over
-{p/q : |p|, |q| <= 1000}, so that runs are reproducible and exact-mode proofs
-("a degree-<=d polynomial cannot vanish at d+1 distinct points") apply.
+A seeded generator draws the points the library needs at random: the nearby
+points of the Kronecker spot check, the points that certify an undeclared
+pencil rank or test a cocycle's regularity, and Toda lattice points.  Runs
+are reproducible from the seed.  Pencil parameters are never drawn: they come
+from ``pencil.height_walk``.
 """
 
 from __future__ import annotations
@@ -10,11 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-MAX_NUM = MAX_DEN = 1000
-
 
 class SamplingPolicy:
-    """Seeded source of generic rational parameters and points."""
+    """Seeded source of random rational points."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -26,22 +26,6 @@ class SamplingPolicy:
 
     def _mix(self, tag: int) -> int:
         return (self.seed * 1000003 + tag * 7919 + 12345) % (2 ** 31)
-
-    def rational(self) -> Fraction:
-        p = self._rng.randint(-MAX_NUM, MAX_NUM)
-        q = self._rng.randint(1, MAX_DEN)
-        return Fraction(p, q)
-
-    def distinct_rationals(self, count: int, exclude=()) -> list:
-        """``count`` distinct rationals avoiding ``exclude``."""
-        seen = set(exclude)
-        out = []
-        while len(out) < count:
-            r = self.rational()
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return out
 
     def small_rational(self, max_num: int = 10, max_den: int = 4) -> Fraction:
         p = self._rng.randint(-max_num, max_num)

@@ -5,16 +5,25 @@
 value for value and, for floats, bit for bit.  ``complex_array`` converts
 every entry by complex(), the reference bits for ``exactlin.to_numpy`` and
 ``PencilAtPoint.float_matrix_at``, which convert each exact value once.
+``entrywise_array`` is the conversion ``to_numpy`` made before it handed
+whole lists to numpy: each entry by ``exactlin.as_float``, then numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from bipencil.exactlin import as_float
+
 
 def complex_array(M):
     """M as a complex ndarray, each entry converted by complex()."""
     return np.array([[complex(x) for x in row] for row in M], dtype=complex)
+
+
+def entrywise_array(M):
+    """M as a complex ndarray, each entry first converted by ``as_float``."""
+    return np.array([[as_float(x) for x in row] for row in M], dtype=complex)
 
 
 def bilinear(A, u, v):

@@ -1,10 +1,11 @@
 """The generic-point decisions by their earlier, longer rules, kept as the
 reference the early stops of ``pencil`` and ``toda`` must agree with.
 
-- the pencil rank as the maximum over d + 1 distinct rationals and infinity,
-  enough because the rank minors have degree <= d in lambda;
-- the core drawn until its span is unchanged for two consecutive kernels and
-  at least dim-L kernels were drawn;
+- the pencil rank as the maximum over the first d + 1 values of the height
+  walk and infinity, enough because the rank minors have degree <= d in
+  lambda;
+- the core walked until its span is unchanged for two consecutive kernels and
+  at least dim-L kernels were taken;
 - the Lax blocks built from one 2n x 2n ``mat_vec`` per column, and every
   block's characteristic polynomial root-found in exact mode.
 """
@@ -12,27 +13,28 @@ reference the early stops of ``pencil`` and ``toda`` must agree with.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from bipencil.exactlin import basis_union, char_poly, mat_vec, poly_roots_hybrid, to_numpy
-from bipencil.pencil import IsotropicCore, rank_at, regular_parameters
+from bipencil.pencil import IsotropicCore, height_walk, rank_at, regular_parameters
 from bipencil.scalars import EXACT, INF, is_exact_scalar
 from bipencil.toda import LaxSpectrumEntry
 
 from oracles.toda import lax_matrix
 
 
-def rank_corank_over_d_plus_two(p, sampler, mode=EXACT):
-    samples = sampler.distinct_rationals(p.dim + 1) + [INF]
+def rank_corank_over_d_plus_two(p, mode=EXACT):
+    samples = list(islice(height_walk(), p.dim + 1)) + [INF]
     best = max(rank_at(p, lam, mode) for lam in samples)
     return best, p.dim - best
 
 
-def core_until_two_idle(p, sampler, mode=EXACT, *, rank):
-    basis, params, dims, stable = [], [], [], 0
+def core_until_two_idle(p, mode=EXACT, *, rank):
+    basis, params, dims, stable, walk = [], [], [], 0, height_walk()
     while not (stable >= 2 and len(params) >= len(basis)):
-        lam, ker = regular_parameters(p, sampler, 1, mode, rank=rank, exclude=params)[0]
+        lam, ker = regular_parameters(p, walk, 1, mode, rank=rank)[0]
         new_basis = basis_union(basis, ker, mode)
         params.append(lam)
         dims.append(len(new_basis))

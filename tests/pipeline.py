@@ -7,13 +7,13 @@ from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
 from bipencil.scalars import EXACT, lambda_key
 
 
-def core_of(p, sampler):
-    rank, _ = pencil_rank_corank(p, sampler.spawn(1))
-    return compute_core(p, sampler, rank=rank)
+def core_of(p, mode=EXACT):
+    rank, _ = pencil_rank_corank(p, mode)
+    return compute_core(p, mode, rank=rank)
 
 
-def spectrum_of(p, sampler):
-    return compute_spectrum(p, core_of(p, sampler.spawn(2)), sampler)
+def spectrum_of(p, mode=EXACT):
+    return compute_spectrum(p, core_of(p, mode), mode)
 
 
 def linearize_at(p, lam, mode=EXACT):

@@ -13,7 +13,6 @@ from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
-from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF, float_mode, lambda_key
 from bipencil.tensorfield import PoissonTensorField, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
@@ -115,7 +114,7 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
         p = realified(blocks)
         f0, finf = constant_fields(p)
         rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode, seed=1)
-        jordan = jk_invariants(p, SamplingPolicy(1)).jordan
+        jordan = jk_invariants(p).jordan
         assert {lambda_key(lam) for r in rep.per_lambda
                 for lam in ((r.lam, r.lam.conjugate()) if r.paired else (r.lam,))} == set(jordan)
         for r in rep.per_lambda:
@@ -286,7 +285,7 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
 
     p = evaluate_pencil(f0, finf, point)
     ranks.clear()
-    core = compute_core(p, SamplingPolicy(2), rank=8)
+    core = compute_core(p, rank=8)
     assert ranks == [] and core.dim == 1
 
 
@@ -551,8 +550,7 @@ def test_variation_skew_and_commutes_with_recursion():
         rhs = mat_mul(A, D.matrix)
         assert all(a + b == 0 for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
     # commutation with a recursion operator on the quotient
-    sp = SamplingPolicy(6)
-    core = core_of(p, sp)
+    core = core_of(p)
     qb = quotient_basis(p, core)
     R = recursion_operator(p, qb, F(0), INF).matrix
     Dq = quotient_operator(D.matrix, qb, core.basis)

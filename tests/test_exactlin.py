@@ -17,7 +17,7 @@ from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_p
 from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
 from oracles import euclid
-from oracles.dense import bilinear, complex_array
+from oracles.dense import bilinear, complex_array, entrywise_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -382,6 +382,25 @@ def test_to_numpy_converts_exact_values_as_complex_does(x):
     np.complex128(complex(-0.0, 1.5)), np.float64(-0.0), -0.0, complex(-0.0, -0.0), 0.1])
 def test_to_numpy_matches_complex_entry_by_entry(x):
     assert exactlin.to_numpy([[x]]).tobytes() == complex_array([[x]]).tobytes()
+
+
+numpy_entries = st.one_of(
+    st.integers(-2 ** 1023, 2 ** 1023),
+    st.builds(Fraction, st.integers(-2 ** 1024 + 2 ** 971, 2 ** 1024 - 2 ** 971 - 1),
+              st.integers(1, 2 ** 80)),
+    st.builds(QQi, rationals, rationals),
+    st.floats(allow_nan=False), st.complex_numbers(allow_nan=False),
+    st.sampled_from([-0.0, complex(-0.0, -0.0), np.float64(-0.0), np.complex128(1.5j), True]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda m: st.lists(st.lists(numpy_entries, min_size=m, max_size=m), min_size=1, max_size=4)))
+def test_to_numpy_gives_the_bits_of_the_entrywise_conversion(M):
+    """numpy converts a whole list as ``as_float`` converts each entry: ints
+    past 2^53 correctly rounded, Fractions by their __float__, QQi by their
+    __complex__, floats and signed zeros as they are."""
+    assert exactlin.to_numpy(M).tobytes() == entrywise_array(M).tobytes()
 
 
 def test_float_kernels_take_an_ndarray_as_it_is():

@@ -45,14 +45,14 @@ def test_assemble_jordan_infinity():
 
 def test_invariants_pure_kronecker():
     p = assemble_jk_canonical_pair([KroneckerBlock(1)])
-    inv = jk_invariants(p, SamplingPolicy(3))
+    inv = jk_invariants(p)
     assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {}}
 
 
 def test_invariants_kronecker_plus_symplectic_block():
     # 2x2 pair (A0 = 0, Ainf symplectic) is a single size-1 Jordan block at zero
     p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(0), 1)])
-    inv = jk_invariants(p, SamplingPolicy(5))
+    inv = jk_invariants(p)
     assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {"0": [1]}}
 
 
@@ -60,7 +60,7 @@ def test_invariants_mixed_sizes_and_infinity():
     blocks = [KroneckerBlock(2), KroneckerBlock(0), JordanBlock(Fraction(3), 2),
               JordanBlock(Fraction(3), 1), JordanBlock(INF, 1)]
     p = assemble_jk_canonical_pair(blocks)
-    inv = jk_invariants(p, SamplingPolicy(11))
+    inv = jk_invariants(p)
     assert inv.to_json_dict() == {
         "corank": 2, "kronecker": [0, 2], "jordan": {"3": [1, 2], "inf": [1]}}
     assert inv.total_dimension() == p.dim
@@ -69,7 +69,7 @@ def test_invariants_mixed_sizes_and_infinity():
 def test_invariants_complex_conjugate_blocks():
     blocks = [KroneckerBlock(1), JordanBlock(QQi(0, 1), 1), JordanBlock(QQi(0, -1), 1)]
     p = assemble_jk_canonical_pair(blocks)
-    inv = jk_invariants(p, SamplingPolicy(13))
+    inv = jk_invariants(p)
     assert inv.kronecker_indices == [1]
     assert inv.jordan == {"(0+1i)": [1], "(0-1i)": [1]}
 
@@ -78,10 +78,10 @@ def test_congruence_invariance():
     sp = SamplingPolicy(17)
     blocks = [KroneckerBlock(1), JordanBlock(Fraction(-1, 2), 2), JordanBlock(INF, 1)]
     p = assemble_jk_canonical_pair(blocks)
-    base = jk_invariants(p, sp.spawn(1)).to_json_dict()
+    base = jk_invariants(p).to_json_dict()
     for k in range(3):
         U = integer_matrix(sp.spawn(100 + k), p.dim)
-        got = jk_invariants(congruent_pair(p, U), sp.spawn(200 + k)).to_json_dict()
+        got = jk_invariants(congruent_pair(p, U)).to_json_dict()
         assert got == base
 
 
@@ -96,7 +96,7 @@ def test_invariants_with_kronecker_half_sizes_up_to_three(blocks):
     # the core stops at its first idle kernel or at dim L's bound, and the
     # half-sizes are read off the dimensions it grew through
     p = assemble_jk_canonical_pair(blocks)
-    inv = jk_invariants(p, SamplingPolicy(len(blocks)))
+    inv = jk_invariants(p)
     assert inv.kronecker_indices == sorted(b.half_size for b in blocks
                                            if isinstance(b, KroneckerBlock))
     jordan = {}
@@ -108,7 +108,7 @@ def test_invariants_with_kronecker_half_sizes_up_to_three(blocks):
 
 def test_toda_singular_point_invariants():
     p = toda_pencil_at(constant_lattice(2))
-    inv = jk_invariants(p, SamplingPolicy(19))
+    inv = jk_invariants(p)
     assert inv.to_json_dict() == {"corank": 2, "kronecker": [0, 0], "jordan": {"0": [1]}}
 
 
@@ -133,7 +133,7 @@ def test_invariants_build_quotient_and_recursion_once(monkeypatch):
     qbasis = count_calls(monkeypatch, "quotient_basis")
     recursion = count_calls(monkeypatch, "recursion_operator")
     p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(-1, 2), 2)])
-    inv = jk_invariants(p, SamplingPolicy(29))
+    inv = jk_invariants(p)
     assert inv.to_json_dict() == {"corank": 1, "kronecker": [1], "jordan": {"-1/2": [2]}}
     assert len(qbasis) == 1 and len(recursion) == 1
 
@@ -154,7 +154,7 @@ def test_complex_jordan_blocks_of_size_two_under_congruence():
     assert p.dim == 13
     for k in range(2):
         sp = SamplingPolicy(40 + k)
-        inv = jk_invariants(congruent_pair(p, unimodular(p.dim, sp.spawn(1))), sp.spawn(2))
+        inv = jk_invariants(congruent_pair(p, unimodular(p.dim, sp.spawn(1))))
         assert inv.to_json_dict() == {"corank": 1, "kronecker": [2],
                                       "jordan": {"(1+2i)": [2], "(1-2i)": [2]}}
 

@@ -17,7 +17,6 @@ from bipencil.pencil import (compute_core, compute_spectrum, is_diagonalizable,
                              kernel_basis, pencil_rank_corank, quotient_basis, quotient_form)
 from bipencil.roots import (analyze_linear, is_nondegenerate_linear, joint_eigenvectors,
                            root_decomposition)
-from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_exact_scalar, is_inf, tidy
 from bipencil.tensorfield import evaluate_pencil, gram, skew
 from bipencil.toda import make_singular_point, toda_pencil
@@ -288,11 +287,11 @@ def oracle_type(data, mode):
     return (counts["imaginary"], counts["real"], counts["complex"])
 
 
-def linearizations(p, mode, sampler):
+def linearizations(p, mode):
     """The linear pencil at each diagonalizable spectrum value of p."""
-    rank, corank = pencil_rank_corank(p, sampler.spawn(1), mode)
-    core = compute_core(p, sampler.spawn(2), mode, rank=rank)
-    for entry in compute_spectrum(p, core, sampler.spawn(3), mode).entries:
+    rank, corank = pencil_rank_corank(p, mode)
+    core = compute_core(p, mode, rank=rank)
+    for entry in compute_spectrum(p, core, mode).entries:
         ker = kernel_basis(p, entry.lam, mode)
         form = kernel_form(p, entry.lam, ker)
         if is_diagonalizable(form, corank, mode):
@@ -325,9 +324,8 @@ def test_type_from_blocks_matches_the_pair_walk(mode):
     pencils = list(example_pencils())
     for entry in catalog_by_name().values():
         p = evaluate_pencil(entry.field0, entry.field_inf, entry.point)
-        pencils += linearizations(p, mode, SamplingPolicy(3))
-    pencils += linearizations(toda_pencil_at(make_singular_point(4)), mode,
-                              SamplingPolicy(3))
+        pencils += linearizations(p, mode)
+    pencils += linearizations(toda_pencil_at(make_singular_point(4)), mode)
     assert len(pencils) == 23
     compared = 0
     for lp in pencils:
@@ -560,9 +558,8 @@ def test_quotient_form_is_the_dense_gram_matrix(mode):
         U = [[F(1 if i == j else (i + 2 * j) % 3 - 1 if j > i else 0) for j in range(base.dim)]
              for i in range(base.dim)]
         for p in (base, congruent_pair(base, U)):
-            sampler = SamplingPolicy(5)
-            rank, _ = pencil_rank_corank(p, sampler.spawn(1), mode)
-            qb = quotient_basis(p, compute_core(p, sampler.spawn(2), mode, rank=rank), mode)
+            rank, _ = pencil_rank_corank(p, mode)
+            qb = quotient_basis(p, compute_core(p, mode, rank=rank), mode)
             assert len(qb) >= 2
             mixed = [[x + imag * y for x, y in zip(qb[0], qb[-1])]] + qb[1:]
             assert any(isinstance(x, QQi if mode.is_exact else complex) for x in mixed[0])

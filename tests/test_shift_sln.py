@@ -1,4 +1,4 @@
-"""Argument-shift pencils on sl(n, R), n = 3..5, at points whose Williamson
+"""Argument-shift pencils on sl(n, R), n = 3..6, at points whose Williamson
 type has a closed form (see ``oracles.sln``), analyzed in exact mode with the
 declared rank n^2 - n."""
 
@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipencil import pencil
 from bipencil.analyzer import analyze_point
 from bipencil.exactlin import mat_mul
 
@@ -60,3 +61,16 @@ def test_the_origin_is_degenerate():
     A = block_diagonal([1, 2, -3], [])
     rep = analyze(ShiftCase(3, [F(0)] * 8, covector(A, 3), None))
     assert rep.verdict.kind == "Degenerate" and rep.verdict.reason == "RootsDependent(0)"
+
+
+def test_every_root_of_the_recursion_operator_at_sl6_is_exact(monkeypatch):
+    # R is built between two parameters of small height, so its characteristic
+    # polynomial has small coefficients: all 14 rational spectrum values are
+    # in the exact root list, none comes through the float snap
+    roots, real = [], pencil.eigenvalues
+    monkeypatch.setattr(pencil, "eigenvalues", lambda M, mode: roots.append(real(M, mode)) or roots[-1])
+    case = shift_case(6, 0, 1)
+    rep = analyze(case)
+    assert rep.verdict.kind == "NonDegenerate" and astuple(rep.total_type) == case.type
+    (exact, floats), = roots
+    assert len(exact) == len(rep.spectrum.entries) == 14 and floats == []

@@ -178,22 +178,20 @@ def test_exact_lax_oracle_skips_squarefree_blocks(monkeypatch):
 
 
 def test_generic_point_empty_both_oracles():
-    sp = SamplingPolicy(2)
     for n in (2, 3, 4):
         for s in (5, 6):
             pt = random_point(n, 90 + s + n)
             assert toda_spectrum_via_lax(pt) == []
             p = toda_pencil_at(pt)
-            assert spectrum_of(p, sp.spawn(s + n)).is_empty()
+            assert spectrum_of(p).is_empty()
 
 
 def test_pencil_lax_agreement_on_singular_points():
-    sp = SamplingPolicy(3)
     for n, seed in ((2, 1), (3, 2), (4, 5)):
         pt = make_singular_point(n, seed=seed, antiperiodic=True, lam=F(1, 3))
         lax_vals = sorted(str(e.lam) for e in toda_spectrum_via_lax(pt))
         p = toda_pencil_at(pt)
-        spec = spectrum_of(p, sp.spawn(10 + n))
+        spec = spectrum_of(p)
         assert sorted(str(e.lam) for e in spec.entries) == lax_vals
 
 

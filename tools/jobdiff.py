@@ -10,8 +10,9 @@ runs it through ``run_job``.  The same child then runs the further reports of
 ``further_jobs``, which the benchmark does not run, whatever the seeds.
 Work-directory paths are replaced by a placeholder, so that only the program's
 output is compared.  The jobs whose exit code, stdout or stderr differ are
-printed, and counted apart for the benchmark and the further reports; the exit
-code is 1 if any differ.  The line count of ``src/`` in both trees is printed
+printed, and counted apart for the benchmark and the further reports, and
+again by each job's ``--mode`` (exact where it has none); the exit code is 1
+if any differ.  The line count of ``src/`` in both trees is printed
 beside them, counted as ``perfbench/run.py`` counts it.
 """
 
@@ -71,9 +72,10 @@ def further_jobs(workdir: str):
       at seeds 0-2: the only reports that reach ``NonDiagonalizable``;
     - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
       ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
-      1, their rank declared, in both modes: the largest kernel algebras and
-      quotient forms the reports reach, whose float outputs the benchmark does
-      not cover;
+      1, their rank declared, in both modes, and with (7, 0) at seed 0 in
+      exact mode: the largest kernel algebras and quotient forms the reports
+      reach, whose float outputs the benchmark does not cover, and at sl(7)
+      20 rational spectrum values from a 42 x 42 recursion operator;
     - ``analyze`` on so(3)'s shift pencil written the long way, in both
       modes: exponents as digit strings and integral floats, repeated
       monomials that cancel or add up, and an entry whose terms all cancel,
@@ -169,15 +171,16 @@ def further_jobs(workdir: str):
                   [command, "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
                    "--mode", mode, "--seed", str(s)])
                  for command in ("jk", "analyze") for mode in MODES for s in FURTHER_SEEDS]
-    for n, b in ((3, 1), (4, 1), (5, 0), (6, 0)):
+    for n, b, seed, modes in ((3, 1, 1, MODES), (4, 1, 1, MODES), (5, 0, 1, MODES),
+                              (6, 0, 1, MODES), (7, 0, 0, ("exact",))):
         case = shift_case(n, b, 1)
         entry = case.entry()
         path = write(f"sl{n}.b{b}.pencil.json",
                      pencil_to_json_dict(entry.field0, entry.field_inf, n * n - n))
         point = "--point=" + ",".join(map(str, case.point))
-        jobs += [(f"analyze sl{n} shift b={b} {mode} seed=1",
-                  ["analyze", "--pencil", path, point, "--mode", mode, "--seed", "1"])
-                 for mode in MODES]
+        jobs += [(f"analyze sl{n} shift b={b} {mode} seed={seed}",
+                  ["analyze", "--pencil", path, point, "--mode", mode, "--seed", str(seed)])
+                 for mode in modes]
     shift = catalog_by_name()["so3_shift"]
     long_form = pencil_to_json_dict(shift.field0, shift.field_inf)
     for block in ("P0", "Pinf"):
@@ -276,7 +279,8 @@ def src_lines(tree) -> int:
 
 
 def run_tree(tree: str, seeds, out_path: str):
-    """Child: run every job of ``tree`` and write {key: [code, stdout, stderr]}."""
+    """Child: run every job of ``tree`` and write {key: [code, stdout, stderr,
+    mode]}."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench"),
                     os.path.join(tree, "tests")]
     import workloads
@@ -285,8 +289,9 @@ def run_tree(tree: str, seeds, out_path: str):
 
     def run(key, argv, workdir):
         code, out, err = workloads.run_job(argv)
+        mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "exact"
         results[key] = [code, out.replace(workdir, PLACEHOLDER),
-                        err.replace(workdir, PLACEHOLDER)]
+                        err.replace(workdir, PLACEHOLDER), mode]
 
     for name in WORKLOADS:
         for seed in seeds:
@@ -349,11 +354,16 @@ def main(argv=None) -> int:
                  if a != b]
         print(f"{key}: {', '.join(parts)} differ (exit {old[0]} -> {new[0]})")
     keys = ref.keys() | tree.keys()
+    modes = {key: (tree.get(key) or ref[key])[3] for key in keys}
     further = {key for key in keys if key.startswith(FURTHER)}
     print(f"{len(set(differ) - further)} of {len(keys - further)} benchmark jobs differ "
           f"(seeds {' '.join(map(str, args.seeds))}), "
           f"{len(further.intersection(differ))} of {len(further)} further reports differ "
           f"({args.ref} against the working tree)")
+    print("by mode: " + ", ".join(
+        f"{sum(modes[key] == mode for key in differ)} of "
+        f"{sum(m == mode for m in modes.values())} {mode}-mode jobs and reports differ"
+        for mode in MODES))
     print(f"src/ lines: {lines['ref']} at {args.ref}, {lines['tree']} in the working tree "
           f"({lines['tree'] - lines['ref']:+d})")
     return 1 if differ else 0
