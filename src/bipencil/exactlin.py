@@ -27,7 +27,10 @@ value exact (Fraction or QQi) when it is a Gaussian rational and a complex
 float otherwise; every multiplicity is exact, read off Yun's squarefree
 decomposition (``squarefree_decomposition``), whose gcds run on the same
 carriers Z and Z[i], as primitive pseudo-remainder sequences
-(``poly_gcd_exact``).  ``eigenvalues`` gives the same list for a matrix, and
+(``poly_gcd_exact``).  The exact roots of each squarefree factor are found
+with no float, mod a prime and lifted p-adically
+(``gaussian_rational_roots``); only the cofactor with no such root goes to
+numpy.  ``eigenvalues`` gives the same list for a matrix, and
 ``eigenspaces``, the one eigen-split, also decides diagonalizability over C.
 Matrices are lists of lists of Fraction / QQi / int entries, or floats;
 vectors are lists.  A float decision converts each exact value once where it
@@ -44,8 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import (EXACT, Mode, QQi, convergent_denominators, is_exact_scalar,
-                      snap_candidates, tidy)
+from .scalars import EXACT, Mode, QQi, is_exact_scalar, tidy
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -590,64 +592,96 @@ def squarefree_decomposition(coeffs):
         b, c = _poly_quotient(b, f), _poly_quotient(d, f)
 
 
-NEWTON_ITERS = 60     # cap on the Newton steps that polish one root
-SNAP_TOL = 1e-7       # distance within which a float root is tried as an exact one
+def _eval_mod(coeffs, x, q):
+    """An ascending integer polynomial at x mod q by Horner; x an int, or an
+    int64 array when q is small enough for the products to fit."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out * x + c) % q
+    return out
 
 
-def _newton_polish(coeffs_float, dcoeffs_float, z: complex) -> complex:
-    for _ in range(NEWTON_ITERS):
-        p = 0j
-        for c in reversed(coeffs_float):
-            p = p * z + c
-        dp = 0j
-        for c in reversed(dcoeffs_float):
-            dp = dp * z + c
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
-    return z
+def gaussian_rational_roots(f):
+    """(roots, cofactor): the roots in Q(i) of a squarefree f over Q or Q(i),
+    exact, and f divided by their linear factors, which has none.
 
-
-def poly_roots_hybrid(coeffs, squarefree=None):
-    """Roots of an exact polynomial with their multiplicities, one list of
-    (value, multiplicity): exact values first, then floats.  ``squarefree`` is
-    its ``squarefree_decomposition`` when the caller has it.
-
-    The roots of the squarefree part are found by numpy and Newton-polished
-    on it, where every root is simple, so a multiple root of the original
-    loses no accuracy to its multiplicity.  A polished root that snaps to a Gaussian
-    rational root, checked by exact evaluation, is exact (Fraction or QQi);
-    the others stay complex.  Of the f_i of ``squarefree_decomposition``, an
-    exact root's multiplicity is the i of the one it is a root of, and a float
-    root's the i of the one smallest at it relative to its largest coefficient.
+    p-adic lifting (Loos, SIAM J. Comput. 1983) over the Gaussian integers.
+    With lc the leading coefficient of the cleared f, each root z makes
+    w = lc z a Gaussian integer with |w| <= B = |lc| + max |a_k| (Cauchy).
+    The first prime p = 1 (mod 4) above 10^4 with p not dividing N(lc), at
+    which every root of f mod p is simple, is taken, with i -> s, s^2 = -1,
+    mapping Z[i] onto F_p; the roots mod p come from one evaluation at every
+    residue.  Newton's doubling lifts them, and s with them, to q = p^K >
+    4 B^2 (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4).  The w
+    with residue t = lc r mod q lie on a coset of the lattice x + y s = 0
+    (mod q), spanned by (q, 0) and (-s, 1): the multiples of a g of norm q,
+    its shortest vector.  So t - round(t / g) g is the one w of norm below
+    q / 4; w / lc is kept when f vanishes there exactly.  A linear f gives
+    -c_0 / c_1 directly.
     """
-    deg = _poly_degree(coeffs)
-    coeffs = [tidy(c) for c in coeffs[:deg + 1]]
-    sf, factors = squarefree or squarefree_decomposition(coeffs)
-    sf_float = [complex(c) for c in sf]
-    dsf_float = [complex(c) for c in poly_deriv(sf)]
-    approx = np.roots(list(reversed(sf_float)))
-    polished = [_newton_polish(sf_float, dsf_float, complex(z)) for z in approx]
+    f = f[:_poly_degree(f) + 1]
+    if len(f) <= 2:
+        return ([tidy(-f[0] / f[1])], f[1:]) if len(f) == 2 else ([], f)
+    a = _ZI.clear(f)
+    lc = a[-1]
+    norm_lc = lc[0] ** 2 + lc[1] ** 2
+    bound = (math.isqrt(norm_lc) + math.isqrt(max(x * x + y * y for x, y in a)) + 2) ** 2
+    for p in itertools.count(10 ** 4 + 1, 4):
+        if norm_lc % p and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            s = next(s for s in (pow(c, (p - 1) // 4, p) for c in itertools.count(2))
+                     if s * s % p == p - 1)
+            c = [(x + y * s) % p for x, y in a]
+            roots = np.flatnonzero(_eval_mod(c, np.arange(p, dtype=np.int64), p) == 0)
+            if np.all(_eval_mod(poly_deriv(c), roots, p)):
+                break
+    roots, q = [int(r) for r in roots], p
+    while q <= 4 * bound:
+        q *= q
+        s = (s - (s * s + 1) * pow(2 * s, -1, q)) % q
+        c = [(x + y * s) % q for x, y in a]
+        roots = [(r - _eval_mod(c, r, q) * pow(_eval_mod(poly_deriv(c), r, q), -1, q)) % q
+                 for r in roots]
+    (gr, gi), (br, bi) = (q, 0), (-s, 1)        # Lagrange-Gauss reduction
+    while br * br + bi * bi < gr * gr + gi * gi:
+        m = (2 * (gr * br + gi * bi) + br * br + bi * bi) // (2 * (br * br + bi * bi))
+        (gr, gi), (br, bi) = (br, bi), (gr - m * br, gi - m * bi)
+    found = []
+    for r in roots:
+        t = (lc[0] + lc[1] * s) * r % q
+        x, y = (2 * t * gr + q) // (2 * q), (q - 2 * t * gi) // (2 * q)
+        w = (t - x * gr + y * gi, -x * gi - y * gr)
+        if w[0] ** 2 + w[1] ** 2 <= bound and poly_eval(f, z := _ZI.quotient(w, lc)) == 0:
+            found.append(z)
+    for z in found:
+        f = _poly_quotient(f, [-z, Fraction(1)])
+    return found, f
 
-    # A root r of an integral polynomial with leading coefficient c makes c*r
-    # a Gaussian integer, so both parts of r have denominators dividing |c|^2;
-    # that rules out most candidates before poly_eval.
-    lead_re, lead_im = _ZI.clear(coeffs)[-1]
-    norm = lead_re ** 2 + lead_im ** 2
-    floats = [([complex(c) for c in f], i) for f, i in factors]
+
+def poly_roots_hybrid(coeffs, factors=None):
+    """Roots of an exact polynomial with their multiplicities, one list of
+    (value, multiplicity): exact values first, then floats.  ``factors`` is
+    the factor list of its ``squarefree_decomposition``, or the part of it
+    whose roots the caller wants, when the caller has it.
+
+    Each squarefree f_i gives its Gaussian-rational roots exactly (Fraction or
+    QQi), by ``gaussian_rational_roots``, and their multiplicity is i.  The
+    other roots are numpy's roots of the cofactor, complex floats of the same
+    multiplicity, each moved by one Newton step from the exact value of the
+    cofactor there: a factor that is squarefree and holds no exact root loses
+    no accuracy to a multiplicity or to its neighbours.
+    """
+    if factors is None:
+        factors = squarefree_decomposition([tidy(c) for c in coeffs[:_poly_degree(coeffs) + 1]])[1]
     exact_roots, float_roots = [], []
-    for z in polished:
-        dens = [q for q in convergent_denominators(z, SNAP_TOL) if norm % q == 0]
-        cand = next((c for c in snap_candidates(z, SNAP_TOL, dens)
-                     if poly_eval(coeffs, c) == 0), None)
-        if cand is None:
-            float_roots.append((z, min(floats, key=lambda f: abs(poly_eval(f[0], z))
-                                       / max(map(abs, f[0])))[1]))
-        elif all(r != cand for r, _ in exact_roots):
-            exact_roots.append((cand, next(i for f, i in factors if poly_eval(f, cand) == 0)))
+    for f, i in factors:
+        roots, cofactor = gaussian_rational_roots(f)
+        exact_roots += [(z, i) for z in roots]
+        dcofactor = [complex(c) for c in poly_deriv(cofactor)]
+        for z in map(complex, np.roots([complex(c) for c in cofactor[::-1]])):
+            # numpy's root may be a few ulp off: one Newton step from the exact
+            # residual there leaves about the rounding of the step
+            r = poly_eval(cofactor, QQi(Fraction(z.real), Fraction(z.imag)))
+            float_roots.append((z - complex(r) / poly_eval(dcofactor, z), i))
     return exact_roots + float_roots
 
 

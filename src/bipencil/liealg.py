@@ -96,11 +96,9 @@ class LieAlgebra:
 
     def center(self, mode: Mode = EXACT):
         """Basis of {x : [x, g] = 0}."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.structure_vector(i, j)[k] for i in range(self.dim)])
-        return nullspace(rows, mode)
+        c = [[self.structure_vector(i, j) for j in range(self.dim)] for i in range(self.dim)]
+        return nullspace([[c[i][j][k] for i in range(self.dim)]
+                          for j in range(self.dim) for k in range(self.dim)], mode)
 
     def derived_basis(self, mode: Mode = EXACT):
         return basis_union([], self._c.values(), mode)

@@ -20,7 +20,7 @@ from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nu
                        nullspace_float, nullspace_mod_p, primitive_row, residues, solve,
                        span_mod_p)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, near, snap_candidates, tidy)
+                      is_inf, lambda_is_real, near, snap, tidy)
 from .tensorfield import PencilAtPoint, gram, skew
 
 
@@ -297,11 +297,13 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
             if any(is_inf(lam) == is_inf(e.lam)
                    and abs(lam_c - point(e.lam)) <= 1e-7 * max(1.0, abs(lam_c)) for e in entries):
                 continue
-            # the pencil parameter usually has modest height even when the
-            # recursion eigenvalue does not, so rationalize lambda itself first
-            snapped = None if is_inf(lam) else next(snap_candidates(lam_c, 1e-8), None)
-            if snapped is not None and (mode.is_exact or all(
-                    is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)):
+            # in float mode the pencil parameter usually has modest height even
+            # when the recursion eigenvalue does not, so an exact pencil tries
+            # lambda rationalized first; in exact mode a float mu is irrational,
+            # and so is lambda = (t1 - mu t2) / (1 - mu)
+            snapped = None if is_inf(lam) or mode.is_exact else snap(lam_c, 1e-8)
+            if snapped is not None and all(
+                    is_exact_scalar(x) for _, _, *pair in p.entries for x in pair):
                 kd = p.dim - rank_at(p, snapped, EXACT, warnings)
                 if kd > corank:
                     entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))

@@ -230,8 +230,9 @@ def tidy(x):
 _SNAP_DENOMINATORS = (1, 2, 12, 60, 1000, 10 ** 6, 10 ** 9)
 
 
-def snap_candidates(z: complex, tol: float, dens=_SNAP_DENOMINATORS):
-    """Gaussian rationals within ``tol`` of z, one per denominator bound in ``dens``.
+def snap(z: complex, tol: float):
+    """The Gaussian rational within ``tol`` of z at the first denominator bound
+    of the ladder ``_SNAP_DENOMINATORS`` that has one, or None.
 
     Both parts of z are limited to each bound in turn, so simple values like
     1/3 are recovered with their true denominator rather than a huge
@@ -239,45 +240,11 @@ def snap_candidates(z: complex, tol: float, dens=_SNAP_DENOMINATORS):
     """
     z = complex(z)
     re, im = Fraction(z.real), Fraction(z.imag)
-    bound = tol * max(1.0, abs(z))
-    last = None
-    for den in dens:
-        r = re.limit_denominator(den)
-        if abs(float(r) - z.real) > bound:
-            continue
-        cand = QQi(r, im.limit_denominator(den))
-        if cand != last and abs(complex(cand) - z) <= bound:
-            yield tidy(cand)
-            last = cand
-
-
-def convergent_denominators(z: complex, tol: float) -> list:
-    """Bounds for ``snap_candidates(z, tol, ...)`` that reach every
-    continued-fraction convergent within ``tol`` of either part of z, with
-    denominator up to the largest ladder bound.
-
-    A float root from a cluster of roots may be some 1e-10 off; the fixed
-    ladder then passes over its true denominator (0.9988986071219667 gives
-    907/908 at 1000 and 987659/988748 at 10**6, not 15418/15435), while a
-    convergent still hits it.
-    """
-    top = _SNAP_DENOMINATORS[-1]
-    bound = tol * max(1.0, abs(z))
-    dens = set()
-    for part in (z.real, z.imag):
-        x = Fraction(part)
-        p_prev, p, q_prev, q = 0, 1, 1, 0
-        while True:
-            a, rest = divmod(x.numerator, x.denominator)
-            p_prev, p, q_prev, q = p, a * p + p_prev, q, a * q + q_prev
-            if q > top:
-                break
-            if abs(p / q - part) <= bound:
-                dens.add(q)
-            if rest == 0:
-                break
-            x = Fraction(x.denominator, rest)
-    return sorted(dens)
+    for den in _SNAP_DENOMINATORS:
+        cand = QQi(re.limit_denominator(den), im.limit_denominator(den))
+        if abs(complex(cand) - z) <= tol * max(1.0, abs(z)):
+            return tidy(cand)
+    return None
 
 
 def format_scalar(x):

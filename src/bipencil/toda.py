@@ -142,23 +142,22 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     reported; all values are real (the matrix is symmetric).  In exact mode
     one squarefree decomposition of each block's ``jacobi_char_poly`` serves
     twice: a squarefree block has no multiple eigenvalue, so its roots are not
-    sought; otherwise each root of multiplicity >= 2 from ``poly_roots_hybrid``
-    gives an entry, with an exact value when the root is rational and a float
-    one otherwise.
+    sought; otherwise ``poly_roots_hybrid`` is given only the factors of
+    multiplicity >= 2, and each of their roots gives an entry, with an exact
+    value when the root is rational and a float one otherwise.
     """
     out = []
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
         block = jacobi_block(pt, sign)
         if mode.is_exact:
             chi = jacobi_char_poly(block)
-            squarefree = squarefree_decomposition(chi)
-            if all(i == 1 for _, i in squarefree[1]):
+            multiple = [(f, i) for f, i in squarefree_decomposition(chi)[1] if i >= 2]
+            if not multiple:
                 continue
-            for mu, mult in poly_roots_hybrid(chi, squarefree):
-                if mult >= 2:
-                    mu = mu if is_exact_scalar(mu) else mu.real
-                    out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                                multiplicity=mult))
+            for mu, mult in poly_roots_hybrid(chi, multiple):
+                mu = mu if is_exact_scalar(mu) else mu.real
+                out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
+                                            multiplicity=mult))
         else:
             vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
             scale = max(1.0, max(abs(v) for v in vals))

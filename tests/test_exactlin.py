@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,10 +13,11 @@ from hypothesis import strategies as st
 
 from bipencil import exactlin
 from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_poly,
-                               coords_in_span, eigenvalues, identity, mat_mul, mat_rank,
-                               mat_rank_exact, mat_vec, nullspace_exact, nullspace_mod_p,
-                               poly_eval, poly_gcd_exact, poly_roots_hybrid, residues, rref,
-                               solve, span_mod_p, squarefree_decomposition, transpose)
+                               coords_in_span, eigenvalues, gaussian_rational_roots,
+                               identity, mat_mul, mat_rank, mat_rank_exact, mat_vec,
+                               nullspace_exact, nullspace_mod_p, poly_eval, poly_gcd_exact,
+                               poly_roots_hybrid, residues, rref, solve, span_mod_p,
+                               squarefree_decomposition, transpose)
 from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
 from oracles import euclid
@@ -653,20 +657,20 @@ def test_char_poly_roots_and_multiplicity():
     roots = poly_roots_hybrid(p)
     assert {(str(r), m) for r, m in roots} == {("1", 2), ("-2", 1)}
 
-    # irrational pair stays float, Newton-polished
+    # irrational pair stays float, numpy's roots of the factor with no exact root
     roots = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
     assert all(type(z) is complex for z, _ in roots)
     assert sorted(round(abs(z), 9) for z, _ in roots) == [1.414213562] * 2
 
-    # 907/908 lies within the snap tolerance of 15418/15435 but is no root;
-    # the larger convergent is, and must come back exact
+    # 907/908 lies within 1e-7 of 15418/15435 but is no root; the root itself
+    # must come back exact
     assert poly_roots_hybrid([-Fraction(15418, 15435), Fraction(1)]) == \
         [(Fraction(15418, 15435), 1)]
 
     # (x-1)^2 (x-11267/11250)^4 (x-15418/15435)^2, from a Jordan-Kronecker
-    # pencil: the clustered roots come back from the float solver about 1e-10
-    # off, where the fixed snap ladder finds only wrong fractions; the
-    # continued-fraction convergents still reach both roots
+    # pencil: a float solver puts the clustered roots about 1e-10 off, where
+    # no small-denominator fraction near them is a root; the roots are found
+    # exactly, whatever their neighbours
     roots = {Fraction(1): 2, Fraction(11267, 11250): 4, Fraction(15418, 15435): 2}
     p = [Fraction(1)]
     for r, m in roots.items():
@@ -674,6 +678,64 @@ def test_char_poly_roots_and_multiplicity():
             p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
     got = poly_roots_hybrid(p)
     assert all(isinstance(r, Fraction) for r, _ in got) and dict(got) == roots
+
+
+SHIFT_SQUAREFREE = json.loads((Path(__file__).parent / "fixtures" /
+                               "shift_squarefree.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_SQUAREFREE))
+def test_every_root_of_the_sl_n_squarefree_parts_is_exact(case):
+    # written by tools/root_fixtures.py: the squarefree part of the recursion
+    # operator's characteristic polynomial at a shift_case point, of degree 21
+    # to 29, whose roots are all rational (b0) or Gaussian rational (b1)
+    f = [Fraction(c) for c in SHIFT_SQUAREFREE[case]]
+    roots, cofactor = gaussian_rational_roots(f)
+    assert len(set(roots)) == len(roots) == len(f) - 1 and cofactor == [1]
+    assert all(poly_eval(f, z) == 0 for z in roots)
+    assert any(isinstance(z, QQi) for z in roots) == (".b1." in case)
+
+
+# x^3 - x - 1, x^2 - 2 and x^2 + 2: no root in Q(i), one or three real roots
+NO_GAUSSIAN_ROOT = [[Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)],
+                    [Fraction(-2), Fraction(0), Fraction(1)],
+                    [Fraction(2), Fraction(0), Fraction(1)]]
+tall = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(tall, tall | st.just(Fraction(0))), max_size=6, unique=True),
+       st.sampled_from(NO_GAUSSIAN_ROOT),
+       st.sampled_from([Fraction(1), Fraction(-7, 3), QQi(2, 5)]))
+def test_planted_gaussian_rational_roots_are_found_exactly(parts, rest, lead):
+    planted = [tidy(QQi(re, im)) for re, im in parts]
+    f = [lead * c for c in rest]
+    for z in planted:
+        f = poly_mul(f, [-z, Fraction(1)])
+    roots, cofactor = gaussian_rational_roots([tidy(c) for c in f])
+    assert len(roots) == len(planted) and set(roots) == set(planted)
+    assert cofactor == [tidy(lead * c) for c in rest]
+
+
+def test_close_irrational_pairs_keep_their_multiplicities_and_bits():
+    # (x^2 - c)^2 (x^2 - c')^k with c' 10^-6 or 10^-4 above c: two close
+    # irrational pairs, whose roots a float solver on the whole squarefree
+    # part resolves only to about the square root of the working precision;
+    # each Yun factor's own roots are within 2 ulp of the true square roots,
+    # with its exponent
+    for c, gap, exponents in ((3, Fraction(1, 10 ** 6), (2, 3)),
+                              (2, Fraction(1, 10 ** 4), (2, 1))):
+        consts = (Fraction(c), c + gap)
+        p = product_of_powers([[-k, Fraction(0), Fraction(1)] for k in consts], exponents)
+        roots = poly_roots_hybrid(p)
+        assert len(roots) == 4 and all(type(z) is complex for z, _ in roots)
+        for k, e in zip(consts, exponents):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                true = float((Decimal(k.numerator) / Decimal(k.denominator)).sqrt())
+            for sign in (1, -1):
+                assert [m for z, m in roots
+                        if abs(z - sign * true) <= 2 * math.ulp(true)] == [e], (c, sign)
 
 
 def test_poly_gcd_and_squarefree():

@@ -4,7 +4,7 @@ import pytest
 
 from bipencil import algebras
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import eigenspaces, mat_rank, mat_vec, shift
+from bipencil.exactlin import eigenspaces, mat_rank, mat_vec, nullspace, shift
 from bipencil.liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shift_cocycle,
                              is_cocycle, is_regular_cocycle, kernel_of_cocycle,
                              matrix_is_semisimple)
@@ -61,6 +61,21 @@ def test_is_cocycle_negative_case():
     g = LieAlgebra(4)
     g.set_bracket(0, 1, [F(0), F(1), F(0), F(0)])
     assert not is_cocycle(g, skew(4, {(1, 2): 1}))
+
+
+def test_center_reads_each_structure_vector_once(monkeypatch):
+    # the rows (j, k) of the center's system hold c_ij^k over i; the d^2
+    # structure vectors give all d^3 entries
+    g = algebras.so3().direct_sum(algebras.diamond())
+    d = g.dim
+    rows = [[g.structure_vector(i, j)[k] for i in range(d)] for j in range(d) for k in range(d)]
+    calls = []
+    structure_vector = LieAlgebra.structure_vector
+    monkeypatch.setattr(LieAlgebra, "structure_vector",
+                        lambda self, i, j: calls.append((i, j)) or structure_vector(self, i, j))
+    center = g.center()
+    assert len(calls) == d * d
+    assert center == nullspace(rows) and len(center) == 1
 
 
 def test_kernel_of_cocycle_diamond_center():

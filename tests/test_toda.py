@@ -7,7 +7,7 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
-from bipencil import exactlin, toda
+from bipencil import exactlin, pencil, toda
 from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, float_mode
 from bipencil.tensorfield import evaluate_pencil
@@ -20,7 +20,7 @@ from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
                           fold_to_covector, kernel_product, lax_matrix,
                           toda_kernel_algebra, toda_pencil_at, wronskian)
-from pipeline import spectrum_of
+from pipeline import core_of, spectrum_of
 
 F = Fraction
 
@@ -175,6 +175,23 @@ def test_exact_lax_oracle_skips_squarefree_blocks(monkeypatch):
     monkeypatch.setattr(toda, "poly_roots_hybrid",
                         lambda chi: pytest.fail("a squarefree block was root-found"))
     assert toda_spectrum_via_lax(random_point(5, 3)) == []
+
+
+def test_exact_spectrum_ranks_each_eigenvalue_of_the_recursion_operator_once(monkeypatch):
+    # at a_i = 1, b_i = 0 (n = 4) R has irrational eigenvalues mu, and
+    # lambda = (t1 - mu t2) / (1 - mu) is then irrational too: no rational
+    # near it is a spectrum value, so exact mode tries none and spends one
+    # rank per eigenvalue of R
+    p = toda_pencil_at(constant_lattice(4))
+    core = core_of(p)
+    ranks, eigs = [], []
+    rank_at, eigenvalues = pencil.rank_at, pencil.eigenvalues
+    monkeypatch.setattr(pencil, "rank_at", lambda *args: ranks.append(args) or rank_at(*args))
+    monkeypatch.setattr(pencil, "eigenvalues",
+                        lambda *args: eigs.append(eigenvalues(*args)) or eigs[-1])
+    pencil.compute_spectrum(p, core)
+    (exact, floats), = eigs
+    assert floats and len(ranks) == len(exact) + len(floats)
 
 
 def test_generic_point_empty_both_oracles():

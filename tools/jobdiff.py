@@ -72,10 +72,12 @@ def further_jobs(workdir: str):
       at seeds 0-2: the only reports that reach ``NonDiagonalizable``;
     - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
       ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
-      1, their rank declared, in both modes, and with (7, 0) at seed 0 in
-      exact mode: the largest kernel algebras and quotient forms the reports
-      reach, whose float outputs the benchmark does not cover, and at sl(7)
-      20 rational spectrum values from a 42 x 42 recursion operator;
+      1, their rank declared, in both modes, with (7, 0) at seed 0 and with
+      (8, 0) at seed 1 in exact mode: the largest kernel algebras and
+      quotient forms the reports reach, whose float outputs the benchmark
+      does not cover, and 20 rational spectrum values from a 42 x 42
+      recursion operator at sl(7), and 24 from a 56 x 56 one at sl(8), where
+      a float search for the roots of its characteristic polynomial fails;
     - ``analyze`` on so(3)'s shift pencil written the long way, in both
       modes: exponents as digit strings and integral floats, repeated
       monomials that cancel or add up, and an entry whose terms all cancel,
@@ -172,7 +174,7 @@ def further_jobs(workdir: str):
                    "--mode", mode, "--seed", str(s)])
                  for command in ("jk", "analyze") for mode in MODES for s in FURTHER_SEEDS]
     for n, b, seed, modes in ((3, 1, 1, MODES), (4, 1, 1, MODES), (5, 0, 1, MODES),
-                              (6, 0, 1, MODES), (7, 0, 0, ("exact",))):
+                              (6, 0, 1, MODES), (7, 0, 0, ("exact",)), (8, 0, 1, ("exact",))):
         case = shift_case(n, b, 1)
         entry = case.entry()
         path = write(f"sl{n}.b{b}.pencil.json",
