@@ -3,19 +3,20 @@
 Rank decisions are the load-bearing primitive of the whole pipeline.  The
 exact kernel clears each row of denominators with one integer lcm, divides it
 by its content (``primitive_row``) and then eliminates fraction-free on Python
-ints, with one carrier per kind of input:
-Z for real rational matrices, Z[i] ((re, im) int pairs) for Gaussian-rational
-ones.  The rank is Bareiss (1968) forward elimination; the reduced row
-echelon form is fraction-free Gauss-Jordan, turned back into Fraction / QQi
-entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
-proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
-reaches a known upper bound, such as a certified pencil rank, proves the
-rational rank; a lower one, or p dividing a denominator, proves nothing and
-the caller rechecks over Q.  Every primitive decides exactly when the mode is
-exact and every entry is exact (``decides_exactly``), and otherwise in floats
-at ``Mode.tol``, the one float tolerance; the float rank thresholds singular
-values at tol * sigma_max.  A nonzero scale of a row changes no rank, kernel
-or reduced row echelon form, so a caller may pass such a multiple of its
+ints, with one carrier per kind of input: Z for real rational matrices,
+Z[sqrt d] ((x, y) int pairs, x + y sqrt d) for matrices over a quadratic
+field Q(sqrt d), the Gaussian rationals at d = -1.  The rank is Bareiss
+(1968) forward elimination; the reduced row echelon form is fraction-free
+Gauss-Jordan, turned back into Fraction / QQi entries only at the end.  A
+third carrier, F_p (p = PRIME = 2^61 - 1), proves one-sided facts: rank mod
+p <= rank over Q, so an F_p rank that reaches a known upper bound, such as a
+certified pencil rank, proves the rational rank; a lower one, or p dividing
+a denominator, proves nothing and the caller rechecks over Q.  Every
+primitive decides exactly when the mode is exact and every entry is exact,
+in one field (``decides_exactly``), and otherwise in floats at ``Mode.tol``,
+the one float tolerance; the float rank thresholds singular values at
+tol * sigma_max.  A nonzero scale of a row changes no rank, kernel or
+reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
 the whole basis, and otherwise by one reduced row echelon form of the basis
@@ -23,15 +24,18 @@ beside them all (a least-squares solve per vector for float input);
 ``restrict`` reads an operator's matrix on an invariant span off one such
 call, and ``solve`` reads B^-1 C off one of [B | C].  ``poly_roots_hybrid``
 lists the roots of an exact polynomial as (value, multiplicity) pairs, a
-value exact (Fraction or QQi) when it is a Gaussian rational and a complex
+value exact (Fraction or QQi) when ``exact_roots`` finds it and a complex
 float otherwise; every multiplicity is exact, read off Yun's squarefree
 decomposition (``squarefree_decomposition``), whose gcds run on the same
-carriers Z and Z[i], as primitive pseudo-remainder sequences
+carriers Z and Z[sqrt d], as primitive pseudo-remainder sequences
 (``poly_gcd_exact``).  The exact roots of each squarefree factor are found
-with no float, mod a prime and lifted p-adically
-(``gaussian_rational_roots``); only the cofactor with no such root goes to
-numpy.  ``eigenvalues`` gives the same list for a matrix, and
-``eigenspaces``, the one eigen-split, also decides diagonalizability over C.
+with no float: the Gaussian-rational ones mod a prime and lifted p-adically
+(``gaussian_rational_roots``), then both roots of a quadratic cofactor over
+Q, in the field of its discriminant, and the root of a linear factor over any
+Q(sqrt d); only a cofactor of degree 3 or more, or of degree 2 over a field
+other than Q, goes to numpy.  ``eigenvalues`` gives the same list for a
+matrix, and ``eigenspaces``, the one eigen-split, also decides
+diagonalizability over C.
 Matrices are lists of lists of Fraction / QQi / int entries, or floats;
 vectors are lists.  A float decision converts each exact value once where it
 meets a float (``as_float``, ``to_numpy``), to the correctly rounded float(x)
@@ -47,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, Mode, QQi, is_exact_scalar, tidy
+from .scalars import EXACT, Mode, QQi, field_coords, is_exact_scalar, quadratic_field, tidy
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -96,7 +100,7 @@ def to_numpy(M) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the exact kernel: fraction-free elimination over Z and Z[i]
+# the exact kernel: fraction-free elimination over Z and Z[sqrt d]
 # ---------------------------------------------------------------------------
 
 
@@ -128,48 +132,61 @@ class _Z:
         return Fraction(a, d)
 
 
-class _ZI:
-    """Carrier Z[i], for Gaussian-rational matrices: entries are (re, im) int pairs."""
+class _ZD:
+    """Carrier Z[sqrt d], for matrices over Q(sqrt d): entries are (x, y) int
+    pairs, x + y sqrt d.  Every minor of such entries lies in Z[sqrt d], so a
+    Bareiss division by one is exact: the product with its conjugate is
+    divided by its norm, an int."""
 
     zero, one = (0, 0), (1, 0)
 
-    @staticmethod
-    def clear(row):
-        """The row times the lcm of the denominators of both parts of its entries."""
-        parts = [(x.re, x.im) if isinstance(x, QQi) else (x, 0) for x in row]
-        ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in parts]
+    def __init__(self, d: int):
+        self.d = d
+
+    def clear(self, row):
+        """The row times the lcm of the denominators of both coordinates of its entries."""
+        ratios = [(a.as_integer_ratio(), b.as_integer_ratio())
+                  for a, b in (field_coords(x, self.d) for x in row)]
         lcm = math.lcm(*{d for pair in ratios for _, d in pair})
         return [(a * (lcm // d), b * (lcm // e)) for (a, d), (b, e) in ratios]
 
-    @staticmethod
-    def primitive(row):
+    def primitive(self, row):
         """The nonzero row times the conjugate of its first entry, over the gcd
-        of all parts.  A pseudo-division by a row whose first entry is an
+        of all coordinates.  A pseudo-division by a row whose first entry is an
         integer multiplies by integers only, which that gcd removes; a
-        Gaussian multiplier would stay, and compound."""
+        multiplier in Z[sqrt d] would stay, and compound."""
         lr, li = row[0]
-        row = [(ar * lr + ai * li, ai * lr - ar * li) for ar, ai in row]
+        dli = self.d * li
+        row = [(ar * lr - ai * dli, ai * lr - ar * li) for ar, ai in row]
         content = math.gcd(*(x for pair in row for x in pair))
         return [(a // content, b // content) for a, b in row]
 
-    @staticmethod
-    def combine(p, f, prev, row, prow):
+    def combine(self, p, f, prev, row, prow):
         """(p * row - f * prow) / prev, entrywise: the product with conj(prev)
-        is divided exactly by |prev|^2."""
+        is divided exactly by the norm N(prev) = qr^2 - d qi^2."""
         (pr, pi), (fr, fi), (qr, qi) = p, f, prev
-        n = qr * qr + qi * qi
+        d = self.d
+        dpi, dfi, dqi = d * pi, d * fi, d * qi
+        n = qr * qr - dqi * qi
         out = []
         for (ar, ai), (br, bi) in zip(row, prow):
-            cr = pr * ar - pi * ai - fr * br + fi * bi
+            cr = pr * ar + dpi * ai - fr * br - dfi * bi
             ci = pr * ai + pi * ar - fr * bi - fi * br
-            out.append(((cr * qr + ci * qi) // n, (ci * qr - cr * qi) // n))
+            out.append(((cr * qr - ci * dqi) // n, (ci * qr - cr * qi) // n))
         return out
 
-    @staticmethod
-    def quotient(a, d):
-        (ar, ai), (dr, di) = a, d
-        n = dr * dr + di * di
-        return tidy(QQi(Fraction(ar * dr + ai * di, n), Fraction(ai * dr - ar * di, n)))
+    def quotient(self, a, den):
+        (ar, ai), (dr, di) = a, den
+        d = self.d
+        n = dr * dr - d * di * di
+        return tidy(QQi(Fraction(ar * dr - d * ai * di, n), Fraction(ai * dr - ar * di, n), d))
+
+
+def _carrier(values):
+    """_Z when every one of the exact ``values`` is rational, else _ZD of
+    their one field."""
+    d = quadratic_field(values)
+    return _Z if d == 0 else _ZD(d)
 
 
 PRIME = 2 ** 61 - 1
@@ -188,7 +205,7 @@ def residues(row):
         if type(x) is not int:
             if isinstance(x, QQi):
                 if x.im:
-                    raise ValueError("a non-real entry has no residue")
+                    raise ValueError("an irrational entry has no residue")
                 x = x.re
             elif not isinstance(x, Fraction):
                 raise ValueError("an inexact entry has no residue")
@@ -221,20 +238,27 @@ class _Fp:
 def _eliminate(M, reduce: bool, K=None):
     """Fraction-free elimination of an exact matrix; returns (carrier, rows, pivots).
 
-    The rows are the denominator-cleared rows of M over Z, or over Z[i] when
-    an entry has a nonzero imaginary part, or their residues when the carrier
-    ``K`` is _Fp.  At a pivot p in column ``col`` (previous pivot ``prev``, 1
-    at the start) each row below the pivot row becomes (p * row - row[col] *
-    pivot_row) / prev: the forward elimination of Bareiss (1968), whose
-    entries are minors of M, so the division is exact.  With ``reduce`` the
-    rows above are updated the same way, which is fraction-free Gauss-Jordan:
-    every pivot then equals the last one, and dividing a pivot row by its
-    pivot gives the reduced row echelon form.  Over F_PRIME the rows are not
-    scaled (see _Fp.combine), and each pivot row is divided by its own pivot.
+    The rows are the denominator-cleared rows of M over Z, or over Z[sqrt d]
+    when an entry is irrational in Q(sqrt d), or their residues when the
+    carrier ``K`` is _Fp; ``_bareiss`` eliminates them.
     """
-    K = K or (_ZI if any(isinstance(x, QQi) and x.im for row in M for x in row) else _Z)
+    K = K or _carrier(x for row in M for x in row)
+    return _bareiss(K, [K.clear(row) for row in M], reduce)
+
+
+def _bareiss(K, A, reduce: bool):
+    """(K, rows, pivots) of the rows A over the carrier K, eliminated in place.
+
+    At a pivot p in column ``col`` (previous pivot ``prev``, 1 at the start)
+    each row below the pivot row becomes (p * row - row[col] * pivot_row) /
+    prev: the forward elimination of Bareiss (1968), whose entries are minors
+    of A, so the division is exact.  With ``reduce`` the rows above are
+    updated the same way, which is fraction-free Gauss-Jordan: every pivot
+    then equals the last one, and dividing a pivot row by its pivot gives the
+    reduced row echelon form.  Over F_PRIME the rows are not scaled (see
+    _Fp.combine), and each pivot row is divided by its own pivot.
+    """
     combine, zero = K.combine, K.zero
-    A = [K.clear(row) for row in M]
     n, m = shape(A)
     pivots = []
     prev = K.one
@@ -266,8 +290,8 @@ def mat_rank_exact(M) -> int:
     """Rank by fraction-free (Bareiss) elimination on Python ints.
 
     Rows are cleared of denominators with one lcm each; the kernel runs over
-    Z for real rational matrices and over Z[i], on (re, im) int pairs, for
-    Gaussian-rational ones.
+    Z for real rational matrices and over Z[sqrt d], on (x, y) int pairs, for
+    matrices over Q(sqrt d).
     """
     return len(_eliminate(M, reduce=False)[2])
 
@@ -306,8 +330,9 @@ def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
 
 
 def decides_exactly(M, mode: Mode) -> bool:
-    """The one exact-or-float rule: exact when the mode and every entry of M are."""
-    return mode.is_exact and all(is_exact_scalar(x) for row in M for x in row)
+    """The one exact-or-float rule: exact when the mode and every entry of M
+    are, and the entries lie in one field Q(sqrt d)."""
+    return mode.is_exact and quadratic_field(x for row in M for x in row) is not None
 
 
 def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
@@ -325,11 +350,11 @@ def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
 
 
 def rref(M):
-    """Reduced row echelon form over Q or Q(i); returns (R, pivot_cols).
+    """Reduced row echelon form over Q or Q(sqrt d); returns (R, pivot_cols).
 
-    Fraction-free Gauss-Jordan over Z or Z[i] (see ``_eliminate``); each pivot
-    row is divided by its pivot only at the end, giving Fraction entries, or
-    QQi for non-real ones.  Rows past the rank are zero.
+    Fraction-free Gauss-Jordan over Z or Z[sqrt d] (see ``_eliminate``); each
+    pivot row is divided by its pivot only at the end, giving Fraction
+    entries, or QQi for irrational ones.  Rows past the rank are zero.
     """
     K, A, pivots = _eliminate(M, reduce=True)
     _, m = shape(A)
@@ -357,7 +382,7 @@ def _nullspace(M, K=None):
 
 
 def nullspace_exact(M):
-    """Right-kernel basis over Q or Q(i) in pivot-normalized echelon form."""
+    """Right-kernel basis over Q or Q(sqrt d) in pivot-normalized echelon form."""
     return _nullspace(M)
 
 
@@ -474,11 +499,8 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
     if decides_exactly(vectors, mode):
-        K = _ZI if any(isinstance(x, QQi) and x.im for v in vectors for x in v) else _Z
-        cleared = [K.clear(v) for v in vectors]
-        if K is _ZI:
-            cleared = [[QQi(re, im) for re, im in v] for v in cleared]
-        pivots = _eliminate(transpose(cleared), reduce=False)[2]
+        K = _carrier(x for v in vectors for x in v)
+        pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]), reduce=False)[2]
         return out + [vectors[j] for j in pivots if j >= len(out)]
     A, kept = to_numpy(vectors), list(range(len(out)))
     for k in range(len(out), len(vectors)):
@@ -497,16 +519,17 @@ def char_poly(M):
     ascending coefficients.
 
     Faddeev-LeVerrier recursion on D M, D the common denominator of the
-    entries: its characteristic polynomial is in Z or Z[i], so each division
-    by k is exact, on Python ints or integral QQi; coefficient n - k is then
-    rescaled by D^k.
+    entries' coordinates in their field Q(sqrt d): its characteristic
+    polynomial is in Z or Z[sqrt d], so each division by k is exact, on
+    Python ints or integral QQi; coefficient n - k is then rescaled by D^k.
     """
     n, m = shape(M)
     if n != m:
         raise ValueError("characteristic polynomial of non-square matrix")
-    parts = [(x.re, x.im) if isinstance(x, QQi) else (Fraction(x), 0) for row in M for x in row]
+    d = quadratic_field(x for row in M for x in row)
+    parts = [field_coords(x, d) for row in M for x in row]
     D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
-    flat = [QQi(re * D, im * D) if im else int(re * D) for re, im in parts]
+    flat = [QQi(re * D, im * D, d) if im else int(re * D) for re, im in parts]
     M = [flat[i * n:(i + 1) * n] for i in range(n)]
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     Mk = M
@@ -539,14 +562,20 @@ def _poly_degree(coeffs):
 
 
 def poly_gcd_exact(a, b):
-    """Monic gcd over Q or Q(i); [1] when a and b are both zero.
+    """Monic gcd over Q or Q(sqrt d); [1] when a and b are both zero.
 
     Brown's primitive pseudo-remainder sequence (JACM 1971) on the cleared
     coefficients, over the carrier ``_eliminate`` would pick: a step of a
     pseudo-division is the Bareiss step with previous pivot one, and each
     remainder is made primitive by the carrier.
+
+    Over Z[sqrt d] the content removed is an integer: a factor in Z[sqrt d]
+    that a pseudo-division by a leading coefficient outside Z brings in stays
+    in the remainder, so the coefficients grow about twice as fast as over Z.
+    No benchmark job runs a gcd over Z[sqrt d], and the tests run Gaussian
+    ones up to degree 20, so that growth is left as it is.
     """
-    K = _ZI if any(isinstance(c, QQi) and c.im for c in (*a, *b)) else _Z
+    K = _carrier((*a, *b))
 
     def primitive(row):     # a descending row, its leading zeros dropped
         row = row[next((k for k, c in enumerate(row) if c != K.zero), len(row)):]
@@ -622,7 +651,8 @@ def gaussian_rational_roots(f):
     f = f[:_poly_degree(f) + 1]
     if len(f) <= 2:
         return ([tidy(-f[0] / f[1])], f[1:]) if len(f) == 2 else ([], f)
-    a = _ZI.clear(f)
+    K = _ZD(-1)
+    a = K.clear(f)
     lc = a[-1]
     norm_lc = lc[0] ** 2 + lc[1] ** 2
     bound = (math.isqrt(norm_lc) + math.isqrt(max(x * x + y * y for x, y in a)) + 2) ** 2
@@ -650,11 +680,44 @@ def gaussian_rational_roots(f):
         t = (lc[0] + lc[1] * s) * r % q
         x, y = (2 * t * gr + q) // (2 * q), (q - 2 * t * gi) // (2 * q)
         w = (t - x * gr + y * gi, -x * gi - y * gr)
-        if w[0] ** 2 + w[1] ** 2 <= bound and poly_eval(f, z := _ZI.quotient(w, lc)) == 0:
+        if w[0] ** 2 + w[1] ** 2 <= bound and poly_eval(f, z := K.quotient(w, lc)) == 0:
             found.append(z)
     for z in found:
         f = _poly_quotient(f, [-z, Fraction(1)])
     return found, f
+
+
+def _sqrt(r: Fraction) -> QQi:
+    """sqrt(r) for a rational r that is no square, as b sqrt(d): sqrt(p / q) =
+    sqrt(p q) / q, with the squares of 2..99 taken out of d = p q."""
+    d, b = r.numerator * r.denominator, Fraction(1, r.denominator)
+    for k in range(2, 100):
+        while d % (k * k) == 0:
+            d, b = d // (k * k), b * k
+    return QQi(0, b, d)
+
+
+def exact_roots(f):
+    """(roots, cofactor): the roots of a squarefree f over Q(sqrt d) that are
+    found exactly, and f divided by their linear factors.
+
+    An f over Q or Q(i) gives its Gaussian-rational roots by
+    ``gaussian_rational_roots``, and then a cofactor of degree 2 over Q both
+    its roots, (-c_1 +- sqrt(c_1^2 - 4 c_0 c_2)) / 2 c_2 in the field of that
+    discriminant: it is no square and minus no square, as the Gaussian-
+    rational roots are out.  Over any other Q(sqrt d) only a linear f gives
+    its root, -c_0 / c_1.  Any other cofactor is returned as it is.
+    """
+    f = f[:_poly_degree(f) + 1]
+    d = quadratic_field(f)
+    if d not in (0, -1):
+        return ([tidy(-f[0] / f[1])], f[1:]) if len(f) == 2 else ([], f)
+    roots, f = gaussian_rational_roots(f)
+    if len(f) == 3 and quadratic_field(f) == 0:
+        c0, c1, c2 = f
+        z = (_sqrt(c1 * c1 - 4 * c0 * c2) - c1) / (2 * c2)
+        return roots + [z, z.conjugate()], f[2:]
+    return roots, f
 
 
 def poly_roots_hybrid(coeffs, factors=None):
@@ -663,26 +726,18 @@ def poly_roots_hybrid(coeffs, factors=None):
     the factor list of its ``squarefree_decomposition``, or the part of it
     whose roots the caller wants, when the caller has it.
 
-    Each squarefree f_i gives its Gaussian-rational roots exactly (Fraction or
-    QQi), by ``gaussian_rational_roots``, and their multiplicity is i.  The
-    other roots are numpy's roots of the cofactor, complex floats of the same
-    multiplicity, each moved by one Newton step from the exact value of the
-    cofactor there: a factor that is squarefree and holds no exact root loses
-    no accuracy to a multiplicity or to its neighbours.
+    Each squarefree f_i gives the roots ``exact_roots`` finds, exact (Fraction
+    or QQi), and their multiplicity is i.  The other roots are numpy's roots
+    of the cofactor, complex floats of the same multiplicity.
     """
     if factors is None:
         factors = squarefree_decomposition([tidy(c) for c in coeffs[:_poly_degree(coeffs) + 1]])[1]
-    exact_roots, float_roots = [], []
+    exact, floats = [], []
     for f, i in factors:
-        roots, cofactor = gaussian_rational_roots(f)
-        exact_roots += [(z, i) for z in roots]
-        dcofactor = [complex(c) for c in poly_deriv(cofactor)]
-        for z in map(complex, np.roots([complex(c) for c in cofactor[::-1]])):
-            # numpy's root may be a few ulp off: one Newton step from the exact
-            # residual there leaves about the rounding of the step
-            r = poly_eval(cofactor, QQi(Fraction(z.real), Fraction(z.imag)))
-            float_roots.append((z - complex(r) / poly_eval(dcofactor, z), i))
-    return exact_roots + float_roots
+        roots, cofactor = exact_roots(f)
+        exact += [(z, i) for z in roots]
+        floats += [(complex(z), i) for z in np.roots([complex(c) for c in cofactor[::-1]])]
+    return exact + floats
 
 
 def eigenvalues(M, mode: Mode = EXACT):

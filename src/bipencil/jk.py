@@ -4,7 +4,8 @@ A pair of skew forms decomposes into Jordan blocks (one per spectrum value,
 sizes recovered from kernel-power dimensions of a recursion operator, which
 sees each block twice) and Kronecker blocks (half-sizes recovered from the
 filtration of regular kernels inside the core L).  Exact kernel powers run on
-integers, on the real form [[A, -B], [B, A]] of a non-real R - mu I = A + iB.
+integers, on the rational form [[A, d B], [B, A]] of an irrational
+R - mu I = A + B sqrt(d).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, ToleranceError
 from .exactlin import decides_exactly, mat_mul, mat_rank, primitive_row, shift, transpose
 from .pencil import compute_core, compute_spectrum, lambda_to_moebius, pencil_rank_corank
-from .scalars import EXACT, INF, Mode, QQi, cimag, conj, creal, is_inf, lambda_key
+from .scalars import (EXACT, INF, Mode, QQi, conj, field_coords, is_inf, lambda_key,
+                      quadratic_field)
 from .tensorfield import PencilAtPoint, gram
 
 
@@ -40,7 +42,7 @@ class JKInvariants:
 
 @dataclass(frozen=True)
 class JordanBlock:
-    lam: object       # Fraction | QQi | INF
+    lam: object       # Fraction | QQi (in Q(sqrt d)) | INF
     size: int
 
 
@@ -151,16 +153,19 @@ def _block_counts(dims):
 def _jordan_sizes_at(R, mu, mode: Mode):
     """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice),
     from the kernel dimensions of the powers of N = R - mu I.  An exact N is
-    scaled to integers by one common factor, and a non-real N = A + iB is
-    replaced by its real form [[A, -B], [B, A]]: that form of a product is the
-    product of the forms, and its rank is 2 rank(A + iB)."""
+    scaled to integers by one common factor, and an irrational N = A + B
+    sqrt(d) is replaced by its rational form [[A, d B], [B, A]], the matrix of
+    N on Q(sqrt d)^m = Q^m + sqrt(d) Q^m: that form of a product is the
+    product of the forms, and its rank is 2 rank(A + B sqrt d)."""
     m = len(R)
     N, copies = shift(R, mu), 1
     if decides_exactly(N, mode):
-        ints = primitive_row([part(x) for part in (creal, cimag) for row in N for x in row])
+        d = quadratic_field(x for row in N for x in row)
+        coords = [field_coords(x, d) for row in N for x in row]
+        ints = primitive_row([c[k] for k in (0, 1) for c in coords])
         A, B = ([ints[k + r * m:k + (r + 1) * m] for r in range(m)] for k in (0, m * m))
-        N, copies = (A, 1) if not any(ints[m * m:]) else (
-            [a + [-x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
+        N, copies = (A, 1) if not d else (
+            [a + [d * x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
     kdims, power = [0], N
     while True:
         kdims.append(m - mat_rank(power, mode) // copies)

@@ -1,11 +1,11 @@
 """Finite-dimensional Lie algebras with 2-cocycles (linear pencils).
 
 A linear pencil pairs a Lie algebra (structure constants over the reals or
-Gaussian rationals) with a skew 2-cocycle; its pencil of forms on the dual is
-<x, [xi, eta]> + lambda A(xi, eta).  Semisimplicity of ad is decided by the
-eigen-split that yields the root spaces, ``exactlin.eigenspaces``, and the
-regularity of a cocycle by the pencil rank of ``pencil.pencil_rank_corank``
-at sampled points.
+the complex numbers, exact in Q or a quadratic field) with a skew 2-cocycle;
+its pencil of forms on the dual is <x, [xi, eta]> + lambda A(xi, eta).
+Semisimplicity of ad is decided by the eigen-split that yields the root
+spaces, ``exactlin.eigenspaces``, and the regularity of a cocycle by the
+pencil rank of ``pencil.pencil_rank_corank`` at sampled points.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ def height_walk():
 
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
     """P_lambda(x) for a rank or kernel decision: in exact mode its multiple
-    ``p.integer_matrix_at(lam)`` over Z, or Z[i] at a Gaussian lambda, where
-    there is one, so that the elimination starts from cleared integers; in
-    float mode ``p.float_matrix_at(lam)``."""
+    ``p.integer_matrix_at(lam)`` over Z, or Z[sqrt d] at a lambda in
+    Q(sqrt d), where there is one, so that the elimination starts from
+    cleared integers; in float mode ``p.float_matrix_at(lam)``."""
     M = p.integer_matrix_at(lam) if mode.is_exact else p.float_matrix_at(lam)
     return p.matrix_at(lam) if M is None else M
 
@@ -97,7 +97,7 @@ def _draw_regular(walk, count: int, kernel_if_regular, dim: int):
 
 @dataclass
 class SpectrumEntry:
-    lam: object            # Fraction | QQi | complex | INF
+    lam: object            # Fraction | QQi (in Q(sqrt d)) | complex | INF
     kernel_dim: int
     paired: bool = False   # True when the entry stands for a conjugate pair
 

@@ -209,11 +209,12 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
 
 def _orient_pair(eigs_p, vec_p, eigs_m, vec_m) -> RootPair:
     """Choose the + representative deterministically (first nonzero value in
-    the closed upper half plane / positive reals)."""
+    the closed upper half plane / positive reals), with exact signs for
+    exact values."""
     for v in eigs_p:
-        z = complex(v)
-        if abs(z) > 0:
-            if z.imag > 0 or (z.imag == 0 and z.real > 0):
+        if v != 0:
+            im = cimag(v)
+            if im > 0 or (im == 0 and creal(v) > 0):
                 return RootPair(root=eigs_p, vec_plus=vec_p, vec_minus=vec_m)
             break
     return RootPair(root=eigs_m, vec_plus=vec_m, vec_minus=vec_p)

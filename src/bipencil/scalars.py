@@ -1,17 +1,21 @@
 """Scalar arithmetic shared by every pencil computation.
 
-Two carriers are supported: exact scalars (``Fraction`` and Gaussian
-rationals ``QQi``) and floating complex numbers.  Which rules are used for
-rank/zero decisions is controlled by a ``Mode`` value that is threaded
-through the linear-algebra helpers, not by wrapping the numbers themselves.
+Two carriers are supported: exact scalars (``Fraction``, and ``QQi``, an
+element a + b sqrt(d) of a quadratic field, the Gaussian rationals at the
+default d = -1) and floating complex numbers.  Exact values of one field
+compute exactly, and their real parts, imaginary parts and signs are exact;
+values of two fields with no common one compute in complex floats.  Which
+rules are used for rank/zero decisions is controlled by a ``Mode`` value
+that is threaded through the linear-algebra helpers, not by wrapping the
+numbers themselves.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 
 class _Infinity:
@@ -51,87 +55,131 @@ def lambda_is_real(lam) -> bool:
 
 
 def lambda_key(lam) -> str:
-    """Dictionary key of a pencil parameter: 'inf', the exact value, or 12 digits."""
+    """Dictionary key of a pencil parameter: 'inf', the value in Q(i), or 12
+    digits of any other."""
     if is_inf(lam):
         return "inf"
-    if is_exact_scalar(lam):
+    if is_exact_scalar(lam) and getattr(lam, "d", -1) == -1:
         return str(lam)
     z = complex(lam)
     return f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"
 
 
 def _mixed(method):
-    """A QQi operator that also takes float and complex operands.
+    """A QQi operator that also takes int, Fraction, float and complex operands.
 
-    Exact operands are lifted to QQi; a float or complex operand turns the
-    operation into complex arithmetic (exact mode can subtract a float
-    eigenvalue from a Gaussian-rational matrix).
+    ``method`` maps the coordinates a, b of the QQi and c, e of the other
+    operand, both in one field Q(sqrt d), and d, to those of the result.  The
+    field is the QQi's own, or the other operand's when the QQi is rational.
+    A float or complex operand, or a QQi in another field, turns the operation
+    into complex arithmetic (exact mode can subtract a float eigenvalue from an
+    exact matrix).
     """
 
     @functools.wraps(method)
     def op(self, other):
-        if isinstance(other, (float, complex)):
-            return getattr(complex(self), method.__name__)(complex(other))
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        if isinstance(other, QQi):
+            d = self.d if self.im else other.d
+            coords = field_coords(other, d)
+        elif isinstance(other, (int, Fraction)):
+            d, coords = self.d, (other, 0)
+        elif isinstance(other, (float, complex)):
+            coords = None
+        else:
             return NotImplemented
-        return method(self, other)
+        if coords is None:
+            return getattr(complex(self), method.__name__)(complex(other))
+        return QQi(*method(self.re, self.im, *coords, d), d)
 
     return op
 
 
-@dataclass(frozen=True)
+def _divide(a, b, c, e, d):
+    """(a + b sqrt d) / (c + e sqrt d): times the conjugate c - e sqrt d, over the
+    norm c^2 - e^2 d, which is zero only at zero as d is no square."""
+    n = c * c - e * e * d
+    return (a * c - b * e * d) / n, (b * c - a * e) / n
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sqrt_close(x: Fraction) -> Fraction:
+    """sqrt(x) for a rational x >= 0, low by a relative 2^-120 at most:
+    isqrt(p q 4^k) / (q 2^k) with p q 4^k of 240 bits or more."""
+    n, q = x.numerator * x.denominator, x.denominator
+    k = max(0, 121 - n.bit_length() // 2)
+    return Fraction(math.isqrt(n << 2 * k), q << k)
+
+
+@functools.total_ordering
+@dataclass(frozen=True, eq=False)
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """a + b sqrt(d) with exact Fraction coordinates a = ``re``, b = ``im`` and d
+    a non-square integer, -1 by default: the Gaussian rational re + im i.
+
+    A value with b = 0 has d = -1, and a d = +-r^2 is resolved to a rational or
+    a Gaussian value, so that d is no square and a + b sqrt d is zero only at
+    a = b = 0.  Two values are equal when their a, b^2 d and sign of b are:
+    that needs no factoring of d, so sqrt 8, a root of x^2 - 8, equals twice
+    sqrt 2, a root of x^2 - 2.  The fields of d and d' are one when d d' is a
+    square.  ``conjugate`` sends b to -b, which for d < 0 is complex
+    conjugation and for d > 0 the Galois conjugate.  A real value (b = 0 or
+    d > 0) has an exact ``sign`` and compares exactly with real exact values.
+    """
 
     re: Fraction
     im: Fraction
+    d: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        re, im, d = Fraction(self.re), Fraction(self.im), self.d
+        if d != -1:
+            r = math.isqrt(abs(d))
+            if not im or r * r == abs(d):
+                re, im, d = (re + im * r, Fraction(0), -1) if d > 0 else (re, im * r, -1)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "d", d)
 
     # -- arithmetic -------------------------------------------------------
     @_mixed
-    def __add__(self, other):
-        return QQi(self.re + other.re, self.im + other.im)
+    def __add__(a, b, c, e, d):
+        return a + c, b + e
 
     __radd__ = __add__
 
     @_mixed
-    def __sub__(self, other):
-        return QQi(self.re - other.re, self.im - other.im)
+    def __sub__(a, b, c, e, d):
+        return a - c, b - e
 
     @_mixed
-    def __rsub__(self, other):
-        return QQi(other.re - self.re, other.im - self.im)
+    def __rsub__(a, b, c, e, d):
+        return c - a, e - b
 
     @_mixed
-    def __mul__(self, other):
-        return QQi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+    def __mul__(a, b, c, e, d):
+        return a * c + b * e * d, a * e + b * c
 
     __rmul__ = __mul__
 
     @_mixed
-    def __truediv__(self, other):
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * other.re + self.im * other.im) / d,
-                   (self.im * other.re - self.re * other.im) / d)
+    def __truediv__(a, b, c, e, d):
+        return _divide(a, b, c, e, d)
 
     @_mixed
-    def __rtruediv__(self, other):
-        return other / self
+    def __rtruediv__(a, b, c, e, d):
+        return _divide(c, e, a, b, d)
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return QQi(-self.re, -self.im, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, Rational) or isinstance(other, int):
+            return (self.re == other.re and (self.im > 0) == (other.im > 0)
+                    and self.im * self.im * self.d == other.im * other.im * other.d)
+        if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
@@ -140,30 +188,87 @@ class QQi:
     def __hash__(self):
         if self.im == 0:
             return hash(self.re)
-        return hash((self.re, self.im))
+        if self.d == -1:
+            return hash((self.re, self.im))
+        return hash((self.re, self.im * self.im * self.d, self.im > 0))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        """Each part correctly rounded, short of a near-tie: sqrt |d| is taken
+        to 120 bits, and a real sum that would cancel is taken as
+        (a^2 - b^2 d) / (a - b sqrt d)."""
+        a, b, d = self.re, self.im, self.d
+        if d == -1:
+            return complex(float(a), float(b))
+        root = _sqrt_close(b * b * abs(d)) * _sgn(b)
+        if d < 0:
+            return complex(float(a), float(root))
+        if _sgn(a) == -_sgn(b):
+            return complex(float((a * a - b * b * d) / (a - root)))
+        return complex(float(a + root))
 
     def __repr__(self):
         if self.im == 0:
             return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        sign = '+' if self.im >= 0 else '-'
+        if self.d == -1:
+            return f"({self.re}{sign}{abs(self.im)}i)"
+        return f"({self.re}{sign}{abs(self.im)}*sqrt({self.d}))"
 
     # -- structure --------------------------------------------------------
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return QQi(self.re, -self.im, self.d)
+
+    def sign(self) -> int:
+        """-1, 0 or 1 for a real value: the sign of a, or of b where b sqrt d
+        outweighs a, b^2 d > a^2.  TypeError for a non-real value."""
+        a, b = self.re, self.im
+        if b and self.d < 0:
+            raise TypeError(f"{self!r} is not real and has no sign")
+        sa, sb = _sgn(a), _sgn(b)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > b * b * self.d else sb
+
+    def __lt__(self, other):
+        """Exact for a real difference; NotImplemented for a float or complex
+        other, or a QQi of another field."""
+        diff = NotImplemented if isinstance(other, (float, complex)) else self.__sub__(other)
+        return diff.sign() < 0 if isinstance(diff, QQi) else NotImplemented
 
 
-def _as_qqi(x):
-    if isinstance(x, QQi):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QQi(Fraction(x), Fraction(0))
-    return NotImplemented
+def field_coords(x, d: int):
+    """(a, b) with x = a + b sqrt d, for an exact x in Q(sqrt d); None for a QQi
+    outside it.  An x in Q(sqrt d') with d d' = k^2 has sqrt d' = (k / |d|)
+    sqrt d."""
+    if not isinstance(x, QQi):
+        return x, 0
+    if not x.im or x.d == d:
+        return x.re, x.im
+    k2 = d * x.d
+    k = math.isqrt(k2) if k2 > 0 else -1
+    return (x.re, x.im * k / abs(d)) if k * k == k2 else None
+
+
+def quadratic_field(values):
+    """The d of one field Q(sqrt d) that holds all the exact ``values``, 0 when
+    they are all rational; None when one is inexact or two lie in no common
+    field."""
+    values = list(values)
+    if {type(x) for x in values} <= {int, Fraction}:
+        return 0
+    d = 0
+    for x in values:
+        if isinstance(x, QQi):
+            if x.im and x.d != d:
+                if d and field_coords(x, d) is None:
+                    return None
+                d = d or x.d
+        elif not isinstance(x, (int, Fraction)):
+            return None
+    return d
 
 
 def is_exact_scalar(x) -> bool:
@@ -191,9 +296,9 @@ def claim(items, used: set, match):
 
 
 def creal(x):
-    """Real part, exact for exact scalars."""
+    """Real part, exact for exact scalars: a + b sqrt d itself for d > 0."""
     if isinstance(x, QQi):
-        return x.re
+        return x.re if x.d < 0 else x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, complex):
@@ -202,8 +307,9 @@ def creal(x):
 
 
 def cimag(x):
+    """Imaginary part, exact for exact scalars: b sqrt(-d) for d < 0."""
     if isinstance(x, QQi):
-        return x.im
+        return x.im if x.d == -1 else tidy(QQi(0, x.im, -x.d)) if x.d < 0 else Fraction(0)
     if isinstance(x, (int, Fraction)):
         return Fraction(0)
     if isinstance(x, complex):
@@ -212,8 +318,9 @@ def cimag(x):
 
 
 def conj(x):
+    """Complex conjugate: a real QQi (d > 0) is its own."""
     if isinstance(x, QQi):
-        return x.conjugate()
+        return x.conjugate() if x.d < 0 else x
     if isinstance(x, (int, Fraction)):
         return x
     return complex(x).conjugate()
@@ -248,13 +355,14 @@ def snap(z: complex, tol: float):
 
 
 def format_scalar(x):
-    """Canonical JSON form: rationals as strings, complex as {re, im}; a zero
-    float part is +0.0, whichever sign the float operations left on it."""
+    """Canonical JSON form: rationals as strings, complex as {re, im}, of two
+    strings in Q(i) and of two floats otherwise; a zero float part is +0.0,
+    whichever sign the float operations left on it."""
     if is_inf(x):
         return "inf"
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
-    if isinstance(x, QQi):
+    if isinstance(x, QQi) and x.d == -1:
         if x.im == 0:
             return str(x.re)
         return {"re": str(x.re), "im": str(x.im)}
@@ -295,8 +403,10 @@ class Mode:
 
     @property
     def tol(self) -> float:
-        """The one float tolerance: ``eps``, or 1e-9 where irrational data
-        forces floats on exact mode."""
+        """The one float tolerance: ``eps``, or 1e-9 where exact mode meets
+        floats: the roots ``exactlin.exact_roots`` leaves to numpy, of a
+        factor of degree 3 or more or of degree 2 over a field other than Q,
+        and values of two quadratic fields with no common one."""
         return 1e-9 if self.is_exact else self.eps
 
     def zero(self, value, scale: float = 1.0) -> bool:

@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from .errors import DimensionMismatchError, NonRationalPointError
 from .exactlin import as_float, primitive_row, to_numpy
 from .poly import Poly
-from .scalars import INF, QQi, cimag, creal, is_exact_scalar, is_inf, tidy
+from .scalars import INF, QQi, is_exact_scalar, is_inf, tidy
 
 ZERO = Fraction(0)
 
@@ -189,24 +189,25 @@ class PencilAtPoint:
         return [(i, j, *map(as_float, (a0, ainf, -a0, -ainf))) for i, j, a0, ainf in self.entries]
 
     def integer_matrix_at(self, lam):
-        """D (b A0 + (a + ic) Ainf) at lam = (a + ic)/b, D Ainf at INF (read as
-        a, c, b = 1, 0, 0), with D > 0 the scale of ``_integer_values``: ints,
-        and Gaussian integers (QQi) in the cells where c Ainf is nonzero; None
-        unless lam is exact and every entry is a real rational.  A nonzero
-        multiple of P_lambda has its rank and kernel, but not its values (a
-        quotient form needs those)."""
+        """D (b A0 + (a + c sqrt d) Ainf) at lam = (a + c sqrt d)/b, D Ainf at
+        INF (read as a, c, b = 1, 0, 0), with D > 0 the scale of
+        ``_integer_values``: ints, and elements of Z[sqrt d] (QQi) in the cells
+        where c Ainf is nonzero; None unless lam is exact and every entry is a
+        real rational.  A nonzero multiple of P_lambda has its rank and kernel,
+        but not its values (a quotient form needs those)."""
         if self._integer_values is None or not (is_inf(lam) or is_exact_scalar(lam)):
             return None
         ints, _ = self._integer_values
-        a, c, b = 1, 0, 0
+        a, c, b, d = 1, 0, 0, -1
         if not is_inf(lam):
-            (a, q), (c, s) = creal(lam).as_integer_ratio(), cimag(lam).as_integer_ratio()
+            re, im, d = (lam.re, lam.im, lam.d) if isinstance(lam, QQi) else (lam, 0, -1)
+            (a, q), (c, s) = re.as_integer_ratio(), im.as_integer_ratio()
             b = math.lcm(q, s)
             a, c = a * (b // q), c * (b // s)
         M = [[0] * self.dim for _ in range(self.dim)]
         for (i, j, _, _), a0, ainf in zip(self.entries, ints[::2], ints[1::2]):
             x, y = b * a0 + a * ainf, c * ainf
-            M[i][j], M[j][i] = (QQi(x, y), QQi(-x, -y)) if y else (x, -x)
+            M[i][j], M[j][i] = (QQi(x, y, d), QQi(-x, -y, d)) if y else (x, -x)
         return M
 
     def float_matrix_at(self, lam):
@@ -215,8 +216,8 @@ class PencilAtPoint:
         over its scale D b (D), correctly rounded; at a float one ``skew_cells``'
         float operations on ``_float_values``.  Else the dense ``skew``."""
         if self._integer_values is not None:
-            if is_inf(lam) or is_exact_scalar(lam) and not cimag(lam):
-                b = 1 if is_inf(lam) else creal(lam).denominator
+            if is_inf(lam) or isinstance(tidy(lam), Fraction):
+                b = 1 if is_inf(lam) else tidy(lam).denominator
                 num, den = (self._integer_values[1] * b).as_integer_ratio()
                 M = self.integer_matrix_at(lam)
                 return to_numpy([[x * den / num for x in row] for row in M])

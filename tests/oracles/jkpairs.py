@@ -3,7 +3,9 @@
 ``JK_PAIRS`` are the block lists of the benchmark's jk-congruent workload.
 ``realified`` turns a block list into its real canonical pair, and
 ``constant_fields`` turns a constant pair into two Poisson tensor fields, so
-that ``analyze_point`` reads it at any point.
+that ``analyze_point`` reads it at any point.  ``companion_pair`` is a
+rational pair whose spectrum is the roots of a polynomial, irrational ones
+included.
 """
 
 from __future__ import annotations
@@ -61,3 +63,17 @@ def constant_fields(p: PencilAtPoint):
                     f.set_entry(i, j, Poly.constant(p.dim, M[i][j]))
         fields.append(f)
     return fields[0], fields[1]
+
+
+def companion_pair(coeffs) -> PencilAtPoint:
+    """[[0, M], [-M^T, 0]] and [[0, -I], [I, 0]] with M the companion matrix
+    of the monic polynomial with lower coefficients ``coeffs``, ascending: a
+    Jordan block of size k at each root of multiplicity k."""
+    m = len(coeffs)
+    M = [[Fraction(int(i == j + 1)) for j in range(m - 1)] + [Fraction(-c)]
+         for i, c in enumerate(coeffs)]
+    A0 = ([[Fraction(0)] * m + row for row in M]
+          + [[-M[j][i] for j in range(m)] + [Fraction(0)] * m for i in range(m)])
+    Ainf = ([[Fraction(0)] * m + [Fraction(-int(i == j)) for j in range(m)] for i in range(m)]
+            + [[Fraction(int(i == j)) for j in range(m)] + [Fraction(0)] * m for i in range(m)])
+    return constant_pencil(A0, Ainf)

@@ -14,14 +14,14 @@ from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, INF, float_mode, lambda_key
-from bipencil.tensorfield import PoissonTensorField, constant_pencil, evaluate_pencil
+from bipencil.tensorfield import PoissonTensorField, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from golden import fixture_dir, report_text
 from oracles.casimir import (casimir_variation, combine_function_data, function_data,
                              quotient_operator, reparameterize_casimir_combination)
 from oracles.fields import direct_sum, shift
-from oracles.jkpairs import JK_PAIRS, constant_fields, realified
+from oracles.jkpairs import JK_PAIRS, companion_pair, constant_fields, realified
 from oracles.toda import constant_lattice
 from pipeline import core_of, linearize_at
 
@@ -109,9 +109,10 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
     # the reference is jk: a spectrum value is diagonalizable exactly when
-    # every Jordan block at it has size 1
-    for blocks in JK_PAIRS:
-        p = realified(blocks)
+    # every Jordan block at it has size 1; exact mode also meets Jordan blocks
+    # of size 2 at the irrational lambda = +-sqrt(2)
+    pairs = [realified(blocks) for blocks in JK_PAIRS]
+    for p in pairs + ([sqrt2_square_pair()] if mode.is_exact else []):
         f0, finf = constant_fields(p)
         rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode, seed=1)
         jordan = jk_invariants(p).jordan
@@ -119,17 +120,20 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
                 for lam in ((r.lam, r.lam.conjugate()) if r.paired else (r.lam,))} == set(jordan)
         for r in rep.per_lambda:
             flat = all(size == 1 for size in jordan[lambda_key(r.lam)])
-            assert r.diagonalizable == flat, (blocks, r.lam)
+            assert r.diagonalizable == flat, (p, r.lam)
             if not flat:
                 assert r.degeneracy_reason == f"NonDiagonalizable({lambda_key(r.lam)})"
 
 
 def sqrt2_pair():
-    """Jordan blocks of size 1 at lambda = +-sqrt(2): [[0, M], [-M^T, 0]] and
-    [[0, -I], [I, 0]] with M the companion matrix of x^2 - 2."""
-    A0 = [[0, 0, 0, 2], [0, 0, 1, 0], [0, -1, 0, 0], [-2, 0, 0, 0]]
-    Ainf = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    return constant_pencil(*([[F(x) for x in row] for row in M] for M in (A0, Ainf)))
+    """Jordan blocks of size 1 at lambda = +-sqrt(2): the companion pair of x^2 - 2."""
+    return companion_pair([-2, 0])
+
+
+def sqrt2_square_pair():
+    """Jordan blocks of size 2 at lambda = +-sqrt(2): the companion pair of
+    (x^2 - 2)^2 = x^4 - 4 x^2 + 4."""
+    return companion_pair([4, 0, -4, 0])
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])

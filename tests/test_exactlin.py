@@ -657,10 +657,38 @@ def test_char_poly_roots_and_multiplicity():
     roots = poly_roots_hybrid(p)
     assert {(str(r), m) for r, m in roots} == {("1", 2), ("-2", 1)}
 
-    # irrational pair stays float, numpy's roots of the factor with no exact root
+    # an irrational pair of a quadratic factor over Q is exact, in Q(sqrt 2),
+    # and its float is within 2 ulp of the root's
     roots = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
-    assert all(type(z) is complex for z, _ in roots)
-    assert sorted(round(abs(z), 9) for z, _ in roots) == [1.414213562] * 2
+    assert [m for _, m in roots] == [1, 1]
+    assert all(isinstance(z, QQi) and z * z == 2 for z, _ in roots)
+    for (z, _), sign in zip(sorted(roots, key=lambda r: complex(r[0]).real), (-1, 1)):
+        assert abs(complex(z) - sign * math.sqrt(2)) <= 2 * math.ulp(math.sqrt(2))
+
+    # x^2 + 12: the pair +-2 sqrt(-3), exact in Q(sqrt -3)
+    roots = poly_roots_hybrid([Fraction(12), Fraction(0), Fraction(1)])
+    assert [m for _, m in roots] == [1, 1] and all(z * z == -12 for z, _ in roots)
+    assert sorted(complex(z).imag for z, _ in roots) == [-2 * math.sqrt(3), 2 * math.sqrt(3)]
+
+    # x^2 - 8 against 2 sqrt 2 from x^2 - 2: equal, and equal in a hash, also
+    # where sqrt 8 is written in the field of d = 8, with no factoring of 8
+    (z8, _), _ = poly_roots_hybrid([Fraction(-8), Fraction(0), Fraction(1)])
+    (z2, _), _ = poly_roots_hybrid([Fraction(-2), Fraction(0), Fraction(1)])
+    for root8 in (z8, QQi(0, 1, 8)):
+        assert root8 == 2 * z2 and hash(root8) == hash(2 * z2) and len({root8, 2 * z2}) == 1
+        assert root8 != -2 * z2 and root8 != 2 * z2 + 1 and root8 * z2 == 4
+
+    # a linear factor over Q(sqrt 2) gives its root exactly, a quadratic one
+    # over Q(sqrt 2) goes to numpy, whatever its roots
+    r2 = QQi(0, 1, 2)
+    assert poly_roots_hybrid([-r2 - 1, Fraction(1)]) == [(r2 + 1, 1)]
+    roots = poly_roots_hybrid(poly_mul([-r2, Fraction(1)], [Fraction(-1), Fraction(1)]))
+    assert [m for _, m in roots] == [1, 1] and all(type(z) is complex for z, _ in roots)
+
+    # a quadratic over Q(i) with no Gaussian-rational root stays float
+    roots = poly_roots_hybrid([QQi(1, 1), Fraction(0), Fraction(1)])
+    assert [m for _, m in roots] == [1, 1] and all(type(z) is complex for z, _ in roots)
+    assert all(abs(z * z + 1 + 1j) < 1e-12 for z, _ in roots)
 
     # 907/908 lies within 1e-7 of 15418/15435 but is no root; the root itself
     # must come back exact
@@ -721,21 +749,22 @@ def test_close_irrational_pairs_keep_their_multiplicities_and_bits():
     # (x^2 - c)^2 (x^2 - c')^k with c' 10^-6 or 10^-4 above c: two close
     # irrational pairs, whose roots a float solver on the whole squarefree
     # part resolves only to about the square root of the working precision;
-    # each Yun factor's own roots are within 2 ulp of the true square roots,
-    # with its exponent
+    # each Yun factor's own roots are exact, z^2 = c, with its exponent, and
+    # their floats within 2 ulp of the true square roots
     for c, gap, exponents in ((3, Fraction(1, 10 ** 6), (2, 3)),
                               (2, Fraction(1, 10 ** 4), (2, 1))):
         consts = (Fraction(c), c + gap)
         p = product_of_powers([[-k, Fraction(0), Fraction(1)] for k in consts], exponents)
         roots = poly_roots_hybrid(p)
-        assert len(roots) == 4 and all(type(z) is complex for z, _ in roots)
+        assert len(roots) == 4 and all(isinstance(z, QQi) for z, _ in roots)
         for k, e in zip(consts, exponents):
+            assert sorted(m for z, m in roots if z * z == k) == [e, e], (c, k)
             with localcontext() as ctx:
                 ctx.prec = 50
                 true = float((Decimal(k.numerator) / Decimal(k.denominator)).sqrt())
             for sign in (1, -1):
                 assert [m for z, m in roots
-                        if abs(z - sign * true) <= 2 * math.ulp(true)] == [e], (c, sign)
+                        if abs(complex(z) - sign * true) <= 2 * math.ulp(true)] == [e], (c, sign)
 
 
 def test_poly_gcd_and_squarefree():
@@ -902,6 +931,36 @@ def test_qqi_field_axioms():
     assert (a / a) == 1
     with pytest.raises(ZeroDivisionError):
         a / QQi(0, 0)
+
+
+heights = st.integers(-10 ** 12, 10 ** 12)
+quadratic = st.builds(lambda a, q, b, r: (Fraction(a, q), Fraction(b, r)), heights,
+                      st.integers(1, 10 ** 12), heights, st.integers(1, 10 ** 12))
+
+
+def decimal_value(a, b, d):
+    """a + b sqrt(d) for d > 0, to 50 digits."""
+    def dec(x):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+    return dec(a) + dec(b) * Decimal(d).sqrt()
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic, quadratic, st.integers(2, 10 ** 12).filter(lambda d: math.isqrt(d) ** 2 != d))
+def test_real_quadratic_sign_and_arithmetic_agree_with_decimal(x, y, d):
+    # Q(sqrt d) against 50-digit Decimal at heights up to 10^12: the exact
+    # sign, the order, the float, and +, -, * and / all agree
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u, v = QQi(*x, d), QQi(*y, d)
+        du, dv = decimal_value(*x, d), decimal_value(*y, d)
+        if u.im:                      # b = 0 leaves Q(sqrt d)
+            assert u.sign() == (du > 0) - (du < 0)
+            assert (u < v) == (du < dv) and (u > v) == (du > dv)
+            assert abs(Decimal(complex(u).real) - du) <= abs(du) * Decimal(2) ** -52
+        for got, want in ((u + v, du + dv), (u - v, du - dv), (u * v, du * dv)) + (
+                ((u / v, du / dv),) if v else ()):
+            assert abs(decimal_value(got.re, got.im, d) - want) <= (abs(want) + 1) * Decimal(10) ** -30
 
 
 def test_qqi_float_and_complex_operands_give_complex():

@@ -9,7 +9,7 @@ from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
 from bipencil import exactlin, pencil, toda
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, float_mode
+from bipencil.scalars import EXACT, QQi, float_mode
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import (TodaPoint, jacobi_block, jacobi_char_poly, lax_recursion_check,
                            make_singular_point, random_point, toda_pencil,
@@ -178,10 +178,9 @@ def test_exact_lax_oracle_skips_squarefree_blocks(monkeypatch):
 
 
 def test_exact_spectrum_ranks_each_eigenvalue_of_the_recursion_operator_once(monkeypatch):
-    # at a_i = 1, b_i = 0 (n = 4) R has irrational eigenvalues mu, and
-    # lambda = (t1 - mu t2) / (1 - mu) is then irrational too: no rational
-    # near it is a spectrum value, so exact mode tries none and spends one
-    # rank per eigenvalue of R
+    # at a_i = 1, b_i = 0 (n = 4) R's eigenvalues are -1 and 3 +- 2 sqrt 2,
+    # all exact, the last two in Q(sqrt 2), and so is lambda = (t1 - mu t2) /
+    # (1 - mu): exact mode spends one rank per eigenvalue of R
     p = toda_pencil_at(constant_lattice(4))
     core = core_of(p)
     ranks, eigs = [], []
@@ -191,7 +190,8 @@ def test_exact_spectrum_ranks_each_eigenvalue_of_the_recursion_operator_once(mon
                         lambda *args: eigs.append(eigenvalues(*args)) or eigs[-1])
     pencil.compute_spectrum(p, core)
     (exact, floats), = eigs
-    assert floats and len(ranks) == len(exact) + len(floats)
+    assert not floats and {mu for mu, _ in exact} == {-1, QQi(3, 2, 2), QQi(3, -2, 2)}
+    assert len(ranks) == len(exact)
 
 
 def test_generic_point_empty_both_oracles():
@@ -286,17 +286,22 @@ def test_kernel_algebra_check_scaled_solutions():
     assert check_kernel_algebra(pt, F(0)) == "periodic"
 
 
-def test_exact_analysis_flags_irrational_roots():
-    """The roots at this point are irrational, so exact mode decides the root
-    decomposition in floating point and must say so."""
-    n = 4
+@pytest.mark.parametrize("n, s", [(n, s) for n in (4, 6, 8) for s in (1, 2)])
+def test_exact_singular_toda_decides_with_no_float(n, s, monkeypatch):
+    """The roots at a singular point are the +-i omega of its one elliptic
+    block, a pair in an imaginary quadratic field, so exact mode decides the
+    root decomposition exactly: no float rank or kernel, and no warning that
+    the roots are irrational."""
+    floats = []
+    for module, name in ((exactlin, "svd_rank"), (exactlin, "nullspace_float"),
+                         (pencil, "nullspace_float")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: floats.append(name))
     p0, pinf = toda_pencil(n)
-    rep = analyze_point(p0, pinf, make_singular_point(n, seed=1).coordinates(),
+    rep = analyze_point(p0, pinf, make_singular_point(n, seed=s).coordinates(),
                         declared_rank=2 * n - 2)
-    assert rep.verdict.kind == "NonDegenerate"
-    assert [w for w in rep.warnings if "roots at spectrum value" in w] == [
-        "roots at spectrum value 0 are irrational; "
-        "root decomposition verified with float tolerance 1e-9"]
+    assert floats == []
+    assert not [w for w in rep.warnings if "irrational" in w]
+    assert rep.verdict.kind == "NonDegenerate" and rep.total_type.ke == 1
 
 
 def test_analyze_singular_lattice_points_elliptic():

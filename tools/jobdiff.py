@@ -25,6 +25,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -67,9 +68,12 @@ def further_jobs(workdir: str):
       x 20 and 24 x 24, which no workload builds (``float-sweep`` stops at
       n = 8);
     - ``jk`` and ``analyze`` at the origin on the real canonical pair of
-      every ``workloads.JK_PAIRS`` entry, and on the 13-dim pair with
-      (1 +- 2i) Jordan blocks of size 2 under two congruences, in both modes
-      at seeds 0-2: the only reports that reach ``NonDiagonalizable``;
+      every ``workloads.JK_PAIRS`` entry, on the 13-dim pair with (1 +- 2i)
+      Jordan blocks of size 2 under two congruences, and on the companion
+      pairs of x^2 - 2 and (x^2 - 2)^2, with Jordan blocks of size 1 and 2
+      at lambda = +-sqrt(2), in both modes at seeds 0-2: the only reports
+      that reach ``NonDiagonalizable``, and the only ones with lambda
+      irrational in a real quadratic field;
     - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
       ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
       1, their rank declared, in both modes, with (7, 0) at seed 0 and with
@@ -166,6 +170,7 @@ def further_jobs(workdir: str):
     pairs += [(f"jk-gaussian.{c}",
                congruent_pair(gaussian, workloads._unimodular(gaussian.dim, rng)))
               for c in range(2)]
+    pairs += [("sqrt2", companion_pair([-2, 0])), ("sqrt2-square", companion_pair([4, 0, -4, 0]))]
     for name, p in pairs:
         path = workloads._constant_pencil_file(
             os.path.join(workdir, f"{name}.pencil.json"), p)
@@ -201,6 +206,20 @@ def further_jobs(workdir: str):
              for point in ("0,0,0", "1,1/2,-2") for mode in MODES]
     jobs += input_error_jobs(workdir, write)
     return [(FURTHER + key, argv) for key, argv in jobs]
+
+
+def companion_pair(coeffs):
+    """[[0, M], [-M^T, 0]] and [[0, -I], [I, 0]], M the companion matrix of the
+    monic polynomial with lower coefficients ``coeffs``, ascending (as
+    ``oracles.jkpairs.companion_pair``, which an older tree lacks)."""
+    from bipencil.tensorfield import constant_pencil
+
+    m = len(coeffs)
+    M = [[int(i == j + 1) for j in range(m - 1)] + [-c] for i, c in enumerate(coeffs)]
+    A0 = [[0] * m + row for row in M] + [[-M[j][i] for j in range(m)] + [0] * m for i in range(m)]
+    Ainf = ([[0] * m + [-int(i == j) for j in range(m)] for i in range(m)]
+            + [[int(i == j) for j in range(m)] + [0] * m for i in range(m)])
+    return constant_pencil(*([[Fraction(x) for x in row] for row in X] for X in (A0, Ainf)))
 
 
 def input_error_jobs(workdir: str, write):
