@@ -5,17 +5,22 @@ exact kernel clears each row of denominators with one integer lcm, divides it
 by its content (``primitive_row``) and then eliminates fraction-free on Python
 ints, with one carrier per kind of input: Z for real rational matrices,
 Z[sqrt d] ((x, y) int pairs, x + y sqrt d) for matrices over a quadratic
-field Q(sqrt d), the Gaussian rationals at d = -1.  The rank is Bareiss
-(1968) forward elimination; the reduced row echelon form is fraction-free
-Gauss-Jordan, turned back into Fraction / QQi entries only at the end.  A
-third carrier, F_p (p = PRIME = 2^61 - 1), proves one-sided facts: rank mod
-p <= rank over Q, so an F_p rank that reaches a known upper bound, such as a
-certified pencil rank, proves the rational rank; a lower one, or p dividing
-a denominator, proves nothing and the caller rechecks over Q.  Every
-primitive decides exactly when the mode is exact and every entry is exact,
-in one field (``decides_exactly``), and otherwise in floats at ``Mode.tol``,
-the one float tolerance; the float rank thresholds singular values at
-tol * sigma_max.  A nonzero scale of a row changes no rank, kernel or
+field Q(sqrt d), the Gaussian rationals at d = -1.  A matrix is eliminated
+forward once (``eliminate`` gives its ``Elimination``): over Z each updated
+row is divided by its content, which makes it the primitive row on the line
+of the Bareiss (1968) row, and over Z[sqrt d] by the previous pivot, as
+Bareiss does.  The rank is the number of pivots.  The reduced rows are
+back-substituted from the forward ones, from the last pivot up, only when
+the reduced form or the kernel is asked for, and turned back into Fraction /
+QQi entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
+proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
+reaches a known upper bound, such as a certified pencil rank, proves the
+rational rank; a lower one, or p dividing a denominator, proves nothing and
+the caller rechecks over Q.  Every primitive decides exactly when the mode is
+exact and every entry is exact, in one field (``exact_field``, which names
+the field once for the elimination), and otherwise in floats at
+``Mode.tol``, the one float tolerance; the float rank thresholds singular
+values at tol * sigma_max.  A nonzero scale of a row changes no rank, kernel or
 reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
@@ -106,26 +111,53 @@ def to_numpy(M) -> np.ndarray:
 
 def primitive_row(row):
     """The real rational row times the lcm of its denominators, divided by the
-    gcd of the result: the primitive integer row of the same direction."""
-    ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
-    lcm = math.lcm(*{d for _, d in ratios})
-    ints = [a * (lcm // d) for a, d in ratios]
+    gcd of the result: the primitive integer row of the same direction, a new
+    list.  A row of ints is only divided."""
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
+        lcm = math.lcm(*{d for _, d in ratios})
+        ints = [a * (lcm // d) for a, d in ratios]
     content = math.gcd(*ints)
     return [a // content for a in ints] if content > 1 else ints
+
+
+def _clear_upward(K, rows, pivots):
+    """The forward-eliminated pivot ``rows`` in reduced form, a new list: from
+    the last pivot row up, each clears its pivot column from the rows above it
+    by ``K.combine``, which over Z and F_PRIME needs no previous pivot."""
+    A = list(rows)
+    for k in range(len(A) - 1, 0, -1):
+        col, prow = pivots[k], A[k]
+        for i in range(k):
+            A[i] = K.combine(prow[col], A[i][col], None, A[i], prow)
+    return A
 
 
 class _Z:
     """Carrier Z, for real rational matrices: entries are ints."""
 
     zero, one = 0, 1
+    keeps_zero_rows = True
     clear = primitive = staticmethod(primitive_row)
+    reduce = classmethod(_clear_upward)
 
     @staticmethod
     def combine(p, f, prev, row, prow):
-        """(p * row - f * prow) / prev, entrywise; the division is exact."""
+        """p' * row - f' * prow over its content, with p' and f' = p and f over
+        gcd(p, f), entrywise; a row with f = 0 as it is.  That is the primitive
+        row on the line of Bareiss's (p * row - f * prow) / prev, which is an
+        integer multiple of it: no entry is larger than Bareiss's, and
+        ``prev`` is not needed."""
         if not f:
-            return [p * a // prev for a in row] if p != prev else row
-        return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            return row
+        g = math.gcd(p, f)
+        if g > 1:
+            p, f = p // g, f // g
+        out = [p * a - f * b for a, b in zip(row, prow)]
+        content = math.gcd(*out)
+        return [a // content for a in out] if content > 1 else out
 
     @staticmethod
     def quotient(a, d):
@@ -139,6 +171,7 @@ class _ZD:
     divided by its norm, an int."""
 
     zero, one = (0, 0), (1, 0)
+    keeps_zero_rows = False
 
     def __init__(self, d: int):
         self.d = d
@@ -175,6 +208,24 @@ class _ZD:
             out.append(((cr * qr - ci * dqi) // n, (ci * qr - cr * qi) // n))
         return out
 
+    def reduce(self, rows, pivots):
+        """Bareiss's forward pivot ``rows`` in reduced form, a new list, from
+        the last up: with P the last pivot, row i becomes (P * row_i -
+        sum_{k > i} row_i[pc_k] * G_k) / p_i, G_k the rows below it already
+        reduced and p_i its pivot.  That is P times row i of the reduced row
+        echelon form, whose entries P makes minors (Cramer's rule), so the one
+        division is exact, and every reduced row has the pivot P."""
+        A, last = list(rows), len(rows) - 1
+        P = A[last][pivots[last]] if A else None
+        for i in range(last - 1, -1, -1):
+            row = acc = A[i]
+            for k in range(i + 1, last + 1):
+                scale = P if k == i + 1 else self.one
+                divisor = row[pivots[i]] if k == last else self.one
+                acc = self.combine(scale, row[pivots[k]], divisor, acc, A[k])
+            A[i] = acc
+        return A
+
     def quotient(self, a, den):
         (ar, ai), (dr, di) = a, den
         d = self.d
@@ -182,10 +233,8 @@ class _ZD:
         return tidy(QQi(Fraction(ar * dr - d * ai * di, n), Fraction(ai * dr - ar * di, n), d))
 
 
-def _carrier(values):
-    """_Z when every one of the exact ``values`` is rational, else _ZD of
-    their one field."""
-    d = quadratic_field(values)
+def _carrier(d: int):
+    """_Z for the field Q (d = 0), else _ZD for Q(sqrt d)."""
     return _Z if d == 0 else _ZD(d)
 
 
@@ -219,7 +268,9 @@ class _Fp:
     """Carrier F_PRIME, for real rational matrices: entries are ints mod PRIME."""
 
     zero, one = 0, 1
+    keeps_zero_rows = True
     clear = staticmethod(residues)
+    reduce = classmethod(_clear_upward)
 
     @staticmethod
     def combine(p, f, prev, row, prow):
@@ -235,30 +286,21 @@ class _Fp:
         return a * _inverse(d, PRIME) % PRIME
 
 
-def _eliminate(M, reduce: bool, K=None):
-    """Fraction-free elimination of an exact matrix; returns (carrier, rows, pivots).
-
-    The rows are the denominator-cleared rows of M over Z, or over Z[sqrt d]
-    when an entry is irrational in Q(sqrt d), or their residues when the
-    carrier ``K`` is _Fp; ``_bareiss`` eliminates them.
-    """
-    K = K or _carrier(x for row in M for x in row)
-    return _bareiss(K, [K.clear(row) for row in M], reduce)
-
-
-def _bareiss(K, A, reduce: bool):
-    """(K, rows, pivots) of the rows A over the carrier K, eliminated in place.
+def _bareiss(K, A):
+    """The pivot columns of the rows A over the carrier K, which are
+    forward-eliminated in place.
 
     At a pivot p in column ``col`` (previous pivot ``prev``, 1 at the start)
-    each row below the pivot row becomes (p * row - row[col] * pivot_row) /
-    prev: the forward elimination of Bareiss (1968), whose entries are minors
-    of A, so the division is exact.  With ``reduce`` the rows above are
-    updated the same way, which is fraction-free Gauss-Jordan: every pivot
-    then equals the last one, and dividing a pivot row by its pivot gives the
-    reduced row echelon form.  Over F_PRIME the rows are not scaled (see
-    _Fp.combine), and each pivot row is divided by its own pivot.
+    each row below the pivot row becomes K.combine(p, row[col], prev, row,
+    pivot_row).  Over Z[sqrt d] that is (p * row - row[col] * pivot_row) /
+    prev, the forward elimination of Bareiss (1968), whose entries are minors
+    of A, so the division is exact, and a row with a zero in ``col`` is
+    scaled by p / prev.  Over Z it is the primitive row on the same line, and
+    over F_PRIME the row less row[col] / p pivot rows; these carriers keep a
+    row with a zero in ``col`` as it is (``keeps_zero_rows``), so it is
+    skipped.
     """
-    combine, zero = K.combine, K.zero
+    combine, zero, skip = K.combine, K.zero, K.keeps_zero_rows
     n, m = shape(A)
     pivots = []
     prev = K.one
@@ -268,39 +310,82 @@ def _bareiss(K, A, reduce: bool):
         if piv is None:
             continue
         A[k], A[piv] = A[piv], A[k]
-        prow = A[k]
-        p = prow[col]
+        p = A[k][col]
         # rows below the pivot row are zero left of col
-        tail = prow[col:]
+        tail = A[k][col:]
         for r in range(k + 1, n):
             row = A[r]
-            row[col:] = combine(p, row[col], prev, row[col:], tail)
-        if reduce:
-            for r in range(k):
-                row = A[r]
-                A[r] = combine(p, row[col], prev, row, prow)
+            if row[col] != zero or not skip:
+                row[col:] = combine(p, row[col], prev, row[col:], tail)
         prev = p
         pivots.append(col)
         if len(pivots) == n:
             break
-    return K, A, pivots
+    return pivots
 
 
-def mat_rank_exact(M) -> int:
-    """Rank by fraction-free (Bareiss) elimination on Python ints.
+class Elimination:
+    """The forward elimination of one exact matrix, over the carrier K: its
+    cleared rows eliminated by ``_bareiss``, and so its rank, at once.  The
+    reduced rows are back-substituted from the forward ones (``K.reduce``),
+    and the kernel read off them, when each is first asked for; both are
+    kept, so each is computed once per elimination."""
 
-    Rows are cleared of denominators with one lcm each; the kernel runs over
-    Z for real rational matrices and over Z[sqrt d], on (x, y) int pairs, for
-    matrices over Q(sqrt d).
-    """
-    return len(_eliminate(M, reduce=False)[2])
+    def __init__(self, M, K):
+        self.K, self.width = K, len(M[0]) if M else 0
+        self.rows = [K.clear(row) for row in M]
+        self.pivots = _bareiss(K, self.rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @functools.cached_property
+    def reduced(self):
+        """The pivot rows in reduced form: each is zero at the other rows'
+        pivot columns.  Over F_PRIME and Z[sqrt d] that is Gauss-Jordan's
+        form, over Z the primitive rows on the same lines."""
+        return self.K.reduce(self.rows[:self.rank], self.pivots)
+
+    @functools.cached_property
+    def kernel(self):
+        """Right-kernel basis in pivot-normalized echelon form (deterministic):
+        one vector per free column, read off ``reduced``, each pivot row
+        divided by its own pivot."""
+        K, m = self.K, self.width
+        basis = []
+        for fc in (c for c in range(m) if c not in self.pivots):
+            v = [Fraction(0)] * m
+            v[fc] = Fraction(1)
+            for row, pc in zip(self.reduced, self.pivots):
+                v[pc] = tidy(-K.quotient(row[fc], row[pc]))
+            basis.append(v)
+        return basis
+
+
+def eliminate(M, field: int | None = None) -> Elimination:
+    """The forward elimination of an exact matrix over Z, or over Z[sqrt d]
+    when an entry is irrational in Q(sqrt d): the one entry point of the
+    exact rank, reduced form and kernel.  ``field`` is that d, 0 for Q, when
+    the caller knows it, else read off the entries (``quadratic_field``)."""
+    if field is None:
+        field = quadratic_field(x for row in M for x in row)
+    return Elimination(M, _carrier(field))
+
+
+def mat_rank_exact(M, field: int | None = None) -> int:
+    """Rank as the number of pivots of ``eliminate(M, field)``: on Python
+    ints, the rows cleared of denominators with one lcm each, over Z for real
+    rational matrices and over Z[sqrt d], on (x, y) int pairs, for matrices
+    over Q(sqrt d)."""
+    return eliminate(M, field).rank
 
 
 def span_mod_p(vectors):
     """Echelon rows of residues spanning the same space over F_PRIME as the
     residues of ``vectors``; ValueError as for ``residues``."""
-    _, A, pivots = _eliminate(vectors, False, _Fp)
-    return A[:len(pivots)]
+    e = Elimination(vectors, _Fp)
+    return e.rows[:e.rank]
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +414,26 @@ def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
     return rank
 
 
+def exact_field(M, mode: Mode):
+    """The one exact-or-float rule: M is decided exactly when the mode and
+    every entry of M are exact, and the entries lie in one field Q(sqrt d).
+    Returns that d, 0 for Q, which the exact kernel takes as its ``field``;
+    None where M is decided in floats."""
+    return quadratic_field(x for row in M for x in row) if mode.is_exact else None
+
+
 def decides_exactly(M, mode: Mode) -> bool:
-    """The one exact-or-float rule: exact when the mode and every entry of M
-    are, and the entries lie in one field Q(sqrt d)."""
-    return mode.is_exact and quadratic_field(x for row in M for x in row) is not None
+    """Whether ``exact_field`` decides M exactly."""
+    return exact_field(M, mode) is not None
 
 
 def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
     n, m = shape(M)
     if n == 0 or m == 0:
         return 0
-    if decides_exactly(M, mode):
-        return mat_rank_exact(M)
+    d = exact_field(M, mode)
+    if d is not None:
+        return mat_rank_exact(M, field=d)
     return svd_rank(M, mode.tol, warnings, what)
 
 
@@ -352,44 +445,26 @@ def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
 def rref(M):
     """Reduced row echelon form over Q or Q(sqrt d); returns (R, pivot_cols).
 
-    Fraction-free Gauss-Jordan over Z or Z[sqrt d] (see ``_eliminate``); each
-    pivot row is divided by its pivot only at the end, giving Fraction
-    entries, or QQi for irrational ones.  Rows past the rank are zero.
+    The fraction-free reduced rows of ``eliminate(M)``; each pivot row
+    is divided by its pivot only at the end, giving Fraction entries, or QQi
+    for irrational ones.  Rows past the rank are zero.
     """
-    K, A, pivots = _eliminate(M, reduce=True)
-    _, m = shape(A)
-    R = [[K.quotient(a, row[col]) for a in row] for row, col in zip(A, pivots)]
-    R += [[Fraction(0)] * m for _ in range(len(A) - len(pivots))]
-    return R, pivots
+    e = eliminate(M)
+    R = [[e.K.quotient(a, row[col]) for a in row] for row, col in zip(e.reduced, e.pivots)]
+    R += [[Fraction(0)] * e.width for _ in range(len(M) - e.rank)]
+    return R, e.pivots
 
 
-def _nullspace(M, K=None):
-    """Right-kernel basis in pivot-normalized echelon form (deterministic): one
-    vector per free column, read off the fraction-free Gauss-Jordan form over
-    the carrier K, each pivot row divided by its own pivot."""
-    if not M or not M[0]:
-        return []
-    K, A, pivots = _eliminate(M, True, K)
-    m = len(M[0])
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for row, pc in zip(A, pivots):
-            v[pc] = tidy(-K.quotient(row[fc], row[pc]))
-        basis.append(v)
-    return basis
-
-
-def nullspace_exact(M):
-    """Right-kernel basis over Q or Q(sqrt d) in pivot-normalized echelon form."""
-    return _nullspace(M)
+def nullspace_exact(M, field: int | None = None):
+    """Right-kernel basis over Q or Q(sqrt d) in pivot-normalized echelon form
+    (``Elimination.kernel``)."""
+    return eliminate(M, field).kernel
 
 
 def nullspace_mod_p(M):
     """Vectors whose residues are a right-kernel basis over F_PRIME of a real
     rational matrix; ValueError as for ``residues``."""
-    return _nullspace(M, _Fp)
+    return Elimination(M, _Fp).kernel
 
 
 def nullspace_float(M, eps: float, dim: int | None = None):
@@ -408,8 +483,9 @@ def nullspace_float(M, eps: float, dim: int | None = None):
 
 
 def nullspace(M, mode: Mode = EXACT):
-    if decides_exactly(M, mode):
-        return nullspace_exact(M)
+    d = exact_field(M, mode)
+    if d is not None:
+        return nullspace_exact(M, field=d)
     return nullspace_float(M, mode.tol)
 
 
@@ -498,9 +574,10 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     """
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
-    if decides_exactly(vectors, mode):
-        K = _carrier(x for v in vectors for x in v)
-        pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]), reduce=False)[2]
+    d = exact_field(vectors, mode)
+    if d is not None:
+        K = _carrier(d)
+        pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]))
         return out + [vectors[j] for j in pivots if j >= len(out)]
     A, kept = to_numpy(vectors), list(range(len(out)))
     for k in range(len(out), len(vectors)):
@@ -565,9 +642,9 @@ def poly_gcd_exact(a, b):
     """Monic gcd over Q or Q(sqrt d); [1] when a and b are both zero.
 
     Brown's primitive pseudo-remainder sequence (JACM 1971) on the cleared
-    coefficients, over the carrier ``_eliminate`` would pick: a step of a
-    pseudo-division is the Bareiss step with previous pivot one, and each
-    remainder is made primitive by the carrier.
+    coefficients, over the carrier ``eliminate`` would pick: a step of a
+    pseudo-division is the carrier's elimination step with previous pivot
+    one, and each remainder is made primitive by the carrier.
 
     Over Z[sqrt d] the content removed is an integer: a factor in Z[sqrt d]
     that a pseudo-division by a leading coefficient outside Z brings in stays
@@ -575,7 +652,7 @@ def poly_gcd_exact(a, b):
     No benchmark job runs a gcd over Z[sqrt d], and the tests run Gaussian
     ones up to degree 20, so that growth is left as it is.
     """
-    K = _carrier((*a, *b))
+    K = _carrier(quadratic_field((*a, *b)))
 
     def primitive(row):     # a descending row, its leading zeros dropped
         row = row[next((k for k, c in enumerate(row) if c != K.zero), len(row)):]

@@ -5,7 +5,11 @@ the spectrum (parameters where the rank drops), the isotropic core L spanned
 by regular kernels, induced forms and recursion operators on the quotient
 L^perp / L, and the diagonalizability test.  No parameter is random: every
 finite lambda, distinct or regular, is taken in order from ``height_walk``,
-as P_lambda drops rank at no more than floor(d/2) of them.
+as P_lambda drops rank at no more than floor(d/2) of them.  An exact rank or
+kernel at lambda is read off one forward elimination of P_lambda per point
+and lambda, kept by ``PencilAtPoint.elimination_at``: the rank samples, the
+core walk, the spectrum's checks and each per-lambda kernel share it, and a
+kernel is back-substituted from it once, when first asked for.
 """
 
 from __future__ import annotations
@@ -35,16 +39,17 @@ def height_walk():
 
 
 def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
-    """P_lambda(x) for a rank or kernel decision: in exact mode its multiple
-    ``p.integer_matrix_at(lam)`` over Z, or Z[sqrt d] at a lambda in
-    Q(sqrt d), where there is one, so that the elimination starts from
-    cleared integers; in float mode ``p.float_matrix_at(lam)``."""
-    M = p.integer_matrix_at(lam) if mode.is_exact else p.float_matrix_at(lam)
-    return p.matrix_at(lam) if M is None else M
+    """P_lambda(x) for a decision with no ``p.elimination_at(lam)`` at hand:
+    in float mode ``p.float_matrix_at(lam)``, in exact mode the matrix itself."""
+    return p.matrix_at(lam) if mode.is_exact else p.float_matrix_at(lam)
 
 
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
-    """Rank of P_lambda(x) under the mode's rank rule."""
+    """Rank of P_lambda(x) under the mode's rank rule: exact, the pivot count
+    of its elimination where there is one."""
+    e = p.elimination_at(lam) if mode.is_exact else None
+    if e is not None:
+        return e.rank
     return mat_rank(_decision_matrix(p, lam, mode), mode, warnings, what=f"rank at lambda={lam}")
 
 
@@ -65,7 +70,12 @@ def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
 
 
 def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
-    """Kernel of P_lambda(x); complexified automatically for non-real lambda."""
+    """Kernel of P_lambda(x); complexified automatically for non-real lambda.
+    Exact, it is back-substituted from the elimination that ``rank_at``
+    reads, where there is one, once, and kept there; the caller gets a copy."""
+    e = p.elimination_at(lam) if mode.is_exact else None
+    if e is not None:
+        return [list(v) for v in e.kernel]
     return nullspace(_decision_matrix(p, lam, mode), mode)
 
 

@@ -5,9 +5,11 @@ their cells at a parameter, from which ``skew`` builds the dense P_lambda and
 its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
 d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
 bracket are all one sparse contraction.  Exact rank and kernel decisions
-read ``PencilAtPoint.integer_matrix_at`` instead, a positive multiple of
-P_lambda built from the entries cleared to ints once, and float ones
-``float_matrix_at``, P_lambda with each exact value converted to a float once.
+read ``PencilAtPoint.elimination_at`` instead: the forward elimination of
+``integer_matrix_at``, a positive multiple of P_lambda built from the entries
+cleared to ints once, made once per lambda and kept with the kernel
+back-substituted from it.  Float ones read ``float_matrix_at``, P_lambda
+with each exact value converted to a float once.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import as_float, primitive_row, to_numpy
+from .exactlin import as_float, eliminate, primitive_row, to_numpy
 from .poly import Poly
-from .scalars import INF, QQi, is_exact_scalar, is_inf, tidy
+from .scalars import INF, QQi, is_exact_scalar, is_inf, quadratic_field, tidy
 
 ZERO = Fraction(0)
 
@@ -157,8 +159,8 @@ class PencilAtPoint:
     ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
     evaluated on first use: only the linearization at a spectrum value reads
     them.  A constant pencil has no generators and no derivatives.  Float
-    decisions read ``float_matrix_at``, exact ones ``integer_matrix_at`` at
-    any exact lambda, INF included, when every entry is a real rational.
+    decisions read ``float_matrix_at``, exact ones ``elimination_at`` at any
+    exact lambda, INF included, when every entry is a real rational.
     """
 
     dim: int
@@ -209,6 +211,24 @@ class PencilAtPoint:
             x, y = b * a0 + a * ainf, c * ainf
             M[i][j], M[j][i] = (QQi(x, y, d), QQi(-x, -y, d)) if y else (x, -x)
         return M
+
+    @cached_property
+    def _eliminations(self) -> dict:
+        return {}
+
+    def elimination_at(self, lam):
+        """The ``exactlin.Elimination`` of ``integer_matrix_at(lam)``, over Z,
+        or Z[sqrt d] at a lambda in Q(sqrt d): its rank at once, its kernel
+        when first asked for.  One per exact lambda, INF included, made on
+        first use and kept, so the rank samples, the core, the spectrum and
+        each per-lambda kernel eliminate each P_lambda once.  None where
+        ``integer_matrix_at`` is."""
+        if self._integer_values is None or not (is_inf(lam) or is_exact_scalar(lam)):
+            return None
+        if lam not in self._eliminations:
+            field = 0 if is_inf(lam) else quadratic_field([lam])
+            self._eliminations[lam] = eliminate(self.integer_matrix_at(lam), field)
+        return self._eliminations[lam]
 
     def float_matrix_at(self, lam):
         """to_numpy(matrix_at(lam)) bit for bit, each exact value converted once:

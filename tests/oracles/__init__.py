@@ -15,6 +15,9 @@
 - ``euclid``: the polynomial gcd and squarefree decomposition by Euclid over
   the field, the reference for the library's remainder sequences on the
   integer carriers;
+- ``bareiss``: Bareiss forward elimination and fraction-free Gauss-Jordan
+  over Z, the reference for the row sizes of the library's elimination, which
+  divides by contents and back-substitutes;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
   longer rules, the reference for the library's early stops.
 - ``pencilfile``: a pencil file's entries summed one ``Poly`` per monomial,

@@ -14,7 +14,7 @@ from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, INF, float_mode, lambda_key
-from bipencil.tensorfield import PoissonTensorField, evaluate_pencil
+from bipencil.tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from golden import fixture_dir, report_text
@@ -291,6 +291,41 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     ranks.clear()
     core = compute_core(p, rank=8)
     assert ranks == [] and core.dim == 1
+
+
+@pytest.mark.parametrize("kind", ["regular", "singular"])
+def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
+    # the rank samples, the core walk, the spectrum's checks and the
+    # per-lambda kernels read one exact elimination per point and lambda:
+    # every elimination over Z or Z[sqrt d] is matched to the integer forms
+    # P_lambda(x) built so far by the rows it starts from
+    built, seen, counts = [], {}, {}
+    real_matrix, real_bareiss = PencilAtPoint.integer_matrix_at, exactlin._bareiss
+
+    def integer_matrix_at(self, lam):
+        M = real_matrix(self, lam)
+        if M is not None:
+            built.append((self, lam, M))
+        return M
+
+    def bareiss(K, A, *args, **kwargs):
+        if K is not exactlin._Fp:
+            for p, lam, M in built:
+                cleared = seen.setdefault((id(M), getattr(K, "d", 0)), [K.clear(r) for r in M])
+                if cleared == A:
+                    key = id(p), lambda_key(lam)
+                    counts[key] = counts.get(key, 0) + 1
+                    break
+        return real_bareiss(K, A, *args, **kwargs)
+
+    monkeypatch.setattr(PencilAtPoint, "integer_matrix_at", integer_matrix_at)
+    monkeypatch.setattr(exactlin, "_bareiss", bareiss)
+    n = 6
+    point = random_point(n, 1) if kind == "regular" else make_singular_point(n, seed=1)
+    f0, finf = toda_pencil(n)
+    rep = analyze_point(f0, finf, point.coordinates(), seed=1, declared_rank=2 * n - 2)
+    assert (rep.verdict.kind == "Regular") == (kind == "regular")
+    assert len(counts) > n and max(counts.values()) == 1, counts
 
 
 def test_the_linear_layer_computes_each_fact_once(monkeypatch):

@@ -16,11 +16,11 @@ from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_p
                                coords_in_span, eigenvalues, gaussian_rational_roots,
                                identity, mat_mul, mat_rank, mat_rank_exact, mat_vec,
                                nullspace_exact, nullspace_mod_p, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, residues, rref, solve, span_mod_p,
-                               squarefree_decomposition, transpose)
+                               poly_roots_hybrid, primitive_row, residues, rref, solve,
+                               span_mod_p, squarefree_decomposition, transpose)
 from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
 
-from oracles import euclid
+from oracles import bareiss, euclid
 from oracles.dense import bilinear, complex_array, entrywise_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -241,6 +241,67 @@ def test_integer_kernel_matches_fraction_elimination(M, data):
     if n == m:
         expected = oracle_inverse(M)
         assert typed(solve(M, identity(n))) == typed(expected)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rational matrices up to 7 x 7, sparse (about two entries in three
+    zero) or dense, some entries with denominators, with zero rows and rows
+    that are combinations of two others planted."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    sparse = draw(st.booleans())
+    ints = (st.integers(-9, 9).map(lambda x: x if abs(x) > 6 else 0) if sparse
+            else st.integers(-60, 60))
+    entry = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 4)))
+    M = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c, e = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        M[i] = [c * x + e * y for x, y in zip(M[a], M[b])]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        M[i] = [0] * m
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_integer_elimination_rows_are_no_larger_than_bareiss(M):
+    # each forward and reduced row over Z is the primitive row on the line of
+    # the Bareiss / fraction-free Gauss-Jordan row of the same index
+    e = exactlin.eliminate(M, 0)
+    cleared = [primitive_row(row) for row in M]
+    forward, pivots = bareiss.bareiss(cleared, reduce=False)
+    reduced, reduced_pivots = bareiss.bareiss(cleared, reduce=True)
+    assert e.pivots == pivots == reduced_pivots
+    assert len(e.rows) == len(forward) and len(e.reduced) == e.rank
+    for new, old in [*zip(e.rows, forward), *zip(e.reduced, reduced)]:
+        assert all(abs(a) <= abs(b) for a, b in zip(new, old)), (new, old)
+        if any(old):
+            c = next(c for c, b in enumerate(old) if b)
+            assert all(a * old[c] == b * new[c] for a, b in zip(new, old))
+        else:
+            assert not any(new)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, -3, 5]), st.integers(1, 6), st.integers(1, 6), st.integers(0, 6),
+       st.data())
+def test_quadratic_field_elimination_matches_field_gauss_jordan(d, n, m, k, data):
+    # over Z[sqrt d] the reduced rows are back-substituted from Bareiss's
+    # forward rows with one exact division each: a product of n x k and k x m
+    # matrices over Q(sqrt d), of rank at most k, against Gauss-Jordan in the
+    # field
+    entry = st.builds(lambda a, b, q: QQi(Fraction(a, q), Fraction(b, q), d),
+                      st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3))
+    B = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(n)]
+    C = [data.draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)]
+    M = [[tidy(sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0))) for j in range(m)]
+         for i in range(n)]
+    R, pivots = rref(M)
+    R0, pivots0 = oracle_rref(M)
+    assert pivots == pivots0 and mat_rank_exact(M) == len(pivots)
+    assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
+    assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
 
 
 @settings(max_examples=15, deadline=None)

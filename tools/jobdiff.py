@@ -67,6 +67,10 @@ def further_jobs(workdir: str):
       with CLI seed s, in both modes: the largest float decision matrices, 20
       x 20 and 24 x 24, which no workload builds (``float-sweep`` stops at
       n = 8);
+    - exact ``toda`` at ``random_point(n, s)`` for n = 10, 12 and s = 1, 2,
+      with CLI seed s: Regular points larger than any ``regular-exact`` job,
+      where every exact rank and kernel of the pencil layer is read off one
+      elimination per lambda;
     - ``jk`` and ``analyze`` at the origin on the real canonical pair of
       every ``workloads.JK_PAIRS`` entry, on the 13-dim pair with (1 +- 2i)
       Jordan blocks of size 2 under two congruences, and on the companion
@@ -100,7 +104,7 @@ def further_jobs(workdir: str):
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
     from bipencil.scalars import QQi
-    from bipencil.toda import make_singular_point
+    from bipencil.toda import make_singular_point, random_point
     from oracles.algebras import with_complex_scalars
     from oracles.sln import shift_case
 
@@ -163,6 +167,9 @@ def further_jobs(workdir: str):
         jobs += [(f"toda singular n={n} s={s} {mode}",
                   workloads._toda_argv(make_singular_point(n, s), mode, s))
                  for n in (10, 12) for s in (1, 2)]
+    jobs += [(f"toda random n={n} s={s} exact",
+              workloads._toda_argv(random_point(n, s), "exact", s))
+             for n in (10, 12) for s in (1, 2)]
     pairs = [(f"jk{k}", workloads._real_jk_pair(blocks))
              for k, blocks in enumerate(workloads.JK_PAIRS)]
     gaussian = workloads._real_jk_pair([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
