@@ -30,7 +30,7 @@ from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable
                      kernel_basis, pencil_rank_corank, quotient_dim, quotient_dim_mod_p)
 from .roots import BlockDecomposition, WilliamsonType, analyze_linear
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, format_scalar, is_exact_scalar, lambda_key
+from .scalars import EXACT, Mode, format_scalar, lambda_key
 from .tensorfield import PoissonTensorField, evaluate_pencil
 
 
@@ -133,10 +133,6 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             rep.degeneracy_reason = f"NonDiagonalizable({lambda_key(entry.lam)})"
             continue
         lin = analyze_linear(linearize(p, entry.lam, ker, form, mode), mode)
-        if mode.is_exact and any(not is_exact_scalar(v) for pair in lin.data.pairs
-                                 for v in pair.root):
-            warnings.append(f"roots at spectrum value {entry.lam} are irrational; "
-                            "root decomposition verified with float tolerance 1e-9")
         rep.linear_nondegenerate = lin.reason is None
         if lin.reason is not None:
             rep.degeneracy_reason = f"{lin.reason}({lambda_key(entry.lam)})"

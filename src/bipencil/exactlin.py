@@ -1,4 +1,4 @@
-"""Dense linear algebra over exact scalars, with a floating fallback.
+"""Dense linear algebra over exact scalars, and over floats in float mode.
 
 Rank decisions are the load-bearing primitive of the whole pipeline.  The
 exact kernel clears each row of denominators with one integer lcm, divides it
@@ -16,11 +16,12 @@ QQi entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
 proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
 reaches a known upper bound, such as a certified pencil rank, proves the
 rational rank; a lower one, or p dividing a denominator, proves nothing and
-the caller rechecks over Q.  Every primitive decides exactly when the mode is
-exact and every entry is exact, in one field (``exact_field``, which names
-the field once for the elimination), and otherwise in floats at
-``Mode.tol``, the one float tolerance; the float rank thresholds singular
-values at tol * sigma_max.  A nonzero scale of a row changes no rank, kernel or
+the caller rechecks over Q.  Every primitive decides exactly in exact mode,
+and in floats at ``Mode.tol`` in float mode; the float rank thresholds
+singular values at tol * sigma_max.  Exact mode holds no float: ``eliminate``
+names the one field of the entries (``scalars.quadratic_field``), and refuses
+a matrix with a float entry, or with entries in no one field, by
+PreconditionError.  A nonzero scale of a row changes no rank, kernel or
 reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
@@ -28,23 +29,24 @@ the whole basis, and otherwise by one reduced row echelon form of the basis
 beside them all (a least-squares solve per vector for float input);
 ``restrict`` reads an operator's matrix on an invariant span off one such
 call, and ``solve`` reads B^-1 C off one of [B | C].  ``poly_roots_hybrid``
-lists the roots of an exact polynomial as (value, multiplicity) pairs, a
-value exact (Fraction or QQi) when ``exact_roots`` finds it and a complex
-float otherwise; every multiplicity is exact, read off Yun's squarefree
-decomposition (``squarefree_decomposition``), whose gcds run on the same
-carriers Z and Z[sqrt d], as primitive pseudo-remainder sequences
-(``poly_gcd_exact``).  The exact roots of each squarefree factor are found
-with no float: the Gaussian-rational ones mod a prime and lifted p-adically
-(``gaussian_rational_roots``), then both roots of a quadratic cofactor over
-Q, in the field of its discriminant, and the root of a linear factor over any
-Q(sqrt d); only a cofactor of degree 3 or more, or of degree 2 over a field
-other than Q, goes to numpy.  ``eigenvalues`` gives the same list for a
-matrix, and ``eigenspaces``, the one eigen-split, also decides
-diagonalizability over C.
-Matrices are lists of lists of Fraction / QQi / int entries, or floats;
-vectors are lists.  A float decision converts each exact value once where it
-meets a float (``as_float``, ``to_numpy``), to the correctly rounded float(x)
-that Fraction-with-float arithmetic starts from: float results keep their bits.
+lists the roots of an exact polynomial as (value, multiplicity) pairs, each
+value exact (Fraction or QQi), found by ``exact_roots``, and refuses a
+polynomial with a root it does not find; every multiplicity is exact, read
+off Yun's squarefree decomposition (``squarefree_decomposition``), whose gcds
+run on the same carriers Z and Z[sqrt d], as primitive pseudo-remainder
+sequences (``poly_gcd_exact``).  The exact roots of each squarefree factor
+are found with no float: the Gaussian-rational ones mod a prime and lifted
+p-adically (``gaussian_rational_roots``), then both roots of a quadratic
+cofactor over Q, in the field of its discriminant, and the root of a linear
+factor over any Q(sqrt d); a cofactor of degree 3 or more, or of degree 2
+over a field other than Q, is refused.  ``eigenvalues`` gives the same list
+for a matrix in exact mode, and numpy's in float mode, and ``eigenspaces``,
+the one eigen-split, also decides diagonalizability over C.
+Matrices are lists of lists of Fraction / QQi / int entries, or in float
+mode floats; vectors are lists.  A float decision converts each exact value
+once where it meets a float (``as_float``, ``to_numpy``), to the correctly
+rounded float(x) that Fraction-with-float arithmetic starts from: float
+results keep their bits.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, Mode, QQi, field_coords, is_exact_scalar, quadratic_field, tidy
+from .errors import PreconditionError
+from .scalars import EXACT, Mode, QQi, field_coords, field_name, quadratic_field, tidy
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -367,18 +370,20 @@ def eliminate(M, field: int | None = None) -> Elimination:
     """The forward elimination of an exact matrix over Z, or over Z[sqrt d]
     when an entry is irrational in Q(sqrt d): the one entry point of the
     exact rank, reduced form and kernel.  ``field`` is that d, 0 for Q, when
-    the caller knows it, else read off the entries (``quadratic_field``)."""
+    the caller knows it, else read off the entries once by
+    ``quadratic_field``, which refuses a float entry, or entries in no one
+    field, with PreconditionError."""
     if field is None:
         field = quadratic_field(x for row in M for x in row)
     return Elimination(M, _carrier(field))
 
 
-def mat_rank_exact(M, field: int | None = None) -> int:
-    """Rank as the number of pivots of ``eliminate(M, field)``: on Python
-    ints, the rows cleared of denominators with one lcm each, over Z for real
-    rational matrices and over Z[sqrt d], on (x, y) int pairs, for matrices
-    over Q(sqrt d)."""
-    return eliminate(M, field).rank
+def mat_rank_exact(M) -> int:
+    """Rank as the number of pivots of ``eliminate(M)``: on Python ints, the
+    rows cleared of denominators with one lcm each, over Z for real rational
+    matrices and over Z[sqrt d], on (x, y) int pairs, for matrices over
+    Q(sqrt d)."""
+    return eliminate(M).rank
 
 
 def span_mod_p(vectors):
@@ -414,26 +419,12 @@ def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
     return rank
 
 
-def exact_field(M, mode: Mode):
-    """The one exact-or-float rule: M is decided exactly when the mode and
-    every entry of M are exact, and the entries lie in one field Q(sqrt d).
-    Returns that d, 0 for Q, which the exact kernel takes as its ``field``;
-    None where M is decided in floats."""
-    return quadratic_field(x for row in M for x in row) if mode.is_exact else None
-
-
-def decides_exactly(M, mode: Mode) -> bool:
-    """Whether ``exact_field`` decides M exactly."""
-    return exact_field(M, mode) is not None
-
-
 def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
     n, m = shape(M)
     if n == 0 or m == 0:
         return 0
-    d = exact_field(M, mode)
-    if d is not None:
-        return mat_rank_exact(M, field=d)
+    if mode.is_exact:
+        return mat_rank_exact(M)
     return svd_rank(M, mode.tol, warnings, what)
 
 
@@ -455,10 +446,10 @@ def rref(M):
     return R, e.pivots
 
 
-def nullspace_exact(M, field: int | None = None):
+def nullspace_exact(M):
     """Right-kernel basis over Q or Q(sqrt d) in pivot-normalized echelon form
     (``Elimination.kernel``)."""
-    return eliminate(M, field).kernel
+    return eliminate(M).kernel
 
 
 def nullspace_mod_p(M):
@@ -483,9 +474,8 @@ def nullspace_float(M, eps: float, dim: int | None = None):
 
 
 def nullspace(M, mode: Mode = EXACT):
-    d = exact_field(M, mode)
-    if d is not None:
-        return nullspace_exact(M, field=d)
+    if mode.is_exact:
+        return nullspace_exact(M)
     return nullspace_float(M, mode.tol)
 
 
@@ -493,20 +483,20 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     """Coordinates of each of ``vectors`` in span(basis_vectors), or None if
     any of them is outside.
 
-    Exact input whose basis vectors each have a unit column, a 1 where every
-    other basis vector has 0, as the free columns of an echelon kernel basis
-    are, is read off those columns with no elimination, and each vector is
-    then checked against the whole basis.  Other exact input takes one
-    reduced row echelon form of the basis columns beside all the vectors: a
-    pivot in a vector's column puts it outside the span.  Float input takes a
-    least-squares solve per vector, outside when the residual exceeds
+    In exact mode, basis vectors that each have a unit column, a 1 where
+    every other basis vector has 0, as the free columns of an echelon kernel
+    basis are, are read off those columns with no elimination, and each
+    vector is then checked against the whole basis.  Other exact input takes
+    one reduced row echelon form of the basis columns beside all the vectors:
+    a pivot in a vector's column puts it outside the span.  Float mode takes
+    a least-squares solve per vector, outside when the residual exceeds
     100 * mode.tol * max(1, max |w|).
     """
     m = len(basis_vectors)
     if not m:
         inside = all(mode.zero(x) for w in vectors for x in w)
         return [[] for _ in vectors] if inside else None
-    if decides_exactly(list(basis_vectors) + list(vectors), mode):
+    if mode.is_exact:
         units = [next((j for j, x in enumerate(u) if x == 1
                        and sum(v[j] != 0 for v in basis_vectors) == 1), None)
                  for u in basis_vectors]
@@ -538,7 +528,7 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
 def restrict(A, basis, mode: Mode = EXACT):
     """Matrix of the operator A on the invariant span(basis), or None when an
     image A b leaves that span; all images are resolved in one call."""
-    if not decides_exactly(basis, mode):
+    if not mode.is_exact:
         A = [[as_float(x) for x in row] for row in A]
     coords = coords_in_span(basis, [mat_vec(A, b) for b in basis], mode)
     return None if coords is None else transpose(coords)
@@ -547,15 +537,15 @@ def restrict(A, basis, mode: Mode = EXACT):
 def solve(B, C, mode: Mode = EXACT):
     """B^-1 C for a square B: [] when B is empty, None when it is singular.
 
-    Exact input takes one reduced row echelon form of [B | C]; B is
+    Exact mode takes one reduced row echelon form of [B | C]; B is
     invertible when the pivots fill its columns, and the rows then hold
-    B^-1 C.  Float input is singular when ``svd_rank`` says so at mode.tol,
-    and otherwise numpy's inverse of B is multiplied into C.
+    B^-1 C.  In float mode B is singular when ``svd_rank`` says so at
+    mode.tol, and otherwise numpy's inverse of B is multiplied into C.
     """
     n = len(B)
     if not n:
         return []
-    if decides_exactly(B + C, mode):
+    if mode.is_exact:
         R, pivots = rref([list(b) + list(c) for b, c in zip(B, C)])
         return [row[n:] for row in R] if pivots[:n] == list(range(n)) else None
     if svd_rank(B, mode.tol) < n:
@@ -567,16 +557,16 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     """Extend an independent family by the independent members of new_vectors.
 
     A vector is kept when it is independent of the family and of the vectors
-    kept before it.  For exact input that greedy choice is the pivot columns
+    kept before it.  In exact mode that greedy choice is the pivot columns
     of one forward elimination, as ``mat_rank_exact`` runs it, with the
     vectors as columns, each first cleared of its own denominators; float
-    input is converted once and checked prefix by prefix, on rows of one array.
+    mode converts the vectors once and checks them prefix by prefix, on rows
+    of one array.
     """
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
-    d = exact_field(vectors, mode)
-    if d is not None:
-        K = _carrier(d)
+    if mode.is_exact:
+        K = _carrier(quadratic_field(x for v in vectors for x in v))
         pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]))
         return out + [vectors[j] for j in pivots if j >= len(out)]
     A, kept = to_numpy(vectors), list(range(len(out)))
@@ -799,36 +789,38 @@ def exact_roots(f):
 
 def poly_roots_hybrid(coeffs, factors=None):
     """Roots of an exact polynomial with their multiplicities, one list of
-    (value, multiplicity): exact values first, then floats.  ``factors`` is
-    the factor list of its ``squarefree_decomposition``, or the part of it
-    whose roots the caller wants, when the caller has it.
+    exact (value, multiplicity).  ``factors`` is the factor list of its
+    ``squarefree_decomposition``, or the part of it whose roots the caller
+    wants, when the caller has it.
 
     Each squarefree f_i gives the roots ``exact_roots`` finds, exact (Fraction
-    or QQi), and their multiplicity is i.  The other roots are numpy's roots
-    of the cofactor, complex floats of the same multiplicity.
+    or QQi), and their multiplicity is i.  A cofactor with roots left, which
+    exact mode cannot hold, is refused by PreconditionError, naming its
+    degree and its field.
     """
     if factors is None:
         factors = squarefree_decomposition([tidy(c) for c in coeffs[:_poly_degree(coeffs) + 1]])[1]
-    exact, floats = [], []
+    out = []
     for f, i in factors:
         roots, cofactor = exact_roots(f)
-        exact += [(z, i) for z in roots]
-        floats += [(complex(z), i) for z in np.roots([complex(c) for c in cofactor[::-1]])]
-    return exact + floats
+        if len(cofactor) > 1:
+            raise PreconditionError(
+                f"exact mode cannot hold the roots of a factor of degree {len(cofactor) - 1} "
+                f"over {field_name(quadratic_field(cofactor))}")
+        out += [(z, i) for z in roots]
+    return out
 
 
 def eigenvalues(M, mode: Mode = EXACT):
     """Eigenvalues with multiplicity as a pair (exact, float) of lists of
-    (value, multiplicity), the pair that ``perfbench/tracer.py`` counts: of an
-    exact matrix in exact mode the list of ``poly_roots_hybrid`` cut where
-    its floats begin, and otherwise ([], numpy's), where values within
-    1000 * mode.tol * max(1, max |z|) form one cluster."""
+    (value, multiplicity), the pair that ``perfbench/tracer.py`` counts: in
+    exact mode (``poly_roots_hybrid``'s list, []), and in float mode ([],
+    numpy's), where values within 1000 * mode.tol * max(1, max |z|) form one
+    cluster."""
     if not M:
         return [], []
-    if decides_exactly(M, mode):
-        roots = poly_roots_hybrid(char_poly(M))
-        exact = [r for r in roots if is_exact_scalar(r[0])]
-        return exact, roots[len(exact):]
+    if mode.is_exact:
+        return poly_roots_hybrid(char_poly(M)), []
     vals = np.linalg.eigvals(to_numpy(M))
     clusters = []
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))

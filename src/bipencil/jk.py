@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
-from .exactlin import decides_exactly, mat_mul, mat_rank, primitive_row, shift, transpose
+from .exactlin import mat_mul, mat_rank, primitive_row, shift, transpose
 from .pencil import compute_core, compute_spectrum, lambda_to_moebius, pencil_rank_corank
 from .scalars import (EXACT, INF, Mode, QQi, conj, field_coords, is_inf, lambda_key,
                       quadratic_field)
@@ -159,7 +159,7 @@ def _jordan_sizes_at(R, mu, mode: Mode):
     product of the forms, and its rank is 2 rank(A + B sqrt d)."""
     m = len(R)
     N, copies = shift(R, mu), 1
-    if decides_exactly(N, mode):
+    if mode.is_exact:
         d = quadratic_field(x for row in N for x in row)
         coords = [field_coords(x, d) for row in N for x in row]
         ints = primitive_row([c[k] for k in (0, 1) for c in coords])

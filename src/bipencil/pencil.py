@@ -255,7 +255,7 @@ def _moebius_to_lambda(mu, t1, t2, mode: Mode):
 
     R u = mu u on the quotient means P_{t1} u = mu P_{t2} u, i.e. u lies in
     the kernel of P_lambda with lambda = (t1 - mu t2) / (1 - mu); mu = 1
-    corresponds to lambda = infinity.
+    corresponds to lambda = infinity, within ``mode.tol`` for a float mu.
     """
     if is_exact_scalar(mu):
         if mu == 1:
@@ -284,9 +284,10 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
     Candidates come from the eigenvalues of the recursion operator between
     the core's first two regular parameters, mapped back through the Moebius
     normalization; every candidate is then re-verified by an independent
-    rank computation.  The pencil rank is dim - core.corank; the spectrum is
-    empty, with no operator, when L^perp / L is zero, and otherwise keeps
-    the operator.
+    rank computation, exact in exact mode, where ``exactlin.eigenvalues``
+    refuses a candidate it cannot hold.  The pencil rank is dim - core.corank;
+    the spectrum is empty, with no operator, when L^perp / L is zero, and
+    otherwise keeps the operator.
     """
     corank = core.corank
     if quotient_dim(p, core) == 0:
@@ -302,16 +303,15 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
     exact, floats = eigenvalues(R.matrix, mode)
     for mu, _mult in exact + floats:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
-        if not is_exact_scalar(mu):
+        if not mode.is_exact:
             lam_c = point(lam)
             if any(is_inf(lam) == is_inf(e.lam)
                    and abs(lam_c - point(e.lam)) <= 1e-7 * max(1.0, abs(lam_c)) for e in entries):
                 continue
-            # in float mode the pencil parameter usually has modest height even
-            # when the recursion eigenvalue does not, so an exact pencil tries
-            # lambda rationalized first; in exact mode a float mu is irrational,
-            # and so is lambda = (t1 - mu t2) / (1 - mu)
-            snapped = None if is_inf(lam) or mode.is_exact else snap(lam_c, 1e-8)
+            # the pencil parameter usually has modest height even when the
+            # float recursion eigenvalue does not, so an exact pencil tries
+            # lambda rationalized first
+            snapped = None if is_inf(lam) else snap(lam_c, 1e-8)
             if snapped is not None and all(
                     is_exact_scalar(x) for _, _, *pair in p.entries for x in pair):
                 kd = p.dim - rank_at(p, snapped, EXACT, warnings)
@@ -321,9 +321,6 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
         kd = p.dim - rank_at(p, lam, mode, warnings)
         if kd > corank:
             entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
-            if warnings is not None and mode.is_exact and not is_exact_scalar(mu):
-                warnings.append(
-                    f"spectrum value {lam} is irrational; verified with float tolerance 1e-9")
     entries = _canonicalize_conjugates(p, entries, mode)
     entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
                                 (abs(complex(e.lam)), complex(e.lam).real,

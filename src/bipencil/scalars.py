@@ -4,10 +4,10 @@ Two carriers are supported: exact scalars (``Fraction``, and ``QQi``, an
 element a + b sqrt(d) of a quadratic field, the Gaussian rationals at the
 default d = -1) and floating complex numbers.  Exact values of one field
 compute exactly, and their real parts, imaginary parts and signs are exact;
-values of two fields with no common one compute in complex floats.  Which
-rules are used for rank/zero decisions is controlled by a ``Mode`` value
-that is threaded through the linear-algebra helpers, not by wrapping the
-numbers themselves.
+exact mode holds no float, so values of two fields with no common one, or a
+float where ``quadratic_field`` asks a field, raise PreconditionError.  A
+``Mode`` value threaded through the linear-algebra helpers, not a wrapper on
+the numbers, sets the rules for rank/zero decisions.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import PreconditionError
 
 
 class _Infinity:
@@ -71,9 +73,9 @@ def _mixed(method):
     ``method`` maps the coordinates a, b of the QQi and c, e of the other
     operand, both in one field Q(sqrt d), and d, to those of the result.  The
     field is the QQi's own, or the other operand's when the QQi is rational.
-    A float or complex operand, or a QQi in another field, turns the operation
-    into complex arithmetic (exact mode can subtract a float eigenvalue from an
-    exact matrix).
+    A float or complex operand turns the operation into complex arithmetic, as
+    float mode meets exact structure constants; a QQi in a field with no
+    common one raises PreconditionError (``no_common_field``).
     """
 
     @functools.wraps(method)
@@ -81,14 +83,14 @@ def _mixed(method):
         if isinstance(other, QQi):
             d = self.d if self.im else other.d
             coords = field_coords(other, d)
+            if coords is None:
+                raise no_common_field(self.d, other.d)
         elif isinstance(other, (int, Fraction)):
             d, coords = self.d, (other, 0)
         elif isinstance(other, (float, complex)):
-            coords = None
+            return getattr(complex(self), method.__name__)(complex(other))
         else:
             return NotImplemented
-        if coords is None:
-            return getattr(complex(self), method.__name__)(complex(other))
         return QQi(*method(self.re, self.im, *coords, d), d)
 
     return op
@@ -234,7 +236,7 @@ class QQi:
 
     def __lt__(self, other):
         """Exact for a real difference; NotImplemented for a float or complex
-        other, or a QQi of another field."""
+        other, PreconditionError for a QQi of a field with no common one."""
         diff = NotImplemented if isinstance(other, (float, complex)) else self.__sub__(other)
         return diff.sign() < 0 if isinstance(diff, QQi) else NotImplemented
 
@@ -252,10 +254,23 @@ def field_coords(x, d: int):
     return (x.re, x.im * k / abs(d)) if k * k == k2 else None
 
 
+def field_name(d: int) -> str:
+    """Q for d = 0, Q(i) for d = -1, else Q(sqrt d)."""
+    return "Q" if d == 0 else "Q(i)" if d == -1 else f"Q(sqrt {d})"
+
+
+def no_common_field(d: int, e: int) -> PreconditionError:
+    """The refusal of values of Q(sqrt d) and Q(sqrt e), two fields with no
+    common one: exact mode holds neither their sum nor their product."""
+    return PreconditionError(f"exact mode cannot hold values of {field_name(d)} and "
+                             f"{field_name(e)} in one field")
+
+
 def quadratic_field(values):
     """The d of one field Q(sqrt d) that holds all the exact ``values``, 0 when
-    they are all rational; None when one is inexact or two lie in no common
-    field."""
+    they are all rational: the field decision of the exact kernel.  A value
+    that is no exact scalar, a float say, or two values in no common field
+    raise PreconditionError, which names it or the two fields."""
     values = list(values)
     if {type(x) for x in values} <= {int, Fraction}:
         return 0
@@ -264,10 +279,10 @@ def quadratic_field(values):
         if isinstance(x, QQi):
             if x.im and x.d != d:
                 if d and field_coords(x, d) is None:
-                    return None
+                    raise no_common_field(d, x.d)
                 d = d or x.d
         elif not isinstance(x, (int, Fraction)):
-            return None
+            raise PreconditionError(f"exact mode cannot hold the inexact value {x!r}")
     return d
 
 
@@ -392,22 +407,16 @@ def parse_rational(text) -> Fraction:
 
 @dataclass(frozen=True)
 class Mode:
-    """Arithmetic regime: 'exact' or 'float' with a relative tolerance."""
+    """Arithmetic regime: 'exact', or 'float' with ``tol``, the one float
+    tolerance, relative.  Exact mode's ``tol`` is 0: it holds no float, and a
+    value it cannot hold exactly is refused where it would be born."""
 
     kind: str
-    eps: float = 0.0
+    tol: float = 0.0
 
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
-
-    @property
-    def tol(self) -> float:
-        """The one float tolerance: ``eps``, or 1e-9 where exact mode meets
-        floats: the roots ``exactlin.exact_roots`` leaves to numpy, of a
-        factor of degree 3 or more or of degree 2 over a field other than Q,
-        and values of two quadratic fields with no common one."""
-        return 1e-9 if self.is_exact else self.eps
 
     def zero(self, value, scale: float = 1.0) -> bool:
         if self.is_exact:
@@ -415,7 +424,7 @@ class Mode:
         return abs(complex(value)) <= self.tol * max(scale, 1.0)
 
 
-EXACT = Mode("exact", 0.0)
+EXACT = Mode("exact")
 
 
 def float_mode(eps: float = 1e-9) -> Mode:

@@ -22,7 +22,7 @@ from .errors import PreconditionError, ToleranceError
 from .exactlin import poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
 from .sampling import SamplingPolicy
-from .scalars import EXACT, Mode, is_exact_scalar, tidy
+from .scalars import EXACT, Mode, tidy
 from .tensorfield import PoissonTensorField
 
 
@@ -143,8 +143,8 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     one squarefree decomposition of each block's ``jacobi_char_poly`` serves
     twice: a squarefree block has no multiple eigenvalue, so its roots are not
     sought; otherwise ``poly_roots_hybrid`` is given only the factors of
-    multiplicity >= 2, and each of their roots gives an entry, with an exact
-    value when the root is rational and a float one otherwise.
+    multiplicity >= 2, and each of their roots gives an entry, exact, or
+    refused with PreconditionError where exact mode cannot hold it.
     """
     out = []
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
@@ -155,7 +155,6 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
             if not multiple:
                 continue
             for mu, mult in poly_roots_hybrid(chi, multiple):
-                mu = mu if is_exact_scalar(mu) else mu.real
                 out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
                                             multiplicity=mult))
         else:
@@ -244,7 +243,7 @@ def make_singular_point(n: int, seed: int = 0, antiperiodic: bool = True,
             if not lax_recursion_check(pt, xi, mu):
                 continue
             doubles = [e for e in toda_spectrum_via_lax(pt)
-                       if is_exact_scalar(e.lam) and e.lam == lam and e.multiplicity >= 2]
+                       if e.lam == lam and e.multiplicity >= 2]
             if doubles:
                 return pt
     raise ToleranceError("failed to construct a singular lattice point")

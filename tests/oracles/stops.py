@@ -6,8 +6,11 @@ reference the early stops of ``pencil`` and ``toda`` must agree with.
   lambda;
 - the core walked until its span is unchanged for two consecutive kernels and
   at least dim-L kernels were taken;
-- the Lax blocks built from one 2n x 2n ``mat_vec`` per column, and every
-  block's characteristic polynomial root-found in exact mode.
+- the Lax blocks built from one 2n x 2n ``mat_vec`` per column, and in exact
+  mode the multiple roots of each block's characteristic polynomial chi
+  (Faddeev-LeVerrier) found as the roots of gcd(chi, chi') by Euclid, each
+  one more time than there: chi's simple roots, irrational at most points,
+  are never sought.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from itertools import islice
 
 import numpy as np
 
-from bipencil.exactlin import basis_union, char_poly, mat_vec, poly_roots_hybrid, to_numpy
+from bipencil.exactlin import (basis_union, char_poly, mat_vec, poly_deriv, poly_roots_hybrid,
+                               to_numpy)
 from bipencil.pencil import IsotropicCore, height_walk, rank_at, regular_parameters
-from bipencil.scalars import EXACT, INF, is_exact_scalar
+from bipencil.scalars import EXACT, INF
 from bipencil.toda import LaxSpectrumEntry
 
+from oracles.euclid import poly_gcd
 from oracles.toda import lax_matrix
 
 
@@ -64,13 +69,11 @@ def lax_spectrum_by_roots(pt, mode=EXACT):
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
         block = shift_block_by_mat_vec(lax, sign)
         if mode.is_exact:
-            roots = poly_roots_hybrid(char_poly(block))
+            chi = char_poly(block)
+            g = poly_gcd(chi, poly_deriv(chi))
             out += [LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
-                                     multiplicity=mult)
-                    for mu, mult in roots if mult >= 2 and is_exact_scalar(mu)]
-            out += [LaxSpectrumEntry(lam=-complex(mu).real, lax_eigenvalue=complex(mu).real,
-                                     which=which, multiplicity=mult)
-                    for mu, mult in roots if mult >= 2 and not is_exact_scalar(mu)]
+                                     multiplicity=mult + 1)
+                    for mu, mult in poly_roots_hybrid(g)]
             continue
         vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
         scale = max(1.0, max(abs(v) for v in vals))

@@ -22,8 +22,9 @@ from oracles.casimir import (casimir_variation, combine_function_data, function_
                              quotient_operator, reparameterize_casimir_combination)
 from oracles.fields import direct_sum, shift
 from oracles.jkpairs import JK_PAIRS, companion_pair, constant_fields, realified
+from oracles.sln import shift_case
 from oracles.toda import constant_lattice
-from pipeline import core_of, linearize_at
+from pipeline import core_of, forbid_floats, linearize_at
 
 F = Fraction
 
@@ -398,6 +399,40 @@ def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):
     assert [r.linear_nondegenerate for r in rep.per_lambda] == [True, True]
     assert calls.count("is_nondegenerate_linear") == 2
     assert calls.count("classify") == 2
+
+
+NO_FLOAT_CASES = ([("catalog", e.name) for e in catalog()] + [("toda", n) for n in (4, 6, 8)]
+                  + [("sl", n) for n in (3, 4, 5)] + [("jk", k) for k in range(len(JK_PAIRS))])
+
+
+@pytest.mark.parametrize("kind, key", NO_FLOAT_CASES)
+def test_exact_mode_holds_no_float_by_construction(kind, key, monkeypatch):
+    """Exact analysis of every catalog entry, of singular Toda points, of the
+    rank-0 sl(n) points and exact ``jk`` on the JK pairs decide with no float:
+    numpy's roots and linear algebra fail, and so does every conversion of a
+    matrix to floats.  Each answer is the expected one."""
+    if kind == "jk":
+        p = realified(JK_PAIRS[key])
+        forbid_floats(monkeypatch)
+        assert jk_invariants(p, EXACT).total_dimension() == p.dim
+        return
+    if kind == "catalog":
+        e = catalog_by_name()[key]
+        f0, finf, point, rank = e.field0, e.field_inf, e.point, e.declared_rank
+        want = e.expected.verdict, e.expected.type
+    elif kind == "toda":
+        f0, finf = toda_pencil(key)
+        point, rank = make_singular_point(key, seed=1).coordinates(), 2 * key - 2
+        want = "NonDegenerate", (1, 0, 0)
+    else:
+        case = shift_case(key, 0, 1)
+        e = case.entry()
+        f0, finf, point, rank = e.field0, e.field_inf, case.point, key * key - key
+        want = "NonDegenerate", case.type
+    forbid_floats(monkeypatch)
+    rep = analyze_point(f0, finf, point, EXACT, declared_rank=rank)
+    t = rep.total_type
+    assert (rep.verdict.kind, t and (t.ke, t.kh, t.kf)) == want
 
 
 def test_count_identity_on_reports():

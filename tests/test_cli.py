@@ -523,3 +523,46 @@ def test_one_parser_serves_a_sequence_of_calls(so3_file, tmp_path, capsys):
     assert [alone(argv) for argv in sequence(tmp_path / "alone.json")] == together
     assert [code for code, _, _ in together] == [0, 1, 0, 0, 0, 0]
     assert (tmp_path / "together.json").read_text() == (tmp_path / "alone.json").read_text()
+
+
+def sl3_point_file(tmp_path):
+    """The argument-shift pencil of sl(3) with a = diag(1, 2, -3), and the
+    point x = [[1, 1, 0], [3, 1, 0], [0, 0, -2]] as a --point value: its
+    spectrum values lie in Q(sqrt 249), and its ad eigenvalues there are
+    roots of a quadratic over that field."""
+    from bipencil.io import dump_canonical, pencil_to_json_dict
+    from oracles.sln import ShiftCase, covector
+
+    A = [[1, 0, 0], [0, 2, 0], [0, 0, -3]]
+    X = [[1, 1, 0], [3, 1, 0], [0, 0, -2]]
+    case = ShiftCase(3, covector(X, 3), covector(A, 3), None)
+    entry = case.entry()
+    path = tmp_path / "sl3.pencil.json"
+    path.write_text(dump_canonical(pencil_to_json_dict(entry.field0, entry.field_inf, 6)))
+    return str(path), "--point=" + ",".join(map(str, case.point))
+
+
+@pytest.mark.parametrize("n, message", [
+    (4, "exact mode cannot hold values of Q(sqrt 2) and Q(sqrt -2) in one field"),
+    (5, "exact mode cannot hold the roots of a factor of degree 4 over Q"),
+    (6, "exact mode cannot hold values of Q(sqrt 3) and Q(i) in one field"),
+])
+def test_exact_mode_refuses_what_it_cannot_hold_at_symmetric_toda(n, message, capsys):
+    """a_i = 1, b_i = 0: at n = 4 and 6 lambda and the ad eigenvalues lie in
+    two quadratic fields with no common one, and at n = 5 R has a quartic
+    factor; exact mode refuses each, naming the fields or the factor."""
+    code, out, err = run_cli(["toda", "--n", str(n), "--a", ",".join(["1"] * n),
+                              "--b", ",".join(["0"] * n)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "refused", "message": message}
+
+
+def test_exact_mode_refuses_the_sl3_point_of_a_quadratic_factor(tmp_path, capsys):
+    path, point = sl3_point_file(tmp_path)
+    code, out, err = run_cli(["analyze", "--pencil", path, point], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "refused",
+        "message": "exact mode cannot hold the roots of a factor of degree 2 over Q(sqrt 249)"}
+    code, out, err = run_cli(["analyze", "--pencil", path, point, "--mode", "float"], capsys)
+    assert code == 0, err

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import exactlin
+from bipencil.errors import PreconditionError
 from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_poly,
                                coords_in_span, eigenvalues, gaussian_rational_roots,
                                identity, mat_mul, mat_rank, mat_rank_exact, mat_vec,
@@ -480,11 +482,50 @@ def test_float_kernels_take_an_ndarray_as_it_is():
 def test_basis_union_float_and_mixed_input():
     e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     cands = [[2.0, 0.0, 0.0], [1.0, 1.0, 1e-12], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]]
-    for mode in (EXACT, float_mode(1e-9)):
-        assert basis_union([e1], [e2] + cands, mode) == \
-            oracle_basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
+    mode = float_mode(1e-9)
+    assert basis_union([e1], [e2] + cands, mode) == \
+        oracle_basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
     mixed = [[Fraction(1), Fraction(0)], [0.5, 0.0], [Fraction(0), Fraction(1, 3)]]
-    assert basis_union([], mixed) == oracle_basis_union([], mixed) == [mixed[0], mixed[2]]
+    assert basis_union([], mixed, mode) == oracle_basis_union([], mixed, mode) == \
+        [mixed[0], mixed[2]]
+    # exact mode holds no float: float or mixed input is refused, by name
+    for vectors, value in (([e1, e2] + cands, "1.0"), (mixed, "0.5")):
+        for union in (basis_union, oracle_basis_union):
+            with pytest.raises(PreconditionError, match=f"cannot hold the inexact value {value}$"):
+                union([], vectors)
+
+
+def test_exact_rank_refuses_a_float_entry():
+    M = [[Fraction(1), Fraction(2)], [Fraction(1, 3), 0.25]]
+    for decide in (mat_rank, mat_rank_exact, nullspace_exact, rref,
+                   lambda M: exactlin.nullspace(M, EXACT)):
+        with pytest.raises(PreconditionError,
+                           match=r"^exact mode cannot hold the inexact value 0\.25$"):
+            decide(M)
+    assert mat_rank(M, float_mode(1e-9)) == 2
+
+
+def test_arithmetic_across_two_fields_with_no_common_one_is_refused():
+    r2, rm2 = QQi(0, 1, 2), QQi(0, 1, -2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        for a, b, names in ((r2, rm2, "Q\\(sqrt 2\\) and Q\\(sqrt -2\\)"),
+                            (rm2, r2, "Q\\(sqrt -2\\) and Q\\(sqrt 2\\)")):
+            with pytest.raises(PreconditionError,
+                               match=f"^exact mode cannot hold values of {names} in one field$"):
+                op(a, b)
+    # fields with a common one compute exactly, and a float operand, as float
+    # mode meets one, in complex floats
+    assert r2 * QQi(0, 1, 8) == 4 and rm2 * QQi(0, 1, -8) == -4
+    assert r2 * 0.5 == complex(r2) * 0.5
+
+
+def test_exact_kernel_refuses_two_fields_with_no_common_one():
+    # sqrt 2 and sqrt -2 lie in no one quadratic field; sqrt 2 and sqrt 8 do
+    r2, r8, rm2 = QQi(0, 1, 2), QQi(0, 1, 8), QQi(0, 1, -2)
+    assert mat_rank([[r2, Fraction(1)], [Fraction(4), r8]]) == 1
+    with pytest.raises(PreconditionError,
+                       match=r"values of Q\(sqrt 2\) and Q\(sqrt -2\) in one field"):
+        mat_rank([[r2, Fraction(1)], [Fraction(0), rm2]])
 
 
 def test_exact_basis_union_reads_its_pivots_without_rref(monkeypatch):
@@ -739,17 +780,18 @@ def test_char_poly_roots_and_multiplicity():
         assert root8 == 2 * z2 and hash(root8) == hash(2 * z2) and len({root8, 2 * z2}) == 1
         assert root8 != -2 * z2 and root8 != 2 * z2 + 1 and root8 * z2 == 4
 
-    # a linear factor over Q(sqrt 2) gives its root exactly, a quadratic one
-    # over Q(sqrt 2) goes to numpy, whatever its roots
+    # a linear factor over Q(sqrt 2) gives its root exactly; a quadratic one
+    # over Q(sqrt 2), whatever its roots, is refused, by its degree and field
     r2 = QQi(0, 1, 2)
     assert poly_roots_hybrid([-r2 - 1, Fraction(1)]) == [(r2 + 1, 1)]
-    roots = poly_roots_hybrid(poly_mul([-r2, Fraction(1)], [Fraction(-1), Fraction(1)]))
-    assert [m for _, m in roots] == [1, 1] and all(type(z) is complex for z, _ in roots)
+    with pytest.raises(PreconditionError,
+                       match=r"exact mode cannot hold the roots of a factor of degree 2 "
+                             r"over Q\(sqrt 2\)$"):
+        poly_roots_hybrid(poly_mul([-r2, Fraction(1)], [Fraction(-1), Fraction(1)]))
 
-    # a quadratic over Q(i) with no Gaussian-rational root stays float
-    roots = poly_roots_hybrid([QQi(1, 1), Fraction(0), Fraction(1)])
-    assert [m for _, m in roots] == [1, 1] and all(type(z) is complex for z, _ in roots)
-    assert all(abs(z * z + 1 + 1j) < 1e-12 for z, _ in roots)
+    # so is a quadratic over Q(i) with no Gaussian-rational root
+    with pytest.raises(PreconditionError, match=r"factor of degree 2 over Q\(i\)$"):
+        poly_roots_hybrid([QQi(1, 1), Fraction(0), Fraction(1)])
 
     # 907/908 lies within 1e-7 of 15418/15435 but is no root; the root itself
     # must come back exact
@@ -855,11 +897,29 @@ def product_of_powers(factors, exponents):
     return p
 
 
-@settings(max_examples=25, deadline=None)
+def refused_degree(exponents):
+    """The degree of the first Yun factor, by exponent, whose roots exact mode
+    cannot hold: the product of the nonlinear ``ROOT_FACTORS`` of that
+    exponent, unless it is one quadratic over Q; None when there is none."""
+    for e in sorted({e for e in exponents if e}):
+        degree = sum(len(f) - 1 for f, x in zip(ROOT_FACTORS, exponents) if x == e and len(f) > 2)
+        if degree > 2:
+            return degree
+    return None
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=len(ROOT_FACTORS), max_size=len(ROOT_FACTORS))
        .filter(any))
 def test_root_multiplicities_are_the_exponents_of_their_factors(exponents):
+    # the cubic x^3 - x - 1, or the two quadratics at one exponent, leave a
+    # cofactor of degree 3 or more, which exact mode refuses
     p = product_of_powers(ROOT_FACTORS, exponents)
+    degree = refused_degree(exponents)
+    if degree is not None:
+        with pytest.raises(PreconditionError, match=f"factor of degree {degree} over Q$"):
+            poly_roots_hybrid(p)
+        return
     roots = poly_roots_hybrid(p)
     assert sum(m for _, m in roots) == len(p) - 1
     for z, m in roots:
@@ -868,8 +928,7 @@ def test_root_multiplicities_are_the_exponents_of_their_factors(exponents):
                     key=lambda k: abs(poly_eval([complex(c) for c in ROOT_FACTORS[k]],
                                                 complex(z))))
         assert exponents[owner] and m == exponents[owner], (z, exponents)
-        if len(ROOT_FACTORS[owner]) == 2:
-            assert poly_eval(ROOT_FACTORS[owner], z) == 0
+        assert poly_eval(ROOT_FACTORS[owner], z) == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -244,7 +244,7 @@ def oracle_reality(root, mode):
     values (none when the mode and every value are exact)."""
     vals = [complex(v) for v in root]
     tol = 0.0 if mode.is_exact and all(is_exact_scalar(v) for v in root) \
-        else 10 * max(mode.eps, 1e-12) * max([abs(v) for v in vals] + [1e-300])
+        else 10 * max(mode.tol, 1e-12) * max([abs(v) for v in vals] + [1e-300])
     for kind, part in (("zero", abs), ("real", lambda z: abs(z.imag)),
                        ("imaginary", lambda z: abs(z.real))):
         if all(part(v) <= tol for v in vals):
@@ -253,7 +253,7 @@ def oracle_reality(root, mode):
 
 
 def oracle_conjugate(pairs, consumed, root, mode):
-    tol = 10 * max(mode.eps, 1e-12) * max([abs(complex(v)) for v in root] + [1.0])
+    tol = 10 * max(mode.tol, 1e-12) * max([abs(complex(v)) for v in root] + [1.0])
     for j, other in enumerate(pairs):
         if consumed[j]:
             continue

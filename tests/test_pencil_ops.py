@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil.catalog import catalog, catalog_by_name
-from bipencil.errors import RankDeficientPointError, SingularParameterError
+from bipencil.errors import PreconditionError, RankDeficientPointError, SingularParameterError
 from bipencil.exactlin import identity, mat_mul, mat_rank, mat_vec, nullspace
 from bipencil import exactlin, pencil, tensorfield
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
@@ -379,10 +379,12 @@ def test_sparse_pencil_equals_the_dense_formula():
 
 
 def test_one_float_tolerance():
-    assert EXACT.tol == 1e-9 and float_mode(1e-6).tol == 1e-6
-    # exact mode meets a float mu where R's eigenvalue is irrational; mu at
-    # 1 within the tolerance is the parameter at infinity
-    assert is_inf(pencil._moebius_to_lambda(1 + 1e-12, Fraction(1), Fraction(2), EXACT))
+    # the mode's tolerance is its one field: 0 in exact mode, which holds no float
+    assert EXACT.tol == 0 and float_mode(1e-6).tol == 1e-6 and not hasattr(EXACT, "eps")
+    # float mode meets a float mu; mu at 1 within the tolerance is the
+    # parameter at infinity
+    assert is_inf(pencil._moebius_to_lambda(1 + 1e-12, Fraction(1), Fraction(2),
+                                            float_mode(1e-9)))
 
 
 def _integer_cases():
@@ -463,7 +465,11 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     assert _gaussian_integers(gaussian_multiple)
     assert _positive_multiple(gaussian_multiple, real.matrix_at(i))
     assert real.integer_matrix_at(0.5) is None
-    cases = [(gaussian, Fraction(1, 3), EXACT), (floats, Fraction(1, 3), EXACT),
+    # exact mode holds no float: a float pencil is refused, by the value
+    for decide in (rank_at, kernel_basis):
+        with pytest.raises(PreconditionError, match="exact mode cannot hold the inexact value"):
+            decide(floats, Fraction(1, 3), EXACT)
+    cases = [(gaussian, Fraction(1, 3), EXACT),
              (real, i, EXACT), (real, QQi(Fraction(1, 2), Fraction(0)), EXACT),
              (real, Fraction(1, 2), float_mode(1e-9))]
     expected = [(mat_rank(p.matrix_at(lam), mode), nullspace(p.matrix_at(lam), mode))

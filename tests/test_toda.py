@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
                           fold_to_covector, kernel_product, lax_matrix,
                           toda_kernel_algebra, toda_pencil_at, wronskian)
-from pipeline import core_of, spectrum_of
+from pipeline import core_of, forbid_floats, spectrum_of
 
 F = Fraction
 
@@ -127,12 +128,26 @@ def _lax_points():
 
 
 def test_lax_blocks_and_spectrum_agree_with_the_longer_rules():
+    # exact mode refuses the symmetric lattices n = 7 and 8, whose double Lax
+    # eigenvalues 2 cos(2 pi k / 7) and 2 cos((2k + 1) pi / 8) have degree 3
+    # and 4; both rules refuse them alike, and answer every other point alike
+    refused = []
     for pt in _lax_points():
         lax = lax_matrix(pt)
         assert jacobi_block(pt, 1) == shift_block_by_mat_vec(lax, 1), pt
         assert jacobi_block(pt, -1) == shift_block_by_mat_vec(lax, -1), pt
         for mode in (EXACT, float_mode(1e-9)):
-            assert toda_spectrum_via_lax(pt, mode) == lax_spectrum_by_roots(pt, mode), (pt, mode)
+            try:
+                want = lax_spectrum_by_roots(pt, mode)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
+                    toda_spectrum_via_lax(pt, mode)
+                refused.append((pt, mode.kind, str(exc)))
+                continue
+            assert toda_spectrum_via_lax(pt, mode) == want, (pt, mode)
+    message = "exact mode cannot hold the roots of a factor of degree {} over Q"
+    assert refused == [(constant_lattice(7), "exact", message.format(3)),
+                       (constant_lattice(8), "exact", message.format(4))]
 
 
 def test_jacobi_char_poly_is_faddeev_leverrier():
@@ -290,17 +305,13 @@ def test_kernel_algebra_check_scaled_solutions():
 def test_exact_singular_toda_decides_with_no_float(n, s, monkeypatch):
     """The roots at a singular point are the +-i omega of its one elliptic
     block, a pair in an imaginary quadratic field, so exact mode decides the
-    root decomposition exactly: no float rank or kernel, and no warning that
-    the roots are irrational."""
-    floats = []
-    for module, name in ((exactlin, "svd_rank"), (exactlin, "nullspace_float"),
-                         (pencil, "nullspace_float")):
-        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: floats.append(name))
+    root decomposition exactly: every float decision fails here, and the
+    report carries no warning."""
     p0, pinf = toda_pencil(n)
-    rep = analyze_point(p0, pinf, make_singular_point(n, seed=s).coordinates(),
-                        declared_rank=2 * n - 2)
-    assert floats == []
-    assert not [w for w in rep.warnings if "irrational" in w]
+    point = make_singular_point(n, seed=s).coordinates()
+    forbid_floats(monkeypatch)
+    rep = analyze_point(p0, pinf, point, declared_rank=2 * n - 2)
+    assert rep.warnings == []
     assert rep.verdict.kind == "NonDegenerate" and rep.total_type.ke == 1
 
 

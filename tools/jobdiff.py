@@ -86,6 +86,13 @@ def further_jobs(workdir: str):
       does not cover, and 20 rational spectrum values from a 42 x 42
       recursion operator at sl(7), and 24 from a 56 x 56 one at sl(8), where
       a float search for the roots of its characteristic polynomial fails;
+    - ``analyze`` on the sl(3) argument-shift pencil with a = diag(1, 2, -3)
+      at x = [[1, 1, 0], [3, 1, 0], [0, 0, -2]], its rank declared, in both
+      modes at seeds 0-2: a singular point of point rank 1 off the Toda
+      family, whose spectrum values lie in Q(sqrt 249) and whose roots there
+      are those of a quadratic factor over Q(sqrt 249), which exact mode
+      refuses until it holds algebraic numbers of higher degree, so that
+      the refusal, and an answer in its place, show here;
     - ``analyze`` on so(3)'s shift pencil written the long way, in both
       modes: exponents as digit strings and integral floats, repeated
       monomials that cancel or add up, and an entry whose terms all cancel,
@@ -106,7 +113,7 @@ def further_jobs(workdir: str):
     from bipencil.scalars import QQi
     from bipencil.toda import make_singular_point, random_point
     from oracles.algebras import with_complex_scalars
-    from oracles.sln import shift_case
+    from oracles.sln import ShiftCase, covector, shift_case
 
     def write(name, doc):
         path = os.path.join(workdir, name)
@@ -195,6 +202,14 @@ def further_jobs(workdir: str):
         jobs += [(f"analyze sl{n} shift b={b} {mode} seed={seed}",
                   ["analyze", "--pencil", path, point, "--mode", mode, "--seed", str(seed)])
                  for mode in modes]
+    case = ShiftCase(3, covector([[1, 1, 0], [3, 1, 0], [0, 0, -2]], 3),
+                     covector([[1, 0, 0], [0, 2, 0], [0, 0, -3]], 3), None)
+    entry = case.entry()
+    path = write("sl3.point.pencil.json", pencil_to_json_dict(entry.field0, entry.field_inf, 6))
+    jobs += [(f"analyze sl3 shift quadratic-factor point {mode} seed={s}",
+              ["analyze", "--pencil", path, "--point=" + ",".join(map(str, case.point)),
+               "--mode", mode, "--seed", str(s)])
+             for mode in MODES for s in FURTHER_SEEDS]
     shift = catalog_by_name()["so3_shift"]
     long_form = pencil_to_json_dict(shift.field0, shift.field_inf)
     for block in ("P0", "Pinf"):
