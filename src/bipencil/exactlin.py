@@ -6,13 +6,14 @@ by its content (``primitive_row``) and then eliminates fraction-free on Python
 ints, with one carrier per kind of input: Z for real rational matrices,
 Z[sqrt d] ((x, y) int pairs, x + y sqrt d) for matrices over a quadratic
 field Q(sqrt d), the Gaussian rationals at d = -1.  A matrix is eliminated
-forward once (``eliminate`` gives its ``Elimination``): over Z each updated
-row is divided by its content, which makes it the primitive row on the line
-of the Bareiss (1968) row, and over Z[sqrt d] by the previous pivot, as
-Bareiss does.  The rank is the number of pivots.  The reduced rows are
-back-substituted from the forward ones, from the last pivot up, only when
-the reduced form or the kernel is asked for, and turned back into Fraction /
-QQi entries only at the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
+forward once, as rows in its carrier's form (``Elimination``; ``eliminate``
+clears any exact matrix into them): over Z each updated row is divided by
+its content, which makes it the primitive row on the line of the Bareiss
+(1968) row, and over Z[sqrt d] by the previous pivot, as Bareiss does.  The
+rank is the number of pivots.  The reduced rows are back-substituted from
+the forward ones, from the last pivot up, only when the reduced form or the
+kernel is asked for, and turned back into Fraction / QQi entries only at
+the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
 proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
 reaches a known upper bound, such as a certified pencil rank, proves the
 rational rank; a lower one, or p dividing a denominator, proves nothing and
@@ -236,7 +237,7 @@ class _ZD:
         return tidy(QQi(Fraction(ar * dr - d * ai * di, n), Fraction(ai * dr - ar * di, n), d))
 
 
-def _carrier(d: int):
+def carrier(d: int):
     """_Z for the field Q (d = 0), else _ZD for Q(sqrt d)."""
     return _Z if d == 0 else _ZD(d)
 
@@ -272,7 +273,6 @@ class _Fp:
 
     zero, one = 0, 1
     keeps_zero_rows = True
-    clear = staticmethod(residues)
     reduce = classmethod(_clear_upward)
 
     @staticmethod
@@ -328,16 +328,16 @@ def _bareiss(K, A):
 
 
 class Elimination:
-    """The forward elimination of one exact matrix, over the carrier K: its
-    cleared rows eliminated by ``_bareiss``, and so its rank, at once.  The
+    """The forward elimination over the carrier K of ``rows`` in K's form
+    (primitive ints over Z, (x, y) int pairs over Z[sqrt d], residues over
+    F_PRIME), in place by ``_bareiss``, and so its rank, at once.  The
     reduced rows are back-substituted from the forward ones (``K.reduce``),
     and the kernel read off them, when each is first asked for; both are
     kept, so each is computed once per elimination."""
 
-    def __init__(self, M, K):
-        self.K, self.width = K, len(M[0]) if M else 0
-        self.rows = [K.clear(row) for row in M]
-        self.pivots = _bareiss(K, self.rows)
+    def __init__(self, rows, K):
+        self.K, self.rows, self.width = K, rows, len(rows[0]) if rows else 0
+        self.pivots = _bareiss(K, rows)
 
     @property
     def rank(self) -> int:
@@ -368,14 +368,15 @@ class Elimination:
 
 def eliminate(M, field: int | None = None) -> Elimination:
     """The forward elimination of an exact matrix over Z, or over Z[sqrt d]
-    when an entry is irrational in Q(sqrt d): the one entry point of the
-    exact rank, reduced form and kernel.  ``field`` is that d, 0 for Q, when
-    the caller knows it, else read off the entries once by
-    ``quadratic_field``, which refuses a float entry, or entries in no one
-    field, with PreconditionError."""
+    when an entry is irrational in Q(sqrt d): the one place that clears an
+    exact matrix into its carrier's rows, each by ``K.clear``.  ``field`` is
+    that d, 0 for Q, when the caller knows it, else read off the entries
+    once by ``quadratic_field``, which refuses a float entry, or entries in
+    no one field, with PreconditionError."""
     if field is None:
         field = quadratic_field(x for row in M for x in row)
-    return Elimination(M, _carrier(field))
+    K = carrier(field)
+    return Elimination([K.clear(row) for row in M], K)
 
 
 def mat_rank_exact(M) -> int:
@@ -389,7 +390,7 @@ def mat_rank_exact(M) -> int:
 def span_mod_p(vectors):
     """Echelon rows of residues spanning the same space over F_PRIME as the
     residues of ``vectors``; ValueError as for ``residues``."""
-    e = Elimination(vectors, _Fp)
+    e = Elimination([residues(v) for v in vectors], _Fp)
     return e.rows[:e.rank]
 
 
@@ -455,7 +456,7 @@ def nullspace_exact(M):
 def nullspace_mod_p(M):
     """Vectors whose residues are a right-kernel basis over F_PRIME of a real
     rational matrix; ValueError as for ``residues``."""
-    return Elimination(M, _Fp).kernel
+    return Elimination([residues(row) for row in M], _Fp).kernel
 
 
 def nullspace_float(M, eps: float, dim: int | None = None):
@@ -566,7 +567,7 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
     out = [list(v) for v in existing]
     vectors = out + [list(v) for v in new_vectors]
     if mode.is_exact:
-        K = _carrier(quadratic_field(x for v in vectors for x in v))
+        K = carrier(quadratic_field(x for v in vectors for x in v))
         pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]))
         return out + [vectors[j] for j in pivots if j >= len(out)]
     A, kept = to_numpy(vectors), list(range(len(out)))
@@ -642,7 +643,7 @@ def poly_gcd_exact(a, b):
     No benchmark job runs a gcd over Z[sqrt d], and the tests run Gaussian
     ones up to degree 20, so that growth is left as it is.
     """
-    K = _carrier(quadratic_field((*a, *b)))
+    K = carrier(quadratic_field((*a, *b)))
 
     def primitive(row):     # a descending row, its leading zeros dropped
         row = row[next((k for k, c in enumerate(row) if c != K.zero), len(row)):]

@@ -5,11 +5,11 @@ the spectrum (parameters where the rank drops), the isotropic core L spanned
 by regular kernels, induced forms and recursion operators on the quotient
 L^perp / L, and the diagonalizability test.  No parameter is random: every
 finite lambda, distinct or regular, is taken in order from ``height_walk``,
-as P_lambda drops rank at no more than floor(d/2) of them.  An exact rank or
-kernel at lambda is read off one forward elimination of P_lambda per point
-and lambda, kept by ``PencilAtPoint.elimination_at``: the rank samples, the
-core walk, the spectrum's checks and each per-lambda kernel share it, and a
-kernel is back-substituted from it once, when first asked for.
+as P_lambda drops rank at no more than floor(d/2) of them.  Every exact rank
+or kernel at lambda, of any exact pencil, reads the one forward elimination
+of P_lambda per point and lambda kept by ``PencilAtPoint.elimination_at``:
+the rank samples, the core walk, the spectrum's checks and each per-lambda
+kernel share it, and a kernel is back-substituted from it once.
 """
 
 from __future__ import annotations
@@ -38,19 +38,12 @@ def height_walk():
                 yield from (Fraction(num, den), Fraction(-num, den))
 
 
-def _decision_matrix(p: PencilAtPoint, lam, mode: Mode):
-    """P_lambda(x) for a decision with no ``p.elimination_at(lam)`` at hand:
-    in float mode ``p.float_matrix_at(lam)``, in exact mode the matrix itself."""
-    return p.matrix_at(lam) if mode.is_exact else p.float_matrix_at(lam)
-
-
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
     """Rank of P_lambda(x) under the mode's rank rule: exact, the pivot count
-    of its elimination where there is one."""
-    e = p.elimination_at(lam) if mode.is_exact else None
-    if e is not None:
-        return e.rank
-    return mat_rank(_decision_matrix(p, lam, mode), mode, warnings, what=f"rank at lambda={lam}")
+    of its elimination."""
+    if mode.is_exact:
+        return p.elimination_at(lam).rank
+    return mat_rank(p.float_matrix_at(lam), mode, warnings, what=f"rank at lambda={lam}")
 
 
 def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
@@ -72,11 +65,10 @@ def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
 def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
     """Kernel of P_lambda(x); complexified automatically for non-real lambda.
     Exact, it is back-substituted from the elimination that ``rank_at``
-    reads, where there is one, once, and kept there; the caller gets a copy."""
-    e = p.elimination_at(lam) if mode.is_exact else None
-    if e is not None:
-        return [list(v) for v in e.kernel]
-    return nullspace(_decision_matrix(p, lam, mode), mode)
+    reads, once, and kept there; the caller gets a copy."""
+    if mode.is_exact:
+        return [list(v) for v in p.elimination_at(lam).kernel]
+    return nullspace(p.float_matrix_at(lam), mode)
 
 
 def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *, rank: int):
@@ -211,7 +203,7 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
         return identity(p.dim)
     alpha = core.regular_params[0]
     ints = p.integer_matrix_at(alpha) if mode.is_exact else None
-    A = _decision_matrix(p, alpha, mode) if ints is None else ints
+    A = ints or (p.matrix_at(alpha) if mode.is_exact else p.float_matrix_at(alpha))
     rows = [mat_vec(A, l if ints is None else primitive_row(l)) for l in core.basis]
     return (nullspace(rows, mode) if mode.is_exact
             else nullspace_float(rows, mode.tol, dim=p.dim - core.dim + core.corank))

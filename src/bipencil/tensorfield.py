@@ -4,11 +4,11 @@ A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda and
 its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
 d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
-bracket are all one sparse contraction.  Exact rank and kernel decisions
-read ``PencilAtPoint.elimination_at`` instead: the forward elimination of
-``integer_matrix_at``, a positive multiple of P_lambda built from the entries
-cleared to ints once, made once per lambda and kept with the kernel
-back-substituted from it.  Float ones read ``float_matrix_at``, P_lambda
+bracket are all one sparse contraction.  Every exact rank and kernel
+decision reads ``PencilAtPoint.elimination_at`` instead: one elimination of
+P_lambda per lambda, kept with its kernel.  Entries in Q are eliminated as
+``integer_matrix_at``, a positive multiple of P_lambda in its carrier's rows
+(ints or Z[sqrt d] pairs).  Float ones read ``float_matrix_at``, P_lambda
 with each exact value converted to a float once.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import as_float, eliminate, primitive_row, to_numpy
+from .exactlin import Elimination, as_float, carrier, eliminate, primitive_row, to_numpy
 from .poly import Poly
 from .scalars import INF, QQi, is_exact_scalar, is_inf, quadratic_field, tidy
 
@@ -160,7 +160,7 @@ class PencilAtPoint:
     evaluated on first use: only the linearization at a spectrum value reads
     them.  A constant pencil has no generators and no derivatives.  Float
     decisions read ``float_matrix_at``, exact ones ``elimination_at`` at any
-    exact lambda, INF included, when every entry is a real rational.
+    exact lambda, INF included.
     """
 
     dim: int
@@ -179,7 +179,7 @@ class PencilAtPoint:
     @cached_property
     def _integer_values(self):
         """(ints, D): a0, ainf of each entry in turn, times one rational scale
-        D > 0, as ints; None unless all of them are real rationals."""
+        D > 0, as ints; None for entries off Q, which have no integer form."""
         values = [x for _, _, *pair in self.entries for x in pair]
         if all(isinstance(x, (int, Fraction)) for x in values):
             ints = primitive_row(values)
@@ -193,23 +193,23 @@ class PencilAtPoint:
     def integer_matrix_at(self, lam):
         """D (b A0 + (a + c sqrt d) Ainf) at lam = (a + c sqrt d)/b, D Ainf at
         INF (read as a, c, b = 1, 0, 0), with D > 0 the scale of
-        ``_integer_values``: ints, and elements of Z[sqrt d] (QQi) in the cells
-        where c Ainf is nonzero; None unless lam is exact and every entry is a
-        real rational.  A nonzero multiple of P_lambda has its rank and kernel,
-        but not its values (a quotient form needs those)."""
+        ``_integer_values``, in its carrier's rows: ints where c = 0, else the
+        (x, y) int pairs x + y sqrt d that Z[sqrt d] eliminates; None for an
+        inexact lam or entries off Q.  A nonzero multiple of P_lambda has its
+        rank and kernel, but not its values (a quotient form needs those)."""
         if self._integer_values is None or not (is_inf(lam) or is_exact_scalar(lam)):
             return None
         ints, _ = self._integer_values
-        a, c, b, d = 1, 0, 0, -1
+        a, c, b = 1, 0, 0
         if not is_inf(lam):
-            re, im, d = (lam.re, lam.im, lam.d) if isinstance(lam, QQi) else (lam, 0, -1)
+            re, im = (lam.re, lam.im) if isinstance(lam, QQi) else (lam, 0)
             (a, q), (c, s) = re.as_integer_ratio(), im.as_integer_ratio()
             b = math.lcm(q, s)
             a, c = a * (b // q), c * (b // s)
-        M = [[0] * self.dim for _ in range(self.dim)]
+        M = [[(0, 0) if c else 0] * self.dim for _ in range(self.dim)]
         for (i, j, _, _), a0, ainf in zip(self.entries, ints[::2], ints[1::2]):
             x, y = b * a0 + a * ainf, c * ainf
-            M[i][j], M[j][i] = (QQi(x, y, d), QQi(-x, -y, d)) if y else (x, -x)
+            M[i][j], M[j][i] = ((x, y), (-x, -y)) if c else (x, -x)
         return M
 
     @cached_property
@@ -217,17 +217,19 @@ class PencilAtPoint:
         return {}
 
     def elimination_at(self, lam):
-        """The ``exactlin.Elimination`` of ``integer_matrix_at(lam)``, over Z,
-        or Z[sqrt d] at a lambda in Q(sqrt d): its rank at once, its kernel
-        when first asked for.  One per exact lambda, INF included, made on
-        first use and kept, so the rank samples, the core, the spectrum and
-        each per-lambda kernel eliminate each P_lambda once.  None where
-        ``integer_matrix_at`` is."""
-        if self._integer_values is None or not (is_inf(lam) or is_exact_scalar(lam)):
-            return None
+        """The ``exactlin.Elimination`` of P_lambda: its rank at once, its
+        kernel when first asked for.  Entries in Q give the rows of
+        ``integer_matrix_at(lam)``: its Z[sqrt d] pairs at a lambda in
+        Q(sqrt d) as they are, its ints made primitive by ``eliminate``, which
+        also clears ``matrix_at(lam)`` of other entries and refuses a float.
+        One per lambda, INF included, made on first use and kept, so the rank
+        samples, the core, the spectrum and each per-lambda kernel eliminate
+        each P_lambda once."""
         if lam not in self._eliminations:
-            field = 0 if is_inf(lam) else quadratic_field([lam])
-            self._eliminations[lam] = eliminate(self.integer_matrix_at(lam), field)
+            rows = self.integer_matrix_at(lam)
+            d = None if rows is None else 0 if is_inf(lam) else quadratic_field([lam])
+            self._eliminations[lam] = (Elimination(rows, carrier(d)) if d else
+                                       eliminate(self.matrix_at(lam) if rows is None else rows, d))
         return self._eliminations[lam]
 
     def float_matrix_at(self, lam):

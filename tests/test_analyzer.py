@@ -294,12 +294,14 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     assert ranks == [] and core.dim == 1
 
 
-@pytest.mark.parametrize("kind", ["regular", "singular"])
+@pytest.mark.parametrize("kind", ["regular", "singular", "gaussian"])
 def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
     # the rank samples, the core walk, the spectrum's checks and the
     # per-lambda kernels read one exact elimination per point and lambda:
-    # every elimination over Z or Z[sqrt d] is matched to the integer forms
-    # P_lambda(x) built so far by the rows it starts from
+    # every elimination over Z or Z[sqrt d] is matched to the latest integer
+    # form P_lambda(x) built so far with the rows it starts from, the int
+    # rows made primitive, the Z[sqrt d] pairs as they are built (the point
+    # near a constant pencil has the same matrices)
     built, seen, counts = [], {}, {}
     real_matrix, real_bareiss = PencilAtPoint.integer_matrix_at, exactlin._bareiss
 
@@ -310,22 +312,32 @@ def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
         return M
 
     def bareiss(K, A, *args, **kwargs):
-        if K is not exactlin._Fp:
-            for p, lam, M in built:
-                cleared = seen.setdefault((id(M), getattr(K, "d", 0)), [K.clear(r) for r in M])
-                if cleared == A:
-                    key = id(p), lambda_key(lam)
-                    counts[key] = counts.get(key, 0) + 1
-                    break
+        for p, lam, M in reversed(built):
+            pairs = isinstance(M[0][0], tuple)
+            if K is exactlin._Fp or pairs != isinstance(K, exactlin._ZD):
+                continue
+            rows = seen.setdefault(id(M), [list(r) if pairs else K.clear(r) for r in M])
+            if rows == A:
+                key = id(p), lambda_key(lam)
+                counts[key] = counts.get(key, 0) + 1
+                break
         return real_bareiss(K, A, *args, **kwargs)
 
     monkeypatch.setattr(PencilAtPoint, "integer_matrix_at", integer_matrix_at)
     monkeypatch.setattr(exactlin, "_bareiss", bareiss)
     n = 6
-    point = random_point(n, 1) if kind == "regular" else make_singular_point(n, seed=1)
-    f0, finf = toda_pencil(n)
-    rep = analyze_point(f0, finf, point.coordinates(), seed=1, declared_rank=2 * n - 2)
+    if kind == "gaussian":
+        # the spectrum value 1 + i and its conjugate are eliminated over Z[i]
+        pair = realified(JK_PAIRS[1])
+        f0, finf = constant_fields(pair)
+        point, rank = [F(0)] * pair.dim, pair.dim - 1
+    else:
+        point = random_point(n, 1) if kind == "regular" else make_singular_point(n, seed=1)
+        (f0, finf), point, rank = toda_pencil(n), point.coordinates(), 2 * n - 2
+    rep = analyze_point(f0, finf, point, seed=1, declared_rank=rank)
     assert (rep.verdict.kind == "Regular") == (kind == "regular")
+    if kind == "gaussian":
+        assert {"(1+1i)", "(1-1i)"} <= {key for _, key in counts}
     assert len(counts) > n and max(counts.values()) == 1, counts
 
 

@@ -16,7 +16,8 @@ from bipencil.pencil import (compute_core, compute_spectrum, core_perp, height_w
                              kernel_basis, pencil_rank_corank, quotient_basis, quotient_dim,
                              quotient_dim_mod_p, quotient_form, rank_at, recursion_operator)
 from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_inf, lambda_key, tidy
+from bipencil.scalars import (EXACT, INF, QQi, conj, float_mode, is_inf, lambda_key,
+                              quadratic_field, tidy)
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
@@ -409,10 +410,16 @@ def _positive_multiple(M, N):
     return isinstance(c, Fraction) and c > 0 and all(a == c * b for a, b in pairs)
 
 
-def _gaussian_integers(M):
-    """Every entry an int, or a QQi whose parts are integers."""
-    return all(type(x) is int or isinstance(x, QQi) and x.re.denominator == x.im.denominator == 1
-               for row in M for x in row)
+def _carrier_matrix(M, lam):
+    """The integer form M read as a matrix over the field of ``lam``: None
+    unless its cells are all ints, at a rational lam or INF, or all (x, y)
+    int pairs, read as x + y sqrt d, at a lam in Q(sqrt d) off Q."""
+    if isinstance(lam, QQi) and lam.im:
+        if all(type(x) is tuple and len(x) == 2 and all(type(t) is int for t in x)
+               for row in M for x in row):
+            return [[QQi(x, y, lam.d) for x, y in row] for row in M]
+        return None
+    return M if all(type(x) is int for row in M for x in row) else None
 
 
 def test_integer_pencil_decides_as_the_fraction_matrix():
@@ -432,21 +439,42 @@ def test_integer_pencil_decides_as_the_fraction_matrix():
         assert core_perp(p, core) == fraction_perp, name
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
-                                   st.fractions(-3, 3, max_denominator=4)),
-                         min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))),
-       st.one_of(st.just(INF), st.fractions(-4, 4, max_denominator=5),
-                 st.builds(QQi, st.fractions(-4, 4, max_denominator=5),
-                           st.fractions(-4, 4, max_denominator=7).filter(bool))))
-def test_integer_pencil_of_random_skew_pairs(pair, lam):
-    d, values = pair
+RATIONALS = st.fractions(-3, 3, max_denominator=4)
+PARAMETERS = st.fractions(-4, 4, max_denominator=5)
+
+
+def _skew_pairs(values):
+    """(d, values of (a0, ainf) over the d(d-1)/2 upper cells), d = 2..6."""
+    return st.integers(2, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.tuples(values, values),
+                             min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2)))
+
+
+def _off_q(d):
+    """Values a + b sqrt d of Q(sqrt d) with b != 0."""
+    return st.builds(QQi, PARAMETERS, st.fractions(-4, 4, max_denominator=7).filter(bool),
+                     st.just(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    # real rational pencils at lambda in Q, Q(i), Q(sqrt 2), Q(sqrt -3) and INF
+    st.tuples(_skew_pairs(RATIONALS),
+              st.one_of(st.just(INF), PARAMETERS, _off_q(-1), _off_q(2), _off_q(-3))),
+    # pencils with Gaussian entries, at lambda in their field Q(i)
+    st.tuples(_skew_pairs(st.one_of(RATIONALS, st.builds(QQi, RATIONALS, RATIONALS))),
+              st.one_of(st.just(INF), PARAMETERS, _off_q(-1)))))
+def test_integer_pencil_of_random_skew_pairs(case):
+    (d, values), lam = case
     upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
     p = PencilAtPoint(d, [(i, j, a, b) for (i, j), (a, b) in zip(upper, values)
                           if a != 0 or b != 0], [Fraction(0)] * d)
     M = p.integer_matrix_at(lam)
-    assert _gaussian_integers(M) and _positive_multiple(M, p.matrix_at(lam))
+    if all(isinstance(x, (int, Fraction)) for _, _, *pair in p.entries for x in pair):
+        A = _carrier_matrix(M, lam)
+        assert A is not None and _positive_multiple(A, p.matrix_at(lam))
+    else:
+        assert M is None
     assert rank_at(p, lam) == mat_rank(p.matrix_at(lam))
     assert kernel_basis(p, lam) == nullspace(p.matrix_at(lam))
 
@@ -459,12 +487,19 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     assert gaussian.integer_matrix_at(Fraction(1, 3)) is None
     assert floats.integer_matrix_at(Fraction(1, 3)) is None
     # at a Gaussian lambda a real rational pencil still has its integer
-    # multiple, with Gaussian-integer entries
+    # multiple, in the rows of Z[i]: (x, y) int pairs, x + y i
     gaussian_multiple = real.integer_matrix_at(i)
-    assert any(isinstance(x, QQi) for row in gaussian_multiple for x in row)
-    assert _gaussian_integers(gaussian_multiple)
-    assert _positive_multiple(gaussian_multiple, real.matrix_at(i))
+    assert any(y for row in gaussian_multiple for _, y in row)
+    A = _carrier_matrix(gaussian_multiple, i)
+    assert A is not None and _positive_multiple(A, real.matrix_at(i))
     assert real.integer_matrix_at(0.5) is None
+    # a Gaussian pencil decides through its elimination too: of P_lambda
+    # itself over Z[i], made once and kept
+    lam = Fraction(1, 3)
+    e = gaussian.elimination_at(lam)
+    assert e is gaussian.elimination_at(lam) and e.K.d == -1
+    assert (e.rank, e.kernel) == (mat_rank(gaussian.matrix_at(lam)),
+                                  nullspace(gaussian.matrix_at(lam)))
     # exact mode holds no float: a float pencil is refused, by the value
     for decide in (rank_at, kernel_basis):
         with pytest.raises(PreconditionError, match="exact mode cannot hold the inexact value"):
@@ -488,6 +523,32 @@ def test_inexact_or_gaussian_input_takes_the_true_matrix(monkeypatch):
     monkeypatch.undo()
     for (p, lam, mode), want in zip(cases, expected):
         assert (rank_at(p, lam, mode), kernel_basis(p, lam, mode)) == want, (p, lam)
+
+
+def test_a_gaussian_pencil_eliminates_each_pencil_matrix_once(monkeypatch):
+    # entries off Q have no integer form, and P_lambda itself is eliminated,
+    # once per lambda: the rank samples, the core walk, the spectrum's check
+    # and the kernel at the spectrum value read one elimination each
+    p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(QQi(1, 2), 2)])
+    inputs, real = [], exactlin._bareiss
+    monkeypatch.setattr(exactlin, "_bareiss",
+                        lambda K, A: inputs.append([list(row) for row in A]) or real(K, A))
+    rank, _ = pencil_rank_corank(p)
+    core = compute_core(p, rank=rank)
+    spectrum = compute_spectrum(p, core)
+    kernels = [kernel_basis(p, e.lam) for e in spectrum.entries]
+    monkeypatch.undo()
+    assert [e.lam for e in spectrum.entries] == [QQi(1, 2)] and kernels[0]
+
+    def eliminations(lam):
+        M = p.matrix_at(lam)
+        K = exactlin.carrier(quadratic_field(x for row in M for x in row))
+        return inputs.count([K.clear(row) for row in M])
+
+    walked = (list(islice(height_walk(), p.dim // 2)) + [INF] + core.regular_params
+              + [QQi(1, 2)])
+    assert {lambda_key(lam): eliminations(lam) for lam in walked} == \
+        {lambda_key(lam): 1 for lam in walked}
 
 
 @settings(max_examples=60, deadline=None)
