@@ -27,9 +27,14 @@ reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
 the whole basis, and otherwise by one reduced row echelon form of the basis
-beside them all (a least-squares solve per vector for float input);
-``restrict`` reads an operator's matrix on an invariant span off one such
-call, and ``solve`` reads B^-1 C off one of [B | C].  ``poly_roots_hybrid``
+beside them all (a least-squares solve per vector for float input), and
+``solve`` reads B^-1 C off one reduced form of [B | C].  Exact data may also
+be held as the carrier rows themselves, over one denominator
+(``clear_matrix``): the carriers add, multiply and take dot products of
+them, ``restrict`` reads an operator's matrix on an invariant span off the
+unit columns of integer images, ``char_poly_rows`` is Faddeev-LeVerrier on
+them, and ``eigen_split`` eliminates each eigenspace in them and hands its
+lines on as ``Elimination.kernel_rows``.  ``poly_roots_hybrid``
 lists the roots of an exact polynomial as (value, multiplicity) pairs, each
 value exact (Fraction or QQi), found by ``exact_roots``, and refuses a
 polynomial with a root it does not find; every multiplicity is exact, read
@@ -42,7 +47,8 @@ cofactor over Q, in the field of its discriminant, and the root of a linear
 factor over any Q(sqrt d); a cofactor of degree 3 or more, or of degree 2
 over a field other than Q, is refused.  ``eigenvalues`` gives the same list
 for a matrix in exact mode, and numpy's in float mode, and ``eigenspaces``,
-the one eigen-split, also decides diagonalizability over C.
+the one eigen-split (``eigen_split`` in exact mode), also decides
+diagonalizability over C.
 Matrices are lists of lists of Fraction / QQi / int entries, or in float
 mode floats; vectors are lists.  A float decision converts each exact value
 once where it meets a float (``as_float``, ``to_numpy``), to the correctly
@@ -55,12 +61,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError
-from .scalars import EXACT, Mode, QQi, field_coords, field_name, quadratic_field, tidy
+from .scalars import (EXACT, Mode, QQi, field_coords, field_name, no_common_field,
+                      quadratic_field, tidy)
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -84,12 +92,15 @@ def shift(M, c):
     return [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
 
 
-def mat_mul(A, B):
+def mat_mul(A, B, K=None):
+    """A B, or over the carrier K on its rows."""
     n, k = shape(A)
     k2, m = shape(B)
     if k != k2:
         raise ValueError("matrix shape mismatch")
     Bt = transpose(B)
+    if K is not None:
+        return [[K.dot(row, col) for col in Bt] for row in A]
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
@@ -167,6 +178,13 @@ class _Z:
     def quotient(a, d):
         return Fraction(a, d)
 
+    # the ring operations of the carrier rows, as _ZD has them
+    add, mul, scale, exact_div = map(staticmethod, (
+        operator.add, operator.mul, operator.mul, operator.floordiv))
+    divided, lift = staticmethod(primitive_row), staticmethod(lambda x: x)
+    dot = staticmethod(lambda u, v: sum(map(operator.mul, u, v)))
+    cofactor = staticmethod(lambda a: (1, a))
+
 
 class _ZD:
     """Carrier Z[sqrt d], for matrices over Q(sqrt d): entries are (x, y) int
@@ -236,10 +254,61 @@ class _ZD:
         n = dr * dr - d * di * di
         return tidy(QQi(Fraction(ar * dr - d * ai * di, n), Fraction(ai * dr - ar * di, n), d))
 
+    # ring operations on (x, y) pairs: a cofactor of a is (c, n) with a c = n
+    # a nonzero int, ``divided`` takes out the gcd of all coordinates and
+    # ``lift`` makes an int a pair
+    add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    scale = staticmethod(lambda a, k: (a[0] * k, a[1] * k))
+    exact_div = staticmethod(lambda a, k: (a[0] // k, a[1] // k))
+    lift = staticmethod(lambda x: (x, 0) if type(x) is int else x)
+
+    def mul(self, a, b):
+        return a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def dot(self, u, v):
+        return (sum(a * c for (a, _), (c, _) in zip(u, v))
+                + self.d * sum(b * e for (_, b), (_, e) in zip(u, v)),
+                sum(a * e + b * c for (a, b), (c, e) in zip(u, v)))
+
+    def cofactor(self, a):
+        return (a[0], -a[1]), a[0] * a[0] - self.d * a[1] * a[1]
+
+    @staticmethod
+    def divided(row):
+        g = math.gcd(*(x for pair in row for x in pair))
+        return [(a // g, b // g) for a, b in row] if g > 1 else row
+
 
 def carrier(d: int):
     """_Z for the field Q (d = 0), else _ZD for Q(sqrt d)."""
     return _Z if d == 0 else _ZD(d)
+
+
+def join(K, L):
+    """The carrier of both K and L; PreconditionError for two Z[sqrt d]."""
+    if K is _Z:
+        return L
+    if L is not _Z and L.d != K.d:
+        raise no_common_field(K.d, L.d)
+    return K
+
+
+def lift(K, rows):
+    """Carrier rows over Z or K as rows over K."""
+    return rows if K is _Z else [[K.lift(x) for x in row] for row in rows]
+
+
+def clear_matrix(M):
+    """(K, rows, D): an exact M as the carrier rows of D M over K, the carrier
+    of its field (``quadratic_field``), D > 0 the lcm of the denominators of
+    all coordinates: exact data as ints over one denominator."""
+    d = quadratic_field(x for row in M for x in row)
+    ratios = [[[c.as_integer_ratio() for c in field_coords(x, d)] for x in row] for row in M]
+    D = math.lcm(*(q for row in ratios for x in row for _, q in x))
+    if d:
+        return _ZD(d), [[(a * (D // q), b * (D // r)) for (a, q), (b, r) in row]
+                        for row in ratios], D
+    return _Z, [[a * (D // q) for (a, q), _ in row] for row in ratios], D
 
 
 PRIME = 2 ** 61 - 1
@@ -364,6 +433,25 @@ class Elimination:
                 v[pc] = tidy(-K.quotient(row[fc], row[pc]))
             basis.append(v)
         return basis
+
+    @functools.cached_property
+    def kernel_rows(self):
+        """(rows, free): the lines of ``kernel`` as carrier rows over the gcd of
+        their coordinates, row t the one nonzero at column free[t].  With
+        p c = n an int for each pivot p (``K.cofactor``) and N the lcm of the
+        n, N c / n stands for 1 / p."""
+        K, pivots = self.K, self.pivots
+        cof = [K.cofactor(row[pc]) for row, pc in zip(self.reduced, pivots)]
+        N = math.lcm(*(abs(n) for _, n in cof))
+        free = [c for c in range(self.width) if c not in pivots]
+        rows = []
+        for fc in free:
+            v = [K.zero] * self.width
+            v[fc] = K.lift(N)
+            for row, pc, (c, n) in zip(self.reduced, pivots, cof):
+                v[pc] = K.scale(K.mul(row[fc], c), -(N // n))
+            rows.append(K.divided(v))
+        return rows, free
 
 
 def eliminate(M, field: int | None = None) -> Elimination:
@@ -526,13 +614,25 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     return out
 
 
-def restrict(A, basis, mode: Mode = EXACT):
-    """Matrix of the operator A on the invariant span(basis), or None when an
-    image A b leaves that span; all images are resolved in one call."""
-    if not mode.is_exact:
-        A = [[as_float(x) for x in row] for row in A]
-    coords = coords_in_span(basis, [mat_vec(A, b) for b in basis], mode)
-    return None if coords is None else transpose(coords)
+def restrict(K, A, basis, units):
+    """(R, L): L > 0 times the matrix of the operator A on the invariant span
+    of ``basis``, and the int L; None when an image A b leaves that span.
+
+    A and ``basis`` are carrier rows over K; basis row t is the one nonzero
+    at column units[t], as ``Elimination.kernel_rows`` gives them, so each
+    integer image is read off those columns with no elimination, and then
+    checked against the whole basis.
+    """
+    images = [[K.dot(row, b) for row in A] for b in basis]
+    cof = [K.cofactor(b[u]) for b, u in zip(basis, units)]
+    L = math.lcm(*(abs(n) for _, n in cof))
+    R = [[K.scale(K.mul(y[u], c), L // n) for y in images] for u, (c, n) in zip(units, cof)]
+    cols = transpose(basis)
+    for t, y in enumerate(images):
+        coeffs = [row[t] for row in R]
+        if any(K.scale(x, L) != K.dot(coeffs, col) for x, col in zip(y, cols)):
+            return None
+    return R, L
 
 
 def solve(B, C, mode: Mode = EXACT):
@@ -584,30 +684,29 @@ def basis_union(existing, new_vectors, mode: Mode = EXACT):
 
 def char_poly(M):
     """Monic characteristic polynomial det(xI - M) of an exact matrix,
-    ascending coefficients.
-
-    Faddeev-LeVerrier recursion on D M, D the common denominator of the
-    entries' coordinates in their field Q(sqrt d): its characteristic
-    polynomial is in Z or Z[sqrt d], so each division by k is exact, on
-    Python ints or integral QQi; coefficient n - k is then rescaled by D^k.
-    """
+    ascending coefficients: ``char_poly_rows`` of its ``clear_matrix``."""
     n, m = shape(M)
     if n != m:
         raise ValueError("characteristic polynomial of non-square matrix")
-    d = quadratic_field(x for row in M for x in row)
-    parts = [field_coords(x, d) for row in M for x in row]
-    D = Fraction(math.lcm(*(Fraction(y).denominator for pair in parts for y in pair)))
-    flat = [QQi(re * D, im * D, d) if im else int(re * D) for re, im in parts]
-    M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return char_poly_rows(*clear_matrix(M))
+
+
+def char_poly_rows(K, M, D):
+    """Monic det(xI - M / D), ascending, of square carrier rows M over K, D > 0.
+
+    Faddeev-LeVerrier recursion on M, whose characteristic polynomial lies in
+    Z or Z[sqrt d], so each division by k is exact, on ints or int pairs;
+    coefficient n - k is then divided by D^k.
+    """
+    n = len(M)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     Mk = M
     for k in range(1, n + 1):
-        t = -sum(Mk[i][i] for i in range(n))
-        c = t // k if isinstance(t, int) else t / k
-        coeffs[n - k] = tidy(c / D ** k)
+        c = K.exact_div(K.scale(functools.reduce(K.add, (Mk[i][i] for i in range(n))), -1), k)
+        coeffs[n - k] = K.quotient(c, K.lift(D ** k))
         if k < n:
-            Mk = mat_mul(M, [[x + c if i == j else x for j, x in enumerate(row)]
-                             for i, row in enumerate(Mk)])
+            Mk = mat_mul(M, [[K.add(x, c) if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(Mk)], K)
     return coeffs
 
 
@@ -835,11 +934,50 @@ def eigenvalues(M, mode: Mode = EXACT):
     return [], [(z, m) for z, m in clusters]
 
 
+def eigen_split(K, M, D):
+    """(eigenvalue, Elimination of its eigenspace) per distinct eigenvalue of
+    M / D, M square carrier rows over K and D > 0, or None when M is not
+    diagonalizable over C: a kernel is smaller than its multiplicity, or the
+    kernels do not span.
+
+    The eigenvalues are ``poly_roots_hybrid``'s, in its order, of the monic
+    ``char_poly_rows``.  At an eigenvalue with D v = (a + b sqrt e) / q the
+    rows of q M - (a + b sqrt e) I are eliminated, in Z[sqrt e] for M over Z,
+    and else in K, whose field must hold v.
+    """
+    if not M:
+        return []
+    eigs = poly_roots_hybrid(char_poly_rows(K, M, D))
+    if sum(mult for _, mult in eigs) != len(M):
+        return None
+    split = []
+    for val, mult in eigs:
+        E = carrier(quadratic_field([val])) if K is _Z else K
+        coords = field_coords(val, 0 if E is _Z else E.d)
+        if coords is None:
+            raise no_common_field(E.d, val.d)
+        (a, r), (b, t) = ((x * D).as_integer_ratio() for x in coords)
+        q = math.lcm(r, t)
+        v = a * (q // r) if E is _Z else (a * (q // r), b * (q // t))
+        e = Elimination([E.divided([E.scale(E.lift(x), q) if i != j else
+                                    E.add(E.scale(E.lift(x), q), E.scale(v, -1))
+                                    for j, x in enumerate(row)]) for i, row in enumerate(M)], E)
+        if len(M) - e.rank != mult:
+            return None
+        split.append((val, e))
+    return split
+
+
 def eigenspaces(M, mode: Mode = EXACT):
     """(eigenvalue, basis of Ker(M - eigenvalue I)) per distinct eigenvalue from
     ``eigenvalues``, or None when M is not diagonalizable over C: a kernel is
-    smaller than its multiplicity, or the kernels do not span."""
-    eigs = [e for part in eigenvalues(M, mode) for e in part]
+    smaller than its multiplicity, or the kernels do not span.  Exact, the
+    ``eigen_split`` of its ``clear_matrix``, each basis the kernel of its
+    elimination."""
+    if mode.is_exact:
+        split = eigen_split(*clear_matrix(M))
+        return split and [(val, e.kernel) for val, e in split]
+    eigs = eigenvalues(M, mode)[1]
     if sum(mult for _, mult in eigs) != len(M):
         return None
     split = []

@@ -6,15 +6,25 @@ its pencil of forms on the dual is <x, [xi, eta]> + lambda A(xi, eta).
 Semisimplicity of ad is decided by the eigen-split that yields the root
 spaces, ``exactlin.eigenspaces``, and the regularity of a cocycle by the
 pencil rank of ``pencil.pencil_rank_corank`` at sampled points.
+
+Exact data are carrier ints over one denominator (``exactlin.clear_matrix``):
+ints over Q, (x, y) int pairs over Q(sqrt d).  An exact algebra holds its
+structure constants so, beside their scalar view ``structure_vector``, and
+``bracket``, ``ad_matrix`` and ``is_cocycle`` compute on them; a value
+becomes a Fraction or QQi only where it leaves, as a bracket or an ad
+matrix.  A cocycle's rank and its kernel Ker A, in pivot-normalized echelon
+form, are read off its one elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import as_float, basis_union, eigenspaces, identity, mat_rank, nullspace, transpose
+from .exactlin import (as_float, basis_union, clear_matrix, eigenspaces, eliminate, identity,
+                       join, lift, mat_rank, nullspace, transpose)
 from .poly import Poly
 from .sampling import SamplingPolicy
 from .pencil import pencil_rank_corank
@@ -51,6 +61,16 @@ class LieAlgebra:
             self._c[(i, j)] = vec
         else:
             self._c.pop((i, j), None)
+        self.__dict__.pop("_table", None)
+
+    @cached_property
+    def _table(self):
+        """(K, {(i, j): carrier row}, den): the exact structure constants as the
+        rows of ``exactlin.clear_matrix``, over one denominator; None when
+        one is a float."""
+        if all(is_exact_scalar(x) for vec in self._c.values() for x in vec):
+            K, rows, den = clear_matrix(list(self._c.values()))
+            return K, dict(zip(self._c, rows)), den
 
     def structure_vector(self, i: int, j: int):
         if i == j:
@@ -59,8 +79,29 @@ class LieAlgebra:
             return list(self._c.get((i, j), [Fraction(0)] * self.dim))
         return [-v for v in self._c.get((j, i), [Fraction(0)] * self.dim)]
 
+    def _ad_rows(self, x):
+        """(K, rows, s): s ad_x as carrier rows over one denominator s > 0, for
+        an exact x and exact structure constants: column j is sum_i x_i c_ij."""
+        KT, T, den = self._table
+        KX, (X,), s = clear_matrix([x])
+        K = join(KT, KX)
+        T, X = dict(zip(T, lift(K, T.values()))), lift(K, [X])[0]
+        cols = [[K.zero] * self.dim for _ in range(self.dim)]
+        for (i, j), t in T.items():
+            for a, b, c in ((i, j, X[i]), (j, i, K.scale(X[j], -1))):
+                if c != K.zero:
+                    cols[b] = [K.add(o, K.mul(c, v)) for o, v in zip(cols[b], t)]
+        return K, transpose(cols), s * den
+
     def bracket(self, x, y):
-        """[x, y] for coefficient vectors x, y."""
+        """[x, y] for coefficient vectors x, y: ad_x y on carrier ints where x, y
+        and the structure constants are exact, its values then made scalars."""
+        if self._table and all(map(is_exact_scalar, (*x, *y))):
+            K, A, s = self._ad_rows(x)
+            KY, (Y,), t = clear_matrix([y])
+            K = join(K, KY)
+            Y = lift(K, [Y])[0]
+            return [K.quotient(K.dot(row, Y), K.lift(s * t)) for row in lift(K, A)]
         out = [Fraction(0)] * self.dim
         for (i, j), vec in self._c.items():
             coef = x[i] * y[j] - x[j] * y[i]
@@ -72,7 +113,10 @@ class LieAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j],
-        each e_j in floats when x is float."""
+        read off ``_ad_rows`` for an exact x, each e_j in floats when x is float."""
+        if self._table and all(map(is_exact_scalar, x)):
+            K, A, s = self._ad_rows(x)
+            return [[K.quotient(v, K.lift(s)) for v in row] for row in A]
         floats = not any(map(is_exact_scalar, x))
         return transpose([self.bracket(x, list(map(as_float, e)) if floats else e)
                           for e in identity(self.dim)])
@@ -180,14 +224,21 @@ def _parse_scalar(c):
 
 @dataclass
 class TwoCocycle:
+    """A skew form on the algebra; exact, its rank and kernel are read off
+    one elimination, made on first use."""
+
     matrix: list
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def elimination(self):
+        return eliminate(self.matrix)
+
     def rank(self, mode: Mode = EXACT) -> int:
-        return mat_rank(self.matrix, mode)
+        return self.elimination.rank if mode.is_exact else mat_rank(self.matrix, mode)
 
     def to_json_dict(self) -> dict:
         pairs = []
@@ -240,8 +291,21 @@ class LinearPencil:
 
 
 def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> bool:
-    """Exact verification of A([xi,eta],zeta) + A([eta,zeta],xi) + A([zeta,xi],eta) = 0."""
+    """Exact verification of A([xi,eta],zeta) + A([eta,zeta],xi) + A([zeta,xi],eta) = 0,
+    on carrier ints over one denominator in exact mode."""
     d = algebra.dim
+    if mode.is_exact and algebra._table:
+        K, T, _ = algebra._table
+        KA, A, _ = clear_matrix(form.matrix)
+        K = join(K, KA)
+        T, cols = dict(zip(T, lift(K, T.values()))), transpose(lift(K, A))
+
+        def value(i, j, k):
+            """A([e_i, e_j], e_k) times the denominators, i < j."""
+            return K.dot(T[i, j], cols[k]) if (i, j) in T else K.zero
+
+        return all(K.add(value(i, j, k), value(j, k, i)) == value(i, k, j)
+                   for i in range(d) for j in range(i + 1, d) for k in range(j + 1, d))
     A = form.matrix
     scale = max((abs(complex(v)) for row in A for v in row), default=1.0)
     sv = algebra.structure_vector
@@ -276,8 +340,10 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
 
 
 def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
-    """Ker A as a subalgebra, with its ad matrices and an abelian flag."""
-    basis = nullspace(lp.cocycle.matrix, mode)
+    """Ker A as a subalgebra, with its ad matrices and an abelian flag; exact,
+    Ker A is the pivot-normalized kernel of the cocycle's one elimination."""
+    basis = ([list(v) for v in lp.cocycle.elimination.kernel] if mode.is_exact
+             else nullspace(lp.cocycle.matrix, mode))
     abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
                   for v in lp.algebra.bracket(x, y))
     ad = [lp.algebra.ad_matrix(x) for x in basis]

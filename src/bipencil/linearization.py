@@ -10,7 +10,11 @@ other bracket of the pencil supplies a compatible 2-cocycle.  All such
 restrictions agree up to a nonzero factor, so the generator at the opposite
 end of the pencil is used: ``kernel_form`` is ``pencil.quotient_form`` there,
 on the kernel, built once; the same matrix decides diagonalizability and
-becomes the cocycle.
+becomes the cocycle, eliminated once for both (``liealg.TwoCocycle``).
+At a rational lambda ``gram`` sums the brackets on ints; they reach
+``coords_in_span`` as exact values, and the algebra holds its structure
+constants as carrier ints over one denominator, on which the cocycle
+identity is checked.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ def kernel_form(p: PencilAtPoint, lam, ker):
 def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPencil:
     """Build the linear pencil (kernel algebra, cocycle ``form``) at ``lam``.
 
-    ``ker`` is a basis of Ker P_lambda and ``form`` its ``kernel_form``.
+    ``ker`` is a basis of Ker P_lambda and ``form`` its ``kernel_form``, or
+    the ``TwoCocycle`` of it.
     """
     m = len(ker)
     field_name = REAL if lambda_is_real(lam) else COMPLEX
@@ -45,7 +50,7 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
     for (u, v), c in zip(pairs, coords):
         algebra.set_bracket(u, v, c)
 
-    cocycle = TwoCocycle(form)
+    cocycle = form if isinstance(form, TwoCocycle) else TwoCocycle(form)
     if not is_cocycle(algebra, cocycle, mode):
         raise PreconditionError("restricted form failed the cocycle identity; "
                                 "the generators are not compatible at this point")

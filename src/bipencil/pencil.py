@@ -345,7 +345,11 @@ def is_diagonalizable(form, corank: int, mode: Mode = EXACT) -> bool:
     """dim Ker(P_alpha | Ker P_lambda) == corank, read off the linearization's form.
 
     ``form`` is the Gram matrix on Ker P_lambda of Ainf (of A0 at lambda =
-    infinity).  There a regular P_alpha restricts to (alpha - lambda) times
-    it (to it at infinity), so both have the same kernel dimension.
+    infinity), or the ``liealg.TwoCocycle`` of it, whose one exact
+    elimination then gives Ker A too.  There a regular P_alpha restricts to
+    (alpha - lambda) times it (to it at infinity), so both have the same
+    kernel dimension.
     """
-    return len(form) - mat_rank(form, mode) == corank
+    if isinstance(form, list):
+        return len(form) - mat_rank(form, mode) == corank
+    return form.dim - form.rank(mode) == corank

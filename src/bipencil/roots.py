@@ -2,9 +2,12 @@
 
 The kernel of the cocycle acts on the algebra by commuting operators; when
 those are all semisimple the complexified algebra splits into joint
-eigenspaces, by ``exactlin.eigenspaces``; a split that fails is the one
+eigenspaces, by ``joint_eigenvectors``; a split that fails is the one
 source of ``AdNotSemisimple``, and a non-Abelian kernel is
-``KernelNotAbelian``.  For h in Ker A the cocycle identity gives
+``KernelNotAbelian``.  Exact, the split runs on carrier ints over one
+denominator, and values become Fraction / QQi only where they leave it: the
+roots, read off the monic characteristic polynomial of each restriction, and
+the root vectors.  For h in Ker A the cocycle identity gives
 (alpha + beta)(h) A(y, z) = 0 on g_alpha x g_beta, so each nonzero root space
 pairs with its negative at equal dimension, and non-degeneracy asks only for
 a zero root space equal to Ker A and independent roots, one per root vector:
@@ -22,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ToleranceError
-from .exactlin import coords_in_span, eigenspaces, identity, mat_mul, mat_rank, restrict
+from .exactlin import (as_float, clear_matrix, coords_in_span, eigen_split, eigenspaces,
+                       identity, join, lift, mat_mul, mat_rank, mat_vec, restrict, transpose)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 
@@ -127,22 +131,35 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     Each item is a maximal joint eigenspace: the tuple of eigenvalues (one per
     operator) and a basis of the space.  The first operator is split as it
     is, on the standard basis, and each later one is restricted to the joint
-    eigenspaces of those before it.  Every split is ``exactlin.eigenspaces``,
-    which follows exactlin's exact-or-float rule, so float mode computes in
-    floats even where the entries are exact.  A commuting family preserves
-    the joint eigenspaces of the operators before it, so an image that leaves
-    its span raises ToleranceError.  The family must not be empty: its one
-    joint eigenspace would be the whole space, whose dimension an empty
-    family does not give.
+    eigenspaces of those before it.  A commuting family preserves the joint
+    eigenspaces of the operators before it, so an image that leaves its span
+    raises ToleranceError.  The family must not be empty: its one joint
+    eigenspace would be the whole space, whose dimension an empty family
+    does not give.
+
+    Exact mode splits on carrier ints: each operator D ad(k_i) is cleared
+    once over one denominator D (``exactlin.clear_matrix``), each joint
+    eigenspace's basis is held as primitive carrier rows, each nonzero at a
+    unit column, and each restriction is read off integer images
+    (``exactlin.restrict``) and split by ``exactlin.eigen_split``, which
+    takes the roots of the monic characteristic polynomial of the
+    restriction itself: the eigenvalues and their order are those of a split
+    on Fractions, and each basis spans the same space, made Fraction / QQi
+    vectors on the way out.  Float mode splits by ``exactlin.eigenspaces`` in
+    floats, even where the entries are exact.
     """
+    if mode.is_exact:
+        return _joint_eigenvectors_exact(mats)
     items = [((), None)]
     for A in mats:
+        floats = [[as_float(x) for x in row] for row in A]
         new_items = []
         for (eigs, basis) in items:
-            R = A if basis is None else restrict(A, basis, mode)
+            R = A if basis is None else coords_in_span(
+                basis, [mat_vec(floats, b) for b in basis], mode)
             if R is None:
                 raise ToleranceError("operator failed to preserve an invariant subspace")
-            split = eigenspaces(R, mode)
+            split = eigenspaces(R if basis is None else transpose(R), mode)
             if split is None:
                 return None
             for val, sub in split:
@@ -151,6 +168,35 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
                 new_items.append((eigs + (val,), vecs))
         items = new_items
     return items
+
+
+def _joint_eigenvectors_exact(mats):
+    items = [((), None, None, None)]      # eigenvalues, carrier, basis rows, unit columns
+    for A in mats:
+        KA, A, s = clear_matrix(A)
+        new_items = []
+        for eigs, K, basis, units in items:
+            if basis is None:
+                K, M, D = KA, A, s
+            else:
+                K = join(K, KA)
+                R = restrict(K, lift(K, A), lift(K, basis), units)
+                if R is None:
+                    raise ToleranceError("operator failed to preserve an invariant subspace")
+                M, D = R[0], R[1] * s
+            split = eigen_split(K, M, D)
+            if split is None:
+                return None
+            for val, e in split:
+                rows, free = e.kernel_rows
+                if basis is not None:
+                    cols = transpose(lift(e.K, basis))
+                    rows = [e.K.divided([e.K.dot(v, col) for col in cols]) for v in rows]
+                    free = [units[f] for f in free]
+                new_items.append((eigs + (val,), e.K, rows, free))
+        items = new_items
+    return [(eigs, [[K.quotient(x, K.one) for x in v] for v in rows])
+            for eigs, K, rows, _ in items]
 
 
 # ---------------------------------------------------------------------------

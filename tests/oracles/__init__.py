@@ -22,6 +22,8 @@
   longer rules, the reference for the library's early stops.
 - ``pencilfile``: a pencil file's entries summed one ``Poly`` per monomial,
   the reference for the one-pass parse of ``io.entries_to_field``.
+- ``eigensplit``: the joint eigen-split of a commuting family on Fraction /
+  QQi entries, the reference for the library's split on carrier ints.
 
 A definition that only tests use lives here, not in ``src/``.
 """

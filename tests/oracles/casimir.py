@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bipencil.errors import PreconditionError, ToleranceError
-from bipencil.exactlin import coords_in_span, mat_vec, restrict, transpose
+from bipencil.exactlin import coords_in_span, mat_vec, transpose
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, Mode, is_exact_scalar, is_inf, tidy
 from bipencil.tensorfield import PencilAtPoint, skew
 
+from oracles.eigensplit import restrict
 from oracles.fields import gradient, hessian
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipencil import analyzer, exactlin, linearization, pencil, roots
+from bipencil import analyzer, exactlin, liealg, linearization, pencil, roots
 from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
@@ -13,7 +13,7 @@ from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
-from bipencil.scalars import EXACT, INF, float_mode, lambda_key
+from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
 from bipencil.tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
@@ -345,8 +345,8 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
     # at Toda singular points the kernel brackets are read off the echelon
     # kernel basis with no elimination, the ad matrices of Ker A are built
     # once per spectrum value, and the cocycle's rank is dim - dim Ker A: the
-    # form's one exact rank is the diagonalizability test's, before
-    # analyze_linear.  Inside analyze_linear the ad matrices are restricted
+    # form's rank is read off its one elimination (see the next test), never
+    # by a separate exact rank.  Inside analyze_linear the ad matrices are restricted
     # to root spaces read off echelon bases too, and the derived algebra's
     # basis reads its pivots off a forward elimination: no reduced form at all
     rrefs = count_calls(monkeypatch, exactlin, "rref")
@@ -385,7 +385,44 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
             assert not any(M is lp.cocycle.matrix for (M,) in ranks[k0:k1])
         assert sum(r1 - r0 for _, _, _, (r0, _, _), (r1, _, _) in analyzed) == 0, n
         forms = [lp.cocycle.matrix for _, lp, *_ in analyzed]
-        assert sum(any(M is form for form in forms) for (M,) in ranks[first_rank:]) == len(forms)
+        assert not any(M is form for form in forms for (M,) in ranks[first_rank:])
+
+
+@pytest.mark.parametrize("case", ["so3_shift", "diamond_C_shift", "toda4", "toda8", "jk-gaussian"])
+def test_the_kernel_form_is_eliminated_once(monkeypatch, case):
+    # the diagonalizability test reads the form's rank, and the linear layer
+    # Ker A, off one exact elimination of the form: every form of one
+    # analyze_point call, NonDiagonalizable ones included, is eliminated
+    # once, and no other exact rank or kernel takes it
+    eliminated, forms = [], []
+    real_eliminate, real_diagonalizable = exactlin.eliminate, analyzer.is_diagonalizable
+
+    def eliminate(M, *rest):
+        eliminated.append(M)
+        return real_eliminate(M, *rest)
+
+    def is_diagonalizable(form, *rest):
+        forms.append(form.matrix)
+        return real_diagonalizable(form, *rest)
+
+    monkeypatch.setattr(exactlin, "eliminate", eliminate)
+    monkeypatch.setattr(liealg, "eliminate", eliminate)
+    monkeypatch.setattr(analyzer, "is_diagonalizable", is_diagonalizable)
+    if case.startswith("toda"):
+        n = int(case[4:])
+        f0, finf = toda_pencil(n)
+        rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
+                            seed=1, declared_rank=2 * n - 2)
+    elif case == "jk-gaussian":
+        blocks = [KroneckerBlock(0), JordanBlock(QQi(F(1), F(2)), 2), JordanBlock(F(1, 3), 1)]
+        f0, finf, point = constant_fields_at_origin(blocks)
+        rep = analyze_point(f0, finf, point, seed=1)
+    else:
+        e = catalog_by_name()[case]
+        rep = analyze_point(e.field0, e.field_inf, e.point, seed=1,
+                            declared_rank=e.declared_rank)
+    assert len(forms) == len(rep.per_lambda) >= 1
+    assert [sum(M is form for M in eliminated) for form in forms] == [1] * len(forms)
 
 
 def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):

@@ -61,6 +61,11 @@ def further_jobs(workdir: str):
       so(3) with the shift cocycle by i e3, and the diamond algebra with its
       central shift by h, in both modes at seeds 0-2: the only reports that
       reach the complex-field root decomposition and block classifier;
+    - ``linear`` on the kernel algebra and cocycle of the singular Toda
+      points ``make_singular_point(n, s)`` for n = 4, 6, 8 and s = 1, 2, each
+      written by ``LieAlgebra.to_json_dict`` from the tree's own exact
+      linearization, in both modes at seeds 0-2: the only ``linear`` reports
+      whose roots lie in Q(sqrt -N), N of up to about 10^12;
     - ``toda --scan 3 --seed 1`` for n = 2..6, in both modes;
     - the symmetric Toda points a_i = 1, b_i = 0 for n = 2..8, in both modes;
     - ``toda`` at ``make_singular_point(n, s)`` for n = 10, 12 and s = 1, 2,
@@ -110,8 +115,11 @@ def further_jobs(workdir: str):
     from bipencil.io import dump_canonical, pencil_to_json_dict
     from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
+    from bipencil.linearization import kernel_form, linearize
+    from bipencil.pencil import compute_core, compute_spectrum, kernel_basis, pencil_rank_corank
     from bipencil.scalars import QQi
-    from bipencil.toda import make_singular_point, random_point
+    from bipencil.tensorfield import evaluate_pencil
+    from bipencil.toda import make_singular_point, random_point, toda_pencil
     from oracles.algebras import with_complex_scalars
     from oracles.sln import ShiftCase, covector, shift_case
 
@@ -163,6 +171,20 @@ def further_jobs(workdir: str):
                   ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
                    "--seed", str(s)])
                  for mode in MODES for s in FURTHER_SEEDS]
+    for n in (4, 6, 8):
+        f0, finf = toda_pencil(n)
+        for s in (1, 2):
+            p = evaluate_pencil(f0, finf, make_singular_point(n, s).coordinates())
+            rank, _ = pencil_rank_corank(p)
+            for k, entry in enumerate(compute_spectrum(p, compute_core(p, rank=rank)).entries):
+                ker = kernel_basis(p, entry.lam)
+                lp = linearize(p, entry.lam, ker, kernel_form(p, entry.lam, ker))
+                alg = write(f"toda{n}.{s}.{k}.algebra.json", lp.algebra.to_json_dict())
+                coc = write(f"toda{n}.{s}.{k}.cocycle.json", lp.cocycle.to_json_dict())
+                jobs += [(f"linear toda kernel n={n} s={s} lambda#{k} {mode} seed={seed}",
+                          ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
+                           "--seed", str(seed)])
+                         for mode in MODES for seed in FURTHER_SEEDS]
     for mode in MODES:
         jobs += [(f"toda --scan 3 n={n} {mode}",
                   ["toda", "--n", str(n), "--scan", "3", "--seed", "1", "--mode", mode])
