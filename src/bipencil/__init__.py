@@ -29,7 +29,6 @@ from .poly import Poly
 from .roots import (BlockDecomposition, LinearAnalysis, RootData, WilliamsonType,
                     analyze_linear, classify, is_nondegenerate_linear,
                     root_decomposition)
-from .sampling import SamplingPolicy
 from .scalars import EXACT, INF, Mode, QQi, float_mode
 from .tensorfield import PencilAtPoint, PoissonTensorField, constant_pencil, evaluate_pencil
 from .toda import (TodaPoint, jacobi_block, make_singular_point, random_point,

@@ -15,12 +15,15 @@ pencil rank mod p has that rank over Q, so its kernel mod p reduces the
 rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
 never below the rational value: zero proves the nearby point Kronecker, and
 anything else, a bad prime or a float point included, is rechecked in the
-job's mode; the first nearby point decided ends the check.  The seed draws
-only points: the nearby ones, and those certifying an undeclared rank.
+job's mode; the first nearby point decided ends the check.  No point is
+drawn at random: the nearby points, and those certifying an undeclared rank,
+come from ``pencil.point_walk``, so a report depends on its pencil, point and
+mode alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,9 +31,9 @@ from .errors import PreconditionError, RankDeficientPointError
 from .liealg import TwoCocycle
 from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
-                     kernel_basis, pencil_rank_corank, quotient_dim, quotient_dim_mod_p)
+                     kernel_basis, pencil_rank_corank, point_walk, quotient_dim,
+                     quotient_dim_mod_p)
 from .roots import BlockDecomposition, WilliamsonType, analyze_linear
-from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, format_scalar, lambda_key
 from .tensorfield import PoissonTensorField, evaluate_pencil
 
@@ -96,19 +99,18 @@ class SingularPointReport:
 
 
 def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
-                  point, mode: Mode = EXACT, seed: int = 0,
+                  point, mode: Mode = EXACT,
                   declared_rank: int | None = None) -> SingularPointReport:
     """Decide whether the induced singularity at ``point`` is non-degenerate,
-    and of which Williamson type.  ``seed`` seeds the random points; without
-    a ``declared_rank`` the pencil rank is certified by sampling."""
+    and of which Williamson type.  Without a ``declared_rank`` the pencil
+    rank is certified by sampling the first points of ``point_walk``."""
     warnings: list = []
-    sampler = SamplingPolicy(seed)
 
     pt = [Fraction(x) if isinstance(x, int) else x for x in point]
     p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
 
     rank, corank = pencil_rank_corank(p, mode, warnings)
-    _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, warnings)
+    _certify_pencil_rank(field0, field_inf, rank, declared_rank, mode, warnings)
 
     core = compute_core(p, mode, rank=rank)
     point_rank = core.dim - corank
@@ -119,7 +121,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             point=pt, pencil_rank=rank, corank=corank, spectrum=spectrum,
             verdict=Verdict("Regular"), per_lambda=[], total_type=None,
             point_rank=point_rank, warnings=warnings)
-    _kronecker_spot_check(field0, field_inf, pt, rank, sampler.spawn(5), mode, warnings)
+    _kronecker_spot_check(field0, field_inf, pt, rank, mode, warnings)
 
     per_lambda = []
     total = WilliamsonType()
@@ -159,17 +161,16 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         point_rank=point_rank, warnings=warnings)
 
 
-def _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, warnings):
+def _certify_pencil_rank(field0, field_inf, rank, declared_rank, mode, warnings):
     if declared_rank is not None:
         if rank < declared_rank:
             raise RankDeficientPointError(
                 f"pencil rank {rank} at the point is below the declared rank "
                 f"{declared_rank}")
         return
-    sp = sampler.spawn(6)
     best = rank
-    for _ in range(5):
-        q = evaluate_pencil(field0, field_inf, sp.rational_point(field0.dim))
+    for x in itertools.islice(point_walk(field0.dim), 5):
+        q = evaluate_pencil(field0, field_inf, x)
         r, _ = pencil_rank_corank(q, mode)
         best = max(best, r)
     if best > rank:
@@ -179,24 +180,24 @@ def _certify_pencil_rank(field0, field_inf, rank, declared_rank, sampler, mode, 
                     "declare a rank to make this check exact")
 
 
-def _kronecker_spot_check(field0, field_inf, pt, rank, sampler, mode, warnings):
+def _kronecker_spot_check(field0, field_inf, pt, rank, mode, warnings):
     """L^perp / L should be zero at a nearby perturbation (Kronecker-type pencil).
 
     Not run at a Regular point: L^perp = L at a certified maximal rank means
     only Kronecker blocks there, on a Zariski-open set (the rank drops over
     lambda in CP^1 project to a closed one), so the pencil is Kronecker on the
-    dense open set the nearby draws sample, and they could only warn falsely;
+    dense open set the nearby points sample, and they could only warn falsely;
     so the check stops at its first nearby point proved Kronecker.
 
     Only the core is computed there, with the point's pencil rank ``rank``:
     _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
     is the rank nearby too; a nearby point of lower rank is skipped, up to 3
-    draws.  The pencil is evaluated once per nearby point, and the F_p core
-    and the recheck in the job's mode read it; ``sampler`` draws only the
-    nearby points, and both cores walk the same parameters.
+    nearby points, pt + v / 10^4 for the first 3 points v of ``point_walk``.
+    The pencil is evaluated once per nearby point, and the F_p core and the
+    recheck in the job's mode read it; both cores walk the same parameters.
     """
-    for _ in range(3):
-        nearby = [x + Fraction(sampler.randint(-100, 100), 10 ** 4) for x in pt]
+    for v in itertools.islice(point_walk(len(pt)), 3):
+        nearby = [x + y / 10 ** 4 for x, y in zip(pt, v)]
         q = evaluate_pencil(field0, field_inf, nearby)
         if quotient_dim_mod_p(q, rank=rank) == 0:
             return

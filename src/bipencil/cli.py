@@ -29,7 +29,6 @@ from .jk import jk_invariants
 from .liealg import (LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, is_regular_cocycle,
                      kernel_of_cocycle, matrix_is_semisimple)
 from .roots import analyze_linear
-from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, float_mode, format_scalar
 from .tensorfield import evaluate_pencil
 from .toda import TodaPoint, random_point, toda_pencil, toda_spectrum_via_lax
@@ -90,7 +89,7 @@ def _provenance(args, extra=None) -> dict:
 def cmd_analyze(args) -> int:
     field0, field_inf, declared, meta = load_pencil_file(args.pencil)
     point = parse_point_csv(args.point, field0.dim)
-    report = analyze_point(field0, field_inf, point, _arithmetic(args), args.seed, declared)
+    report = analyze_point(field0, field_inf, point, _arithmetic(args), declared)
     doc = report_document(report, _provenance(args, {
         "pencil_file": args.pencil, "pencil_meta": meta,
         "point": [format_scalar(x) for x in point]}))
@@ -117,7 +116,7 @@ def cmd_toda(args) -> int:
     reports = []
 
     def analyze_toda_point(pt: TodaPoint) -> dict:
-        report = analyze_point(field0, field_inf, pt.coordinates(), mode, args.seed, 2 * n - 2)
+        report = analyze_point(field0, field_inf, pt.coordinates(), mode, 2 * n - 2)
         lax = toda_spectrum_via_lax(pt, mode)
         lax_block = [{"lambda": format_scalar(e.lam),
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
@@ -156,9 +155,8 @@ def cmd_toda(args) -> int:
 def cmd_jk(args) -> int:
     field0, field_inf, declared, _meta = load_pencil_file(args.pencil)
     point = parse_point_csv(args.point, field0.dim)
-    mode = _arithmetic(args)
-    p = evaluate_pencil(field0, field_inf, point, exact_required=mode.is_exact)
-    inv = jk_invariants(p, mode)
+    _arithmetic(args)       # checks --tol; jk decides exactly in either mode
+    inv = jk_invariants(evaluate_pencil(field0, field_inf, point, exact_required=True))
     doc = {"invariants": inv.to_json_dict(),
            "provenance": _provenance(args, {"pencil_file": args.pencil,
                                             "point": [format_scalar(x) for x in point]})}
@@ -182,7 +180,7 @@ def cmd_linear(args) -> int:
                                position="cocycle")
     lp = LinearPencil(algebra, cocycle)
     kernel = kernel_of_cocycle(lp, mode)
-    regular = is_regular_cocycle(lp, SamplingPolicy(args.seed), mode)
+    regular = is_regular_cocycle(lp, mode)
     lin = analyze_linear(lp, mode, kernel)
     doc = {
         "dim": algebra.dim,
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="relative tolerance for float mode")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seeds the points of toda --scan; recorded in the provenance")
         p.add_argument("--out", default=None, help="write the report here "
                        "(atomic); default stdout")
 

@@ -3,9 +3,10 @@
 A pair of skew forms decomposes into Jordan blocks (one per spectrum value,
 sizes recovered from kernel-power dimensions of a recursion operator, which
 sees each block twice) and Kronecker blocks (half-sizes recovered from the
-filtration of regular kernels inside the core L).  Exact kernel powers run on
-integers, on the rational form [[A, d B], [B, A]] of an irrational
-R - mu I = A + B sqrt(d).
+filtration of regular kernels inside the core L).  Jordan sizes are discrete
+invariants that no rank threshold decides, so ``jk_invariants`` computes
+exactly whatever the mode of the job: its kernel powers run on integers, on
+the rational form [[A, d B], [B, A]] of an irrational R - mu I = A + B sqrt(d).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, ToleranceError
 from .exactlin import mat_mul, mat_rank, primitive_row, shift, transpose
 from .pencil import compute_core, compute_spectrum, lambda_to_moebius, pencil_rank_corank
-from .scalars import (EXACT, INF, Mode, QQi, conj, field_coords, is_inf, lambda_key,
-                      quadratic_field)
+from .scalars import INF, QQi, conj, field_coords, is_inf, lambda_key, quadratic_field
 from .tensorfield import PencilAtPoint, gram
 
 
@@ -111,10 +111,11 @@ def congruent_pair(p: PencilAtPoint, U) -> PencilAtPoint:
                              if a != 0 or b != 0], [Fraction(0)] * n)
 
 
-def jk_invariants(p: PencilAtPoint, mode: Mode = EXACT) -> JKInvariants:
-    """Recover the JK block data of the evaluated pair (invariants only)."""
-    rank, corank = pencil_rank_corank(p, mode)
-    core = compute_core(p, mode, rank=rank)
+def jk_invariants(p: PencilAtPoint) -> JKInvariants:
+    """Recover the JK block data of the evaluated pair (invariants only),
+    exactly: ``p`` is a rational or quadratic pencil."""
+    rank, corank = pencil_rank_corank(p)
+    core = compute_core(p, rank=rank)
 
     # Kronecker half-sizes: after m distinct regular parameters the span of
     # their kernels has gained one dimension per block of half-size >= m-1.
@@ -126,14 +127,14 @@ def jk_invariants(p: PencilAtPoint, mode: Mode = EXACT) -> JKInvariants:
 
     # Jordan sizes from kernel powers of the spectrum's recursion operator on
     # the quotient; they do not depend on which regular pair it was built from.
-    spectrum = compute_spectrum(p, core, mode)
+    spectrum = compute_spectrum(p, core)
     R = spectrum.recursion
     jordan: dict = {}
     for entry in spectrum.entries:
         lams = [entry.lam, conj(entry.lam)] if entry.paired else [entry.lam]
         for lam in lams:
             mu = lambda_to_moebius(lam, R.alpha, R.beta)
-            jordan[lambda_key(lam)] = _jordan_sizes_at(R.matrix, mu, mode)
+            jordan[lambda_key(lam)] = _jordan_sizes_at(R.matrix, mu)
     inv = JKInvariants(corank=corank, kronecker_indices=sorted(kronecker), jordan=jordan)
     if inv.total_dimension() != p.dim:
         raise ToleranceError(
@@ -150,25 +151,24 @@ def _block_counts(dims):
     return [a - b for a, b in zip(steps, steps[1:])]
 
 
-def _jordan_sizes_at(R, mu, mode: Mode):
+def _jordan_sizes_at(R, mu):
     """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice),
-    from the kernel dimensions of the powers of N = R - mu I.  An exact N is
-    scaled to integers by one common factor, and an irrational N = A + B
-    sqrt(d) is replaced by its rational form [[A, d B], [B, A]], the matrix of
-    N on Q(sqrt d)^m = Q^m + sqrt(d) Q^m: that form of a product is the
-    product of the forms, and its rank is 2 rank(A + B sqrt d)."""
+    from the kernel dimensions of the powers of N = R - mu I.  N is scaled to
+    integers by one common factor, and an irrational N = A + B sqrt(d) is
+    replaced by its rational form [[A, d B], [B, A]], the matrix of N on
+    Q(sqrt d)^m = Q^m + sqrt(d) Q^m: that form of a product is the product of
+    the forms, and its rank is 2 rank(A + B sqrt d)."""
     m = len(R)
-    N, copies = shift(R, mu), 1
-    if mode.is_exact:
-        d = quadratic_field(x for row in N for x in row)
-        coords = [field_coords(x, d) for row in N for x in row]
-        ints = primitive_row([c[k] for k in (0, 1) for c in coords])
-        A, B = ([ints[k + r * m:k + (r + 1) * m] for r in range(m)] for k in (0, m * m))
-        N, copies = (A, 1) if not d else (
-            [a + [d * x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
+    N = shift(R, mu)
+    d = quadratic_field(x for row in N for x in row)
+    coords = [field_coords(x, d) for row in N for x in row]
+    ints = primitive_row([c[k] for k in (0, 1) for c in coords])
+    A, B = ([ints[k + r * m:k + (r + 1) * m] for r in range(m)] for k in (0, m * m))
+    N, copies = (A, 1) if not d else (
+        [a + [d * x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
     kdims, power = [0], N
     while True:
-        kdims.append(m - mat_rank(power, mode) // copies)
+        kdims.append(m - mat_rank(power) // copies)
         if kdims[-1] == kdims[-2] or len(kdims) > m:
             break
         power = mat_mul(power, N)

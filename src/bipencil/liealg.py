@@ -5,7 +5,8 @@ the complex numbers, exact in Q or a quadratic field) with a skew 2-cocycle;
 its pencil of forms on the dual is <x, [xi, eta]> + lambda A(xi, eta).
 Semisimplicity of ad is decided by the eigen-split that yields the root
 spaces, ``exactlin.eigenspaces``, and the regularity of a cocycle by the
-pencil rank of ``pencil.pencil_rank_corank`` at sampled points.
+pencil rank of ``pencil.pencil_rank_corank`` at the first points of
+``pencil.point_walk``.
 
 Exact data are carrier ints over one denominator (``exactlin.clear_matrix``):
 ints over Q, (x, y) int pairs over Q(sqrt d).  An exact algebra holds its
@@ -18,6 +19,7 @@ form, are read off its one elimination.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,8 +28,7 @@ from .errors import DimensionMismatchError, InputFormatError, PreconditionError
 from .exactlin import (as_float, basis_union, clear_matrix, eigenspaces, eliminate, identity,
                        join, lift, mat_rank, nullspace, transpose)
 from .poly import Poly
-from .sampling import SamplingPolicy
-from .pencil import pencil_rank_corank
+from .pencil import pencil_rank_corank, point_walk
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
                       parse_rational, tidy)
 from .tensorfield import PoissonTensorField, constant_pencil, left_sum
@@ -350,19 +351,17 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
     return CocycleKernel(basis=basis, ad=ad, abelian=abelian)
 
 
-def is_regular_cocycle(lp: LinearPencil, sampler: SamplingPolicy,
-                       mode: Mode = EXACT) -> bool:
+def is_regular_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> bool:
     """The pencil <x, [xi, eta]> + lambda A(xi, eta) has the rank of A: its
-    rank at 2 dim + 3 sampled points x, each by ``pencil.pencil_rank_corank``,
-    never exceeds rank A."""
+    rank at the first 2 dim + 3 points x of ``pencil.point_walk``, each by
+    ``pencil.pencil_rank_corank``, never exceeds rank A.  Over C a point
+    takes its real and imaginary parts, in turn, from one point of
+    ``point_walk(2 dim)``."""
     d = lp.algebra.dim
     target = lp.cocycle.rank(mode)
-    for _ in range(2 * d + 3):
-        if lp.algebra.field == COMPLEX:
-            x = [tidy(QQi(sampler.small_rational(), sampler.small_rational()))
-                 for _ in range(d)]
-        else:
-            x = sampler.rational_point(d)
+    complex_field = lp.algebra.field == COMPLEX
+    for v in itertools.islice(point_walk(2 * d if complex_field else d), 2 * d + 3):
+        x = [QQi(re, im) for re, im in zip(v[::2], v[1::2])] if complex_field else v
         shift = argument_shift_cocycle(lp.algebra, x).matrix
         rank, _ = pencil_rank_corank(constant_pencil(shift, lp.cocycle.matrix), mode)
         if rank > target:

@@ -5,11 +5,12 @@ the spectrum (parameters where the rank drops), the isotropic core L spanned
 by regular kernels, induced forms and recursion operators on the quotient
 L^perp / L, and the diagonalizability test.  No parameter is random: every
 finite lambda, distinct or regular, is taken in order from ``height_walk``,
-as P_lambda drops rank at no more than floor(d/2) of them.  Every exact rank
-or kernel at lambda, of any exact pencil, reads the one forward elimination
-of P_lambda per point and lambda kept by ``PencilAtPoint.elimination_at``:
-the rank samples, the core walk, the spectrum's checks and each per-lambda
-kernel share it, and a kernel is back-substituted from it once.
+as P_lambda drops rank at no more than floor(d/2) of them, and so is every
+point the analysis picks, by ``point_walk``.  Every exact rank or kernel at
+lambda, of any exact pencil, reads the one forward elimination of P_lambda
+per point and lambda kept by ``PencilAtPoint.elimination_at``: the rank
+samples, the core walk, the spectrum's checks and each per-lambda kernel
+share it, and a kernel is back-substituted from it once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ def height_walk():
         for num, den in [(h, q) for q in range(1, h + 1)] + [(q, h) for q in range(1, h)]:
             if gcd(num, den) == 1:
                 yield from (Fraction(num, den), Fraction(-num, den))
+
+
+def point_walk(dim: int):
+    """Points of ``dim`` coordinates, point k filled with the next ``dim``
+    values of one height walk: [1, -1, 2], [-2, 1/2, -1/2], ... for dim 3.
+    No coordinate is zero, and no two points are equal."""
+    walk = height_walk()
+    while True:
+        yield list(itertools.islice(walk, dim))
 
 
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:

@@ -6,13 +6,16 @@ with period n, and Lax-side objects live on the double period 2n.  The
 spectral oracle is independent of the pencil machinery: singular parameters
 are exactly the multiplicity-two periodic or antiperiodic eigenvalues of the
 doubled Jacobi matrix.  ``make_singular_point`` prescribes such an eigenvalue
-through a solution of the eigen-recursion.
+through a solution of the eigen-recursion.  Both point constructors draw from
+a ``random.Random`` of the caller's seed: they make inputs, and are the
+library's only random draws.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +24,6 @@ import numpy as np
 from .errors import PreconditionError, ToleranceError
 from .exactlin import poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
-from .sampling import SamplingPolicy
 from .scalars import EXACT, Mode, tidy
 from .tensorfield import PoissonTensorField
 
@@ -199,9 +201,9 @@ def lax_recursion_check(pt: TodaPoint, xi, mu=Fraction(0)) -> bool:
 
 
 def random_point(n: int, seed: int) -> TodaPoint:
-    sp = SamplingPolicy(seed)
-    a = [abs(sp.small_rational(8, 3)) + Fraction(1, 2) for _ in range(n)]
-    b = [sp.small_rational(6, 3) for _ in range(n)]
+    rng = random.Random(seed)
+    a = [abs(Fraction(rng.randint(-8, 8), rng.randint(1, 3))) + Fraction(1, 2) for _ in range(n)]
+    b = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
     return TodaPoint(n=n, a=a, b=b)
 
 
@@ -215,11 +217,11 @@ def make_singular_point(n: int, seed: int = 0, antiperiodic: bool = True,
     condition for a second independent solution of the same parity) and read
     b_i off the recursion.
     """
-    sp = SamplingPolicy(seed)
+    rng = random.Random(seed)
     sign = -1 if antiperiodic else 1
     mu = -Fraction(lam)
     for _ in range(400):
-        half = [Fraction(sp.randint(1, 6), sp.randint(1, 3)) * (1 if sp.randint(0, 1) else -1)
+        half = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) * (1 if rng.randint(0, 1) else -1)
                 for _ in range(n)]
         xi = half + [sign * x for x in half]
         prods = [xi[i] * xi[(i + 1) % (2 * n)] for i in range(n)]

@@ -27,7 +27,7 @@ def pencil_text(entry) -> str:
 
 def report_text(entry) -> str:
     report = analyze_point(entry.field0, entry.field_inf, entry.point, mode=EXACT,
-                           seed=FIXTURE_SEED, declared_rank=entry.declared_rank)
+                           declared_rank=entry.declared_rank)
     doc = report_document(report, {
         "library_version": __version__, "mode": "exact", "tolerance": None,
         "seed": FIXTURE_SEED, "pencil": entry.name,

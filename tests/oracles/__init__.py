@@ -24,6 +24,8 @@
   the reference for the one-pass parse of ``io.entries_to_field``.
 - ``eigensplit``: the joint eigen-split of a commuting family on Fraction /
   QQi entries, the reference for the library's split on carrier ints.
+- ``sampling``: a seeded source of random rational points, from which tests
+  draw their inputs.
 
 A definition that only tests use lives here, not in ``src/``.
 """

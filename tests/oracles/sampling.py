@@ -1,10 +1,8 @@
-"""Deterministic random points.
+"""Seeded random rational points, for generating test inputs.
 
-A seeded generator draws the points the library needs at random: the nearby
-points of the Kronecker spot check, the points that certify an undeclared
-pencil rank or test a cocycle's regularity, and Toda lattice points.  Runs
-are reproducible from the seed.  Pencil parameters are never drawn: they come
-from ``pencil.height_walk``.
+The library draws no random point: every point it picks comes from
+``pencil.point_walk``.  Tests still draw their inputs from this seeded
+generator, so that every input stays the same from run to run.
 """
 
 from __future__ import annotations

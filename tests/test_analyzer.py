@@ -1,14 +1,16 @@
+import json
 import os
 from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
-from bipencil import analyzer, exactlin, liealg, linearization, pencil, roots
+from bipencil import analyzer, cli, exactlin, liealg, linearization, pencil, roots
 from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
+from bipencil.io import dump_canonical, pencil_to_json_dict
 from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
@@ -40,8 +42,7 @@ def so3_pencil_at(point):
 
 def test_analyze_so3_elliptic():
     e = catalog_by_name()["so3_shift"]
-    rep = analyze_point(e.field0, e.field_inf, e.point,
-                        seed=1, declared_rank=2)
+    rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=2)
     assert rep.verdict.kind == "NonDegenerate"
     assert astuple(rep.total_type) == (1, 0, 0)
     assert rep.point_rank == 0
@@ -50,16 +51,14 @@ def test_analyze_so3_elliptic():
 
 def test_analyze_so31_focus():
     e = catalog_by_name()["so31_shift"]
-    rep = analyze_point(e.field0, e.field_inf, e.point,
-                        seed=1, declared_rank=4)
+    rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=4)
     assert rep.verdict.kind == "NonDegenerate"
     assert astuple(rep.total_type) == (0, 0, 1)
 
 
 def test_analyze_bad_example_degenerate():
     e = catalog_by_name()["bad_example"]
-    rep = analyze_point(e.field0, e.field_inf, e.point,
-                        seed=1, declared_rank=2)
+    rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=2)
     assert rep.verdict.kind == "Degenerate"
     assert rep.verdict.reason.startswith("RootsDependent")
     assert rep.total_type is None
@@ -67,8 +66,7 @@ def test_analyze_bad_example_degenerate():
 
 def test_analyze_regular_point():
     e = catalog_by_name()["so3_shift"]
-    rep = analyze_point(e.field0, e.field_inf, [F(1), F(1, 2), F(-1)],
-                        seed=1, declared_rank=2)
+    rep = analyze_point(e.field0, e.field_inf, [F(1), F(1, 2), F(-1)], declared_rank=2)
     assert rep.verdict.kind == "Regular"
     assert rep.spectrum.is_empty() and rep.per_lambda == []
 
@@ -78,8 +76,7 @@ def test_analyze_refuses_rank_deficient_point():
     # generic rank makes such a point refusable
     p0, pinf = toda_pencil(2)
     with pytest.raises(RankDeficientPointError):
-        analyze_point(p0, pinf, [F(0), F(0), F(1), F(2)],
-                      seed=1, declared_rank=2)
+        analyze_point(p0, pinf, [F(0), F(0), F(1), F(2)], declared_rank=2)
 
 
 def constant_fields_at_origin(blocks):
@@ -98,7 +95,7 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     # a constant pencil with a Jordan block keeps it at every nearby point
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     f0, finf, point = constant_fields_at_origin(blocks)
-    rep = analyze_point(f0, finf, point, mode=mode, seed=1)
+    rep = analyze_point(f0, finf, point, mode=mode)
     assert any(w.startswith("nearby point has non-empty spectrum")
                for w in rep.warnings) == warned
     # the point's core, and at a singular point one nearby core up to the
@@ -115,7 +112,7 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
     pairs = [realified(blocks) for blocks in JK_PAIRS]
     for p in pairs + ([sqrt2_square_pair()] if mode.is_exact else []):
         f0, finf = constant_fields(p)
-        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode, seed=1)
+        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode)
         jordan = jk_invariants(p).jordan
         assert {lambda_key(lam) for r in rep.per_lambda
                 for lam in ((r.lam, r.lam.conjugate()) if r.paired else (r.lam,))} == set(jordan)
@@ -147,7 +144,7 @@ def sqrt2_square_pair():
 def test_a_degeneracy_reason_names_lambda_by_its_key(pair, reason, mode):
     # a non-real lambda reads as (a+bi), never as the report's {re, im} dict
     f0, finf = constant_fields(pair)
-    rep = analyze_point(f0, finf, [F(0)] * pair.dim, mode=mode, seed=1)
+    rep = analyze_point(f0, finf, [F(0)] * pair.dim, mode=mode)
     assert rep.verdict.reason == reason
 
 
@@ -163,13 +160,55 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def reports_across_seeds(argv, calls, position, capsys):
+    """The CLI report of ``argv`` at --seed 0 and at --seed 5, provenance
+    aside, each with argument ``position`` of the ``calls`` logged during its
+    run."""
+    runs = []
+    for seed in ("0", "5"):
+        calls.clear()
+        assert cli.main(argv + ["--seed", seed]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("provenance")["seed"] == int(seed)
+        runs.append((doc, [list(args[position]) for args in calls]))
+    return runs
+
+
+def test_analyze_evaluates_the_same_points_at_every_seed(tmp_path, monkeypatch, capsys):
+    # without a declared rank, the rank certificate and the spot check take
+    # their points from the point walk, whatever the seed
+    e = catalog_by_name()["so3_shift"]
+    path = tmp_path / "so3.pencil.json"
+    path.write_text(dump_canonical(pencil_to_json_dict(e.field0, e.field_inf, None)))
+    evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
+    argv = ["analyze", "--pencil", str(path), "--point", "0,0,0"]
+    (doc0, points0), (doc5, points5) = reports_across_seeds(argv, evaluated, 2, capsys)
+    assert len(points0) >= 7        # the point, 5 rank samples and a nearby point
+    assert points0 == points5 and doc0 == doc5
+    assert doc0["report"]["warnings"][0].startswith("pencil rank certified by sampling")
+
+
+def test_linear_tests_regularity_at_the_same_points_at_every_seed(tmp_path, monkeypatch,
+                                                                  capsys):
+    e = catalog_by_name()["so3_shift"]
+    cocycle = liealg.argument_shift_cocycle(e.algebra, e.shift)
+    paths = [tmp_path / "alg.json", tmp_path / "coc.json"]
+    for path, doc in zip(paths, (e.algebra.to_json_dict(), cocycle.to_json_dict())):
+        path.write_text(json.dumps(doc))
+    shifts = count_calls(monkeypatch, liealg, "argument_shift_cocycle")
+    argv = ["linear", "--algebra", str(paths[0]), "--cocycle", str(paths[1])]
+    (doc0, points0), (doc5, points5) = reports_across_seeds(argv, shifts, 1, capsys)
+    assert len(points0) == 2 * 3 + 3
+    assert points0 == points5 and doc0 == doc5
+    assert doc0["regular"] is True
+
+
 def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
     # the nearby points are proved Kronecker mod p: the only exact core is
     # the point's own
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     f0, finf = toda_pencil(4)
-    rep = analyze_point(f0, finf, random_point(4, 3).coordinates(),
-                        seed=1, declared_rank=6)
+    rep = analyze_point(f0, finf, random_point(4, 3).coordinates(), declared_rank=6)
     assert rep.verdict.kind == "Regular" and rep.warnings == []
     assert len(cores) == 1
 
@@ -181,8 +220,7 @@ def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, k
     # pencil Kronecker on a dense open set, which the nearby draws sample
     calls = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
     f0, finf = toda_pencil(4)
-    rep = analyze_point(f0, finf, make_point(4, 1).coordinates(),
-                        seed=1, declared_rank=6)
+    rep = analyze_point(f0, finf, make_point(4, 1).coordinates(), declared_rank=6)
     assert rep.verdict.kind == kind
     assert not any(w.startswith("nearby point") for w in rep.warnings)
     assert len(calls) == checks
@@ -197,7 +235,7 @@ def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
     checks = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
     f0, finf = toda_pencil(4)
     pt = make_singular_point(4, seed=1).coordinates()
-    rep = analyze_point(f0, finf, pt, mode=mode, seed=1, declared_rank=6)
+    rep = analyze_point(f0, finf, pt, mode=mode, declared_rank=6)
     assert not any(w.startswith("nearby point") for w in rep.warnings)
     assert len(checks) == 1
     assert [args[2] == pt for args in evaluated] == [True, False]
@@ -209,7 +247,7 @@ def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     e = catalog_by_name()["so3_shift"]
     rep = analyze_point(e.field0, e.field_inf, e.point,
-                        mode=float_mode(), seed=1, declared_rank=e.declared_rank)
+                        mode=float_mode(), declared_rank=e.declared_rank)
     assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
     assert len(cores) == 1
 
@@ -231,7 +269,7 @@ def test_derivatives_are_evaluated_only_where_linearized(monkeypatch, make_point
     monkeypatch.setattr(PoissonTensorField, "derivatives_at", derivatives_at)
     f0, finf = toda_pencil(4)
     pt = make_point(4, 1).coordinates()
-    rep = analyze_point(f0, finf, pt, seed=1)
+    rep = analyze_point(f0, finf, pt)
     assert rep.verdict.kind == kind
     assert points == [pt] * calls
 
@@ -245,9 +283,8 @@ def test_a_bad_prime_changes_no_report(monkeypatch):
               + [random_point(4, s) for s in (1, 2)])
 
     def toda_reports():
-        return [analyze_point(f0, finf, pt.coordinates(),
-                              seed=s, declared_rank=rank).to_json_dict()
-                for pt in points for s, rank in ((1, 6), (2, None))]
+        return [analyze_point(f0, finf, pt.coordinates(), declared_rank=rank).to_json_dict()
+                for pt in points for rank in (6, None)]
 
     expected = toda_reports()
     cores = count_calls(monkeypatch, analyzer, "compute_core")
@@ -283,7 +320,7 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     blocks = [KroneckerBlock(0), JordanBlock(F(1, 3), 1), JordanBlock(INF, 1),
               JordanBlock(F(2), 2)]
     f0, finf, point = constant_fields_at_origin(blocks)
-    rep = analyze_point(f0, finf, point, seed=1, declared_rank=8)
+    rep = analyze_point(f0, finf, point, declared_rank=8)
     values = [e.lam for e in rep.spectrum.entries]
     assert [r.diagonalizable for r in rep.per_lambda] == [True, False, True]
     assert [lam for at, lam in kernels if at == point and lam in values] == values
@@ -334,7 +371,7 @@ def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
     else:
         point = random_point(n, 1) if kind == "regular" else make_singular_point(n, seed=1)
         (f0, finf), point, rank = toda_pencil(n), point.coordinates(), 2 * n - 2
-    rep = analyze_point(f0, finf, point, seed=1, declared_rank=rank)
+    rep = analyze_point(f0, finf, point, declared_rank=rank)
     assert (rep.verdict.kind == "Regular") == (kind == "regular")
     if kind == "gaussian":
         assert {"(1+1i)", "(1-1i)"} <= {key for _, key in counts}
@@ -372,7 +409,7 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
         first_rank = len(ranks)
         f0, finf = toda_pencil(n)
         rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
-                            seed=1, declared_rank=2 * n - 2)
+                            declared_rank=2 * n - 2)
         assert rep.verdict.kind == "NonDegenerate" and rep.per_lambda
         linearized = [w for w in windows if w[0] == "linearize"]
         analyzed = [w for w in windows if w[0] == "analyze_linear"]
@@ -412,15 +449,14 @@ def test_the_kernel_form_is_eliminated_once(monkeypatch, case):
         n = int(case[4:])
         f0, finf = toda_pencil(n)
         rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
-                            seed=1, declared_rank=2 * n - 2)
+                            declared_rank=2 * n - 2)
     elif case == "jk-gaussian":
         blocks = [KroneckerBlock(0), JordanBlock(QQi(F(1), F(2)), 2), JordanBlock(F(1, 3), 1)]
         f0, finf, point = constant_fields_at_origin(blocks)
-        rep = analyze_point(f0, finf, point, seed=1)
+        rep = analyze_point(f0, finf, point)
     else:
         e = catalog_by_name()[case]
-        rep = analyze_point(e.field0, e.field_inf, e.point, seed=1,
-                            declared_rank=e.declared_rank)
+        rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=e.declared_rank)
     assert len(forms) == len(rep.per_lambda) >= 1
     assert [sum(M is form for M in eliminated) for form in forms] == [1] * len(forms)
 
@@ -443,8 +479,7 @@ def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):
     a, b = c["so3_shift"], c["sl2_shift_pos"]
     f0, finf = direct_sum(a.field0, a.field_inf, b.field0, b.field_inf)
     # so3 at x3 = -2 is singular at lambda = 2, sl2 at the origin at lambda = 0
-    rep = analyze_point(f0, finf, [F(0), F(0), F(-2)] + b.point,
-                        seed=3, declared_rank=4)
+    rep = analyze_point(f0, finf, [F(0), F(0), F(-2)] + b.point, declared_rank=4)
     assert [r.linear_nondegenerate for r in rep.per_lambda] == [True, True]
     assert calls.count("is_nondegenerate_linear") == 2
     assert calls.count("classify") == 2
@@ -463,7 +498,7 @@ def test_exact_mode_holds_no_float_by_construction(kind, key, monkeypatch):
     if kind == "jk":
         p = realified(JK_PAIRS[key])
         forbid_floats(monkeypatch)
-        assert jk_invariants(p, EXACT).total_dimension() == p.dim
+        assert jk_invariants(p).total_dimension() == p.dim
         return
     if kind == "catalog":
         e = catalog_by_name()[key]
@@ -487,8 +522,7 @@ def test_exact_mode_holds_no_float_by_construction(kind, key, monkeypatch):
 def test_count_identity_on_reports():
     for name in ("so3_shift", "so4_shift", "diamond_shift", "so22_shift_saddle_center"):
         e = catalog_by_name()[name]
-        rep = analyze_point(e.field0, e.field_inf, e.point,
-                            seed=2, declared_rank=e.declared_rank)
+        rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=e.declared_rank)
         t = rep.total_type
         assert t.ke + t.kh + 2 * t.kf == rep.pencil_rank // 2 - rep.point_rank
 
@@ -497,16 +531,14 @@ def test_type_additivity_direct_sum():
     c = catalog_by_name()
     a, b = c["so3_shift"], c["sl2_shift_pos"]
     f0, finf = direct_sum(a.field0, a.field_inf, b.field0, b.field_inf)
-    rep = analyze_point(f0, finf, a.point + b.point,
-                        seed=3, declared_rank=4)
+    rep = analyze_point(f0, finf, a.point + b.point, declared_rank=4)
     assert rep.verdict.kind == "NonDegenerate"
     assert astuple(rep.total_type) == (1, 1, 0)
 
 
 def test_report_json_shape():
     e = catalog_by_name()["diamond_shift"]
-    rep = analyze_point(e.field0, e.field_inf, e.point,
-                        seed=1, declared_rank=2)
+    rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=2)
     doc = rep.to_json_dict()
     assert doc["verdict"]["kind"] == "NonDegenerate"
     assert doc["spectrum"] == [{"lambda": "0", "kernel_dim": 4, "conjugate_pair": False}]

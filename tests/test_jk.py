@@ -7,10 +7,10 @@ from bipencil.errors import ToleranceError
 from bipencil.exactlin import mat_mul, mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
-from bipencil.sampling import SamplingPolicy
-from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
+from bipencil.scalars import INF, QQi, lambda_key
 
 from oracles.jkpairs import realified
+from oracles.sampling import SamplingPolicy
 from oracles.toda import constant_lattice, toda_pencil_at
 
 
@@ -173,10 +173,10 @@ def jordan_matrix(lam, sizes):
     return R
 
 
-@pytest.mark.parametrize("lam, mode", [
-    (Fraction(3, 2), EXACT), (QQi(Fraction(1), Fraction(-2, 3)), EXACT),
-    (Fraction(3, 2), float_mode(1e-9)), (1.5 + 0.5j, float_mode(1e-9))])
-def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam, mode):
+@pytest.mark.parametrize("lam", [
+    Fraction(3, 2), QQi(Fraction(1), Fraction(-2, 3)), QQi(Fraction(1), Fraction(1), 2)],
+    ids=["rational", "gaussian", "real-quadratic"])
+def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam):
     calls = {"mat_mul": 0, "mat_rank": 0}
     for name in calls:
         real = getattr(jk, name)
@@ -187,5 +187,5 @@ def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam, mode):
         monkeypatch.setattr(jk, name, counted)
     # R sees each pencil block twice: sizes 3, 1 at the pencil level
     R = jordan_matrix(lam, [3, 3, 1, 1])
-    assert jk._jordan_sizes_at(R, lam, mode) == [1, 3]
+    assert jk._jordan_sizes_at(R, lam) == [1, 3]
     assert calls == {"mat_mul": 3, "mat_rank": 4}

@@ -8,11 +8,11 @@ from bipencil.exactlin import eigenspaces, mat_rank, mat_vec, nullspace, shift
 from bipencil.liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shift_cocycle,
                              is_cocycle, is_regular_cocycle, kernel_of_cocycle,
                              matrix_is_semisimple)
-from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi, float_mode
 
 from oracles.algebras import (abelian, central_extension, euclidean_e2, heisenberg,
                               with_complex_scalars)
+from oracles.sampling import SamplingPolicy
 
 F = Fraction
 
@@ -223,33 +223,31 @@ def test_central_extension_rejects_non_cocycle():
 
 
 def test_is_regular_cocycle():
-    sp = SamplingPolicy(9)
     so3 = algebras.so3()
     assert is_regular_cocycle(
-        LinearPencil(so3, argument_shift_cocycle(so3, [F(0), F(0), F(1)])), sp)
+        LinearPencil(so3, argument_shift_cocycle(so3, [F(0), F(0), F(1)])))
     # zero form on a non-Abelian algebra is not regular
-    assert not is_regular_cocycle(LinearPencil(so3, skew(3, {})), sp.spawn(1))
-    # the nilpotent shift on sl(2) is still regular: the sampled pencil rank
+    assert not is_regular_cocycle(LinearPencil(so3, skew(3, {})))
+    # the nilpotent shift on sl(2) is still regular: the walked pencil rank
     # equals the rank of the form (the underlying element is regular)
     sl2 = algebras.sl2()
     nil = LinearPencil(sl2, argument_shift_cocycle(sl2, [F(0), F(1), F(0)]))
-    assert is_regular_cocycle(nil, sp.spawn(2))
+    assert is_regular_cocycle(nil)
     # so(3, C) with the shift by i e3, a regular element, in both modes
     gc = with_complex_scalars(so3)
     shift = argument_shift_cocycle(gc, [F(0), F(0), QQi(0, 1)])
     for mode in (EXACT, float_mode(1e-9)):
-        assert is_regular_cocycle(LinearPencil(gc, shift), sp.spawn(3), mode)
-        assert not is_regular_cocycle(LinearPencil(gc, skew(3, {})), sp.spawn(3), mode)
+        assert is_regular_cocycle(LinearPencil(gc, shift), mode)
+        assert not is_regular_cocycle(LinearPencil(gc, skew(3, {})), mode)
 
 
 def test_regular_implies_abelian_kernel():
-    sp = SamplingPolicy(21)
     cases = [(algebras.so3(), [F(0), F(0), F(1)]),
              (algebras.sl2(), [F(1), F(0), F(0)]),
              (algebras.diamond(), [F(0), F(0), F(1), F(0)])]
     for g, a in cases:
         lp = LinearPencil(g, argument_shift_cocycle(g, a))
-        if is_regular_cocycle(lp, sp):
+        if is_regular_cocycle(lp):
             assert kernel_of_cocycle(lp).abelian
 
 

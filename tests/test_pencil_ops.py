@@ -13,9 +13,9 @@ from bipencil import exactlin, pencil, tensorfield
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
 from bipencil.linearization import kernel_form
 from bipencil.pencil import (compute_core, compute_spectrum, core_perp, height_walk,
-                             kernel_basis, pencil_rank_corank, quotient_basis, quotient_dim,
-                             quotient_dim_mod_p, quotient_form, rank_at, recursion_operator)
-from bipencil.sampling import SamplingPolicy
+                             kernel_basis, pencil_rank_corank, point_walk, quotient_basis,
+                             quotient_dim, quotient_dim_mod_p, quotient_form, rank_at,
+                             recursion_operator)
 from bipencil.scalars import (EXACT, INF, QQi, conj, float_mode, is_inf, lambda_key,
                               quadratic_field, tidy)
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
@@ -23,6 +23,7 @@ from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.dense import bilinear, complex_array
 from oracles.jkpairs import JK_PAIRS
+from oracles.sampling import SamplingPolicy
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of
@@ -37,6 +38,15 @@ def kronecker3():
 def so3_shift_pencil():
     e = catalog_by_name()["so3_shift"]
     return evaluate_pencil(e.field0, e.field_inf, e.point)
+
+
+def test_point_walk_reads_the_height_walk_in_order():
+    walk = point_walk(3)
+    assert next(walk) == [Fraction(1), Fraction(-1), Fraction(2)]
+    assert next(walk) == [Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+    points = [tuple(x) for x in islice(point_walk(3), 200)]
+    assert len(set(points)) == len(points)
+    assert all(len(x) == 3 and 0 not in x for x in points)
 
 
 def test_evaluate_pencil_so3_origin():

@@ -9,7 +9,6 @@ from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
 from bipencil import exactlin, pencil, toda
-from bipencil.sampling import SamplingPolicy
 from bipencil.scalars import EXACT, QQi, float_mode
 from bipencil.tensorfield import evaluate_pencil
 from bipencil.toda import (TodaPoint, jacobi_block, jacobi_char_poly, lax_recursion_check,
@@ -17,6 +16,7 @@ from bipencil.toda import (TodaPoint, jacobi_block, jacobi_char_poly, lax_recurs
                            toda_spectrum_via_lax)
 
 from oracles.fields import add, verify_jacobi
+from oracles.sampling import SamplingPolicy
 from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
                           fold_to_covector, kernel_product, lax_matrix,
@@ -319,8 +319,7 @@ def test_analyze_singular_lattice_points_elliptic():
     for n, seed, lam in ((2, 1, F(2, 3)), (3, 2, F(0))):
         pt = make_singular_point(n, seed=seed, antiperiodic=(n == 2), lam=lam)
         p0, pinf = toda_pencil(n)
-        rep = analyze_point(p0, pinf, pt.coordinates(),
-                            seed=4, declared_rank=2 * n - 2)
+        rep = analyze_point(p0, pinf, pt.coordinates(), declared_rank=2 * n - 2)
         assert rep.verdict.kind == "NonDegenerate"
         t = rep.total_type
         assert t.kh == 0 and t.kf == 0 and t.ke >= 1

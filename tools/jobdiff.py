@@ -11,9 +11,13 @@ runs it through ``run_job``.  The same child then runs the further reports of
 Work-directory paths are replaced by a placeholder, so that only the program's
 output is compared.  The jobs whose exit code, stdout or stderr differ are
 printed, and counted apart for the benchmark and the further reports, and
-again by each job's ``--mode`` (exact where it has none); the exit code is 1
-if any differ.  The line count of ``src/`` in both trees is printed
-beside them, counted as ``perfbench/run.py`` counts it.
+again by each job's ``--mode`` (exact where it has none).  In the working
+tree, each further ``analyze`` or ``linear`` input is compared across the
+seeds it runs at, its reports' provenance (which records the seed) set
+aside: the analysis draws no random point, so no input may differ.  The
+exit code is 1 if any job differs between the trees or any input across its
+seeds.  The line count of ``src/`` in both trees is printed beside them,
+counted as ``perfbench/run.py`` counts it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,7 +48,8 @@ def further_jobs(workdir: str):
     written into ``workdir``:
 
     - catalog ``analyze`` with and without the declared rank (the latter
-      certifies the rank by sampling), in both modes at seeds 0-2;
+      certifies the rank at the first points of ``pencil.point_walk``), in
+      both modes at seeds 0-2;
     - ``linear`` on every catalog argument-shift algebra with its shift
       cocycle, and with the zero cocycle (Ker A is the whole algebra, so the
       report's ``ad_semisimple`` flag is compared where the root
@@ -334,6 +340,29 @@ def input_error_jobs(workdir: str, write):
     ]
 
 
+def seed_groups(results):
+    """{input: [result, ...]} of the further ``analyze`` and ``linear``
+    reports of ``results`` whose key names a seed, the ``seed=`` left out of
+    the input."""
+    groups = {}
+    for key, result in results.items():
+        if re.match(FURTHER + "(analyze|linear) ", key) and " seed=" in key:
+            groups.setdefault(re.sub(r" seed=\d+", "", key), []).append(result)
+    return groups
+
+
+def without_provenance(result):
+    """[code, stdout, stderr] of a run, a report's ``provenance`` removed
+    from its stdout."""
+    code, out, err, _mode = result
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        return [code, out, err]
+    doc.pop("provenance", None)
+    return [code, doc, err]
+
+
 def src_lines(tree) -> int:
     """Lines of the Python files under ``tree``'s ``src/`` (``perfbench/run.py``'s count)."""
     total = 0
@@ -429,9 +458,17 @@ def main(argv=None) -> int:
         f"{sum(modes[key] == mode for key in differ)} of "
         f"{sum(m == mode for m in modes.values())} {mode}-mode jobs and reports differ"
         for mode in MODES))
+    groups = seed_groups(tree)
+    seed_differ = sorted(name for name, group in groups.items()
+                         if len({json.dumps(without_provenance(r), sort_keys=True)
+                                 for r in group}) > 1)
+    for name in seed_differ:
+        print(f"{name}: differs across seeds in the working tree")
+    print(f"{len(seed_differ)} of {len(groups)} further analyze and linear inputs differ "
+          f"across their seeds in the working tree, provenance aside")
     print(f"src/ lines: {lines['ref']} at {args.ref}, {lines['tree']} in the working tree "
           f"({lines['tree'] - lines['ref']:+d})")
-    return 1 if differ else 0
+    return 1 if differ or seed_differ else 0
 
 
 if __name__ == "__main__":
