@@ -355,13 +355,13 @@ def is_regular_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> bool:
     """The pencil <x, [xi, eta]> + lambda A(xi, eta) has the rank of A: its
     rank at the first 2 dim + 3 points x of ``pencil.point_walk``, each by
     ``pencil.pencil_rank_corank``, never exceeds rank A.  Over C a point
-    takes its real and imaginary parts, in turn, from one point of
-    ``point_walk(2 dim)``."""
+    takes its real parts from the first dim coordinates of one point of
+    ``point_walk(2 dim)`` and its imaginary parts from the last dim."""
     d = lp.algebra.dim
     target = lp.cocycle.rank(mode)
     complex_field = lp.algebra.field == COMPLEX
     for v in itertools.islice(point_walk(2 * d if complex_field else d), 2 * d + 3):
-        x = [QQi(re, im) for re, im in zip(v[::2], v[1::2])] if complex_field else v
+        x = [QQi(re, im) for re, im in zip(v[:d], v[d:])] if complex_field else v
         shift = argument_shift_cocycle(lp.algebra, x).matrix
         rank, _ = pencil_rank_corank(constant_pencil(shift, lp.cocycle.matrix), mode)
         if rank > target:

@@ -41,9 +41,10 @@ def height_walk():
 
 def point_walk(dim: int):
     """Points of ``dim`` coordinates, point k filled with the next ``dim``
-    values of one height walk: [1, -1, 2], [-2, 1/2, -1/2], ... for dim 3.
-    No coordinate is zero, and no two points are equal."""
-    walk = height_walk()
+    positive values of one height walk: [1, 2, 1/2], [3, 3/2, 1/3], ... for
+    dim 3.  No two points are equal.  Each negative value follows its twin
+    in the walk, so points filled from both would all lie on x1 = -x2."""
+    walk = (x for x in height_walk() if x > 0)
     while True:
         yield list(itertools.islice(walk, dim))
 

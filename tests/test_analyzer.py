@@ -79,6 +79,17 @@ def test_analyze_refuses_rank_deficient_point():
         analyze_point(p0, pinf, [F(0), F(0), F(1), F(2)], declared_rank=2)
 
 
+def test_analyze_refuses_a_point_below_the_sampled_rank_off_a_hyperplane():
+    # (x1 + x2) d1^d2 and 2 (x1 + x2) d1^d2 vanish at the origin and on the
+    # line x1 = -x2; a point of the walk off it shows the generic rank 2
+    f0, finf = PoissonTensorField(2), PoissonTensorField(2)
+    s = Poly.variable(2, 0) + Poly.variable(2, 1)
+    f0.set_entry(0, 1, s)
+    finf.set_entry(0, 1, s * 2)
+    with pytest.raises(RankDeficientPointError):
+        analyze_point(f0, finf, [F(0), F(0)])
+
+
 def constant_fields_at_origin(blocks):
     """The real canonical pair of ``blocks`` as two constant fields, and the origin."""
     p = realified(blocks)

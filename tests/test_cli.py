@@ -181,6 +181,31 @@ def test_jk_command(so3_file, tmp_path, capsys):
     assert doc["invariants"] == {"corank": 1, "kronecker": [0], "jordan": {"0": [1]}}
 
 
+@pytest.mark.parametrize("pair", ["gaussian", "sqrt2-square"])
+def test_jk_float_mode_reports_the_exact_invariants(pair, tmp_path, capsys):
+    # jk decides exactly in either mode: --mode float only checks --tol and
+    # is recorded in the provenance.  Both pairs have a double Jordan block
+    # at an irrational or non-real lambda
+    from bipencil.io import dump_canonical, pencil_to_json_dict
+    from bipencil.jk import JordanBlock, KroneckerBlock
+    from bipencil.scalars import QQi
+    from oracles.jkpairs import companion_pair, constant_fields, realified
+    p = (realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)]) if pair == "gaussian"
+         else companion_pair([4, 0, -4, 0]))
+    path = tmp_path / "pair.pencil.json"
+    path.write_text(dump_canonical(pencil_to_json_dict(*constant_fields(p), None)))
+    point = "--point=" + ",".join(["0"] * p.dim)
+    docs = {}
+    for mode in ("exact", "float"):
+        code, out, err = run_cli(["jk", "--pencil", str(path), point, "--mode", mode], capsys)
+        assert code == 0, err
+        docs[mode] = json.loads(out)
+        assert docs[mode]["provenance"]["mode"] == mode
+    assert docs["float"]["invariants"] == docs["exact"]["invariants"]
+    jordan = docs["exact"]["invariants"]["jordan"]
+    assert sorted(sum(jordan.values(), [])) == [2, 2]
+
+
 def test_linear_command(tmp_path, capsys):
     from bipencil import algebras
     from bipencil.liealg import argument_shift_cocycle
@@ -230,6 +255,18 @@ def test_linear_with_zero_kernel_is_roots_dependent(structure, mode, tmp_path, c
     doc = json.loads(out)
     assert doc["kernel"]["dim"] == 0 and doc["cocycle_rank"] == 2
     assert doc["nondegenerate"] is False and doc["degeneracy_reason"] == "RootsDependent"
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_linear_zero_cocycle_is_not_regular_off_a_hyperplane(field, tmp_path, capsys):
+    # [e1, e2] = e1 + e2: the argument shift form at x is (x1 + x2) e1^*^e2^*,
+    # of rank 2 off the line x1 = -x2, so the zero cocycle is not regular
+    argv = write_linear_inputs(tmp_path, {"dim": 2, "field": field, "structure": [
+        {"i": 1, "j": 2, "k": 1, "c": "1"}, {"i": 1, "j": 2, "k": 2, "c": "1"}]},
+        {"dim": 2, "cocycle": []})
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["regular"] is False
 
 
 def test_linear_command_rejects_bad_jacobi(tmp_path, capsys):

@@ -42,11 +42,18 @@ def so3_shift_pencil():
 
 def test_point_walk_reads_the_height_walk_in_order():
     walk = point_walk(3)
-    assert next(walk) == [Fraction(1), Fraction(-1), Fraction(2)]
-    assert next(walk) == [Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+    assert next(walk) == [Fraction(1), Fraction(2), Fraction(1, 2)]
+    assert next(walk) == [Fraction(3), Fraction(3, 2), Fraction(1, 3)]
     points = [tuple(x) for x in islice(point_walk(3), 200)]
     assert len(set(points)) == len(points)
     assert all(len(x) == 3 and 0 not in x for x in points)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_point_walk_lies_on_no_hyperplane_through_the_origin(dim):
+    # the first dim points span Q^dim: no linear form, x1 + x2 say, vanishes
+    # at every point the analysis picks
+    assert mat_rank(list(islice(point_walk(dim), dim))) == dim
 
 
 def test_evaluate_pencil_so3_origin():
