@@ -29,7 +29,7 @@ from .jk import jk_invariants
 from .liealg import (LieAlgebra, LinearPencil, TwoCocycle, is_cocycle, is_regular_cocycle,
                      kernel_of_cocycle, matrix_is_semisimple)
 from .roots import analyze_linear
-from .scalars import EXACT, Mode, float_mode, format_scalar
+from .scalars import EXACT, Mode, claim, float_mode, format_scalar, is_inf, near
 from .tensorfield import evaluate_pencil
 from .toda import TodaPoint, random_point, toda_pencil, toda_spectrum_via_lax
 
@@ -97,13 +97,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _scalar_key(v):
-    """Total order on format_scalar values, with equal values tied: a string,
-    a float, or an {re, im} pair of two strings or two floats."""
-    parts = (v["re"], v["im"]) if isinstance(v, dict) else (v,)
-    return isinstance(v, dict), isinstance(parts[0], str), parts
-
-
 def cmd_toda(args) -> int:
     n = args.n
     if n < 2:
@@ -122,14 +115,18 @@ def cmd_toda(args) -> int:
                       "lax_eigenvalue": format_scalar(e.lax_eigenvalue),
                       "which": e.which, "multiplicity": e.multiplicity}
                      for e in lax]
-        pencil_vals = sorted((format_scalar(e.lam) for e in report.spectrum.entries),
-                             key=_scalar_key)
-        lax_vals = sorted((b["lambda"] for b in lax_block), key=_scalar_key)
+        # each pencil lambda claims one Lax lambda, equal in exact mode and
+        # within 1000 * tol * max(1, |lambda|) in float mode
+        entries, lax_lams, used = report.spectrum.entries, [e.lam for e in lax], set()
+        agrees = len(entries) == len(lax_lams) and all(
+            not is_inf(e.lam) and claim(lax_lams, used, lambda lam: near(
+                e.lam, lam, 1000 * mode.tol * max(1.0, abs(complex(e.lam))))) is not None
+            for e in entries)
         return {"a": [format_scalar(x) for x in pt.a],
                 "b": [format_scalar(x) for x in pt.b],
                 "report": report.to_json_dict(),
                 "lax_oracle": lax_block,
-                "oracle_agrees": pencil_vals == lax_vals}
+                "oracle_agrees": agrees}
 
     if args.scan:
         for k in range(args.scan):
@@ -158,7 +155,7 @@ def cmd_jk(args) -> int:
     _arithmetic(args)       # checks --tol; jk decides exactly in either mode
     inv = jk_invariants(evaluate_pencil(field0, field_inf, point, exact_required=True))
     doc = {"invariants": inv.to_json_dict(),
-           "provenance": _provenance(args, {"pencil_file": args.pencil,
+           "provenance": _provenance(args, {"pencil_file": args.pencil, "tolerance": None,
                                             "point": [format_scalar(x) for x in point]})}
     _write_output(dump_canonical(doc), args.out)
     return EXIT_OK
@@ -261,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="relative tolerance for float mode")
+                       help="float mode's tolerance: a float is zero when "
+                            "|x| <= tol * max(scale, 1)")
         p.add_argument("--seed", type=int, default=0,
                        help="seeds the points of toda --scan; recorded in the provenance")
         p.add_argument("--out", default=None, help="write the report here "

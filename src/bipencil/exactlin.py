@@ -18,11 +18,12 @@ proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
 reaches a known upper bound, such as a certified pencil rank, proves the
 rational rank; a lower one, or p dividing a denominator, proves nothing and
 the caller rechecks over Q.  Every primitive decides exactly in exact mode,
-and in floats at ``Mode.tol`` in float mode; the float rank thresholds
-singular values at tol * sigma_max.  Exact mode holds no float: ``eliminate``
-names the one field of the entries (``scalars.quadratic_field``), and refuses
-a matrix with a float entry, or with entries in no one field, by
-PreconditionError.  A nonzero scale of a row changes no rank, kernel or
+and in floats at ``Mode.tol`` in float mode, by the one rule of
+``Mode.zero``: a float is zero when |x| <= tol * max(scale, 1), so the float
+rank and kernel cut singular values at tol * max(sigma_max, 1).  Exact mode
+holds no float: ``eliminate`` names the one field of the entries
+(``scalars.quadratic_field``), and refuses a matrix with a float entry, or
+with entries in no one field, by PreconditionError.  A nonzero scale of a row changes no rank, kernel or
 reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
@@ -492,19 +493,17 @@ def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
     if A.size == 0:
         return 0
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    cutoff = eps * sv[0]
-    rank = int(np.sum(sv > cutoff))
+    scale = max(sv[0], 1.0)
+    rank = int(np.sum(sv > eps * scale))
     if warnings is not None:
         lo = sv[rank] if rank < sv.size else 0.0
         hi = sv[rank - 1] if rank >= 1 else sv[0]
-        if rank < sv.size and lo > cutoff / 10:
+        if rank < sv.size and lo > eps * scale / 10:
             warnings.append(f"borderline rank decision{': ' + what if what else ''} "
-                            f"(gap {lo / sv[0]:.3e} within 10x of tolerance)")
-        elif rank >= 1 and hi < 10 * cutoff:
+                            f"(gap {lo / scale:.3e} within 10x of tolerance)")
+        elif rank >= 1 and hi < 10 * eps * scale:
             warnings.append(f"borderline rank decision{': ' + what if what else ''} "
-                            f"(kept value {hi / sv[0]:.3e} within 10x of tolerance)")
+                            f"(kept value {hi / scale:.3e} within 10x of tolerance)")
     return rank
 
 
@@ -548,8 +547,8 @@ def nullspace_mod_p(M):
 
 
 def nullspace_float(M, eps: float, dim: int | None = None):
-    """Right singular vectors of singular value at most eps * sigma_max, or
-    the last ``dim`` where the kernel's dimension is known."""
+    """Right singular vectors of singular value at most eps * max(sigma_max, 1),
+    or the last ``dim`` where the kernel's dimension is known."""
     A = to_numpy(M)
     if A.size == 0:
         n = A.shape[1] if A.ndim == 2 else 0
@@ -557,9 +556,8 @@ def nullspace_float(M, eps: float, dim: int | None = None):
     _, sv, vh = np.linalg.svd(A)
     if dim is not None:
         return [list(v.conj()) for v in vh[len(vh) - dim:]]
-    cutoff = eps * (sv[0] if sv.size else 0.0)
-    ker = [list(vh[i].conj()) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
-    return ker
+    cutoff = eps * max(sv[0], 1.0)
+    return [list(vh[i].conj()) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
 
 
 def nullspace(M, mode: Mode = EXACT):

@@ -299,31 +299,28 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
     t1, t2 = core.regular_params[:2]
     R = recursion_operator(p, qbasis, t1, t2, mode)
 
-    def point(lam):
-        return 0j if is_inf(lam) else complex(lam)
-
     entries = []
     exact, floats = eigenvalues(R.matrix, mode)
+    rational = all(is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)
     for mu, _mult in exact + floats:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
-        if not mode.is_exact:
-            lam_c = point(lam)
-            if any(is_inf(lam) == is_inf(e.lam)
-                   and abs(lam_c - point(e.lam)) <= 1e-7 * max(1.0, abs(lam_c)) for e in entries):
-                continue
-            # the pencil parameter usually has modest height even when the
-            # float recursion eigenvalue does not, so an exact pencil tries
-            # lambda rationalized first
-            snapped = None if is_inf(lam) else snap(lam_c, 1e-8)
-            if snapped is not None and all(
-                    is_exact_scalar(x) for _, _, *pair in p.entries for x in pair):
-                kd = p.dim - rank_at(p, snapped, EXACT, warnings)
-                if kd > corank:
-                    entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
-                    continue
-        kd = p.dim - rank_at(p, lam, mode, warnings)
-        if kd > corank:
-            entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
+        # the pencil parameter usually has modest height even when the float
+        # recursion eigenvalue does not, so an exact pencil tries lambda
+        # rationalized first, within the tolerance ``eigenvalues`` clusters
+        # at; the exact rank decides whether a snapped value is in the
+        # spectrum, and one already there is not entered twice
+        for snapped in ([] if mode.is_exact or is_inf(lam) or not rational
+                        else snap(lam, 1000 * mode.tol)):
+            if snapped in [e.lam for e in entries]:
+                break
+            kd = p.dim - rank_at(p, snapped, EXACT, warnings)
+            if kd > corank:
+                entries.append(SpectrumEntry(lam=snapped, kernel_dim=kd))
+                break
+        else:
+            kd = p.dim - rank_at(p, lam, mode, warnings)
+            if kd > corank:
+                entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
     entries = _canonicalize_conjugates(p, entries, mode)
     entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
                                 (abs(complex(e.lam)), complex(e.lam).real,

@@ -41,7 +41,7 @@ class RootPair:
 
     def reality(self, mode: Mode = EXACT) -> str:
         """'real', 'imaginary', 'complex', or 'zero' (as a functional)."""
-        scale = max([abs(complex(v)) for v in self.root] + [1e-300])
+        scale = max([abs(complex(v)) for v in self.root] + [1.0])
         tol = 10 * mode.tol * scale
         if all(near(v, 0, tol) for v in self.root):
             return "zero"

@@ -353,20 +353,23 @@ _SNAP_DENOMINATORS = (1, 2, 12, 60, 1000, 10 ** 6, 10 ** 9)
 
 
 def snap(z: complex, tol: float):
-    """The Gaussian rational within ``tol`` of z at the first denominator bound
-    of the ladder ``_SNAP_DENOMINATORS`` that has one, or None.
+    """The Gaussian rationals within tol * max(1, |z|) of z, one at each
+    denominator bound of the ladder ``_SNAP_DENOMINATORS`` that has one, the
+    simplest first, each once.
 
     Both parts of z are limited to each bound in turn, so simple values like
     1/3 are recovered with their true denominator rather than a huge
-    float-derived one.
+    float-derived one; a caller that can check a candidate exactly takes the
+    first that passes, so that 1/1000 does not stand in for 1/1001.
     """
     z = complex(z)
     re, im = Fraction(z.real), Fraction(z.imag)
+    last = None
     for den in _SNAP_DENOMINATORS:
-        cand = QQi(re.limit_denominator(den), im.limit_denominator(den))
-        if abs(complex(cand) - z) <= tol * max(1.0, abs(z)):
-            return tidy(cand)
-    return None
+        cand = tidy(QQi(re.limit_denominator(den), im.limit_denominator(den)))
+        if cand != last and abs(complex(cand) - z) <= tol * max(1.0, abs(z)):
+            last = cand
+            yield cand
 
 
 def format_scalar(x):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
 from bipencil.io import dump_canonical, pencil_to_json_dict
-from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
+from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair, jk_invariants
 from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, quotient_basis, recursion_operator
 from bipencil.poly import Poly
@@ -132,6 +133,49 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
             assert r.diagonalizable == flat, (p, r.lam)
             if not flat:
                 assert r.degeneracy_reason == f"NonDiagonalizable({lambda_key(r.lam)})"
+
+
+def unit_lower_upper(d: int, rng: random.Random):
+    """Unit lower times unit upper triangular, entries in {-1, 0, 1}: the
+    congruences of the ``jk`` benchmark pairs and of ``tools/jobdiff.py``."""
+    L = [[F(1) if i == j else F(rng.randint(-1, 1)) if i > j else F(0) for j in range(d)]
+         for i in range(d)]
+    R = [[F(1) if i == j else F(rng.randint(-1, 1)) if i < j else F(0) for j in range(d)]
+         for i in range(d)]
+    return mat_mul(L, R)
+
+
+@pytest.mark.parametrize("congruence", [0, 1])
+def test_float_mode_snaps_a_double_jordan_block_at_a_gaussian_lambda(congruence):
+    # Kronecker 2 + Jordan (1+2i) of size 2, realified, under a congruence of
+    # random.Random("jobdiff-jk"): the block splits into float eigenvalues
+    # about sqrt(eps) apart, which cluster and snap to one exact lambda
+    p = realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
+    rng = random.Random("jobdiff-jk")
+    for _ in range(congruence + 1):
+        U = unit_lower_upper(p.dim, rng)
+    f0, finf = constant_fields(congruent_pair(p, U))
+    for mode in (EXACT, float_mode()):
+        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode)
+        assert rep.verdict.reason == "NonDiagonalizable((1+2i))", mode
+        assert [e.lam for e in rep.spectrum.entries] == [QQi(1, 2)], mode
+
+
+@pytest.mark.parametrize("lam", [F(1, 1001), F(1000, 1001)])
+def test_float_mode_snaps_to_the_first_rational_the_exact_rank_accepts(lam):
+    # 1/1000 and 1 lie within the clustering tolerance of lambda; the exact
+    # rank rejects them, and the next denominator bound gives lambda itself
+    f0, finf = constant_fields(companion_pair([-lam]))
+    rep = analyze_point(f0, finf, [F(0)] * 2, mode=float_mode())
+    assert [e.lam for e in rep.spectrum.entries] == [lam]
+
+
+def test_a_float_origin_keeps_lambda_zero():
+    # so3_shift at the float origin: lambda = 0 with its kernel of dimension 3
+    e = catalog_by_name()["so3_shift"]
+    rep = analyze_point(e.field0, e.field_inf, [0.0, 0.0, 0.0], float_mode())
+    assert rep.verdict.kind == "NonDegenerate"
+    assert [(r.lam, r.kernel_dim) for r in rep.spectrum.entries] == [(0, 3)]
 
 
 def sqrt2_pair():

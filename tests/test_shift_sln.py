@@ -11,6 +11,7 @@ import pytest
 from bipencil import pencil
 from bipencil.analyzer import analyze_point
 from bipencil.exactlin import mat_mul
+from bipencil.scalars import EXACT, float_mode
 
 from oracles.sln import (ShiftCase, block_diagonal, covector, eigenvalues_block_diagonal,
                          has_triple_coincidence, shift_case, sl, unimodular)
@@ -18,9 +19,9 @@ from oracles.sln import (ShiftCase, block_diagonal, covector, eigenvalues_block_
 F = Fraction
 
 
-def analyze(case: ShiftCase):
+def analyze(case: ShiftCase, mode=EXACT):
     e = case.entry()
-    return analyze_point(e.field0, e.field_inf, case.point,
+    return analyze_point(e.field0, e.field_inf, case.point, mode,
                          declared_rank=case.n ** 2 - case.n)
 
 
@@ -41,6 +42,17 @@ def test_shift_point_has_the_closed_form_type(n, r, b, seed):
     assert rep.point_rank == 0
     assert astuple(rep.total_type) == case.type
     assert rep.warnings == []
+
+
+@pytest.mark.parametrize("n, b", [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (6, 0)])
+def test_float_mode_gives_the_closed_form_type(n, b):
+    # exact mode's verdict, NonDegenerate, and type: an ad operator restricted
+    # to a joint eigenspace of those before it is zero up to rounding there,
+    # and a float kernel cuts singular values at tol * max(sigma_max, 1)
+    case = shift_case(n, b, 1)
+    rep = analyze(case, float_mode())
+    assert rep.verdict.kind == "NonDegenerate", rep.verdict
+    assert astuple(rep.total_type) == case.type
 
 
 def test_a_triple_coincidence_is_degenerate():

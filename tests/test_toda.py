@@ -1,9 +1,11 @@
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
 from bipencil.analyzer import analyze_point
+from bipencil.cli import main
 from bipencil.errors import PreconditionError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
@@ -313,6 +315,39 @@ def test_exact_singular_toda_decides_with_no_float(n, s, monkeypatch):
     rep = analyze_point(p0, pinf, point, declared_rank=2 * n - 2)
     assert rep.warnings == []
     assert rep.verdict.kind == "NonDegenerate" and rep.total_type.ke == 1
+
+
+def toda_cli(pt: TodaPoint, mode: str, capsys):
+    """The one point of ``toda`` at ``pt`` in ``mode``, which must exit 0."""
+    code = main(["toda", "--n", str(pt.n), "--a=" + ",".join(map(str, pt.a)),
+                 "--b=" + ",".join(map(str, pt.b)), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json.loads(captured.out)["points"][0]
+
+
+@pytest.mark.parametrize("pt", [make_singular_point(n, s) for n in (4, 6, 8) for s in (1, 2)] + [
+    TodaPoint(n=6, a=[F(x) for x in (45, 1, 1, 1, 1, 1)],
+              b=[F(x) for x in ("-32", "-60", "2/5", "6", "-2/9", "-2")])],
+    ids=[f"n{n}-s{s}" for n in (4, 6, 8) for s in (1, 2)] + ["n6-lambda-near-zero"])
+def test_float_singular_toda_agrees_with_the_lax_oracle(pt, capsys):
+    # one elliptic block per double Lax eigenvalue; at the last point the
+    # float lambda lies about 2e-8 from 0, which the snap at the clustering
+    # tolerance takes to 0
+    point = toda_cli(pt, "float", capsys)
+    assert point["report"]["verdict"]["kind"] == "NonDegenerate"
+    assert point["report"]["total_type"]["ke"] == len(point["lax_oracle"])
+    assert point["oracle_agrees"] is True
+
+
+@pytest.mark.parametrize("n, ke", [(2, 1), (3, 2)])
+def test_float_symmetric_toda_gives_the_exact_type(n, ke, capsys):
+    pt = TodaPoint(n=n, a=[F(1)] * n, b=[F(0)] * n)
+    for mode in ("exact", "float"):
+        point = toda_cli(pt, mode, capsys)
+        assert point["report"]["verdict"]["kind"] == "NonDegenerate", mode
+        assert point["report"]["total_type"] == {"ke": ke, "kh": 0, "kf": 0}, mode
+        assert point["oracle_agrees"] is True, mode
 
 
 def test_analyze_singular_lattice_points_elliptic():

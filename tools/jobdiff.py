@@ -11,7 +11,9 @@ runs it through ``run_job``.  The same child then runs the further reports of
 Work-directory paths are replaced by a placeholder, so that only the program's
 output is compared.  The jobs whose exit code, stdout or stderr differ are
 printed, and counted apart for the benchmark and the further reports, and
-again by each job's ``--mode`` (exact where it has none).  In the working
+again by each job's ``--mode`` (exact where it has none), and those that
+exit 0 at REF and nonzero in the tree are counted by mode on their own: a
+change that trades a wrong answer for a failure shows there.  In the working
 tree, each further ``analyze`` or ``linear`` input is compared across the
 seeds it runs at, its reports' provenance (which records the seed) set
 aside: the analysis draws no random point, so no input may differ.  The
@@ -457,6 +459,11 @@ def main(argv=None) -> int:
     print("by mode: " + ", ".join(
         f"{sum(modes[key] == mode for key in differ)} of "
         f"{sum(m == mode for m in modes.values())} {mode}-mode jobs and reports differ"
+        for mode in MODES))
+    failing = [key for key in differ if key in ref and key in tree
+               and ref[key][0] == 0 and tree[key][0] != 0]
+    print("exit 0 -> nonzero: " + ", ".join(
+        f"{sum(modes[key] == mode for key in failing)} {mode}-mode jobs and reports"
         for mode in MODES))
     groups = seed_groups(tree)
     seed_differ = sorted(name for name, group in groups.items()
