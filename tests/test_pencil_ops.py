@@ -22,8 +22,9 @@ from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.dense import bilinear, complex_array
-from oracles.jkpairs import JK_PAIRS
+from oracles.jkpairs import JK_PAIRS, companion_pair, realified
 from oracles.sampling import SamplingPolicy
+from oracles.sln import shift_case
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of
@@ -176,6 +177,45 @@ def test_quotient_dim_counts_quotient_basis():
         dims[name] = quotient_dim(p, core)
         assert dims[name] == len(quotient_basis(p, core)), name
     assert dims["jk-gaussian"] == 4 and dims["toda-random-4"] == 0
+
+
+def _kernel_sum_cases():
+    """(name, pencil, diagonalizable?) at 26 exact points whose every lambda
+    is diagonalizable: the catalog, Toda singular at seeds 1, 2 and random
+    points for n = 4, 6, 8, and sl(n) shift cases; then the JK pairs and the
+    companion pairs of x^2 - 2 and (x^2 - 2)^2."""
+    for e in catalog():
+        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point), True
+    for n in (4, 6, 8):
+        for s in (1, 2):
+            yield f"toda-singular-{n}-{s}", toda_pencil_at(make_singular_point(n, seed=s)), True
+        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n)), True
+    for n, b in ((3, 0), (3, 1), (4, 1), (5, 0)):
+        case = shift_case(n, b, 1)
+        e = case.entry()
+        yield f"sl{n}-{b}", evaluate_pencil(e.field0, e.field_inf, case.point), True
+    for k, blocks in enumerate(JK_PAIRS):
+        yield f"jk-{k}", realified(blocks), k in (0, 1)
+    yield "sqrt2", companion_pair([-2, 0]), True
+    yield "sqrt2-squared", companion_pair([4, 0, -4, 0]), False
+
+
+def test_spectrum_kernels_fill_the_quotient_exactly_when_diagonalizable():
+    # a Jordan block of size k at lambda adds 2 to Ker P_lambda beyond the
+    # corank and 2k to L^perp / L (4 and 4k for a conjugate pair): the sum
+    # over the spectrum equals dim L^perp / L when every size is 1, and falls
+    # short otherwise
+    sums = {}
+    for name, p, flat in _kernel_sum_cases():
+        core = core_of(p)
+        spectrum = compute_spectrum(p, core)
+        total = sum((e.kernel_dim - spectrum.corank) * (2 if e.paired else 1)
+                    for e in spectrum.entries)
+        assert all(diagonalizable_flags(p, spectrum).values()) == flat, name
+        assert (total == quotient_dim(p, core) if flat else total < quotient_dim(p, core)), name
+        sums[name] = total, quotient_dim(p, core)
+    assert len(sums) == 26 + 7
+    assert sums["jk-2"] == (2, 4) and sums["sl5-0"] == (20, 20)
 
 
 def test_regular_bracket_on_kernel_is_a_multiple_of_the_form():
