@@ -39,17 +39,17 @@ lines on as ``Elimination.kernel_rows``.  ``poly_roots_hybrid``
 lists the roots of an exact polynomial as (value, multiplicity) pairs, each
 value exact (Fraction or QQi), found by ``exact_roots``, and refuses a
 polynomial with a root it does not find; every multiplicity is exact, read
-off Yun's squarefree decomposition (``squarefree_decomposition``), whose gcds
-run on the same carriers Z and Z[sqrt d], as primitive pseudo-remainder
-sequences (``poly_gcd_exact``).  The exact roots of each squarefree factor
-are found with no float: the Gaussian-rational ones mod a prime and lifted
-p-adically (``gaussian_rational_roots``), then both roots of a quadratic
+off Yun's squarefree decomposition (``squarefree_decomposition``), on ints
+over Q, whose gcds run on the same carriers Z and Z[sqrt d], as primitive
+pseudo-remainder sequences (``poly_gcd_exact``).  The exact roots of each
+squarefree factor are found with no float: the Gaussian-rational ones
+(``gaussian_rational_roots``) of a quadratic over Q by its discriminant,
+else mod a prime and lifted p-adically, then both roots of a quadratic
 cofactor over Q, in the field of its discriminant, and the root of a linear
-factor over any Q(sqrt d); a cofactor of degree 3 or more, or of degree 2
-over a field other than Q, is refused.  ``eigenvalues`` gives the same list
-for a matrix in exact mode, and numpy's in float mode, and ``eigenspaces``,
-the one eigen-split (``eigen_split`` in exact mode), also decides
-diagonalizability over C.
+factor over any Q(sqrt d); any other cofactor is refused.  ``eigenvalues``
+gives the same list for a matrix in exact mode, and numpy's in float mode,
+and ``eigenspaces``, the one eigen-split (``eigen_split`` in exact mode),
+also decides diagonalizability over C.
 Matrices are lists of lists of Fraction / QQi / int entries, or in float
 mode floats; vectors are lists.  A float decision converts each exact value
 once where it meets a float (``as_float``, ``to_numpy``), to the correctly
@@ -125,16 +125,18 @@ def to_numpy(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cleared(row):
+    """The real rational row times the lcm of its denominators: ints."""
+    ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
+    lcm = math.lcm(*{d for _, d in ratios})
+    return [a * (lcm // d) for a, d in ratios]
+
+
 def primitive_row(row):
     """The real rational row times the lcm of its denominators, divided by the
     gcd of the result: the primitive integer row of the same direction, a new
     list.  A row of ints is only divided."""
-    if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        ratios = [(x.re if isinstance(x, QQi) else x).as_integer_ratio() for x in row]
-        lcm = math.lcm(*{d for _, d in ratios})
-        ints = [a * (lcm // d) for a, d in ratios]
+    ints = list(row) if all(type(x) is int for x in row) else _cleared(row)
     content = math.gcd(*ints)
     return [a // content for a in ints] if content > 1 else ints
 
@@ -312,6 +314,13 @@ def clear_matrix(M):
     return _Z, [[a * (D // q) for (a, q), _ in row] for row in ratios], D
 
 
+def scalar_matrix(K, M, D=1):
+    """M / D for carrier rows M over K and an int D > 0, as Fraction / QQi
+    entries: ``clear_matrix`` undone."""
+    D = K.lift(D)
+    return [[K.quotient(x, D) for x in row] for row in M]
+
+
 PRIME = 2 ** 61 - 1
 
 
@@ -434,6 +443,12 @@ class Elimination:
                 v[pc] = tidy(-K.quotient(row[fc], row[pc]))
             basis.append(v)
         return basis
+
+    @property
+    def kernel_lines(self):
+        """Positive multiples of the ``kernel`` vectors: over Z the primitive
+        integer rows of ``kernel_rows``, no Fraction made, else ``kernel``."""
+        return self.kernel_rows[0] if self.K is _Z else self.kernel
 
     @functools.cached_property
     def kernel_rows(self):
@@ -730,39 +745,50 @@ def poly_gcd_exact(a, b):
     """Monic gcd over Q or Q(sqrt d); [1] when a and b are both zero.
 
     Brown's primitive pseudo-remainder sequence (JACM 1971) on the cleared
-    coefficients, over the carrier ``eliminate`` would pick: a step of a
-    pseudo-division is the carrier's elimination step with previous pivot
-    one, and each remainder is made primitive by the carrier.
+    coefficients, over the carrier ``eliminate`` would pick (``_gcd_rows``):
+    a step of a pseudo-division is the carrier's elimination step with
+    previous pivot one, and each remainder is made primitive by the carrier.
 
     Over Z[sqrt d] the content removed is an integer, so a factor of a
     remainder in Z[sqrt d], such as the conjugate of its leading entry that
     ``_ZD.primitive`` multiplies in, stays.  On f g and f h, f of degree 5 and
     g, h of degree 7, coefficients (both parts over Z[i]) drawn from [-9, 9]
-    at 5 seeds, the largest remainder has 34-40 bits over Z and 76-85 over
-    Z[i]: about twice as many.  No benchmark job runs a gcd over Z[sqrt d],
-    and the tests run Gaussian ones up to degree 20, so that is left as it is.
+    at 5 seeds, the largest remainder has 36-41 bits over Z and 75-93 over
+    Z[i], and the largest row inside a pseudo-division 57-71 against 205-247.
+    Dividing that row by its integer content after each step leaves it at
+    204-246 bits and takes 0.9 ms against 0.75: the growth is a Gaussian
+    factor, not an integer one, so no step removes content.  No benchmark job
+    runs a gcd over Z[sqrt d], and the tests run Gaussian ones up to degree
+    20, so that is left as it is.
     """
     K = carrier(quadratic_field((*a, *b)))
+    g = _gcd_rows(K, K.clear(a[::-1]), K.clear(b[::-1]))
+    return [K.quotient(c, g[0]) for c in reversed(g)] if g else [Fraction(1)]
 
-    def primitive(row):     # a descending row, its leading zeros dropped
+
+def _gcd_rows(K, a, b):
+    """The gcd of two polynomials as descending carrier rows over K, by the
+    sequence of ``poly_gcd_exact``: a primitive row, [] when both are zero."""
+    def primitive(row):     # its leading zeros dropped
         row = row[next((k for k, c in enumerate(row) if c != K.zero), len(row)):]
         return K.primitive(row) if row else row
 
-    a, b = (primitive(K.clear(p[::-1])) for p in (a, b))
+    a, b = primitive(a), primitive(b)
     while b:
         while len(a) >= len(b):
             a = K.combine(b[0], a[0], K.one, a, b + [K.zero] * (len(a) - len(b)))[1:]
         a, b = b, primitive(a)
-    return [K.quotient(c, a[0]) for c in reversed(a)] if a else [Fraction(1)]
+    return a
 
 
 def _poly_quotient(a, g):
-    """a / g for a monic g that divides a: synthetic division, in which a
-    monic divisor needs no division.  The coefficients are ``tidy``."""
+    """a / g for a g that divides a: synthetic division.  A monic g needs no
+    division, and the coefficients are ``tidy``; over Z, with g primitive,
+    each is divided exactly by g's leading int."""
     q = list(a[:_poly_degree(a) + 1])
-    n = len(g) - 1
+    n, lc = len(g) - 1, g[-1]
     for k in range(len(q) - 1, n - 1, -1):
-        c = q[k] = tidy(q[k])
+        c = q[k] = q[k] // lc if type(lc) is int else tidy(q[k])
         for i in range(n):
             q[k - n + i] -= c * g[i]
     return q[n:]
@@ -773,19 +799,29 @@ def squarefree_decomposition(coeffs):
     and monic, squarefree, pairwise coprime f_i of degree >= 1 whose f_i^i
     multiply to coeffs up to a scalar, by Yun's algorithm (SYMSAC 1976): from
     b = sf and c = coeffs' / gcd, each step takes d = c - b', f_i = gcd(b, d),
-    and b / f_i and d / f_i as the next b and c, until b is a constant."""
-    g = poly_gcd_exact(coeffs, poly_deriv(coeffs))
-    sf = list(coeffs) if len(g) == 1 else _poly_quotient(coeffs, g)
-    b, c = sf, _poly_quotient(poly_deriv(coeffs), g)
+    and b / f_i and d / f_i as the next b and c, until b is a constant.
+
+    Over Q it runs on ints: each gcd is primitive (``_gcd_rows``), each
+    quotient exact over Z, b and c one multiple of the field's, and f_i and
+    sf are scaled at the end.  Over Q(sqrt d) each gcd is monic."""
+    if _poly_degree(coeffs) == 0:
+        return list(coeffs), []
+    over_q = not quadratic_field(coeffs)
+    f = primitive_row(coeffs[:_poly_degree(coeffs) + 1]) if over_q else coeffs
+    gcd = (lambda a, b: _gcd_rows(_Z, a[::-1], b[::-1])[::-1]) if over_q else poly_gcd_exact
+    g = gcd(f, poly_deriv(f))
+    b, c = _poly_quotient(f, g), _poly_quotient(poly_deriv(f), g)
+    sf = (list(coeffs) if len(g) == 1 else b if not over_q
+          else [tidy(coeffs[len(f) - 1]) / b[-1] * x for x in b])
     factors = []
     for i in itertools.count(1):
         if _poly_degree(b) == 0:
             return sf, factors
         d = [x - y for x, y in itertools.zip_longest(c, poly_deriv(b), fillvalue=0)]
-        f = poly_gcd_exact(b, d)
-        if len(f) > 1:
-            factors.append((f, i))
-        b, c = _poly_quotient(b, f), _poly_quotient(d, f)
+        h = gcd(b, d)
+        if len(h) > 1:
+            factors.append(([Fraction(x, h[-1]) for x in h] if over_q else h, i))
+        b, c = _poly_quotient(b, h), _poly_quotient(d, h)
 
 
 def _eval_mod(coeffs, x, q):
@@ -797,6 +833,15 @@ def _eval_mod(coeffs, x, q):
     return out
 
 
+def _residue_primes():
+    """(p, s) per prime p = 1 (mod 4) above 10^4, in order, s the first
+    c^((p - 1) / 4), c = 2, 3, ..., whose square is -1 mod p."""
+    for p in itertools.count(10 ** 4 + 1, 4):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p, next(s for s in (pow(c, (p - 1) // 4, p) for c in itertools.count(2))
+                          if s * s % p == p - 1)
+
+
 def gaussian_rational_roots(f):
     """(roots, cofactor): the roots in Q(i) of a squarefree f over Q or Q(i),
     exact, and f divided by their linear factors, which has none.
@@ -806,27 +851,44 @@ def gaussian_rational_roots(f):
     w = lc z a Gaussian integer with |w| <= B = |lc| + max |a_k| (Cauchy).
     The first prime p = 1 (mod 4) above 10^4 with p not dividing N(lc), at
     which every root of f mod p is simple, is taken, with i -> s, s^2 = -1,
-    mapping Z[i] onto F_p; the roots mod p come from one evaluation at every
-    residue.  Newton's doubling lifts them, and s with them, to q = p^K >
-    4 B^2 (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4).  The w
-    with residue t = lc r mod q lie on a coset of the lattice x + y s = 0
-    (mod q), spanned by (q, 0) and (-s, 1): the multiples of a g of norm q,
-    its shortest vector.  So t - round(t / g) g is the one w of norm below
-    q / 4; w / lc is kept when f vanishes there exactly.  A linear f gives
-    -c_0 / c_1 directly.
+    mapping Z[i] onto F_p (``_residue_primes``); the roots mod p come from
+    one evaluation at every residue, in their order mod p, which is the
+    order of the list.  Newton's doubling lifts them, and s with them, to
+    q = p^K > 4 B^2 (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4).
+    The w with residue t = lc r mod q lie on a coset of the lattice
+    x + y s = 0 (mod q), spanned by (q, 0) and (-s, 1): the multiples of a g
+    of norm q, its shortest vector.  So t - round(t / g) g is the one w of
+    norm below q / 4; w / lc is kept when f vanishes there exactly.
+
+    A linear f gives -c_0 / c_1 directly.  A quadratic over Q, cleared to
+    a_0 + a_1 x + a_2 x^2 with D = a_1^2 - 4 a_0 a_2, gives its roots in
+    closed form, (-a_1 +- sqrt D) / 2 a_2: rational when D is a square,
+    Gaussian when -D is, else none in Q(i).  The first prime p that divides
+    neither a_2 nor D is the one the lifting would take (its roots mod p are
+    simple), and they are sorted, as the lifting sorts them, by residue mod p.
     """
     f = f[:_poly_degree(f) + 1]
     if len(f) <= 2:
         return ([tidy(-f[0] / f[1])], f[1:]) if len(f) == 2 else ([], f)
+    if len(f) == 3 and not quadratic_field(f):
+        a0, a1, a2 = _cleared(f)
+        disc = a1 * a1 - 4 * a0 * a2
+        r = math.isqrt(abs(disc))
+        if r * r != abs(disc):
+            return [], f
+        p, s = next((p, s) for p, s in _residue_primes() if a2 % p and disc % p)
+        re, im = Fraction(-a1, 2 * a2), Fraction(r, 2 * a2)
+        roots = [re + im, re - im] if disc > 0 else [QQi(re, im), QQi(re, -im)]
+        t = r if disc > 0 else r * s        # sqrt D mod p, with i -> s
+        residues = [(e * t - a1) * pow(2 * a2, -1, p) % p for e in (1, -1)]
+        return [z for _, z in sorted(zip(residues, roots))], [tidy(f[2])]
     K = _ZD(-1)
     a = K.clear(f)
     lc = a[-1]
     norm_lc = lc[0] ** 2 + lc[1] ** 2
     bound = (math.isqrt(norm_lc) + math.isqrt(max(x * x + y * y for x, y in a)) + 2) ** 2
-    for p in itertools.count(10 ** 4 + 1, 4):
-        if norm_lc % p and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            s = next(s for s in (pow(c, (p - 1) // 4, p) for c in itertools.count(2))
-                     if s * s % p == p - 1)
+    for p, s in _residue_primes():
+        if norm_lc % p:
             c = [(x + y * s) % p for x, y in a]
             roots = np.flatnonzero(_eval_mod(c, np.arange(p, dtype=np.int64), p) == 0)
             if np.all(_eval_mod(poly_deriv(c), roots, p)):
@@ -869,11 +931,11 @@ def exact_roots(f):
     found exactly, and f divided by their linear factors.
 
     An f over Q or Q(i) gives its Gaussian-rational roots by
-    ``gaussian_rational_roots``, and then a cofactor of degree 2 over Q both
-    its roots, (-c_1 +- sqrt(c_1^2 - 4 c_0 c_2)) / 2 c_2 in the field of that
-    discriminant: it is no square and minus no square, as the Gaussian-
-    rational roots are out.  Over any other Q(sqrt d) only a linear f gives
-    its root, -c_0 / c_1.  Any other cofactor is returned as it is.
+    ``gaussian_rational_roots`` (in closed form for a quadratic over Q), and
+    then a cofactor of degree 2 over Q both its roots, (-c_1 +- sqrt(c_1^2 -
+    4 c_0 c_2)) / 2 c_2 in the field of that discriminant, which is no square
+    and minus no square.  Over any other Q(sqrt d) only a linear f gives its
+    root, -c_0 / c_1.  Any other cofactor is returned as it is.
     """
     f = f[:_poly_degree(f) + 1]
     d = quadratic_field(f)

@@ -11,10 +11,11 @@ pencil rank of ``pencil.pencil_rank_corank`` at the first points of
 Exact data are carrier ints over one denominator (``exactlin.clear_matrix``):
 ints over Q, (x, y) int pairs over Q(sqrt d).  An exact algebra holds its
 structure constants so, beside their scalar view ``structure_vector``, and
-``bracket``, ``ad_matrix`` and ``is_cocycle`` compute on them; a value
-becomes a Fraction or QQi only where it leaves, as a bracket or an ad
-matrix.  A cocycle's rank and its kernel Ker A, in pivot-normalized echelon
-form, are read off its one elimination.
+``bracket``, ``ad_matrix``, ``center`` and ``is_cocycle`` compute on them; a
+value becomes a Fraction or QQi only where it leaves, and Ker A's ad
+operators leave as rows too (``CocycleKernel.ad_rows``).  A cocycle's rank
+and its kernel Ker A, in pivot-normalized echelon form, are read off its one
+elimination.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (as_float, basis_union, clear_matrix, eigenspaces, eliminate, identity,
-                       join, lift, mat_rank, nullspace, transpose)
+from .exactlin import (Elimination, as_float, basis_union, carrier, clear_matrix, eigenspaces,
+                       eliminate, identity, join, lift, mat_rank, nullspace, scalar_matrix,
+                       transpose)
 from .poly import Poly
 from .pencil import pencil_rank_corank, point_walk
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
@@ -82,7 +84,9 @@ class LieAlgebra:
 
     def _ad_rows(self, x):
         """(K, rows, s): s ad_x as carrier rows over one denominator s > 0, for
-        an exact x and exact structure constants: column j is sum_i x_i c_ij."""
+        an exact x and exact structure constants: column j is sum_i x_i c_ij.
+        K is the carrier of the field of the entries, Z where they are all
+        rational, as ``clear_matrix`` would pick it."""
         KT, T, den = self._table
         KX, (X,), s = clear_matrix([x])
         K = join(KT, KX)
@@ -92,6 +96,8 @@ class LieAlgebra:
             for a, b, c in ((i, j, X[i]), (j, i, K.scale(X[j], -1))):
                 if c != K.zero:
                     cols[b] = [K.add(o, K.mul(c, v)) for o, v in zip(cols[b], t)]
+        if K is not carrier(0) and not any(y for col in cols for _, y in col):
+            K, cols = carrier(0), [[a for a, _ in col] for col in cols]
         return K, transpose(cols), s * den
 
     def bracket(self, x, y):
@@ -116,8 +122,7 @@ class LieAlgebra:
         """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j],
         read off ``_ad_rows`` for an exact x, each e_j in floats when x is float."""
         if self._table and all(map(is_exact_scalar, x)):
-            K, A, s = self._ad_rows(x)
-            return [[K.quotient(v, K.lift(s)) for v in row] for row in A]
+            return scalar_matrix(*self._ad_rows(x))
         floats = not any(map(is_exact_scalar, x))
         return transpose([self.bracket(x, list(map(as_float, e)) if floats else e)
                           for e in identity(self.dim)])
@@ -140,10 +145,18 @@ class LieAlgebra:
         return None
 
     def center(self, mode: Mode = EXACT):
-        """Basis of {x : [x, g] = 0}."""
-        c = [[self.structure_vector(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        return nullspace([[c[i][j][k] for i in range(self.dim)]
-                          for j in range(self.dim) for k in range(self.dim)], mode)
+        """Basis of {x : [x, g] = 0}: the kernel of the rows (j, k) of
+        c_ij^k, exact on the structure constants' carrier rows."""
+        d = self.dim
+        if mode.is_exact and self._table:
+            K, T, _ = self._table
+            rows = [[K.zero] * d for _ in range(d * d)]
+            for (i, j), t in T.items():
+                for k, x in enumerate(t):
+                    rows[j * d + k][i], rows[i * d + k][j] = x, K.scale(x, -1)
+            return Elimination(rows, K).kernel
+        c = [[self.structure_vector(i, j) for j in range(d)] for i in range(d)]
+        return nullspace([[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)], mode)
 
     def derived_basis(self, mode: Mode = EXACT):
         return basis_union([], self._c.values(), mode)
@@ -328,11 +341,14 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
 @dataclass
 class CocycleKernel:
     """Ker A as a subalgebra: its basis, the matrix of ad_x on the algebra for
-    each basis vector x, and whether it is Abelian."""
+    each basis vector x, and whether it is Abelian.  Exact, ``ad_rows`` holds
+    each ad_x beside it as the carrier rows (K, rows, s) of s ad_x over one
+    denominator s > 0, which the root decomposition splits as they are."""
 
     basis: list
     ad: list
     abelian: bool
+    ad_rows: list | None = None
 
 
 def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
@@ -342,13 +358,17 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
 
 def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
     """Ker A as a subalgebra, with its ad matrices and an abelian flag; exact,
-    Ker A is the pivot-normalized kernel of the cocycle's one elimination."""
+    Ker A is the pivot-normalized kernel of the cocycle's one elimination,
+    and each ad matrix is made from its carrier rows (``ad_rows``)."""
+    g = lp.algebra
     basis = ([list(v) for v in lp.cocycle.elimination.kernel] if mode.is_exact
              else nullspace(lp.cocycle.matrix, mode))
     abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
-                  for v in lp.algebra.bracket(x, y))
-    ad = [lp.algebra.ad_matrix(x) for x in basis]
-    return CocycleKernel(basis=basis, ad=ad, abelian=abelian)
+                  for v in g.bracket(x, y))
+    if mode.is_exact and g._table:
+        rows = [g._ad_rows(x) for x in basis]
+        return CocycleKernel(basis, [scalar_matrix(*r) for r in rows], abelian, rows)
+    return CocycleKernel(basis, [g.ad_matrix(x) for x in basis], abelian)
 
 
 def is_regular_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> bool:

@@ -14,7 +14,8 @@ becomes the cocycle, eliminated once for both (``liealg.TwoCocycle``).
 At a rational lambda ``gram`` sums the brackets on ints; they reach
 ``coords_in_span`` as exact values, and the algebra holds its structure
 constants as carrier ints over one denominator, on which the cocycle
-identity is checked.
+identity is checked and from which Ker A's ad operators are built as rows
+that the root decomposition splits as they are (``liealg.CocycleKernel``).
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ from math import gcd
 
 from .errors import RankDeficientPointError, SingularParameterError
 from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
-                       nullspace_float, nullspace_mod_p, primitive_row, residues, solve,
-                       span_mod_p)
+                       nullspace_float, nullspace_mod_p, residues, solve, span_mod_p)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap, tidy)
 from .tensorfield import PencilAtPoint, gram, skew
@@ -84,8 +83,13 @@ def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
 
 def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *, rank: int):
     """``count`` pairs (lambda, Ker P_lambda) at the next values of ``walk``,
-    a height walk, where the rank is ``rank``; the kernel decides the rank."""
+    a height walk, where the rank is ``rank``: exact, the rank of P_lambda's
+    elimination, and a copy of its ``kernel_lines`` (over Z primitive
+    integer rows, as ``basis_union`` takes them); else the kernel's size."""
     def kernel_if_regular(lam):
+        if mode.is_exact:
+            e = p.elimination_at(lam)
+            return [list(v) for v in e.kernel_lines] if e.rank == rank else None
         ker = kernel_basis(p, lam, mode)
         return ker if p.dim - len(ker) == rank else None
     return _draw_regular(walk, count, kernel_if_regular, p.dim)
@@ -206,8 +210,8 @@ def _span_kernels(draw, union, full: int):
 
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha.
-    On the integer form of P_alpha the core vectors are cleared of denominators
-    too: that scales the rows, and leaves their kernel.  The rows have rank
+    Exact, the integer form of P_alpha, a multiple with the same kernel,
+    meets the core's integer rows (``regular_parameters``).  The rows have rank
     dim L - corank (L holds Ker P_alpha), so float mode takes the last
     dim - dim L + corank right singular vectors, as the rows may be roundoff."""
     if not core.basis:
@@ -215,7 +219,7 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     alpha = core.regular_params[0]
     ints = p.integer_matrix_at(alpha) if mode.is_exact else None
     A = ints or (p.matrix_at(alpha) if mode.is_exact else p.float_matrix_at(alpha))
-    rows = [mat_vec(A, l if ints is None else primitive_row(l)) for l in core.basis]
+    rows = [mat_vec(A, l) for l in core.basis]
     return (nullspace(rows, mode) if mode.is_exact
             else nullspace_float(rows, mode.tol, dim=p.dim - core.dim + core.corank))
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import ToleranceError
 from .exactlin import (as_float, clear_matrix, coords_in_span, eigen_split, eigenspaces,
-                       identity, join, lift, mat_mul, mat_rank, mat_vec, restrict, transpose)
+                       identity, join, lift, mat_mul, mat_rank, mat_vec, restrict,
+                       scalar_matrix, transpose)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 
@@ -124,7 +125,7 @@ class LinearAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def joint_eigenvectors(mats, mode: Mode = EXACT):
+def joint_eigenvectors(mats, mode: Mode = EXACT, rows=None):
     """Split the ambient space by the commuting family: a list of (eigtuple,
     vectors), or None when some operator is not semisimple.
 
@@ -137,19 +138,19 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     eigenspace would be the whole space, whose dimension an empty family
     does not give.
 
-    Exact mode splits on carrier ints: each operator D ad(k_i) is cleared
-    once over one denominator D (``exactlin.clear_matrix``), each joint
-    eigenspace's basis is held as primitive carrier rows, each nonzero at a
-    unit column, and each restriction is read off integer images
-    (``exactlin.restrict``) and split by ``exactlin.eigen_split``, which
-    takes the roots of the monic characteristic polynomial of the
-    restriction itself: the eigenvalues and their order are those of a split
-    on Fractions, and each basis spans the same space, made Fraction / QQi
-    vectors on the way out.  Float mode splits by ``exactlin.eigenspaces`` in
-    floats, even where the entries are exact.
+    Exact mode splits on carrier ints: each operator is the carrier rows
+    (K, M, D) of D times it, ``rows`` (``liealg.CocycleKernel.ad_rows``) or
+    else its ``exactlin.clear_matrix``; each joint eigenspace's basis is
+    primitive carrier rows, each nonzero at a unit column, and each
+    restriction is read off integer images (``exactlin.restrict``) and split
+    by ``exactlin.eigen_split``, which takes the roots of the monic
+    characteristic polynomial of the restriction itself: the eigenvalues and
+    their order are those of a split on Fractions, and each basis spans the
+    same space, made Fraction / QQi vectors on the way out.  Float mode
+    splits by ``exactlin.eigenspaces`` in floats, even where it is exact.
     """
     if mode.is_exact:
-        return _joint_eigenvectors_exact(mats)
+        return _joint_eigenvectors_exact(rows or [clear_matrix(A) for A in mats])
     items = [((), None)]
     for A in mats:
         floats = [[as_float(x) for x in row] for row in A]
@@ -170,10 +171,9 @@ def joint_eigenvectors(mats, mode: Mode = EXACT):
     return items
 
 
-def _joint_eigenvectors_exact(mats):
+def _joint_eigenvectors_exact(cleared):
     items = [((), None, None, None)]      # eigenvalues, carrier, basis rows, unit columns
-    for A in mats:
-        KA, A, s = clear_matrix(A)
+    for KA, A, s in cleared:
         new_items = []
         for eigs, K, basis, units in items:
             if basis is None:
@@ -195,8 +195,7 @@ def _joint_eigenvectors_exact(mats):
                     free = [units[f] for f in free]
                 new_items.append((eigs + (val,), e.K, rows, free))
         items = new_items
-    return [(eigs, [[K.quotient(x, K.one) for x in v] for v in rows])
-            for eigs, K, rows, _ in items]
+    return [(eigs, scalar_matrix(K, rows)) for eigs, K, rows, _ in items]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def root_decomposition(lp: LinearPencil, mode: Mode = EXACT,
     if not kernel.abelian:
         data.residual = "KernelNotAbelian"
         return data
-    items = (joint_eigenvectors(kernel.ad, mode) if kernel.ad
+    items = (joint_eigenvectors(kernel.ad, mode, kernel.ad_rows) if kernel.ad
              else [((), identity(lp.algebra.dim))])
     if items is None:
         data.residual = "AdNotSemisimple"

@@ -119,20 +119,22 @@ def gram(dim: int, matrices, lam, basis, pairs):
     the terms added left to right from 0 in the order of the dense sum
     sum_i u_i (sum_j M_ij v_j), zero terms skipped, so that a float value
     keeps its bits.  Where lambda and every value are real rationals the
-    cells are ints, b A0 + a Ainf at lambda = a / b, and the sums run on
-    ints, with one scale S for all the matrices and the basis; a float basis
-    meets cells converted once.
+    cells are ints, b A0 + a Ainf at lambda = a / b, over one scale S b for
+    all the matrices, and the sums run on ints, the basis over S too; a
+    float basis meets cells converted once, each an int over S b by true
+    division, the correctly rounded float of the rational cell.
     """
     rows = [[[] for _ in range(dim)] for _ in matrices]
+    floats = not any(is_exact_scalar(x) for u in basis for x in u)
     values = [x for entries in matrices for _, _, *pair in entries for x in pair] + \
-        [x for u in basis for x in u]
+        ([] if floats else [x for u in basis for x in u])
     vecs, finish = basis, tidy
     if (is_inf(lam) or isinstance(lam, (int, Fraction))) and \
             all(isinstance(x, (int, Fraction)) for x in values):
         # lam = a / b (INF as 1 / 0): b M = b A0 + a Ainf, on the ints of S A0, S Ainf
         a, b = (1, 0) if is_inf(lam) else lam.as_integer_ratio()
         S = math.lcm(*(x.denominator for x in values))
-        S3b = S ** 3 * (b or 1)
+        Sb, S3b = S * (b or 1), S ** 3 * (b or 1)
 
         def scaled(x):
             return x.numerator * (S // x.denominator)
@@ -140,15 +142,16 @@ def gram(dim: int, matrices, lam, basis, pairs):
         for r, entries in zip(rows, matrices):
             for i, j, a0, ainf in entries:
                 c = b * scaled(a0) + a * scaled(ainf)
-                r[i].append((j, c))
-                r[j].append((i, -c))
-        vecs, finish = [[scaled(x) for x in u] for u in basis], lambda w: Fraction(w, S3b)
+                r[i].append((j, c / Sb if floats else c))
+                r[j].append((i, -c / Sb if floats else -c))
+        if not floats:
+            vecs, finish = [[scaled(x) for x in u] for u in basis], lambda w: Fraction(w, S3b)
     else:
         for r, entries in zip(rows, matrices):
             for i, j, upper, lower in skew_cells(entries, lam):
                 r[i].append((j, upper))
                 r[j].append((i, lower))
-        if not any(is_exact_scalar(x) for u in basis for x in u):
+        if floats:
             rows = [[[(j, as_float(a)) for j, a in row] for row in r] for r in rows]
     images = [[[left_sum(a * v[j] for j, a in row if a != 0 and v[j] != 0) for row in r]
                for v in vecs] for r in rows]

@@ -24,6 +24,9 @@
   the reference for the one-pass parse of ``io.entries_to_field``.
 - ``eigensplit``: the joint eigen-split of a commuting family on Fraction /
   QQi entries, the reference for the library's split on carrier ints.
+- ``padic``: the Gaussian-rational roots of a polynomial by p-adic lifting
+  at every degree, the reference for the library's closed form, and root
+  order, of a quadratic over Q.
 - ``sampling``: a seeded source of random rational points, from which tests
   draw their inputs.
 

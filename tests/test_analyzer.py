@@ -13,7 +13,6 @@ from bipencil.errors import PreconditionError, RankDeficientPointError
 from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
 from bipencil.io import dump_canonical, pencil_to_json_dict
 from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair, jk_invariants
-from bipencil.liealg import LieAlgebra
 from bipencil.pencil import compute_core, point_walk, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
@@ -468,10 +467,11 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
     # form's rank is read off its one elimination (see the next test), never
     # by a separate exact rank.  Inside analyze_linear the ad matrices are restricted
     # to root spaces read off echelon bases too, and the derived algebra's
-    # basis reads its pivots off a forward elimination: no reduced form at all
+    # basis reads its pivots off a forward elimination: no reduced form at all.
+    # Each ad matrix is counted where its scalars are made from its carrier rows
     rrefs = count_calls(monkeypatch, exactlin, "rref")
     ranks = count_calls(monkeypatch, exactlin, "mat_rank_exact")
-    ads = count_calls(monkeypatch, LieAlgebra, "ad_matrix")
+    ads = count_calls(monkeypatch, liealg, "scalar_matrix")
     windows = []
 
     def watched(name):

@@ -20,9 +20,10 @@ from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_p
                                nullspace_exact, nullspace_mod_p, poly_eval, poly_gcd_exact,
                                poly_roots_hybrid, primitive_row, residues, rref, solve,
                                span_mod_p, squarefree_decomposition, transpose)
-from bipencil.scalars import EXACT, QQi, claim, float_mode, format_scalar, near, tidy
+from bipencil.scalars import (EXACT, QQi, cimag, claim, creal, float_mode, format_scalar, near,
+                              tidy)
 
-from oracles import bareiss, euclid
+from oracles import bareiss, euclid, padic
 from oracles.dense import bilinear, complex_array, entrywise_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -846,6 +847,63 @@ def test_planted_gaussian_rational_roots_are_found_exactly(parts, rest, lead):
     roots, cofactor = gaussian_rational_roots([tidy(c) for c in f])
     assert len(roots) == len(planted) and set(roots) == set(planted)
     assert cofactor == [tidy(lead * c) for c in rest]
+
+
+# the first primes p = 1 (mod 4) above 10^4, which the root search takes in turn
+SEARCH_PRIMES = (10009, 10037, 10061, 10069, 10093)
+
+
+@st.composite
+def rational_quadratics(draw):
+    """A squarefree quadratic over Q whose roots lie in Q, in Q(i) but not Q,
+    or in neither, as Fractions; its leading coefficient and the gap between
+    its roots are multiplied by products of ``SEARCH_PRIMES``, so that the
+    cleared leading coefficient or discriminant rules some of them out."""
+    kind = draw(st.sampled_from(["Q", "Q(i)", "neither"]))
+    primes = st.lists(st.sampled_from(SEARCH_PRIMES), max_size=3).map(math.prod)
+    nonzero = rationals.filter(bool)
+    lead, u = draw(nonzero) * draw(primes), draw(rationals)
+    gap = draw(nonzero) * draw(primes)
+    # roots u +- gap sqrt(m): m = 1 rational, m = -1 Gaussian, else neither
+    m = {"Q": 1, "Q(i)": -1}.get(kind) or draw(st.sampled_from([2, 3, -2, -3, 6, -7]))
+    return kind, [lead * (u * u - m * gap * gap), -2 * lead * u, lead]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_quadratics())
+def test_a_rational_quadratic_has_the_roots_and_order_of_the_p_adic_path(case):
+    # the closed form over Q takes the p-adic path's prime and square root
+    # of -1, and so lists the same roots in the same order, of the same types
+    kind, f = case
+    roots, cofactor = gaussian_rational_roots(f)
+    want = padic.gaussian_rational_roots(f)
+    assert typed(roots) == typed(want[0]) and typed(cofactor) == typed(want[1])
+    assert len(roots) == (0 if kind == "neither" else 2)
+    assert all(isinstance(z, Fraction) for z in roots) == (kind != "Q(i)")
+
+
+@pytest.mark.parametrize("f, prime", [
+    # 10009 (x^2 - 1): 10009 divides the leading coefficient
+    ([Fraction(-10009), Fraction(0), Fraction(10009)], 10037),
+    # roots +-10009 i / 2: 10009 divides the discriminant
+    ([Fraction(10009 ** 2, 4), Fraction(0), Fraction(1)], 10037),
+    # roots 1 +- 10037: 10037 divides the discriminant, 10009 neither
+    ([Fraction(1 - 10037 ** 2), Fraction(-2), Fraction(1)], 10009),
+    # 10009 10037 (x - 1/3 +- 10061 i): the first three ruled out
+    ([10009 * 10037 * (Fraction(1, 9) + 10061 ** 2), Fraction(-2 * 10009 * 10037, 3),
+      Fraction(10009 * 10037)], 10069)])
+def test_the_root_order_follows_the_first_prime_that_divides_neither(f, prime):
+    # the two roots are sorted by their residues mod that prime, i -> s
+    roots, _ = gaussian_rational_roots(f)
+    assert roots == padic.gaussian_rational_roots(f)[0] and len(roots) == 2
+    s = next(s for s in (pow(c, (prime - 1) // 4, prime) for c in itertools.count(2))
+             if s * s % prime == prime - 1)
+
+    def residue(z):
+        return sum(x.numerator * pow(x.denominator, -1, prime) * t
+                   for x, t in zip((creal(z), cimag(z)), (1, s))) % prime
+    assert residue(roots[0]) < residue(roots[1])
+    assert all(poly_eval(f, z) == 0 for z in roots)
 
 
 def test_close_irrational_pairs_keep_their_multiplicities_and_bits():

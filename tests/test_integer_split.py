@@ -7,8 +7,8 @@ from fractions import Fraction
 from bipencil import algebras, exactlin, roots
 from bipencil.catalog import catalog
 from bipencil.exactlin import mat_rank
-from bipencil.liealg import (CocycleKernel, LinearPencil, argument_shift_cocycle,
-                             kernel_of_cocycle)
+from bipencil.liealg import (CocycleKernel, LieAlgebra, LinearPencil, TwoCocycle,
+                             argument_shift_cocycle, kernel_of_cocycle)
 from bipencil.linearization import kernel_form, linearize
 from bipencil.pencil import is_diagonalizable, kernel_basis
 from bipencil.roots import analyze_linear, joint_eigenvectors
@@ -49,7 +49,8 @@ def differential_cases():
     return [(name, lam, lp) for name, p in points for lam, lp in linear_pencils(p)]
 
 
-def oracle_split(mats, mode):
+def oracle_split(mats, mode, rows=None):
+    # ``rows`` are the carrier rows of ``mats``; the oracle splits ``mats``
     return eigensplit.joint_eigenvectors(mats)
 
 
@@ -155,6 +156,28 @@ def test_a_gaussian_lambda_splits_on_gaussian_integer_rows(monkeypatch):
             g = lp.algebra
             assert all(v == 0 for i in range(g.dim) for j in range(g.dim)
                        for v in g.structure_vector(i, j))
+
+
+def test_a_rational_ad_of_a_gaussian_algebra_splits_in_its_own_field():
+    # so(3) with [e3, e1] = 2 e2, [e3, e2] = -e1, [e1, e2] = 2 e3, beside
+    # [e4, e5] = i e4: Ker A = span{e3}, whose ad is rational with the roots
+    # +-sqrt(-2), so its rows are held over Z, as clear_matrix would hold its
+    # entries, and not over the table's Z[i], which cannot hold sqrt(-2)
+    g = LieAlgebra(5, "complex")
+    g.set_bracket(2, 0, [F(0), F(2), F(0), F(0), F(0)])
+    g.set_bracket(2, 1, [F(-1), F(0), F(0), F(0), F(0)])
+    g.set_bracket(0, 1, [F(0), F(0), F(2), F(0), F(0)])
+    g.set_bracket(3, 4, [F(0), F(0), F(0), QQi(0, 1), F(0)])
+    A = [[F(0)] * 5 for _ in range(5)]
+    A[0][1], A[1][0], A[3][4], A[4][3] = F(1), F(-1), F(1), F(-1)
+    lp = LinearPencil(g, TwoCocycle(A))
+    kernel = kernel_of_cocycle(lp)
+    (K, _, _), = kernel.ad_rows
+    assert K is exactlin.carrier(0)
+    lin = analyze_linear(lp)
+    assert [p.root for p in lin.data.pairs] == [(QQi(0, 1, -2),)]
+    assert [e for e, _ in joint_eigenvectors(kernel.ad)] == \
+        [e for e, _ in eigensplit.joint_eigenvectors(kernel.ad)]
 
 
 def test_the_scalar_views_stay_exact():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipencil import algebras
 from bipencil.errors import PreconditionError
@@ -64,8 +66,10 @@ def test_is_cocycle_negative_case():
 
 
 def test_center_reads_each_structure_vector_once(monkeypatch):
-    # the rows (j, k) of the center's system hold c_ij^k over i; the d^2
-    # structure vectors give all d^3 entries
+    # the rows (j, k) of the center's system hold c_ij^k over i: exact, they
+    # are filled from the structure constants' carrier rows, with no
+    # structure vector; in float mode the d^2 structure vectors give all d^3
+    # entries
     g = algebras.so3().direct_sum(algebras.diamond())
     d = g.dim
     rows = [[g.structure_vector(i, j)[k] for i in range(d)] for j in range(d) for k in range(d)]
@@ -74,8 +78,37 @@ def test_center_reads_each_structure_vector_once(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "structure_vector",
                         lambda self, i, j: calls.append((i, j)) or structure_vector(self, i, j))
     center = g.center()
-    assert len(calls) == d * d
+    assert calls == []
     assert center == nullspace(rows) and len(center) == 1
+    mode = float_mode()
+    assert mat_rank(g.center(mode) + center, mode) == 1 and len(calls) == d * d
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Skew brackets on 1..5 basis vectors, a third of them nonzero, with
+    rational or (over C) Gaussian-rational constants; no Jacobi identity."""
+    d, gaussian = draw(st.integers(1, 5)), draw(st.booleans())
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    scalar = st.builds(QQi, part, part) if gaussian else part
+    g = LieAlgebra(d, "complex" if gaussian else "real")
+    for i in range(d):
+        for j in range(i + 1, d):
+            if draw(st.integers(0, 2)) == 0:
+                g.set_bracket(i, j, draw(st.lists(scalar, min_size=d, max_size=d)))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras())
+def test_the_exact_center_is_the_kernel_of_the_structure_vectors(g):
+    # the center's carrier rows hold the system that the structure vectors
+    # give, so its pivot-normalized kernel is the same, value for value
+    d = g.dim
+    c = [[g.structure_vector(i, j) for j in range(d)] for i in range(d)]
+    want = nullspace([[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)])
+    got = g.center()
+    assert got == want and [type(x) for v in got for x in v] == [type(x) for v in want for x in v]
 
 
 def test_kernel_of_cocycle_diamond_center():

@@ -360,12 +360,16 @@ def test_compute_spectrum_ranks_only_its_candidates(monkeypatch):
 def test_a_rank_the_point_does_not_reach_is_refused_within_the_miss_cap(monkeypatch, mode):
     # at most floor(d/2) values of P^1 are not regular where the rank is
     # attained, so the walk gives up after floor(d/2) + 1 misses: the core
-    # raises, and the F_p core proves nothing
+    # raises, and the F_p core proves nothing; an exact attempt reads one
+    # elimination, a float one computes one kernel
     cases = [evaluate_pencil(e.field0, e.field_inf, e.point)
              for e in (catalog_by_name()["so4_shift"], catalog_by_name()["so22_shift_saddle_center"])]
     cases.append(toda_pencil_at(make_singular_point(4, seed=1)))
     kernels, real, real_mod_p = [], pencil.kernel_basis, pencil.nullspace_mod_p
+    real_elimination = PencilAtPoint.elimination_at
     monkeypatch.setattr(pencil, "kernel_basis", lambda *args: kernels.append(1) or real(*args))
+    monkeypatch.setattr(PencilAtPoint, "elimination_at",
+                        lambda self, lam: kernels.append(1) or real_elimination(self, lam))
     monkeypatch.setattr(pencil, "nullspace_mod_p",
                         lambda M: kernels.append(1) or real_mod_p(M))
     for p in cases:
@@ -716,3 +720,38 @@ def test_early_stops_agree_with_the_longer_rules():
         assert core.regular_params == old.regular_params[:cut + 1], name
         if quotient_dim(p, core) == 0:
             assert core.dim == full, name
+
+
+def _spectrum_count_cases():
+    """The catalog at its points, Toda n = 4, 6, 8 at the singular points of
+    seeds 1 and 2 and at a random point, and the rank-0 sl(n) points
+    n = 3..5."""
+    for e in catalog():
+        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
+    for n in (4, 6, 8):
+        for seed in (1, 2):
+            yield f"toda-singular-{n}.{seed}", toda_pencil_at(make_singular_point(n, seed=seed))
+        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
+    for n in (3, 4, 5):
+        case = shift_case(n, 0, 1)
+        e = case.entry()
+        yield f"sl{n}", evaluate_pencil(e.field0, e.field_inf, case.point)
+
+
+def test_a_diagonalizable_spectrum_fills_the_quotient():
+    # where every lambda is diagonalizable, each Jordan block at lambda is a
+    # 2 x 2 pair, which adds 2 to dim Ker P_lambda - corank and 2 to
+    # dim L^perp / L; so the sum of kernel_dim - corank over the spectrum, a
+    # paired entry counted for both conjugates, is dim L^perp / L, and a
+    # lambda that the roots of R's characteristic polynomial miss breaks it.
+    # Every lambda of these points is diagonalizable.
+    nonempty = 0
+    for name, p in _spectrum_count_cases():
+        core = core_of(p)
+        spectrum = compute_spectrum(p, core)
+        assert all(diagonalizable_flags(p, spectrum).values()), name
+        count = sum((e.kernel_dim - spectrum.corank) * (2 if e.paired else 1)
+                    for e in spectrum.entries)
+        assert count == quotient_dim(p, core), name
+        nonempty += count > 0
+    assert nonempty == 13 + 6 + 3
