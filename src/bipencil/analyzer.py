@@ -12,12 +12,9 @@ silently flip a verdict.
 
 Both pencil-level checks read one walk of exact pencils at the rational
 points of ``pencil.point_walk``, each evaluated once: the certificate of an
-undeclared rank reads the first 5, the Kronecker check the first 3, its core
-spanned over F_p first.  A parameter of full pencil rank mod p has that rank
-over Q, so the F_p core is no larger than L and dim L^perp / L mod p is never
-below the rational value: zero proves the pencil Kronecker, and anything
-else, a bad prime included, is rechecked exactly.  No point is random, so a
-report depends on its pencil, point and mode alone.
+undeclared rank reads the first 5, the Kronecker check the first 3, and
+takes the exact core at the first of those with the point's rank.  No point
+is random, so a report depends on its pencil, point and mode alone.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from .errors import PreconditionError, RankDeficientPointError
 from .liealg import TwoCocycle
 from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
-                     kernel_basis, pencil_rank_corank, point_walk, quotient_dim,
-                     quotient_dim_mod_p)
+                     kernel_basis, pencil_rank_corank, point_walk, quotient_dim)
 from .roots import BlockDecomposition, WilliamsonType, analyze_linear
 from .scalars import EXACT, Mode, format_scalar, lambda_key
 from .tensorfield import PoissonTensorField, evaluate_pencil
@@ -184,16 +180,13 @@ def _kronecker_spot_check(walk, rank, warnings):
 
     At a point of maximal rank, Kronecker type holds on a Zariski-open set
     (the rank drops over lambda in CP^1 project to a closed one), so it is a
-    fact about the pencil: the first walk point proved Kronecker ends the
-    check, and a Regular point's empty spectrum at its certified rank proves
-    it already.
-    Up to the first 3 pencils of ``walk`` are read, each core spanned at the
-    point's rank ``rank``, shown maximal by _certify_pencil_rank; a walk point
-    of lower rank is skipped.
+    fact about the pencil: one walk point decides it, and a Regular point's
+    empty spectrum at its certified rank proves it already.
+    Up to the first 3 pencils of ``walk`` are read: the exact core is taken
+    at the first that has the point's rank ``rank``, shown maximal by
+    _certify_pencil_rank, and a walk point of lower rank is skipped.
     """
     for q in itertools.islice(walk, 3):
-        if quotient_dim_mod_p(q, rank=rank) == 0:
-            return
         try:
             core = compute_core(q, EXACT, rank=rank)
         except RankDeficientPointError:

@@ -3,21 +3,17 @@
 Rank decisions are the load-bearing primitive of the whole pipeline.  The
 exact kernel clears each row of denominators with one integer lcm, divides it
 by its content (``primitive_row``) and then eliminates fraction-free on Python
-ints, with one carrier per kind of input: Z for real rational matrices,
-Z[sqrt d] ((x, y) int pairs, x + y sqrt d) for matrices over a quadratic
-field Q(sqrt d), the Gaussian rationals at d = -1.  A matrix is eliminated
-forward once, as rows in its carrier's form (``Elimination``; ``eliminate``
-clears any exact matrix into them): over Z each updated row is divided by
-its content, which makes it the primitive row on the line of the Bareiss
-(1968) row, and over Z[sqrt d] by the previous pivot, as Bareiss does.  The
-rank is the number of pivots.  The reduced rows are back-substituted from
-the forward ones, from the last pivot up, only when the reduced form or the
-kernel is asked for, and turned back into Fraction / QQi entries only at
-the end.  A third carrier, F_p (p = PRIME = 2^61 - 1),
-proves one-sided facts: rank mod p <= rank over Q, so an F_p rank that
-reaches a known upper bound, such as a certified pencil rank, proves the
-rational rank; a lower one, or p dividing a denominator, proves nothing and
-the caller rechecks over Q.  Every primitive decides exactly in exact mode,
+ints, on one of two carriers by the kind of input: Z for real rational
+matrices, Z[sqrt d] ((x, y) int pairs, x + y sqrt d) for matrices over a
+quadratic field Q(sqrt d), the Gaussian rationals at d = -1.  A matrix is
+eliminated forward once, as rows in its carrier's form (``Elimination``;
+``eliminate`` clears any exact matrix into them): over Z each updated row is
+divided by its content, which makes it the primitive row on the line of the
+Bareiss (1968) row, and over Z[sqrt d] by the previous pivot, as Bareiss
+does.  The rank is the number of pivots.  The reduced rows are
+back-substituted from the forward ones, from the last pivot up, only when
+the reduced form or the kernel is asked for, and turned back into Fraction /
+QQi entries only at the end.  Every primitive decides exactly in exact mode,
 and in floats at ``Mode.tol`` in float mode, by the one rule of
 ``Mode.zero``: a float is zero when |x| <= tol * max(scale, 1), so the float
 rank and kernel cut singular values at tol * max(sigma_max, 1).  Exact mode
@@ -141,25 +137,12 @@ def primitive_row(row):
     return [a // content for a in ints] if content > 1 else ints
 
 
-def _clear_upward(K, rows, pivots):
-    """The forward-eliminated pivot ``rows`` in reduced form, a new list: from
-    the last pivot row up, each clears its pivot column from the rows above it
-    by ``K.combine``, which over Z and F_PRIME needs no previous pivot."""
-    A = list(rows)
-    for k in range(len(A) - 1, 0, -1):
-        col, prow = pivots[k], A[k]
-        for i in range(k):
-            A[i] = K.combine(prow[col], A[i][col], None, A[i], prow)
-    return A
-
-
 class _Z:
     """Carrier Z, for real rational matrices: entries are ints."""
 
     zero, one = 0, 1
     keeps_zero_rows = True
     clear = primitive = staticmethod(primitive_row)
-    reduce = classmethod(_clear_upward)
 
     @staticmethod
     def combine(p, f, prev, row, prow):
@@ -176,6 +159,18 @@ class _Z:
         out = [p * a - f * b for a, b in zip(row, prow)]
         content = math.gcd(*out)
         return [a // content for a in out] if content > 1 else out
+
+    @classmethod
+    def reduce(cls, rows, pivots):
+        """The forward-eliminated pivot ``rows`` in reduced form, a new list:
+        from the last pivot row up, each clears its pivot column from the rows
+        above it by ``combine``, which needs no previous pivot."""
+        A = list(rows)
+        for k in range(len(A) - 1, 0, -1):
+            col, prow = pivots[k], A[k]
+            for i in range(k):
+                A[i] = cls.combine(prow[col], A[i][col], None, A[i], prow)
+        return A
 
     @staticmethod
     def quotient(a, d):
@@ -321,53 +316,6 @@ def scalar_matrix(K, M, D=1):
     return [[K.quotient(x, D) for x in row] for row in M]
 
 
-PRIME = 2 ** 61 - 1
-
-
-@functools.lru_cache(maxsize=256)
-def _inverse(d: int, prime: int) -> int:
-    return pow(d, -1, prime)      # ValueError when prime divides d
-
-
-def residues(row):
-    """Each real rational entry a/b as a * b^-1 mod PRIME; ValueError when PRIME
-    divides b or an entry is not a real rational."""
-    out = []
-    for x in row:
-        if type(x) is not int:
-            if isinstance(x, QQi):
-                if x.im:
-                    raise ValueError("an irrational entry has no residue")
-                x = x.re
-            elif not isinstance(x, Fraction):
-                raise ValueError("an inexact entry has no residue")
-            a, d = x.as_integer_ratio()
-            x = a if d == 1 else a * _inverse(d, PRIME)
-        out.append(x % PRIME)
-    return out
-
-
-class _Fp:
-    """Carrier F_PRIME, for real rational matrices: entries are ints mod PRIME."""
-
-    zero, one = 0, 1
-    keeps_zero_rows = True
-    reduce = classmethod(_clear_upward)
-
-    @staticmethod
-    def combine(p, f, prev, row, prow):
-        """row - (f / p) * prow, entrywise: over a field no row needs the
-        scaling by p / prev, so a row with f = 0 is kept as it is."""
-        if not f:
-            return row
-        c = f * _inverse(p, PRIME) % PRIME
-        return [(a - c * b) % PRIME for a, b in zip(row, prow)]
-
-    @staticmethod
-    def quotient(a, d):
-        return a * _inverse(d, PRIME) % PRIME
-
-
 def _bareiss(K, A):
     """The pivot columns of the rows A over the carrier K, which are
     forward-eliminated in place.
@@ -377,10 +325,9 @@ def _bareiss(K, A):
     pivot_row).  Over Z[sqrt d] that is (p * row - row[col] * pivot_row) /
     prev, the forward elimination of Bareiss (1968), whose entries are minors
     of A, so the division is exact, and a row with a zero in ``col`` is
-    scaled by p / prev.  Over Z it is the primitive row on the same line, and
-    over F_PRIME the row less row[col] / p pivot rows; these carriers keep a
-    row with a zero in ``col`` as it is (``keeps_zero_rows``), so it is
-    skipped.
+    scaled by p / prev.  Over Z it is the primitive row on the same line,
+    and a row with a zero in ``col`` is kept as it is (``keeps_zero_rows``),
+    so it is skipped.
     """
     combine, zero, skip = K.combine, K.zero, K.keeps_zero_rows
     n, m = shape(A)
@@ -408,11 +355,11 @@ def _bareiss(K, A):
 
 class Elimination:
     """The forward elimination over the carrier K of ``rows`` in K's form
-    (primitive ints over Z, (x, y) int pairs over Z[sqrt d], residues over
-    F_PRIME), in place by ``_bareiss``, and so its rank, at once.  The
-    reduced rows are back-substituted from the forward ones (``K.reduce``),
-    and the kernel read off them, when each is first asked for; both are
-    kept, so each is computed once per elimination."""
+    (primitive ints over Z, (x, y) int pairs over Z[sqrt d]), in place by
+    ``_bareiss``, and so its rank, at once.  The reduced rows are
+    back-substituted from the forward ones (``K.reduce``), and the kernel
+    read off them, when each is first asked for; both are kept, so each is
+    computed once per elimination."""
 
     def __init__(self, rows, K):
         self.K, self.rows, self.width = K, rows, len(rows[0]) if rows else 0
@@ -425,8 +372,8 @@ class Elimination:
     @functools.cached_property
     def reduced(self):
         """The pivot rows in reduced form: each is zero at the other rows'
-        pivot columns.  Over F_PRIME and Z[sqrt d] that is Gauss-Jordan's
-        form, over Z the primitive rows on the same lines."""
+        pivot columns.  Over Z[sqrt d] those are Gauss-Jordan's rows times
+        the last pivot, over Z the primitive rows on the same lines."""
         return self.K.reduce(self.rows[:self.rank], self.pivots)
 
     @functools.cached_property
@@ -491,13 +438,6 @@ def mat_rank_exact(M) -> int:
     return eliminate(M).rank
 
 
-def span_mod_p(vectors):
-    """Echelon rows of residues spanning the same space over F_PRIME as the
-    residues of ``vectors``; ValueError as for ``residues``."""
-    e = Elimination([residues(v) for v in vectors], _Fp)
-    return e.rows[:e.rank]
-
-
 # ---------------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------------
@@ -553,12 +493,6 @@ def nullspace_exact(M):
     """Right-kernel basis over Q or Q(sqrt d) in pivot-normalized echelon form
     (``Elimination.kernel``)."""
     return eliminate(M).kernel
-
-
-def nullspace_mod_p(M):
-    """Vectors whose residues are a right-kernel basis over F_PRIME of a real
-    rational matrix; ValueError as for ``residues``."""
-    return Elimination([residues(row) for row in M], _Fp).kernel
 
 
 def nullspace_float(M, eps: float, dim: int | None = None):
@@ -842,6 +776,11 @@ def _residue_primes():
                           if s * s % p == p - 1)
 
 
+def _repeated_root():
+    return PreconditionError("the polynomial has a repeated root; gaussian_rational_roots "
+                             "takes squarefree factors")
+
+
 def gaussian_rational_roots(f):
     """(roots, cofactor): the roots in Q(i) of a squarefree f over Q or Q(i),
     exact, and f divided by their linear factors, which has none.
@@ -866,6 +805,10 @@ def gaussian_rational_roots(f):
     Gaussian when -D is, else none in Q(i).  The first prime p that divides
     neither a_2 nor D is the one the lifting would take (its roots mod p are
     simple), and they are sorted, as the lifting sorts them, by residue mod p.
+
+    A repeated root, simple mod no prime, is refused by PreconditionError:
+    D = 0 in the closed form, and in the lifting a nonconstant gcd(f, f'),
+    taken once, at the first prime whose roots are not all simple.
     """
     f = f[:_poly_degree(f) + 1]
     if len(f) <= 2:
@@ -873,6 +816,8 @@ def gaussian_rational_roots(f):
     if len(f) == 3 and not quadratic_field(f):
         a0, a1, a2 = _cleared(f)
         disc = a1 * a1 - 4 * a0 * a2
+        if not disc:
+            raise _repeated_root()
         r = math.isqrt(abs(disc))
         if r * r != abs(disc):
             return [], f
@@ -880,19 +825,25 @@ def gaussian_rational_roots(f):
         re, im = Fraction(-a1, 2 * a2), Fraction(r, 2 * a2)
         roots = [re + im, re - im] if disc > 0 else [QQi(re, im), QQi(re, -im)]
         t = r if disc > 0 else r * s        # sqrt D mod p, with i -> s
-        residues = [(e * t - a1) * pow(2 * a2, -1, p) % p for e in (1, -1)]
-        return [z for _, z in sorted(zip(residues, roots))], [tidy(f[2])]
+        keys = [(e * t - a1) * pow(2 * a2, -1, p) % p for e in (1, -1)]
+        return [z for _, z in sorted(zip(keys, roots))], [tidy(f[2])]
     K = _ZD(-1)
     a = K.clear(f)
     lc = a[-1]
     norm_lc = lc[0] ** 2 + lc[1] ** 2
     bound = (math.isqrt(norm_lc) + math.isqrt(max(x * x + y * y for x, y in a)) + 2) ** 2
+    checked = False
     for p, s in _residue_primes():
         if norm_lc % p:
             c = [(x + y * s) % p for x, y in a]
             roots = np.flatnonzero(_eval_mod(c, np.arange(p, dtype=np.int64), p) == 0)
             if np.all(_eval_mod(poly_deriv(c), roots, p)):
                 break
+            if not checked:
+                derivative = [K.scale(x, k) for k, x in enumerate(a)][1:]
+                if len(_gcd_rows(K, a[::-1], derivative[::-1])) > 1:
+                    raise _repeated_root()
+                checked = True
     roots, q = [int(r) for r in roots], p
     while q <= 4 * bound:
         q *= q

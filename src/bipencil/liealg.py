@@ -119,10 +119,10 @@ class LieAlgebra:
         return [tidy(v) for v in out]
 
     def ad_matrix(self, x):
-        """Matrix of ad_x = [x, .] on the basis: its columns are the [x, e_j],
-        read off ``_ad_rows`` for an exact x, each e_j in floats when x is float."""
-        if self._table and all(map(is_exact_scalar, x)):
-            return scalar_matrix(*self._ad_rows(x))
+        """Matrix of ad_x = [x, .] on the basis: its columns are the
+        ``bracket`` [x, e_j], each e_j in floats when x is float.  The exact
+        root decomposition reads ad_x as the carrier rows of ``_ad_rows``
+        instead (``kernel_of_cocycle``)."""
         floats = not any(map(is_exact_scalar, x))
         return transpose([self.bracket(x, list(map(as_float, e)) if floats else e)
                           for e in identity(self.dim)])

@@ -22,10 +22,10 @@ from math import gcd
 
 from .errors import RankDeficientPointError, SingularParameterError
 from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
-                       nullspace_float, nullspace_mod_p, residues, solve, span_mod_p)
+                       nullspace_float, solve)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap, tidy)
-from .tensorfield import PencilAtPoint, gram, skew
+from .tensorfield import PencilAtPoint, gram
 
 
 def height_walk():
@@ -85,27 +85,23 @@ def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *
     """``count`` pairs (lambda, Ker P_lambda) at the next values of ``walk``,
     a height walk, where the rank is ``rank``: exact, the rank of P_lambda's
     elimination, and a copy of its ``kernel_lines`` (over Z primitive
-    integer rows, as ``basis_union`` takes them); else the kernel's size."""
+    integer rows, as ``basis_union`` takes them); else the kernel's size.
+    At most floor(d/2) values are not where the rank is attained (see
+    pencil_rank_corank), so one miss more raises RankDeficientPointError."""
     def kernel_if_regular(lam):
         if mode.is_exact:
             e = p.elimination_at(lam)
             return [list(v) for v in e.kernel_lines] if e.rank == rank else None
         ker = kernel_basis(p, lam, mode)
         return ker if p.dim - len(ker) == rank else None
-    return _draw_regular(walk, count, kernel_if_regular, p.dim)
 
-
-def _draw_regular(walk, count: int, kernel_if_regular, dim: int):
-    """``count`` pairs (lambda, kernel_if_regular(lambda)) at the next values
-    of ``walk`` where that kernel is not None; at most floor(dim/2) values
-    are not where the rank is attained (see pencil_rank_corank)."""
     out, misses = [], 0
     while len(out) < count:
         lam = next(walk)
         ker = kernel_if_regular(lam)
         if ker is not None:
             out.append((lam, ker))
-        elif (misses := misses + 1) > dim // 2:
+        elif (misses := misses + 1) > p.dim // 2:
             raise RankDeficientPointError(
                 "could not find enough regular parameters; the pencil rank at this "
                 "point may be below the declared pencil rank")
@@ -151,60 +147,27 @@ class RecursionOperator:
 def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> IsotropicCore:
     """Accumulate kernels of regular brackets (pencil rank ``rank``) until they span L.
 
-    The kernels are taken at the regular values of one height walk, in order.
-    Stops at the first kernel that adds nothing, or once the span reaches
-    d - rank/2, the largest dimension of the isotropic L; see _span_kernels.
+    The kernels are taken at the regular values of one height walk, in order,
+    and joined by ``basis_union``.  The first kernel that adds nothing ends
+    the loop: at regular parameters only the Kronecker blocks have kernel,
+    and m distinct ones span min(m, k + 1) dimensions of a block of
+    half-size k (a Vandermonde matrix), so step m adds one dimension per
+    block with k >= m - 1, and a step that adds none is followed by none
+    that adds.  A span of dimension d - rank/2, the largest dimension of the
+    isotropic L, ends the loop at once, so every later step grows the span.
+    At least two kernels are taken, as R is built between the first two
+    parameters.
     """
-    walk = height_walk()
-    basis, params, dims = _span_kernels(
-        lambda: regular_parameters(p, walk, 1, mode, rank=rank)[0],
-        lambda basis, ker: basis_union(basis, ker, mode), full=p.dim - rank // 2)
-    return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
-                         corank=p.dim - rank)
-
-
-def quotient_dim_mod_p(p: PencilAtPoint, *, rank: int):
-    """quotient_dim of the pencil ``p`` of rank ``rank``, its core spanned over
-    F_PRIME at the regular values of one height walk: never below the
-    rational value, since a kernel mod PRIME at a value of rank ``rank``
-    reduces the rational one.  None when PRIME divides a denominator or no
-    regular value is found (a bad prime exhausts the miss cap)."""
-    def kernel_if_regular(lam):
-        l, = residues([lam])
-        ker = nullspace_mod_p(skew(p.dim, entries, l))
-        return ker if p.dim - len(ker) == rank else None
-
-    try:
-        entries = [(i, j, *residues([a0, ainf])) for i, j, a0, ainf in p.entries]
-        walk = height_walk()
-        basis, _, _ = _span_kernels(
-            lambda: _draw_regular(walk, 1, kernel_if_regular, p.dim)[0],
-            lambda basis, ker: span_mod_p(basis + ker), full=p.dim - rank // 2)
-    except (ValueError, RankDeficientPointError):
-        return None
-    return p.dim - 2 * len(basis) + p.dim - rank
-
-
-def _span_kernels(draw, union, full: int):
-    """(basis, params, dims) of the span of kernels from ``draw()``, the next
-    (lambda, kernel) pair at a regular parameter, joined by ``union``.
-
-    The first kernel that adds nothing ends the loop: at regular parameters
-    only the Kronecker blocks have kernel, and m distinct ones span
-    min(m, k + 1) dimensions of a block of half-size k (a Vandermonde
-    matrix), so step m adds one dimension per block with k >= m - 1, and a
-    step that adds none is followed by none that adds.  A span of dimension
-    ``full``, the bound on dim L, ends the loop at once, so every later step
-    grows the span.  At least two kernels are taken, as R is built between
-    the first two parameters."""
+    walk, full = height_walk(), p.dim - rank // 2
     basis, params, dims = [], [], []
     while True:
-        lam, ker = draw()
-        new_basis = union(basis, ker)
+        (lam, ker), = regular_parameters(p, walk, 1, mode, rank=rank)
+        new_basis = basis_union(basis, ker, mode)
         params.append(lam)
         dims.append(len(new_basis))
         if len(params) > 1 and len(new_basis) in (len(basis), full):
-            return new_basis, params, dims
+            return IsotropicCore(basis=new_basis, regular_params=params, dim_sequence=dims,
+                                 corank=p.dim - rank)
         basis = new_basis
 
 

@@ -1,10 +1,10 @@
 """Polynomial Poisson tensor fields and their point evaluations.
 
 A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
-their cells at a parameter, from which ``skew`` builds the dense P_lambda and
-its residues modulo a prime, and ``gram`` the Gram matrices of P_lambda or of
-d_k P_lambda on a basis: the quotient form, the kernel form and the kernel
-bracket are all one sparse contraction.  Every exact rank and kernel
+their cells at a parameter, from which ``skew`` builds the dense P_lambda,
+and ``gram`` the Gram matrices of P_lambda or of d_k P_lambda on a basis:
+the quotient form, the kernel form and the kernel bracket are all one
+sparse contraction.  Every exact rank and kernel
 decision reads ``PencilAtPoint.elimination_at`` instead: one elimination of
 P_lambda per lambda, kept with its kernel.  Entries in Q are eliminated as
 ``integer_matrix_at``, a positive multiple of P_lambda in its carrier's rows

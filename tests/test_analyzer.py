@@ -3,6 +3,7 @@ import os
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -109,9 +110,9 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     rep = analyze_point(f0, finf, point, mode=mode)
     assert any(w.startswith("a walk point has non-empty spectrum")
                for w in rep.warnings) == warned
-    # the point's core, and at a singular point one walk point's core up to
-    # the warning: F_p cannot prove the Jordan case, which is rechecked
-    # exactly; the Kronecker-only point is Regular and has no spot check
+    # the point's core, and at a singular point the exact core at the first
+    # walk point, which decides the warning; the Kronecker-only point is
+    # Regular and has no spot check
     assert len(cores) == (2 if warned else 1)
 
 
@@ -282,9 +283,9 @@ def test_the_spot_check_runs_only_at_a_singular_point(monkeypatch, make_point, k
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
-    # the first walk point is proved Kronecker mod p, which proves the
-    # pencil Kronecker on a dense open set: no second walk pencil is
-    # evaluated, and only the point's own pencil besides
+    # the exact core at the first walk point proves the pencil Kronecker on
+    # a dense open set: no second walk pencil is evaluated, and only the
+    # point's own pencil besides
     evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
     checks = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
     f0, finf = toda_pencil(4)
@@ -310,10 +311,30 @@ def test_the_spot_check_reads_the_same_walk_points_at_every_point(monkeypatch):
     assert walked[0] == walked[1] == [next(point_walk(8))]
 
 
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_the_spot_check_skips_a_walk_pencil_below_the_rank(monkeypatch, mode):
+    # so3_shift's generators times x1 - 1 stay Poisson and compatible in
+    # dimension 3 and vanish at the first walk point [1, 2, 1/2]: its core
+    # is refused and skipped, and the second walk point's core decides
+    e = catalog_by_name()["so3_shift"]
+    fields = [PoissonTensorField(3) for _ in range(2)]
+    for g, f in zip(fields, (e.field0, e.field_inf)):
+        for (i, j), poly in f.upper_entries().items():
+            g.set_entry(i, j, poly * (Poly.variable(3, 0) - 1))
+    evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
+    rep = analyze_point(*fields, [F(0)] * 3, mode=mode, declared_rank=2)
+    assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
+    walk = list(islice(point_walk(3), 2))
+    assert walk[0] == [1, 2, F(1, 2)]
+    assert [args[2] for args in evaluated[1:]] == walk
+    assert [(args[0].point, args[1]) for args in cores[1:]] == [(x, EXACT) for x in walk]
+
+
 def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
     # the walk points are rational whatever the point, a float one included,
-    # so F_p proves them Kronecker in float mode too, and no float core is
-    # computed there
+    # so the spot check takes the exact core at the first walk point in
+    # float mode too: the point's own float core is the only float one
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     e = catalog_by_name()["so3_shift"]
     for point in (e.point, [0.0, 0.0, 0.0]):
@@ -321,7 +342,8 @@ def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
         rep = analyze_point(e.field0, e.field_inf, point,
                             mode=float_mode(), declared_rank=e.declared_rank)
         assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
-        assert len(cores) == 1, point
+        assert [args[1].is_exact for args in cores] == [False, True], point
+        assert cores[1][0].point == next(point_walk(3)), point
 
 
 @pytest.mark.parametrize("make_point, kind, calls", [
@@ -347,37 +369,25 @@ def test_derivatives_are_evaluated_only_where_linearized(monkeypatch, make_point
 
 
 def test_a_bad_prime_changes_no_report(monkeypatch):
-    # mod 7 draws can lose rank, and 2 divides the denominators of the walk
-    # points, which forces the exact recheck; it catches each false drop, so
-    # reports and warnings are those of the default prime
+    # the spot check takes one exact core, at the first walk pencil, in each
+    # singular analysis and none in a Regular one, and no report depends on
+    # a prime: the golden catalog reports are unchanged
     f0, finf = toda_pencil(4)
     points = ([make_singular_point(4, seed=s).coordinates() for s in (1, 2)]
               + [random_point(4, s).coordinates() for s in (1, 2)])
     cores = count_calls(monkeypatch, analyzer, "compute_core")
-
-    def toda_reports():
-        """The reports, and the number of exact cores at a walk pencil (any
-        pencil but the point's) in each analysis."""
-        reports, rechecks = [], []
-        for pt in points:
-            for rank in (6, None):
-                cores.clear()
-                reports.append(analyze_point(f0, finf, pt, declared_rank=rank).to_json_dict())
-                rechecks.append(sum(args[0].point != pt for args in cores))
-        return reports, rechecks
-
-    expected, rechecks = toda_reports()
-    assert rechecks == [0] * 8
-    for prime in (7, 2):
-        monkeypatch.setattr(exactlin, "PRIME", prime)
-        reports, rechecks = toda_reports()
-        assert reports == expected, prime
-        for entry in catalog():
-            with open(os.path.join(fixture_dir(), f"{entry.name}.report.json")) as fh:
-                assert report_text(entry) == fh.read(), (prime, entry.name)
-    # mod 2 every singular analysis rechecks exactly at its first walk pencil,
-    # and no Regular one
-    assert rechecks == [1] * 4 + [0] * 4
+    kinds, walk_cores = [], []
+    for pt in points:
+        for rank in (6, None):
+            cores.clear()
+            kinds.append(analyze_point(f0, finf, pt, declared_rank=rank).verdict.kind)
+            # exact cores at a walk pencil: any pencil but the point's
+            walk_cores.append(sum(args[0].point != pt for args in cores))
+    assert kinds == ["NonDegenerate"] * 4 + ["Regular"] * 4
+    assert walk_cores == [1] * 4 + [0] * 4
+    for entry in catalog():
+        with open(os.path.join(fixture_dir(), f"{entry.name}.report.json")) as fh:
+            assert report_text(entry) == fh.read(), entry.name
 
 
 def test_analysis_computes_each_kernel_once(monkeypatch):
@@ -433,7 +443,7 @@ def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
     def bareiss(K, A, *args, **kwargs):
         for p, lam, M in reversed(built):
             pairs = isinstance(M[0][0], tuple)
-            if K is exactlin._Fp or pairs != isinstance(K, exactlin._ZD):
+            if pairs != isinstance(K, exactlin._ZD):
                 continue
             rows = seen.setdefault(id(M), [list(r) if pairs else K.clear(r) for r in M])
             if rows == A:

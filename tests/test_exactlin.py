@@ -5,7 +5,6 @@ import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +16,8 @@ from bipencil.errors import PreconditionError
 from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_poly,
                                coords_in_span, eigenvalues, gaussian_rational_roots,
                                identity, mat_mul, mat_rank, mat_rank_exact, mat_vec,
-                               nullspace_exact, nullspace_mod_p, poly_eval, poly_gcd_exact,
-                               poly_roots_hybrid, primitive_row, residues, rref, solve,
-                               span_mod_p, squarefree_decomposition, transpose)
+                               nullspace_exact, poly_eval, poly_gcd_exact, poly_roots_hybrid,
+                               primitive_row, rref, solve, squarefree_decomposition, transpose)
 from bipencil.scalars import (EXACT, QQi, cimag, claim, creal, float_mode, format_scalar, near,
                               tidy)
 
@@ -325,39 +323,6 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
     assert pivots == pivots0 and R == R0
     assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
     assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
-
-
-# -- the F_p carrier ------------------------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(exact_matrices(), st.sampled_from([2, 3, 7, exactlin.PRIME]))
-def test_ranks_mod_p_never_exceed_the_rational_ranks(M, prime):
-    M = [[x.re if isinstance(x, QQi) else x for x in row] for row in M]
-    with mock.patch.object(exactlin, "PRIME", prime):
-        if any(Fraction(x).denominator % prime == 0 for row in M for x in row):
-            for f in (span_mod_p, nullspace_mod_p):
-                with pytest.raises(ValueError):
-                    f(M)
-            return
-        rank = len(span_mod_p(M))
-        assert rank <= mat_rank_exact(M)
-        ker = [residues(v) for v in nullspace_mod_p(M)]
-        assert len(ker) == len(M[0]) - rank
-        R = [residues(row) for row in M]
-        assert all(sum(a * x for a, x in zip(row, v)) % prime == 0 for row in R for v in ker)
-        assert len(span_mod_p(ker)) == len(ker)
-
-
-def test_a_rank_that_drops_mod_p_proves_nothing():
-    P = exactlin.PRIME
-    M = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
-    assert span_mod_p(M) == [] and mat_rank_exact(M) == 2
-    assert len(nullspace_mod_p(M)) == 2 and nullspace_exact(M) == []
-    # nor does a float entry, such as a float point's in float mode
-    for bad in ([[Fraction(1, P)]], [[QQi(Fraction(1), Fraction(1))]], [[0.5]], [[1j]]):
-        with pytest.raises(ValueError):
-            span_mod_p(bad)
 
 
 # -- the characteristic polynomial on integers ------------------------------------
@@ -904,6 +869,27 @@ def test_the_root_order_follows_the_first_prime_that_divides_neither(f, prime):
                    for x, t in zip((creal(z), cimag(z)), (1, s))) % prime
     assert residue(roots[0]) < residue(roots[1])
     assert all(poly_eval(f, z) == 0 for z in roots)
+
+
+@pytest.mark.parametrize("f", [
+    # -(x - 9)^2 / 4: the closed form's discriminant is zero
+    [Fraction(-81, 4), Fraction(9, 2), Fraction(-1, 4)],
+    # (x - 1)^2 (x + 2) and (x - i)^2: 1 and i are double roots mod every prime
+    [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)],
+    [Fraction(-1), QQi(0, -2), Fraction(1)]], ids=["closed-form", "cubic", "gaussian"])
+def test_a_repeated_root_is_refused(f):
+    for roots_of in (gaussian_rational_roots, exactlin.exact_roots):
+        with pytest.raises(PreconditionError, match="repeated root"):
+            roots_of(f)
+
+
+def test_roots_that_meet_mod_the_first_prime_are_lifted_at_the_next():
+    # x (x - 10009) (x - 1) has the double root 0 mod 10009, but it is
+    # squarefree: the gcd with its derivative is 1, and 10037 separates them
+    f = poly_mul(poly_mul([Fraction(0), Fraction(1)], [Fraction(-10009), Fraction(1)]),
+                 [Fraction(-1), Fraction(1)])
+    roots, cofactor = gaussian_rational_roots(f)
+    assert sorted(roots) == [0, 1, 10009] and cofactor == [1]
 
 
 def test_close_irrational_pairs_keep_their_multiplicities_and_bits():

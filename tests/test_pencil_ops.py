@@ -14,7 +14,7 @@ from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
 from bipencil.linearization import kernel_form
 from bipencil.pencil import (compute_core, compute_spectrum, core_perp, height_walk,
                              kernel_basis, pencil_rank_corank, point_walk, quotient_basis,
-                             quotient_dim, quotient_dim_mod_p, quotient_form, rank_at,
+                             quotient_dim, quotient_form, rank_at,
                              recursion_operator)
 from bipencil.scalars import (EXACT, INF, QQi, conj, float_mode, is_inf, lambda_key,
                               quadratic_field, tidy)
@@ -297,17 +297,12 @@ def test_is_diagonalizable_cases():
     assert flags_k == {}
 
 
-def test_a_skew_matrix_of_rank_zero_mod_p_is_not_taken_for_regular():
-    P = exactlin.PRIME
+def test_a_skew_matrix_with_a_large_prime_entry_keeps_its_exact_rank():
+    # every parameter has rank 2 over Q, and rank 0 modulo the entry
+    P = 2 ** 61 - 1
     A0 = [[Fraction(0), Fraction(P)], [Fraction(-P), Fraction(0)]]
     zero = [[Fraction(0)] * 2 for _ in range(2)]
-    # every parameter has rank 2 over Q and rank 0 mod P: the F_P walk
-    # exhausts its miss cap, so it proves nothing, and the exact rank sees the rank
-    assert quotient_dim_mod_p(constant_pencil(A0, zero), rank=2) is None
     assert rank_at(constant_pencil(A0, zero), Fraction(1, 3), EXACT) == 2
-    # a Gaussian entry has no residue: F_P proves nothing
-    i = QQi(Fraction(0), Fraction(1))
-    assert quotient_dim_mod_p(constant_pencil([[0, i], [-i, 0]], zero), rank=2) is None
 
 
 def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
@@ -360,26 +355,21 @@ def test_compute_spectrum_ranks_only_its_candidates(monkeypatch):
 def test_a_rank_the_point_does_not_reach_is_refused_within_the_miss_cap(monkeypatch, mode):
     # at most floor(d/2) values of P^1 are not regular where the rank is
     # attained, so the walk gives up after floor(d/2) + 1 misses: the core
-    # raises, and the F_p core proves nothing; an exact attempt reads one
-    # elimination, a float one computes one kernel
+    # raises; an exact attempt reads one elimination, a float one computes
+    # one kernel
     cases = [evaluate_pencil(e.field0, e.field_inf, e.point)
              for e in (catalog_by_name()["so4_shift"], catalog_by_name()["so22_shift_saddle_center"])]
     cases.append(toda_pencil_at(make_singular_point(4, seed=1)))
-    kernels, real, real_mod_p = [], pencil.kernel_basis, pencil.nullspace_mod_p
+    kernels, real = [], pencil.kernel_basis
     real_elimination = PencilAtPoint.elimination_at
     monkeypatch.setattr(pencil, "kernel_basis", lambda *args: kernels.append(1) or real(*args))
     monkeypatch.setattr(PencilAtPoint, "elimination_at",
                         lambda self, lam: kernels.append(1) or real_elimination(self, lam))
-    monkeypatch.setattr(pencil, "nullspace_mod_p",
-                        lambda M: kernels.append(1) or real_mod_p(M))
     for p in cases:
         rank, _ = pencil_rank_corank(p, mode)
         kernels.clear()
         with pytest.raises(RankDeficientPointError):
             compute_core(p, mode, rank=rank + 2)
-        assert len(kernels) == p.dim // 2 + 1
-        kernels.clear()
-        assert quotient_dim_mod_p(p, rank=rank + 2) is None
         assert len(kernels) == p.dim // 2 + 1
 
 
