@@ -1,14 +1,56 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Only the operations the pencil machinery needs: ring arithmetic, partial
-derivatives, and evaluation at exact or floating points.
+Only the operations the pencil machinery needs: ring arithmetic, and the
+values and first partial derivatives at exact or floating points.  At a point
+in Q both are summed on ints: the point is cleared once, to ints X over one
+denominator Q (``cleared``), the terms are summed as one int over the lcm of
+their denominators, and each value is made a Fraction once, at the end.  At
+any other point, float, complex or in a quadratic field, the terms are
+multiplied out and added one by one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import is_exact_scalar
+
+
+def cleared(point):
+    """(X, Q): the ints X = Q * point, Q > 0 the lcm of the coordinates'
+    denominators, for a point in Q; (point, None) for any other point."""
+    if all(isinstance(x, (int, Fraction)) for x in point):
+        Q = math.lcm(*(x.denominator for x in point))
+        return [x.numerator * (Q // x.denominator) for x in point], Q
+    return point, None
+
+
+def _term_sum(terms, point, xq):
+    """The sum of e * c * x^m over (m, c, e) in ``terms`` at ``point``, whose
+    ``cleared`` form is ``xq``.  At a point X / Q in Q each term is the int
+    e * c.numerator * X^m over c.denominator * Q^|m|, and the sum is one int
+    over the lcm of those denominators, made a Fraction at the end.  Elsewhere
+    each term is multiplied out from e * c, or its float, and added in turn,
+    so that a float keeps its bits."""
+    X, Q = xq
+    if Q is not None:
+        num, den = 0, 1
+        for m, c, e in terms:
+            d = c.denominator * Q ** sum(m)
+            g = math.gcd(den, d)
+            num = num * (d // g) + e * c.numerator * math.prod(map(pow, X, m)) * (den // g)
+            den = den // g * d
+        return Fraction(num, den)
+    exact = all(is_exact_scalar(x) for x in point)
+    total = Fraction(0) if exact else 0.0
+    for mono, c, e in terms:
+        term = c * e if exact else float(c * e)
+        for x, n in zip(point, mono):
+            for _ in range(n):
+                term = term * x
+        total = total + term
+    return total
 
 
 class Poly:
@@ -106,31 +148,26 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- calculus ------------------------------------------------------------
-    def diff(self, i: int) -> "Poly":
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[i] = e - 1
-            out[tuple(lowered)] = c * e
-        return Poly(self.nvars, out)
-
-    def eval(self, point):
-        """Evaluate at a point of Fractions (exact result) or floats/complex."""
+    # -- values and first derivatives -----------------------------------------
+    def eval(self, point, xq=None):
+        """The value at ``point``, exact at an exact point; ``xq`` is
+        ``cleared(point)``, made once by a caller that evaluates many
+        polynomials at one point."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        exact = all(is_exact_scalar(x) for x in point)
-        total = Fraction(0) if exact else 0.0
+        return _term_sum([(m, c, 1) for m, c in self.terms.items()], point,
+                         xq or cleared(point))
+
+    def partials(self, point, xq=None):
+        """{k: d/dx_k at ``point``} over the variables x_k that occur, each
+        summed straight from the terms as c * m_k * x^(m - e_k), as ``eval``."""
+        lowered = {}
         for mono, c in self.terms.items():
-            term = c if exact else float(c)
-            for x, e in zip(point, mono):
-                for _ in range(e):
-                    term = term * x
-            total = total + term
-        return total
+            for k, e in enumerate(mono):
+                if e:
+                    lowered.setdefault(k, []).append((mono[:k] + (e - 1,) + mono[k + 1:], c, e))
+        xq = xq or cleared(point)
+        return {k: _term_sum(terms, point, xq) for k, terms in lowered.items()}
 
     def __repr__(self):
         if not self.terms:

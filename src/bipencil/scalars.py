@@ -399,7 +399,9 @@ def parse_int(value) -> int:
 
 def parse_rational(text) -> Fraction:
     """Parse 'p/q', integer, or decimal strings to an exact Fraction;
-    ValueError for anything else, a zero denominator included."""
+    ValueError for anything else, a zero denominator and a JSON boolean included."""
+    if isinstance(text, bool):
+        raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     try:

@@ -1,6 +1,9 @@
 """Polynomial Poisson tensor fields and their point evaluations.
 
-A pencil at a point is held as its nonzero entries; ``skew_cells`` computes
+A field's entries and their first derivatives are evaluated at a point in Q
+on the ints of the point, cleared once per call (``poly.cleared``), each
+value made a Fraction at the end.  A pencil at a point is held as its
+nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda,
 and ``gram`` the Gram matrices of P_lambda or of d_k P_lambda on a basis:
 the quotient form, the kernel form and the kernel bracket are all one
@@ -22,7 +25,7 @@ from functools import cached_property, reduce
 
 from .errors import DimensionMismatchError, NonRationalPointError
 from .exactlin import Elimination, as_float, carrier, eliminate, primitive_row, to_numpy
-from .poly import Poly
+from .poly import Poly, cleared
 from .scalars import INF, QQi, is_exact_scalar, is_inf, quadratic_field, tidy
 
 ZERO = Fraction(0)
@@ -52,14 +55,6 @@ class PoissonTensorField:
         else:
             self._entries[(i, j)] = poly
 
-    def add_to_entry(self, i: int, j: int, poly: Poly):
-        if i > j:
-            i, j, poly = j, i, -poly
-        total = self._entries.get((i, j), Poly.zero(self.dim)) + poly
-        self._entries.pop((i, j), None)
-        if not total.is_zero():
-            self._entries[(i, j)] = total
-
     def entry(self, i: int, j: int) -> Poly:
         if i == j:
             return Poly.zero(self.dim)
@@ -71,15 +66,19 @@ class PoissonTensorField:
         return dict(self._entries)
 
     def values_at(self, point) -> dict:
-        """{(i, j): P^{ij}(point)} over the stored entries, i < j."""
-        return {ij: p.eval(point) for ij, p in self._entries.items()}
+        """{(i, j): P^{ij}(point)} over the stored entries, i < j; a point in
+        Q is cleared once for all of them."""
+        xq = cleared(point)
+        return {ij: p.eval(point, xq) for ij, p in self._entries.items()}
 
     def derivatives_at(self, point) -> list:
-        """Per coordinate k, {(i, j): d/dx_k P^{ij}(point)} over the entries containing x_k."""
+        """Per coordinate k, {(i, j): d/dx_k P^{ij}(point)} over the entries
+        containing x_k; a point in Q is cleared once for all of them."""
+        xq = cleared(point)
         out = [{} for _ in range(self.dim)]
-        for (i, j), p in self._entries.items():
-            for k in {k for mono in p.terms for k, e in enumerate(mono) if e}:
-                out[k][i, j] = p.diff(k).eval(point)
+        for ij, p in self._entries.items():
+            for k, value in p.partials(point, xq).items():
+                out[k][ij] = value
         return out
 
 

@@ -5,7 +5,10 @@ Variables are ordered (a_1..a_n, b_1..b_n); all index arithmetic is cyclic
 with period n, and Lax-side objects live on the double period 2n.  The
 spectral oracle is independent of the pencil machinery: singular parameters
 are exactly the multiplicity-two periodic or antiperiodic eigenvalues of the
-doubled Jacobi matrix.  ``make_singular_point`` prescribes such an eigenvalue
+doubled Jacobi matrix; exact mode reads them off each block's characteristic
+polynomial, computed on the ints of the block over one denominator.  The
+pencil's generators are collected monomial by monomial, each entry set once.
+``make_singular_point`` prescribes such an eigenvalue
 through a solution of the eigen-recursion.  Both point constructors draw from
 a ``random.Random`` of the caller's seed: they make inputs, and are the
 library's only random draws.
@@ -53,8 +56,9 @@ class TodaPoint:
 def toda_pencil(n: int):
     """The two compatible generators of the lattice pencil, as polynomial fields.
 
-    The bracket table is summed over all n directed cyclic edges; for n = 2
-    the two (a_1, a_2) contributions cancel and the (b_1, b_2) entries combine
+    The bracket table is summed over all n directed cyclic edges, each
+    entry's terms collected from their monomials and set once; for n = 2 the
+    two (a_1, a_2) contributions cancel and the (b_1, b_2) entries combine
     to 2(a_2^2 - a_1^2), the convention pinned by the Jacobi identity, the
     common-Casimir annihilation and the bi-Hamiltonian vector-field identity.
     """
@@ -62,27 +66,33 @@ def toda_pencil(n: int):
         raise PreconditionError("n >= 2 required")
     d = 2 * n
     names = [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
-    p0 = PoissonTensorField(d, names)
-    pinf = PoissonTensorField(d, names)
+    tables = ({}, {})       # per generator, {(i, j): {monomial: coefficient}}, i < j
 
-    def va(i):
-        return Poly.variable(d, i % n)
+    def add(table, i, j, c, *variables):
+        """c times the product of ``variables`` into entry (i, j), as -c into (j, i)."""
+        mono = tuple(variables.count(v) for v in range(d))
+        if i > j:
+            i, j, c = j, i, -c
+        terms = table.setdefault((i, j), {})
+        terms[mono] = terms.get(mono, 0) + c
 
-    def vb(i):
-        return Poly.variable(d, n + (i % n))
-
+    p0, pinf = tables
     for i in range(n):
         j = (i + 1) % n
         # {a_i, b_i} = a_i b_i ; {a_i, b_{i+1}} = -a_i b_{i+1}
-        p0.add_to_entry(i, n + i, va(i) * vb(i))
-        p0.add_to_entry(i, n + j, -(va(i) * vb(j)))
+        add(p0, i, n + i, 1, i, n + i)
+        add(p0, i, n + j, -1, i, n + j)
         # {a_i, a_{i+1}} = -1/2 a_i a_{i+1} ; {b_i, b_{i+1}} = -2 a_i^2
-        p0.add_to_entry(i, j, va(i) * va(j) * Fraction(-1, 2))
-        p0.add_to_entry(n + i, n + j, va(i) * va(i) * Fraction(-2))
+        add(p0, i, j, Fraction(-1, 2), i, j)
+        add(p0, n + i, n + j, -2, i, i)
         # constant-slope generator
-        pinf.add_to_entry(i, n + i, va(i))
-        pinf.add_to_entry(i, n + j, -va(i))
-    return p0, pinf
+        add(pinf, i, n + i, 1, i)
+        add(pinf, i, n + j, -1, i)
+    fields = (PoissonTensorField(d, names), PoissonTensorField(d, names))
+    for field, table in zip(fields, tables):
+        for (i, j), terms in table.items():
+            field.set_entry(i, j, Poly(d, terms))
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +114,31 @@ def jacobi_block(pt: TodaPoint, sign: int):
 
 
 def jacobi_char_poly(B):
-    """det(x I - B), ascending, of a ``jacobi_block`` in O(n^2): the leading
-    minors T_k = (x - B_kk) T_{k-1} - B_{k-1,k}^2 T_{k-2}, less the corner terms
-    c^2 T' + 2 c B_01 B_12 ... B_{n-2,n-1}, T' the minor of rows 1..n-2 and
-    c = B_{0,n-1}; a 2 x 2 block has no corner terms."""
+    """det(x I - B), ascending, of a rational ``jacobi_block`` in O(n^2): the
+    leading minors T_k = (x - B_kk) T_{k-1} - B_{k-1,k}^2 T_{k-2}, less the
+    corner terms c^2 T' + 2 c B_01 B_12 ... B_{n-2,n-1}, T' the minor of rows
+    1..n-2 and c = B_{0,n-1}; a 2 x 2 block has no corner terms.  The
+    recurrence runs on the ints of D B, D the lcm of B's denominators: since
+    det(x I - B) = D^-n det(D x I - D B), coefficient t is that int over D^(n-t)."""
     n = len(B)
+    D = math.lcm(*(x.denominator for row in B for x in row))
+    C = [[x.numerator * (D // x.denominator) for x in row] for row in B]
 
     def minor(lo, hi):
-        older, prev = [], [Fraction(1)]
+        older, prev = [], [1]
         for k in range(lo, hi):
-            off = B[k - 1][k] ** 2 if k > lo else 0
-            older, prev = prev, [x - B[k][k] * y - off * z for x, y, z in
+            off = C[k - 1][k] ** 2 if k > lo else 0
+            older, prev = prev, [x - C[k][k] * y - off * z for x, y, z in
                                  itertools.zip_longest([0] + prev, prev, older, fillvalue=0)]
         return prev
 
     chi = minor(0, n)
     if n > 2:
-        c = B[0][n - 1]
+        c = C[0][n - 1]
         for t, y in enumerate(minor(1, n - 1)):
             chi[t] -= c * c * y
-        chi[0] -= 2 * c * math.prod(B[k][k + 1] for k in range(n - 1))
-    return chi
+        chi[0] -= 2 * c * math.prod(C[k][k + 1] for k in range(n - 1))
+    return [Fraction(x, D ** (n - t)) for t, x in enumerate(chi)]
 
 
 @dataclass

@@ -3,10 +3,14 @@
 - ``casimir``: the Casimir-variation operator D_f P_alpha and its action on
   L^perp / L;
 - ``toda``: the Toda lattice's kernel of P_lambda at a double Lax eigenvalue,
-  with its sl(2, R) + R bracket table and pairings in closed form;
+  with its sl(2, R) + R bracket table and pairings in closed form, and its
+  two generators built by ``Poly`` arithmetic, the reference for the
+  library's one pass over their monomials;
 - ``algebras``: Lie algebras beside the catalog's, central extensions and
   quotients by a central ideal;
-- ``fields``: polynomial calculus, the Jacobi identity and compatibility of
+- ``fields``: polynomial calculus (partial derivatives as polynomials and
+  values as term-by-term Fraction sums, the reference for the library's
+  evaluation on ints), the Jacobi identity and compatibility of
   Poisson fields, the direct sum of two pencils, and the shifted Casimirs of
   argument-shift pencils.
 - ``dense``: the dense u^T A v that the library's sparse Gram contraction

@@ -1,6 +1,8 @@
 """Exact polynomial identities of Poisson tensor fields.
 
-Gradients, Hessians and translations of polynomials; the Jacobi identity and
+Partial derivatives as polynomials and values as term-by-term Fraction sums,
+the definitions that the library's integer evaluation reproduces; gradients,
+Hessians and translations of polynomials; the Jacobi identity and
 compatibility of polynomial fields; the direct sum of two pencils; and the
 shifted Casimirs of an argument-shift catalog entry, which annihilate every
 bracket of its pencil.
@@ -15,13 +17,41 @@ from bipencil.poly import Poly
 from bipencil.tensorfield import PoissonTensorField, lift
 
 
+def diff(q: Poly, i: int) -> Poly:
+    """d/dx_i of ``q``, term by term."""
+    out = {}
+    for mono, c in q.terms.items():
+        e = mono[i]
+        if e == 0:
+            continue
+        lowered = list(mono)
+        lowered[i] = e - 1
+        out[tuple(lowered)] = c * e
+    return Poly(q.nvars, out)
+
+
+def term_sum(q: Poly, point):
+    """q at ``point`` by its definition: each term multiplied out from its
+    coefficient one coordinate at a time and added in turn from 0, a Fraction
+    sum at a point in Q, a float sum from float(c) at a float point."""
+    exact = all(isinstance(x, (int, Fraction)) for x in point)
+    total = Fraction(0) if exact else 0.0
+    for mono, c in q.terms.items():
+        term = c if exact else float(c)
+        for x, e in zip(point, mono):
+            for _ in range(e):
+                term = term * x
+        total = total + term
+    return total
+
+
 def gradient(q: Poly) -> list:
-    return [q.diff(i) for i in range(q.nvars)]
+    return [diff(q, i) for i in range(q.nvars)]
 
 
 def hessian(q: Poly) -> list:
     grads = gradient(q)
-    return [[grads[i].diff(j) for j in range(q.nvars)] for i in range(q.nvars)]
+    return [[diff(grads[i], j) for j in range(q.nvars)] for i in range(q.nvars)]
 
 
 def shift(q: Poly, offsets) -> Poly:
@@ -49,9 +79,9 @@ def jacobi_defect(f: PoissonTensorField, i: int, j: int, k: int) -> Poly:
     """The (i,j,k) component of the Jacobiator, as an exact polynomial."""
     total = Poly.zero(f.dim)
     for l in range(f.dim):
-        total = total + f.entry(l, k) * f.entry(i, j).diff(l)
-        total = total + f.entry(l, i) * f.entry(j, k).diff(l)
-        total = total + f.entry(l, j) * f.entry(k, i).diff(l)
+        total = total + f.entry(l, k) * diff(f.entry(i, j), l)
+        total = total + f.entry(l, i) * diff(f.entry(j, k), l)
+        total = total + f.entry(l, j) * diff(f.entry(k, i), l)
     return total
 
 

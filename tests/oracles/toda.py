@@ -23,10 +23,40 @@ from typing import NamedTuple
 from bipencil.errors import PreconditionError
 from bipencil.exactlin import nullspace
 from bipencil.liealg import REAL, LieAlgebra, LinearPencil, TwoCocycle
-from bipencil.tensorfield import PencilAtPoint, evaluate_pencil
+from bipencil.poly import Poly
+from bipencil.tensorfield import PencilAtPoint, PoissonTensorField, evaluate_pencil
 from bipencil.toda import TodaPoint, jacobi_block, toda_pencil
 
 F = Fraction
+
+
+def toda_pencil_by_poly_sums(n: int):
+    """The two generators of the lattice pencil built by ``Poly`` arithmetic:
+    each edge's bracket added to its entry as a polynomial, an entry whose sum
+    is zero dropped (at n = 2 the two (a_1, a_2) contributions cancel)."""
+    d = 2 * n
+    names = [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
+    p0 = PoissonTensorField(d, names)
+    pinf = PoissonTensorField(d, names)
+
+    def add(f, i, j, poly):
+        f.set_entry(i, j, f.entry(i, j) + poly)
+
+    def va(i):
+        return Poly.variable(d, i % n)
+
+    def vb(i):
+        return Poly.variable(d, n + (i % n))
+
+    for i in range(n):
+        j = (i + 1) % n
+        add(p0, i, n + i, va(i) * vb(i))
+        add(p0, i, n + j, -(va(i) * vb(j)))
+        add(p0, i, j, va(i) * va(j) * F(-1, 2))
+        add(p0, n + i, n + j, va(i) * va(i) * F(-2))
+        add(pinf, i, n + i, va(i))
+        add(pinf, i, n + j, -va(i))
+    return p0, pinf
 
 
 def constant_lattice(n: int, a=F(1), b=F(0)) -> TodaPoint:

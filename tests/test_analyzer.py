@@ -23,7 +23,7 @@ from bipencil.toda import make_singular_point, random_point, toda_pencil
 from golden import fixture_dir, report_text
 from oracles.casimir import (casimir_variation, combine_function_data, function_data,
                              quotient_operator, reparameterize_casimir_combination)
-from oracles.fields import direct_sum, shift
+from oracles.fields import diff, direct_sum, shift
 from oracles.jkpairs import JK_PAIRS, companion_pair, constant_fields, realified
 from oracles.sln import shift_case
 from oracles.toda import constant_lattice
@@ -651,8 +651,8 @@ def symbolic_variation_oracle(field0, field_inf, lam, f_poly, point, xi):
         for j in range(d):
             entry = field0.entry(i, j) + field_inf.entry(i, j) * lam
             if not entry.is_zero():
-                bracket_fn = bracket_fn + entry * f_poly.diff(i) * F(xi[j])
-    return [bracket_fn.diff(k).eval(point) for k in range(d)]
+                bracket_fn = bracket_fn + entry * diff(f_poly, i) * F(xi[j])
+    return [diff(bracket_fn, k).eval(point) for k in range(d)]
 
 
 def test_variation_matches_symbolic_oracle_and_vanishes_on_kernel():

@@ -453,6 +453,31 @@ def test_zero_denominator_in_a_linear_file_is_an_input_error(tmp_path, algebra_d
     assert code == 1 and out == "" and json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("c", [True, False])
+def test_a_boolean_coefficient_in_a_pencil_file_is_an_input_error(so3_file, c, capsys):
+    # JSON true and false are not numbers: parse_rational read true as 1 and
+    # false as 0, as int() reads a Python bool
+    with open(so3_file) as fh:
+        doc = json.load(fh)
+    k = next(k for k, entry in enumerate(doc["P0"]) if (entry["i"], entry["j"]) == (1, 2))
+    doc["P0"][k]["poly"].append({"c": c, "m": [0, 0, 1]})
+    with open(so3_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point=1,2,3"], capsys)
+    assert_input_error(code, out, err, f"P0[{k}].poly[{len(doc['P0'][k]['poly']) - 1}]")
+
+
+@pytest.mark.parametrize("algebra_doc, cocycle_doc", [
+    ({"dim": 2, "structure": [{"i": 1, "j": 2, "k": 1, "c": True}]}, {"dim": 2, "cocycle": []}),
+    ({"dim": 2, "structure": [{"i": 1, "j": 2, "k": 1, "c": {"re": "1", "im": False}}]},
+     {"dim": 2, "cocycle": []}),
+    ({"dim": 2, "structure": []}, {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": False}]})])
+def test_a_boolean_coefficient_in_a_linear_file_is_an_input_error(tmp_path, algebra_doc,
+                                                                   cocycle_doc, capsys):
+    code, out, err = run_cli(write_linear_inputs(tmp_path, algebra_doc, cocycle_doc), capsys)
+    assert code == 1 and out == "" and json.loads(err)["error"] == "input"
+
+
 def test_unwritable_out_path_is_an_input_error(so3_file, tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0",

@@ -22,6 +22,7 @@ from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
 from oracles.dense import bilinear, complex_array
+from oracles.fields import diff
 from oracles.jkpairs import JK_PAIRS, companion_pair, realified
 from oracles.sampling import SamplingPolicy
 from oracles.sln import shift_case
@@ -406,7 +407,7 @@ def _pencil_cases():
 def _dense(field0, field_inf, point, lam, k=None):
     """P_lambda, or d/dx_k of it, entry by entry from the polynomial fields."""
     def value(f, i, j):
-        poly = f.entry(i, j) if k is None else f.entry(i, j).diff(k)
+        poly = f.entry(i, j) if k is None else diff(f.entry(i, j), k)
         return poly.eval(point)
     d = field0.dim
     if is_inf(lam):

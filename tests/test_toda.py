@@ -22,7 +22,8 @@ from oracles.sampling import SamplingPolicy
 from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
 from oracles.toda import (casimir_gradient, constant_lattice, double_eigensolutions,
                           fold_to_covector, kernel_product, lax_matrix,
-                          toda_kernel_algebra, toda_pencil_at, wronskian)
+                          toda_kernel_algebra, toda_pencil_at, toda_pencil_by_poly_sums,
+                          wronskian)
 from pipeline import core_of, forbid_floats, spectrum_of
 
 F = Fraction
@@ -150,6 +151,19 @@ def test_lax_blocks_and_spectrum_agree_with_the_longer_rules():
     message = "exact mode cannot hold the roots of a factor of degree {} over Q"
     assert refused == [(constant_lattice(7), "exact", message.format(3)),
                        (constant_lattice(8), "exact", message.format(4))]
+
+
+def test_generators_are_those_of_poly_arithmetic():
+    # the same entries, each with the same terms in the same order, Fractions
+    # all; at n = 2 the two (a_1, a_2) contributions cancel, so P_0 has no
+    # entry (a_1, a_2)
+    for n in range(2, 13):
+        for f, g in zip(toda_pencil(n), toda_pencil_by_poly_sums(n)):
+            assert f.vars == g.vars and f.upper_entries().keys() == g.upper_entries().keys()
+            for ij, p in f.upper_entries().items():
+                assert list(p.terms.items()) == list(g.upper_entries()[ij].terms.items()), (n, ij)
+                assert all(type(c) is Fraction for c in p.terms.values()), (n, ij)
+    assert (0, 1) not in toda_pencil(2)[0].upper_entries()
 
 
 def test_jacobi_char_poly_is_faddeev_leverrier():

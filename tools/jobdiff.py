@@ -278,7 +278,9 @@ def input_error_jobs(workdir: str, write):
     """(key, argv) of CLI calls that fail on their input: a missing and a
     malformed file for each of ``--pencil``, ``--algebra`` and ``--cocycle``, a
     pencil of dimension 0, a pencil file whose last monomial has an exponent
-    true, -1, 1.5 or "x", or a vector of the wrong length, bad ``--point`` values, a ``--tol`` of 0 and of 1, a
+    true, -1, 1.5 or "x", or a vector of the wrong length, a pencil file with
+    a monomial of coefficient true or false in P0's entry (1, 2), analyzed at
+    (1, 2, 3), bad ``--point`` values, a ``--tol`` of 0 and of 1, a
     Toda lattice of one site, a non-positive Toda a_i, an unknown catalog name,
     an algebra that breaks the Jacobi identity and a form that is not a
     cocycle."""
@@ -308,19 +310,22 @@ def input_error_jobs(workdir: str, write):
     def linear(alg, coc):
         return ["linear", "--algebra", alg, "--cocycle", coc]
 
-    def bad_exponents(name, m):
+    def bad_monomial(name, term, k=-1, point="0,0,0"):
         doc = pencil_to_json_dict(so3.field0, so3.field_inf, None)
-        doc["P0"][-1]["poly"].append({"c": "1", "m": m})
-        return analyze(write(f"errors.exponent-{name}.pencil.json", doc))
+        doc["P0"][k]["poly"].append(term)
+        return analyze(write(f"errors.{name}.pencil.json", doc), point)
 
     return [
         ("error pencil missing", analyze(missing)),
         ("error pencil malformed", analyze(malformed)),
         ("error pencil dim 0", analyze(write("errors.dim0.pencil.json",
                                              {"dim": 0, "P0": [], "Pinf": []}), "0")),
-        *((f"error pencil exponent {name}", bad_exponents(name, m))
+        *((f"error pencil exponent {name}", bad_monomial(f"exponent-{name}", {"c": "1", "m": m}))
           for name, m in (("true", [True, 0, 0]), ("-1", [0, -1, 0]), ("1.5", [0, 0, 1.5]),
                           ("x", ["x", 0, 0]), ("length", [0, 0]))),
+        *((f"error pencil coefficient {name}",
+           bad_monomial(f"coefficient-{name}", {"c": c, "m": [0, 0, 1]}, 0, "1,2,3"))
+          for name, c in (("true", True), ("false", False))),
         ("error algebra missing", linear(missing, cocycle)),
         ("error algebra malformed", linear(malformed, cocycle)),
         ("error cocycle missing", linear(algebra, missing)),
