@@ -25,7 +25,9 @@ matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
 the whole basis, and otherwise by one reduced row echelon form of the basis
 beside them all (a least-squares solve per vector for float input), and
-``solve`` reads B^-1 C off one reduced form of [B | C].  Exact data may also
+``solve`` reads B^-1 C off one reduced form of [B | C].  A ``Span`` grows
+by greedy choice and keeps the forward echelon of its vectors, so that each
+new vector is reduced once against it.  Exact data may also
 be held as the carrier rows themselves, over one denominator
 (``clear_matrix``): the carriers add, multiply and take dot products of
 them, ``restrict`` reads an operator's matrix on an invariant span off the
@@ -55,6 +57,7 @@ results keep their bits.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -140,7 +143,7 @@ def primitive_row(row):
 class _Z:
     """Carrier Z, for real rational matrices: entries are ints."""
 
-    zero, one = 0, 1
+    zero, one, d = 0, 1, 0
     keeps_zero_rows = True
     clear = primitive = staticmethod(primitive_row)
 
@@ -601,27 +604,74 @@ def solve(B, C, mode: Mode = EXACT):
     return mat_mul([list(row) for row in np.linalg.inv(to_numpy(B))], C)
 
 
-def basis_union(existing, new_vectors, mode: Mode = EXACT):
-    """Extend an independent family by the independent members of new_vectors.
+class Span:
+    """A span grown by greedy choice: ``vectors`` are the kept vectors, each
+    independent of those kept before it.
 
-    A vector is kept when it is independent of the family and of the vectors
-    kept before it.  In exact mode that greedy choice is the pivot columns
-    of one forward elimination, as ``mat_rank_exact`` runs it, with the
-    vectors as columns, each first cleared of its own denominators; float
-    mode converts the vectors once and checks them prefix by prefix, on rows
-    of one array.
+    In exact mode the span also keeps the forward echelon of its vectors:
+    one primitive carrier row per kept vector, in the order kept, each zero
+    at the pivot columns of the rows before it.  A new vector is cleared
+    once (``K.clear``) and reduced, in that order, against the rows whose
+    pivot columns it hits, by ``K.combine`` with previous pivot one.  It is
+    kept when a nonzero remainder is left, which becomes a row, made
+    primitive by ``K.divided``, with its first nonzero column as pivot.
+    Over Z[sqrt d] that row is first multiplied by the cofactor of its pivot
+    (``K.cofactor``), so that every pivot is an int and a reduction scales a
+    vector by ints only.  The carrier is Z until an entry lies in Q(sqrt d);
+    the rows are then lifted to Z[sqrt d].  Float mode converts the vectors
+    once per extension and checks them prefix by prefix, on rows of one
+    array.
     """
-    out = [list(v) for v in existing]
-    vectors = out + [list(v) for v in new_vectors]
-    if mode.is_exact:
-        K = carrier(quadratic_field(x for v in vectors for x in v))
-        pivots = _bareiss(K, transpose([K.clear(v) for v in vectors]))
-        return out + [vectors[j] for j in pivots if j >= len(out)]
-    A, kept = to_numpy(vectors), list(range(len(out)))
-    for k in range(len(out), len(vectors)):
-        if mat_rank(A[kept + [k]], mode) == len(kept) + 1:
-            kept.append(k)
-    return [vectors[k] for k in kept]
+
+    def __init__(self, mode: Mode = EXACT):
+        self.mode, self.vectors, self.K, self.rows, self.pivots = mode, [], _Z, [], []
+
+    def copy(self) -> Span:
+        """A span of the same vectors that extends apart from this one."""
+        out = copy.copy(self)
+        out.vectors, out.rows, out.pivots = list(self.vectors), list(self.rows), list(self.pivots)
+        return out
+
+    def extend(self, vectors) -> list:
+        """Keep each of ``vectors`` that is independent of the span and of
+        the vectors kept before it; return the kept ones."""
+        vectors = [list(v) for v in vectors]
+        if self.mode.is_exact:
+            kept = [v for v, row in zip(vectors, self._carrier_rows(vectors)) if self._keep(row)]
+        else:
+            n = len(self.vectors)
+            A, rows = to_numpy(self.vectors + vectors), list(range(n))
+            for k in range(n, len(A)):
+                if mat_rank(A[rows + [k]], self.mode) == len(rows) + 1:
+                    rows.append(k)
+            kept = [vectors[k - n] for k in rows[n:]]
+        self.vectors += kept
+        return kept
+
+    def _carrier_rows(self, vectors):
+        """The vectors as carrier rows, the span's rows lifted first to the
+        carrier of both."""
+        seen = [QQi(0, 1, self.K.d)] if self.K.d else []
+        d = quadratic_field(itertools.chain(seen, (x for v in vectors for x in v)))
+        if d != self.K.d:
+            self.K = carrier(d)
+            self.rows = lift(self.K, self.rows)
+        return [self.K.clear(v) for v in vectors]
+
+    def _keep(self, v) -> bool:
+        """Reduce the carrier row v against the rows; keep a nonzero remainder."""
+        K = self.K
+        zero, one = K.zero, K.one
+        for row, col in zip(self.rows, self.pivots):
+            if v[col] != zero:
+                v = K.combine(row[col], v[col], one, v, row)
+        col = next((j for j, x in enumerate(v) if x != zero), None)
+        if col is None:
+            return False
+        c, _ = K.cofactor(v[col])
+        self.rows.append(K.divided([K.mul(x, c) for x in v] if c != one else v))
+        self.pivots.append(col)
+        return True
 
 
 # ---------------------------------------------------------------------------

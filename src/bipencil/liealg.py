@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (Elimination, as_float, basis_union, carrier, clear_matrix, eigenspaces,
+from .exactlin import (Elimination, Span, as_float, carrier, clear_matrix, eigenspaces,
                        eliminate, identity, join, lift, mat_rank, nullspace, scalar_matrix,
                        transpose)
 from .poly import Poly
@@ -159,7 +159,7 @@ class LieAlgebra:
         return nullspace([[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)], mode)
 
     def derived_basis(self, mode: Mode = EXACT):
-        return basis_union([], self._c.values(), mode)
+        return Span(mode).extend(self._c.values())
 
     def lie_poisson_field(self) -> PoissonTensorField:
         """Linear Poisson field P^{ij}(x) = sum_k c_{ij}^k x_k (real algebras)."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import RankDeficientPointError, SingularParameterError
-from .exactlin import (basis_union, eigenvalues, identity, mat_rank, mat_vec, nullspace,
+from .exactlin import (Span, eigenvalues, identity, mat_rank, mat_vec, nullspace,
                        nullspace_float, solve)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap, tidy)
@@ -85,7 +85,8 @@ def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *
     """``count`` pairs (lambda, Ker P_lambda) at the next values of ``walk``,
     a height walk, where the rank is ``rank``: exact, the rank of P_lambda's
     elimination, and a copy of its ``kernel_lines`` (over Z primitive
-    integer rows, as ``basis_union`` takes them); else the kernel's size.
+    integer rows, which a ``Span`` clears with no denominator); else the
+    kernel's size.
     At most floor(d/2) values are not where the rank is attained (see
     pencil_rank_corank), so one miss more raises RankDeficientPointError."""
     def kernel_if_regular(lam):
@@ -127,10 +128,14 @@ class Spectrum:
 
 @dataclass
 class IsotropicCore:
-    basis: list                 # covectors spanning L
+    span: Span                  # the covectors spanning L, as the walk kept them
     regular_params: list        # the walked parameters whose kernels were summed
     dim_sequence: list          # accumulated dimension after each kernel
     corank: int
+
+    @property
+    def basis(self) -> list:
+        return self.span.vectors
 
     @property
     def dim(self) -> int:
@@ -148,7 +153,8 @@ def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> Isotropi
     """Accumulate kernels of regular brackets (pencil rank ``rank``) until they span L.
 
     The kernels are taken at the regular values of one height walk, in order,
-    and joined by ``basis_union``.  The first kernel that adds nothing ends
+    and each extends one ``Span``, which keeps its echelon across the walk, so
+    only the new kernel is reduced.  The first kernel that adds nothing ends
     the loop: at regular parameters only the Kronecker blocks have kernel,
     and m distinct ones span min(m, k + 1) dimensions of a block of
     half-size k (a Vandermonde matrix), so step m adds one dimension per
@@ -159,16 +165,15 @@ def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> Isotropi
     parameters.
     """
     walk, full = height_walk(), p.dim - rank // 2
-    basis, params, dims = [], [], []
+    span, params, dims = Span(mode), [], []
     while True:
         (lam, ker), = regular_parameters(p, walk, 1, mode, rank=rank)
-        new_basis = basis_union(basis, ker, mode)
+        added = span.extend(ker)
         params.append(lam)
-        dims.append(len(new_basis))
-        if len(params) > 1 and len(new_basis) in (len(basis), full):
-            return IsotropicCore(basis=new_basis, regular_params=params, dim_sequence=dims,
+        dims.append(len(span.vectors))
+        if len(params) > 1 and (not added or dims[-1] == full):
+            return IsotropicCore(span=span, regular_params=params, dim_sequence=dims,
                                  corank=p.dim - rank)
-        basis = new_basis
 
 
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
@@ -188,8 +193,9 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
 
 
 def quotient_basis(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
-    """Covectors in L^perp completing a basis of L (deterministic choice)."""
-    return basis_union(core.basis, core_perp(p, core, mode), mode)[core.dim:]
+    """Covectors in L^perp completing a basis of L (deterministic choice): the
+    ones a copy of the core's span keeps of ``core_perp``."""
+    return core.span.copy().extend(core_perp(p, core, mode))
 
 
 def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:

@@ -21,7 +21,8 @@
   integer carriers;
 - ``bareiss``: Bareiss forward elimination and fraction-free Gauss-Jordan
   over Z, the reference for the row sizes of the library's elimination, which
-  divides by contents and back-substitutes;
+  divides by contents and back-substitutes, and the greedy rank loop on it,
+  the reference for the library's spans;
 - ``stops``: the pencil rank, the core and the Lax oracle by their earlier,
   longer rules, the reference for the library's early stops.
 - ``pencilfile``: a pencil file's entries summed one ``Poly`` per monomial,

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import basis_union, coords_in_span, identity
+from bipencil.exactlin import Span, coords_in_span, identity
 from bipencil.liealg import COMPLEX, REAL, LieAlgebra, TwoCocycle
 
 
@@ -67,7 +67,8 @@ def quotient_by_central(algebra: LieAlgebra, ideal_basis) -> tuple:
         if any(v != 0 for row in adz for v in row):
             raise PreconditionError("ideal basis vector is not central")
     ideal = [list(z) for z in ideal_basis]
-    full = basis_union(ideal, identity(algebra.dim))
+    span = Span()
+    full = span.extend(ideal) + span.extend(identity(algebra.dim))
     basis_mat = full[len(ideal):]
     m = len(basis_mat)
     out = LieAlgebra(m, algebra.field, [algebra.labels[e.index(1)] for e in basis_mat])

@@ -10,16 +10,31 @@ of Bareiss (1968), whose entries are minors, so the division is exact; with
 fraction-free Gauss-Jordan.  Each row of the library lies on the line of the
 row here with the same index, so the pivots agree, and the library's rows,
 primitive, are entrywise no larger.
+
+On QQi entries the same steps divide in the field.  ``rank`` counts the
+pivots of exact rows, and ``basis_union`` is the greedy loop on it, one rank
+of the whole family per candidate: the reference for the library's spans.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from bipencil.exactlin import mat_rank
+from bipencil.scalars import EXACT, QQi, quadratic_field
+
+
+def _divide(a, b):
+    """a / b, exact: ints by floor division, QQi in the field."""
+    return a // b if type(a) is int else a / b
 
 
 def combine(p, f, prev, row, prow):
     """(p * row - f * prow) / prev, entrywise; the division is exact."""
     if not f:
-        return [p * a // prev for a in row] if p != prev else row
-    return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        return [_divide(p * a, prev) for a in row] if p != prev else row
+    return [_divide(p * a - f * b, prev) for a, b in zip(row, prow)]
 
 
 def bareiss(rows, reduce: bool):
@@ -47,3 +62,35 @@ def bareiss(rows, reduce: bool):
         if len(pivots) == n:
             break
     return A, pivots
+
+
+def _rational(x):
+    return Fraction(x.re if isinstance(x, QQi) and not x.im else x)
+
+
+def rank(rows):
+    """The number of pivots of ``bareiss`` on exact rows: rational rows times
+    the lcm of their denominators, as ints, else as QQi and Fraction entries."""
+    if any(isinstance(x, QQi) and x.im for row in rows for x in row):
+        rows = [[x if isinstance(x, QQi) else Fraction(x) for x in row] for row in rows]
+        return len(bareiss(rows, reduce=False)[1])
+    ints = []
+    for row in rows:
+        row = [_rational(x) for x in row]
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints.append([int(x * lcm) for x in row])
+    return len(bareiss(ints, reduce=False)[1])
+
+
+def basis_union(existing, new_vectors, mode=EXACT):
+    """The greedy loop: each candidate is kept when the family with it has
+    full rank, ``rank`` in exact mode, which first refuses what the library
+    refuses (``quadratic_field``), and ``mat_rank`` in float mode."""
+    out = [list(v) for v in existing]
+    if mode.is_exact:
+        quadratic_field(x for v in out + [list(v) for v in new_vectors] for x in v)
+    for v in new_vectors:
+        cand = out + [list(v)]
+        if (rank(cand) if mode.is_exact else mat_rank(cand, mode)) == len(cand):
+            out.append(list(v))
+    return out

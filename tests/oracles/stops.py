@@ -5,7 +5,8 @@ reference the early stops of ``pencil`` and ``toda`` must agree with.
   walk and infinity, enough because the rank minors have degree <= d in
   lambda;
 - the core walked until its span is unchanged for two consecutive kernels and
-  at least dim-L kernels were taken;
+  at least dim-L kernels were taken, the kernels joined by the greedy rank
+  loop of ``oracles.bareiss``;
 - the Lax blocks built from one 2n x 2n ``mat_vec`` per column, and in exact
   mode the multiple roots of each block's characteristic polynomial chi
   (Faddeev-LeVerrier) found as the roots of gcd(chi, chi') by Euclid, each
@@ -17,15 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from bipencil.exactlin import (basis_union, char_poly, mat_vec, poly_deriv, poly_roots_hybrid,
-                               to_numpy)
-from bipencil.pencil import IsotropicCore, height_walk, rank_at, regular_parameters
+from bipencil.exactlin import char_poly, mat_vec, poly_deriv, poly_roots_hybrid, to_numpy
+from bipencil.pencil import height_walk, rank_at, regular_parameters
 from bipencil.scalars import EXACT, INF
 from bipencil.toda import LaxSpectrumEntry
 
+from oracles.bareiss import basis_union
 from oracles.euclid import poly_gcd
 from oracles.toda import lax_matrix
 
@@ -34,6 +36,12 @@ def rank_corank_over_d_plus_two(p, mode=EXACT):
     samples = list(islice(height_walk(), p.dim + 1)) + [INF]
     best = max(rank_at(p, lam, mode) for lam in samples)
     return best, p.dim - best
+
+
+class Core(NamedTuple):
+    basis: list
+    regular_params: list
+    dim_sequence: list
 
 
 def core_until_two_idle(p, mode=EXACT, *, rank):
@@ -45,8 +53,7 @@ def core_until_two_idle(p, mode=EXACT, *, rank):
         dims.append(len(new_basis))
         stable = stable + 1 if len(new_basis) == len(basis) else 0
         basis = new_basis
-    return IsotropicCore(basis=basis, regular_params=params, dim_sequence=dims,
-                         corank=p.dim - rank)
+    return Core(basis, params, dims)
 
 
 def shift_block_by_mat_vec(L, sign):

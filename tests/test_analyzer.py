@@ -423,6 +423,27 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
     assert ranks == [] and core.dim == 1
 
 
+@pytest.mark.parametrize("case, dims, params", [
+    ("toda6", [2, 3, 4, 5, 6, 7], [1, -1, 2, -2, F(1, 2), F(-1, 2)]),
+    ("sl5", [4, 8, 11, 13, 14], [1, -1, 2, -2, F(1, 2)])])
+def test_the_spot_check_core_walks_its_kernels_as_recorded(monkeypatch, case, dims, params):
+    # the Kronecker spot check's core at the first walk point: its dimension
+    # after each kernel and its parameters, the values one elimination of the
+    # whole union gave, which the span's greedy choice keeps
+    cores = count_calls(monkeypatch, analyzer, "compute_core")
+    if case == "toda6":
+        (f0, finf), point, rank = toda_pencil(6), make_singular_point(6, seed=1).coordinates(), 10
+    else:
+        sl5 = shift_case(5, 0, 1)
+        e = sl5.entry()
+        f0, finf, point, rank = e.field0, e.field_inf, sl5.point, 20
+    rep = analyze_point(f0, finf, point, declared_rank=rank)
+    assert rep.verdict.kind == "NonDegenerate" and len(cores) == 2
+    q, mode = cores[1]
+    core = compute_core(q, mode, rank=rank)
+    assert core.dim_sequence == dims and core.regular_params == params
+
+
 @pytest.mark.parametrize("kind", ["regular", "singular", "gaussian"])
 def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
     # the rank samples, the core walk, the spectrum's checks and the

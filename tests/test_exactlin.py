@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bipencil import exactlin
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import (_poly_degree, _poly_quotient, basis_union, char_poly,
+from bipencil.exactlin import (_poly_degree, _poly_quotient, char_poly,
                                coords_in_span, eigenvalues, gaussian_rational_roots,
                                identity, mat_mul, mat_rank, mat_rank_exact, mat_vec,
                                nullspace_exact, poly_eval, poly_gcd_exact, poly_roots_hybrid,
@@ -352,14 +352,10 @@ def test_integer_char_poly_matches_the_fraction_recursion(gaussian, n, data):
     assert typed(char_poly(M)) == typed(oracle_char_poly(M))
 
 
-def oracle_basis_union(existing, new_vectors, mode=EXACT):
-    """Oracle: the greedy loop, one rank of the whole family per candidate."""
-    out = [list(v) for v in existing]
-    for v in new_vectors:
-        cand = out + [list(v)]
-        if mat_rank(cand, mode) == len(cand):
-            out.append(list(v))
-    return out
+def span_union(existing, new_vectors, mode=EXACT):
+    """The vectors of a ``Span`` extended by ``existing``, then by ``new_vectors``."""
+    span = exactlin.Span(mode)
+    return span.extend(existing) + span.extend(new_vectors)
 
 
 @st.composite
@@ -370,7 +366,7 @@ def vector_families(draw):
     entry = entries(draw(st.booleans()))
     m = draw(st.integers(1, 6))
     vector = st.lists(entry, min_size=m, max_size=m)
-    existing = oracle_basis_union([], draw(st.lists(vector, max_size=3)))
+    existing = bareiss.basis_union([], draw(st.lists(vector, max_size=3)))
     new = draw(st.lists(vector, max_size=6))
     pool = existing + new
     for _ in range(draw(st.integers(0, 4))):
@@ -393,7 +389,61 @@ def vector_families(draw):
 @given(vector_families())
 def test_basis_union_matches_greedy_rank_loop(family):
     existing, new = family
-    assert typed(basis_union(existing, new)) == typed(oracle_basis_union(existing, new))
+    assert typed(span_union(existing, new)) == typed(bareiss.basis_union(existing, new))
+
+
+def assert_echelon(span):
+    """Each kept row of an exact span is primitive, nonzero at its pivot and
+    zero at the pivots of the rows kept before it; over Z[sqrt d] its pivot
+    is an int."""
+    K = span.K
+    for k, (row, col) in enumerate(zip(span.rows, span.pivots)):
+        assert row[col] != K.zero and all(row[c] == K.zero for c in span.pivots[:k])
+        assert K.divided(list(row)) == row
+        if K is not exactlin._Z:
+            assert row[col][1] == 0
+    assert len(span.rows) == mat_rank(span.vectors) if span.vectors else not span.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_a_span_extended_in_batches_keeps_the_greedy_choice(family, data):
+    # one span extended batch by batch, as the core walk extends it kernel by
+    # kernel, keeps the vectors of one greedy loop over their concatenation;
+    # a copy extends apart from it, as quotient_basis extends the core's span
+    existing, new = family
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(new)), max_size=4)))
+    batches = [new[a:b] for a, b in zip([0] + cuts, cuts + [len(new)])]
+    span = exactlin.Span()
+    span.extend(existing)
+    kept = []
+    for batch in batches:
+        kept += span.extend(batch)
+        assert_echelon(span)
+    want = bareiss.basis_union(existing, new)
+    assert typed(span.vectors) == typed(want) and typed(kept) == typed(want[len(existing):])
+    first = exactlin.Span()
+    first.extend(existing)
+    head = first.extend(batches[0])
+    rest = first.copy().extend(new[len(batches[0]):])
+    assert typed(head + rest) == typed(kept) and typed(first.vectors) == typed(existing + head)
+
+
+def test_a_span_lifts_its_rows_into_the_field_of_a_later_vector():
+    # rational rows kept first are lifted to Z[sqrt d] when an entry of a
+    # later vector lies in Q(sqrt d); sqrt 8 lies in the field of sqrt 2, sqrt -2 not
+    F, r2, r8 = Fraction, QQi(0, 1, 2), QQi(0, 1, 8)
+    batches = [[[F(1), F(1, 2), F(0)], [F(2), F(1), F(0)]],
+               [[r2, F(1), F(0)], [r2, F(1), F(0)], [F(0), F(0), F(1, 3)]],
+               [[r8, F(2), F(1)], [r2 + 1, F(3, 2), F(1)], [F(1), r8, F(0)]]]
+    span = exactlin.Span()
+    assert [len(span.extend(batch)) for batch in batches] == [1, 2, 0]
+    assert span.K.d == 2 and span.vectors == [batches[0][0]] + batches[1][::2]
+    assert span.vectors == bareiss.basis_union([], [v for batch in batches for v in batch])
+    assert_echelon(span)
+    with pytest.raises(PreconditionError,
+                       match=r"values of Q\(sqrt 2\) and Q\(sqrt -2\) in one field"):
+        span.extend([[QQi(0, 1, -2), F(0), F(0)]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -449,14 +499,14 @@ def test_basis_union_float_and_mixed_input():
     e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     cands = [[2.0, 0.0, 0.0], [1.0, 1.0, 1e-12], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]]
     mode = float_mode(1e-9)
-    assert basis_union([e1], [e2] + cands, mode) == \
-        oracle_basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
+    assert span_union([e1], [e2] + cands, mode) == \
+        bareiss.basis_union([e1], [e2] + cands, mode) == [e1, e2, [0.0, 0.0, 1.0]]
     mixed = [[Fraction(1), Fraction(0)], [0.5, 0.0], [Fraction(0), Fraction(1, 3)]]
-    assert basis_union([], mixed, mode) == oracle_basis_union([], mixed, mode) == \
+    assert span_union([], mixed, mode) == bareiss.basis_union([], mixed, mode) == \
         [mixed[0], mixed[2]]
     # exact mode holds no float: float or mixed input is refused, by name
     for vectors, value in (([e1, e2] + cands, "1.0"), (mixed, "0.5")):
-        for union in (basis_union, oracle_basis_union):
+        for union in (span_union, bareiss.basis_union):
             with pytest.raises(PreconditionError, match=f"cannot hold the inexact value {value}$"):
                 union([], vectors)
 
@@ -506,8 +556,8 @@ def test_exact_basis_union_reads_its_pivots_without_rref(monkeypatch):
     gaussian = [[QQi(1, 1), F(0), F(0)], [F(0), QQi(0, F(1, 2)), F(1)],
                 [QQi(2, 2), QQi(0, 1), F(2)]]
     for old, cands in ((existing, new), ([], gaussian)):
-        assert typed(basis_union(old, cands)) == typed(oracle_basis_union(old, cands))
-    assert len(basis_union(existing, new)) == 3 and len(basis_union([], gaussian)) == 2
+        assert typed(span_union(old, cands)) == typed(bareiss.basis_union(old, cands))
+    assert len(span_union(existing, new)) == 3 and len(span_union([], gaussian)) == 2
     assert rrefs == []
 
 

@@ -603,6 +603,22 @@ def test_a_gaussian_pencil_eliminates_each_pencil_matrix_once(monkeypatch):
         {lambda_key(lam): 1 for lam in walked}
 
 
+def test_the_core_walk_eliminates_only_the_pencil_matrices(monkeypatch):
+    # the core's span keeps its echelon across the walk: an exact elimination
+    # runs once per walked P_lambda, on its primitive integer rows, and never
+    # on the kernels joined so far
+    p = toda_pencil_at(random_point(8, 1))
+    inputs, real = [], exactlin._bareiss
+    monkeypatch.setattr(exactlin, "_bareiss",
+                        lambda K, A: inputs.append([list(row) for row in A]) or real(K, A))
+    core = compute_core(p, rank=p.dim - 2)
+    monkeypatch.undo()
+    walked = list(islice(height_walk(), len(inputs)))
+    assert core.regular_params == walked and len(walked) > 2
+    assert inputs == [[exactlin.primitive_row(row) for row in p.integer_matrix_at(lam)]
+                      for lam in walked]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(st.tuples(*[st.one_of(st.just(Fraction(0)),
