@@ -34,6 +34,11 @@
   order, of a quadratic over Q.
 - ``sampling``: a seeded source of random rational points, from which tests
   draw their inputs.
+- ``sln``: argument-shift pencils on sl(n, R) at rank-0 points whose
+  Williamson type has a closed form.
+- ``corpus``: the named inputs that the tests and ``tools/jobdiff.py`` share
+  (the catalog, Toda points, sl(n) points, Jordan-Kronecker and companion
+  pairs), each with its pencil file, CLI call and reference.
 
 A definition that only tests use lives here, not in ``src/``.
 """

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import islice
@@ -11,9 +10,9 @@ from bipencil import analyzer, cli, exactlin, liealg, linearization, pencil, roo
 from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError
-from bipencil.exactlin import mat_mul, mat_rank, mat_vec, nullspace
+from bipencil.exactlin import mat_mul, mat_vec, nullspace
 from bipencil.io import dump_canonical, pencil_to_json_dict
-from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair, jk_invariants
+from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
 from bipencil.pencil import compute_core, point_walk, quotient_basis, recursion_operator
 from bipencil.poly import Poly
 from bipencil.scalars import EXACT, INF, QQi, float_mode, lambda_key
@@ -24,12 +23,12 @@ from golden import fixture_dir, report_text
 from oracles.casimir import (casimir_variation, combine_function_data, function_data,
                              quotient_operator, reparameterize_casimir_combination)
 from oracles.fields import diff, direct_sum, shift
-from oracles.jkpairs import JK_PAIRS, companion_pair, constant_fields, realified
-from oracles.sln import shift_case
+from oracles import corpus
 from oracles.toda import constant_lattice
 from pipeline import core_of, forbid_floats, linearize_at
 
 F = Fraction
+JK = corpus.jk_pairs()
 
 
 def so3_pencil_at(point):
@@ -91,12 +90,6 @@ def test_analyze_refuses_a_point_below_the_sampled_rank_off_a_hyperplane():
         analyze_point(f0, finf, [F(0), F(0)])
 
 
-def constant_fields_at_origin(blocks):
-    """The real canonical pair of ``blocks`` as two constant fields, and the origin."""
-    p = realified(blocks)
-    return (*constant_fields(p), [F(0)] * p.dim)
-
-
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 @pytest.mark.parametrize("blocks, warned", [
     ([KroneckerBlock(1), JordanBlock(2, 1)], True),
@@ -106,8 +99,8 @@ def constant_fields_at_origin(blocks):
 def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
     # a constant pencil with a Jordan block keeps it at every walk point
     cores = count_calls(monkeypatch, analyzer, "compute_core")
-    f0, finf, point = constant_fields_at_origin(blocks)
-    rep = analyze_point(f0, finf, point, mode=mode)
+    c = corpus.jk("pair", blocks)
+    rep = analyze_point(c.field0, c.field_inf, c.point, mode=mode)
     assert any(w.startswith("a walk point has non-empty spectrum")
                for w in rep.warnings) == warned
     # the point's core, and at a singular point the exact core at the first
@@ -118,14 +111,13 @@ def test_kronecker_spot_check_warning(blocks, warned, mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
 def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
-    # the reference is jk: a spectrum value is diagonalizable exactly when
-    # every Jordan block at it has size 1; exact mode also meets Jordan blocks
-    # of size 2 at the irrational lambda = +-sqrt(2)
-    pairs = [realified(blocks) for blocks in JK_PAIRS]
-    for p in pairs + ([sqrt2_square_pair()] if mode.is_exact else []):
-        f0, finf = constant_fields(p)
-        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode)
-        jordan = jk_invariants(p).jordan
+    # the reference is the Jordan blocks: a spectrum value is diagonalizable
+    # exactly when every Jordan block at it has size 1; exact mode also meets
+    # Jordan blocks of size 2 at the irrational lambda = +-sqrt(2)
+    for case in corpus.jk_pairs() + ([corpus.sqrt2(2)] if mode.is_exact else []):
+        p = case.pencil
+        rep = analyze_point(case.field0, case.field_inf, case.point, mode=mode)
+        jordan = case.expected["jordan"]
         assert {lambda_key(lam) for r in rep.per_lambda
                 for lam in ((r.lam, r.lam.conjugate()) if r.paired else (r.lam,))} == set(jordan)
         for r in rep.per_lambda:
@@ -135,28 +127,14 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
                 assert r.degeneracy_reason == f"NonDiagonalizable({lambda_key(r.lam)})"
 
 
-def unit_lower_upper(d: int, rng: random.Random):
-    """Unit lower times unit upper triangular, entries in {-1, 0, 1}: the
-    congruences of the ``jk`` benchmark pairs and of ``tools/jobdiff.py``."""
-    L = [[F(1) if i == j else F(rng.randint(-1, 1)) if i > j else F(0) for j in range(d)]
-         for i in range(d)]
-    R = [[F(1) if i == j else F(rng.randint(-1, 1)) if i < j else F(0) for j in range(d)]
-         for i in range(d)]
-    return mat_mul(L, R)
-
-
 @pytest.mark.parametrize("congruence", [0, 1])
 def test_float_mode_snaps_a_double_jordan_block_at_a_gaussian_lambda(congruence):
-    # Kronecker 2 + Jordan (1+2i) of size 2, realified, under a congruence of
-    # random.Random("jobdiff-jk"): the block splits into float eigenvalues
-    # about sqrt(eps) apart, which cluster and snap to one exact lambda
-    p = realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
-    rng = random.Random("jobdiff-jk")
-    for _ in range(congruence + 1):
-        U = unit_lower_upper(p.dim, rng)
-    f0, finf = constant_fields(congruent_pair(p, U))
+    # Kronecker 2 + Jordan (1+2i) of size 2, realified, under a congruence:
+    # the block splits into float eigenvalues about sqrt(eps) apart, which
+    # cluster and snap to one exact lambda
+    case = corpus.jk_gaussian_congruences()[congruence]
     for mode in (EXACT, float_mode()):
-        rep = analyze_point(f0, finf, [F(0)] * p.dim, mode=mode)
+        rep = analyze_point(case.field0, case.field_inf, case.point, mode=mode)
         assert rep.verdict.reason == "NonDiagonalizable((1+2i))", mode
         assert [e.lam for e in rep.spectrum.entries] == [QQi(1, 2)], mode
 
@@ -165,7 +143,7 @@ def test_float_mode_snaps_a_double_jordan_block_at_a_gaussian_lambda(congruence)
 def test_float_mode_snaps_to_the_first_rational_the_exact_rank_accepts(lam):
     # 1/1000 and 1 lie within the clustering tolerance of lambda; the exact
     # rank rejects them, and the next denominator bound gives lambda itself
-    f0, finf = constant_fields(companion_pair([-lam]))
+    f0, finf = corpus.constant_fields(corpus.companion_pair([-lam]))
     rep = analyze_point(f0, finf, [F(0)] * 2, mode=float_mode())
     assert [e.lam for e in rep.spectrum.entries] == [lam]
 
@@ -178,28 +156,16 @@ def test_a_float_origin_keeps_lambda_zero():
     assert [(r.lam, r.kernel_dim) for r in rep.spectrum.entries] == [(0, 3)]
 
 
-def sqrt2_pair():
-    """Jordan blocks of size 1 at lambda = +-sqrt(2): the companion pair of x^2 - 2."""
-    return companion_pair([-2, 0])
-
-
-def sqrt2_square_pair():
-    """Jordan blocks of size 2 at lambda = +-sqrt(2): the companion pair of
-    (x^2 - 2)^2 = x^4 - 4 x^2 + 4."""
-    return companion_pair([4, 0, -4, 0])
-
-
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
-@pytest.mark.parametrize("pair, reason", [
-    (realified(JK_PAIRS[3]), "NonDiagonalizable(-2)"),
-    (realified(JK_PAIRS[2]), "NonDiagonalizable(inf)"),
-    (realified(JK_PAIRS[1]), "RootsDependent((1+1i))"),
-    (sqrt2_pair(), "RootsDependent(-1.41421356237)"),
+@pytest.mark.parametrize("case, reason", [
+    (JK[3], "NonDiagonalizable(-2)"),
+    (JK[2], "NonDiagonalizable(inf)"),
+    (JK[1], "RootsDependent((1+1i))"),
+    (corpus.sqrt2(1), "RootsDependent(-1.41421356237)"),
 ], ids=["exact-real", "inf", "gaussian", "float"])
-def test_a_degeneracy_reason_names_lambda_by_its_key(pair, reason, mode):
+def test_a_degeneracy_reason_names_lambda_by_its_key(case, reason, mode):
     # a non-real lambda reads as (a+bi), never as the report's {re, im} dict
-    f0, finf = constant_fields(pair)
-    rep = analyze_point(f0, finf, [F(0)] * pair.dim, mode=mode)
+    rep = analyze_point(case.field0, case.field_inf, case.point, mode=mode)
     assert rep.verdict.reason == reason
 
 
@@ -288,12 +254,11 @@ def test_the_spot_check_stops_at_its_first_proof(monkeypatch, mode):
     # point's own pencil besides
     evaluated = count_calls(monkeypatch, analyzer, "evaluate_pencil")
     checks = count_calls(monkeypatch, analyzer, "_kronecker_spot_check")
-    f0, finf = toda_pencil(4)
-    pt = make_singular_point(4, seed=1).coordinates()
-    rep = analyze_point(f0, finf, pt, mode=mode, declared_rank=6)
+    c = corpus.toda_singular(4, 1)
+    rep = analyze_point(c.field0, c.field_inf, c.point, mode=mode, declared_rank=c.rank)
     assert not any(w.startswith("a walk point") for w in rep.warnings)
     assert len(checks) == 1
-    assert [args[2] == pt for args in evaluated] == [True, False]
+    assert [args[2] == c.point for args in evaluated] == [True, False]
 
 
 def test_the_spot_check_reads_the_same_walk_points_at_every_point(monkeypatch):
@@ -411,13 +376,13 @@ def test_analysis_computes_each_kernel_once(monkeypatch):
 
     blocks = [KroneckerBlock(0), JordanBlock(F(1, 3), 1), JordanBlock(INF, 1),
               JordanBlock(F(2), 2)]
-    f0, finf, point = constant_fields_at_origin(blocks)
-    rep = analyze_point(f0, finf, point, declared_rank=8)
+    c = corpus.jk("pair", blocks)
+    rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=8)
     values = [e.lam for e in rep.spectrum.entries]
     assert [r.diagonalizable for r in rep.per_lambda] == [True, False, True]
-    assert [lam for at, lam in kernels if at == point and lam in values] == values
+    assert [lam for at, lam in kernels if at == c.point and lam in values] == values
 
-    p = evaluate_pencil(f0, finf, point)
+    p = evaluate_pencil(c.field0, c.field_inf, c.point)
     ranks.clear()
     core = compute_core(p, rank=8)
     assert ranks == [] and core.dim == 1
@@ -431,16 +396,11 @@ def test_the_spot_check_core_walks_its_kernels_as_recorded(monkeypatch, case, di
     # after each kernel and its parameters, the values one elimination of the
     # whole union gave, which the span's greedy choice keeps
     cores = count_calls(monkeypatch, analyzer, "compute_core")
-    if case == "toda6":
-        (f0, finf), point, rank = toda_pencil(6), make_singular_point(6, seed=1).coordinates(), 10
-    else:
-        sl5 = shift_case(5, 0, 1)
-        e = sl5.entry()
-        f0, finf, point, rank = e.field0, e.field_inf, sl5.point, 20
-    rep = analyze_point(f0, finf, point, declared_rank=rank)
+    c = corpus.toda_singular(6, 1) if case == "toda6" else corpus.sl(5, 0)
+    rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=c.rank)
     assert rep.verdict.kind == "NonDegenerate" and len(cores) == 2
     q, mode = cores[1]
-    core = compute_core(q, mode, rank=rank)
+    core = compute_core(q, mode, rank=c.rank)
     assert core.dim_sequence == dims and core.regular_params == params
 
 
@@ -476,15 +436,11 @@ def test_analysis_eliminates_each_pencil_matrix_once(monkeypatch, kind):
     monkeypatch.setattr(PencilAtPoint, "integer_matrix_at", integer_matrix_at)
     monkeypatch.setattr(exactlin, "_bareiss", bareiss)
     n = 6
-    if kind == "gaussian":
-        # the spectrum value 1 + i and its conjugate are eliminated over Z[i]
-        pair = realified(JK_PAIRS[1])
-        f0, finf = constant_fields(pair)
-        point, rank = [F(0)] * pair.dim, pair.dim - 1
-    else:
-        point = random_point(n, 1) if kind == "regular" else make_singular_point(n, seed=1)
-        (f0, finf), point, rank = toda_pencil(n), point.coordinates(), 2 * n - 2
-    rep = analyze_point(f0, finf, point, declared_rank=rank)
+    # at JK[1] the spectrum value 1 + i and its conjugate are eliminated over Z[i]
+    c = {"gaussian": JK[1], "regular": corpus.toda_random(n, 1),
+         "singular": corpus.toda_singular(n, 1)}[kind]
+    rank = c.pencil.dim - 1 if kind == "gaussian" else c.rank
+    rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=rank)
     assert (rep.verdict.kind == "Regular") == (kind == "regular")
     if kind == "gaussian":
         assert {"(1+1i)", "(1-1i)"} <= {key for _, key in counts}
@@ -521,9 +477,8 @@ def test_the_linear_layer_computes_each_fact_once(monkeypatch):
     for n in (4, 6, 8):
         windows.clear()
         first_rank = len(ranks)
-        f0, finf = toda_pencil(n)
-        rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
-                            declared_rank=2 * n - 2)
+        c = corpus.toda_singular(n, 1)
+        rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=c.rank)
         assert rep.verdict.kind == "NonDegenerate" and rep.per_lambda
         linearized = [w for w in windows if w[0] == "linearize"]
         analyzed = [w for w in windows if w[0] == "analyze_linear"]
@@ -560,17 +515,12 @@ def test_the_kernel_form_is_eliminated_once(monkeypatch, case):
     monkeypatch.setattr(liealg, "eliminate", eliminate)
     monkeypatch.setattr(analyzer, "is_diagonalizable", is_diagonalizable)
     if case.startswith("toda"):
-        n = int(case[4:])
-        f0, finf = toda_pencil(n)
-        rep = analyze_point(f0, finf, make_singular_point(n, seed=1).coordinates(),
-                            declared_rank=2 * n - 2)
+        c = corpus.toda_singular(int(case[4:]), 1)
     elif case == "jk-gaussian":
-        blocks = [KroneckerBlock(0), JordanBlock(QQi(F(1), F(2)), 2), JordanBlock(F(1, 3), 1)]
-        f0, finf, point = constant_fields_at_origin(blocks)
-        rep = analyze_point(f0, finf, point)
+        c = corpus.jk(case, [KroneckerBlock(0), JordanBlock(QQi(1, 2), 2), JordanBlock(F(1, 3), 1)])
     else:
-        e = catalog_by_name()[case]
-        rep = analyze_point(e.field0, e.field_inf, e.point, declared_rank=e.declared_rank)
+        c = next(c for c in corpus.catalog() if c.name == case)
+    rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=c.rank)
     assert len(forms) == len(rep.per_lambda) >= 1
     assert [sum(M is form for M in eliminated) for form in forms] == [1] * len(forms)
 
@@ -599,38 +549,27 @@ def test_one_nondegeneracy_check_and_one_classification_per_lambda(monkeypatch):
     assert calls.count("classify") == 2
 
 
-NO_FLOAT_CASES = ([("catalog", e.name) for e in catalog()] + [("toda", n) for n in (4, 6, 8)]
-                  + [("sl", n) for n in (3, 4, 5)] + [("jk", k) for k in range(len(JK_PAIRS))])
+NO_FLOAT_CASES = ([pytest.param(c, id=f"catalog-{c.name}") for c in corpus.catalog()]
+                  + [pytest.param(corpus.toda_singular(n, 1), id=f"toda-{n}") for n in (4, 6, 8)]
+                  + [pytest.param(corpus.sl(n, 0), id=f"sl-{n}") for n in (3, 4, 5)]
+                  + [pytest.param(c, id=f"jk-{k}") for k, c in enumerate(corpus.jk_pairs())])
 
 
-@pytest.mark.parametrize("kind, key", NO_FLOAT_CASES)
-def test_exact_mode_holds_no_float_by_construction(kind, key, monkeypatch):
+@pytest.mark.parametrize("case", NO_FLOAT_CASES)
+def test_exact_mode_holds_no_float_by_construction(case, monkeypatch):
     """Exact analysis of every catalog entry, of singular Toda points, of the
     rank-0 sl(n) points and exact ``jk`` on the JK pairs decide with no float:
     numpy's roots and linear algebra fail, and so does every conversion of a
     matrix to floats.  Each answer is the expected one."""
-    if kind == "jk":
-        p = realified(JK_PAIRS[key])
-        forbid_floats(monkeypatch)
-        assert jk_invariants(p).total_dimension() == p.dim
-        return
-    if kind == "catalog":
-        e = catalog_by_name()[key]
-        f0, finf, point, rank = e.field0, e.field_inf, e.point, e.declared_rank
-        want = e.expected.verdict, e.expected.type
-    elif kind == "toda":
-        f0, finf = toda_pencil(key)
-        point, rank = make_singular_point(key, seed=1).coordinates(), 2 * key - 2
-        want = "NonDegenerate", (1, 0, 0)
-    else:
-        case = shift_case(key, 0, 1)
-        e = case.entry()
-        f0, finf, point, rank = e.field0, e.field_inf, case.point, key * key - key
-        want = "NonDegenerate", case.type
+    want = case.expected
     forbid_floats(monkeypatch)
-    rep = analyze_point(f0, finf, point, EXACT, declared_rank=rank)
+    if case.pair is not None:
+        inv = jk_invariants(case.pair)
+        assert inv.to_json_dict() == want and inv.total_dimension() == case.pair.dim
+        return
+    rep = analyze_point(case.field0, case.field_inf, case.point, EXACT, declared_rank=case.rank)
     t = rep.total_type
-    assert (rep.verdict.kind, t and (t.ke, t.kh, t.kf)) == want
+    assert (rep.verdict.kind, t and (t.ke, t.kh, t.kf)) == (want.verdict, want.type)
 
 
 def test_count_identity_on_reports():

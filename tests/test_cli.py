@@ -7,6 +7,8 @@ import pytest
 
 from bipencil.cli import main
 
+from oracles import corpus
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -186,18 +188,11 @@ def test_jk_float_mode_reports_the_exact_invariants(pair, tmp_path, capsys):
     # jk decides exactly in either mode: --mode float only checks --tol and
     # is recorded in the provenance, which records no tolerance.  Both pairs
     # have a double Jordan block at an irrational or non-real lambda
-    from bipencil.io import dump_canonical, pencil_to_json_dict
-    from bipencil.jk import JordanBlock, KroneckerBlock
-    from bipencil.scalars import QQi
-    from oracles.jkpairs import companion_pair, constant_fields, realified
-    p = (realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)]) if pair == "gaussian"
-         else companion_pair([4, 0, -4, 0]))
-    path = tmp_path / "pair.pencil.json"
-    path.write_text(dump_canonical(pencil_to_json_dict(*constant_fields(p), None)))
-    point = "--point=" + ",".join(["0"] * p.dim)
+    case = corpus.jk_gaussian() if pair == "gaussian" else corpus.sqrt2(2)
+    path = case.write(tmp_path / "pair.pencil.json")
     docs = {}
     for mode in ("exact", "float"):
-        code, out, err = run_cli(["jk", "--pencil", str(path), point, "--mode", mode], capsys)
+        code, out, err = run_cli(case.argv("jk", mode, path=path), capsys)
         assert code == 0, err
         docs[mode] = json.loads(out)
         assert docs[mode]["provenance"]["mode"] == mode
@@ -584,44 +579,30 @@ def test_one_parser_serves_a_sequence_of_calls(so3_file, tmp_path, capsys):
     assert (tmp_path / "together.json").read_text() == (tmp_path / "alone.json").read_text()
 
 
-def sl3_point_file(tmp_path):
-    """The argument-shift pencil of sl(3) with a = diag(1, 2, -3), and the
-    point x = [[1, 1, 0], [3, 1, 0], [0, 0, -2]] as a --point value: its
-    spectrum values lie in Q(sqrt 249), and its ad eigenvalues there are
-    roots of a quadratic over that field."""
-    from bipencil.io import dump_canonical, pencil_to_json_dict
-    from oracles.sln import ShiftCase, covector
-
-    A = [[1, 0, 0], [0, 2, 0], [0, 0, -3]]
-    X = [[1, 1, 0], [3, 1, 0], [0, 0, -2]]
-    case = ShiftCase(3, covector(X, 3), covector(A, 3), None)
-    entry = case.entry()
-    path = tmp_path / "sl3.pencil.json"
-    path.write_text(dump_canonical(pencil_to_json_dict(entry.field0, entry.field_inf, 6)))
-    return str(path), "--point=" + ",".join(map(str, case.point))
-
-
 @pytest.mark.parametrize("n, message", [
     (4, "exact mode cannot hold values of Q(sqrt 2) and Q(sqrt -2) in one field"),
     (5, "exact mode cannot hold the roots of a factor of degree 4 over Q"),
     (6, "exact mode cannot hold values of Q(sqrt 3) and Q(i) in one field"),
+    (7, "exact mode cannot hold the roots of a factor of degree 6 over Q"),
+    (8, "exact mode cannot hold the roots of a factor of degree 6 over Q"),
 ])
 def test_exact_mode_refuses_what_it_cannot_hold_at_symmetric_toda(n, message, capsys):
     """a_i = 1, b_i = 0: at n = 4 and 6 lambda and the ad eigenvalues lie in
-    two quadratic fields with no common one, and at n = 5 R has a quartic
-    factor; exact mode refuses each, naming the fields or the factor."""
-    code, out, err = run_cli(["toda", "--n", str(n), "--a", ",".join(["1"] * n),
-                              "--b", ",".join(["0"] * n)], capsys)
+    two quadratic fields with no common one, and at n = 5, 7 and 8 R has a
+    factor of degree 4 or 6; exact mode refuses each, naming the fields or
+    the factor."""
+    code, out, err = run_cli(corpus.toda_symmetric(n).argv("toda", "exact"), capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "refused", "message": message}
 
 
 def test_exact_mode_refuses_the_sl3_point_of_a_quadratic_factor(tmp_path, capsys):
-    path, point = sl3_point_file(tmp_path)
-    code, out, err = run_cli(["analyze", "--pencil", path, point], capsys)
+    case = corpus.sl3_quadratic_factor()
+    path = case.write(tmp_path / "sl3.pencil.json")
+    code, out, err = run_cli(case.argv("analyze", "exact", path=path), capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "refused",
         "message": "exact mode cannot hold the roots of a factor of degree 2 over Q(sqrt 249)"}
-    code, out, err = run_cli(["analyze", "--pencil", path, point, "--mode", "float"], capsys)
+    code, out, err = run_cli(case.argv("analyze", "float", path=path), capsys)
     assert code == 0, err

@@ -1,11 +1,11 @@
 """The kernel algebra on carrier ints: the joint eigen-split, the ad operators
 and the structure constants against the split on Fraction / QQi entries."""
 
-import functools
 from fractions import Fraction
 
+import pytest
+
 from bipencil import algebras, exactlin, roots
-from bipencil.catalog import catalog
 from bipencil.exactlin import mat_rank
 from bipencil.liealg import (CocycleKernel, LieAlgebra, LinearPencil, TwoCocycle,
                              argument_shift_cocycle, kernel_of_cocycle)
@@ -13,13 +13,8 @@ from bipencil.linearization import kernel_form, linearize
 from bipencil.pencil import is_diagonalizable, kernel_basis
 from bipencil.roots import analyze_linear, joint_eigenvectors
 from bipencil.scalars import QQi, is_exact_scalar
-from bipencil.tensorfield import evaluate_pencil
-from bipencil.toda import make_singular_point
 
-from oracles import eigensplit
-from oracles.jkpairs import JK_PAIRS, realified
-from oracles.sln import shift_case
-from oracles.toda import toda_pencil_at
+from oracles import corpus, eigensplit
 from pipeline import spectrum_of
 
 F = Fraction
@@ -35,18 +30,13 @@ def linear_pencils(p):
             yield entry.lam, linearize(p, entry.lam, ker, form)
 
 
-@functools.lru_cache(maxsize=None)
-def differential_cases():
+@pytest.fixture(scope="module")
+def differential():
     """(name, lambda, linear pencil): every catalog entry, the singular Toda
     points n = 4, 6, 8 at seeds 1, 2, and the rank-0 sl(n) points n = 3..5."""
-    points = [(e.name, evaluate_pencil(e.field0, e.field_inf, e.point)) for e in catalog()]
-    points += [(f"toda{n}.{s}", toda_pencil_at(make_singular_point(n, s)))
-               for n in (4, 6, 8) for s in (1, 2)]
-    for n in (3, 4, 5):
-        case = shift_case(n, 0, 1)
-        e = case.entry()
-        points.append((f"sl{n}", evaluate_pencil(e.field0, e.field_inf, case.point)))
-    return [(name, lam, lp) for name, p in points for lam, lp in linear_pencils(p)]
+    points = (corpus.catalog() + corpus.toda((4, 6, 8), seeds=(1, 2), regular=False)
+              + [corpus.sl(n, 0) for n in (3, 4, 5)])
+    return [(c.name, lam, lp) for c in points for lam, lp in linear_pencils(c.pencil)]
 
 
 def oracle_split(mats, mode, rows=None):
@@ -54,14 +44,14 @@ def oracle_split(mats, mode, rows=None):
     return eigensplit.joint_eigenvectors(mats)
 
 
-def test_the_integer_split_is_the_fraction_split(monkeypatch):
+def test_the_integer_split_is_the_fraction_split(differential, monkeypatch):
     # each joint eigenvalue tuple is the Fraction split's, in its order, each
     # joint eigenspace spans the Fraction split's, and the linear analysis
     # reads the same roots, reason and blocks off either split
-    cases = differential_cases()
-    assert {name for name, *_ in cases} >= {e.name for e in catalog()} | {"sl3", "sl4", "sl5"}
+    names = {name for name, *_ in differential}
+    assert names >= {c.name for c in corpus.catalog()} | {"sl3-0", "sl4-0", "sl5-0"}
     fields = set()
-    for name, lam, lp in cases:
+    for name, lam, lp in differential:
         kernel = kernel_of_cocycle(lp)
         if kernel.abelian and kernel.ad:
             got, want = joint_eigenvectors(kernel.ad), eigensplit.joint_eigenvectors(kernel.ad)
@@ -96,7 +86,7 @@ def test_a_singular_toda_kernel_splits_over_q_sqrt_minus_n():
     # the split reads them off the characteristic polynomial of the integer
     # restriction, exactly, and each root vector is an eigenvector of every
     # ad operator with its root as eigenvalue
-    (lam, lp), = linear_pencils(toda_pencil_at(make_singular_point(8, 1)))
+    (lam, lp), = linear_pencils(corpus.toda_singular(8, 1).pencil)
     kernel = kernel_of_cocycle(lp)
     items = joint_eigenvectors(kernel.ad)
     ds = {x.d for eigs, _ in items for x in eigs if isinstance(x, QQi)}
@@ -114,13 +104,8 @@ def gaussian_linear_pencils():
     real JK pair with a Jordan block at 1 + i, a constant pencil, whose kernel
     algebra is abelian, and the rank-0 sl(3) point with one rotation block,
     whose kernel algebra is not."""
-    jk = next(b for b in JK_PAIRS if any(isinstance(getattr(x, "lam", None), QQi) for x in b))
-    rotation = shift_case(3, 1, 1)
-    e = rotation.entry()
-    points = [("jk", realified(jk)),
-              ("sl3 rotation", evaluate_pencil(e.field0, e.field_inf, rotation.point))]
-    return [(name, lam, lp) for name, p in points for lam, lp in linear_pencils(p)
-            if isinstance(lam, QQi)]
+    return [(c.name, lam, lp) for c in (corpus.jk_pairs()[1], corpus.sl(3, 1))
+            for lam, lp in linear_pencils(c.pencil) if isinstance(lam, QQi)]
 
 
 def test_a_gaussian_lambda_splits_on_gaussian_integer_rows(monkeypatch):
@@ -136,7 +121,7 @@ def test_a_gaussian_lambda_splits_on_gaussian_integer_rows(monkeypatch):
         real(self, rows, K)
 
     cases = gaussian_linear_pencils()
-    assert {name for name, *_ in cases} == {"jk", "sl3 rotation"}
+    assert {name for name, *_ in cases} == {"jk1", "sl3-1"}
     for name, lam, lp in cases:
         assert lp.algebra.field == "complex"
         with monkeypatch.context() as m:
@@ -148,7 +133,7 @@ def test_a_gaussian_lambda_splits_on_gaussian_integer_rows(monkeypatch):
         assert [eigs for eigs, _ in items] == [eigs for eigs, _ in want], name
         for (_, vecs), (_, ovecs) in zip(items, want):
             assert mat_rank(vecs) == mat_rank(vecs + ovecs) == len(ovecs), name
-        if name == "sl3 rotation":
+        if name == "sl3-1":
             assert any(isinstance(x, QQi) for M in kernel.ad for row in M for x in row)
             assert set(carriers) == {-1}
             assert analyze_linear(lp).reason is None
@@ -180,11 +165,10 @@ def test_a_rational_ad_of_a_gaussian_algebra_splits_in_its_own_field():
         [e for e, _ in eigensplit.joint_eigenvectors(kernel.ad)]
 
 
-def test_the_scalar_views_stay_exact():
+def test_the_scalar_views_stay_exact(differential):
     # structure constants, Ker A's basis and the ad matrices reach callers as
     # Fraction / QQi values, whatever the integer form inside
-    cases = differential_cases()
-    for name, lam, lp in cases[::3]:
+    for name, lam, lp in differential[::3]:
         g = lp.algebra
         for i in range(g.dim):
             for j in range(g.dim):

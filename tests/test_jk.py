@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from bipencil import jk, pencil
-from bipencil.errors import ToleranceError
-from bipencil.exactlin import mat_mul, mat_rank_exact
+from bipencil.exactlin import mat_rank_exact
 from bipencil.jk import (JordanBlock, KroneckerBlock, assemble_jk_canonical_pair,
                          congruent_pair, jk_invariants)
 from bipencil.scalars import INF, QQi, lambda_key
 
-from oracles.jkpairs import realified
+from oracles import corpus
 from oracles.sampling import SamplingPolicy
 from oracles.toda import constant_lattice, toda_pencil_at
 
@@ -138,23 +137,14 @@ def test_invariants_build_quotient_and_recursion_once(monkeypatch):
     assert len(qbasis) == 1 and len(recursion) == 1
 
 
-def unimodular(d: int, sampler):
-    """Unit lower times unit upper triangular integer matrix: det 1."""
-    L = [[Fraction(1 if i == j else sampler.randint(-1, 1) if i > j else 0) for j in range(d)]
-         for i in range(d)]
-    U = [[Fraction(1 if i == j else sampler.randint(-1, 1) if i < j else 0) for j in range(d)]
-         for i in range(d)]
-    return mat_mul(L, U)
-
-
 def test_complex_jordan_blocks_of_size_two_under_congruence():
     # no other test has a non-real Jordan block of size >= 2: R - mu I is
     # Gaussian there, and its powers run on the real form
-    p = realified([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
+    p = corpus.jk_gaussian().pair
     assert p.dim == 13
     for k in range(2):
         sp = SamplingPolicy(40 + k)
-        inv = jk_invariants(congruent_pair(p, unimodular(p.dim, sp.spawn(1))))
+        inv = jk_invariants(congruent_pair(p, corpus.unit_lower_upper(p.dim, sp.spawn(1))))
         assert inv.to_json_dict() == {"corank": 1, "kronecker": [2],
                                       "jordan": {"(1+2i)": [2], "(1-2i)": [2]}}
 

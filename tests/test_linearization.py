@@ -19,11 +19,11 @@ from bipencil.roots import (analyze_linear, is_nondegenerate_linear, joint_eigen
                            root_decomposition)
 from bipencil.scalars import EXACT, INF, QQi, conj, float_mode, is_exact_scalar, is_inf, tidy
 from bipencil.tensorfield import evaluate_pencil, gram, skew
-from bipencil.toda import make_singular_point, toda_pencil
+from bipencil.toda import make_singular_point
 
+from oracles import corpus
 from oracles.algebras import abelian, quotient_by_central, with_complex_scalars
 from oracles.dense import bilinear
-from oracles.sln import shift_case
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import linearize_at
 
@@ -390,18 +390,13 @@ def bits(x):
 
 def contraction_cases():
     """(name, pencil, lambda): rational, infinite and Gaussian spectrum values."""
-    f0, finf = toda_pencil(4)
-    pt = make_singular_point(4, seed=1).coordinates()
-    rotation = shift_case(3, 1, 1)
-    e = rotation.entry()
-    gaussian = QQi(F(-12, 41), F(26, 41))      # a spectrum value of this point
-    diamond_c = catalog_by_name()["diamond_C_shift"]
-    return [("toda4 at 0", evaluate_pencil(f0, finf, pt), F(0)),
-            ("toda4 swapped at infinity", evaluate_pencil(finf, f0, pt), INF),
-            ("sl3 rotation at a Gaussian lambda",
-             evaluate_pencil(e.field0, e.field_inf, rotation.point), gaussian),
-            ("diamond_C_shift at 0",
-             evaluate_pencil(diamond_c.field0, diamond_c.field_inf, diamond_c.point), F(0))]
+    toda4 = corpus.toda_singular(4, 1)
+    gaussian = QQi(F(-12, 41), F(26, 41))      # a spectrum value of sl3-1
+    return [("toda4 at 0", toda4.pencil, F(0)),
+            ("toda4 swapped at infinity",
+             evaluate_pencil(toda4.field_inf, toda4.field0, toda4.point), INF),
+            ("sl3 rotation at a Gaussian lambda", corpus.sl(3, 1).pencil, gaussian),
+            ("diamond_C_shift at 0", catalog_pencil("diamond_C_shift"), F(0))]
 
 
 @pytest.mark.parametrize("name, p, lam", contraction_cases(),
@@ -432,7 +427,7 @@ def test_a_basis_without_unit_columns_gives_the_same_algebra(monkeypatch):
     # columns with no elimination, a scaled, mixed basis of the same kernel
     # has none and takes one elimination beside all its brackets; both give
     # one algebra, in their own coordinates
-    p = toda_pencil_at(make_singular_point(4, seed=1))
+    p = corpus.toda_singular(4, 1).pencil
     ker = kernel_basis(p, F(0))
     mixed = [[F(3) * x + y for x, y in zip(ker[0], ker[1])]] + \
             [[F(-1, 2) * x for x in u] for u in ker[1:]]

@@ -21,11 +21,10 @@ from bipencil.scalars import (EXACT, INF, QQi, conj, float_mode, is_inf, lambda_
 from bipencil.tensorfield import PencilAtPoint, constant_pencil, evaluate_pencil, skew
 from bipencil.toda import make_singular_point, random_point, toda_pencil
 
+from oracles import corpus
 from oracles.dense import bilinear, complex_array
 from oracles.fields import diff
-from oracles.jkpairs import JK_PAIRS, companion_pair, realified
 from oracles.sampling import SamplingPolicy
-from oracles.sln import shift_case
 from oracles.stops import core_until_two_idle, rank_corank_over_d_plus_two
 from oracles.toda import constant_lattice, toda_pencil_at
 from pipeline import core_of, diagonalizable_flags, spectrum_of
@@ -154,60 +153,41 @@ def test_quotient_dimension_zero_for_kronecker(kronecker3):
     assert quotient_basis(kronecker3, core) == []
 
 
-def exact_points():
-    """22 exact points: the catalog, Toda singular and random points for
-    n = 3, 4, 5, and JK pairs with a Jordan block at 1/3, infinity and 1+2i."""
-    points = {e.name: evaluate_pencil(e.field0, e.field_inf, e.point) for e in catalog()}
-    for n in (3, 4, 5):
-        points[f"toda-singular-{n}"] = toda_pencil_at(make_singular_point(n, seed=1))
-        points[f"toda-random-{n}"] = toda_pencil_at(random_point(n, 3))
-    for name, lam in (("rational", Fraction(1, 3)), ("infinity", INF),
-                      ("gaussian", QQi(Fraction(1), Fraction(2)))):
-        points[f"jk-{name}"] = assemble_jk_canonical_pair(
-            [KroneckerBlock(1), JordanBlock(lam, 2)])
-    assert len(points) == 22
-    return points
+# 22 exact points: the catalog, Toda singular and random points for n = 3,
+# 4, 5, and JK pairs with a Jordan block at 1/3, infinity and 1+2i
+EXACT_POINTS = (
+    corpus.catalog()
+    + [c for n in (3, 4, 5) for c in (corpus.toda_singular(n, 1), corpus.toda_random(n, 3))]
+    + [corpus.jk(f"jk-{lambda_key(lam)}", [KroneckerBlock(1), JordanBlock(lam, 2)], real=False)
+       for lam in (Fraction(1, 3), INF, QQi(1, 2))])
 
 
 def test_quotient_dim_counts_quotient_basis():
     # dim - 2 dim L + corank is the size of the quotient basis, at points with
     # and without Jordan blocks
     dims = {}
-    for name, p in exact_points().items():
+    for case in EXACT_POINTS:
+        p = case.pencil
         core = core_of(p)
-        dims[name] = quotient_dim(p, core)
-        assert dims[name] == len(quotient_basis(p, core)), name
-    assert dims["jk-gaussian"] == 4 and dims["toda-random-4"] == 0
-
-
-def _kernel_sum_cases():
-    """(name, pencil, diagonalizable?) at 26 exact points whose every lambda
-    is diagonalizable: the catalog, Toda singular at seeds 1, 2 and random
-    points for n = 4, 6, 8, and sl(n) shift cases; then the JK pairs and the
-    companion pairs of x^2 - 2 and (x^2 - 2)^2."""
-    for e in catalog():
-        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point), True
-    for n in (4, 6, 8):
-        for s in (1, 2):
-            yield f"toda-singular-{n}-{s}", toda_pencil_at(make_singular_point(n, seed=s)), True
-        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n)), True
-    for n, b in ((3, 0), (3, 1), (4, 1), (5, 0)):
-        case = shift_case(n, b, 1)
-        e = case.entry()
-        yield f"sl{n}-{b}", evaluate_pencil(e.field0, e.field_inf, case.point), True
-    for k, blocks in enumerate(JK_PAIRS):
-        yield f"jk-{k}", realified(blocks), k in (0, 1)
-    yield "sqrt2", companion_pair([-2, 0]), True
-    yield "sqrt2-squared", companion_pair([4, 0, -4, 0]), False
+        dims[case.name] = quotient_dim(p, core)
+        assert dims[case.name] == len(quotient_basis(p, core)), case.name
+    assert len(dims) == 22 and dims["jk-(1+2i)"] == 4 and dims["toda-random-4.3"] == 0
 
 
 def test_spectrum_kernels_fill_the_quotient_exactly_when_diagonalizable():
     # a Jordan block of size k at lambda adds 2 to Ker P_lambda beyond the
     # corank and 2k to L^perp / L (4 and 4k for a conjugate pair): the sum
     # over the spectrum equals dim L^perp / L when every size is 1, and falls
-    # short otherwise
+    # short otherwise.  Every lambda of the catalog, Toda and sl(n) points is
+    # diagonalizable; the constant pairs say by their Jordan blocks
     sums = {}
-    for name, p, flat in _kernel_sum_cases():
+    cases = (corpus.catalog() + corpus.toda((4, 6, 8), seeds=(1, 2))
+             + [corpus.sl(n, b) for n, b in ((3, 0), (3, 1), (4, 1), (5, 0))]
+             + corpus.jk_pairs() + [corpus.sqrt2(1), corpus.sqrt2(2)])
+    for case in cases:
+        name, p = case.name, case.pencil
+        flat = case.pair is None or all(
+            sizes == [1] * len(sizes) for sizes in case.expected["jordan"].values())
         core = core_of(p)
         spectrum = compute_spectrum(p, core)
         total = sum((e.kernel_dim - spectrum.corank) * (2 if e.paired else 1)
@@ -216,7 +196,7 @@ def test_spectrum_kernels_fill_the_quotient_exactly_when_diagonalizable():
         assert (total == quotient_dim(p, core) if flat else total < quotient_dim(p, core)), name
         sums[name] = total, quotient_dim(p, core)
     assert len(sums) == 26 + 7
-    assert sums["jk-2"] == (2, 4) and sums["sl5-0"] == (20, 20)
+    assert sums["jk2"] == (2, 4) and sums["sl5-0"] == (20, 20)
 
 
 def test_regular_bracket_on_kernel_is_a_multiple_of_the_form():
@@ -225,7 +205,8 @@ def test_regular_bracket_on_kernel_is_a_multiple_of_the_form():
     # decides diagonalizability as the P_alpha Gram matrix did; the form is
     # the quotient form of the generator at the other end of the pencil
     seen = 0
-    for name, p in exact_points().items():
+    for case in EXACT_POINTS:
+        name, p = case.name, case.pencil
         core = core_of(p)
         alpha = core.regular_params[0]
         A_alpha = p.matrix_at(alpha)
@@ -391,19 +372,6 @@ def test_float_core_perp_has_the_dimension_the_core_gives(name):
     assert len(core_perp(p, core_of(p), EXACT)) == p.dim
 
 
-def _pencil_cases():
-    """(name, field0, field_inf, point): every catalog entry at its point and at
-    a random one, and Toda n = 2..4 at a singular and a random point."""
-    sp = SamplingPolicy(21)
-    for e in catalog():
-        yield e.name, e.field0, e.field_inf, e.point
-        yield e.name, e.field0, e.field_inf, sp.rational_point(e.field0.dim)
-    for n in range(2, 5):
-        p0, pinf = toda_pencil(n)
-        for pt in (make_singular_point(n, seed=1), random_point(n, seed=n)):
-            yield f"toda{n}", p0, pinf, pt.coordinates()
-
-
 def _dense(field0, field_inf, point, lam, k=None):
     """P_lambda, or d/dx_k of it, entry by entry from the polynomial fields."""
     def value(f, i, j):
@@ -417,9 +385,14 @@ def _dense(field0, field_inf, point, lam, k=None):
 
 
 def test_sparse_pencil_equals_the_dense_formula():
+    # every catalog entry at its point and at a random one, and Toda
+    # n = 2..4 at a singular and a random point
     lams = (Fraction(0), Fraction(-3, 7), QQi(Fraction(1, 2), Fraction(-2)), INF)
-    for name, f0, finf, point in _pencil_cases():
-        p = evaluate_pencil(f0, finf, point)
+    sp = SamplingPolicy(21)
+    cases = [c for e in corpus.catalog() for c in (
+        e, corpus.Case(e.name, e.field0, e.field_inf, sp.rational_point(len(e.point))))]
+    for case in cases + corpus.toda(range(2, 5)):
+        name, f0, finf, point, p = case.name, case.field0, case.field_inf, case.point, case.pencil
         for lam in lams:
             assert p.matrix_at(lam) == _dense(f0, finf, point, lam), (name, lam)
             for k in range(p.dim):
@@ -438,20 +411,6 @@ def test_one_float_tolerance():
     # parameter at infinity
     assert is_inf(pencil._moebius_to_lambda(1 + 1e-12, Fraction(1), Fraction(2),
                                             float_mode(1e-9)))
-
-
-def _integer_cases():
-    """The catalog at its points, Toda singular and random points for n = 4, 6,
-    and a JK pair under an integer congruence."""
-    for e in catalog():
-        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
-    for n in (4, 6):
-        yield f"toda-singular-{n}", toda_pencil_at(make_singular_point(n, seed=1))
-        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
-    p = assemble_jk_canonical_pair([KroneckerBlock(1), JordanBlock(Fraction(-2, 3), 2)])
-    U = [[Fraction(1 if i == j else (i * 3 + j) % 3 - 1 if j > i else 0) for j in range(p.dim)]
-         for i in range(p.dim)]
-    yield "jk-congruent", congruent_pair(p, U)
 
 
 def _positive_multiple(M, N):
@@ -475,8 +434,16 @@ def _carrier_matrix(M, lam):
 
 
 def test_integer_pencil_decides_as_the_fraction_matrix():
+    # the catalog at its points, Toda singular and random points for n = 4,
+    # 6, and a JK pair under an integer congruence
+    jk = corpus.jk("jk-congruent", [KroneckerBlock(1), JordanBlock(Fraction(-2, 3), 2)],
+                   real=False)
+    d = jk.pair.dim
+    U = [[Fraction(1 if i == j else (i * 3 + j) % 3 - 1 if j > i else 0) for j in range(d)]
+         for i in range(d)]
     sampler = SamplingPolicy(31)
-    for name, p in _integer_cases():
+    for case in corpus.catalog() + corpus.toda((4, 6)) + [jk.congruent(U)]:
+        name, p = case.name, case.pencil
         lams = [INF, Fraction(0)] + [sampler.small_rational(1000, 1000) for _ in range(3)]
         for lam in lams:
             M = p.integer_matrix_at(lam)
@@ -697,20 +664,11 @@ def test_rank_samples_are_enough_and_tight(m, monkeypatch):
     assert all(rank_at(q, lam) < 2 * m for lam in eigs[:-1] + [INF])
 
 
-def _stop_cases():
-    """The catalog at its points, Toda singular and random points for
-    n = 2..8, and the benchmark's JK pairs."""
-    for e in catalog():
-        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
-    for n in range(2, 9):
-        yield f"toda-singular-{n}", toda_pencil_at(make_singular_point(n, seed=1))
-        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
-    for k, blocks in enumerate(JK_PAIRS):
-        yield f"jk-{k}", assemble_jk_canonical_pair(blocks)
-
-
 def test_early_stops_agree_with_the_longer_rules():
-    for name, p in _stop_cases():
+    # the catalog at its points, Toda singular and random points for
+    # n = 2..8, and the canonical pairs of the benchmark's JK block lists
+    for case in corpus.catalog() + corpus.toda(range(2, 9)) + corpus.jk_pairs(real=False):
+        name, p = case.name, case.pencil
         rank, corank = pencil_rank_corank(p)
         assert (rank, corank) == rank_corank_over_d_plus_two(p), name
         core = compute_core(p, rank=rank)
@@ -729,31 +687,20 @@ def test_early_stops_agree_with_the_longer_rules():
             assert core.dim == full, name
 
 
-def _spectrum_count_cases():
-    """The catalog at its points, Toda n = 4, 6, 8 at the singular points of
-    seeds 1 and 2 and at a random point, and the rank-0 sl(n) points
-    n = 3..5."""
-    for e in catalog():
-        yield e.name, evaluate_pencil(e.field0, e.field_inf, e.point)
-    for n in (4, 6, 8):
-        for seed in (1, 2):
-            yield f"toda-singular-{n}.{seed}", toda_pencil_at(make_singular_point(n, seed=seed))
-        yield f"toda-random-{n}", toda_pencil_at(random_point(n, n))
-    for n in (3, 4, 5):
-        case = shift_case(n, 0, 1)
-        e = case.entry()
-        yield f"sl{n}", evaluate_pencil(e.field0, e.field_inf, case.point)
-
-
 def test_a_diagonalizable_spectrum_fills_the_quotient():
     # where every lambda is diagonalizable, each Jordan block at lambda is a
     # 2 x 2 pair, which adds 2 to dim Ker P_lambda - corank and 2 to
     # dim L^perp / L; so the sum of kernel_dim - corank over the spectrum, a
     # paired entry counted for both conjugates, is dim L^perp / L, and a
     # lambda that the roots of R's characteristic polynomial miss breaks it.
-    # Every lambda of these points is diagonalizable.
+    # Every lambda of these points is diagonalizable: the catalog at its
+    # points, Toda n = 4, 6, 8 at the singular points of seeds 1 and 2 and at
+    # a random point, and the rank-0 sl(n) points n = 3..5.
     nonempty = 0
-    for name, p in _spectrum_count_cases():
+    cases = (corpus.catalog() + corpus.toda((4, 6, 8), seeds=(1, 2))
+             + [corpus.sl(n, 0) for n in (3, 4, 5)])
+    for case in cases:
+        name, p = case.name, case.pencil
         core = core_of(p)
         spectrum = compute_spectrum(p, core)
         assert all(diagonalizable_flags(p, spectrum).values()), name

@@ -17,6 +17,7 @@ from bipencil.toda import (TodaPoint, jacobi_block, jacobi_char_poly, lax_recurs
                            make_singular_point, random_point, toda_pencil,
                            toda_spectrum_via_lax)
 
+from oracles import corpus
 from oracles.fields import add, verify_jacobi
 from oracles.sampling import SamplingPolicy
 from oracles.stops import lax_spectrum_by_roots, shift_block_by_mat_vec
@@ -323,32 +324,32 @@ def test_exact_singular_toda_decides_with_no_float(n, s, monkeypatch):
     block, a pair in an imaginary quadratic field, so exact mode decides the
     root decomposition exactly: every float decision fails here, and the
     report carries no warning."""
-    p0, pinf = toda_pencil(n)
-    point = make_singular_point(n, seed=s).coordinates()
+    c = corpus.toda_singular(n, s)
     forbid_floats(monkeypatch)
-    rep = analyze_point(p0, pinf, point, declared_rank=2 * n - 2)
+    rep = analyze_point(c.field0, c.field_inf, c.point, declared_rank=c.rank)
     assert rep.warnings == []
     assert rep.verdict.kind == "NonDegenerate" and rep.total_type.ke == 1
 
 
-def toda_cli(pt: TodaPoint, mode: str, capsys):
-    """The one point of ``toda`` at ``pt`` in ``mode``, which must exit 0."""
-    code = main(["toda", "--n", str(pt.n), "--a=" + ",".join(map(str, pt.a)),
-                 "--b=" + ",".join(map(str, pt.b)), "--mode", mode])
+def toda_cli(case, mode: str, capsys):
+    """The one point of ``toda`` at a corpus lattice point in ``mode``, which
+    must exit 0."""
+    code = main(case.argv("toda", mode))
     captured = capsys.readouterr()
     assert code == 0, captured.err
     return json.loads(captured.out)["points"][0]
 
 
-@pytest.mark.parametrize("pt", [make_singular_point(n, s) for n in (4, 6, 8) for s in (1, 2)] + [
-    TodaPoint(n=6, a=[F(x) for x in (45, 1, 1, 1, 1, 1)],
-              b=[F(x) for x in ("-32", "-60", "2/5", "6", "-2/9", "-2")])],
+@pytest.mark.parametrize("case", corpus.toda((4, 6, 8), seeds=(1, 2), regular=False) + [
+    corpus.toda_at("n6-lambda-near-zero", TodaPoint(
+        n=6, a=[F(x) for x in (45, 1, 1, 1, 1, 1)],
+        b=[F(x) for x in ("-32", "-60", "2/5", "6", "-2/9", "-2")]))],
     ids=[f"n{n}-s{s}" for n in (4, 6, 8) for s in (1, 2)] + ["n6-lambda-near-zero"])
-def test_float_singular_toda_agrees_with_the_lax_oracle(pt, capsys):
+def test_float_singular_toda_agrees_with_the_lax_oracle(case, capsys):
     # one elliptic block per double Lax eigenvalue; at the last point the
     # float lambda lies about 2e-8 from 0, which the snap at the clustering
     # tolerance takes to 0
-    point = toda_cli(pt, "float", capsys)
+    point = toda_cli(case, "float", capsys)
     assert point["report"]["verdict"]["kind"] == "NonDegenerate"
     assert point["report"]["total_type"]["ke"] == len(point["lax_oracle"])
     assert point["oracle_agrees"] is True
@@ -356,9 +357,8 @@ def test_float_singular_toda_agrees_with_the_lax_oracle(pt, capsys):
 
 @pytest.mark.parametrize("n, ke", [(2, 1), (3, 2)])
 def test_float_symmetric_toda_gives_the_exact_type(n, ke, capsys):
-    pt = TodaPoint(n=n, a=[F(1)] * n, b=[F(0)] * n)
     for mode in ("exact", "float"):
-        point = toda_cli(pt, mode, capsys)
+        point = toda_cli(corpus.toda_symmetric(n), mode, capsys)
         assert point["report"]["verdict"]["kind"] == "NonDegenerate", mode
         assert point["report"]["total_type"] == {"ke": ke, "kh": 0, "kf": 0}, mode
         assert point["oracle_agrees"] is True, mode

@@ -7,15 +7,18 @@ into a temporary directory.  For each tree (REF's export and the working tree
 this file lives in) one child process builds every job of the four benchmark
 workloads at each seed through that tree's ``perfbench/workloads.build`` and
 runs it through ``run_job``.  The same child then runs the further reports of
-``further_jobs``, which the benchmark does not run, whatever the seeds.
+``further_jobs``, which the benchmark does not run, whatever the seeds.  Their
+inputs come from the working tree's ``tests/oracles/corpus.py`` in both
+children, so both trees run the same inputs from one definition, and a REF
+without the corpus still runs.
 Work-directory paths are replaced by a placeholder, so that only the program's
 output is compared.  The jobs whose exit code, stdout or stderr differ are
 printed, and counted apart for the benchmark and the further reports, and
 again by each job's ``--mode`` (exact where it has none), and those that
 exit 0 at REF and nonzero in the tree are counted by mode on their own: a
 change that trades a wrong answer for a failure shows there.  In the working
-tree, each further ``analyze`` or ``linear`` input is compared across the
-seeds it runs at, its reports' provenance (which records the seed) set
+tree, each further ``analyze``, ``linear`` or ``jk`` input is compared across
+the seeds it runs at, its reports' provenance (which records the seed) set
 aside: the analysis draws no random point, so no input may differ.  The
 exit code is 1 if any job differs between the trees or any input across its
 seeds.  The line count of ``src/`` in both trees is printed beside them,
@@ -27,12 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import subprocess
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -84,28 +85,25 @@ def further_jobs(workdir: str):
       with CLI seed s: Regular points larger than any ``regular-exact`` job,
       where every exact rank and kernel of the pencil layer is read off one
       elimination per lambda;
-    - ``jk`` and ``analyze`` at the origin on the real canonical pair of
-      every ``workloads.JK_PAIRS`` entry, on the 13-dim pair with (1 +- 2i)
-      Jordan blocks of size 2 under two congruences, and on the companion
-      pairs of x^2 - 2 and (x^2 - 2)^2, with Jordan blocks of size 1 and 2
-      at lambda = +-sqrt(2), in both modes at seeds 0-2: the only reports
-      that reach ``NonDiagonalizable``, and the only ones with lambda
-      irrational in a real quadratic field;
-    - ``analyze`` on the rank-0 argument-shift points of ``oracles.sln``'s
-      ``shift_case`` with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at seed
-      1, their rank declared, in both modes, with (7, 0) at seed 0 and with
-      (8, 0) at seed 1 in exact mode: the largest kernel algebras and
+    - ``jk`` and ``analyze`` at the origin on ``corpus.jk_pairs()``, the real
+      pairs of the benchmark's JK block lists, on the 13-dim pair with
+      (1 +- 2i) Jordan blocks of size 2 under two congruences, and on the
+      companion pairs ``corpus.sqrt2(1)`` and ``sqrt2(2)``, in both modes at
+      seeds 0-2: the only reports that reach ``NonDiagonalizable``, and the
+      only ones with lambda irrational in a real quadratic field;
+    - ``analyze`` on the rank-0 argument-shift points ``corpus.sl(n, b)``
+      with (n, b) = (3, 1), (4, 1), (5, 0) and (6, 0) at CLI seed 1, their
+      rank declared, in both modes, with (7, 0) at CLI seed 0 and with
+      (8, 0) at CLI seed 1 in exact mode: the largest kernel algebras and
       quotient forms the reports reach, whose float outputs the benchmark
       does not cover, and 20 rational spectrum values from a 42 x 42
       recursion operator at sl(7), and 24 from a 56 x 56 one at sl(8), where
       a float search for the roots of its characteristic polynomial fails;
-    - ``analyze`` on the sl(3) argument-shift pencil with a = diag(1, 2, -3)
-      at x = [[1, 1, 0], [3, 1, 0], [0, 0, -2]], its rank declared, in both
-      modes at seeds 0-2: a singular point of point rank 1 off the Toda
-      family, whose spectrum values lie in Q(sqrt 249) and whose roots there
-      are those of a quadratic factor over Q(sqrt 249), which exact mode
-      refuses until it holds algebraic numbers of higher degree, so that
-      the refusal, and an answer in its place, show here;
+    - ``analyze`` on ``corpus.sl3_quadratic_factor()``, its rank declared,
+      in both modes at seeds 0-2: a singular point off the Toda family whose
+      roots are those of a quadratic factor over Q(sqrt 249), which exact
+      mode refuses until it holds algebraic numbers of higher degree, so
+      that the refusal, and an answer in its place, show here;
     - ``analyze`` on so(3)'s shift pencil written the long way, in both
       modes: exponents as digit strings and integral floats, repeated
       monomials that cancel or add up, and an entry whose terms all cancel,
@@ -113,23 +111,22 @@ def further_jobs(workdir: str):
       files never hold;
     - the input errors of ``input_error_jobs``, which exit 1 or 2.
 
-    The child has put the tree's ``perfbench`` and ``tests`` on ``sys.path``,
-    so the ``jk`` inputs come from its ``workloads`` helpers, and the complex
-    algebras and the sl(n) points from its test oracles.
+    The child has put the working tree's ``tests`` on ``sys.path``, whichever
+    tree it runs, and REF's ``tests`` is not read: the catalog pencils, the
+    Toda and sl(n) points and the constant pairs are cases of
+    ``oracles.corpus``, and the complex algebras come from
+    ``oracles.algebras``.  The catalog's algebras and the Toda kernel
+    algebras are the tree's own.
     """
-    import workloads
     from bipencil.algebras import diamond, so3
     from bipencil.catalog import catalog, catalog_by_name
     from bipencil.io import dump_canonical, pencil_to_json_dict
-    from bipencil.jk import JordanBlock, KroneckerBlock, congruent_pair
     from bipencil.liealg import argument_shift_cocycle
     from bipencil.linearization import kernel_form, linearize
     from bipencil.pencil import compute_core, compute_spectrum, kernel_basis, pencil_rank_corank
     from bipencil.scalars import QQi
-    from bipencil.tensorfield import evaluate_pencil
-    from bipencil.toda import make_singular_point, random_point, toda_pencil
+    from oracles import corpus
     from oracles.algebras import with_complex_scalars
-    from oracles.sln import ShiftCase, covector, shift_case
 
     def write(name, doc):
         path = os.path.join(workdir, name)
@@ -137,109 +134,76 @@ def further_jobs(workdir: str):
             fh.write(dump_canonical(doc))
         return path
 
+    def linear(key, alg, coc):
+        return [(f"linear {key} {mode} seed={s}", ["linear", "--algebra", alg, "--cocycle", coc,
+                                                    "--mode", mode, "--seed", str(s)])
+                for mode in MODES for s in FURTHER_SEEDS]
+
+    def on_file(key, case, name, commands=("analyze",), declared=True, modes=MODES,
+                seeds=FURTHER_SEEDS):
+        path = case.write(os.path.join(workdir, name), declared)
+        return [(f"{command} {key} {mode} seed={s}", case.argv(command, mode, s, path))
+                for command in commands for mode in modes for s in seeds]
+
     jobs = []
-    for entry in catalog():
-        point = "--point=" + ",".join(map(str, entry.point))
-        for rank in (entry.declared_rank, None):
-            path = write(f"{entry.name}.rank-{rank}.pencil.json",
-                         pencil_to_json_dict(entry.field0, entry.field_inf, rank))
-            jobs += [(f"analyze {entry.name} rank={rank} {mode} seed={s}",
-                      ["analyze", "--pencil", path, point, "--mode", mode, "--seed", str(s)])
-                     for mode in MODES for s in FURTHER_SEEDS]
+    for case, entry in zip(corpus.catalog(), catalog()):
+        for rank in (case.rank, None):
+            jobs += on_file(f"{case.name} rank={rank}", case,
+                            f"{case.name}.rank-{rank}.pencil.json", declared=rank is not None)
         if entry.shift is not None:
             alg = write(f"{entry.name}.algebra.json", entry.algebra.to_json_dict())
             cocycles = {"shift": argument_shift_cocycle(entry.algebra, entry.shift).to_json_dict(),
                         "zero": {"dim": entry.algebra.dim, "cocycle": []}}
             for kind, doc in cocycles.items():
                 coc = write(f"{entry.name}.{kind}.cocycle.json", doc)
-                jobs += [(f"linear {entry.name} {kind} {mode} seed={s}",
-                          ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
-                           "--seed", str(s)])
-                         for mode in MODES for s in FURTHER_SEEDS]
+                jobs += linear(f"{entry.name} {kind}", alg, coc)
     e12 = write("e12.cocycle.json", {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": "1"}]})
     for name, structure in (("abelian2", []), ("aff1", [{"i": 1, "j": 2, "k": 2, "c": "1"}])):
         alg = write(f"{name}.algebra.json", {"dim": 2, "structure": structure})
-        jobs += [(f"linear {name} e12 {mode} seed={s}",
-                  ["linear", "--algebra", alg, "--cocycle", e12, "--mode", mode, "--seed", str(s)])
-                 for mode in MODES for s in FURTHER_SEEDS]
+        jobs += linear(f"{name} e12", alg, e12)
     alg = write("r-r4.algebra.json", {"dim": 5, "structure": [
         {"i": 1, "j": j, "k": j, "c": c} for j, c in ((2, "1"), (3, "1"), (4, "-1"), (5, "-1"))]})
     coc = write("r-r4.cocycle.json", {"dim": 5, "cocycle": [{"i": 2, "j": 4, "c": "1"},
                                                             {"i": 3, "j": 5, "c": "1"}]})
-    jobs += [(f"linear r-r4 {mode} seed={s}",
-              ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode, "--seed", str(s)])
-             for mode in MODES for s in FURTHER_SEEDS]
+    jobs += linear("r-r4", alg, coc)
     for name, algebra, shift in (("so3C", so3(), [0, 0, QQi(0, 1)]),
                                  ("diamondC", diamond(), [0, 0, 1, 0])):
         algebra = with_complex_scalars(algebra)
         alg = write(f"{name}.algebra.json", algebra.to_json_dict())
         coc = write(f"{name}.shift.cocycle.json",
                     argument_shift_cocycle(algebra, shift).to_json_dict())
-        jobs += [(f"linear {name} complex shift {mode} seed={s}",
-                  ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
-                   "--seed", str(s)])
-                 for mode in MODES for s in FURTHER_SEEDS]
+        jobs += linear(f"{name} complex shift", alg, coc)
     for n in (4, 6, 8):
-        f0, finf = toda_pencil(n)
         for s in (1, 2):
-            p = evaluate_pencil(f0, finf, make_singular_point(n, s).coordinates())
+            p = corpus.toda_singular(n, s).pencil
             rank, _ = pencil_rank_corank(p)
             for k, entry in enumerate(compute_spectrum(p, compute_core(p, rank=rank)).entries):
                 ker = kernel_basis(p, entry.lam)
                 lp = linearize(p, entry.lam, ker, kernel_form(p, entry.lam, ker))
                 alg = write(f"toda{n}.{s}.{k}.algebra.json", lp.algebra.to_json_dict())
                 coc = write(f"toda{n}.{s}.{k}.cocycle.json", lp.cocycle.to_json_dict())
-                jobs += [(f"linear toda kernel n={n} s={s} lambda#{k} {mode} seed={seed}",
-                          ["linear", "--algebra", alg, "--cocycle", coc, "--mode", mode,
-                           "--seed", str(seed)])
-                         for mode in MODES for seed in FURTHER_SEEDS]
+                jobs += linear(f"toda kernel n={n} s={s} lambda#{k}", alg, coc)
     for mode in MODES:
         jobs += [(f"toda --scan 3 n={n} {mode}",
                   ["toda", "--n", str(n), "--scan", "3", "--seed", "1", "--mode", mode])
                  for n in range(2, 7)]
-        jobs += [(f"toda symmetric n={n} {mode}",
-                  ["toda", "--n", str(n), "--a", ",".join(["1"] * n),
-                   "--b", ",".join(["0"] * n), "--mode", mode])
+        jobs += [(f"toda symmetric n={n} {mode}", corpus.toda_symmetric(n).argv("toda", mode))
                  for n in range(2, 9)]
         jobs += [(f"toda singular n={n} s={s} {mode}",
-                  workloads._toda_argv(make_singular_point(n, s), mode, s))
+                  corpus.toda_singular(n, s).argv("toda", mode, s))
                  for n in (10, 12) for s in (1, 2)]
-    jobs += [(f"toda random n={n} s={s} exact",
-              workloads._toda_argv(random_point(n, s), "exact", s))
+    jobs += [(f"toda random n={n} s={s} exact", corpus.toda_random(n, s).argv("toda", "exact", s))
              for n in (10, 12) for s in (1, 2)]
-    pairs = [(f"jk{k}", workloads._real_jk_pair(blocks))
-             for k, blocks in enumerate(workloads.JK_PAIRS)]
-    gaussian = workloads._real_jk_pair([KroneckerBlock(2), JordanBlock(QQi(1, 2), 2)])
-    rng = random.Random("jobdiff-jk")
-    pairs += [(f"jk-gaussian.{c}",
-               congruent_pair(gaussian, workloads._unimodular(gaussian.dim, rng)))
-              for c in range(2)]
-    pairs += [("sqrt2", companion_pair([-2, 0])), ("sqrt2-square", companion_pair([4, 0, -4, 0]))]
-    for name, p in pairs:
-        path = workloads._constant_pencil_file(
-            os.path.join(workdir, f"{name}.pencil.json"), p)
-        jobs += [(f"{command} {name} {mode} seed={s}",
-                  [command, "--pencil", path, "--point=" + ",".join(["0"] * p.dim),
-                   "--mode", mode, "--seed", str(s)])
-                 for command in ("jk", "analyze") for mode in MODES for s in FURTHER_SEEDS]
+    pairs = (corpus.jk_pairs() + corpus.jk_gaussian_congruences()
+             + [corpus.sqrt2(size) for size in (1, 2)])
+    for case in pairs:
+        jobs += on_file(case.name, case, f"{case.name}.pencil.json", ("jk", "analyze"))
     for n, b, seed, modes in ((3, 1, 1, MODES), (4, 1, 1, MODES), (5, 0, 1, MODES),
                               (6, 0, 1, MODES), (7, 0, 0, ("exact",)), (8, 0, 1, ("exact",))):
-        case = shift_case(n, b, 1)
-        entry = case.entry()
-        path = write(f"sl{n}.b{b}.pencil.json",
-                     pencil_to_json_dict(entry.field0, entry.field_inf, n * n - n))
-        point = "--point=" + ",".join(map(str, case.point))
-        jobs += [(f"analyze sl{n} shift b={b} {mode} seed={seed}",
-                  ["analyze", "--pencil", path, point, "--mode", mode, "--seed", str(seed)])
-                 for mode in modes]
-    case = ShiftCase(3, covector([[1, 1, 0], [3, 1, 0], [0, 0, -2]], 3),
-                     covector([[1, 0, 0], [0, 2, 0], [0, 0, -3]], 3), None)
-    entry = case.entry()
-    path = write("sl3.point.pencil.json", pencil_to_json_dict(entry.field0, entry.field_inf, 6))
-    jobs += [(f"analyze sl3 shift quadratic-factor point {mode} seed={s}",
-              ["analyze", "--pencil", path, "--point=" + ",".join(map(str, case.point)),
-               "--mode", mode, "--seed", str(s)])
-             for mode in MODES for s in FURTHER_SEEDS]
+        jobs += on_file(f"sl{n} shift b={b}", corpus.sl(n, b), f"sl{n}.b{b}.pencil.json",
+                        modes=modes, seeds=(seed,))
+    jobs += on_file("sl3 shift quadratic-factor point", corpus.sl3_quadratic_factor(),
+                    "sl3.point.pencil.json")
     shift = catalog_by_name()["so3_shift"]
     long_form = pencil_to_json_dict(shift.field0, shift.field_inf)
     for block in ("P0", "Pinf"):
@@ -258,20 +222,6 @@ def further_jobs(workdir: str):
              for point in ("0,0,0", "1,1/2,-2") for mode in MODES]
     jobs += input_error_jobs(workdir, write)
     return [(FURTHER + key, argv) for key, argv in jobs]
-
-
-def companion_pair(coeffs):
-    """[[0, M], [-M^T, 0]] and [[0, -I], [I, 0]], M the companion matrix of the
-    monic polynomial with lower coefficients ``coeffs``, ascending (as
-    ``oracles.jkpairs.companion_pair``, which an older tree lacks)."""
-    from bipencil.tensorfield import constant_pencil
-
-    m = len(coeffs)
-    M = [[int(i == j + 1) for j in range(m - 1)] + [-c] for i, c in enumerate(coeffs)]
-    A0 = [[0] * m + row for row in M] + [[-M[j][i] for j in range(m)] + [0] * m for i in range(m)]
-    Ainf = ([[0] * m + [-int(i == j) for j in range(m)] for i in range(m)]
-            + [[int(i == j) for j in range(m)] + [0] * m for i in range(m)])
-    return constant_pencil(*([[Fraction(x) for x in row] for row in X] for X in (A0, Ainf)))
 
 
 def input_error_jobs(workdir: str, write):
@@ -348,12 +298,12 @@ def input_error_jobs(workdir: str, write):
 
 
 def seed_groups(results):
-    """{input: [result, ...]} of the further ``analyze`` and ``linear``
-    reports of ``results`` whose key names a seed, the ``seed=`` left out of
-    the input."""
+    """{input: [result, ...]} of the further ``analyze``, ``linear`` and
+    ``jk`` reports of ``results`` whose key names a seed, the ``seed=`` left
+    out of the input."""
     groups = {}
     for key, result in results.items():
-        if re.match(FURTHER + "(analyze|linear) ", key) and " seed=" in key:
+        if re.match(FURTHER + "(analyze|linear|jk) ", key) and " seed=" in key:
             groups.setdefault(re.sub(r" seed=\d+", "", key), []).append(result)
     return groups
 
@@ -381,9 +331,9 @@ def src_lines(tree) -> int:
 
 def run_tree(tree: str, seeds, out_path: str):
     """Child: run every job of ``tree`` and write {key: [code, stdout, stderr,
-    mode]}."""
+    mode]}.  The further jobs' inputs come from this file's own tree."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench"),
-                    os.path.join(tree, "tests")]
+                    str(ROOT / "tests")]
     import workloads
 
     results = {}
@@ -476,7 +426,7 @@ def main(argv=None) -> int:
                                  for r in group}) > 1)
     for name in seed_differ:
         print(f"{name}: differs across seeds in the working tree")
-    print(f"{len(seed_differ)} of {len(groups)} further analyze and linear inputs differ "
+    print(f"{len(seed_differ)} of {len(groups)} further analyze, linear and jk inputs differ "
           f"across their seeds in the working tree, provenance aside")
     print(f"src/ lines: {lines['ref']} at {args.ref}, {lines['tree']} in the working tree "
           f"({lines['tree'] - lines['ref']:+d})")
