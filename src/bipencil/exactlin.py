@@ -24,7 +24,7 @@ reduced row echelon form, so a caller may pass such a multiple of its
 matrix, an integer one say.  ``coords_in_span`` resolves any number of
 vectors in a span: off the unit columns of an echelon basis, checked against
 the whole basis, and otherwise by one reduced row echelon form of the basis
-beside them all (a least-squares solve per vector for float input), and
+beside them all (one least-squares solve of them all for float input), and
 ``solve`` reads B^-1 C off one reduced form of [B | C].  A ``Span`` grows
 by greedy choice and keeps the forward echelon of its vectors, so that each
 new vector is reduced once against it.  Exact data may also
@@ -528,8 +528,9 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     vector is then checked against the whole basis.  Other exact input takes
     one reduced row echelon form of the basis columns beside all the vectors:
     a pivot in a vector's column puts it outside the span.  Float mode takes
-    a least-squares solve per vector, outside when the residual exceeds
-    100 * mode.tol * max(1, max |w|).
+    one least-squares solve with all the vectors as columns, and gives each
+    vector's coordinates as a row of its solution; a vector is outside when
+    its residual exceeds 100 * mode.tol * max(1, max |w|).
     """
     m = len(basis_vectors)
     if not m:
@@ -553,15 +554,14 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
         rows = dict(zip(pivots, R))
         return [[rows[c][m + t] if c in rows else Fraction(0) for c in range(m)]
                 for t in range(len(vectors))]
-    An = to_numpy(transpose(basis_vectors))
-    out = []
-    for bn in to_numpy(vectors):
-        x, *_ = np.linalg.lstsq(An, bn, rcond=None)
-        norm = max(1.0, float(np.abs(bn).max(initial=0.0)))
-        if float(np.abs(An @ x - bn).max(initial=0.0)) > 100 * mode.tol * norm:
-            return None
-        out.append(list(x))
-    return out
+    if not len(vectors):
+        return []
+    An, B = to_numpy(transpose(basis_vectors)), to_numpy(vectors).T
+    X, *_ = np.linalg.lstsq(An, B, rcond=None)
+    norms = np.maximum(1.0, np.abs(B).max(axis=0))
+    if (np.abs(An @ X - B).max(axis=0) > 100 * mode.tol * norms).any():
+        return None
+    return list(X.T)
 
 
 def restrict(K, A, basis, units):

@@ -13,9 +13,15 @@ ints over Q, (x, y) int pairs over Q(sqrt d).  An exact algebra holds its
 structure constants so, beside their scalar view ``structure_vector``, and
 ``bracket``, ``ad_matrix``, ``center`` and ``is_cocycle`` compute on them; a
 value becomes a Fraction or QQi only where it leaves, and Ker A's ad
-operators leave as rows too (``CocycleKernel.ad_rows``).  A cocycle's rank
-and its kernel Ker A, in pivot-normalized echelon form, are read off its one
-elimination.
+operators leave as rows too (``CocycleKernel.ad_rows``).  Beside ``_table``,
+the exact rows, an algebra holds its structure constants for float mode as
+one complex (d, d, d) array, ``_array``, made once from them and dropped,
+as ``_table`` is, by ``set_bracket``.  Float ``bracket``, ``ad_matrix``,
+``center`` and ``is_cocycle`` contract it instead of looping over the
+brackets; ``ad_matrix`` adds its terms in the order, and with the complex
+product, of a sum of Python complex terms, so that its values, and the
+roots read off them, keep their bits.  A cocycle's rank and its kernel
+Ker A, in pivot-normalized echelon form, are read off its one elimination.
 """
 
 from __future__ import annotations
@@ -25,15 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (Elimination, Span, as_float, carrier, clear_matrix, eigenspaces,
-                       eliminate, identity, join, lift, mat_rank, nullspace, scalar_matrix,
+from .exactlin import (Elimination, Span, carrier, clear_matrix, eigenspaces, eliminate,
+                       identity, join, lift, mat_rank, nullspace, scalar_matrix, to_numpy,
                        transpose)
 from .poly import Poly
 from .pencil import pencil_rank_corank, point_walk
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
                       parse_rational, tidy)
-from .tensorfield import PoissonTensorField, constant_pencil, left_sum
+from .tensorfield import PoissonTensorField, constant_pencil
 
 REAL = "real"
 COMPLEX = "complex"
@@ -65,6 +73,7 @@ class LieAlgebra:
         else:
             self._c.pop((i, j), None)
         self.__dict__.pop("_table", None)
+        self.__dict__.pop("_array", None)
 
     @cached_property
     def _table(self):
@@ -74,6 +83,18 @@ class LieAlgebra:
         if all(is_exact_scalar(x) for vec in self._c.values() for x in vec):
             K, rows, den = clear_matrix(list(self._c.values()))
             return K, dict(zip(self._c, rows)), den
+
+    @cached_property
+    def _array(self):
+        """The structure constants as one complex (d, d, d) array, C[i, j, k] =
+        c_ij^k = -C[j, i, k]: what float mode contracts."""
+        d = self.dim
+        C = np.zeros((d, d, d), dtype=complex)
+        if self._c:
+            i, j = map(list, zip(*self._c))
+            C[i, j] = to_numpy(list(self._c.values()))
+            C[j, i] = -C[i, j]
+        return C
 
     def structure_vector(self, i: int, j: int):
         if i == j:
@@ -100,32 +121,41 @@ class LieAlgebra:
             K, cols = carrier(0), [[a for a, _ in col] for col in cols]
         return K, transpose(cols), s * den
 
+    def _exact(self, *vectors) -> bool:
+        """The structure constants and every entry of ``vectors`` are exact."""
+        return bool(self._table) and all(is_exact_scalar(x) for v in vectors for x in v)
+
+    def _ad_array(self, x):
+        """ad_x transposed, in floats: [j, k] = sum_i x_i c_ij^k, each term
+        CPython's complex product made on the real and imaginary parts, and
+        the terms added in order of i from 0, so that a value keeps the bits
+        of the sum of Python complex terms."""
+        X, C = to_numpy(x)[:, None, None], self._array
+        out = np.empty(C.shape[1:], dtype=complex)
+        out.real = np.add.accumulate(X.real * C.real - X.imag * C.imag)[-1] + 0.0
+        out.imag = np.add.accumulate(X.real * C.imag + X.imag * C.real)[-1] + 0.0
+        return out
+
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y: ad_x y on carrier ints where x, y
-        and the structure constants are exact, its values then made scalars."""
-        if self._table and all(map(is_exact_scalar, (*x, *y))):
+        and the structure constants are exact, its values then made scalars;
+        else y contracted with ``_ad_array``."""
+        if self._exact(x, y):
             K, A, s = self._ad_rows(x)
             KY, (Y,), t = clear_matrix([y])
             K = join(K, KY)
             Y = lift(K, [Y])[0]
             return [K.quotient(K.dot(row, Y), K.lift(s * t)) for row in lift(K, A)]
-        out = [Fraction(0)] * self.dim
-        for (i, j), vec in self._c.items():
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef != 0:
-                for k in range(self.dim):
-                    if vec[k] != 0:
-                        out[k] = out[k] + coef * vec[k]
-        return [tidy(v) for v in out]
+        return (to_numpy(y) @ self._ad_array(x)).tolist()
 
     def ad_matrix(self, x):
         """Matrix of ad_x = [x, .] on the basis: its columns are the
-        ``bracket`` [x, e_j], each e_j in floats when x is float.  The exact
-        root decomposition reads ad_x as the carrier rows of ``_ad_rows``
+        ``bracket`` [x, e_j], in floats the transpose of ``_ad_array``.  The
+        exact root decomposition reads ad_x as the carrier rows of ``_ad_rows``
         instead (``kernel_of_cocycle``)."""
-        floats = not any(map(is_exact_scalar, x))
-        return transpose([self.bracket(x, list(map(as_float, e)) if floats else e)
-                          for e in identity(self.dim)])
+        if self._exact(x):
+            return transpose([self.bracket(x, e) for e in identity(self.dim)])
+        return self._ad_array(x).T.tolist()
 
     def jacobi_violation(self):
         """First violating triple (i, j, k) or None."""
@@ -146,7 +176,8 @@ class LieAlgebra:
 
     def center(self, mode: Mode = EXACT):
         """Basis of {x : [x, g] = 0}: the kernel of the rows (j, k) of
-        c_ij^k, exact on the structure constants' carrier rows."""
+        c_ij^k, exact on the structure constants' carrier rows, in float mode
+        on ``_array``."""
         d = self.dim
         if mode.is_exact and self._table:
             K, T, _ = self._table
@@ -155,8 +186,7 @@ class LieAlgebra:
                 for k, x in enumerate(t):
                     rows[j * d + k][i], rows[i * d + k][j] = x, K.scale(x, -1)
             return Elimination(rows, K).kernel
-        c = [[self.structure_vector(i, j) for j in range(d)] for i in range(d)]
-        return nullspace([[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)], mode)
+        return nullspace(self._array.transpose(1, 2, 0).reshape(d * d, d), mode)
 
     def derived_basis(self, mode: Mode = EXACT):
         return Span(mode).extend(self._c.values())
@@ -306,7 +336,10 @@ class LinearPencil:
 
 def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> bool:
     """Exact verification of A([xi,eta],zeta) + A([eta,zeta],xi) + A([zeta,xi],eta) = 0,
-    on carrier ints over one denominator in exact mode."""
+    on carrier ints over one denominator in exact mode.  Float mode contracts
+    the structure array with A once, V[i, j, k] = A([e_i, e_j], e_k), sums it
+    cyclically, and asks ``Mode.zero`` of each triple i < j < k at the scale
+    max |A|."""
     d = algebra.dim
     if mode.is_exact and algebra._table:
         K, T, _ = algebra._table
@@ -320,22 +353,12 @@ def is_cocycle(algebra: LieAlgebra, form: TwoCocycle, mode: Mode = EXACT) -> boo
 
         return all(K.add(value(i, j, k), value(j, k, i)) == value(i, k, j)
                    for i in range(d) for j in range(i + 1, d) for k in range(j + 1, d))
-    A = form.matrix
-    scale = max((abs(complex(v)) for row in A for v in row), default=1.0)
-    sv = algebra.structure_vector
-
-    def value(bracket, k):
-        """A(bracket, e_k) = sum_p bracket_p A[p][k], summed left to right."""
-        return left_sum(c * A[p][k] for p, c in enumerate(bracket) if c != 0)
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            bij = sv(i, j)
-            for k in range(j + 1, d):
-                total = value(bij, k) + value(sv(j, k), i) + value(sv(k, i), j)
-                if not mode.zero(total, scale):
-                    return False
-    return True
+    A = to_numpy(form.matrix).reshape(d, d)
+    V = algebra._array @ A
+    total = V + V.transpose(1, 2, 0) + V.transpose(2, 0, 1)
+    i, j, k = np.indices(total.shape)
+    scale = float(np.abs(A).max(initial=0.0))
+    return bool((np.abs(total[(i < j) & (j < k)]) <= mode.tol * max(scale, 1.0)).all())
 
 
 @dataclass
@@ -359,16 +382,20 @@ def matrix_is_semisimple(M, mode: Mode = EXACT) -> bool:
 def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
     """Ker A as a subalgebra, with its ad matrices and an abelian flag; exact,
     Ker A is the pivot-normalized kernel of the cocycle's one elimination,
-    and each ad matrix is made from its carrier rows (``ad_rows``)."""
+    and each ad matrix is made from its carrier rows (``ad_rows``); in float
+    mode the flag is read off the ad matrices, each made once."""
     g = lp.algebra
     basis = ([list(v) for v in lp.cocycle.elimination.kernel] if mode.is_exact
              else nullspace(lp.cocycle.matrix, mode))
-    abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
-                  for v in g.bracket(x, y))
     if mode.is_exact and g._table:
+        abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
+                      for v in g.bracket(x, y))
         rows = [g._ad_rows(x) for x in basis]
         return CocycleKernel(basis, [scalar_matrix(*r) for r in rows], abelian, rows)
-    return CocycleKernel(basis, [g.ad_matrix(x) for x in basis], abelian)
+    ad = [g.ad_matrix(x) for x in basis]
+    abelian = all(mode.zero(v) for i, a in enumerate(ad) for y in basis[i + 1:]
+                  for v in to_numpy(a) @ to_numpy(y))
+    return CocycleKernel(basis, ad, abelian)
 
 
 def is_regular_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> bool:

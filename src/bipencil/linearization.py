@@ -16,6 +16,9 @@ At a rational lambda ``gram`` sums the brackets on ints; they reach
 constants as carrier ints over one denominator, on which the cocycle
 identity is checked and from which Ker A's ad operators are built as rows
 that the root decomposition splits as they are (``liealg.CocycleKernel``).
+In float mode ``coords_in_span`` resolves all the brackets by one
+least-squares solve, and the algebra's float reads contract one structure
+array made from them (``liealg.LieAlgebra``).
 """
 
 from __future__ import annotations

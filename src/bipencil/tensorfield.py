@@ -104,8 +104,9 @@ def skew_cells(entries, lam):
 
 
 def left_sum(terms):
-    """The terms added left to right to 0, as a dense u^T A v adds them, so
-    that a float sum keeps its bits (``sum`` may compensate a float sum)."""
+    """The terms added left to right to 0, as a dense u^T A v adds them:
+    ``gram``'s sums, so that a float one keeps its bits (``sum`` may
+    compensate a float sum)."""
     return reduce(operator.add, terms, 0)
 
 

@@ -7,7 +7,8 @@
   two generators built by ``Poly`` arithmetic, the reference for the
   library's one pass over their monomials;
 - ``algebras``: Lie algebras beside the catalog's, central extensions and
-  quotients by a central ideal;
+  quotients by a central ideal, and the float ad matrix by a loop over the
+  brackets, the reference for the library's structure-array contraction;
 - ``fields``: polynomial calculus (partial derivatives as polynomials and
   values as term-by-term Fraction sums, the reference for the library's
   evaluation on ints), the Jacobi identity and compatibility of

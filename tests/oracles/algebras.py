@@ -1,6 +1,8 @@
 """Lie algebras and constructions the tests use beside the catalog's: real
 algebras over C, the Heisenberg, Euclidean and abelian algebras,
-one-dimensional central extensions and quotients by a central ideal."""
+one-dimensional central extensions and quotients by a central ideal; and
+the float ad matrix by a loop over the brackets, the reference for the
+library's array contraction."""
 
 from __future__ import annotations
 
@@ -81,3 +83,25 @@ def quotient_by_central(algebra: LieAlgebra, ideal_basis) -> tuple:
     if out.jacobi_violation() is not None:
         raise PreconditionError("quotient failed the Jacobi identity")
     return out, basis_mat
+
+
+def loop_bracket(g: LieAlgebra, x, y):
+    """[x, y] by a loop over the declared brackets of ``g``: each term
+    (x_i y_j - x_j y_i) c_ij^k added to a running sum from 0, in the order
+    the brackets were declared, zero terms skipped."""
+    out = [0] * g.dim
+    for (i, j), vec in g._c.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef != 0:
+            for k, c in enumerate(vec):
+                if c != 0:
+                    out[k] = out[k] + coef * c
+    return out
+
+
+def loop_ad_matrix(g: LieAlgebra, x):
+    """ad_x for a float x, its columns the ``loop_bracket`` [x, e_j] with e_j
+    in floats."""
+    d = g.dim
+    return [list(row) for row in zip(*(loop_bracket(g, x, [float(t == j) for t in range(d)])
+                                       for j in range(d)))]

@@ -728,13 +728,39 @@ def test_coords_in_span():
         [[F(2), F(3)], [F(-1), F(1, 2)], [F(0), F(0)]]
     assert coords_in_span(basis, [inside, outside, [F(1), F(1), F(1)]]) is None
     assert coords_in_span(basis, [outside, inside]) is None
-    # float input is resolved vector by vector with the same verdicts
+    # float input is resolved by one least-squares solve, with the same verdicts
     mode = float_mode()
     assert coords_in_span(basis, [inside, outside], mode) is None
     got = coords_in_span(basis, [[2.0, 3.0, 2.0], [-1.0, 0.5, -1.0]], mode)
     assert [complex(x) for c in got for x in c] == pytest.approx([2, 3, -1, 0.5])
     assert coords_in_span([], [[F(0)] * 3]) == [[]]
     assert coords_in_span([], [[F(0), F(1)]]) is None
+
+
+def test_float_coords_in_span_is_one_solve_of_all_vectors(monkeypatch):
+    # float mode solves for every vector at once, each a column of one
+    # least-squares problem: each column keeps its own residual rule, and its
+    # coordinates are the bits of a solve of that vector alone
+    mode = float_mode()
+    rng = np.random.default_rng(44)
+    basis = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))).tolist()
+    coefs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    inside = (coefs @ np.array(basis)).tolist()
+    outside = (rng.standard_normal(7) + 1j * rng.standard_normal(7)).tolist()
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a) or lstsq(*a, **k))
+    got = coords_in_span(basis, inside, mode)
+    assert len(solves) == 1 and solves[0][1].shape == (7, 5)
+    A = np.array(basis).T
+    for w, c, want in zip(inside, got, coefs):
+        x, *_ = lstsq(A, np.array(w), rcond=None)
+        assert np.asarray(c).tobytes() == x.tobytes()
+        assert np.allclose(c, want)
+    # one vector outside the span, amid vectors inside it, puts them all out
+    assert coords_in_span(basis, inside[:2] + [outside] + inside[2:], mode) is None
+    assert coords_in_span(basis, [], mode) == []
+    assert len(solves) == 2
 
 
 def test_coords_in_span_reads_an_echelon_basis_off_its_unit_columns(monkeypatch):

@@ -1,20 +1,26 @@
+import itertools
 from fractions import Fraction
+from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import algebras
+from bipencil.catalog import catalog
 from bipencil.errors import PreconditionError
-from bipencil.exactlin import eigenspaces, mat_rank, mat_vec, nullspace, shift
+from bipencil.exactlin import eigenspaces, identity, mat_rank, mat_vec, nullspace, shift
 from bipencil.liealg import (LieAlgebra, LinearPencil, TwoCocycle, argument_shift_cocycle,
                              is_cocycle, is_regular_cocycle, kernel_of_cocycle,
                              matrix_is_semisimple)
 from bipencil.scalars import EXACT, QQi, float_mode
 
+from oracles import corpus
 from oracles.algebras import (abelian, central_extension, euclidean_e2, heisenberg,
-                              with_complex_scalars)
+                              loop_ad_matrix, with_complex_scalars)
 from oracles.sampling import SamplingPolicy
+from pipeline import linearize_at, spectrum_of
 
 F = Fraction
 
@@ -68,20 +74,143 @@ def test_is_cocycle_negative_case():
 def test_center_reads_each_structure_vector_once(monkeypatch):
     # the rows (j, k) of the center's system hold c_ij^k over i: exact, they
     # are filled from the structure constants' carrier rows, with no
-    # structure vector; in float mode the d^2 structure vectors give all d^3
-    # entries
+    # structure vector; in float mode they are the structure array, made
+    # once per algebra, reshaped, again with no structure vector
     g = algebras.so3().direct_sum(algebras.diamond())
     d = g.dim
     rows = [[g.structure_vector(i, j)[k] for i in range(d)] for j in range(d) for k in range(d)]
-    calls = []
+    calls, builds = [], []
     structure_vector = LieAlgebra.structure_vector
     monkeypatch.setattr(LieAlgebra, "structure_vector",
                         lambda self, i, j: calls.append((i, j)) or structure_vector(self, i, j))
+    array = LieAlgebra.__dict__["_array"].func
+    counted = cached_property(lambda self: builds.append(self) or array(self))
+    counted.__set_name__(LieAlgebra, "_array")
+    monkeypatch.setattr(LieAlgebra, "_array", counted)
     center = g.center()
-    assert calls == []
+    assert calls == [] and builds == []
     assert center == nullspace(rows) and len(center) == 1
     mode = float_mode()
-    assert mat_rank(g.center(mode) + center, mode) == 1 and len(calls) == d * d
+    assert mat_rank(g.center(mode) + center, mode) == 1
+    assert mat_rank(g.center(mode) + center, mode) == 1
+    assert calls == [] and builds == [g]
+
+
+def structure_cases():
+    """(name, exact algebra, cocycle): every catalog algebra with its shift
+    cocycle, so(3, C) on two bases with a complex shift, and the kernel
+    algebra of singular Toda n = 4 at each spectrum value, with its form."""
+    cases = [(e.name, e.algebra, argument_shift_cocycle(e.algebra, e.shift))
+             for e in catalog() if e.algebra is not None]
+    so3c = with_complex_scalars(algebras.so3())
+    cases.append(("so3C", so3c, argument_shift_cocycle(so3c, [F(0), F(0), QQi(0, 1)])))
+    # so(3, C) on the basis (i e1, e2, e3): its structure constants are +-i
+    twisted = LieAlgebra(3, "complex")
+    for (i, j), vec in {(0, 1): [0, 0, QQi(0, 1)], (1, 2): [QQi(0, -1), 0, 0],
+                        (2, 0): [0, QQi(0, 1), 0]}.items():
+        twisted.set_bracket(i, j, vec)
+    assert twisted.jacobi_violation() is None
+    cases.append(("so3C (i e1, e2, e3)", twisted,
+                  argument_shift_cocycle(twisted, [F(1), F(0), QQi(0, 1)])))
+    p = corpus.toda_singular(4, 1).pencil
+    for k, entry in enumerate(spectrum_of(p).entries):
+        lp = linearize_at(p, entry.lam)
+        cases.append((f"toda-singular-4.1 lambda#{k}", lp.algebra, lp.cocycle))
+    return cases
+
+
+def floats(v):
+    return [complex(x) for x in v]
+
+
+def bits(v):
+    z = complex(v)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_the_float_structure_array_agrees_with_exact_mode():
+    # float mode reads one (d, d, d) array of the structure constants; its
+    # brackets, ad matrices, center and cocycle verdicts are exact mode's
+    # within Mode.zero's rule, on the algebra itself and on its float twin,
+    # whose structure constants are its own in floats, as float linearize
+    # declares them
+    mode = float_mode()
+    rejected = 0
+    for name, g, A in structure_cases():
+        d = g.dim
+        twin = LieAlgebra(d, g.field)
+        for (i, j), vec in g._c.items():
+            twin.set_bracket(i, j, floats(vec))
+        assert (twin._table is None) == bool(g._c) and np.array_equal(twin._array, g._array)
+        assert [floats(twin.structure_vector(i, j)) for i in range(d) for j in range(d)] == \
+            [floats(g.structure_vector(i, j)) for i in range(d) for j in range(d)], name
+        cmax = max([abs(complex(x)) for v in g._c.values() for x in v] + [1.0])
+        vectors = identity(d) + [[F(1 + (i * k) % 5, 1 + k) - F(k, 3) for i in range(d)]
+                                 for k in range(1, 3)] + [[QQi(F(i), F(1, 1 + i)) for i in range(d)]]
+        for x in vectors:
+            xmax = max(abs(complex(v)) for v in x)
+            want = g.ad_matrix(x)
+            for h in (g, twin):
+                got = h.ad_matrix(floats(x))
+                assert all(mode.zero(complex(a) - complex(b), d * cmax * xmax)
+                           for ra, rb in zip(got, want) for a, b in zip(ra, rb)), name
+            for y in vectors:
+                scale = d * d * cmax * xmax * max(abs(complex(v)) for v in y)
+                want = g.bracket(x, y)
+                for h in (g, twin):
+                    got = h.bracket(floats(x), floats(y))
+                    assert len(got) == d and all(mode.zero(complex(a) - complex(b), scale)
+                                                 for a, b in zip(got, want)), name
+        center = g.center()
+        for h in (g, twin):
+            got = h.center(mode)
+            assert len(got) == len(center) and mat_rank(got + center, mode) == len(center), name
+        assert is_cocycle(g, A) and is_cocycle(g, A, mode) and is_cocycle(twin, A, mode), name
+        # a shift cocycle perturbed at one entry: float mode rejects what exact mode does
+        for p, q in itertools.combinations(range(d), 2):
+            M = [list(row) for row in A.matrix]
+            M[p][q], M[q][p] = M[p][q] + F(1, 1000), M[q][p] - F(1, 1000)
+            B = TwoCocycle(M)
+            exact = is_cocycle(g, B)
+            assert is_cocycle(g, B, mode) == exact and is_cocycle(twin, B, mode) == exact, name
+            rejected += not exact
+    assert rejected > 0
+
+
+def test_the_float_ad_matrix_is_the_loop_sum_bit_for_bit():
+    # ad_x contracts the structure array with CPython's complex product and
+    # adds over i in order from 0: the bits, signed zeros included, of the
+    # loop over the brackets, on exact structure constants and on the float
+    # ones of a float linearization, which the printed roots are read off
+    mode = float_mode()
+    p = corpus.toda_singular(4, 1).pencil
+    algebras_ = [abelian(1), abelian(2)] + [g for _, g, _ in structure_cases()] + \
+        [linearize_at(p, entry.lam, mode).algebra for entry in spectrum_of(p, mode).entries]
+    for g in algebras_:
+        d = g.dim
+        for x in [[(-1) ** i * (i + 0.1) for i in range(d)], [-(i + 0.1) for i in range(d)],
+                  [complex(1 / (i + 3), i - 0.7) for i in range(d)], [0.0] * d]:
+            got, want = g.ad_matrix(x), loop_ad_matrix(g, x)
+            assert [bits(v) for row in got for v in row] == \
+                [bits(v) for row in want for v in row]
+
+
+def test_set_bracket_drops_the_float_structure_array():
+    # a float read builds the array; a new bracket must be seen by the next
+    # float read, not the array of the old one
+    mode = float_mode()
+    g = algebras.so3()
+    e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    assert g.bracket(e1, e2) == [0, 0, 1] and len(g.center(mode)) == 0
+    assert is_cocycle(g, skew(3, {(0, 1): 1}), mode)
+    g.set_bracket(0, 1, [F(0), F(0), F(2)])
+    assert g.bracket(e1, e2) == [0, 0, 2]
+    assert g.ad_matrix(e1) == [[0, 0, 0], [0, 0, -1], [0, 2, 0]]
+    g.set_bracket(0, 1, [F(0)] * 3)
+    g.set_bracket(0, 2, [F(0)] * 3)
+    assert g.bracket(e1, e2) == [0, 0, 0] and len(g.center(mode)) == 1
+    g.set_bracket(0, 1, [F(0), F(1), F(0)])
+    assert not is_cocycle(g, skew(3, {(1, 2): 1}), mode)
 
 
 @st.composite
