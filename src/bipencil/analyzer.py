@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, RankDeficientPointError
-from .liealg import TwoCocycle
 from .linearization import kernel_form, linearize
 from .pencil import (Spectrum, compute_core, compute_spectrum, is_diagonalizable,
                      kernel_basis, pencil_rank_corank, point_walk, quotient_dim)
@@ -129,7 +128,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
                               paired=entry.paired)
         per_lambda.append(rep)
         ker = kernel_basis(p, entry.lam, mode)
-        form = TwoCocycle(kernel_form(p, entry.lam, ker))
+        form = kernel_form(p, entry.lam, ker)
         rep.diagonalizable = is_diagonalizable(form, corank, mode)
         if not rep.diagonalizable:
             rep.degeneracy_reason = f"NonDiagonalizable({lambda_key(entry.lam)})"

@@ -12,31 +12,36 @@ divided by its content, which makes it the primitive row on the line of the
 Bareiss (1968) row, and over Z[sqrt d] by the previous pivot, as Bareiss
 does.  The rank is the number of pivots.  The reduced rows are
 back-substituted from the forward ones, from the last pivot up, only when
-the reduced form or the kernel is asked for, and turned back into Fraction /
-QQi entries only at the end.  Every primitive decides exactly in exact mode,
-and in floats at ``Mode.tol`` in float mode, by the one rule of
+the reduced form or the kernel is asked for.  The kernel is read off them
+once, as carrier rows (``Elimination.kernel_rows``), and becomes Fraction /
+QQi vectors only at the end, each line divided by its entry at its free
+column (``Elimination.kernel``).  Every primitive decides exactly in exact
+mode, and in floats at ``Mode.tol`` in float mode, by the one rule of
 ``Mode.zero``: a float is zero when |x| <= tol * max(scale, 1), so the float
 rank and kernel cut singular values at tol * max(sigma_max, 1).  Exact mode
 holds no float: ``eliminate`` names the one field of the entries
 (``scalars.quadratic_field``), and refuses a matrix with a float entry, or
 with entries in no one field, by PreconditionError.  A nonzero scale of a row changes no rank, kernel or
 reduced row echelon form, so a caller may pass such a multiple of its
-matrix, an integer one say.  ``coords_in_span`` resolves any number of
-vectors in a span: off the unit columns of an echelon basis, checked against
-the whole basis, and otherwise by one reduced row echelon form of the basis
-beside them all (one least-squares solve of them all for float input), and
+matrix, an integer one say.  Exact data may also be held as the carrier
+rows themselves, over one denominator (``clear_matrix``): the carriers add,
+multiply and take dot products of them.  ``read_off`` is the one read-off
+of coordinates in a span whose basis rows each have a unit column, as an
+echelon kernel basis has: on carrier rows, off those columns, each vector
+checked against the whole basis.  ``coords_in_span`` resolves any number of
+vectors in a span by it, the basis and the vectors cleared once, and
+otherwise by one reduced row echelon form of the basis beside them all (one
+least-squares solve of them all for float input); ``restrict`` reads an
+operator's matrix on an invariant span by it, off integer images; and
 ``solve`` reads B^-1 C off one reduced form of [B | C].  A ``Span`` grows
 by greedy choice and keeps the forward echelon of its vectors, so that each
-new vector is reduced once against it.  Exact data may also
-be held as the carrier rows themselves, over one denominator
-(``clear_matrix``): the carriers add, multiply and take dot products of
-them, ``restrict`` reads an operator's matrix on an invariant span off the
-unit columns of integer images, ``char_poly_rows`` is Faddeev-LeVerrier on
-them, and ``eigen_split`` eliminates each eigenspace in them and hands its
-lines on as ``Elimination.kernel_rows``.  ``poly_roots_hybrid``
-lists the roots of an exact polynomial as (value, multiplicity) pairs, each
-value exact (Fraction or QQi), found by ``exact_roots``, and refuses a
-polynomial with a root it does not find; every multiplicity is exact, read
+new vector is reduced once against it.  ``char_poly_rows`` is
+Faddeev-LeVerrier on carrier rows, and ``eigen_split`` eliminates each
+eigenspace in them and hands its lines on as ``Elimination.kernel_rows``.
+``poly_roots_hybrid`` lists the roots of an exact polynomial as (value,
+multiplicity) pairs, each value exact (Fraction or QQi), found by
+``exact_roots``, and refuses a polynomial with a root it does not find;
+every multiplicity is exact, read
 off Yun's squarefree decomposition (``squarefree_decomposition``), on ints
 over Q, whose gcds run on the same carriers Z and Z[sqrt d], as primitive
 pseudo-remainder sequences (``poly_gcd_exact``).  The exact roots of each
@@ -256,8 +261,8 @@ class _ZD:
         return tidy(QQi(Fraction(ar * dr - d * ai * di, n), Fraction(ai * dr - ar * di, n), d))
 
     # ring operations on (x, y) pairs: a cofactor of a is (c, n) with a c = n
-    # a nonzero int, ``divided`` takes out the gcd of all coordinates and
-    # ``lift`` makes an int a pair
+    # a nonzero int, ``divided`` takes out the gcd of all coordinates, in a
+    # new row as over Z, and ``lift`` makes an int a pair
     add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
     scale = staticmethod(lambda a, k: (a[0] * k, a[1] * k))
     exact_div = staticmethod(lambda a, k: (a[0] // k, a[1] // k))
@@ -277,7 +282,7 @@ class _ZD:
     @staticmethod
     def divided(row):
         g = math.gcd(*(x for pair in row for x in pair))
-        return [(a // g, b // g) for a, b in row] if g > 1 else row
+        return [(a // g, b // g) for a, b in row] if g > 1 else list(row)
 
 
 def carrier(d: int):
@@ -382,17 +387,11 @@ class Elimination:
     @functools.cached_property
     def kernel(self):
         """Right-kernel basis in pivot-normalized echelon form (deterministic):
-        one vector per free column, read off ``reduced``, each pivot row
-        divided by its own pivot."""
-        K, m = self.K, self.width
-        basis = []
-        for fc in (c for c in range(m) if c not in self.pivots):
-            v = [Fraction(0)] * m
-            v[fc] = Fraction(1)
-            for row, pc in zip(self.reduced, self.pivots):
-                v[pc] = tidy(-K.quotient(row[fc], row[pc]))
-            basis.append(v)
-        return basis
+        each line of ``kernel_rows`` divided by its entry at its own free
+        column, which makes that entry 1."""
+        K = self.K
+        rows, free = self.kernel_rows
+        return [[K.quotient(x, v[fc]) for x in v] for v, fc in zip(rows, free)]
 
     @property
     def kernel_lines(self):
@@ -522,32 +521,32 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     """Coordinates of each of ``vectors`` in span(basis_vectors), or None if
     any of them is outside.
 
-    In exact mode, basis vectors that each have a unit column, a 1 where
-    every other basis vector has 0, as the free columns of an echelon kernel
-    basis are, are read off those columns with no elimination, and each
-    vector is then checked against the whole basis.  Other exact input takes
-    one reduced row echelon form of the basis columns beside all the vectors:
-    a pivot in a vector's column puts it outside the span.  Float mode takes
-    one least-squares solve with all the vectors as columns, and gives each
-    vector's coordinates as a row of its solution; a vector is outside when
-    its residual exceeds 100 * mode.tol * max(1, max |w|).
+    In exact mode, when each basis vector has a unit column, one where it is
+    nonzero and every other basis vector is zero, as the free columns of an
+    echelon kernel basis are, the basis and the vectors are cleared once
+    (``clear_matrix``) and the coordinates read off those columns by
+    ``read_off``, which checks each vector against the whole basis.  Other
+    exact input takes one reduced row echelon form of the basis columns
+    beside all the vectors: a pivot in a vector's column puts it outside the
+    span.  Float mode takes one least-squares solve with all the vectors as
+    columns, and gives each vector's coordinates as a row of its solution; a
+    vector is outside when its residual exceeds 100 * mode.tol * max(1, max |w|).
     """
     m = len(basis_vectors)
     if not m:
         inside = all(mode.zero(x) for w in vectors for x in w)
         return [[] for _ in vectors] if inside else None
     if mode.is_exact:
-        units = [next((j for j, x in enumerate(u) if x == 1
-                       and sum(v[j] != 0 for v in basis_vectors) == 1), None)
+        counts = [sum(x != 0 for x in col) for col in zip(*basis_vectors)]
+        units = [next((j for j, x in enumerate(u) if x != 0 and counts[j] == 1), None)
                  for u in basis_vectors]
         if None not in units:
-            coords = [[tidy(w[j]) for j in units] for w in vectors]
-            for w, c in zip(vectors, coords):
-                terms = [(ct, u) for ct, u in zip(c, basis_vectors) if ct != 0]
-                if any(wj != sum(ct * u[j] for ct, u in terms if u[j] != 0)
-                       for j, wj in enumerate(w)):
-                    return None
-            return coords
+            K, rows, _ = clear_matrix(list(basis_vectors) + list(vectors))
+            out = read_off(K, rows[:m], units, rows[m:])
+            if out is None:
+                return None
+            R, L = out
+            return [[K.quotient(x, K.lift(L)) for x in col] for col in transpose(R)]
         R, pivots = rref(transpose(list(basis_vectors) + list(vectors)))
         if any(c >= m for c in pivots):
             return None
@@ -564,16 +563,16 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
     return list(X.T)
 
 
-def restrict(K, A, basis, units):
-    """(R, L): L > 0 times the matrix of the operator A on the invariant span
-    of ``basis``, and the int L; None when an image A b leaves that span.
+def read_off(K, basis, units, images):
+    """(R, L): the coordinates of each of ``images`` in the span of ``basis``
+    times the int L > 0, column t those of images[t]; None when an image
+    leaves that span.
 
-    A and ``basis`` are carrier rows over K; basis row t is the one nonzero
-    at column units[t], as ``Elimination.kernel_rows`` gives them, so each
-    integer image is read off those columns with no elimination, and then
-    checked against the whole basis.
+    ``basis`` and ``images`` are carrier rows over K; basis row t is the one
+    nonzero at column units[t], as ``Elimination.kernel_rows`` gives them,
+    so each coordinate is read off those columns with no elimination, and
+    each image is then checked against the whole basis.
     """
-    images = [[K.dot(row, b) for row in A] for b in basis]
     cof = [K.cofactor(b[u]) for b, u in zip(basis, units)]
     L = math.lcm(*(abs(n) for _, n in cof))
     R = [[K.scale(K.mul(y[u], c), L // n) for y in images] for u, (c, n) in zip(units, cof)]
@@ -583,6 +582,14 @@ def restrict(K, A, basis, units):
         if any(K.scale(x, L) != K.dot(coeffs, col) for x, col in zip(y, cols)):
             return None
     return R, L
+
+
+def restrict(K, A, basis, units):
+    """(R, L): L > 0 times the matrix of the operator A on the invariant span
+    of ``basis``, and the int L; None when an image A b leaves that span.
+    A and ``basis`` are carrier rows over K, ``basis`` and ``units`` as
+    ``read_off`` takes them, which reads the integer images A b."""
+    return read_off(K, basis, units, [[K.dot(row, b) for row in A] for b in basis])
 
 
 def solve(B, C, mode: Mode = EXACT):

@@ -5,8 +5,9 @@ sizes recovered from kernel-power dimensions of a recursion operator, which
 sees each block twice) and Kronecker blocks (half-sizes recovered from the
 filtration of regular kernels inside the core L).  Jordan sizes are discrete
 invariants that no rank threshold decides, so ``jk_invariants`` computes
-exactly whatever the mode of the job: its kernel powers run on integers, on
-the rational form [[A, d B], [B, A]] of an irrational R - mu I = A + B sqrt(d).
+exactly whatever the mode of the job: its kernel powers run on the rows of
+R - mu I in its carrier, ints over Z, or (x, y) int pairs over Z[sqrt d]
+for an irrational mu, and each rank is the pivot count of one elimination.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ToleranceError
-from .exactlin import mat_mul, mat_rank, primitive_row, shift, transpose
+from .exactlin import Elimination, clear_matrix, mat_mul, shift, transpose
 from .pencil import compute_core, compute_spectrum, lambda_to_moebius, pencil_rank_corank
-from .scalars import INF, QQi, conj, field_coords, is_inf, lambda_key, quadratic_field
+from .scalars import INF, QQi, conj, is_inf, lambda_key
 from .tensorfield import PencilAtPoint, gram
 
 
@@ -153,25 +154,18 @@ def _block_counts(dims):
 
 def _jordan_sizes_at(R, mu):
     """Pencil-level Jordan sizes at the eigenvalue mu of R (R sees each twice),
-    from the kernel dimensions of the powers of N = R - mu I.  N is scaled to
-    integers by one common factor, and an irrational N = A + B sqrt(d) is
-    replaced by its rational form [[A, d B], [B, A]], the matrix of N on
-    Q(sqrt d)^m = Q^m + sqrt(d) Q^m: that form of a product is the product of
-    the forms, and its rank is 2 rank(A + B sqrt d)."""
+    from the kernel dimensions of the powers of N = R - mu I.  N is cleared
+    once into its carrier's rows (``clear_matrix``), over Z or Z[sqrt d] as
+    mu asks, the powers are taken on those rows, and each rank is that of
+    one ``Elimination`` of its power's rows: a common factor changes no rank."""
     m = len(R)
-    N = shift(R, mu)
-    d = quadratic_field(x for row in N for x in row)
-    coords = [field_coords(x, d) for row in N for x in row]
-    ints = primitive_row([c[k] for k in (0, 1) for c in coords])
-    A, B = ([ints[k + r * m:k + (r + 1) * m] for r in range(m)] for k in (0, m * m))
-    N, copies = (A, 1) if not d else (
-        [a + [d * x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)], 2)
+    K, N, _ = clear_matrix(shift(R, mu))
     kdims, power = [0], N
     while True:
-        kdims.append(m - mat_rank(power) // copies)
+        kdims.append(m - Elimination([K.divided(row) for row in power], K).rank)
         if kdims[-1] == kdims[-2] or len(kdims) > m:
             break
-        power = mat_mul(power, N)
+        power = mat_mul(power, N, K)
     counts = _block_counts(kdims)
     if any(count % 2 for count in counts):
         raise ToleranceError("odd Jordan block count on the quotient; tolerance inconsistency")

@@ -34,9 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
-from .exactlin import (Elimination, Span, carrier, clear_matrix, eigenspaces, eliminate,
-                       identity, join, lift, mat_rank, nullspace, scalar_matrix, to_numpy,
-                       transpose)
+from .exactlin import (Elimination, carrier, clear_matrix, eigenspaces, eliminate, join, lift,
+                       mat_rank, nullspace, scalar_matrix, to_numpy, transpose)
 from .poly import Poly
 from .pencil import pencil_rank_corank, point_walk
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
@@ -150,11 +149,10 @@ class LieAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of ad_x = [x, .] on the basis: its columns are the
-        ``bracket`` [x, e_j], in floats the transpose of ``_ad_array``.  The
-        exact root decomposition reads ad_x as the carrier rows of ``_ad_rows``
-        instead (``kernel_of_cocycle``)."""
+        brackets [x, e_j]; exact, the scalars of ``_ad_rows``, in floats the
+        transpose of ``_ad_array``."""
         if self._exact(x):
-            return transpose([self.bracket(x, e) for e in identity(self.dim)])
+            return scalar_matrix(*self._ad_rows(x))
         return self._ad_array(x).T.tolist()
 
     def jacobi_violation(self):
@@ -187,9 +185,6 @@ class LieAlgebra:
                     rows[j * d + k][i], rows[i * d + k][j] = x, K.scale(x, -1)
             return Elimination(rows, K).kernel
         return nullspace(self._array.transpose(1, 2, 0).reshape(d * d, d), mode)
-
-    def derived_basis(self, mode: Mode = EXACT):
-        return Span(mode).extend(self._c.values())
 
     def lie_poisson_field(self) -> PoissonTensorField:
         """Linear Poisson field P^{ij}(x) = sum_k c_{ij}^k x_k (real algebras)."""

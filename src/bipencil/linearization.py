@@ -4,13 +4,14 @@ The kernel of P_lambda(x) carries a Lie bracket induced by the first
 derivatives of the pencil, [xi, eta]_k = xi^T (d_k P_lambda) eta: the Gram
 matrices of the d_k P_lambda on the kernel, one ``tensorfield.gram`` call
 over the nonzero entries of all of them.  ``exactlin.coords_in_span`` gives
-the coordinates of each bracket, read off the free columns of an echelon
-kernel basis, and checks it against the whole basis.  The restriction of any
+the coordinates of each bracket: it clears the echelon kernel basis and the
+brackets once, reads them off the basis's free columns (``exactlin.read_off``)
+and checks each bracket against the whole basis.  The restriction of any
 other bracket of the pencil supplies a compatible 2-cocycle.  All such
 restrictions agree up to a nonzero factor, so the generator at the opposite
-end of the pencil is used: ``kernel_form`` is ``pencil.quotient_form`` there,
-on the kernel, built once; the same matrix decides diagonalizability and
-becomes the cocycle, eliminated once for both (``liealg.TwoCocycle``).
+end of the pencil is used: ``kernel_form`` is the ``liealg.TwoCocycle`` of
+``pencil.quotient_form`` there, on the kernel, built once; it decides
+diagonalizability and becomes the cocycle, eliminated once for both.
 At a rational lambda ``gram`` sums the brackets on ints; they reach
 ``coords_in_span`` as exact values, and the algebra holds its structure
 constants as carrier ints over one denominator, on which the cocycle
@@ -31,16 +32,16 @@ from .scalars import EXACT, INF, Mode, is_inf, lambda_is_real
 from .tensorfield import ZERO, PencilAtPoint, gram
 
 
-def kernel_form(p: PencilAtPoint, lam, ker):
-    """Gram matrix on ``ker`` = Ker P_lambda of Ainf, or of A0 at lambda = infinity."""
-    return quotient_form(p, ker, ZERO if is_inf(lam) else INF)
+def kernel_form(p: PencilAtPoint, lam, ker) -> TwoCocycle:
+    """The ``TwoCocycle`` of the Gram matrix on ``ker`` = Ker P_lambda of Ainf,
+    or of A0 at lambda = infinity."""
+    return TwoCocycle(quotient_form(p, ker, ZERO if is_inf(lam) else INF))
 
 
-def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPencil:
+def linearize(p: PencilAtPoint, lam, ker, form: TwoCocycle, mode: Mode = EXACT) -> LinearPencil:
     """Build the linear pencil (kernel algebra, cocycle ``form``) at ``lam``.
 
-    ``ker`` is a basis of Ker P_lambda and ``form`` its ``kernel_form``, or
-    the ``TwoCocycle`` of it.
+    ``ker`` is a basis of Ker P_lambda and ``form`` its ``kernel_form``.
     """
     m = len(ker)
     field_name = REAL if lambda_is_real(lam) else COMPLEX
@@ -54,8 +55,7 @@ def linearize(p: PencilAtPoint, lam, ker, form, mode: Mode = EXACT) -> LinearPen
     for (u, v), c in zip(pairs, coords):
         algebra.set_bracket(u, v, c)
 
-    cocycle = form if isinstance(form, TwoCocycle) else TwoCocycle(form)
-    if not is_cocycle(algebra, cocycle, mode):
+    if not is_cocycle(algebra, form, mode):
         raise PreconditionError("restricted form failed the cocycle identity; "
                                 "the generators are not compatible at this point")
-    return LinearPencil(algebra=algebra, cocycle=cocycle)
+    return LinearPencil(algebra=algebra, cocycle=form)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import RankDeficientPointError, SingularParameterError
-from .exactlin import (Span, eigenvalues, identity, mat_rank, mat_vec, nullspace,
+from .exactlin import (Span, eigenvalues, eliminate, identity, mat_rank, mat_vec, nullspace,
                        nullspace_float, solve)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap, tidy)
@@ -81,32 +81,27 @@ def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
     return nullspace(p.float_matrix_at(lam), mode)
 
 
-def regular_parameters(p: PencilAtPoint, walk, count: int, mode: Mode = EXACT, *, rank: int):
-    """``count`` pairs (lambda, Ker P_lambda) at the next values of ``walk``,
-    a height walk, where the rank is ``rank``: exact, the rank of P_lambda's
+def regular_parameters(p: PencilAtPoint, walk, mode: Mode = EXACT, *, rank: int):
+    """The pair (lambda, Ker P_lambda) at the next value of ``walk``, a
+    height walk, where the rank is ``rank``: exact, the rank of P_lambda's
     elimination, and a copy of its ``kernel_lines`` (over Z primitive
     integer rows, which a ``Span`` clears with no denominator); else the
     kernel's size.
     At most floor(d/2) values are not where the rank is attained (see
     pencil_rank_corank), so one miss more raises RankDeficientPointError."""
-    def kernel_if_regular(lam):
+    for _ in range(p.dim // 2 + 1):
+        lam = next(walk)
         if mode.is_exact:
             e = p.elimination_at(lam)
-            return [list(v) for v in e.kernel_lines] if e.rank == rank else None
-        ker = kernel_basis(p, lam, mode)
-        return ker if p.dim - len(ker) == rank else None
-
-    out, misses = [], 0
-    while len(out) < count:
-        lam = next(walk)
-        ker = kernel_if_regular(lam)
-        if ker is not None:
-            out.append((lam, ker))
-        elif (misses := misses + 1) > p.dim // 2:
-            raise RankDeficientPointError(
-                "could not find enough regular parameters; the pencil rank at this "
-                "point may be below the declared pencil rank")
-    return out
+            if e.rank == rank:
+                return lam, [list(v) for v in e.kernel_lines]
+        else:
+            ker = kernel_basis(p, lam, mode)
+            if p.dim - len(ker) == rank:
+                return lam, ker
+    raise RankDeficientPointError(
+        "could not find enough regular parameters; the pencil rank at this "
+        "point may be below the declared pencil rank")
 
 
 @dataclass
@@ -167,7 +162,7 @@ def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> Isotropi
     walk, full = height_walk(), p.dim - rank // 2
     span, params, dims = Span(mode), [], []
     while True:
-        (lam, ker), = regular_parameters(p, walk, 1, mode, rank=rank)
+        lam, ker = regular_parameters(p, walk, mode, rank=rank)
         added = span.extend(ker)
         params.append(lam)
         dims.append(len(span.vectors))
@@ -179,16 +174,18 @@ def compute_core(p: PencilAtPoint, mode: Mode = EXACT, *, rank: int) -> Isotropi
 def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     """Basis of L^perp = {xi : P_alpha(xi, L) = 0}; independent of regular alpha.
     Exact, the integer form of P_alpha, a multiple with the same kernel,
-    meets the core's integer rows (``regular_parameters``).  The rows have rank
-    dim L - corank (L holds Ker P_alpha), so float mode takes the last
-    dim - dim L + corank right singular vectors, as the rows may be roundoff."""
+    meets the core's integer rows (``regular_parameters``), and the kernel
+    comes back as the ``kernel_lines`` of their elimination, integer rows
+    over Z.  The rows have rank dim L - corank (L holds Ker P_alpha), so
+    float mode takes the last dim - dim L + corank right singular vectors,
+    as the rows may be roundoff."""
     if not core.basis:
         return identity(p.dim)
     alpha = core.regular_params[0]
     ints = p.integer_matrix_at(alpha) if mode.is_exact else None
     A = ints or (p.matrix_at(alpha) if mode.is_exact else p.float_matrix_at(alpha))
     rows = [mat_vec(A, l) for l in core.basis]
-    return (nullspace(rows, mode) if mode.is_exact
+    return (eliminate(rows).kernel_lines if mode.is_exact
             else nullspace_float(rows, mode.tol, dim=p.dim - core.dim + core.corank))
 
 
@@ -244,13 +241,11 @@ def _moebius_to_lambda(mu, t1, t2, mode: Mode):
 
 
 def lambda_to_moebius(lam, t1, t2):
-    """Inverse map: the R_{t1}^{t2}-eigenvalue corresponding to pencil lambda."""
+    """Inverse map: the R_{t1}^{t2}-eigenvalue corresponding to an exact pencil
+    lambda, or infinity."""
     if is_inf(lam):
         return Fraction(1)
-    if is_exact_scalar(lam):
-        return tidy((t1 - lam) / (t2 - lam))
-    lam = complex(lam)
-    return (complex(t1) - lam) / (complex(t2) - lam)
+    return tidy((t1 - lam) / (t2 - lam))
 
 
 def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
@@ -325,12 +320,9 @@ def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
 def is_diagonalizable(form, corank: int, mode: Mode = EXACT) -> bool:
     """dim Ker(P_alpha | Ker P_lambda) == corank, read off the linearization's form.
 
-    ``form`` is the Gram matrix on Ker P_lambda of Ainf (of A0 at lambda =
-    infinity), or the ``liealg.TwoCocycle`` of it, whose one exact
-    elimination then gives Ker A too.  There a regular P_alpha restricts to
-    (alpha - lambda) times it (to it at infinity), so both have the same
-    kernel dimension.
+    ``form`` is the ``liealg.TwoCocycle`` of the Gram matrix on Ker P_lambda
+    of Ainf (of A0 at lambda = infinity), whose one exact elimination then
+    gives Ker A too.  There a regular P_alpha restricts to (alpha - lambda)
+    times it (to it at infinity), so both have the same kernel dimension.
     """
-    if isinstance(form, list):
-        return len(form) - mat_rank(form, mode) == corank
     return form.dim - form.rank(mode) == corank

@@ -325,9 +325,9 @@ def classify(lp: LinearPencil, data: RootData, mode: Mode = EXACT) -> BlockDecom
             name = "diamond_C" if near(s, 0, zero_tol) else "so3C"
         out.counts[name] += 1
 
-    center = g.center(mode)
-    derived = g.derived_basis(mode)
-    out.abelian_dim = mat_rank(center + derived, mode) - len(derived)
+    # the structure vectors span the derived algebra [g, g]
+    center, structure = g.center(mode), list(g._c.values())
+    out.abelian_dim = mat_rank(center + structure, mode) - mat_rank(structure, mode)
     out.central_ideal_dim = out.block_dim_total(data.field) + out.abelian_dim - g.dim
     if out.central_ideal_dim < 0:
         raise ToleranceError("block reconstruction identity failed")

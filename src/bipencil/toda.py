@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import poly_roots_hybrid, squarefree_decomposition, to_numpy
+from .exactlin import clear_matrix, poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
 from .scalars import EXACT, Mode, tidy
 from .tensorfield import PoissonTensorField
@@ -118,11 +118,11 @@ def jacobi_char_poly(B):
     leading minors T_k = (x - B_kk) T_{k-1} - B_{k-1,k}^2 T_{k-2}, less the
     corner terms c^2 T' + 2 c B_01 B_12 ... B_{n-2,n-1}, T' the minor of rows
     1..n-2 and c = B_{0,n-1}; a 2 x 2 block has no corner terms.  The
-    recurrence runs on the ints of D B, D the lcm of B's denominators: since
-    det(x I - B) = D^-n det(D x I - D B), coefficient t is that int over D^(n-t)."""
+    recurrence runs on the ints of D B, D the lcm of B's denominators
+    (``exactlin.clear_matrix``): since det(x I - B) = D^-n det(D x I - D B),
+    coefficient t is that int over D^(n-t)."""
     n = len(B)
-    D = math.lcm(*(x.denominator for row in B for x in row))
-    C = [[x.numerator * (D // x.denominator) for x in row] for row in B]
+    _, C, D = clear_matrix(B)
 
     def minor(lo, hi):
         older, prev = [], [1]

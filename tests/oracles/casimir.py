@@ -36,9 +36,9 @@ class CasimirVariation:
     f_description: str
     alpha: object
 
-    def restrict_to(self, basis, mode: Mode = EXACT):
+    def restrict_to(self, basis):
         """Matrix of the operator on an invariant span of covectors."""
-        M = restrict(self.matrix, basis, mode)
+        M = restrict(self.matrix, basis)
         if M is None:
             raise PreconditionError("span is not invariant under the operator")
         return M

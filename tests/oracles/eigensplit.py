@@ -5,21 +5,38 @@ carrier ints over one denominator.  Here every operator is split as it is:
 its eigenvalues are ``exactlin.eigenvalues``, each eigenspace is the
 pivot-normalized kernel of M - val I (``exactlin.nullspace``), and each later
 operator is restricted to a joint eigenspace by resolving its images in the
-span (``exactlin.coords_in_span``), all in exact scalar arithmetic.
+span by one reduced row echelon form (``exactlin.rref``), all in exact
+scalar arithmetic: no unit-column read-off (``exactlin.read_off``), which
+the code under test uses.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from bipencil.errors import ToleranceError
-from bipencil.exactlin import (coords_in_span, eigenvalues, mat_mul, mat_vec, nullspace, shift,
-                               transpose)
-from bipencil.scalars import EXACT, Mode, tidy
+from bipencil.exactlin import eigenvalues, mat_mul, mat_vec, nullspace, rref, shift, transpose
+from bipencil.scalars import tidy
 
 
-def restrict(A, basis, mode: Mode = EXACT):
+def span_coords(basis, vectors):
+    """Coordinates of each of ``vectors`` in span(basis), a nonempty
+    independent basis, or None if one is outside: one reduced row echelon
+    form of the basis columns beside all the vectors, where a pivot in a
+    vector's column puts it outside the span."""
+    m = len(basis)
+    R, pivots = rref(transpose(list(basis) + list(vectors)))
+    if any(c >= m for c in pivots):
+        return None
+    rows = dict(zip(pivots, R))
+    return [[rows[c][m + t] if c in rows else Fraction(0) for c in range(m)]
+            for t in range(len(vectors))]
+
+
+def restrict(A, basis):
     """Matrix of the operator A on the invariant span(basis), or None when an
-    image A b leaves that span; all images are resolved in one call."""
-    coords = coords_in_span(basis, [mat_vec(A, b) for b in basis], mode)
+    image A b leaves that span; all images are resolved in one ``span_coords``."""
+    coords = span_coords(basis, [mat_vec(A, b) for b in basis])
     return None if coords is None else transpose(coords)
 
 

@@ -47,7 +47,7 @@ class Core(NamedTuple):
 def core_until_two_idle(p, mode=EXACT, *, rank):
     basis, params, dims, stable, walk = [], [], [], 0, height_walk()
     while not (stable >= 2 and len(params) >= len(basis)):
-        lam, ker = regular_parameters(p, walk, 1, mode, rank=rank)[0]
+        lam, ker = regular_parameters(p, walk, mode, rank=rank)
         new_basis = basis_union(basis, ker, mode)
         params.append(lam)
         dims.append(len(new_basis))

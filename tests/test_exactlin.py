@@ -21,7 +21,7 @@ from bipencil.exactlin import (_poly_degree, _poly_quotient, char_poly,
 from bipencil.scalars import (EXACT, QQi, cimag, claim, creal, float_mode, format_scalar, near,
                               tidy)
 
-from oracles import bareiss, euclid, padic
+from oracles import bareiss, eigensplit, euclid, padic
 from oracles.dense import bilinear, complex_array, entrywise_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -766,8 +766,9 @@ def test_float_coords_in_span_is_one_solve_of_all_vectors(monkeypatch):
 def test_coords_in_span_reads_an_echelon_basis_off_its_unit_columns(monkeypatch):
     # a kernel basis in echelon form has a unit column per vector: its
     # coordinates need no elimination, and each vector is still checked
-    # against the whole basis; a scaled, mixed basis of the same span has
-    # none and takes one elimination beside all the vectors
+    # against the whole basis; a scaled, mixed basis of the same span, one of
+    # whose vectors has no unit column, takes one elimination beside all the
+    # vectors
     F = Fraction
     ker = nullspace_exact([[F(1), F(2), F(0), F(-1)], [F(0), F(1), F(3), F(1, 2)]])
     mixed = [[F(3) * x + y for x, y in zip(ker[0], ker[1])], [F(-1, 2) * x for x in ker[1]]]
@@ -786,6 +787,41 @@ def test_coords_in_span_reads_an_echelon_basis_off_its_unit_columns(monkeypatch)
     assert len(rrefs) == 1
     assert coords_in_span(mixed, [inside, outside]) is None
     assert len(rrefs) == 2
+
+
+@st.composite
+def echelon_spans(draw):
+    """(basis, vectors) over Q, Q(i) or Q(sqrt 2): each basis row nonzero at
+    its own unit column, where the other rows are zero, at an entry that
+    need not be 1; vectors inside the span and vectors drawn at random, in
+    any order, possibly none."""
+    d = draw(st.sampled_from([0, -1, 2]))
+    fractions = st.fractions(-3, 3, max_denominator=3)
+    scalar = fractions if not d else st.builds(lambda a, b: tidy(QQi(a, b, d)), fractions,
+                                               fractions)
+    n = draw(st.integers(1, 5))
+    units = sorted(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    basis = []
+    for u in units:
+        row = [Fraction(0) if j in units else draw(scalar) for j in range(n)]
+        row[u] = draw(scalar.filter(lambda x: x != 0))
+        basis.append(row)
+    combos = draw(st.lists(st.lists(scalar, min_size=len(units), max_size=len(units)),
+                           max_size=3))
+    inside = [[tidy(sum(c * b[j] for c, b in zip(cs, basis))) for j in range(n)]
+              for cs in combos]
+    outside = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), max_size=2))
+    return basis, draw(st.permutations(inside + outside))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_spans())
+def test_coords_in_span_reads_echelon_bases_as_their_reduced_form_does(case):
+    # the unit-column read-off over Z, Z[i] and Z[sqrt 2] gives the values,
+    # the types and the None of one reduced row echelon form beside the basis
+    basis, vectors = case
+    assert typed(coords_in_span(basis, vectors)) == typed(eigensplit.span_coords(basis, vectors))
+    assert coords_in_span(basis, []) == [] == eigensplit.span_coords(basis, [])
 
 
 def test_char_poly_roots_and_multiplicity():

@@ -167,7 +167,7 @@ def jordan_matrix(lam, sizes):
     Fraction(3, 2), QQi(Fraction(1), Fraction(-2, 3)), QQi(Fraction(1), Fraction(1), 2)],
     ids=["rational", "gaussian", "real-quadratic"])
 def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam):
-    calls = {"mat_mul": 0, "mat_rank": 0}
+    calls = {"mat_mul": 0, "Elimination": 0}
     for name in calls:
         real = getattr(jk, name)
 
@@ -178,4 +178,4 @@ def test_jordan_sizes_take_one_product_less_than_ranks(monkeypatch, lam):
     # R sees each pencil block twice: sizes 3, 1 at the pencil level
     R = jordan_matrix(lam, [3, 3, 1, 1])
     assert jk._jordan_sizes_at(R, lam) == [1, 3]
-    assert calls == {"mat_mul": 3, "mat_rank": 4}
+    assert calls == {"mat_mul": 3, "Elimination": 4}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bipencil import algebras, exactlin, linearization
 from bipencil.catalog import catalog_by_name
 from bipencil.errors import RankDeficientPointError, ToleranceError
-from bipencil.exactlin import transpose
+from bipencil.exactlin import mat_rank, transpose
 from bipencil.liealg import (COMPLEX, REAL, CocycleKernel, LieAlgebra, LinearPencil,
                              TwoCocycle, argument_shift_cocycle, is_cocycle)
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
@@ -53,7 +53,7 @@ def test_linearize_toda_singular_point():
     assert lp.algebra.jacobi_violation() is None
     # sl(2, R) + line: one-dimensional center, three-dimensional derived part
     assert len(lp.algebra.center()) == 1
-    assert len(lp.algebra.derived_basis()) == 3
+    assert mat_rank(list(lp.algebra._c.values())) == 3
 
 
 def test_linearize_bad_example_zero_bracket():

@@ -214,10 +214,10 @@ def test_regular_bracket_on_kernel_is_a_multiple_of_the_form():
             lam = entry.lam
             ker = kernel_basis(p, lam)
             form = kernel_form(p, lam, ker)
-            assert form == quotient_form(p, ker, Fraction(0) if is_inf(lam) else INF)
+            assert form.matrix == quotient_form(p, ker, Fraction(0) if is_inf(lam) else INF)
             factor = 1 if is_inf(lam) else alpha - lam
             gram = [[bilinear(A_alpha, u, v) for v in ker] for u in ker]
-            assert gram == [[factor * x for x in row] for row in form], (name, lam)
+            assert gram == [[factor * x for x in row] for row in form.matrix], (name, lam)
             seen += 1
     assert seen == 19   # every point but the three regular Toda points
 
@@ -289,11 +289,12 @@ def test_a_skew_matrix_with_a_large_prime_entry_keeps_its_exact_rank():
 
 def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
     # t1 and t2 are the core's first two regular parameters, and the only
-    # kernel compute_spectrum computes is that of L^perp
+    # kernel compute_spectrum computes is that of L^perp, from the one
+    # elimination pencil makes itself
     kernels = []
-    real = pencil.nullspace
+    real = pencil.eliminate
 
-    def nullspace(*args, **kwargs):
+    def eliminate(*args, **kwargs):
         kernels.append(1)
         return real(*args, **kwargs)
 
@@ -301,9 +302,9 @@ def test_spectrum_parameters_are_drawn_by_rank_alone(monkeypatch):
         p = evaluate_pencil(e.field0, e.field_inf, e.point)
         core = core_of(p)
         kernels.clear()
-        monkeypatch.setattr(pencil, "nullspace", nullspace)
+        monkeypatch.setattr(pencil, "eliminate", eliminate)
         spec = compute_spectrum(p, core)
-        monkeypatch.setattr(pencil, "nullspace", real)
+        monkeypatch.setattr(pencil, "eliminate", real)
         if spec.is_empty():
             continue
         assert len(kernels) == 1, e.name
@@ -451,11 +452,17 @@ def test_integer_pencil_decides_as_the_fraction_matrix():
             assert _positive_multiple(M, p.matrix_at(lam)), (name, lam)
             assert rank_at(p, lam) == mat_rank(p.matrix_at(lam)), (name, lam)
             assert kernel_basis(p, lam) == nullspace(p.matrix_at(lam)), (name, lam)
+        # L^perp comes back as positive multiples of the Fraction kernel's
+        # vectors: over Z its primitive integer lines
         core = core_of(p)
         A = p.matrix_at(core.regular_params[0])
         fraction_perp = (nullspace([mat_vec(A, l) for l in core.basis]) if core.basis
                          else identity(p.dim))
-        assert core_perp(p, core) == fraction_perp, name
+        perp = core_perp(p, core)
+        assert len(perp) == len(fraction_perp), name
+        assert all(_positive_multiple([u], [v]) for u, v in zip(perp, fraction_perp)), name
+        if core.basis and not any(isinstance(x, QQi) for v in fraction_perp for x in v):
+            assert all(type(x) is int for v in perp for x in v), name
 
 
 RATIONALS = st.fractions(-3, 3, max_denominator=4)

@@ -295,8 +295,8 @@ def check_kernel_algebra(pt, lam):
 
     assert table(lp.algebra) == table(k.pencil.algebra), (pt.n, lam)
     assert lp.cocycle.matrix == k.pencil.cocycle.matrix, (pt.n, lam)
-    assert mat_rank(form) == 2
-    assert all(v == 0 for u in k.form_kernel for v in mat_vec(form, u))
+    assert mat_rank(form.matrix) == 2
+    assert all(v == 0 for u in k.form_kernel for v in mat_vec(form.matrix, u))
     return k.which
 
 
