@@ -18,7 +18,8 @@ QQi vectors only at the end, each line divided by its entry at its free
 column (``Elimination.kernel``).  Every primitive decides exactly in exact
 mode, and in floats at ``Mode.tol`` in float mode, by the one rule of
 ``Mode.zero``: a float is zero when |x| <= tol * max(scale, 1), so the float
-rank and kernel cut singular values at tol * max(sigma_max, 1).  Exact mode
+rank and kernel cut singular values at tol * max(sigma_max, 1), both read
+off one ``SVD`` where the caller keeps it.  Exact mode
 holds no float: ``eliminate`` names the one field of the entries
 (``scalars.quadratic_field``), and refuses a matrix with a float entry, or
 with entries in no one field, by PreconditionError.  A nonzero scale of a row changes no rank, kernel or
@@ -67,6 +68,7 @@ import functools
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -445,11 +447,39 @@ def mat_rank_exact(M) -> int:
 # ---------------------------------------------------------------------------
 
 
-def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
+@dataclass(frozen=True)
+class SVD:
+    """A float matrix kept with its one numpy SVD: its singular values,
+    descending, and the rows of vh, its full right singular vectors.
+    ``svd_rank`` and ``nullspace_float`` read one in place of a matrix, so
+    that a matrix kept so (``tensorfield.PencilAtPoint.svd_at``) is
+    decomposed once for its rank and its kernel."""
+
+    matrix: np.ndarray
+    sv: np.ndarray
+    vh: np.ndarray
+
+
+def svd(M) -> SVD:
+    """The ``SVD`` of the float matrix M; of an empty one, no singular value
+    and the identity on its columns."""
     A = to_numpy(M)
     if A.size == 0:
+        return SVD(A, np.zeros(0), np.eye(A.shape[1] if A.ndim == 2 else 0))
+    _, sv, vh = np.linalg.svd(A)
+    return SVD(A, sv, vh)
+
+
+def svd_rank(M, eps: float, warnings=None, what: str = "") -> int:
+    """The singular values of M, or of its ``SVD``, above eps * max(sigma_max, 1);
+    a matrix not kept is decomposed for its singular values alone."""
+    if isinstance(M, SVD):
+        sv = M.sv
+    else:
+        A = to_numpy(M)
+        sv = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+    if sv.size == 0:
         return 0
-    sv = np.linalg.svd(A, compute_uv=False)
     scale = max(sv[0], 1.0)
     rank = int(np.sum(sv > eps * scale))
     if warnings is not None:
@@ -498,16 +528,14 @@ def nullspace_exact(M):
 
 
 def nullspace_float(M, eps: float, dim: int | None = None):
-    """Right singular vectors of singular value at most eps * max(sigma_max, 1),
-    or the last ``dim`` where the kernel's dimension is known."""
-    A = to_numpy(M)
-    if A.size == 0:
-        n = A.shape[1] if A.ndim == 2 else 0
-        return [list(np.eye(n)[j]) for j in range(n)]
-    _, sv, vh = np.linalg.svd(A)
+    """Right singular vectors of M, or of its ``SVD``, of singular value at
+    most eps * max(sigma_max, 1), or the last ``dim`` where the kernel's
+    dimension is known."""
+    s = M if isinstance(M, SVD) else svd(M)
+    sv, vh = s.sv, s.vh
     if dim is not None:
         return [list(v.conj()) for v in vh[len(vh) - dim:]]
-    cutoff = eps * max(sv[0], 1.0)
+    cutoff = eps * max(sv[0], 1.0) if sv.size else 0.0
     return [list(vh[i].conj()) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
 
 
@@ -555,7 +583,7 @@ def coords_in_span(basis_vectors, vectors, mode: Mode = EXACT):
                 for t in range(len(vectors))]
     if not len(vectors):
         return []
-    An, B = to_numpy(transpose(basis_vectors)), to_numpy(vectors).T
+    An, B = to_numpy(basis_vectors).T, to_numpy(vectors).T
     X, *_ = np.linalg.lstsq(An, B, rcond=None)
     norms = np.maximum(1.0, np.abs(B).max(axis=0))
     if (np.abs(An @ X - B).max(axis=0) > 100 * mode.tol * norms).any():
@@ -987,7 +1015,7 @@ def eigenvalues(M, mode: Mode = EXACT):
     exact mode (``poly_roots_hybrid``'s list, []), and in float mode ([],
     numpy's), where values within 1000 * mode.tol * max(1, max |z|) form one
     cluster."""
-    if not M:
+    if not len(M):
         return [], []
     if mode.is_exact:
         return poly_roots_hybrid(char_poly(M)), []
@@ -1047,12 +1075,15 @@ def eigenspaces(M, mode: Mode = EXACT):
     if mode.is_exact:
         split = eigen_split(*clear_matrix(M))
         return split and [(val, e.kernel) for val, e in split]
-    eigs = eigenvalues(M, mode)[1]
-    if sum(mult for _, mult in eigs) != len(M):
+    A = to_numpy(M)
+    eigs = eigenvalues(A, mode)[1]
+    if sum(mult for _, mult in eigs) != len(A):
         return None
     split = []
     for val, mult in eigs:
-        sub = nullspace(shift(M, val), mode)
+        shifted = A.copy()
+        shifted[np.diag_indices(len(A))] -= val
+        sub = nullspace_float(shifted, mode.tol)
         if len(sub) != mult:
             return None
         split.append((val, sub))

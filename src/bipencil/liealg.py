@@ -21,7 +21,8 @@ as ``_table`` is, by ``set_bracket``.  Float ``bracket``, ``ad_matrix``,
 brackets; ``ad_matrix`` adds its terms in the order, and with the complex
 product, of a sum of Python complex terms, so that its values, and the
 roots read off them, keep their bits.  A cocycle's rank and its kernel
-Ker A, in pivot-normalized echelon form, are read off its one elimination.
+Ker A, in pivot-normalized echelon form, are read off its one elimination,
+and in float mode off its one SVD.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
 from .exactlin import (Elimination, carrier, clear_matrix, eigenspaces, eliminate, join, lift,
-                       mat_rank, nullspace, scalar_matrix, to_numpy, transpose)
+                       nullspace, nullspace_float, scalar_matrix, svd, svd_rank, to_numpy,
+                       transpose)
 from .poly import Poly
 from .pencil import pencil_rank_corank, point_walk
 from .scalars import (EXACT, Mode, QQi, format_scalar, is_exact_scalar, parse_int,
@@ -263,8 +265,8 @@ def _parse_scalar(c):
 
 @dataclass
 class TwoCocycle:
-    """A skew form on the algebra; exact, its rank and kernel are read off
-    one elimination, made on first use."""
+    """A skew form on the algebra; its rank and kernel are read off one
+    elimination, made on first use, or in float mode off one SVD."""
 
     matrix: list
 
@@ -276,8 +278,12 @@ class TwoCocycle:
     def elimination(self):
         return eliminate(self.matrix)
 
+    @cached_property
+    def svd(self):
+        return svd(self.matrix)
+
     def rank(self, mode: Mode = EXACT) -> int:
-        return self.elimination.rank if mode.is_exact else mat_rank(self.matrix, mode)
+        return self.elimination.rank if mode.is_exact else svd_rank(self.svd, mode.tol)
 
     def to_json_dict(self) -> dict:
         pairs = []
@@ -381,7 +387,7 @@ def kernel_of_cocycle(lp: LinearPencil, mode: Mode = EXACT) -> CocycleKernel:
     mode the flag is read off the ad matrices, each made once."""
     g = lp.algebra
     basis = ([list(v) for v in lp.cocycle.elimination.kernel] if mode.is_exact
-             else nullspace(lp.cocycle.matrix, mode))
+             else nullspace_float(lp.cocycle.svd, mode.tol))
     if mode.is_exact and g._table:
         abelian = all(mode.zero(v) for i, x in enumerate(basis) for y in basis[i + 1:]
                       for v in g.bracket(x, y))

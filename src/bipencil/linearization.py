@@ -3,7 +3,8 @@
 The kernel of P_lambda(x) carries a Lie bracket induced by the first
 derivatives of the pencil, [xi, eta]_k = xi^T (d_k P_lambda) eta: the Gram
 matrices of the d_k P_lambda on the kernel, one ``tensorfield.gram`` call
-over the nonzero entries of all of them.  ``exactlin.coords_in_span`` gives
+for all of them, over their nonzero entries when exact and as one array
+contraction in floats.  ``exactlin.coords_in_span`` gives
 the coordinates of each bracket: it clears the echelon kernel basis and the
 brackets once, reads them off the basis's free columns (``exactlin.read_off``)
 and checks each bracket against the whole basis.  The restriction of any

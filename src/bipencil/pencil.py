@@ -10,7 +10,9 @@ point the analysis picks, by ``point_walk``.  Every exact rank or kernel at
 lambda, of any exact pencil, reads the one forward elimination of P_lambda
 per point and lambda kept by ``PencilAtPoint.elimination_at``: the rank
 samples, the core walk, the spectrum's checks and each per-lambda kernel
-share it, and a kernel is back-substituted from it once.
+share it, and a kernel is back-substituted from it once.  Float mode reads
+the one SVD of the float P_lambda kept beside it, ``PencilAtPoint.svd_at``,
+for the same ranks and kernels.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import RankDeficientPointError, SingularParameterError
-from .exactlin import (Span, eigenvalues, eliminate, identity, mat_rank, mat_vec, nullspace,
-                       nullspace_float, solve)
+from .exactlin import (Span, eigenvalues, eliminate, identity, mat_vec, nullspace_float, solve,
+                       svd_rank)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
                       is_inf, lambda_is_real, near, snap, tidy)
 from .tensorfield import PencilAtPoint, gram
@@ -50,10 +52,10 @@ def point_walk(dim: int):
 
 def rank_at(p: PencilAtPoint, lam, mode: Mode = EXACT, warnings=None) -> int:
     """Rank of P_lambda(x) under the mode's rank rule: exact, the pivot count
-    of its elimination."""
+    of its elimination; in floats, read off its kept SVD."""
     if mode.is_exact:
         return p.elimination_at(lam).rank
-    return mat_rank(p.float_matrix_at(lam), mode, warnings, what=f"rank at lambda={lam}")
+    return svd_rank(p.svd_at(lam), mode.tol, warnings, what=f"rank at lambda={lam}")
 
 
 def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
@@ -75,10 +77,11 @@ def pencil_rank_corank(p: PencilAtPoint, mode: Mode = EXACT, warnings=None):
 def kernel_basis(p: PencilAtPoint, lam, mode: Mode = EXACT):
     """Kernel of P_lambda(x); complexified automatically for non-real lambda.
     Exact, it is back-substituted from the elimination that ``rank_at``
-    reads, once, and kept there; the caller gets a copy."""
+    reads, once, and kept there; the caller gets a copy.  In floats, it is
+    read off the SVD that ``rank_at`` reads."""
     if mode.is_exact:
         return [list(v) for v in p.elimination_at(lam).kernel]
-    return nullspace(p.float_matrix_at(lam), mode)
+    return nullspace_float(p.svd_at(lam), mode.tol)
 
 
 def regular_parameters(p: PencilAtPoint, walk, mode: Mode = EXACT, *, rank: int):
@@ -86,7 +89,7 @@ def regular_parameters(p: PencilAtPoint, walk, mode: Mode = EXACT, *, rank: int)
     height walk, where the rank is ``rank``: exact, the rank of P_lambda's
     elimination, and a copy of its ``kernel_lines`` (over Z primitive
     integer rows, which a ``Span`` clears with no denominator); else the
-    kernel's size.
+    size of the kernel read off its SVD.
     At most floor(d/2) values are not where the rank is attained (see
     pencil_rank_corank), so one miss more raises RankDeficientPointError."""
     for _ in range(p.dim // 2 + 1):
@@ -177,13 +180,14 @@ def core_perp(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT):
     meets the core's integer rows (``regular_parameters``), and the kernel
     comes back as the ``kernel_lines`` of their elimination, integer rows
     over Z.  The rows have rank dim L - corank (L holds Ker P_alpha), so
-    float mode takes the last dim - dim L + corank right singular vectors,
-    as the rows may be roundoff."""
+    float mode takes the last dim - dim L + corank right singular vectors
+    of the rows, made with the kept float P_alpha, as the rows may be
+    roundoff."""
     if not core.basis:
         return identity(p.dim)
     alpha = core.regular_params[0]
     ints = p.integer_matrix_at(alpha) if mode.is_exact else None
-    A = ints or (p.matrix_at(alpha) if mode.is_exact else p.float_matrix_at(alpha))
+    A = ints or (p.matrix_at(alpha) if mode.is_exact else p.svd_at(alpha).matrix)
     rows = [mat_vec(A, l) for l in core.basis]
     return (eliminate(rows).kernel_lines if mode.is_exact
             else nullspace_float(rows, mode.tol, dim=p.dim - core.dim + core.corank))
@@ -207,8 +211,8 @@ def quotient_dim(p: PencilAtPoint, core: IsotropicCore) -> int:
 
 def quotient_form(p: PencilAtPoint, basis, lam):
     """Gram matrix of P_lambda on ``basis``: its matrix on L^perp / L in a
-    quotient basis, or a linearization's cocycle on a kernel basis.  Every
-    entry is contracted, the lower half too, so float entries keep their bits."""
+    quotient basis, or a linearization's cocycle on a kernel basis: one
+    ``gram`` contraction, of every entry, the lower half too."""
     m = len(basis)
     values, = gram(p.dim, [p.entries], lam, basis, [(u, v) for u in range(m) for v in range(m)])
     return [values[u * m:(u + 1) * m] for u in range(m)]
@@ -256,7 +260,10 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
     the core's first two regular parameters, mapped back through the Moebius
     normalization; every candidate is then re-verified by an independent
     rank computation, exact in exact mode, where ``exactlin.eigenvalues``
-    refuses a candidate it cannot hold.  The pencil rank is dim - core.corank;
+    refuses a candidate it cannot hold.  On a pencil with no imaginary
+    entry, a float candidate within 1000 * tol * max(1, |lambda|) of the
+    real axis, the tolerance of the eigenvalue clusters and of the snap, is
+    taken as real.  The pencil rank is dim - core.corank;
     the spectrum is empty, with no operator, when L^perp / L is zero, and
     otherwise keeps the operator.
     """
@@ -269,9 +276,16 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
 
     entries = []
     exact, floats = eigenvalues(R.matrix, mode)
-    rational = all(is_exact_scalar(x) for _, _, *pair in p.entries for x in pair)
+    values = [x for _, _, *pair in p.entries for x in pair]
+    rational = all(is_exact_scalar(x) for x in values)
+    real = not any(cimag(x) for x in values)
     for mu, _mult in exact + floats:
         lam = _moebius_to_lambda(mu, t1, t2, mode)
+        # a real pencil's spectrum is closed under conjugation, so an
+        # imaginary part of rounding size makes no pair
+        if real and not (mode.is_exact or is_inf(lam)) and \
+                abs(lam.imag) <= 1000 * mode.tol * max(1.0, abs(lam)):
+            lam = complex(lam.real)
         # the pencil parameter usually has modest height even when the float
         # recursion eigenvalue does not, so an exact pencil tries lambda
         # rationalized first, within the tolerance ``eigenvalues`` clusters
@@ -289,17 +303,16 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
             kd = p.dim - rank_at(p, lam, mode, warnings)
             if kd > corank:
                 entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
-    entries = _canonicalize_conjugates(p, entries, mode)
+    if real:
+        entries = _canonicalize_conjugates(entries, mode)
     entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
                                 (abs(complex(e.lam)), complex(e.lam).real,
                                  complex(e.lam).imag) if not is_inf(e.lam) else (0, 0, 0)))
     return Spectrum(entries=entries, corank=corank, recursion=R)
 
 
-def _canonicalize_conjugates(p: PencilAtPoint, entries, mode: Mode):
-    """For real pencils, store one entry per conjugate pair (Im > 0 kept)."""
-    if any(cimag(x) for _, _, *pair in p.entries for x in pair):
-        return entries
+def _canonicalize_conjugates(entries, mode: Mode):
+    """One entry per conjugate pair of a real pencil's spectrum (Im > 0 kept)."""
     out = []
     used = set()
     for i, e in enumerate(entries):

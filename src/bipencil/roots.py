@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ToleranceError
-from .exactlin import (as_float, clear_matrix, coords_in_span, eigen_split, eigenspaces,
-                       identity, join, lift, mat_mul, mat_rank, mat_vec, restrict,
-                       scalar_matrix, transpose)
+from .exactlin import (clear_matrix, coords_in_span, eigen_split, eigenspaces, identity, join,
+                       lift, mat_rank, restrict, scalar_matrix, to_numpy, transpose)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 
@@ -147,28 +148,28 @@ def joint_eigenvectors(mats, mode: Mode = EXACT, rows=None):
     characteristic polynomial of the restriction itself: the eigenvalues and
     their order are those of a split on Fractions, and each basis spans the
     same space, made Fraction / QQi vectors on the way out.  Float mode
-    splits by ``exactlin.eigenspaces`` in floats, even where it is exact.
+    splits by ``exactlin.eigenspaces`` in floats, even where it is exact, on
+    complex arrays: each basis is the rows of one, each restriction is
+    resolved from the images basis A^T by one ``coords_in_span``, and each
+    split is mapped back by one product with the basis.
     """
     if mode.is_exact:
         return _joint_eigenvectors_exact(rows or [clear_matrix(A) for A in mats])
     items = [((), None)]
-    for A in mats:
-        floats = [[as_float(x) for x in row] for row in A]
+    for A in map(to_numpy, mats):
         new_items = []
         for (eigs, basis) in items:
-            R = A if basis is None else coords_in_span(
-                basis, [mat_vec(floats, b) for b in basis], mode)
+            R = A if basis is None else coords_in_span(basis, basis @ A.T, mode)
             if R is None:
                 raise ToleranceError("operator failed to preserve an invariant subspace")
-            split = eigenspaces(R if basis is None else transpose(R), mode)
+            split = eigenspaces(R if basis is None else np.transpose(R), mode)
             if split is None:
                 return None
             for val, sub in split:
-                vecs = sub if basis is None else [[tidy(v) for v in row]
-                                                  for row in mat_mul(sub, basis)]
-                new_items.append((eigs + (val,), vecs))
+                sub = np.array(sub)
+                new_items.append((eigs + (val,), sub if basis is None else sub @ basis))
         items = new_items
-    return items
+    return [(eigs, basis.tolist()) for eigs, basis in items]
 
 
 def _joint_eigenvectors_exact(cleared):

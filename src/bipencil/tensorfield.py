@@ -7,24 +7,27 @@ nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda,
 and ``gram`` the Gram matrices of P_lambda or of d_k P_lambda on a basis:
 the quotient form, the kernel form and the kernel bracket are all one
-sparse contraction.  Every exact rank and kernel
+contraction, exact over the nonzero cells, in floats over one dense array
+of all the matrices.  Every exact rank and kernel
 decision reads ``PencilAtPoint.elimination_at`` instead: one elimination of
 P_lambda per lambda, kept with its kernel.  Entries in Q are eliminated as
 ``integer_matrix_at``, a positive multiple of P_lambda in its carrier's rows
 (ints or Z[sqrt d] pairs).  Float ones read ``float_matrix_at``, P_lambda
-with each exact value converted to a float once.
+with each exact value converted to a float once, and its one SVD per
+lambda, ``PencilAtPoint.svd_at``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import Elimination, as_float, carrier, eliminate, primitive_row, to_numpy
+from .exactlin import Elimination, as_float, carrier, eliminate, primitive_row, svd, to_numpy
 from .poly import Poly, cleared
 from .scalars import INF, QQi, is_exact_scalar, is_inf, quadratic_field, tidy
 
@@ -103,38 +106,32 @@ def skew_cells(entries, lam):
     return [(i, j, a0 + lam * ainf, -a0 + lam * -ainf) for i, j, a0, ainf in entries]
 
 
-def left_sum(terms):
-    """The terms added left to right to 0, as a dense u^T A v adds them:
-    ``gram``'s sums, so that a float one keeps its bits (``sum`` may
-    compensate a float sum)."""
-    return reduce(operator.add, terms, 0)
-
-
 def gram(dim: int, matrices, lam, basis, pairs):
     """u^T M v per matrix M of ``matrices``, sorted lists of upper entries as
     ``skew_cells`` takes them, at ``lam``, per pair (u, v) of ``pairs``
     (indices into ``basis``): one list of values per matrix.
 
-    Contracted over the nonzero cells alone: each M v once, then u^T (M v),
-    the terms added left to right from 0 in the order of the dense sum
-    sum_i u_i (sum_j M_ij v_j), zero terms skipped, so that a float value
-    keeps its bits.  Where lambda and every value are real rationals the
-    cells are ints, b A0 + a Ainf at lambda = a / b, over one scale S b for
-    all the matrices, and the sums run on ints, the basis over S too; a
-    float basis meets cells converted once, each an int over S b by true
-    division, the correctly rounded float of the rational cell.
+    Exact, it is contracted over the nonzero cells alone: each M v once,
+    then u^T (M v), zero terms skipped.  Where lambda and every value are
+    real rationals the cells are ints, b A0 + a Ainf at lambda = a / b, over
+    one scale S b for all the matrices, and the sums run on ints, the basis
+    over S too.  Where lambda or any value is a float, every
+    value is made a complex float once, the matrices become one dense array
+    A0 + lambda Ainf of them all, and the values are its one contraction
+    B M B^T with the basis B.
     """
-    rows = [[[] for _ in range(dim)] for _ in matrices]
-    floats = not any(is_exact_scalar(x) for u in basis for x in u)
     values = [x for entries in matrices for _, _, *pair in entries for x in pair] + \
-        ([] if floats else [x for u in basis for x in u])
+        [x for u in basis for x in u]
+    if not all(is_exact_scalar(x) for x in values) or not (is_inf(lam) or is_exact_scalar(lam)):
+        return _float_gram(dim, matrices, lam, basis, pairs)
+    rows = [[[] for _ in range(dim)] for _ in matrices]
     vecs, finish = basis, tidy
     if (is_inf(lam) or isinstance(lam, (int, Fraction))) and \
             all(isinstance(x, (int, Fraction)) for x in values):
         # lam = a / b (INF as 1 / 0): b M = b A0 + a Ainf, on the ints of S A0, S Ainf
         a, b = (1, 0) if is_inf(lam) else lam.as_integer_ratio()
         S = math.lcm(*(x.denominator for x in values))
-        Sb, S3b = S * (b or 1), S ** 3 * (b or 1)
+        S3b = S ** 3 * (b or 1)
 
         def scaled(x):
             return x.numerator * (S // x.denominator)
@@ -142,21 +139,37 @@ def gram(dim: int, matrices, lam, basis, pairs):
         for r, entries in zip(rows, matrices):
             for i, j, a0, ainf in entries:
                 c = b * scaled(a0) + a * scaled(ainf)
-                r[i].append((j, c / Sb if floats else c))
-                r[j].append((i, -c / Sb if floats else -c))
-        if not floats:
-            vecs, finish = [[scaled(x) for x in u] for u in basis], lambda w: Fraction(w, S3b)
+                r[i].append((j, c))
+                r[j].append((i, -c))
+        vecs, finish = [[scaled(x) for x in u] for u in basis], lambda w: Fraction(w, S3b)
     else:
         for r, entries in zip(rows, matrices):
             for i, j, upper, lower in skew_cells(entries, lam):
                 r[i].append((j, upper))
                 r[j].append((i, lower))
-        if floats:
-            rows = [[[(j, as_float(a)) for j, a in row] for row in r] for r in rows]
-    images = [[[left_sum(a * v[j] for j, a in row if a != 0 and v[j] != 0) for row in r]
+    images = [[[sum(a * v[j] for j, a in row if a != 0 and v[j] != 0) for row in r]
                for v in vecs] for r in rows]
-    return [[finish(left_sum(x * y for x, y in zip(vecs[u], image[v]) if x != 0))
+    return [[finish(sum(x * y for x, y in zip(vecs[u], image[v]) if x != 0))
              for u, v in pairs] for image in images]
+
+
+def _float_gram(dim: int, matrices, lam, basis, pairs):
+    """``gram`` in floats: B M B^T for all the matrices at once, M = A0 +
+    lambda Ainf (Ainf at INF) the dense (k, dim, dim) array of their cells,
+    each value made a complex float once (``to_numpy``)."""
+    if not pairs:
+        return [[] for _ in matrices]
+    M = np.zeros((len(matrices), dim, dim), dtype=complex)
+    cells = [(t, i, j, a0, ainf) for t, entries in enumerate(matrices)
+             for i, j, a0, ainf in entries]
+    if cells:
+        t, i, j, a0, ainf = map(list, zip(*cells))
+        a0, ainf = to_numpy(a0), to_numpy(ainf)
+        M[t, i, j] = ainf if is_inf(lam) else a0 + complex(lam) * ainf
+        M[t, j, i] = -M[t, i, j]
+    B = to_numpy(basis).reshape(len(basis), dim)
+    u, v = map(list, zip(*pairs))
+    return (B @ M @ B.T)[:, u, v].tolist()
 
 
 def skew(dim: int, entries, lam):
@@ -177,8 +190,8 @@ class PencilAtPoint:
     ``derivatives[k]`` lists the same for d/dx_k of the two ``generators``,
     evaluated on first use: only the linearization at a spectrum value reads
     them.  A constant pencil has no generators and no derivatives.  Float
-    decisions read ``float_matrix_at``, exact ones ``elimination_at`` at any
-    exact lambda, INF included.
+    decisions read ``svd_at``, exact ones ``elimination_at`` at any exact
+    lambda, INF included.
     """
 
     dim: int
@@ -249,6 +262,19 @@ class PencilAtPoint:
             self._eliminations[lam] = (Elimination(rows, carrier(d)) if d else
                                        eliminate(self.matrix_at(lam) if rows is None else rows, d))
         return self._eliminations[lam]
+
+    @cached_property
+    def _svds(self) -> dict:
+        return {}
+
+    def svd_at(self, lam):
+        """The ``exactlin.SVD`` of ``float_matrix_at(lam)``, the float
+        counterpart of ``elimination_at``: one per lambda, made on first use
+        and kept, so that float mode's rank samples, regular parameters,
+        spectrum checks and kernels decompose each P_lambda once."""
+        if lam not in self._svds:
+            self._svds[lam] = svd(self.float_matrix_at(lam))
+        return self._svds[lam]
 
     def float_matrix_at(self, lam):
         """to_numpy(matrix_at(lam)) bit for bit, each exact value converted once:

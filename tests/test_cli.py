@@ -596,6 +596,22 @@ def test_exact_mode_refuses_what_it_cannot_hold_at_symmetric_toda(n, message, ca
     assert json.loads(err) == {"error": "refused", "message": message}
 
 
+def test_float_mode_keeps_the_real_lambdas_of_the_sl3_point(tmp_path, capsys):
+    # its spectrum values (-27 +- sqrt 249) / 40 are real; float mode used to
+    # keep an imaginary part of rounding size on one and read it as complex
+    case = corpus.sl3_quadratic_factor()
+    path = case.write(tmp_path / "sl3.pencil.json")
+    code, out, err = run_cli(case.argv("analyze", "float", path=path), capsys)
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert [type(e["lambda"]) for e in report["spectrum"]] == [float, float]
+    assert sorted(e["lambda"] for e in report["spectrum"]) == \
+        pytest.approx(sorted((-27 + s * 249 ** 0.5) / 40 for s in (1, -1)))
+    assert report["verdict"]["kind"] == "NonDegenerate"
+    assert report["total_type"] == {"ke": 0, "kh": 2, "kf": 0}
+    assert report["warnings"] == []
+
+
 def test_exact_mode_refuses_the_sl3_point_of_a_quadratic_factor(tmp_path, capsys):
     case = corpus.sl3_quadratic_factor()
     path = case.write(tmp_path / "sl3.pencil.json")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
 from bipencil.errors import PreconditionError, RankDeficientPointError, SingularParameterError
 from bipencil.exactlin import identity, mat_mul, mat_rank, mat_vec, nullspace
@@ -591,6 +592,42 @@ def test_the_core_walk_eliminates_only_the_pencil_matrices(monkeypatch):
     assert core.regular_params == walked and len(walked) > 2
     assert inputs == [[exactlin.primitive_row(row) for row in p.integer_matrix_at(lam)]
                       for lam in walked]
+
+
+@pytest.mark.parametrize("case", [next(c for c in corpus.catalog() if c.name == "so4_shift"),
+                                  corpus.toda_singular(4, 1)], ids=lambda case: case.name)
+def test_float_analysis_decomposes_each_pencil_matrix_once(case, monkeypatch):
+    # float mode keeps one SVD per P_lambda beside the eliminations: the rank
+    # samples, the core walk, the spectrum's checks and the kernels at the
+    # spectrum values read it, so no two np.linalg.svd calls decompose a
+    # P_lambda built at the same lambda, an array equal to it
+    built, decomposed = [], []
+    real_matrix, real_svd = PencilAtPoint.float_matrix_at, np.linalg.svd
+
+    def matrix(self, lam):
+        A = real_matrix(self, lam)
+        built.append((lam, A))
+        return A
+
+    monkeypatch.setattr(PencilAtPoint, "float_matrix_at", matrix)
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda A, *args, **kwargs: decomposed.append(A) or real_svd(A, *args,
+                                                                                     **kwargs))
+    rep = analyze_point(case.field0, case.field_inf, case.point, float_mode(),
+                        declared_rank=case.rank)
+    monkeypatch.undo()
+    assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
+    svds = {}
+    for A in decomposed:
+        lams = {lambda_key(lam) for lam, B in built if B is A}
+        assert len(lams) <= 1
+        for key in lams:
+            svds.setdefault(key, []).append(A)
+    assert all(len(arrays) == 1 for arrays in svds.values()), \
+        {key: len(arrays) for key, arrays in svds.items()}
+    samples = list(islice(height_walk(), len(case.point) // 2)) + [INF]
+    assert {lambda_key(lam) for lam in samples} <= svds.keys()
+    assert {lambda_key(e.lam) for e in rep.spectrum.entries} <= svds.keys()
 
 
 @settings(max_examples=60, deadline=None)

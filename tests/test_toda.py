@@ -355,12 +355,15 @@ def test_float_singular_toda_agrees_with_the_lax_oracle(case, capsys):
     assert point["oracle_agrees"] is True
 
 
-@pytest.mark.parametrize("n, ke", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("n, ke", [(n, n - 1) for n in range(2, 9)])
 def test_float_symmetric_toda_gives_the_exact_type(n, ke, capsys):
-    for mode in ("exact", "float"):
+    # ke is the Lax count; exact mode refuses n >= 4 (test_cli), where float
+    # mode's real lambda, irrational from n = 4 on, must stay real to give it
+    for mode in ("exact", "float") if n <= 3 else ("float",):
         point = toda_cli(corpus.toda_symmetric(n), mode, capsys)
         assert point["report"]["verdict"]["kind"] == "NonDegenerate", mode
         assert point["report"]["total_type"] == {"ke": ke, "kh": 0, "kf": 0}, mode
+        assert point["report"]["warnings"] == [], mode
         assert point["oracle_agrees"] is True, mode
 
 

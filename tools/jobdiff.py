@@ -16,8 +16,12 @@ output is compared.  The jobs whose exit code, stdout or stderr differ are
 printed, and counted apart for the benchmark and the further reports, and
 again by each job's ``--mode`` (exact where it has none), and those that
 exit 0 at REF and nonzero in the tree are counted by mode on their own: a
-change that trades a wrong answer for a failure shows there.  In the working
-tree, each further ``analyze``, ``linear`` or ``jk`` input is compared across
+change that trades a wrong answer for a failure shows there.  A differing
+job whose stdout is a report on both sides (``analyze``, ``toda`` and
+``linear``) also prints its verdict, type and warning count, REF's and the
+tree's, and such reports are counted apart by what moved: the verdict,
+type or warning count, only digits of float values, or something else.
+In the working tree, each further ``analyze``, ``linear`` or ``jk`` input is compared across
 the seeds it runs at, its reports' provenance (which records the seed) set
 aside: the analysis draws no random point, so no input may differ.  The
 exit code is 1 if any job differs between the trees or any input across its
@@ -320,6 +324,40 @@ def without_provenance(result):
     return [code, doc, err]
 
 
+def verdicts(out: str):
+    """(verdict, type, warning count) per report in a job's stdout, the
+    points of a ``toda`` run in order; None when it holds no report.  The
+    verdict is the degeneracy reason, its lambda left out, or the kind."""
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    if "nondegenerate" in doc:                     # linear
+        return [(doc["degeneracy_reason"] or "NonDegenerate", kinds(doc["type"]), 0)]
+    reports = ([doc["report"]] if "report" in doc else
+               [point["report"] for point in doc["points"]] if "points" in doc else [])
+    return [((r["verdict"]["reason"] or r["verdict"]["kind"]).split("(")[0],
+             kinds(r["total_type"]), len(r["warnings"])) for r in reports] or None
+
+
+def kinds(williamson):
+    """(ke, kh, kf) of a report's type, None for none."""
+    return williamson and (williamson["ke"], williamson["kh"], williamson["kf"])
+
+
+def masked(value):
+    """A report with every float value replaced by one placeholder."""
+    if isinstance(value, float):
+        return "<float>"
+    if isinstance(value, dict):
+        return {k: masked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [masked(v) for v in value]
+    return value
+
+
 def src_lines(tree) -> int:
     """Lines of the Python files under ``tree``'s ``src/`` (``perfbench/run.py``'s count)."""
     total = 0
@@ -396,6 +434,7 @@ def main(argv=None) -> int:
         lines = {"ref": src_lines(ref_tree), "tree": src_lines(ROOT)}
 
     differ = sorted(key for key in ref.keys() | tree.keys() if ref.get(key) != tree.get(key))
+    moved = {"verdict, type or warnings": 0, "digits only": 0, "other": 0}
     for key in differ:
         old, new = ref.get(key), tree.get(key)
         if old is None or new is None:
@@ -404,6 +443,12 @@ def main(argv=None) -> int:
         parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                  if a != b]
         print(f"{key}: {', '.join(parts)} differ (exit {old[0]} -> {new[0]})")
+        was, now = verdicts(old[1]), verdicts(new[1])
+        if was is not None and now is not None:
+            print(f"    {was} -> {now}")
+            moved["verdict, type or warnings" if was != now else
+                  "digits only" if masked(json.loads(old[1])) == masked(json.loads(new[1]))
+                  else "other"] += 1
     keys = ref.keys() | tree.keys()
     modes = {key: (tree.get(key) or ref[key])[3] for key in keys}
     further = {key for key in keys if key.startswith(FURTHER)}
@@ -415,6 +460,8 @@ def main(argv=None) -> int:
         f"{sum(modes[key] == mode for key in differ)} of "
         f"{sum(m == mode for m in modes.values())} {mode}-mode jobs and reports differ"
         for mode in MODES))
+    print(f"{sum(moved.values())} differing reports: " +
+          ", ".join(f"{count} in {what}" for what, count in moved.items()))
     failing = [key for key in differ if key in ref and key in tree
                and ref[key][0] == 0 and tree[key][0] != 0]
     print("exit 0 -> nonzero: " + ", ".join(
