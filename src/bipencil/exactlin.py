@@ -10,17 +10,18 @@ eliminated forward once, as rows in its carrier's form (``Elimination``;
 ``eliminate`` clears any exact matrix into them): over Z each updated row is
 divided by its content, which makes it the primitive row on the line of the
 Bareiss (1968) row, and over Z[sqrt d] by the previous pivot, as Bareiss
-does.  The rank is the number of pivots.  The reduced rows are
-back-substituted from the forward ones, from the last pivot up, only when
-the reduced form or the kernel is asked for.  The kernel is read off them
-once, as carrier rows (``Elimination.kernel_rows``), and becomes Fraction /
-QQi vectors only at the end, each line divided by its entry at its free
-column (``Elimination.kernel``).  Every primitive decides exactly in exact
-mode, and in floats at ``Mode.tol`` in float mode, by the one rule of
-``Mode.zero``: a float is zero when |x| <= tol * max(scale, 1), so the float
-rank and kernel cut singular values at tol * max(sigma_max, 1), both read
-off one ``SVD`` where the caller keeps it.  Exact mode
-holds no float: ``eliminate`` names the one field of the entries
+does.  The rank is the number of pivots.  The kernel is back-substituted
+against the forward rows once, when first asked for: one line per free
+column, from the last pivot up, on the carrier's ints
+(``Elimination.kernel_rows``), the same algorithm over Z and Z[sqrt d].  It
+becomes Fraction / QQi vectors only at the end, each line divided by its
+entry at its free column (``Elimination.kernel``).  The reduced rows are
+back-substituted from the forward ones only for ``rref``.  Every primitive
+decides exactly in exact mode, and in floats at ``Mode.tol`` in float mode,
+by the one rule of ``Mode.zero``: a float is zero when |x| <= tol *
+max(scale, 1), so the float rank and kernel cut singular values at tol *
+max(sigma_max, 1), both read off one ``SVD`` where the caller keeps it.
+Exact mode holds no float: ``eliminate`` names the one field of the entries
 (``scalars.quadratic_field``), and refuses a matrix with a float entry, or
 with entries in no one field, by PreconditionError.  A nonzero scale of a row changes no rank, kernel or
 reduced row echelon form, so a caller may pass such a multiple of its
@@ -63,6 +64,7 @@ results keep their bits.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import itertools
@@ -141,10 +143,14 @@ def _cleared(row):
 def primitive_row(row):
     """The real rational row times the lcm of its denominators, divided by the
     gcd of the result: the primitive integer row of the same direction, a new
-    list.  A row of ints is only divided."""
-    ints = list(row) if all(type(x) is int for x in row) else _cleared(row)
-    content = math.gcd(*ints)
-    return [a // content for a in ints] if content > 1 else ints
+    list.  A row of ints is only divided: ``math.gcd`` reads its content, and
+    refuses any other entry, which sends the row to ``_cleared``."""
+    try:
+        content = math.gcd(*row)
+    except TypeError:
+        row = _cleared(row)
+        content = math.gcd(*row)
+    return [a // content for a in row] if content > 1 else list(row)
 
 
 class _Z:
@@ -192,6 +198,7 @@ class _Z:
     divided, lift = staticmethod(primitive_row), staticmethod(lambda x: x)
     dot = staticmethod(lambda u, v: sum(map(operator.mul, u, v)))
     cofactor = staticmethod(lambda a: (1, a))
+    coords = staticmethod(lambda a: (a,))
 
 
 class _ZD:
@@ -264,8 +271,10 @@ class _ZD:
 
     # ring operations on (x, y) pairs: a cofactor of a is (c, n) with a c = n
     # a nonzero int, ``divided`` takes out the gcd of all coordinates, in a
-    # new row as over Z, and ``lift`` makes an int a pair
+    # new row as over Z, ``coords`` are the ints of one entry, and ``lift``
+    # makes an int a pair
     add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    coords = staticmethod(lambda a: a)
     scale = staticmethod(lambda a, k: (a[0] * k, a[1] * k))
     exact_div = staticmethod(lambda a, k: (a[0] // k, a[1] // k))
     lift = staticmethod(lambda x: (x, 0) if type(x) is int else x)
@@ -366,10 +375,10 @@ def _bareiss(K, A):
 class Elimination:
     """The forward elimination over the carrier K of ``rows`` in K's form
     (primitive ints over Z, (x, y) int pairs over Z[sqrt d]), in place by
-    ``_bareiss``, and so its rank, at once.  The reduced rows are
-    back-substituted from the forward ones (``K.reduce``), and the kernel
-    read off them, when each is first asked for; both are kept, so each is
-    computed once per elimination."""
+    ``_bareiss``, and so its rank, at once.  The kernel is back-substituted
+    against the forward pivot rows, and the reduced rows (``rref``'s) from
+    them (``K.reduce``), each when first asked for; both are kept, so each
+    is computed once per elimination."""
 
     def __init__(self, rows, K):
         self.K, self.rows, self.width = K, rows, len(rows[0]) if rows else 0
@@ -404,21 +413,33 @@ class Elimination:
     @functools.cached_property
     def kernel_rows(self):
         """(rows, free): the lines of ``kernel`` as carrier rows over the gcd of
-        their coordinates, row t the one nonzero at column free[t].  With
-        p c = n an int for each pivot p (``K.cofactor``) and N the lcm of the
-        n, N c / n stands for 1 / p."""
-        K, pivots = self.K, self.pivots
-        cof = [K.cofactor(row[pc]) for row, pc in zip(self.reduced, pivots)]
-        N = math.lcm(*(abs(n) for _, n in cof))
+        their coordinates, row t the one nonzero at column f = free[t], with a
+        positive int there.  Each is back-substituted from v = e_f against the
+        forward pivot rows left of f, from the last up: at a pivot p in column
+        pc, with t = row . v and p c = n an int (``K.cofactor``), v is scaled
+        by |n| / g and v[pc] set to -sign(n) t c / g, g the gcd of |n| and the
+        coordinates of t c, so v stays on the carrier's ints."""
+        K, rows, pivots = self.K, self.rows, self.pivots
+        cof = [K.cofactor(row[pc]) for row, pc in zip(rows, pivots)]
         free = [c for c in range(self.width) if c not in pivots]
-        rows = []
-        for fc in free:
-            v = [K.zero] * self.width
-            v[fc] = K.lift(N)
-            for row, pc, (c, n) in zip(self.reduced, pivots, cof):
-                v[pc] = K.scale(K.mul(row[fc], c), -(N // n))
-            rows.append(K.divided(v))
-        return rows, free
+        lines = []
+        for f in free:
+            v = [K.zero] * (f + 1)
+            v[f] = K.one
+            for k in reversed(range(bisect.bisect(pivots, f))):
+                pc = pivots[k]
+                t = K.dot(rows[k][pc + 1:f + 1], v[pc + 1:])
+                if t == K.zero:
+                    continue
+                c, n = cof[k]
+                tc = K.mul(t, c)
+                g = math.gcd(n, *K.coords(tc))
+                if g != abs(n):
+                    v[pc + 1:] = map(K.scale, v[pc + 1:], itertools.repeat(abs(n) // g))
+                v[pc] = K.exact_div(tc, -g if n > 0 else g)
+            v += [K.zero] * (self.width - f - 1)
+            lines.append(K.divided(v))
+        return lines, free
 
 
 def eliminate(M, field: int | None = None) -> Elimination:

@@ -14,6 +14,9 @@ primitive, are entrywise no larger.
 On QQi entries the same steps divide in the field.  ``rank`` counts the
 pivots of exact rows, and ``basis_union`` is the greedy loop on it, one rank
 of the whole family per candidate: the reference for the library's spans.
+``kernel_rows`` reads the kernel of a library ``Elimination`` off its reduced
+rows, as the library did before it back-substituted at the free columns: the
+reference for ``Elimination.kernel_rows`` on both carriers.
 """
 
 from __future__ import annotations
@@ -94,3 +97,24 @@ def basis_union(existing, new_vectors, mode=EXACT):
         if (rank(cand) if mode.is_exact else mat_rank(cand, mode)) == len(cand):
             out.append(list(v))
     return out
+
+
+def kernel_rows(e):
+    """(rows, free) of the ``Elimination`` e, read off the reduced form of its
+    forward rows (``e.K.reduce``, which leaves e as it is): with p c = n an
+    int for each reduced pivot p (``K.cofactor``) and N the lcm of the n, the
+    line at free column fc is N there and -(N / n) c row[fc] at each pivot
+    column, over the gcd of its coordinates (``K.divided``)."""
+    K, pivots = e.K, e.pivots
+    reduced = K.reduce(e.rows[:e.rank], pivots)
+    cof = [K.cofactor(row[pc]) for row, pc in zip(reduced, pivots)]
+    N = math.lcm(*(abs(n) for _, n in cof))
+    free = [c for c in range(e.width) if c not in pivots]
+    rows = []
+    for fc in free:
+        v = [K.zero] * e.width
+        v[fc] = K.lift(N)
+        for row, pc, (c, n) in zip(reduced, pivots, cof):
+            v[pc] = K.scale(K.mul(row[fc], c), -(N // n))
+        rows.append(K.divided(v))
+    return rows, free

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipencil import exactlin
@@ -323,6 +323,84 @@ def test_integer_kernel_matches_on_larger_matrices(n, gaussian, rnd):
     assert pivots == pivots0 and R == R0
     assert typed(R[:len(pivots)]) == typed(R0[:len(pivots)])
     assert typed(nullspace_exact(M)) == typed(oracle_nullspace(M))
+
+
+@st.composite
+def field_matrices(draw):
+    """Matrices over Q or over Q(sqrt d), d in {-1, 2, -3}: wide, tall or
+    square up to 7 x 7, of rank at most k as a product of n x k and k x m
+    matrices (k = 0 the zero matrix, k = m <= n often full column rank), with
+    zero rows planted."""
+    d = draw(st.sampled_from([0, -1, 2, -3]))
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(n, m)))
+    coord = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    entry = st.builds(lambda a, b: tidy(QQi(a, b, d)), coord, coord) if d else coord
+    B = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(n)]
+    C = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)]
+    M = [[tidy(sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0))) for j in range(m)]
+         for i in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        M[i] = [Fraction(0)] * m
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+@example([[0, 0, 0], [0, 0, 0]])                          # rank 0
+@example([[1, 2], [3, 4], [5, 6]])                        # full column rank, tall
+@example([[2, 4, 6, 8]])                                  # one row, wide
+@example([[QQi(1, 1, 2), 2, 0], [1, QQi(0, 1, 2), 0]])    # rank 1 over Z[sqrt 2]
+def test_kernel_rows_match_the_reduced_form_read_off(M):
+    # the back-substitution at the free columns gives the lines, types and
+    # free columns that the reduced rows gave, on both carriers, and leaves
+    # the reduced form uncomputed
+    e = exactlin.eliminate(M)
+    rows, free = e.kernel_rows
+    assert typed([rows, free]) == typed(list(bareiss.kernel_rows(e)))
+    assert len(free) == e.width - e.rank
+    # a positive int at the free column: (x, 0) with x > 0 over Z[sqrt d]
+    assert all(e.K.coords(v[f])[0] > 0 and not any(e.K.coords(v[f])[1:])
+               for v, f in zip(rows, free))
+    assert "reduced" not in e.__dict__
+
+
+@pytest.mark.parametrize("M", [[[1, 2, 3], [2, 4, 7]],
+                               [[QQi(0, 1), 1, 2], [-1, QQi(0, 1), QQi(0, 2)]]],
+                         ids=["Z", "Z[i]"])
+@pytest.mark.parametrize("attr", ["kernel", "kernel_lines", "kernel_rows"])
+def test_the_kernel_leaves_the_reduced_form_uncomputed(M, attr):
+    e = exactlin.eliminate(M)
+    assert getattr(e, attr) and "reduced" not in e.__dict__
+    assert e.reduced and "reduced" in e.__dict__
+
+
+def typescan_primitive_row(row):
+    """``primitive_row`` as it read a row before: a scan for ints, then one gcd."""
+    ints = list(row) if all(type(x) is int for x in row) else exactlin._cleared(row)
+    return [a // g for a in ints] if (g := math.gcd(*ints)) > 1 else ints
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=6),                    # int rows
+    st.lists(st.integers(-30, 30).map(lambda x: 6 * x), max_size=6),          # content 6
+    st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                       st.fractions(max_denominator=12),
+                       st.integers(-30, 30).map(Fraction),
+                       st.fractions(max_denominator=6).map(lambda x: QQi(x, 0))),
+             max_size=6)))
+@example([])
+@example([0, 0, 0])
+@example([Fraction(0), 0])
+@example([-4, -6, 8])
+@example([Fraction(-4), Fraction(-6)])
+@example([Fraction(-2, 3), Fraction(4, 9)])
+@example([7, 0, -14])
+def test_primitive_row_is_the_type_scan_version(row):
+    out = primitive_row(row)
+    assert typed(out) == typed(typescan_primitive_row(row)) and out is not row
+    assert all(type(a) is int for a in out)
 
 
 # -- the characteristic polynomial on integers ------------------------------------
