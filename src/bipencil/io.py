@@ -3,7 +3,10 @@
 One file holds one pencil; analysis points travel on the command line, so
 fixtures stay point-independent.  Rationals are serialized as strings to
 avoid float corruption; report JSON is canonical (sorted keys, fixed indent),
-hence byte-stable for identical inputs and seeds in exact mode.
+hence byte-stable for identical inputs and seeds in exact mode.  An input
+file is strict JSON: the NaN and Infinity that ``json`` would accept are
+refused.  A pencil file is read in one pass, each coefficient made a Fraction
+once, by ``parse_rational``, and kept as it is by ``Poly``.
 """
 
 from __future__ import annotations
@@ -30,47 +33,66 @@ def field_to_entries(f: PoissonTensorField) -> list:
     return out
 
 
+def _not_a_list(position: str) -> InputFormatError:
+    return InputFormatError(f"'{position}' must be a list", position=position)
+
+
 def _list(value, position: str) -> list:
     if not isinstance(value, list):
-        raise InputFormatError(f"'{position}' must be a list", position=position)
+        raise _not_a_list(position)
     return value
 
 
 def entries_to_field(dim: int, varnames, data, label: str) -> PoissonTensorField:
+    """The field of one pencil block, each coefficient parsed once: a
+    monomial's first term is kept as parsed, a repeated one adds, and one
+    that sums to 0 is dropped, as ``Poly`` addition drops it.  A position
+    string is formatted only for the ``InputFormatError`` that names it."""
     f = PoissonTensorField(dim, varnames)
     seen = set()
     for pos, ent in enumerate(_list(data, label)):
-        where = f"{label}[{pos}]"
         try:
             i, j = parse_int(ent["i"]), parse_int(ent["j"])
         except (KeyError, TypeError, ValueError) as exc:
+            where = f"{label}[{pos}]"
             raise InputFormatError(f"bad indices at {where}: {exc}", position=where)
         if not (1 <= i < j <= dim):
+            where = f"{label}[{pos}]"
             raise InputFormatError(
                 f"entry indices must satisfy 1 <= i < j <= dim at {where}", position=where)
         if (i, j) in seen:
+            where = f"{label}[{pos}]"
             raise InputFormatError(f"duplicate entry ({i}, {j}) at {where}", position=where)
         seen.add((i, j))
-        terms = {}      # a monomial whose sum is 0 is dropped, as Poly addition drops it
-        for mpos, term in enumerate(_list(ent.get("poly", []), f"{where}.poly")):
-            mwhere = f"{where}.poly[{mpos}]"
+        monomials = ent.get("poly", [])
+        if not isinstance(monomials, list):
+            raise _not_a_list(f"{label}[{pos}].poly")
+        terms = {}
+        for mpos, term in enumerate(monomials):
             try:
                 c = parse_rational(term["c"])
-                m = _list(term["m"], f"{mwhere}.m")
+                m = term["m"]
+                if not isinstance(m, list):
+                    raise _not_a_list(f"{label}[{pos}].poly[{mpos}].m")
                 if not all(type(x) is int for x in m):
                     m = [parse_int(x) for x in m]
             except (KeyError, TypeError, ValueError) as exc:
+                mwhere = f"{label}[{pos}].poly[{mpos}]"
                 raise InputFormatError(f"bad monomial at {mwhere}: {exc}", position=mwhere)
-            if len(m) != dim or any(e < 0 for e in m):
+            if len(m) != dim or min(m) < 0:
+                mwhere = f"{label}[{pos}].poly[{mpos}]"
                 raise InputFormatError(
                     f"exponent vector must have length dim and be non-negative at {mwhere}",
                     position=mwhere)
             m = tuple(m)
-            total = terms.get(m, 0) + c
-            if total:
-                terms[m] = total
-            else:
-                terms.pop(m, None)
+            if m in terms:
+                total = terms[m] + c
+                if total:
+                    terms[m] = total
+                else:
+                    del terms[m]
+            elif c:
+                terms[m] = c
         f.set_entry(i - 1, j - 1, Poly(dim, terms))
     return f
 
@@ -123,16 +145,21 @@ def dump_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def read_json(path: str, option: str):
     """The JSON document in the file given to ``option``; an unreadable or
     malformed file is an input error at that option, and a malformed one's
-    message keeps json's line and column."""
+    message keeps json's line and column.  The tokens NaN, Infinity and
+    -Infinity, which ``json`` would accept, are refused as malformed."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise InputFormatError(f"cannot read {option} file: {exc}", position=option) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputFormatError(f"invalid JSON in {option} file: {exc}",
                                position=option) from exc
 

@@ -1,12 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Only the operations the pencil machinery needs: ring arithmetic, and the
-values and first partial derivatives at exact or floating points.  At a point
+values and first partial derivatives at exact or floating points.  A Fraction
+coefficient and a tuple exponent are stored as they are given.  At a point
 in Q both are summed on ints: the point is cleared once, to ints X over one
 denominator Q (``cleared``), the terms are summed as one int over the lcm of
-their denominators, and each value is made a Fraction once, at the end.  At
-any other point, float, complex or in a quadratic field, the terms are
-multiplied out and added one by one.
+their denominators, and each value is made a Fraction once, at the end; a
+constant's value there is its coefficient.  At any other point, float,
+complex or in a quadratic field, the terms are multiplied out and added one
+by one.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(mono)] = c
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
+                    self.terms[mono if type(mono) is tuple else tuple(mono)] = c
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -106,9 +109,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -142,21 +142,22 @@ class Poly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def is_zero(self) -> bool:
         return not self.terms
 
     # -- values and first derivatives -----------------------------------------
     def eval(self, point, xq=None):
-        """The value at ``point``, exact at an exact point; ``xq`` is
-        ``cleared(point)``, made once by a caller that evaluates many
-        polynomials at one point."""
+        """The value at ``point``, exact at an exact point, and a constant's
+        coefficient at a point in Q; ``xq`` is ``cleared(point)``, made once
+        by a caller that evaluates many polynomials at one point."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        return _term_sum([(m, c, 1) for m, c in self.terms.items()], point,
-                         xq or cleared(point))
+        xq = xq or cleared(point)
+        if xq[1] is not None and len(self.terms) == 1:
+            (mono, c), = self.terms.items()
+            if not any(mono):
+                return c
+        return _term_sum([(m, c, 1) for m, c in self.terms.items()], point, xq)
 
     def partials(self, point, xq=None):
         """{k: d/dx_k at ``point``} over the variables x_k that occur, each
@@ -168,14 +169,3 @@ class Poly:
                     lowered.setdefault(k, []).append((mono[:k] + (e - 1,) + mono[k + 1:], c, e))
         xq = xq or cleared(point)
         return {k: _term_sum(terms, point, xq) for k, terms in lowered.items()}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items()):
-            vars_part = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(mono) if e
-            )
-            bits.append(f"{c}{'*' + vars_part if vars_part else ''}")
-        return " + ".join(bits)

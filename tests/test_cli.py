@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -541,6 +542,37 @@ def test_missing_algebra_file_names_its_option(tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_input_error(code, out, err, "--algebra")
     assert "alg.json" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                          (-math.inf, "-Infinity")])
+@pytest.mark.parametrize("option", ["--pencil", "--algebra", "--cocycle"])
+def test_nan_or_infinity_in_an_input_file_is_invalid_json(tmp_path, option, value, token,
+                                                          capsys):
+    # json reads the bare tokens NaN, Infinity and -Infinity; a file that holds
+    # one, even under a key the command never reads, is malformed, and no
+    # report carries it
+    docs = {"--pencil": dict(VALID_PENCIL), "--algebra": {"dim": 2, "structure": []},
+            "--cocycle": {"dim": 2, "cocycle": []}}
+    docs[option]["meta"] = value
+    if option == "--pencil":
+        path = tmp_path / "meta.pencil.json"
+        path.write_text(json.dumps(docs[option]))
+        argv = ["analyze", "--pencil", str(path), "--point", "0,0"]
+    else:
+        argv = write_linear_inputs(tmp_path, docs["--algebra"], docs["--cocycle"])
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(code, out, err, option)
+    assert json.loads(err)["message"] == (
+        f"invalid JSON in {option} file: {token} is not a JSON value")
+
+
+def test_a_pencil_file_that_is_not_text_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.pencil.json"
+    path.write_bytes(b'\xff\xfe{"dim": 2}')
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert_input_error(code, out, err, "--pencil")
+    assert json.loads(err)["message"].startswith("invalid JSON in --pencil file: ")
 
 
 def test_one_parser_serves_a_sequence_of_calls(so3_file, tmp_path, capsys):

@@ -106,6 +106,14 @@ def test_zero_and_constants_evaluate_to_their_fraction():
     assert same(Poly.zero(2).eval([Fraction(1, 3), -1]), Fraction(0))
 
 
+def test_a_constant_at_a_rational_point_is_its_coefficient():
+    c = Fraction(-5, 9)
+    q = Poly(3, {(0, 0, 0): c})
+    assert q.terms[(0, 0, 0)] is c
+    assert q.eval([Fraction(-3, 4), 5, Fraction(7, 6)]) is c
+    assert same(q.eval([0.5, -1.0, 2.0]), term_sum(q, [0.5, -1.0, 2.0]))
+
+
 def assert_field_definitions(f, point):
     """values_at and derivatives_at of ``f`` at ``point`` are the term sums of
     each entry and of its derivative, over the entries containing x_k."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -234,10 +235,13 @@ def input_error_jobs(workdir: str, write):
     pencil of dimension 0, a pencil file whose last monomial has an exponent
     true, -1, 1.5 or "x", or a vector of the wrong length, a pencil file with
     a monomial of coefficient true or false in P0's entry (1, 2), analyzed at
-    (1, 2, 3), bad ``--point`` values, a ``--tol`` of 0 and of 1, a
-    Toda lattice of one site, a non-positive Toda a_i, an unknown catalog name,
-    an algebra that breaks the Jacobi identity and a form that is not a
-    cocycle."""
+    (1, 2, 3), a pencil file with each other error the entry parse raises (an
+    index missing, not an integer or out of range, a duplicate entry, a
+    ``poly`` or an ``m`` that is not a list, and a coefficient missing, not a
+    number or 1/0), a pencil file whose ``meta`` is NaN, bad ``--point``
+    values, a ``--tol`` of 0 and of 1, a Toda lattice of one site, a
+    non-positive Toda a_i, an unknown catalog name, an algebra that breaks the
+    Jacobi identity and a form that is not a cocycle."""
     from bipencil.catalog import catalog_by_name
     from bipencil.io import pencil_to_json_dict
 
@@ -264,10 +268,13 @@ def input_error_jobs(workdir: str, write):
     def linear(alg, coc):
         return ["linear", "--algebra", alg, "--cocycle", coc]
 
-    def bad_monomial(name, term, k=-1, point="0,0,0"):
+    def bad_entry(name, change, point="0,0,0"):
         doc = pencil_to_json_dict(so3.field0, so3.field_inf, None)
-        doc["P0"][k]["poly"].append(term)
+        change(doc)
         return analyze(write(f"errors.{name}.pencil.json", doc), point)
+
+    def bad_monomial(name, term, k=-1, point="0,0,0"):
+        return bad_entry(name, lambda doc: doc["P0"][k]["poly"].append(term), point)
 
     return [
         ("error pencil missing", analyze(missing)),
@@ -280,6 +287,19 @@ def input_error_jobs(workdir: str, write):
         *((f"error pencil coefficient {name}",
            bad_monomial(f"coefficient-{name}", {"c": c, "m": [0, 0, 1]}, 0, "1,2,3"))
           for name, c in (("true", True), ("false", False))),
+        *((f"error pencil coefficient {name}", bad_monomial(f"coefficient-{name}", term))
+          for name, term in (("missing", {"m": [0, 0, 1]}),
+                             ("non-numeric", {"c": "x", "m": [0, 0, 1]}),
+                             ("zero-denominator", {"c": "1/0", "m": [0, 0, 1]}))),
+        ("error pencil exponents not a list", bad_monomial("exponents-5", {"c": "1", "m": 5})),
+        ("error pencil index missing", bad_entry("index-missing", lambda d: d["P0"][0].pop("i"))),
+        ("error pencil index 1.5", bad_entry("index-1.5", lambda d: d["P0"][0].update(i=1.5))),
+        ("error pencil index out of range",
+         bad_entry("index-4", lambda d: d["P0"][-1].update(j=4))),
+        ("error pencil duplicate entry",
+         bad_entry("duplicate", lambda d: d["P0"].append(d["P0"][0]))),
+        ("error pencil poly not a list", bad_entry("poly-5", lambda d: d["P0"][0].update(poly=5))),
+        ("error pencil meta NaN", bad_entry("meta-nan", lambda d: d.update(meta=math.nan))),
         ("error algebra missing", linear(missing, cocycle)),
         ("error algebra malformed", linear(malformed, cocycle)),
         ("error cocycle missing", linear(algebra, missing)),
