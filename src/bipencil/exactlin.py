@@ -49,14 +49,18 @@ over Q, whose gcds run on the same carriers Z and Z[sqrt d], as primitive
 pseudo-remainder sequences (``poly_gcd_exact``).  The exact roots of each
 squarefree factor are found with no float: the Gaussian-rational ones
 (``gaussian_rational_roots``) of a quadratic over Q by its discriminant,
-else mod a prime and lifted p-adically, then both roots of a quadratic
+else mod a prime, on ints (by gcds with x^((p - 1) / 2) and equal-degree
+splitting), and lifted p-adically, then both roots of a quadratic
 cofactor over Q, in the field of its discriminant, and the root of a linear
 factor over any Q(sqrt d); any other cofactor is refused.  ``eigenvalues``
 gives the same list for a matrix in exact mode, and numpy's in float mode,
 and ``eigenspaces``, the one eigen-split (``eigen_split`` in exact mode),
 also decides diagonalizability over C.
 Matrices are lists of lists of Fraction / QQi / int entries, or in float
-mode floats; vectors are lists.  A float decision converts each exact value
+mode floats; vectors are lists.  numpy is bound here once, as ``np``, and
+loaded on its first attribute access: float mode loads it at its first
+call, and an exact run never imports it.  The other modules that call numpy
+read ``np`` from here.  A float decision converts each exact value
 once where it meets a float (``as_float``, ``to_numpy``), to the correctly
 rounded float(x) that Fraction-with-float arithmetic starts from: float
 results keep their bits.
@@ -67,17 +71,34 @@ from __future__ import annotations
 import bisect
 import copy
 import functools
+import importlib.util
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import PreconditionError
 from .scalars import (EXACT, Mode, QQi, field_coords, field_name, no_common_field,
                       quadratic_field, tidy)
+
+
+def _lazy_import(name: str):
+    """The module ``name``, loaded on its first attribute access
+    (``importlib.util.LazyLoader``); one already imported is reused."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the one numpy of the package: float mode loads it at its first call, and an
+# exact run never does
+np = _lazy_import("numpy")
 
 # ---------------------------------------------------------------------------
 # basic matrix utilities
@@ -865,12 +886,90 @@ def squarefree_decomposition(coeffs):
 
 
 def _eval_mod(coeffs, x, q):
-    """An ascending integer polynomial at x mod q by Horner; x an int, or an
-    int64 array when q is small enough for the products to fit."""
+    """An ascending integer polynomial at the int x mod q, by Horner."""
     out = 0
     for c in reversed(coeffs):
         out = (out * x + c) % q
     return out
+
+
+# Polynomials over F_p, p an odd prime, as ascending lists of ints, which
+# may end in zeros.
+
+
+def _divmod_mod(a, f, p):
+    """(quotient, remainder) of a by the monic f over F_p, the remainder as
+    len(f) - 1 coefficients (fewer when a has fewer)."""
+    a, n = list(a), len(f) - 1
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] = a[k] % p
+        if c:
+            for i in range(n):
+                a[k - n + i] -= c * f[i]
+    return [x % p for x in a[n:]], [x % p for x in a[:n]]
+
+
+def _mul_mod(a, b, f, p):
+    """a b mod the monic f over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _divmod_mod(prod, f, p)[1]
+
+
+def _pow_mod(a, e, f, p):
+    """a^e mod the monic f over F_p, e >= 1, by repeated squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mul_mod(out, out, f, p)
+        if bit == "1":
+            out = _mul_mod(out, a, f, p)
+    return out
+
+
+def _gcd_mod(a, b, p):
+    """The monic gcd over F_p of a monic a and any b, by Euclid."""
+    while True:
+        while b and not b[-1] % p:
+            b = b[:-1]
+        if not b:
+            return a
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _divmod_mod(a, b, p)[1]
+
+
+def _split_mod(g, p, a=1):
+    """The roots of a monic squarefree g that is a product of linear factors
+    over F_p, split by equal degrees: gcd(g, (x + a)^((p - 1) / 2) - 1) holds
+    the factors x - r with r + a a nonzero square, for a = 1, 2, ... until
+    it is a proper factor (von zur Gathen-Gerhard, Modern Computer Algebra,
+    14.3)."""
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    while True:
+        h = _pow_mod([a, 1], (p - 1) // 2, g, p)
+        h = _gcd_mod(g, [h[0] - 1] + h[1:], p)
+        a += 1
+        if 1 < len(h) < len(g):
+            return _split_mod(h, p, a) + _split_mod(_divmod_mod(g, h, p)[0], p, a)
+
+
+def _simple_roots_mod(c, p):
+    """The roots in F_p of the integer polynomial c, ascending, its leading
+    coefficient a unit mod p; None when one of them is a root of c' too.
+    With w = x^((p - 1) / 2) mod c, by repeated squaring, they are 0 when
+    c(0) = 0, the roots of gcd(c, w - 1), the nonzero squares, and those of
+    gcd(c, w + 1), the non-squares, each split by ``_split_mod``."""
+    inv = pow(c[-1], -1, p)
+    f = [x * inv % p for x in c]
+    w = _pow_mod([0, 1], (p - 1) // 2, f, p)
+    roots = [0] if not f[0] else []
+    for e in (-1, 1):
+        roots += _split_mod(_gcd_mod(f, [w[0] + e] + w[1:], p), p)
+    derivative = poly_deriv(c)
+    return sorted(roots) if all(_eval_mod(derivative, r, p) for r in roots) else None
 
 
 def _residue_primes():
@@ -896,9 +995,11 @@ def gaussian_rational_roots(f):
     w = lc z a Gaussian integer with |w| <= B = |lc| + max |a_k| (Cauchy).
     The first prime p = 1 (mod 4) above 10^4 with p not dividing N(lc), at
     which every root of f mod p is simple, is taken, with i -> s, s^2 = -1,
-    mapping Z[i] onto F_p (``_residue_primes``); the roots mod p come from
-    one evaluation at every residue, in their order mod p, which is the
-    order of the list.  Newton's doubling lifts them, and s with them, to
+    mapping Z[i] onto F_p (``_residue_primes``).  The roots mod p are found
+    on ints, in their order mod p, which is the order of the list
+    (``_simple_roots_mod``: x^((p - 1) / 2) mod f by repeated squaring, gcds
+    with it, and equal-degree splitting), and each is checked to be no root
+    of f'.  Newton's doubling lifts them, and s with them, to
     q = p^K > 4 B^2 (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4).
     The w with residue t = lc r mod q lie on a coset of the lattice
     x + y s = 0 (mod q), spanned by (q, 0) and (-s, 1): the multiples of a g
@@ -941,16 +1042,15 @@ def gaussian_rational_roots(f):
     checked = False
     for p, s in _residue_primes():
         if norm_lc % p:
-            c = [(x + y * s) % p for x, y in a]
-            roots = np.flatnonzero(_eval_mod(c, np.arange(p, dtype=np.int64), p) == 0)
-            if np.all(_eval_mod(poly_deriv(c), roots, p)):
+            roots = _simple_roots_mod([(x + y * s) % p for x, y in a], p)
+            if roots is not None:
                 break
             if not checked:
                 derivative = [K.scale(x, k) for k, x in enumerate(a)][1:]
                 if len(_gcd_rows(K, a[::-1], derivative[::-1])) > 1:
                     raise _repeated_root()
                 checked = True
-    roots, q = [int(r) for r in roots], p
+    q = p
     while q <= 4 * bound:
         q *= q
         s = (s - (s * s + 1) * pow(2 * s, -1, q)) % q

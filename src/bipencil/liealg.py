@@ -32,11 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DimensionMismatchError, InputFormatError, PreconditionError
 from .exactlin import (Elimination, carrier, clear_matrix, eigenspaces, eliminate, join, lift,
-                       nullspace, nullspace_float, scalar_matrix, svd, svd_rank, to_numpy,
+                       np, nullspace, nullspace_float, scalar_matrix, svd, svd_rank, to_numpy,
                        transpose)
 from .poly import Poly
 from .pencil import pencil_rank_corank, point_walk

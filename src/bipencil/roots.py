@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ToleranceError
 from .exactlin import (clear_matrix, coords_in_span, eigen_split, eigenspaces, identity, join,
-                       lift, mat_rank, restrict, scalar_matrix, to_numpy, transpose)
+                       lift, mat_rank, np, restrict, scalar_matrix, to_numpy, transpose)
 from .liealg import COMPLEX, REAL, CocycleKernel, LinearPencil, kernel_of_cocycle
 from .scalars import EXACT, Mode, cimag, claim, conj, creal, is_exact_scalar, near, tidy
 

@@ -397,15 +397,29 @@ def parse_int(value) -> int:
     return int(value)
 
 
+# the most digits CPython's int() reads from a string by default
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text) -> Fraction:
     """Parse 'p/q', integer, or decimal strings to an exact Fraction;
-    ValueError for anything else, a zero denominator and a JSON boolean included."""
+    ValueError for anything else, a zero denominator, a JSON boolean and a
+    decimal exponent beyond +-MAX_EXPONENT included: 1e10000000 would be a
+    33-million-bit integer."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
+    literal = str(text).strip()
+    exponent = literal.replace("E", "e").partition("e")[2]
     try:
-        return Fraction(str(text).strip())
+        too_large = abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:          # no exponent, or one that Fraction refuses
+        too_large = False
+    if too_large:
+        raise ValueError(f"decimal exponent {exponent} exceeds {MAX_EXPONENT} in magnitude")
+    try:
+        return Fraction(literal)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DimensionMismatchError, NonRationalPointError
-from .exactlin import Elimination, as_float, carrier, eliminate, primitive_row, svd, to_numpy
+from .exactlin import (Elimination, as_float, carrier, eliminate, np, primitive_row, svd,
+                       to_numpy)
 from .poly import Poly, cleared
 from .scalars import INF, QQi, is_exact_scalar, is_inf, quadratic_field, tidy
 

@@ -22,10 +22,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError, ToleranceError
-from .exactlin import clear_matrix, poly_roots_hybrid, squarefree_decomposition, to_numpy
+from .exactlin import clear_matrix, np, poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
 from .scalars import EXACT, Mode, tidy
 from .tensorfield import PoissonTensorField

@@ -49,13 +49,22 @@ def sl_coords(M, n: int):
 
 
 def sl(n: int) -> LieAlgebra:
+    """sl(n, R) on ``sl_basis(n)``: each bracket AB - BA summed over the one or
+    two nonzero entries of each basis matrix."""
     mats, labels = sl_basis(n)
+    entries = [[(i, j, x) for i, row in enumerate(M) for j, x in enumerate(row) if x]
+               for M in mats]
     g = LieAlgebra(len(mats), REAL, labels)
-    for u in range(len(mats)):
+    for u, A in enumerate(entries):
         for v in range(u + 1, len(mats)):
-            AB, BA = mat_mul(mats[u], mats[v]), mat_mul(mats[v], mats[u])
-            g.set_bracket(u, v, sl_coords([[p - q for p, q in zip(r, s)]
-                                           for r, s in zip(AB, BA)], n))
+            C = [[F(0)] * n for _ in range(n)]
+            for i, k, x in A:
+                for l, j, y in entries[v]:
+                    if k == l:
+                        C[i][j] += x * y
+                    if j == i:
+                        C[l][k] -= y * x
+            g.set_bracket(u, v, sl_coords(C, n))
     return g
 
 

@@ -449,6 +449,55 @@ def test_zero_denominator_in_a_linear_file_is_an_input_error(tmp_path, algebra_d
     assert code == 1 and out == "" and json.loads(err)["error"] == "input"
 
 
+# decimal exponents beyond 4300 in magnitude, of both signs, with e and E:
+# each is refused at once, where 1e10000000 took 8 s to parse
+HUGE_EXPONENTS = [("1e10000000", "10000000"), ("1E-10000000", "-10000000"),
+                  ("-2.5e+4301", "+4301"), ("3E-4301", "-4301")]
+
+
+def assert_huge_exponent_refused(code, out, err, exponent, position=None):
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and f"decimal exponent {exponent} " in doc["message"]
+    assert position is None or doc["position"] == position
+
+
+@pytest.mark.parametrize("value, exponent", HUGE_EXPONENTS)
+def test_a_huge_exponent_in_a_pencil_file_is_an_input_error(tmp_path, value, exponent, capsys):
+    path = tmp_path / "huge.pencil.json"
+    path.write_text(json.dumps({**VALID_PENCIL, "P0": [
+        {"i": 1, "j": 2, "poly": [{"c": "1", "m": [0, 0]}, {"c": value, "m": [1, 0]}]}]}))
+    code, out, err = run_cli(["analyze", "--pencil", str(path), "--point", "0,0"], capsys)
+    assert_huge_exponent_refused(code, out, err, exponent, "P0[0].poly[1]")
+
+
+@pytest.mark.parametrize("value, exponent", HUGE_EXPONENTS)
+def test_a_huge_exponent_in_a_point_is_an_input_error(so3_file, value, exponent, capsys):
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, f"--point=0,{value},0"], capsys)
+    assert_huge_exponent_refused(code, out, err, exponent, "--point")
+
+
+@pytest.mark.parametrize("value, exponent", HUGE_EXPONENTS)
+@pytest.mark.parametrize("option", ["--a", "--b"])
+def test_a_huge_exponent_in_a_toda_point_is_an_input_error(option, value, exponent, capsys):
+    a = f"1,{value},1" if option == "--a" else "1,1,1"
+    b = f"0,{value},0" if option == "--b" else "0,0,0"
+    code, out, err = run_cli(["toda", "--n", "3", f"--a={a}", f"--b={b}"], capsys)
+    assert_huge_exponent_refused(code, out, err, exponent, option)
+
+
+@pytest.mark.parametrize("value, exponent", HUGE_EXPONENTS)
+@pytest.mark.parametrize("where", ["structure", "complex structure", "cocycle"])
+def test_a_huge_exponent_in_a_linear_file_is_an_input_error(tmp_path, where, value, exponent,
+                                                            capsys):
+    c = {"re": "1", "im": value} if where == "complex structure" else value
+    algebra = {"dim": 2, "structure": [{"i": 1, "j": 2, "k": 2, "c": c}] if where != "cocycle"
+               else []}
+    cocycle = {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": value if where == "cocycle" else "1"}]}
+    code, out, err = run_cli(write_linear_inputs(tmp_path, algebra, cocycle), capsys)
+    assert_huge_exponent_refused(code, out, err, exponent)
+
+
 @pytest.mark.parametrize("c", [True, False])
 def test_a_boolean_coefficient_in_a_pencil_file_is_an_input_error(so3_file, c, capsys):
     # JSON true and false are not numbers: parse_rational read true as 1 and

@@ -990,16 +990,21 @@ NO_GAUSSIAN_ROOT = [[Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)],
 tall = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 9)
 
 
+def with_roots(lead, roots, rest=(Fraction(1),)):
+    """lead rest(x) times x - z for each z in roots, each coefficient tidied."""
+    f = [lead * c for c in rest]
+    for z in roots:
+        f = poly_mul(f, [-z, Fraction(1)])
+    return [tidy(c) for c in f]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(tall, tall | st.just(Fraction(0))), max_size=6, unique=True),
        st.sampled_from(NO_GAUSSIAN_ROOT),
        st.sampled_from([Fraction(1), Fraction(-7, 3), QQi(2, 5)]))
 def test_planted_gaussian_rational_roots_are_found_exactly(parts, rest, lead):
     planted = [tidy(QQi(re, im)) for re, im in parts]
-    f = [lead * c for c in rest]
-    for z in planted:
-        f = poly_mul(f, [-z, Fraction(1)])
-    roots, cofactor = gaussian_rational_roots([tidy(c) for c in f])
+    roots, cofactor = gaussian_rational_roots(with_roots(lead, planted, rest))
     assert len(roots) == len(planted) and set(roots) == set(planted)
     assert cofactor == [tidy(lead * c) for c in rest]
 
@@ -1059,6 +1064,72 @@ def test_the_root_order_follows_the_first_prime_that_divides_neither(f, prime):
                    for x, t in zip((creal(z), cimag(z)), (1, s))) % prime
     assert residue(roots[0]) < residue(roots[1])
     assert all(poly_eval(f, z) == 0 for z in roots)
+
+
+def residues_mod(p):
+    """Ascending polynomials over F_p, of degree 1 to 8: some roots planted,
+    one of them twice at times, times a random cofactor."""
+    def build(draw):
+        degree = draw(st.integers(1, 8))
+        planted = draw(st.lists(st.integers(0, p - 1), max_size=degree))
+        if planted and len(planted) < degree and draw(st.booleans()):
+            planted.append(planted[0])
+        f = draw(st.lists(st.integers(0, p - 1), min_size=degree - len(planted),
+                          max_size=degree - len(planted)))
+        f.append(draw(st.integers(1, p - 1)))
+        for r in planted:
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+        return f
+    return st.composite(build)()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEARCH_PRIMES[:3]).flatmap(
+    lambda p: st.tuples(st.just(p), residues_mod(p))))
+@example((10009, [0, 1, 0, 1]))
+@example((10037, [1] + [0] * 7 + [1]))
+def test_roots_mod_p_on_ints_are_the_residue_scans(case):
+    # the roots of f mod p found by gcds with x^((p - 1) / 2) and splitting,
+    # on ints, are those that one evaluation at every residue finds, in the
+    # same order, and None for both where a root is also one of f'
+    p, f = case
+    assert exactlin._simple_roots_mod(f, p) == padic.simple_roots_mod(f, p)
+
+
+def gaussian(re, im):
+    return tidy(QQi(Fraction(re), Fraction(im)))
+
+
+@pytest.mark.parametrize("f, prime", [
+    # 10009 divides the leading coefficient
+    (with_roots(Fraction(10009), [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]), 10037),
+    # 1 and 10010 meet mod 10009
+    (with_roots(Fraction(1), [Fraction(1), Fraction(10010), Fraction(-1, 2)]), 10037),
+    # one rational root beside the cofactor x^2 - 2
+    (with_roots(Fraction(3), [Fraction(1, 3)], [Fraction(-2), Fraction(0), Fraction(1)]), 10009),
+    # N(3 + 100 i) = 10009
+    (with_roots(gaussian(3, 100), [gaussian(0, 1), gaussian(0, Fraction(-2, 3)),
+                                   gaussian(1, -1)]), 10037),
+    # i and i + 10009 meet mod 10009
+    (with_roots(Fraction(1), [gaussian(0, 1), gaussian(10009, 1), Fraction(2)]), 10037),
+    # both: 10009 divides N(lc), and 1 and 10038 meet mod 10037
+    (with_roots(gaussian(100, -3), [Fraction(1), Fraction(10038), gaussian(0, 1)]), 10061)],
+    ids=["Q-lead", "Q-meet", "Q-cofactor", "Qi-lead", "Qi-meet", "Qi-both"])
+def test_pinned_cubics_take_the_residue_scans_prime_and_roots(f, prime, monkeypatch):
+    # the roots are lifted from the first prime whose roots are all simple,
+    # and listed in their order mod it, as the residue scan lists them
+    primes, search = [], exactlin._simple_roots_mod
+
+    def recorded(c, p):
+        primes.append(p)
+        return search(c, p)
+
+    monkeypatch.setattr(exactlin, "_simple_roots_mod", recorded)
+    roots, cofactor = gaussian_rational_roots(f)
+    want = padic.gaussian_rational_roots(f)
+    assert primes[-1] == prime
+    assert typed(roots) == typed(want[0]) and typed(cofactor) == typed(want[1])
+    assert len(roots) == len(f) - len(cofactor) and all(poly_eval(f, z) == 0 for z in roots)
 
 
 @pytest.mark.parametrize("f", [

@@ -1,16 +1,25 @@
-"""Imports of the library, by stdlib-only AST scans.
+"""Imports of the library, by stdlib-only AST scans, and what a run loads.
 
 Every import is used (``__init__.py`` is exempt: its imports are the
 package's public re-exports), and every module imports only the standard
 library, numpy and bipencil itself: scipy, sympy and mpmath are test-only
-oracles.  Every module-level definition, and every method of a library class,
-is used by the library itself or by the benchmark; one that only tests use
-belongs in ``tests/oracles``.  A module-level definition is used by its name,
+oracles.  Only ``exactlin`` imports numpy, and lazily: the other modules read
+its ``np``.  Importing numpy costs more than a whole exact analysis at the
+benchmark's sizes, and one stray ``import numpy`` would load it for every
+run again; so an exact run, checked in a fresh process, never loads it.
+Every module-level definition, and every method of a library class, is used
+by the library itself or by the benchmark; one that only tests use belongs
+in ``tests/oracles``.  A module-level definition is used by its name,
 or as an attribute of its module (``algebras.so3``); an attribute of the same
 name read off anything else does not count.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,6 +106,89 @@ def test_library_imports_only_stdlib_and_numpy():
     assert paths
     found = {p.name: foreign_imports(p.read_text()) for p in paths}
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether a file imports numpy: by an import statement, or by naming it
+    to a call, as a lazy binding does."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call):
+            names = [arg.value for arg in node.args
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_scanner_finds_numpy_imports():
+    assert imports_numpy("import math, numpy as np\n")
+    assert imports_numpy("def f():\n    from numpy.linalg import svd\n")
+    assert imports_numpy("np = _lazy_import('numpy')\n")
+    assert not imports_numpy("from .exactlin import np\nx = np.zeros(3)\n")
+    assert not imports_numpy('"""numpy is bound lazily."""\nimport numbers\n')
+
+
+def test_only_exactlin_imports_numpy():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    assert [p.name for p in paths if imports_numpy(p.read_text())] == ["exactlin.py"]
+
+
+EXACT_RUNS = """
+import contextlib, io, json, sys, time
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+start = time.perf_counter()
+from bipencil.cli import main
+with open(sys.argv[1]) as fh:
+    exact, float_job = json.load(fh)
+codes = [run(argv) for argv in exact]
+seconds = time.perf_counter() - start
+loaded = "numpy.linalg" in sys.modules
+float_code = run(float_job)
+print(json.dumps([codes, seconds, loaded, float_code, "numpy.linalg" in sys.modules]))
+"""
+
+
+def test_exact_runs_never_load_numpy(tmp_path):
+    # every exact-mode input of tools/jobdiff.py's further reports at seed 0
+    # (analyze, toda, jk and linear, their input errors included) runs in one
+    # fresh process without numpy; a float job then loads it
+    root = PACKAGE.parent.parent
+    spec = importlib.util.spec_from_file_location("jobdiff", root / "tools" / "jobdiff.py")
+    jobdiff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobdiff)
+    exact, floats = [], []
+    for key, argv in jobdiff.further_jobs(str(tmp_path)):
+        seed = re.search(r" seed=(\d+)", key)
+        if seed is None or seed.group(1) == "0":
+            mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "exact"
+            (exact if mode == "exact" else floats).append((key, argv))
+    # the lifting of roots mod p, and each command, are among them
+    assert any("so31_shift" in key for key, _ in exact)
+    assert {argv[0] for _, argv in exact} == {"analyze", "toda", "jk", "linear", "catalog"}
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([[argv for _, argv in exact], floats[0][1]]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", EXACT_RUNS, str(jobs)], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, check=True)
+    codes, seconds, loaded, float_code, float_loaded = json.loads(proc.stdout)
+    assert len(codes) == len(exact) and 0 in codes
+    assert not loaded and seconds <= 10
+    assert float_code == 0 and float_loaded
 
 
 def defined_names(source: str):

@@ -164,3 +164,14 @@ def test_every_entry_error_keeps_its_message_and_position(data, message, positio
     want = ("error", message, position)
     assert _outcome(entries_to_field, 3, data) == want
     assert _outcome(pencilfile.entries_to_field, 3, data) == want
+
+
+def test_a_decimal_exponent_is_read_up_to_4300_in_magnitude():
+    # int() reads at most 4300 digits from a string by default; an exponent
+    # beyond that is refused before any power of 10 is formed
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("-2.5E-4300") == Fraction(-25, 10 ** 4301)
+    for text, exponent in (("1e4301", "4301"), ("1E-4301", "-4301"),
+                           ("1e10000000", "10000000"), ("-1E-10000000", "-10000000")):
+        with pytest.raises(ValueError, match=f"decimal exponent {exponent} exceeds 4300"):
+            parse_rational(text)

@@ -238,10 +238,11 @@ def input_error_jobs(workdir: str, write):
     (1, 2, 3), a pencil file with each other error the entry parse raises (an
     index missing, not an integer or out of range, a duplicate entry, a
     ``poly`` or an ``m`` that is not a list, and a coefficient missing, not a
-    number or 1/0), a pencil file whose ``meta`` is NaN, bad ``--point``
-    values, a ``--tol`` of 0 and of 1, a Toda lattice of one site, a
-    non-positive Toda a_i, an unknown catalog name, an algebra that breaks the
-    Jacobi identity and a form that is not a cocycle."""
+    number, 1/0 or 1e4301, the first power of ten refused), a pencil file
+    whose ``meta`` is NaN, bad ``--point`` values, a ``--tol`` of 0 and of
+    1, a Toda lattice of one site, a non-positive Toda a_i, an unknown
+    catalog name, an algebra that breaks the Jacobi identity and a form that
+    is not a cocycle."""
     from bipencil.catalog import catalog_by_name
     from bipencil.io import pencil_to_json_dict
 
@@ -290,7 +291,8 @@ def input_error_jobs(workdir: str, write):
         *((f"error pencil coefficient {name}", bad_monomial(f"coefficient-{name}", term))
           for name, term in (("missing", {"m": [0, 0, 1]}),
                              ("non-numeric", {"c": "x", "m": [0, 0, 1]}),
-                             ("zero-denominator", {"c": "1/0", "m": [0, 0, 1]}))),
+                             ("zero-denominator", {"c": "1/0", "m": [0, 0, 1]}),
+                             ("exponent 4301", {"c": "1e4301", "m": [0, 0, 1]}))),
         ("error pencil exponents not a list", bad_monomial("exponents-5", {"c": "1", "m": 5})),
         ("error pencil index missing", bad_entry("index-missing", lambda d: d["P0"][0].pop("i"))),
         ("error pencil index 1.5", bad_entry("index-1.5", lambda d: d["P0"][0].update(i=1.5))),
