@@ -46,13 +46,17 @@ multiplicity) pairs, each value exact (Fraction or QQi), found by
 every multiplicity is exact, read
 off Yun's squarefree decomposition (``squarefree_decomposition``), on ints
 over Q, whose gcds run on the same carriers Z and Z[sqrt d], as primitive
-pseudo-remainder sequences (``poly_gcd_exact``).  The exact roots of each
+pseudo-remainder sequences (``poly_gcd_exact``); over Q one gcd with the
+derivative mod a prime first shows most squarefree polynomials so, and they
+take no gcd over Z.  The exact roots of each
 squarefree factor are found with no float: the Gaussian-rational ones
 (``gaussian_rational_roots``) of a quadratic over Q by its discriminant,
 else mod a prime, on ints (by gcds with x^((p - 1) / 2) and equal-degree
 splitting), and lifted p-adically, then both roots of a quadratic
 cofactor over Q, in the field of its discriminant, and the root of a linear
-factor over any Q(sqrt d); any other cofactor is refused.  ``eigenvalues``
+factor over any Q(sqrt d); any other cofactor is refused.  The primes p = 1
+(mod 4) above 10^4 that the squarefree test and the roots mod p take are
+found once per process (``_residue_primes``).  ``eigenvalues``
 gives the same list for a matrix in exact mode, and numpy's in float mode,
 and ``eigenspaces``, the one eigen-split (``eigen_split`` in exact mode),
 also decides diagonalizability over C.
@@ -864,14 +868,26 @@ def squarefree_decomposition(coeffs):
 
     Over Q it runs on ints: each gcd is primitive (``_gcd_rows``), each
     quotient exact over Z, b and c one multiple of the field's, and f_i and
-    sf are scaled at the end.  Over Q(sqrt d) each gcd is monic."""
+    sf are scaled at the end.  Over Q(sqrt d) each gcd is monic.
+
+    Over Q, gcd(f, f') is first taken mod the first prime p of
+    ``_residue_primes`` that does not divide the leading coefficient of the
+    primitive f.  When it is constant, f is squarefree over Q: a factor g^2
+    of f over Z would reduce to a factor of the same degree, squared, mod p.
+    Then Yun's answer, (coeffs, [(f monic, 1)]), is returned at once."""
     if _poly_degree(coeffs) == 0:
         return list(coeffs), []
     over_q = not quadratic_field(coeffs)
     f = primitive_row(coeffs[:_poly_degree(coeffs) + 1]) if over_q else coeffs
+    df = poly_deriv(f)
+    if over_q:
+        p = next(p for p, _ in _residue_primes() if f[-1] % p)
+        inv = pow(f[-1], -1, p)
+        if len(_gcd_mod([x * inv % p for x in f], df, p)) == 1:
+            return list(coeffs), [([Fraction(x, f[-1]) for x in f], 1)]
     gcd = (lambda a, b: _gcd_rows(_Z, a[::-1], b[::-1])[::-1]) if over_q else poly_gcd_exact
-    g = gcd(f, poly_deriv(f))
-    b, c = _poly_quotient(f, g), _poly_quotient(poly_deriv(f), g)
+    g = gcd(f, df)
+    b, c = _poly_quotient(f, g), _poly_quotient(df, g)
     sf = (list(coeffs) if len(g) == 1 else b if not over_q
           else [tidy(coeffs[len(f) - 1]) / b[-1] * x for x in b])
     factors = []
@@ -972,13 +988,22 @@ def _simple_roots_mod(c, p):
     return sorted(roots) if all(_eval_mod(derivative, r, p) for r in roots) else None
 
 
+@functools.cache
+def _residue_prime(k: int):
+    """The k-th (p, s) of ``_residue_primes``, found by trial division once
+    per process."""
+    start = _residue_prime(k - 1)[0] + 4 if k else 10 ** 4 + 1
+    p = next(p for p in itertools.count(start, 4)
+             if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    return p, next(s for s in (pow(c, (p - 1) // 4, p) for c in itertools.count(2))
+                   if s * s % p == p - 1)
+
+
 def _residue_primes():
     """(p, s) per prime p = 1 (mod 4) above 10^4, in order, s the first
-    c^((p - 1) / 4), c = 2, 3, ..., whose square is -1 mod p."""
-    for p in itertools.count(10 ** 4 + 1, 4):
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            yield p, next(s for s in (pow(c, (p - 1) // 4, p) for c in itertools.count(2))
-                          if s * s % p == p - 1)
+    c^((p - 1) / 4), c = 2, 3, ..., whose square is -1 mod p; each pair is
+    found once per process (``_residue_prime``)."""
+    return map(_residue_prime, itertools.count())
 
 
 def _repeated_root():

@@ -58,11 +58,11 @@ def lambda_is_real(lam) -> bool:
 
 def lambda_key(lam) -> str:
     """Dictionary key of a pencil parameter: 'inf', the value in Q(i), or 12
-    digits of any other."""
+    digits of any other; an exact value goes through ``_exact_str``."""
     if is_inf(lam):
         return "inf"
     if is_exact_scalar(lam) and getattr(lam, "d", -1) == -1:
-        return str(lam)
+        return _exact_str(lam)
     z = complex(lam)
     return f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"
 
@@ -372,18 +372,30 @@ def snap(z: complex, tol: float):
             yield cand
 
 
+def _exact_str(x) -> str:
+    """str() of an exact value; PreconditionError for a rational of a
+    numerator or denominator of more than MAX_EXPONENT digits, which str()
+    cannot write."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise PreconditionError(f"cannot write a rational of more than {MAX_EXPONENT} digits "
+                                "in its numerator or denominator") from exc
+
+
 def format_scalar(x):
     """Canonical JSON form: rationals as strings, complex as {re, im}, of two
     strings in Q(i) and of two floats otherwise; a zero float part is +0.0,
-    whichever sign the float operations left on it."""
+    whichever sign the float operations left on it.  An exact value goes
+    through ``_exact_str``."""
     if is_inf(x):
         return "inf"
     if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
+        return _exact_str(Fraction(x))
     if isinstance(x, QQi) and x.d == -1:
         if x.im == 0:
-            return str(x.re)
-        return {"re": str(x.re), "im": str(x.im)}
+            return _exact_str(x.re)
+        return {"re": _exact_str(x.re), "im": _exact_str(x.im)}
     z = complex(x)
     re, im = z.real + 0.0, z.imag + 0.0      # -0.0 + 0.0 is +0.0
     return re if im == 0 else {"re": re, "im": im}
@@ -397,15 +409,19 @@ def parse_int(value) -> int:
     return int(value)
 
 
-# the most digits CPython's int() reads from a string by default
+# the most digits CPython's int() reads from a string, and str() writes of an
+# int, by default
 MAX_EXPONENT = 4300
+_TOO_LONG = 10 ** MAX_EXPONENT
 
 
 def parse_rational(text) -> Fraction:
     """Parse 'p/q', integer, or decimal strings to an exact Fraction;
     ValueError for anything else, a zero denominator, a JSON boolean and a
     decimal exponent beyond +-MAX_EXPONENT included: 1e10000000 would be a
-    33-million-bit integer."""
+    33-million-bit integer.  A literal whose numerator or denominator has
+    more than MAX_EXPONENT digits, as 1e4300 has, is refused too: no report
+    could write it back."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, (int, Fraction)):
@@ -419,9 +435,13 @@ def parse_rational(text) -> Fraction:
     if too_large:
         raise ValueError(f"decimal exponent {exponent} exceeds {MAX_EXPONENT} in magnitude")
     try:
-        return Fraction(literal)
+        value = Fraction(literal)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+    if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ValueError(f"{literal} has more than {MAX_EXPONENT} digits in its numerator "
+                         "or denominator")
+    return value
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ with period n, and Lax-side objects live on the double period 2n.  The
 spectral oracle is independent of the pencil machinery: singular parameters
 are exactly the multiplicity-two periodic or antiperiodic eigenvalues of the
 doubled Jacobi matrix; exact mode reads them off each block's characteristic
-polynomial, computed on the ints of the block over one denominator.  The
-pencil's generators are collected monomial by monomial, each entry set once.
+polynomial, computed on the ints of (a, b) over one denominator with no block
+built, whose squarefree decomposition shows a regular point's blocks
+squarefree by one gcd mod p (``exactlin.squarefree_decomposition``).  The
+pencil's generators are collected monomial by monomial, each exponent tuple
+counted from its variables and each entry set once.
 ``make_singular_point`` prescribes such an eigenvalue
 through a solution of the eigen-recursion.  Both point constructors draw from
 a ``random.Random`` of the caller's seed: they make inputs, and are the
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, ToleranceError
-from .exactlin import clear_matrix, np, poly_roots_hybrid, squarefree_decomposition, to_numpy
+from .exactlin import np, poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
 from .scalars import EXACT, Mode, tidy
 from .tensorfield import PoissonTensorField
@@ -68,7 +71,10 @@ def toda_pencil(n: int):
 
     def add(table, i, j, c, *variables):
         """c times the product of ``variables`` into entry (i, j), as -c into (j, i)."""
-        mono = tuple(variables.count(v) for v in range(d))
+        mono = [0] * d
+        for v in variables:
+            mono[v] += 1
+        mono = tuple(mono)
         if i > j:
             i, j, c = j, i, -c
         terms = table.setdefault((i, j), {})
@@ -111,31 +117,37 @@ def jacobi_block(pt: TodaPoint, sign: int):
     return B
 
 
-def jacobi_char_poly(B):
-    """det(x I - B), ascending, of a rational ``jacobi_block`` in O(n^2): the
-    leading minors T_k = (x - B_kk) T_{k-1} - B_{k-1,k}^2 T_{k-2}, less the
-    corner terms c^2 T' + 2 c B_01 B_12 ... B_{n-2,n-1}, T' the minor of rows
-    1..n-2 and c = B_{0,n-1}; a 2 x 2 block has no corner terms.  The
-    recurrence runs on the ints of D B, D the lcm of B's denominators
-    (``exactlin.clear_matrix``): since det(x I - B) = D^-n det(D x I - D B),
-    coefficient t is that int over D^(n-t)."""
-    n = len(B)
-    _, C, D = clear_matrix(B)
+def jacobi_char_poly(pt: TodaPoint, sign: int):
+    """det(x I - B), ascending, of B = ``jacobi_block(pt, sign)`` in O(n^2),
+    read off the point with no block built: the leading minors T_k =
+    (x - b_k) T_{k-1} - a_{k-1}^2 T_{k-2}, less the corner terms c^2 T' +
+    2 c a_0 a_1 ... a_{n-2}, T' the minor of rows 1..n-2 and c = sign a_{n-1};
+    at n = 2 the corner adds to the one off-diagonal entry, a_0 + sign a_1,
+    and there are no corner terms.  The recurrence runs on the ints D a and
+    D b, D the lcm of their denominators: since det(x I - B) = D^-n
+    det(D x I - D B), coefficient t is that int over D^(n-t)."""
+    n = pt.n
+    ratios = [x.as_integer_ratio() for x in pt.a + pt.b]
+    D = math.lcm(*(q for _, q in ratios))
+    ints = [p * (D // q) for p, q in ratios]
+    a, b = ints[:n], ints[n:]
+    if n == 2:
+        a = [a[0] + sign * a[1]]
 
     def minor(lo, hi):
         older, prev = [], [1]
         for k in range(lo, hi):
-            off = C[k - 1][k] ** 2 if k > lo else 0
-            older, prev = prev, [x - C[k][k] * y - off * z for x, y, z in
+            off = a[k - 1] ** 2 if k > lo else 0
+            older, prev = prev, [x - b[k] * y - off * z for x, y, z in
                                  itertools.zip_longest([0] + prev, prev, older, fillvalue=0)]
         return prev
 
     chi = minor(0, n)
     if n > 2:
-        c = C[0][n - 1]
+        c = sign * a[n - 1]
         for t, y in enumerate(minor(1, n - 1)):
             chi[t] -= c * c * y
-        chi[0] -= 2 * c * math.prod(C[k][k + 1] for k in range(n - 1))
+        chi[0] -= 2 * c * math.prod(a[:n - 1])
     return [Fraction(x, D ** (n - t)) for t, x in enumerate(chi)]
 
 
@@ -162,9 +174,8 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     """
     out = []
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
-        block = jacobi_block(pt, sign)
         if mode.is_exact:
-            chi = jacobi_char_poly(block)
+            chi = jacobi_char_poly(pt, sign)
             multiple = [(f, i) for f, i in squarefree_decomposition(chi)[1] if i >= 2]
             if not multiple:
                 continue
@@ -172,7 +183,7 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
                 out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
                                             multiplicity=mult))
         else:
-            vals = sorted(np.linalg.eigvalsh(to_numpy(block).real))
+            vals = sorted(np.linalg.eigvalsh(to_numpy(jacobi_block(pt, sign)).real))
             scale = max(1.0, max(abs(v) for v in vals))
             clusters = []
             for v in vals:

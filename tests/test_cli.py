@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -496,6 +497,61 @@ def test_a_huge_exponent_in_a_linear_file_is_an_input_error(tmp_path, where, val
     cocycle = {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": value if where == "cocycle" else "1"}]}
     code, out, err = run_cli(write_linear_inputs(tmp_path, algebra, cocycle), capsys)
     assert_huge_exponent_refused(code, out, err, exponent)
+
+
+@pytest.mark.parametrize("value", ["1e4300", "-1E-4300"])
+@pytest.mark.parametrize("where", ["pencil", "--point", "--a", "--b", "linear"])
+def test_a_value_of_4301_digits_is_an_input_error(tmp_path, so3_file, where, value, capsys):
+    # 10^4300 has 4301 digits, as numerator or denominator: str() cannot write
+    # it back into a report, which was a traceback; it is refused as input
+    if where == "pencil":
+        path = tmp_path / "long.pencil.json"
+        path.write_text(json.dumps({**VALID_PENCIL, "P0": [
+            {"i": 1, "j": 2, "poly": [{"c": "1", "m": [0, 0]}, {"c": value, "m": [1, 0]}]}]}))
+        argv = ["analyze", "--pencil", str(path), "--point", "0,0"]
+    elif where == "--point":
+        argv = ["analyze", "--pencil", so3_file, f"--point=0,{value},0"]
+    elif where == "linear":
+        argv = write_linear_inputs(tmp_path, {"dim": 2, "structure": []},
+                                   {"dim": 2, "cocycle": [{"i": 1, "j": 2, "c": value}]})
+    else:
+        points = {"--a": "1,1,1", "--b": "0,0,0", where: f"1,{value},1"}
+        argv = ["toda", "--n", "3", f"--a={points['--a']}", f"--b={points['--b']}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and f"{value} has more than 4300 digits" in doc["message"]
+
+
+def test_a_report_value_of_4301_digits_is_refused(so3_file, monkeypatch, capsys):
+    # a value that no input can give, here a point coordinate past the parse,
+    # is refused where the report would write it: exit 2, not a traceback
+    from bipencil import cli
+    monkeypatch.setattr(cli, "parse_point_csv", lambda text, dim: [0, 10 ** 4300, 0])
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "0,0,0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "refused", "message": "cannot write a rational of more "
+                               "than 4300 digits in its numerator or denominator"}
+
+
+def test_a_degeneracy_reason_of_4301_digits_is_refused(so3_file, monkeypatch, capsys):
+    # a lambda that the analysis makes from short inputs, as 1/q1 + 1/q2 with q
+    # of 4,299 digits, is refused where its key would name it in a degeneracy
+    # reason: exit 2, not a traceback
+    from bipencil import analyzer
+    from bipencil.pencil import Spectrum, SpectrumEntry
+    real = analyzer.compute_spectrum
+
+    def long_lambda(p, core, mode, warnings):
+        spectrum = real(p, core, mode, warnings)
+        return Spectrum([SpectrumEntry(Fraction(1, 10 ** 4300), 1)], spectrum.corank)
+
+    monkeypatch.setattr(analyzer, "compute_spectrum", long_lambda)
+    monkeypatch.setattr(analyzer, "is_diagonalizable", lambda form, corank, mode: False)
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point", "1,2,3"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "refused", "message": "cannot write a rational of more "
+                               "than 4300 digits in its numerator or denominator"}
 
 
 @pytest.mark.parametrize("c", [True, False])

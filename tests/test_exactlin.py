@@ -1317,6 +1317,55 @@ def test_carrier_gcd_and_squarefree_decomposition_match_euclid_over_the_field(pa
             typed_decomposition(euclid.squarefree_decomposition(a))
 
 
+@st.composite
+def rational_products(draw):
+    """Products over Q of powers of one to three factors of degree 1 or 2, of
+    small rational coefficients, squarefree by draw or of exponents 1-3, times
+    a leading coefficient that 10009, the first prime ``_residue_primes``
+    gives, divides at times: the shortcut mod p then takes the next prime."""
+    factor = st.lists(rationals, min_size=1, max_size=2).flatmap(
+        lambda low: st.builds(lambda top: low + [top], rationals.filter(bool)))
+    pool = draw(st.lists(factor, min_size=1, max_size=3))
+    exponents = [1] * len(pool) if draw(st.booleans()) else \
+        draw(st.lists(st.integers(1, 3), min_size=len(pool), max_size=len(pool)))
+    lead = Fraction(draw(st.integers(1, 40)) * draw(st.sampled_from([1, 10009, 10009 * 10037])),
+                    draw(st.integers(1, 7))) * draw(st.sampled_from([1, -1]))
+    return [tidy(lead * c) for c in product_of_powers(pool, exponents)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_products())
+@example([Fraction(10010), Fraction(-10011), Fraction(1)])       # (x - 1)(x - 10010)
+@example([Fraction(-1), Fraction(0), Fraction(10009)])           # 10009 x^2 - 1
+@example([Fraction(1), Fraction(2), Fraction(10009 * 10037)])
+@example([Fraction(-10010), Fraction(10011), Fraction(-1), Fraction(0)])
+def test_squarefree_decomposition_over_q_is_euclids(p):
+    # the gcd mod p decides only that f is squarefree; (x - 1)(x - 10010) is
+    # squarefree over Q but (x - 1)^2 mod 10009, and Yun's steps decide it
+    assert typed_decomposition(squarefree_decomposition(p)) == \
+        typed_decomposition(euclid.squarefree_decomposition(p))
+
+
+def test_a_squarefree_polynomial_takes_no_gcd_over_z(monkeypatch):
+    # one gcd mod p shows these squarefree, with Yun's answer, mod 10037
+    # where 10009 divides the leading coefficient; a square, or a polynomial
+    # squarefree over Q that is not mod p, runs Yun's gcds
+    calls = []
+    gcd_rows = exactlin._gcd_rows
+    monkeypatch.setattr(exactlin, "_gcd_rows", lambda *args: calls.append(args) or gcd_rows(*args))
+    squarefree = [[Fraction(-2), Fraction(1)], [Fraction(10010), Fraction(-10012), Fraction(1)],
+                  [Fraction(1), Fraction(0), Fraction(10009)],
+                  product_of_powers([f for f in ROOT_FACTORS if not isinstance(f[0], QQi)],
+                                    [1, 1, 1, 1])]
+    for f in squarefree:
+        assert squarefree_decomposition(f) == (f, [([c / f[-1] for c in f], 1)]), f
+    assert calls == []
+    for f in ([Fraction(10010), Fraction(-10011), Fraction(1)],
+              [Fraction(1), Fraction(-2), Fraction(1)]):
+        assert squarefree_decomposition(f) == euclid.squarefree_decomposition(f)
+    assert len(calls) >= 2
+
+
 def test_float_mode_takes_float_eigenvalues_of_an_exact_matrix():
     # one exact-or-float rule: eigenvalues, like ranks and kernels, are exact
     # only when the mode is exact and every entry is

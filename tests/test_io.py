@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipencil import io
-from bipencil.errors import InputFormatError
+from bipencil.errors import InputFormatError, PreconditionError
 from bipencil.io import entries_to_field
-from bipencil.scalars import parse_rational
+from bipencil.scalars import QQi, format_scalar, lambda_key, parse_rational
 
 from oracles import pencilfile
 
@@ -168,10 +168,30 @@ def test_every_entry_error_keeps_its_message_and_position(data, message, positio
 
 def test_a_decimal_exponent_is_read_up_to_4300_in_magnitude():
     # int() reads at most 4300 digits from a string by default; an exponent
-    # beyond that is refused before any power of 10 is formed
-    assert parse_rational("1e4300") == 10 ** 4300
+    # beyond that is refused before any power of 10 is formed, and 1e4300,
+    # whose numerator str() could not write back, after it
+    with pytest.raises(ValueError, match="1e4300 has more than 4300 digits"):
+        parse_rational("1e4300")
     assert parse_rational("-2.5E-4300") == Fraction(-25, 10 ** 4301)
     for text, exponent in (("1e4301", "4301"), ("1E-4301", "-4301"),
                            ("1e10000000", "10000000"), ("-1E-10000000", "-10000000")):
         with pytest.raises(ValueError, match=f"decimal exponent {exponent} exceeds 4300"):
             parse_rational(text)
+
+
+def test_a_rational_is_read_and_written_up_to_4300_digits():
+    # 10^4300 has 4301 digits: str() cannot write it, so parse_rational
+    # refuses it as numerator or denominator, and format_scalar and lambda_key
+    # refuse it as a PreconditionError, which the CLI reports with exit 2
+    for text in ("-1E-4300", "25e4299", "-2.5e+4300", "0.5E-4300"):
+        with pytest.raises(ValueError, match="has more than 4300 digits in its numerator"):
+            parse_rational(text)
+    for text, value in (("9.999e4299", Fraction(9999 * 10 ** 4296)),
+                        ("-1e-4299", Fraction(-1, 10 ** 4299))):
+        assert parse_rational(text) == value
+        assert format_scalar(value) == str(value)
+    for value in (Fraction(10 ** 4300), Fraction(-1, 10 ** 4300), QQi(1, Fraction(1, 10 ** 4300))):
+        with pytest.raises(PreconditionError, match="cannot write a rational of more than 4300"):
+            format_scalar(value)
+        with pytest.raises(PreconditionError, match="cannot write a rational of more than 4300"):
+            lambda_key(value)

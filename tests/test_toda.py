@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -168,18 +169,25 @@ def test_generators_are_those_of_poly_arithmetic():
 
 
 def test_jacobi_char_poly_is_faddeev_leverrier():
-    # the three-term recurrence and its corner terms give char_poly's
-    # coefficients, Fractions all, at random, symmetric and singular points
-    # (periodic ones from n = 3: a 2 x 2 periodic block has a_1 + a_2 > 0 off
-    # its diagonal); at n = 2 the corner is part of the off-diagonal entry
+    # the three-term recurrence and its corner terms, read off the point, give
+    # char_poly's coefficients of its block, Fractions all, at random,
+    # symmetric and singular points (periodic ones from n = 3: a 2 x 2
+    # periodic block has a_1 + a_2 > 0 off its diagonal) and at one of 60-bit
+    # numerators over distinct 40-bit denominators; at n = 2 the corner is
+    # part of the off-diagonal entry
+    rng = random.Random(12)
     for n in range(2, 13):
         points = [random_point(n, 60 + n), constant_lattice(n),
-                  make_singular_point(n, seed=n)]
+                  make_singular_point(n, seed=n),
+                  TodaPoint(n, [F(rng.randint(1, 2 ** 60), rng.randint(1, 2 ** 40))
+                                for _ in range(n)],
+                            [F(rng.randint(-2 ** 60, 2 ** 60), rng.randint(1, 2 ** 40))
+                             for _ in range(n)])]
         points += [make_singular_point(n, seed=n, antiperiodic=False)] if n > 2 else []
         for pt in points:
             for sign in (1, -1):
                 B = jacobi_block(pt, sign)
-                chi = jacobi_char_poly(B)
+                chi = jacobi_char_poly(pt, sign)
                 assert chi == char_poly(B), (n, sign, pt)
                 assert all(type(c) is Fraction for c in chi + char_poly(B)), (n, sign, pt)
 

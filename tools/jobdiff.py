@@ -238,8 +238,9 @@ def input_error_jobs(workdir: str, write):
     (1, 2, 3), a pencil file with each other error the entry parse raises (an
     index missing, not an integer or out of range, a duplicate entry, a
     ``poly`` or an ``m`` that is not a list, and a coefficient missing, not a
-    number, 1/0 or 1e4301, the first power of ten refused), a pencil file
-    whose ``meta`` is NaN, bad ``--point`` values, a ``--tol`` of 0 and of
+    number, 1/0 or 1e4301, beyond the exponent limit), a pencil file
+    whose ``meta`` is NaN, bad ``--point`` values (1e4300 and 1e-4300 among
+    them, of 4301 digits, which no report could write), a ``--tol`` of 0 and of
     1, a Toda lattice of one site, a non-positive Toda a_i, an unknown
     catalog name, an algebra that breaks the Jacobi identity and a form that
     is not a cocycle."""
@@ -309,6 +310,8 @@ def input_error_jobs(workdir: str, write):
         ("error point arity", analyze(pencil, "0,0")),
         ("error point empty field", analyze(pencil, "0,,0")),
         ("error point zero denominator", analyze(pencil, "1/0,0,0")),
+        ("error point 1e4300", analyze(pencil, "0,1e4300,0")),
+        ("error point 1e-4300", analyze(pencil, "0,1e-4300,0")),
         ("error float tol 0", analyze(pencil, "0,0,0", "--mode", "float", "--tol", "0")),
         ("error float tol 1", analyze(pencil, "0,0,0", "--mode", "float", "--tol", "1")),
         ("error toda n = 1", ["toda", "--n", "1", "--scan", "1"]),
