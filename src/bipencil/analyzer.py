@@ -102,7 +102,7 @@ def analyze_point(field0: PoissonTensorField, field_inf: PoissonTensorField,
     warnings: list = []
 
     pt = [Fraction(x) if isinstance(x, int) else x for x in point]
-    p = evaluate_pencil(field0, field_inf, pt, exact_required=mode.is_exact)
+    p = evaluate_pencil(field0, field_inf, pt)
 
     rank_walk, kronecker_walk = itertools.tee(map(
         functools.partial(evaluate_pencil, field0, field_inf), point_walk(field0.dim)))

@@ -153,7 +153,7 @@ def cmd_jk(args) -> int:
     field0, field_inf, declared, _meta = load_pencil_file(args.pencil)
     point = parse_point_csv(args.point, field0.dim)
     _arithmetic(args)       # checks --tol; jk decides exactly in either mode
-    inv = jk_invariants(evaluate_pencil(field0, field_inf, point, exact_required=True))
+    inv = jk_invariants(evaluate_pencil(field0, field_inf, point))
     doc = {"invariants": inv.to_json_dict(),
            "provenance": _provenance(args, {"pencil_file": args.pencil, "tolerance": None,
                                             "point": [format_scalar(x) for x in point]})}

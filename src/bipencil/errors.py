@@ -10,7 +10,7 @@ class DimensionMismatchError(BipencilError):
 
 
 class NonRationalPointError(BipencilError):
-    """Exact mode requires rational input data."""
+    """A point must be rational, in either mode: its coordinates ints or Fractions."""
 
 
 class RankDeficientPointError(BipencilError):

@@ -15,12 +15,13 @@ against the forward rows once, when first asked for: one line per free
 column, from the last pivot up, on the carrier's ints
 (``Elimination.kernel_rows``), the same algorithm over Z and Z[sqrt d].  It
 becomes Fraction / QQi vectors only at the end, each line divided by its
-entry at its free column (``Elimination.kernel``).  The reduced rows are
-back-substituted from the forward ones only for ``rref``.  Every primitive
-decides exactly in exact mode, and in floats at ``Mode.tol`` in float mode,
-by the one rule of ``Mode.zero``: a float is zero when |x| <= tol *
-max(scale, 1), so the float rank and kernel cut singular values at tol *
-max(sigma_max, 1), both read off one ``SVD`` where the caller keeps it.
+entry at its free column (``Elimination.kernel``).  ``rref`` reads the
+reduced rows off those lines: there is one back-substitution.  Every
+primitive decides exactly in exact mode, and in floats at ``Mode.tol`` in
+float mode, by the one rule of ``Mode.zero``: a float is zero when |x| <=
+tol * max(scale, 1), so the float rank and kernel cut singular values at
+tol * max(sigma_max, 1), both read off one ``SVD`` where the caller keeps
+it.
 Exact mode holds no float: ``eliminate`` names the one field of the entries
 (``scalars.quadratic_field``), and refuses a matrix with a float entry, or
 with entries in no one field, by PreconditionError.  A nonzero scale of a row changes no rank, kernel or
@@ -201,18 +202,6 @@ class _Z:
         content = math.gcd(*out)
         return [a // content for a in out] if content > 1 else out
 
-    @classmethod
-    def reduce(cls, rows, pivots):
-        """The forward-eliminated pivot ``rows`` in reduced form, a new list:
-        from the last pivot row up, each clears its pivot column from the rows
-        above it by ``combine``, which needs no previous pivot."""
-        A = list(rows)
-        for k in range(len(A) - 1, 0, -1):
-            col, prow = pivots[k], A[k]
-            for i in range(k):
-                A[i] = cls.combine(prow[col], A[i][col], None, A[i], prow)
-        return A
-
     @staticmethod
     def quotient(a, d):
         return Fraction(a, d)
@@ -269,24 +258,6 @@ class _ZD:
             ci = pr * ai + pi * ar - fr * bi - fi * br
             out.append(((cr * qr - ci * dqi) // n, (ci * qr - cr * qi) // n))
         return out
-
-    def reduce(self, rows, pivots):
-        """Bareiss's forward pivot ``rows`` in reduced form, a new list, from
-        the last up: with P the last pivot, row i becomes (P * row_i -
-        sum_{k > i} row_i[pc_k] * G_k) / p_i, G_k the rows below it already
-        reduced and p_i its pivot.  That is P times row i of the reduced row
-        echelon form, whose entries P makes minors (Cramer's rule), so the one
-        division is exact, and every reduced row has the pivot P."""
-        A, last = list(rows), len(rows) - 1
-        P = A[last][pivots[last]] if A else None
-        for i in range(last - 1, -1, -1):
-            row = acc = A[i]
-            for k in range(i + 1, last + 1):
-                scale = P if k == i + 1 else self.one
-                divisor = row[pivots[i]] if k == last else self.one
-                acc = self.combine(scale, row[pivots[k]], divisor, acc, A[k])
-            A[i] = acc
-        return A
 
     def quotient(self, a, den):
         (ar, ai), (dr, di) = a, den
@@ -401,9 +372,8 @@ class Elimination:
     """The forward elimination over the carrier K of ``rows`` in K's form
     (primitive ints over Z, (x, y) int pairs over Z[sqrt d]), in place by
     ``_bareiss``, and so its rank, at once.  The kernel is back-substituted
-    against the forward pivot rows, and the reduced rows (``rref``'s) from
-    them (``K.reduce``), each when first asked for; both are kept, so each
-    is computed once per elimination."""
+    against the forward pivot rows when first asked for, and kept, so it is
+    computed once per elimination; ``rref`` reads its reduced rows off it."""
 
     def __init__(self, rows, K):
         self.K, self.rows, self.width = K, rows, len(rows[0]) if rows else 0
@@ -412,13 +382,6 @@ class Elimination:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @functools.cached_property
-    def reduced(self):
-        """The pivot rows in reduced form: each is zero at the other rows'
-        pivot columns.  Over Z[sqrt d] those are Gauss-Jordan's rows times
-        the last pivot, over Z the primitive rows on the same lines."""
-        return self.K.reduce(self.rows[:self.rank], self.pivots)
 
     @functools.cached_property
     def kernel(self):
@@ -557,14 +520,26 @@ def mat_rank(M, mode: Mode = EXACT, warnings=None, what: str = "") -> int:
 def rref(M):
     """Reduced row echelon form over Q or Q(sqrt d); returns (R, pivot_cols).
 
-    The fraction-free reduced rows of ``eliminate(M)``; each pivot row
-    is divided by its pivot only at the end, giving Fraction entries, or QQi
-    for irrational ones.  Rows past the rank are zero.
+    Read off the kernel lines of ``eliminate(M)`` (``Elimination.kernel_rows``):
+    pivot row i is 1 at its pivot column pc and 0 at the other pivot columns,
+    and at each free column f it holds -v[pc] / v[f], v the line of f, zero
+    at every free column but f and at every pivot column right of it.  The
+    entries are Fraction, or QQi for irrational ones.  Rows past the rank
+    are zero.
     """
     e = eliminate(M)
-    R = [[e.K.quotient(a, row[col]) for a in row] for row, col in zip(e.reduced, e.pivots)]
+    K, pivots = e.K, e.pivots
+    zero, one = K.quotient(K.zero, K.one), K.quotient(K.one, K.one)
+    R = [[one if c == pc else zero for c in range(e.width)] for pc in pivots]
+    for v, f in zip(*e.kernel_rows):
+        den = K.scale(v[f], -1)
+        for row, pc in zip(R, pivots):
+            if pc > f:
+                break
+            if v[pc] != K.zero:
+                row[f] = K.quotient(v[pc], den)
     R += [[Fraction(0)] * e.width for _ in range(len(M) - e.rank)]
-    return R, e.pivots
+    return R, pivots
 
 
 def nullspace_exact(M):

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import RankDeficientPointError, SingularParameterError
+from .errors import PreconditionError, RankDeficientPointError, SingularParameterError
 from .exactlin import (Span, eigenvalues, eliminate, identity, mat_vec, nullspace_float, solve,
                        svd_rank)
 from .scalars import (EXACT, INF, Mode, cimag, claim, conj, is_exact_scalar,
-                      is_inf, lambda_is_real, near, snap, tidy)
+                      is_inf, lambda_is_real, near, snap, spectrum_key, tidy)
 from .tensorfield import PencilAtPoint, gram
 
 
@@ -268,7 +268,8 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
     otherwise keeps the operator.
     """
     corank = core.corank
-    if quotient_dim(p, core) == 0:
+    qdim = quotient_dim(p, core)
+    if qdim == 0:
         return Spectrum(entries=[], corank=corank)
     qbasis = quotient_basis(p, core, mode)
     t1, t2 = core.regular_params[:2]
@@ -276,6 +277,7 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
 
     entries = []
     exact, floats = eigenvalues(R.matrix, mode)
+    distinct = len(exact) + len(floats)
     values = [x for _, _, *pair in p.entries for x in pair]
     rational = all(is_exact_scalar(x) for x in values)
     real = not any(cimag(x) for x in values)
@@ -290,10 +292,12 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
         # recursion eigenvalue does not, so an exact pencil tries lambda
         # rationalized first, within the tolerance ``eigenvalues`` clusters
         # at; the exact rank decides whether a snapped value is in the
-        # spectrum, and one already there is not entered twice
+        # spectrum, and one already there is not entered twice: its float
+        # clusters are one eigenvalue of R
         for snapped in ([] if mode.is_exact or is_inf(lam) or not rational
                         else snap(lam, 1000 * mode.tol)):
             if snapped in [e.lam for e in entries]:
+                distinct -= 1
                 break
             kd = p.dim - rank_at(p, snapped, EXACT, warnings)
             if kd > corank:
@@ -305,10 +309,35 @@ def compute_spectrum(p: PencilAtPoint, core: IsotropicCore, mode: Mode = EXACT,
                 entries.append(SpectrumEntry(lam=lam, kernel_dim=kd))
     if real:
         entries = _canonicalize_conjugates(entries, mode)
-    entries.sort(key=lambda e: (1 if is_inf(e.lam) else 0,
-                                (abs(complex(e.lam)), complex(e.lam).real,
-                                 complex(e.lam).imag) if not is_inf(e.lam) else (0, 0, 0)))
+    _check_counts(entries, distinct, qdim, corank, mode, warnings)
+    entries.sort(key=lambda e: spectrum_key(e.lam))
     return Spectrum(entries=entries, corank=corank, recursion=R)
+
+
+def _check_counts(entries, eigenvalue_count: int, qdim: int, corank: int, mode: Mode,
+                  warnings):
+    """The spectrum accounts for R's eigenvalues, and fits the quotient.
+
+    R's distinct eigenvalues are exactly the spectrum, so they number as many
+    as its entries, a conjugate-paired entry counted twice.  By the
+    Jordan-Kronecker theorem the Jordan blocks of each lambda add
+    kernel_dim - corank dimensions, doubled for a paired entry, of
+    L^perp / L, whose dimension is ``qdim``.  A failed check raises
+    PreconditionError in exact mode; in float mode it is a warning that
+    names it, and the verdict stands."""
+    weight = [2 if e.paired else 1 for e in entries]
+    failed = []
+    if eigenvalue_count != sum(weight):
+        failed.append(f"spectrum count check failed: R has {eigenvalue_count} distinct "
+                      f"eigenvalues, the spectrum accounts for {sum(weight)}")
+    excess = sum(w * (e.kernel_dim - corank) for w, e in zip(weight, entries))
+    if excess > qdim:
+        failed.append(f"kernel excess check failed: the spectrum's kernels exceed the "
+                      f"corank by {excess}, more than dim L^perp/L = {qdim}")
+    if failed and mode.is_exact:
+        raise PreconditionError(failed[0])
+    if warnings is not None:
+        warnings.extend(failed)
 
 
 def _canonicalize_conjugates(entries, mode: Mode):

@@ -1,14 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Only the operations the pencil machinery needs: ring arithmetic, and the
-values and first partial derivatives at exact or floating points.  A Fraction
-coefficient and a tuple exponent are stored as they are given.  At a point
-in Q both are summed on ints: the point is cleared once, to ints X over one
-denominator Q (``cleared``), the terms are summed as one int over the lcm of
-their denominators, and each value is made a Fraction once, at the end; a
-constant's value there is its coefficient.  At any other point, float,
-complex or in a quadratic field, the terms are multiplied out and added one
-by one.
+values and first partial derivatives at a point in Q.  A Fraction
+coefficient and a tuple exponent are stored as they are given.  Values are
+summed on ints: the point is cleared once, to ints X over one denominator Q
+(``cleared``, which refuses a point off Q with NonRationalPointError), the
+terms are summed as one int over the lcm of their denominators, and each
+value is made a Fraction once, at the end; a constant's value is its
+coefficient.
 """
 
 from __future__ import annotations
@@ -16,43 +15,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import is_exact_scalar
+from .errors import NonRationalPointError
 
 
 def cleared(point):
     """(X, Q): the ints X = Q * point, Q > 0 the lcm of the coordinates'
-    denominators, for a point in Q; (point, None) for any other point."""
-    if all(isinstance(x, (int, Fraction)) for x in point):
-        Q = math.lcm(*(x.denominator for x in point))
-        return [x.numerator * (Q // x.denominator) for x in point], Q
-    return point, None
+    denominators; NonRationalPointError unless every coordinate is an int
+    or a Fraction."""
+    if not all(isinstance(x, (int, Fraction)) for x in point):
+        raise NonRationalPointError("a point must be rational")
+    Q = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (Q // x.denominator) for x in point], Q
 
 
-def _term_sum(terms, point, xq):
-    """The sum of e * c * x^m over (m, c, e) in ``terms`` at ``point``, whose
-    ``cleared`` form is ``xq``.  At a point X / Q in Q each term is the int
-    e * c.numerator * X^m over c.denominator * Q^|m|, and the sum is one int
-    over the lcm of those denominators, made a Fraction at the end.  Elsewhere
-    each term is multiplied out from e * c, or its float, and added in turn,
-    so that a float keeps its bits."""
+def _term_sum(terms, xq):
+    """The sum of e * c * x^m over (m, c, e) in ``terms`` at the point X / Q,
+    ``xq`` = (X, Q) its ``cleared`` form: each term is the int e *
+    c.numerator * X^m over c.denominator * Q^|m|, and the sum is one int over
+    the lcm of those denominators, made a Fraction at the end."""
     X, Q = xq
-    if Q is not None:
-        num, den = 0, 1
-        for m, c, e in terms:
-            d = c.denominator * Q ** sum(m)
-            g = math.gcd(den, d)
-            num = num * (d // g) + e * c.numerator * math.prod(map(pow, X, m)) * (den // g)
-            den = den // g * d
-        return Fraction(num, den)
-    exact = all(is_exact_scalar(x) for x in point)
-    total = Fraction(0) if exact else 0.0
-    for mono, c, e in terms:
-        term = c * e if exact else float(c * e)
-        for x, n in zip(point, mono):
-            for _ in range(n):
-                term = term * x
-        total = total + term
-    return total
+    num, den = 0, 1
+    for m, c, e in terms:
+        d = c.denominator * Q ** sum(m)
+        g = math.gcd(den, d)
+        num = num * (d // g) + e * c.numerator * math.prod(map(pow, X, m)) * (den // g)
+        den = den // g * d
+    return Fraction(num, den)
 
 
 class Poly:
@@ -147,25 +135,25 @@ class Poly:
 
     # -- values and first derivatives -----------------------------------------
     def eval(self, point, xq=None):
-        """The value at ``point``, exact at an exact point, and a constant's
-        coefficient at a point in Q; ``xq`` is ``cleared(point)``, made once
-        by a caller that evaluates many polynomials at one point."""
+        """The value at a rational ``point``, a Fraction, and a constant's
+        coefficient itself; ``xq`` is ``cleared(point)``, made once by a
+        caller that evaluates many polynomials at one point."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         xq = xq or cleared(point)
-        if xq[1] is not None and len(self.terms) == 1:
+        if len(self.terms) == 1:
             (mono, c), = self.terms.items()
             if not any(mono):
                 return c
-        return _term_sum([(m, c, 1) for m, c in self.terms.items()], point, xq)
+        return _term_sum([(m, c, 1) for m, c in self.terms.items()], xq)
 
     def partials(self, point, xq=None):
         """{k: d/dx_k at ``point``} over the variables x_k that occur, each
         summed straight from the terms as c * m_k * x^(m - e_k), as ``eval``."""
+        xq = xq or cleared(point)
         lowered = {}
         for mono, c in self.terms.items():
             for k, e in enumerate(mono):
                 if e:
                     lowered.setdefault(k, []).append((mono[:k] + (e - 1,) + mono[k + 1:], c, e))
-        xq = xq or cleared(point)
-        return {k: _term_sum(terms, point, xq) for k, terms in lowered.items()}
+        return {k: _term_sum(terms, xq) for k, terms in lowered.items()}

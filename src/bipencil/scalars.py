@@ -67,6 +67,27 @@ def lambda_key(lam) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"
 
 
+def sort_value(lam) -> complex:
+    """complex(lam) for a finite pencil parameter, to sort by.
+    PreconditionError where it or its modulus is beyond the float range."""
+    try:
+        z = complex(lam)
+        abs(z)
+    except OverflowError:
+        raise PreconditionError("a spectrum value is beyond the float range") from None
+    return z
+
+
+def spectrum_key(lam) -> tuple:
+    """The sort key of a pencil parameter: (0, |z|, Re z, Im z) for z =
+    ``sort_value(lam)``, (1, 0, 0, 0) at INF, so finite values come first, by
+    modulus."""
+    if is_inf(lam):
+        return 1, 0.0, 0.0, 0.0
+    z = sort_value(lam)
+    return 0, abs(z), z.real, z.imag
+
+
 def _mixed(method):
     """A QQi operator that also takes int, Fraction, float and complex operands.
 

@@ -2,7 +2,8 @@
 
 A field's entries and their first derivatives are evaluated at a point in Q
 on the ints of the point, cleared once per call (``poly.cleared``), each
-value made a Fraction at the end.  A pencil at a point is held as its
+value made a Fraction at the end; a point off Q is refused, in either mode
+(NonRationalPointError).  A pencil at a point is held as its
 nonzero entries; ``skew_cells`` computes
 their cells at a parameter, from which ``skew`` builds the dense P_lambda,
 and ``gram`` the Gram matrices of P_lambda or of d_k P_lambda on a basis:
@@ -13,8 +14,8 @@ decision reads ``PencilAtPoint.elimination_at`` instead: one elimination of
 P_lambda per lambda, kept with its kernel.  Entries in Q are eliminated as
 ``integer_matrix_at``, a positive multiple of P_lambda in its carrier's rows
 (ints or Z[sqrt d] pairs).  Float ones read ``float_matrix_at``, P_lambda
-with each exact value converted to a float once, and its one SVD per
-lambda, ``PencilAtPoint.svd_at``.
+with each exact value converted to a float once, which refuses a value
+beyond the float range, and its one SVD per lambda, ``PencilAtPoint.svd_at``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DimensionMismatchError, NonRationalPointError
+from .errors import DimensionMismatchError, PreconditionError
 from .exactlin import (Elimination, as_float, carrier, eliminate, np, primitive_row, svd,
                        to_numpy)
 from .poly import Poly, cleared
@@ -279,19 +280,23 @@ class PencilAtPoint:
         """to_numpy(matrix_at(lam)) bit for bit, each exact value converted once:
         at an exact real lambda = a/b (INF) the int cells of ``integer_matrix_at``
         over its scale D b (D), correctly rounded; at a float one ``skew_cells``'
-        float operations on ``_float_values``.  Else the dense ``skew``."""
-        if self._integer_values is not None:
-            if is_inf(lam) or isinstance(tidy(lam), Fraction):
-                b = 1 if is_inf(lam) else tidy(lam).denominator
-                num, den = (self._integer_values[1] * b).as_integer_ratio()
-                M = self.integer_matrix_at(lam)
-                return to_numpy([[x * den / num for x in row] for row in M])
-            if not is_exact_scalar(lam):
-                M = [[0.0 + lam * 0.0] * self.dim for _ in range(self.dim)]
-                for i, j, a0, ainf, m0, minf in self._float_values:
-                    M[i][j], M[j][i] = a0 + lam * ainf, m0 + lam * minf
-                return to_numpy(M)
-        return to_numpy(self.matrix_at(lam))
+        float operations on ``_float_values``.  Else the dense ``skew``.
+        PreconditionError where a value is beyond the float range."""
+        try:
+            if self._integer_values is not None:
+                if is_inf(lam) or isinstance(tidy(lam), Fraction):
+                    b = 1 if is_inf(lam) else tidy(lam).denominator
+                    num, den = (self._integer_values[1] * b).as_integer_ratio()
+                    M = self.integer_matrix_at(lam)
+                    return to_numpy([[x * den / num for x in row] for row in M])
+                if not is_exact_scalar(lam):
+                    M = [[0.0 + lam * 0.0] * self.dim for _ in range(self.dim)]
+                    for i, j, a0, ainf, m0, minf in self._float_values:
+                        M[i][j], M[j][i] = a0 + lam * ainf, m0 + lam * minf
+                    return to_numpy(M)
+            return to_numpy(self.matrix_at(lam))
+        except OverflowError:
+            raise PreconditionError("a value of the pencil is beyond the float range") from None
 
     @property
     def A0(self):
@@ -315,20 +320,16 @@ def _nonzero_pairs(values0: dict, values_inf: dict) -> list:
 
 
 def evaluate_pencil(field0: PoissonTensorField, field_inf: PoissonTensorField,
-                    point, exact_required: bool = False) -> PencilAtPoint:
-    """Evaluate both generators at a point; their first derivatives follow on
-    first use of ``PencilAtPoint.derivatives``.
-
-    Evaluation is exact whenever the point is rational; float points are
-    allowed only when ``exact_required`` is False.
-    """
+                    point) -> PencilAtPoint:
+    """Evaluate both generators at a point, exactly; their first derivatives
+    follow on first use of ``PencilAtPoint.derivatives``.  The point must be
+    rational, its coordinates ints or Fractions, in either mode: any other
+    is refused with NonRationalPointError (``poly.cleared``)."""
     if field0.dim != field_inf.dim or field0.vars != field_inf.vars:
         raise DimensionMismatchError("pencil generators live on different spaces")
     if len(point) != field0.dim:
         raise DimensionMismatchError(
             f"point has arity {len(point)}, expected {field0.dim}")
-    if exact_required and not all(is_exact_scalar(x) for x in point):
-        raise NonRationalPointError("exact mode requires a rational point")
     return PencilAtPoint(field0.dim,
                          _nonzero_pairs(field0.values_at(point), field_inf.values_at(point)),
                          list(point), (field0, field_inf))

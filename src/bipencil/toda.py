@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import PreconditionError, ToleranceError
 from .exactlin import np, poly_roots_hybrid, squarefree_decomposition, to_numpy
 from .poly import Poly
-from .scalars import EXACT, Mode, tidy
+from .scalars import EXACT, Mode, sort_value, tidy
 from .tensorfield import PoissonTensorField
 
 
@@ -170,7 +170,8 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
     twice: a squarefree block has no multiple eigenvalue, so its roots are not
     sought; otherwise ``poly_roots_hybrid`` is given only the factors of
     multiplicity >= 2, and each of their roots gives an entry, exact, or
-    refused with PreconditionError where exact mode cannot hold it.
+    refused with PreconditionError where exact mode cannot hold it.  Entries
+    come in increasing lambda (``sort_value``).
     """
     out = []
     for which, sign in (("periodic", 1), ("antiperiodic", -1)):
@@ -196,7 +197,7 @@ def toda_spectrum_via_lax(pt: TodaPoint, mode: Mode = EXACT):
                     mu = float(np.mean(cl))
                     out.append(LaxSpectrumEntry(lam=-mu, lax_eigenvalue=mu, which=which,
                                                 multiplicity=len(cl)))
-    out.sort(key=lambda e: complex(e.lam).real)
+    out.sort(key=lambda e: sort_value(e.lam).real)
     return out
 
 

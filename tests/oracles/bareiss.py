@@ -1,8 +1,7 @@
 """Bareiss forward elimination and fraction-free Gauss-Jordan over Z.
 
 The reference for ``exactlin``'s elimination over Z, which divides each
-updated row by its content instead of by the previous pivot and
-back-substitutes its reduced rows from the forward ones.  Here, at a pivot p
+updated row by its content instead of by the previous pivot.  Here, at a pivot p
 in column col (previous pivot prev, 1 at the start), each row below the pivot
 row becomes (p * row - row[col] * pivot_row) / prev, the forward elimination
 of Bareiss (1968), whose entries are minors, so the division is exact; with
@@ -14,9 +13,9 @@ primitive, are entrywise no larger.
 On QQi entries the same steps divide in the field.  ``rank`` counts the
 pivots of exact rows, and ``basis_union`` is the greedy loop on it, one rank
 of the whole family per candidate: the reference for the library's spans.
-``kernel_rows`` reads the kernel of a library ``Elimination`` off its reduced
-rows, as the library did before it back-substituted at the free columns: the
-reference for ``Elimination.kernel_rows`` on both carriers.
+``kernel_rows`` reads the kernel of a library ``Elimination`` off the
+fraction-free Gauss-Jordan form of its forward rows: the reference for
+``Elimination.kernel_rows`` on both carriers.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from bipencil.exactlin import mat_rank
+from bipencil.exactlin import mat_rank, scalar_matrix
 from bipencil.scalars import EXACT, QQi, quadratic_field
 
 
@@ -100,21 +99,19 @@ def basis_union(existing, new_vectors, mode=EXACT):
 
 
 def kernel_rows(e):
-    """(rows, free) of the ``Elimination`` e, read off the reduced form of its
-    forward rows (``e.K.reduce``, which leaves e as it is): with p c = n an
-    int for each reduced pivot p (``K.cofactor``) and N the lcm of the n, the
-    line at free column fc is N there and -(N / n) c row[fc] at each pivot
-    column, over the gcd of its coordinates (``K.divided``)."""
+    """(rows, free) of the ``Elimination`` e, read off the fraction-free
+    Gauss-Jordan form (``bareiss`` with ``reduce``) of its forward rows as
+    Fraction and QQi entries: the line at free column fc is 1 there and
+    -row[fc] / row[pc] at the pivot column pc of each reduced row, cleared
+    and over the gcd of its coordinates (``K.clear``, ``K.divided``)."""
     K, pivots = e.K, e.pivots
-    reduced = K.reduce(e.rows[:e.rank], pivots)
-    cof = [K.cofactor(row[pc]) for row, pc in zip(reduced, pivots)]
-    N = math.lcm(*(abs(n) for _, n in cof))
+    reduced, _ = bareiss(scalar_matrix(K, e.rows[:e.rank]), reduce=True)
     free = [c for c in range(e.width) if c not in pivots]
     rows = []
     for fc in free:
-        v = [K.zero] * e.width
-        v[fc] = K.lift(N)
-        for row, pc, (c, n) in zip(reduced, pivots, cof):
-            v[pc] = K.scale(K.mul(row[fc], c), -(N // n))
-        rows.append(K.divided(v))
+        v = [Fraction(0)] * e.width
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc] / row[pc]
+        rows.append(K.divided(K.clear(v)))
     return rows, free

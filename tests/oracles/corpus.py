@@ -21,6 +21,7 @@ from bipencil.catalog import ExpectedSummary, catalog as catalog_entries
 from bipencil.exactlin import mat_mul
 from bipencil.io import dump_canonical, pencil_to_json_dict
 from bipencil.jk import JordanBlock, KroneckerBlock, assemble_jk_canonical_pair, congruent_pair
+from bipencil.liealg import REAL, LieAlgebra
 from bipencil.poly import Poly
 from bipencil.scalars import INF, QQi, cimag, creal, lambda_key
 from bipencil.tensorfield import (PencilAtPoint, PoissonTensorField, constant_pencil,
@@ -111,6 +112,37 @@ def toda(sizes, seeds=(1,), regular=True) -> list:
     """Per n of ``sizes``: the singular points of ``seeds``, then random_point(n, n)."""
     return [case for n in sizes for case in
             [toda_singular(n, s) for s in seeds] + ([toda_random(n, n)] if regular else [])]
+
+
+def rigid_body(n, c, point) -> Case:
+    """The pencil of two linear brackets on so(n), [X, Y]_I = XY - YX (P_0)
+    and [X, Y]_C = XCY - YCX with C = diag(c) (P_inf), at ``point``: the Euler
+    top at n = 3, the multidimensional rigid body beyond (Bolsinov and
+    Borisov, *Math. Notes* 72, 2002; Manakov, 1976).  [X, Y]_C is a Lie
+    bracket for every symmetric C, linear in C.  The basis is E_ab = e_a e_b^T
+    - e_b e_a^T for a < b, in order (E12, E13, E23 at n = 3), and each bracket
+    is built from the basis matrices as ``oracles.sln.sl`` builds sl(n)'s."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    labels = [f"E{a + 1}{b + 1}" for a, b in pairs]
+    mats = []
+    for a, b in pairs:
+        M = [[F(0)] * n for _ in range(n)]
+        M[a][b], M[b][a] = F(1), F(-1)
+        mats.append(M)
+    fields = []
+    for middle in ([F(1)] * n, [F(x) for x in c]):
+        g = LieAlgebra(len(pairs), REAL, labels)
+        for u, X in enumerate(mats):
+            XC = [[x * m for x, m in zip(row, middle)] for row in X]
+            for v in range(u + 1, len(mats)):
+                Y = mats[v]
+                YC = [[y * m for y, m in zip(row, middle)] for row in Y]
+                B = [[p - q for p, q in zip(r, s)]
+                     for r, s in zip(mat_mul(XC, Y), mat_mul(YC, X))]
+                g.set_bracket(u, v, [B[a][b] for a, b in pairs])
+        fields.append(g.lie_poisson_field())
+    name = f"rigid-body-{n}-{_csv(c)}-at-{_csv(point)}"
+    return Case(name, *fields, [F(x) for x in point], len(pairs) - n // 2)
 
 
 def _shift(name, case: ShiftCase) -> Case:

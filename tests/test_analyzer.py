@@ -9,7 +9,7 @@ import pytest
 from bipencil import analyzer, cli, exactlin, liealg, linearization, pencil, roots
 from bipencil.analyzer import analyze_point
 from bipencil.catalog import catalog, catalog_by_name
-from bipencil.errors import PreconditionError, RankDeficientPointError
+from bipencil.errors import NonRationalPointError, PreconditionError, RankDeficientPointError
 from bipencil.exactlin import mat_mul, mat_vec, nullspace
 from bipencil.io import dump_canonical, pencil_to_json_dict
 from bipencil.jk import JordanBlock, KroneckerBlock, jk_invariants
@@ -131,12 +131,14 @@ def test_non_diagonalizable_where_jk_finds_a_jordan_block_of_size_two(mode):
 def test_float_mode_snaps_a_double_jordan_block_at_a_gaussian_lambda(congruence):
     # Kronecker 2 + Jordan (1+2i) of size 2, realified, under a congruence:
     # the block splits into float eigenvalues about sqrt(eps) apart, which
-    # cluster and snap to one exact lambda
+    # cluster, or snap to one exact lambda; clusters snapped to one lambda
+    # are one eigenvalue of R, which the spectrum count check counts once
     case = corpus.jk_gaussian_congruences()[congruence]
     for mode in (EXACT, float_mode()):
         rep = analyze_point(case.field0, case.field_inf, case.point, mode=mode)
         assert rep.verdict.reason == "NonDiagonalizable((1+2i))", mode
         assert [e.lam for e in rep.spectrum.entries] == [QQi(1, 2)], mode
+        assert not any("count check" in w for w in rep.warnings), mode
 
 
 @pytest.mark.parametrize("lam", [F(1, 1001), F(1000, 1001)])
@@ -149,11 +151,26 @@ def test_float_mode_snaps_to_the_first_rational_the_exact_rank_accepts(lam):
 
 
 def test_a_float_origin_keeps_lambda_zero():
-    # so3_shift at the float origin: lambda = 0 with its kernel of dimension 3
+    # so3_shift at the origin in float mode: lambda = 0 with its kernel of
+    # dimension 3
     e = catalog_by_name()["so3_shift"]
-    rep = analyze_point(e.field0, e.field_inf, [0.0, 0.0, 0.0], float_mode())
+    rep = analyze_point(e.field0, e.field_inf, [0, 0, 0], float_mode())
     assert rep.verdict.kind == "NonDegenerate"
     assert [(r.lam, r.kernel_dim) for r in rep.spectrum.entries] == [(0, 3)]
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+@pytest.mark.parametrize("x", [0.0, 1.5, complex(0, 1), QQi(0, 1), QQi(1, 1, 2)],
+                         ids=["zero", "float", "complex", "Q(i)", "Q(sqrt 2)"])
+def test_a_point_off_q_is_refused_in_either_mode(x, mode):
+    # a point must be rational: one float, complex or Q(sqrt d) coordinate
+    # is refused by the evaluation, and so by the analysis in either mode
+    e = catalog_by_name()["so3_shift"]
+    point = [Fraction(1), x, Fraction(0)]
+    with pytest.raises(NonRationalPointError):
+        evaluate_pencil(e.field0, e.field_inf, point)
+    with pytest.raises(NonRationalPointError):
+        analyze_point(e.field0, e.field_inf, point, mode, e.declared_rank)
 
 
 @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
@@ -297,18 +314,16 @@ def test_the_spot_check_skips_a_walk_pencil_below_the_rank(monkeypatch, mode):
 
 
 def test_a_float_singular_point_computes_only_its_own_core(monkeypatch):
-    # the walk points are rational whatever the point, a float one included,
-    # so the spot check takes the exact core at the first walk point in
-    # float mode too: the point's own float core is the only float one
+    # the walk points are rational, so the spot check takes the exact core at
+    # the first walk point in float mode too: the point's own float core is
+    # the only float one
     cores = count_calls(monkeypatch, analyzer, "compute_core")
     e = catalog_by_name()["so3_shift"]
-    for point in (e.point, [0.0, 0.0, 0.0]):
-        cores.clear()
-        rep = analyze_point(e.field0, e.field_inf, point,
-                            mode=float_mode(), declared_rank=e.declared_rank)
-        assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
-        assert [args[1].is_exact for args in cores] == [False, True], point
-        assert cores[1][0].point == next(point_walk(3)), point
+    rep = analyze_point(e.field0, e.field_inf, e.point,
+                        mode=float_mode(), declared_rank=e.declared_rank)
+    assert rep.verdict.kind == "NonDegenerate" and rep.warnings == []
+    assert [args[1].is_exact for args in cores] == [False, True]
+    assert cores[1][0].point == next(point_walk(3))
 
 
 @pytest.mark.parametrize("make_point, kind, calls", [

@@ -759,3 +759,29 @@ def test_exact_mode_refuses_the_sl3_point_of_a_quadratic_factor(tmp_path, capsys
         "message": "exact mode cannot hold the roots of a factor of degree 2 over Q(sqrt 249)"}
     code, out, err = run_cli(case.argv("analyze", "float", path=path), capsys)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["toda", "--n", "3", "--a", "1e400,1e400,1e400", "--b", "0,0,0"],
+     "a spectrum value is beyond the float range"),
+    (["toda", "--n", "3", "--a", "1e400,1e400,1e400", "--b", "0,0,0", "--mode", "float"],
+     "a value of the pencil is beyond the float range"),
+    (["analyze", "--point=0,1e400,1", "--mode", "float"],
+     "a value of the pencil is beyond the float range"),
+], ids=["toda-exact", "toda-float", "analyze-float"])
+def test_a_value_beyond_the_float_range_is_refused(so3_file, argv, message, capsys):
+    # exact mode sorts its spectrum by a float key, and float mode converts
+    # the pencil to floats: a value past the float range is refused there,
+    # exit 2, not an OverflowError traceback
+    if argv[0] == "analyze":
+        argv = argv[:1] + ["--pencil", so3_file] + argv[1:]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "refused", "message": message}
+
+
+def test_exact_mode_analyzes_a_point_beyond_the_float_range(so3_file, capsys):
+    # the same so(3) point in exact mode converts nothing to a float: Regular
+    code, out, err = run_cli(["analyze", "--pencil", so3_file, "--point=0,1e400,1"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["report"]["verdict"]["kind"] == "Regular"

@@ -267,15 +267,14 @@ def integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_matrices())
 def test_integer_elimination_rows_are_no_larger_than_bareiss(M):
-    # each forward and reduced row over Z is the primitive row on the line of
-    # the Bareiss / fraction-free Gauss-Jordan row of the same index
+    # each forward row over Z is the primitive row on the line of the Bareiss
+    # row of the same index
     e = exactlin.eliminate(M, 0)
     cleared = [primitive_row(row) for row in M]
     forward, pivots = bareiss.bareiss(cleared, reduce=False)
-    reduced, reduced_pivots = bareiss.bareiss(cleared, reduce=True)
-    assert e.pivots == pivots == reduced_pivots
-    assert len(e.rows) == len(forward) and len(e.reduced) == e.rank
-    for new, old in [*zip(e.rows, forward), *zip(e.reduced, reduced)]:
+    assert e.pivots == pivots == bareiss.bareiss(cleared, reduce=True)[1]
+    assert len(e.rows) == len(forward)
+    for new, old in zip(e.rows, forward):
         assert all(abs(a) <= abs(b) for a, b in zip(new, old)), (new, old)
         if any(old):
             c = next(c for c, b in enumerate(old) if b)
@@ -288,10 +287,9 @@ def test_integer_elimination_rows_are_no_larger_than_bareiss(M):
 @given(st.sampled_from([2, -3, 5]), st.integers(1, 6), st.integers(1, 6), st.integers(0, 6),
        st.data())
 def test_quadratic_field_elimination_matches_field_gauss_jordan(d, n, m, k, data):
-    # over Z[sqrt d] the reduced rows are back-substituted from Bareiss's
-    # forward rows with one exact division each: a product of n x k and k x m
-    # matrices over Q(sqrt d), of rank at most k, against Gauss-Jordan in the
-    # field
+    # ``rref``, read off the kernel lines over Z[sqrt d], against Gauss-Jordan
+    # in the field, type for type: a product of n x k and k x m matrices over
+    # Q(sqrt d), of rank at most k
     entry = st.builds(lambda a, b, q: QQi(Fraction(a, q), Fraction(b, q), d),
                       st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3))
     B = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(n)]
@@ -353,8 +351,7 @@ def field_matrices(draw):
 @example([[QQi(1, 1, 2), 2, 0], [1, QQi(0, 1, 2), 0]])    # rank 1 over Z[sqrt 2]
 def test_kernel_rows_match_the_reduced_form_read_off(M):
     # the back-substitution at the free columns gives the lines, types and
-    # free columns that the reduced rows gave, on both carriers, and leaves
-    # the reduced form uncomputed
+    # free columns that the reduced rows gave, on both carriers
     e = exactlin.eliminate(M)
     rows, free = e.kernel_rows
     assert typed([rows, free]) == typed(list(bareiss.kernel_rows(e)))
@@ -362,17 +359,6 @@ def test_kernel_rows_match_the_reduced_form_read_off(M):
     # a positive int at the free column: (x, 0) with x > 0 over Z[sqrt d]
     assert all(e.K.coords(v[f])[0] > 0 and not any(e.K.coords(v[f])[1:])
                for v, f in zip(rows, free))
-    assert "reduced" not in e.__dict__
-
-
-@pytest.mark.parametrize("M", [[[1, 2, 3], [2, 4, 7]],
-                               [[QQi(0, 1), 1, 2], [-1, QQi(0, 1), QQi(0, 2)]]],
-                         ids=["Z", "Z[i]"])
-@pytest.mark.parametrize("attr", ["kernel", "kernel_lines", "kernel_rows"])
-def test_the_kernel_leaves_the_reduced_form_uncomputed(M, attr):
-    e = exactlin.eliminate(M)
-    assert getattr(e, attr) and "reduced" not in e.__dict__
-    assert e.reduced and "reduced" in e.__dict__
 
 
 def typescan_primitive_row(row):

@@ -7,7 +7,7 @@ import pytest
 
 from bipencil.analyzer import analyze_point
 from bipencil.cli import main
-from bipencil.errors import PreconditionError
+from bipencil.errors import PreconditionError, SingularParameterError
 from bipencil.exactlin import char_poly, mat_rank, mat_vec, poly_roots_hybrid
 from bipencil.linearization import kernel_form, linearize
 from bipencil.poly import Poly
@@ -361,6 +361,72 @@ def test_float_singular_toda_agrees_with_the_lax_oracle(case, capsys):
     assert point["report"]["verdict"]["kind"] == "NonDegenerate"
     assert point["report"]["total_type"]["ke"] == len(point["lax_oracle"])
     assert point["oracle_agrees"] is True
+
+
+# float mode at scale against exact mode, whose spectrum count is the Lax
+# count: the one float run that raises instead of answering, with its error
+FLOAT_DEFECTS = {"toda-random-24.1": SingularParameterError}
+
+
+@pytest.mark.parametrize("case", [getattr(corpus, f"toda_{kind}")(n, s)
+                                  for kind in ("singular", "random")
+                                  for n in (10, 12, 14, 16, 20, 24) for s in (1, 2)],
+                         ids=lambda case: case.name)
+def test_float_toda_at_scale_equals_exact_or_warns(case):
+    # each float point rank and spectrum count equals exact mode's, or the
+    # float report names the spectrum count check that failed: no float
+    # answer is wrong in silence
+    exact = analyze_point(case.field0, case.field_inf, case.point, EXACT, case.rank)
+    assert len(exact.spectrum.entries) == len(toda_spectrum_via_lax(case.lattice))
+    assert exact.warnings == []
+    if case.name in FLOAT_DEFECTS:
+        with pytest.raises(FLOAT_DEFECTS[case.name]):
+            analyze_point(case.field0, case.field_inf, case.point, float_mode(), case.rank)
+        return
+    rep = analyze_point(case.field0, case.field_inf, case.point, float_mode(), case.rank)
+    if (rep.point_rank, len(rep.spectrum.entries)) != \
+            (exact.point_rank, len(exact.spectrum.entries)):
+        assert any(w.startswith("spectrum count check failed") for w in rep.warnings)
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_an_eigenvalue_of_r_off_the_spectrum_fails_the_count_check(mode, monkeypatch):
+    # one more eigenvalue of R than the spectrum accounts for, mu = 7/3 at a
+    # regular lambda: exact mode refuses, float mode warns and keeps its verdict
+    case = corpus.toda_singular(4, 1)
+    eigenvalues = pencil.eigenvalues
+
+    def one_more(M, m):
+        exact, floats = eigenvalues(M, m)
+        return (exact + [(F(7, 3), 1)], floats) if m.is_exact else \
+            (exact, floats + [(complex(7 / 3), 1)])
+
+    monkeypatch.setattr(pencil, "eigenvalues", one_more)
+    message = "spectrum count check failed: R has 2 distinct eigenvalues, " \
+              "the spectrum accounts for 1"
+    if mode.is_exact:
+        with pytest.raises(PreconditionError, match=message):
+            analyze_point(case.field0, case.field_inf, case.point, mode, case.rank)
+        return
+    rep = analyze_point(case.field0, case.field_inf, case.point, mode, case.rank)
+    assert rep.verdict.kind == "NonDegenerate" and message in rep.warnings
+
+
+@pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+def test_kernels_beyond_the_quotient_fail_the_excess_check(mode):
+    # a paired entry with kernel_dim - corank = 2 adds 4 dimensions, more than
+    # a quotient of 3
+    entries = [pencil.SpectrumEntry(lam=QQi(1, 1), kernel_dim=3, paired=True)]
+    warnings = []
+    message = "kernel excess check failed: the spectrum's kernels exceed the corank " \
+              "by 4, more than dim L^perp/L = 3"
+    if mode.is_exact:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            pencil._check_counts(entries, 2, 3, 1, mode, warnings)
+    else:
+        pencil._check_counts(entries, 2, 3, 1, mode, warnings)
+        assert warnings == [message]
+    pencil._check_counts(entries, 2, 4, 1, mode, warnings)
 
 
 @pytest.mark.parametrize("n, ke", [(n, n - 1) for n in range(2, 9)])

@@ -36,7 +36,7 @@ def squarefree_part(n: int, b: int, seed: int):
 
     case = shift_case(n, b, seed)
     entry = case.entry()
-    p = evaluate_pencil(entry.field0, entry.field_inf, case.point, exact_required=True)
+    p = evaluate_pencil(entry.field0, entry.field_inf, case.point)
     core = compute_core(p, rank=pencil_rank_corank(p)[0])
     t1, t2 = core.regular_params[:2]
     R = recursion_operator(p, quotient_basis(p, core), t1, t2)
